@@ -1,33 +1,44 @@
-"""Read-path regression bench: block cache + fence pruning vs. baseline.
+"""Cross-group read bench: one-sided index replication vs. handler
+round-trips.
 
-A 4-rank YCSB-C-style workload (100% reads, Zipfian-skewed) against
-cold reader state: each rank loads its own shard in key-prefixed phases
+4 ranks on SUMMITDEV split into two storage groups (group_size=2 →
+{0,1} and {2,3}).  Each rank loads its own shard in key-prefixed phases
 — one SSTable per phase with a disjoint key range, so the footer fences
-actually prune — then drops every cached reader and block and measures
-a read-only phase twice:
+actually prune — drops every cached reader and block, then runs a
+Zipfian read phase twice against *peer-owned* keys:
 
-* **baseline** — the pre-overhaul read path (`block_cache_enabled=False,
-  fence_pruning=False`): every SSData probe is a fresh `store.read`,
-  every table is gated by bloom alone;
-* **optimized** — the shared block cache plus fence pruning (defaults).
+* **same-group** — the peer is rank^1 (shared NVM): the §2.7 direct
+  SSTable read path, the reference cost of a non-local get (note it
+  still pays a NOT_IN_MEMORY handshake round-trip per get);
+* **cross-group** — the peer is (rank+2)%4 (the other group's NVM):
+  without `index_replication` every get is a handler round-trip;
+  with it the requester pulls the owner's metadata bundles once and
+  resolves each get with a local gate walk plus one direct block
+  read — no message at all at steady state.
+
+The gates: with index replication on, cross-group gets must land
+within 2x of the same-group direct-read cost (they actually come in
+*under* it, because the one-sided path is the only non-local tier
+with no per-get round-trip), and must beat the handler-only
+cross-group phase outright.
 
 The local value cache is off in both configs so repeated gets exercise
-the SSTable path itself, not the value cache above it.
+the SSTable path itself, not the value cache above it.  Single-group
+read throughput is the runner's ``ycsb_c`` workload
+(``python -m benchmarks.runner``).
 
-Emits ``BENCH_READ_PATH.json`` at the repo root (ops/s both ways, the
-speedup, and the cache/fence/bloom counter deltas) — the checked-in
-copy is the regression reference.  Quick mode (``PKV_BENCH_QUICK=1``,
-used by CI's bench-smoke job) shrinks the workload and skips the
-speedup gate but still fails if the block cache or fence pruning stops
-being exercised (zero hits / zero skips = a wiring regression).
+Emits ``BENCH_READ_PATH.json`` at the repo root — the checked-in copy
+is the regression reference.  Quick mode (``PKV_BENCH_QUICK=1``, used
+by CI's bench-smoke job) shrinks the workload and skips the perf gates
+but still fails if the one-sided path stops being exercised (zero hits
+/ zero pulls = a wiring regression).
 """
 
 from __future__ import annotations
 
-import json
 import os
 
-from benchmarks.harness import KB, MB, REPO_ROOT, Report, run_once, write_json
+from benchmarks.harness import KB, MB, Report, run_once, write_json
 from repro.config import Options, SSTABLE
 from repro.core.env import Papyrus
 from repro.mpi.launcher import spmd_run
@@ -43,7 +54,6 @@ ZIPF_THETA = 0.99
 QUICK = os.environ.get("PKV_BENCH_QUICK", "") not in ("", "0")
 PHASES = 4 if QUICK else 6
 KEYS_PER_PHASE = 24 if QUICK else 40
-ITERS = 150 if QUICK else 1200
 XG_ITERS = 120 if QUICK else 800
 
 
@@ -64,155 +74,6 @@ def _shard_keys(rank: int, nranks: int) -> list:
                 keys.append(cand)
                 got += 1
     return keys
-
-
-def _app_factory(block_cache: bool, fence_pruning: bool):
-    def app(ctx):
-        opts = Options(
-            memtable_capacity=1 * MB,
-            cache_local_enabled=False,  # measure the SSTable path itself
-            compaction_interval=0,      # keep one table per load phase
-            group_size=1,
-            block_cache_enabled=block_cache,
-            fence_pruning=fence_pruning,
-        )
-        env = Papyrus(ctx)
-        db = env.open("readpath", opts)
-        keys = _shard_keys(ctx.world_rank, ctx.nranks)
-        value = value_of_size(VALLEN)
-        per_phase = len(keys) // PHASES
-        for p in range(PHASES):
-            for k in keys[p * per_phase:(p + 1) * per_phase]:
-                db.put(k, value)
-            db.barrier(SSTABLE)  # one SSTable per prefix range
-
-        # cold reader state: drop cached readers, blooms/indexes, blocks
-        db._invalidate_readers()
-        fence0 = db.stats.fence_skips
-        bloom0 = db.stats.bloom_skips
-        cache0 = (db.block_cache.counters()
-                  if db.block_cache is not None else None)
-
-        zipf = ZipfianGenerator(len(keys), ZIPF_THETA,
-                                seed=11 + ctx.world_rank)
-        t0 = ctx.clock.now
-        for _ in range(ITERS):
-            db.get(keys[zipf.next()])
-        elapsed = ctx.clock.now - t0
-
-        out = {
-            "elapsed": elapsed,
-            "fence_skips": db.stats.fence_skips - fence0,
-            "bloom_skips": db.stats.bloom_skips - bloom0,
-            "block_cache": None,
-        }
-        if db.block_cache is not None:
-            c1 = db.block_cache.counters()
-            out["block_cache"] = {
-                k: (c1[k] - cache0[k]
-                    if k in ("hits", "misses", "evictions", "inserts",
-                             "low_priority_inserts", "invalidations")
-                    else c1[k])
-                for k in c1
-            }
-        db.close()
-        env.finalize()
-        return out
-
-    return app
-
-
-def _run_config(block_cache: bool, fence_pruning: bool) -> dict:
-    results = spmd_run(
-        RANKS, _app_factory(block_cache, fence_pruning),
-        system=SUMMITDEV, timeout=300,
-    )
-    elapsed = max(r["elapsed"] for r in results)
-    agg = {
-        "ops_per_sec": RANKS * ITERS / elapsed,
-        "elapsed_virtual_s": elapsed,
-        "fence_skips": sum(r["fence_skips"] for r in results),
-        "bloom_skips": sum(r["bloom_skips"] for r in results),
-        "block_cache": None,
-    }
-    if results[0]["block_cache"] is not None:
-        agg["block_cache"] = {
-            k: sum(r["block_cache"][k] for r in results)
-            for k in results[0]["block_cache"]
-        }
-    return agg
-
-
-def test_read_path_regression(benchmark):
-    def run():
-        baseline = _run_config(block_cache=False, fence_pruning=False)
-        optimized = _run_config(block_cache=True, fence_pruning=True)
-        speedup = baseline["elapsed_virtual_s"] / optimized["elapsed_virtual_s"]
-
-        rep = Report(
-            "read_path — 4-rank YCSB-C reads, cold reader state (KRPS)",
-            ["config", "KRPS", "fence_skips", "bloom_skips", "cache_hits"],
-        )
-        for name, r in (("baseline", baseline), ("optimized", optimized)):
-            rep.add(name, r["ops_per_sec"] / 1e3, r["fence_skips"],
-                    r["bloom_skips"],
-                    r["block_cache"]["hits"] if r["block_cache"] else 0)
-        rep.emit()
-
-        payload = {
-            "bench": "read_path",
-            "ranks": RANKS,
-            "phases": PHASES,
-            "keys_per_rank": PHASES * KEYS_PER_PHASE,
-            "value_bytes": VALLEN,
-            "gets_per_rank": ITERS,
-            "zipf_theta": ZIPF_THETA,
-            "quick": QUICK,
-            "baseline": baseline,
-            "optimized": optimized,
-            "speedup": round(speedup, 3),
-        }
-        write_json("BENCH_READ_PATH.json", payload)
-        return payload
-
-    payload = run_once(benchmark, run)
-
-    opt = payload["optimized"]
-    # wiring guards: the cache and the fences must actually participate
-    assert opt["block_cache"] is not None
-    assert opt["block_cache"]["hits"] > 0, "block cache saw zero hits"
-    assert opt["fence_skips"] > 0, "fence pruning never skipped a table"
-    assert payload["baseline"]["block_cache"] is None
-    if not QUICK:
-        # the perf gate proper: the overhauled read path must at least
-        # double read throughput on this workload
-        assert payload["speedup"] >= 2.0, (
-            f"read-path speedup {payload['speedup']}x < 2x"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Cross-group phase: one-sided index replication vs. handler round-trips.
-#
-# Same 4 ranks on SUMMITDEV, but split into two storage groups
-# (group_size=2 → {0,1} and {2,3}). After the fenced load, every rank
-# runs the Zipfian read phase twice against *peer-owned* keys:
-#
-# * **same-group** — the peer is rank^1 (shared NVM): the §2.7 direct
-#   SSTable read path, the reference cost of a non-local get (note it
-#   still pays a NOT_IN_MEMORY handshake round-trip per get);
-# * **cross-group** — the peer is (rank+2)%4 (the other group's NVM):
-#   without `index_replication` every get is a handler round-trip;
-#   with it the requester pulls the owner's metadata bundles once and
-#   resolves each get with a local gate walk plus one direct block
-#   read — no message at all at steady state.
-#
-# The gates: with index replication on, cross-group gets must land
-# within 2x of the same-group direct-read cost (they actually come in
-# *under* it, because the one-sided path is the only non-local tier
-# with no per-get round-trip), and must beat the handler-only
-# cross-group phase outright.
-# ---------------------------------------------------------------------------
 
 
 def _xgroup_app_factory(index_repl: bool):
@@ -319,13 +180,15 @@ def test_cross_group_read_regression(benchmark):
                 without["cross_group_elapsed_s"]
                 / with_repl["cross_group_elapsed_s"], 3),
         }
-        # merge into the read-path JSON (written by the test above in a
-        # full file run; the checked-in copy otherwise)
-        path = os.path.join(REPO_ROOT, "BENCH_READ_PATH.json")
-        with open(path) as f:
-            payload = json.load(f)
-        payload["cross_group"] = section
-        write_json("BENCH_READ_PATH.json", payload)
+        write_json("BENCH_READ_PATH.json", {
+            "bench": "read_path",
+            "ranks": RANKS,
+            "phases": PHASES,
+            "keys_per_rank": PHASES * KEYS_PER_PHASE,
+            "value_bytes": VALLEN,
+            "zipf_theta": ZIPF_THETA,
+            "cross_group": section,
+        })
         return section
 
     section = run_once(benchmark, run)

@@ -30,7 +30,6 @@ from repro.analysis.findings import (
     is_allowed,
     load_allowlist,
     load_doc,
-    migrate_doc,
 )
 from repro.analysis.flow import Summary, compute_summaries
 from repro.analysis.lock_order import (
@@ -61,7 +60,6 @@ __all__ = [
     "findings_to_json",
     "findings_to_sarif",
     "load_doc",
-    "migrate_doc",
     "load_allowlist",
     "is_allowed",
     "CallGraph",

@@ -11,12 +11,9 @@ The JSON schema (``docs/analysis.md``) is version **2**::
                    "path": "...", "line": 0, "function": "...",
                    "call_path": ["..."], "details": ["..."]}, ...]}
 
-Version 1 (PR 4) lacked ``call_path`` — the interprocedural call chain
-a whole-program rule walked to reach the violation.  :func:`load_doc`
-accepts both versions; :func:`migrate_doc` converts v1 → v2 and
-:func:`downgrade_doc` v2 → v1, so consumers pinned to either schema
-keep working (``race-report`` still emits v1: its findings never carry
-call chains).
+``call_path`` is the interprocedural call chain a whole-program rule
+walked to reach the violation.  :func:`load_doc` rejects any other
+version.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
-#: schema version emitted by findings_to_json by default
+#: the one schema version findings_to_json emits and load_doc accepts
 SCHEMA_VERSION = 2
 
 
@@ -37,7 +34,7 @@ class Finding:
     ``deadlock``); ``rule`` is the stable rule id (``R001``..``R007``
     for lint, ``RACE``/``LOCK_ORDER``/``DEADLOCK`` for the dynamic
     plane).  ``details`` carries acquisition/access stacks.
-    ``call_path`` (schema v2) carries the interprocedural chain an
+    ``call_path`` carries the interprocedural chain an
     whole-program rule followed from the flagged site to the violating
     operation — empty for purely local findings.
     """
@@ -52,7 +49,7 @@ class Finding:
     call_path: Tuple[str, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form, stable key order for JSON output (v2)."""
+        """Plain-dict form, stable key order for JSON output."""
         return {
             "tool": self.tool,
             "rule": self.rule,
@@ -75,7 +72,7 @@ class Finding:
 
 
 def finding_from_dict(d: Dict[str, Any]) -> Finding:
-    """Rebuild a :class:`Finding` from its dict form (v1 or v2)."""
+    """Rebuild a :class:`Finding` from its dict form."""
     return Finding(
         tool=str(d.get("tool", "")),
         rule=str(d.get("rule", "")),
@@ -88,84 +85,26 @@ def finding_from_dict(d: Dict[str, Any]) -> Finding:
     )
 
 
-def findings_to_json(findings: Sequence[Finding],
-                     version: int = SCHEMA_VERSION) -> str:
-    """Serialize findings to the machine-readable schema.
-
-    ``version=2`` (the default) includes ``call_path``; ``version=1``
-    reproduces the PR-4 schema exactly for pinned consumers.
-    """
-    if version == 1:
-        docs = []
-        for f in findings:
-            d = f.to_dict()
-            d.pop("call_path")
-            docs.append(d)
-        doc: Dict[str, Any] = {"version": 1, "findings": docs}
-    elif version == SCHEMA_VERSION:
-        doc = {
-            "version": SCHEMA_VERSION,
-            "findings": [f.to_dict() for f in findings],
-        }
-    else:
-        raise ValueError(f"unknown findings schema version {version}")
+def findings_to_json(findings: Sequence[Finding]) -> str:
+    """Serialize findings to the machine-readable schema."""
+    doc = {
+        "version": SCHEMA_VERSION,
+        "findings": [f.to_dict() for f in findings],
+    }
     return json.dumps(doc, indent=2, sort_keys=False)
 
 
-# ------------------------------------------------------- schema migration
-def migrate_doc(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Upgrade a findings document to schema v2 (idempotent).
-
-    A v1 finding simply gains an empty ``call_path``; a v2 document is
-    returned unchanged (same object).  Raises on unknown versions so a
-    future v3 never silently round-trips through this shim.
-    """
-    version = doc.get("version")
-    if version == SCHEMA_VERSION:
-        return doc
-    if version != 1:
-        raise ValueError(f"cannot migrate findings schema v{version!r}")
-    return {
-        "version": SCHEMA_VERSION,
-        "findings": [
-            dict(f, call_path=list(f.get("call_path", [])))
-            for f in doc.get("findings", [])
-        ],
-    }
-
-
-def downgrade_doc(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Project a findings document down to schema v1 (idempotent).
-
-    ``call_path`` entries are folded into ``details`` (prefixed
-    ``via:``) so no information silently vanishes for v1 consumers.
-    """
-    version = doc.get("version")
-    if version == 1:
-        return doc
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"cannot downgrade findings schema v{version!r}")
-    out = []
-    for f in doc.get("findings", []):
-        d = {k: v for k, v in f.items() if k != "call_path"}
-        chain = f.get("call_path") or []
-        if chain:
-            d["details"] = list(f.get("details", [])) + [
-                "via: " + " -> ".join(chain)
-            ]
-        out.append(d)
-    return {"version": 1, "findings": out}
-
-
 def load_doc(text_or_doc: Union[str, Dict[str, Any]]) -> List[Finding]:
-    """Parse a findings document of either schema version.
+    """Parse a findings document (JSON text or an already-parsed dict).
 
-    Accepts the JSON text or an already-parsed dict; always returns
-    :class:`Finding` objects (v1 findings get empty call paths).
+    Raises :class:`ValueError` on any schema version but
+    :data:`SCHEMA_VERSION`.
     """
     doc = (json.loads(text_or_doc) if isinstance(text_or_doc, str)
            else text_or_doc)
-    doc = migrate_doc(doc)
+    version = doc.get("version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"unknown findings schema version {version!r}")
     return [finding_from_dict(f) for f in doc.get("findings", [])]
 
 

@@ -31,10 +31,7 @@ union at joins), ``tainted`` (per-variable taint origins, union), and
 ``reachable``.  Summaries (:class:`Summary`) are computed by a
 monotone fixpoint over the call graph — each field only ever grows, so
 iteration terminates — then a second pass re-interprets each function
-and emits findings.  With ``interprocedural=False`` the same
-interpreter runs with no call resolution and only the PR-4 rules,
-which is exactly the old lexical behaviour (kept for the regression
-fixtures and ``papyruskv lint --lexical``).
+and emits findings.
 
 Nested ``def``/``lambda`` bodies get a fresh scope with no held locks:
 a deferred job does *not* run under the ``with`` block that created it
@@ -201,11 +198,10 @@ class _Interp:
     ``findings is None`` → *collect* mode: build a :class:`Summary`
     against the current (possibly still-growing) summary table.
     ``findings`` a list → *emit* mode: report violations against the
-    fixpoint summaries.  ``graph is None`` disables call resolution and
-    all v2-only rules (the PR-4 lexical behaviour).
+    fixpoint summaries.
     """
 
-    def __init__(self, info: FunctionInfo, graph: Optional[CallGraph],
+    def __init__(self, info: FunctionInfo, graph: CallGraph,
                  summaries: Dict[str, Summary],
                  findings: Optional[List[Finding]],
                  func_name: Optional[str] = None) -> None:
@@ -514,8 +510,8 @@ class _Interp:
                     path=self.path, line=call.lineno, function=self.func,
                 ))
 
-        # persistent write sources (R002 reachability, v2 only)
-        if self.graph is not None and self.persistence:
+        # persistent write sources (R002 reachability)
+        if self.persistence:
             mode = _open_write_mode(call)
             if mode is not None or chain == "os.write":
                 site = (f"open(mode={mode!r})" if mode is not None
@@ -533,9 +529,8 @@ class _Interp:
         if recv_taint is not None:
             taint = taint or recv_taint
 
-        # simtime sinks (R007, v2 only)
-        if (self.graph is not None and self.findings is not None
-                and arg_taint is not None):
+        # simtime sinks (R007)
+        if self.findings is not None and arg_taint is not None:
             low = chain.lower()
             is_sink = (
                 (name in ("advance", "advance_to") and "clock" in low)
@@ -557,79 +552,78 @@ class _Interp:
                 ))
 
         # interprocedural effects from resolved callees
-        if self.graph is not None:
-            for callee in self.graph.resolve_call(self.info, call):
-                s = self.summaries.get(callee.qualname)
-                if s is None:
-                    continue
-                if s.fsyncs:
-                    self.fsync_lines.append(call.lineno)
-                    self.out.fsyncs = True
-                    if st.unsynced:
-                        st.unsynced = False
-                        st.unsynced_chain = ()
-                        st.unsynced_line = 0
-                if s.comm_path is not None:
-                    if self.out.comm_path is None:
-                        self.out.comm_path = (
-                            (callee.qualname,) + s.comm_path
-                        )
-                    if self.findings is not None and self.held:
-                        held_attr, _lvl, held_line = self.held[-1]
-                        self.findings.append(Finding(
-                            tool="pkvlint",
-                            rule="R001",
-                            message=(
-                                f"call to `{name}` reaches a blocking"
-                                f" comm call while holding lock"
-                                f" `{held_attr}` — a blocked peer"
-                                " deadlocks this rank"
-                            ),
-                            path=self.path, line=call.lineno,
-                            function=self.func,
-                            details=(
-                                f"`{held_attr}` taken at line {held_line}",
-                            ),
-                            call_path=(callee.qualname,) + s.comm_path,
-                        ))
-                for attr, why in s.acquires.items():
-                    self.out.acquires.setdefault(
-                        attr, (callee.qualname,) + why
+        for callee in self.graph.resolve_call(self.info, call):
+            s = self.summaries.get(callee.qualname)
+            if s is None:
+                continue
+            if s.fsyncs:
+                self.fsync_lines.append(call.lineno)
+                self.out.fsyncs = True
+                if st.unsynced:
+                    st.unsynced = False
+                    st.unsynced_chain = ()
+                    st.unsynced_line = 0
+            if s.comm_path is not None:
+                if self.out.comm_path is None:
+                    self.out.comm_path = (
+                        (callee.qualname,) + s.comm_path
                     )
-                    if self.findings is not None:
-                        lvl = level_of_attr(attr)
-                        for held_attr, held_level, held_line in self.held:
-                            if (lvl is not None and held_level is not None
-                                    and lvl < held_level
-                                    # an RLock re-entered through a helper
-                                    # is not an inversion
-                                    and attr != held_attr):
-                                self.findings.append(Finding(
-                                    tool="pkvlint",
-                                    rule="R004",
-                                    message=(
-                                        f"call to `{name}` acquires lock"
-                                        f" `{attr}` (level {lvl}) while"
-                                        f" holding `{held_attr}` (level"
-                                        f" {held_level}) — violates the"
-                                        " canonical lock order"
-                                    ),
-                                    path=self.path, line=call.lineno,
-                                    function=self.func,
-                                    details=(
-                                        f"`{held_attr}` taken at line"
-                                        f" {held_line}",
-                                    ),
-                                    call_path=(callee.qualname,) + why,
-                                ))
-                if s.writes_unsynced:
-                    st.unsynced = True
-                    st.unsynced_chain = (
-                        (callee.qualname,) + s.write_chain
-                    )
-                    st.unsynced_line = call.lineno
-                if s.returns_wallclock:
-                    taint = taint or (callee.qualname,)
+                if self.findings is not None and self.held:
+                    held_attr, _lvl, held_line = self.held[-1]
+                    self.findings.append(Finding(
+                        tool="pkvlint",
+                        rule="R001",
+                        message=(
+                            f"call to `{name}` reaches a blocking"
+                            f" comm call while holding lock"
+                            f" `{held_attr}` — a blocked peer"
+                            " deadlocks this rank"
+                        ),
+                        path=self.path, line=call.lineno,
+                        function=self.func,
+                        details=(
+                            f"`{held_attr}` taken at line {held_line}",
+                        ),
+                        call_path=(callee.qualname,) + s.comm_path,
+                    ))
+            for attr, why in s.acquires.items():
+                self.out.acquires.setdefault(
+                    attr, (callee.qualname,) + why
+                )
+                if self.findings is not None:
+                    lvl = level_of_attr(attr)
+                    for held_attr, held_level, held_line in self.held:
+                        if (lvl is not None and held_level is not None
+                                and lvl < held_level
+                                # an RLock re-entered through a helper
+                                # is not an inversion
+                                and attr != held_attr):
+                            self.findings.append(Finding(
+                                tool="pkvlint",
+                                rule="R004",
+                                message=(
+                                    f"call to `{name}` acquires lock"
+                                    f" `{attr}` (level {lvl}) while"
+                                    f" holding `{held_attr}` (level"
+                                    f" {held_level}) — violates the"
+                                    " canonical lock order"
+                                ),
+                                path=self.path, line=call.lineno,
+                                function=self.func,
+                                details=(
+                                    f"`{held_attr}` taken at line"
+                                    f" {held_line}",
+                                ),
+                                call_path=(callee.qualname,) + why,
+                            ))
+            if s.writes_unsynced:
+                st.unsynced = True
+                st.unsynced_chain = (
+                    (callee.qualname,) + s.write_chain
+                )
+                st.unsynced_line = call.lineno
+            if s.returns_wallclock:
+                taint = taint or (callee.qualname,)
         return taint
 
 
@@ -690,7 +684,7 @@ class _EmitWalker(ast.NodeVisitor):
     """
 
     def __init__(self, path: str, tree: ast.Module,
-                 graph: Optional[CallGraph],
+                 graph: CallGraph,
                  summaries: Dict[str, Summary],
                  called: Set[str],
                  findings: List[Finding]) -> None:
@@ -712,9 +706,7 @@ class _EmitWalker(ast.NodeVisitor):
         cls = self._scope[-1] if self._scope else None
         qual = (f"{self.module}:{cls}.{node.name}" if cls
                 else f"{self.module}:{node.name}")
-        info = None
-        if self.graph is not None:
-            info = self.graph.functions.get(qual)
+        info = self.graph.functions.get(qual)
         if info is None or info.node is not node:
             info = FunctionInfo(
                 qualname=qual, path=self.path, module=self.module,
@@ -728,8 +720,7 @@ class _EmitWalker(ast.NodeVisitor):
         # R002 reachability: a persistence-module function whose writes
         # can escape non-durable is reported at the call-graph roots —
         # helpers whose callers fsync for them stay clean
-        if (self.graph is not None and interp.persistence
-                and qual not in self.called):
+        if interp.persistence and qual not in self.called:
             ex = interp.exit_write_state()
             if ex is not None:
                 self.findings.append(Finding(
@@ -754,7 +745,7 @@ class _EmitWalker(ast.NodeVisitor):
 
 
 def check_module(path: str, tree: ast.Module,
-                 graph: Optional[CallGraph],
+                 graph: CallGraph,
                  summaries: Dict[str, Summary],
                  called: Set[str]) -> List[Finding]:
     """Run the emit pass over one module; returns its flow findings."""

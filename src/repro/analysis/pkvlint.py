@@ -37,10 +37,6 @@ still enforced.
     Wall-clock values (``time.time``/``monotonic``) must not flow into
     simtime-governed scheduling — through helpers included.
 
-``interprocedural=False`` (CLI ``--lexical``) reverts to the PR-4
-per-function behaviour: no call resolution, v1 rules only.  Kept so
-the regression fixtures can assert what the lexical checker *misses*.
-
 Suppression: append ``# pkvlint: disable=R00x[,R00y]`` to the flagged
 line, or add ``RULE pattern`` entries to an allowlist file (default
 ``.pkvlint-allow``); patterns match substrings of ``path::function``.
@@ -312,7 +308,7 @@ def _parse(path: str, src: str) -> Tuple[Optional[ast.Module],
 
 
 def _lint_tree(path: str, src: str, tree: ast.Module,
-               graph: Optional[CallGraph],
+               graph: CallGraph,
                summaries: Dict[str, Summary],
                called: Set[str]) -> List[Finding]:
     """All rules over one parsed module, inline suppressions applied."""
@@ -331,13 +327,11 @@ def _lint_tree(path: str, src: str, tree: ast.Module,
     return findings
 
 
-def lint_file(path: str, src: Optional[str] = None,
-              interprocedural: bool = True) -> List[Finding]:
+def lint_file(path: str, src: Optional[str] = None) -> List[Finding]:
     """Lint one file; returns findings after inline suppressions.
 
-    With ``interprocedural=True`` (the default) a single-file call
-    graph is built, so same-file helper chains still resolve;
-    ``interprocedural=False`` is the PR-4 lexical behaviour.
+    A single-file call graph is built, so same-file helper chains
+    still resolve.
     """
     if src is None:
         with open(path, encoding="utf-8") as f:
@@ -345,14 +339,9 @@ def lint_file(path: str, src: Optional[str] = None,
     tree, errs = _parse(path, src)
     if tree is None:
         return errs
-    graph: Optional[CallGraph] = None
-    summaries: Dict[str, Summary] = {}
-    called: Set[str] = set()
-    if interprocedural:
-        graph = build_call_graph([(path, tree)])
-        summaries = compute_summaries(graph)
-        called = called_qualnames(graph)
-    return _lint_tree(path, src, tree, graph, summaries, called)
+    graph = build_call_graph([(path, tree)])
+    return _lint_tree(path, src, tree, graph, compute_summaries(graph),
+                      called_qualnames(graph))
 
 
 def _iter_py(paths: Sequence[str]) -> List[str]:
@@ -373,8 +362,7 @@ def _iter_py(paths: Sequence[str]) -> List[str]:
 
 
 def lint_paths(paths: Sequence[str],
-               allowlist: Optional[str] = None,
-               interprocedural: bool = True) -> List[Finding]:
+               allowlist: Optional[str] = None) -> List[Finding]:
     """Lint files/directories as one program.
 
     Every file is parsed once, the project-wide call graph and
@@ -394,15 +382,11 @@ def lint_paths(paths: Sequence[str],
         tree, errs = _parse(path, src)
         findings.extend(errs)
         parsed.append((path, src, tree))
-    graph: Optional[CallGraph] = None
-    summaries: Dict[str, Summary] = {}
-    called: Set[str] = set()
-    if interprocedural:
-        graph = build_call_graph(
-            [(p, t) for p, _s, t in parsed if t is not None]
-        )
-        summaries = compute_summaries(graph)
-        called = called_qualnames(graph)
+    graph = build_call_graph(
+        [(p, t) for p, _s, t in parsed if t is not None]
+    )
+    summaries = compute_summaries(graph)
+    called = called_qualnames(graph)
     for path, src, tree in parsed:
         if tree is None:
             continue

@@ -91,47 +91,15 @@ class Options:
     flush_queue_capacity: int = 4
     #: migration-queue capacity (immutable remote MemTables in flight)
     migration_queue_capacity: int = 4
-    #: compact whenever a new SSID is a multiple of this (0 disables)
+    #: compact once this many SSTables have been flushed since the last
+    #: compaction round (0 disables)
     compaction_interval: int = 8
-    #: group commit: puts within this virtual-time window of the first
-    #: one share its durability charge and ack drain (0 disables)
-    group_commit_interval: float = 200e-6
-    #: group commit: a window also closes once it has coalesced this
-    #: many payload bytes (0 disables group commit entirely)
-    group_commit_bytes: int = 64 * KB
-    #: pipelined flush: overlap SSTable build (CPU) and sync (device)
-    #: on separate background timelines; False restores the monolithic
-    #: single-worker flush+compaction path
-    flush_pipeline: bool = True
-    #: partitioned compaction: split each merge into this many key-range
-    #: partition jobs on a dedicated worker (<=1 restores the monolithic
-    #: merge-everything job on the flush worker)
-    compaction_partitions: int = 4
-    #: full (tombstone-dropping) merge of every table once this many
-    #: minor delta compactions have accumulated (0 = never)
-    compaction_major_every: int = 8
-    #: compaction duty cycle in (0, 1]: after each partition job the
-    #: compaction worker idles so it occupies at most this fraction of
-    #: its timeline, leaving device bandwidth for foreground flushes
-    compaction_rate_limit: float = 0.5
-    #: bloom filter target false-positive rate
-    bloom_fp_rate: float = 0.01
     #: consult bloom filters on gets (ablation knob; the files are
     #: always written so the setting can change on reopen)
     bloom_enabled: bool = True
-    #: enable the shared SSData block cache (read-path layer; see
-    #: :mod:`repro.sstable.block_cache`)
-    block_cache_enabled: bool = True
-    #: block-cache byte budget (charged bytes, not entries)
+    #: byte budget of the shared SSData block cache (charged bytes,
+    #: not entries; see :mod:`repro.sstable.block_cache`)
     block_cache_capacity: int = 16 * MB
-    #: skip SSTables whose footer [min_key, max_key] fences exclude the
-    #: key, before the bloom is even consulted (v1 tables fall back to
-    #: bloom-only)
-    fence_pruning: bool = True
-    #: pairs per broadcast chunk in the windowed global scan merge
-    #: (``db.scan_global``): the in-flight buffer is bounded by
-    #: ``nranks * scan_chunk`` pairs, whatever the shard sizes
-    scan_chunk: int = 1024
     #: repository selector: "nvm" or "lustre"; None inherits the
     #: environment's repository (``papyruskv_init`` argument)
     repository: Optional[str] = None
@@ -153,14 +121,6 @@ class Options:
     #: the writer's own copy when it is a group member); must satisfy
     #: ``1 <= write_quorum <= replicas``
     write_quorum: int = 1
-    #: virtual seconds between heartbeat pings to live peers (failure
-    #: detector; only active when ``replicas > 1``)
-    heartbeat_interval: float = 500e-6
-    #: virtual seconds of ping silence after which a peer is suspected
-    suspect_timeout: float = 2e-3
-    #: virtual seconds of ping silence after which a suspected peer is
-    #: declared dead (after a final wall-clock grace wait for its pong)
-    dead_timeout: float = 5e-3
     #: one-sided index replication: cache peers' SSTable metadata
     #: bundles (bloom + index + footer fences) locally and resolve
     #: cross-group remote gets with direct data reads against the
@@ -192,20 +152,6 @@ class Options:
             raise InvalidOptionError("queue capacities must be positive")
         if self.compaction_interval < 0:
             raise InvalidOptionError("compaction_interval must be >= 0")
-        if self.group_commit_interval < 0:
-            raise InvalidOptionError("group_commit_interval must be >= 0")
-        if self.group_commit_bytes < 0:
-            raise InvalidOptionError("group_commit_bytes must be >= 0")
-        if self.compaction_partitions < 0:
-            raise InvalidOptionError("compaction_partitions must be >= 0")
-        if self.compaction_major_every < 0:
-            raise InvalidOptionError("compaction_major_every must be >= 0")
-        if not 0.0 < self.compaction_rate_limit <= 1.0:
-            raise InvalidOptionError(
-                "compaction_rate_limit must be in (0, 1]"
-            )
-        if not 0.0 < self.bloom_fp_rate < 1.0:
-            raise InvalidOptionError("bloom_fp_rate must be in (0,1)")
         if self.block_cache_capacity <= 0:
             raise InvalidOptionError("block_cache_capacity must be positive")
         if self.repository not in (None, "nvm", "lustre"):
@@ -225,20 +171,8 @@ class Options:
                 f"write_quorum must satisfy 1 <= Q <= replicas, got "
                 f"Q={self.write_quorum} R={self.replicas}"
             )
-        if self.heartbeat_interval <= 0:
-            raise InvalidOptionError("heartbeat_interval must be positive")
-        if self.suspect_timeout <= 0 or self.dead_timeout <= 0:
-            raise InvalidOptionError(
-                "suspect_timeout and dead_timeout must be positive"
-            )
-        if self.suspect_timeout > self.dead_timeout:
-            raise InvalidOptionError(
-                "suspect_timeout must not exceed dead_timeout"
-            )
         if self.index_cache_capacity <= 0:
             raise InvalidOptionError("index_cache_capacity must be positive")
-        if self.scan_chunk <= 0:
-            raise InvalidOptionError("scan_chunk must be positive")
 
     def with_(self, **kw) -> "Options":
         """Return a copy with the given fields replaced."""
@@ -254,15 +188,8 @@ def options_from_env(env: Optional[Mapping[str, str]] = None,
     2=binary search — the artifact's encoding), ``PAPYRUSKV_CACHE_REMOTE``
     (1 enables RDONLY remote caching by default), ``PAPYRUSKV_MEMTABLE_SIZE``
     (bytes), ``PAPYRUSKV_REPOSITORY`` (containing "lustre" selects the
-    parallel file system), ``PAPYRUSKV_BLOCK_CACHE`` (0 disables the
-    shared SSData block cache, any other value is its byte budget),
-    ``PAPYRUSKV_FENCE_PRUNING`` (0 disables footer key-fence pruning),
-    ``PAPYRUSKV_SCAN_CHUNK`` (pairs per global-scan broadcast chunk),
-    ``PAPYRUSKV_GROUP_COMMIT`` (0 disables write-side group commit, any
-    other value is the commit window's byte budget),
-    ``PAPYRUSKV_FLUSH_PIPELINE`` (0 restores the monolithic flush),
-    ``PAPYRUSKV_COMPACTION_PARTITIONS`` (1 restores monolithic
-    compaction), ``PAPYRUSKV_REPLICAS`` (copies per key),
+    parallel file system), ``PAPYRUSKV_BLOCK_CACHE`` (byte budget of the
+    shared SSData block cache), ``PAPYRUSKV_REPLICAS`` (copies per key),
     ``PAPYRUSKV_WRITE_QUORUM`` (durable copies a put waits for),
     ``PAPYRUSKV_INDEX_REPLICATION`` (1 enables one-sided index
     replication), ``PAPYRUSKV_INDEX_CACHE`` (0 disables index
@@ -286,30 +213,7 @@ def options_from_env(env: Optional[Mapping[str, str]] = None,
             repository="lustre" if "lustre" in repo.lower() else "nvm"
         )
     if "PAPYRUSKV_BLOCK_CACHE" in env:
-        # 0 disables; any other value is the byte budget
-        val = int(env["PAPYRUSKV_BLOCK_CACHE"])
-        if val == 0:
-            opt = opt.with_(block_cache_enabled=False)
-        else:
-            opt = opt.with_(block_cache_enabled=True,
-                            block_cache_capacity=val)
-    if "PAPYRUSKV_FENCE_PRUNING" in env:
-        opt = opt.with_(fence_pruning=int(env["PAPYRUSKV_FENCE_PRUNING"]) != 0)
-    if "PAPYRUSKV_SCAN_CHUNK" in env:
-        opt = opt.with_(scan_chunk=int(env["PAPYRUSKV_SCAN_CHUNK"]))
-    if "PAPYRUSKV_GROUP_COMMIT" in env:
-        # 0 disables; any other value is the window's byte budget
-        val = int(env["PAPYRUSKV_GROUP_COMMIT"])
-        if val == 0:
-            opt = opt.with_(group_commit_interval=0.0, group_commit_bytes=0)
-        else:
-            opt = opt.with_(group_commit_bytes=val)
-    if "PAPYRUSKV_FLUSH_PIPELINE" in env:
-        opt = opt.with_(flush_pipeline=int(env["PAPYRUSKV_FLUSH_PIPELINE"]) != 0)
-    if "PAPYRUSKV_COMPACTION_PARTITIONS" in env:
-        opt = opt.with_(
-            compaction_partitions=int(env["PAPYRUSKV_COMPACTION_PARTITIONS"])
-        )
+        opt = opt.with_(block_cache_capacity=int(env["PAPYRUSKV_BLOCK_CACHE"]))
     if "PAPYRUSKV_REPLICAS" in env:
         replicas = int(env["PAPYRUSKV_REPLICAS"])
         # keep the pair valid: shrinking R below the current quorum

@@ -21,10 +21,9 @@ from __future__ import annotations
 import heapq
 import json
 import threading
-import warnings
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.scan import ScanIterator
@@ -55,7 +54,12 @@ from repro.errors import (
     StorageError,
 )
 from repro.core import messages as msg
-from repro.core.membership import MembershipView
+from repro.core.membership import (
+    DEAD_TIMEOUT,
+    HEARTBEAT_INTERVAL,
+    SUSPECT_TIMEOUT,
+    MembershipView,
+)
 from repro.core.memtable import Entry, MemTable
 from repro.faults import RankKilledError
 from repro.mpi.comm import ANY_SOURCE, Comm
@@ -63,7 +67,7 @@ from repro.nvm.posixfs import PosixStore
 from repro.nvm.storage import StorageLayout
 from repro.simtime.resources import BackgroundWorker
 from repro.sstable.block_cache import BlockCache
-from repro.sstable.compaction import compact, partition_records, read_and_merge
+from repro.sstable.compaction import partition_records, read_and_merge
 from repro.sstable.format import (
     QUARANTINE_SUFFIX,
     Record,
@@ -77,7 +81,6 @@ from repro.util.checksum import crc32c
 from repro.sstable.reader import SSTableReader, list_ssids
 from repro.sstable.writer import (
     encode_table,
-    write_sstable,
     write_sstable_blobs,
     write_tables_ordered,
 )
@@ -97,6 +100,24 @@ _INDEX_FALLBACK = object()
 #: separate from ACK_TAG so pongs never interleave with the migration
 #: ack stream the quorum/fence drains consume
 HB_TAG = 8
+
+#: group commit: puts within this virtual-time window of the first one
+#: share its durability charge and ack drain; the window also closes
+#: once it has coalesced this many payload bytes
+GROUP_COMMIT_INTERVAL = 200e-6
+GROUP_COMMIT_BYTES = 64 * config.KB
+#: key-range partition jobs each compaction round is split into
+COMPACTION_PARTITIONS = 4
+#: every this-many-th compaction round is a major (full,
+#: tombstone-dropping) merge instead of a minor delta merge
+COMPACTION_MAJOR_EVERY = 8
+#: compaction duty cycle: after each round the compaction worker idles
+#: so it occupies at most this fraction of its timeline, leaving device
+#: bandwidth for foreground flushes
+COMPACTION_DUTY_CYCLE = 0.5
+#: pairs per broadcast chunk in scan_global's windowed merge: the
+#: in-flight buffer is bounded by ``nranks * SCAN_CHUNK`` pairs
+SCAN_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -508,16 +529,12 @@ class Database:
         self.remote_cache = LRUCache(options.cache_remote_capacity)
         #: shared SSData block cache: one per database, used by own and
         #: peer readers alike (main + handler threads; it has its own lock)
-        self.block_cache: Optional[BlockCache] = (
-            BlockCache(options.block_cache_capacity)
-            if options.block_cache_enabled else None
-        )
+        self.block_cache = BlockCache(options.block_cache_capacity)
 
         self.compaction_worker = BackgroundWorker(f"compactor-r{self.rank}")
         self.dispatcher_worker = BackgroundWorker(f"dispatcher-r{self.rank}")
         #: pipelined-flush stages: CPU encode on the build worker, device
-        #: commit on the sync worker.  Both exist even with the pipeline
-        #: off so flush(wait=True) has a single tail expression.
+        #: commit on the sync worker
         self.flush_build_worker = BackgroundWorker(f"flush-build-r{self.rank}")
         self.flush_sync_worker = BackgroundWorker(f"flush-sync-r{self.rank}")
 
@@ -528,8 +545,8 @@ class Database:
         self._gc_t0 = 0.0
         self._gc_bytes = 0
 
-        #: L0 delta tables flushed since the last compaction (partitioned
-        #: mode's minor-merge inputs); guarded by db.state like ssids
+        #: L0 delta tables flushed since the last compaction (the
+        #: minor-merge inputs); guarded by db.state like ssids
         self._l0: List[int] = []
         #: minor generations since the last major (tombstone-dropping) merge
         self._minor_gens = 0
@@ -602,7 +619,7 @@ class Database:
         """
         blob, t = self.store.read(data_p, self.clock.now)
         records = list(decode_records(blob))  # raises CorruptionError if torn
-        blobs = encode_table(records, self.options.bloom_fp_rate)
+        blobs = encode_table(records)
         if blobs["data"] != blob:
             raise CorruptionError(
                 f"sstable {ssid}: SSData does not round-trip; refusing rebuild"
@@ -761,34 +778,28 @@ class Database:
             self.stats.deletes += 1
         t_start = self.clock.now
         nbytes = len(key) + len(value)
-        opts = self.options
-        gc_rider = False
-        if opts.group_commit_interval > 0 and opts.group_commit_bytes > 0:
-            # group commit: puts landing inside an open commit window
-            # coalesce — they share the window-opener's durability charge
-            # (DRAM write latency) and its ack drain, paying only the CPU
-            # op plus the memcpy of their own payload
-            if (
-                self._gc_open
-                and t_start - self._gc_t0 < opts.group_commit_interval
-                and self._gc_bytes < opts.group_commit_bytes
-            ):
-                cpu = self.ctx.system.cpu
-                self.clock.advance(cpu.kv_op_s + nbytes / self._memcpy_Bps)
-                self._gc_bytes += nbytes
-                self.stats.group_commit_coalesced += 1
-                gc_rider = True
-            else:
-                self._charge_op(nbytes)
-                self._drain_acks(blocking=False)
-                self._quorum_drain()  # settle the previous window's debts
-                self._gc_open = True
-                self._gc_t0 = t_start
-                self._gc_bytes = nbytes
-                self.stats.group_commits += 1
+        # group commit: puts landing inside an open commit window
+        # coalesce — they share the window-opener's durability charge
+        # (DRAM write latency) and its ack drain, paying only the CPU
+        # op plus the memcpy of their own payload
+        gc_rider = (
+            self._gc_open
+            and t_start - self._gc_t0 < GROUP_COMMIT_INTERVAL
+            and self._gc_bytes < GROUP_COMMIT_BYTES
+        )
+        if gc_rider:
+            cpu = self.ctx.system.cpu
+            self.clock.advance(cpu.kv_op_s + nbytes / self._memcpy_Bps)
+            self._gc_bytes += nbytes
+            self.stats.group_commit_coalesced += 1
         else:
             self._charge_op(nbytes)
             self._drain_acks(blocking=False)
+            self._quorum_drain()  # settle the previous window's debts
+            self._gc_open = True
+            self._gc_t0 = t_start
+            self._gc_bytes = nbytes
+            self.stats.group_commits += 1
         if self._replication_on:
             # replicated write: fan to the key's group; return once the
             # write quorum has durably logged it.  Riders in an open
@@ -844,13 +855,12 @@ class Database:
     def _enqueue_flush(self, imm: MemTable, clock) -> None:
         """Queue an immutable local MemTable; apply back-pressure if full.
 
-        With ``Options.flush_pipeline`` the flush runs as two overlapped
-        stages: *build* (CPU: sort snapshot -> encode the three blobs) on
-        the build worker, then *sync* (device: one batched durable
-        commit) chained onto the sync worker.  Each stage only gates on
-        its own worker, so while table N syncs to the device table N+1
-        is already encoding — foreground puts stall only when the whole
-        queue is full.  Crash sites ``flush.freeze/build/sync/retire``
+        The flush runs as two overlapped stages: *build* (CPU: sort
+        snapshot -> encode the three blobs) on the build worker, then
+        *sync* (device: one batched durable commit) chained onto the
+        sync worker.  Each stage only gates on its own worker, so while
+        table N syncs to the device table N+1 is already encoding —
+        foreground puts stall only when the whole queue is full.  Crash sites ``flush.freeze/build/sync/retire``
         bracket every stage transition.
         """
         if len(imm) == 0:
@@ -871,21 +881,7 @@ class Database:
         self._next_ssid += 1
         records = imm.records()
 
-        if self.options.flush_pipeline:
-            end = self._schedule_pipelined_flush(ssid, records, imm, clock)
-        else:
-
-            def job(start: float) -> float:
-                self._crash_site(f"flush.build:{self.rank_dir}/{ssid}")
-                _, end = write_sstable(
-                    self.store, self.rank_dir, ssid, records, start,
-                    self.options.bloom_fp_rate,
-                )
-                self._crash_site(f"flush.retire:{self.rank_dir}/{ssid}")
-                self._trace(f"flush ssid={ssid}", "compaction", start, end)
-                return end
-
-            end = self.compaction_worker.schedule(clock.now, job)
+        end = self._schedule_pipelined_flush(ssid, records, imm, clock)
         annotate_write(self, "db.ssids")
         self.ssids.append(ssid)
         self._l0.append(ssid)
@@ -894,10 +890,7 @@ class Database:
         self.stats.flushes += 1
         self._retire_flushed(clock.now)
         interval = self.options.compaction_interval
-        if self.options.compaction_partitions > 1:
-            if interval and len(self._l0) >= interval:
-                self._schedule_compaction(clock.now)
-        elif interval and ssid % interval == 0 and len(self.ssids) > 1:
+        if interval and len(self._l0) >= interval:
             self._schedule_compaction(clock.now)
 
     def _schedule_pipelined_flush(self, ssid: int, records, imm: MemTable,
@@ -909,7 +902,7 @@ class Database:
 
         def build_job(start: float) -> float:
             self._crash_site(f"flush.build:{self.rank_dir}/{ssid}")
-            holder["blobs"] = encode_table(records, self.options.bloom_fp_rate)
+            holder["blobs"] = encode_table(records)
             nbytes = sum(len(b) for b in holder["blobs"].values())
             end = start + cpu.kv_op_s * max(1, len(records)) + (
                 nbytes / self._memcpy_Bps
@@ -996,25 +989,19 @@ class Database:
         — deleted inputs raise StorageError and the changed newest-SSID
         invalidates peer caches.
 
-        With ``compaction_partitions > 1`` the merge is incremental and
-        partitioned: a *minor* pass merges only the L0 delta tables
-        flushed since the last trigger into contiguous key-range
-        partitions (old data stays put — tombstones kept), and every
-        ``compaction_major_every``-th pass is a *major* merge of the
+        The merge is incremental and partitioned: a *minor* pass merges
+        only the L0 delta tables flushed since the last trigger into
+        ``COMPACTION_PARTITIONS`` contiguous key-range partitions (old
+        data stays put — tombstones kept), and every
+        ``COMPACTION_MAJOR_EVERY``-th pass is a *major* merge of the
         whole set that drops tombstones.  Each partition is built by an
         independent CPU job and the round's outputs land with a single
         ordered device commit under a duty-cycle rate limit, so
         compaction never monopolizes the device while foreground puts
         are stalled on the flush queue.
-        ``compaction_partitions <= 1`` keeps the paper's monolithic
-        merge-everything shape.
         """
-        if self.options.compaction_partitions <= 1:
-            self._schedule_compaction_legacy(t_enqueue)
-            return
-
         major = (
-            self._minor_gens + 1 >= self.options.compaction_major_every
+            self._minor_gens + 1 >= COMPACTION_MAJOR_EVERY
             or len(self._l0) == 0
         )
         live = set(self.ssids)
@@ -1029,8 +1016,8 @@ class Database:
             self._minor_gens = 0 if major else self._minor_gens + 1
             return
 
-        # in pipelined mode an input's sync stage may still be in flight
-        # on the virtual timeline: gate the read behind it
+        # an input's sync stage may still be in flight on the virtual
+        # timeline: gate the read behind it
         t_read = max(t_enqueue, self.flush_sync_worker.available)
         t_round0 = max(t_read, self.compaction_worker.available)
         holder: Dict[str, object] = {}
@@ -1040,9 +1027,7 @@ class Database:
                 self.store, self.rank_dir, inputs, start,
                 drop_tombstones=major, block_cache=self.block_cache,
             )
-            holder["parts"] = partition_records(
-                merged, self.options.compaction_partitions
-            )
+            holder["parts"] = partition_records(merged, COMPACTION_PARTITIONS)
             holder["readers"] = readers
             self._trace(
                 f"compact-read {len(inputs)} tables", "compaction",
@@ -1067,7 +1052,7 @@ class Database:
             new_ssids.append(new_ssid)
 
             def build_job(start: float, _ssid=new_ssid, _part=part) -> float:
-                blobs = encode_table(_part, self.options.bloom_fp_rate)
+                blobs = encode_table(_part)
                 built.append((_ssid, blobs))
                 nbytes = sum(len(b) for b in blobs.values())
                 end = start + cpu.kv_op_s * max(1, len(_part)) + (
@@ -1125,55 +1110,22 @@ class Database:
             self.stats.compaction_majors += 1
 
     def _pace_compaction(self, start: float, end: float) -> None:
-        """Rate-limit the compaction worker to its configured duty cycle.
+        """Rate-limit the compaction worker to its duty cycle.
 
         After a compaction round occupying ``[start, end]`` the worker
-        idles long enough that busy/(busy+idle) == the configured
-        ``compaction_rate_limit``, leaving device headroom for
+        idles long enough that busy/(busy+idle) ==
+        ``COMPACTION_DUTY_CYCLE``, leaving device headroom for
         foreground flushes.  Paced once per *round*, not per job: the
         round's device charges stay packed at the current device horizon
         (a later flush sync queues behind one bounded transfer), and the
         idle gap only delays when the next round may start.
         """
-        duty = self.options.compaction_rate_limit
-        if duty >= 1.0 or end <= start:
+        if end <= start:
             return
+        duty = COMPACTION_DUTY_CYCLE
         self.compaction_worker.idle_until(
             end + (end - start) * (1.0 - duty) / duty
         )
-
-    def _schedule_compaction_legacy(self, t_enqueue: float) -> None:
-        """The paper's monolithic merge: every table into one."""
-        inputs = list(self.ssids)
-        new_ssid = self._next_ssid
-        self._next_ssid += 1
-
-        def job(start: float) -> float:
-            _, end = compact(
-                self.store, self.rank_dir, inputs, new_ssid, start,
-                drop_tombstones=True, fp_rate=self.options.bloom_fp_rate,
-                block_cache=self.block_cache, delete_inputs=False,
-            )
-            # pin-aware retire: inputs an open scan reads stay on disk
-            by_ssid: Dict[int, List[str]] = {}
-            for s in inputs:
-                if s != new_ssid:
-                    names = sstable_filenames(s)
-                    by_ssid[s] = [f"{self.rank_dir}/{n}" for n in names]
-            end = self._retire_table_files(by_ssid, end)
-            self._trace(
-                f"compact {len(inputs)}->ssid={new_ssid}", "compaction",
-                start, end,
-            )
-            return end
-
-        self.compaction_worker.schedule(t_enqueue, job)
-        annotate_write(self, "db.ssids")
-        self.ssids = [new_ssid]
-        self._l0 = []
-        self._invalidate_readers()
-        self._index_publish_due([new_ssid])
-        self.stats.compactions += 1
 
     # ------------------------------------------------------ remote put paths
     def _remote_stage(self, owner: int, key: bytes, value: bytes,
@@ -1533,16 +1485,29 @@ class Database:
     def _declare_dead(self, rank: int) -> None:
         """Declare a silent rank dead; release everything waiting on it.
 
-        Idempotent.  Purges the dead rank's pending acks and inflight
-        chunks (each replica-fanned pair still lives on the surviving
-        group members, so no acknowledged write loses visibility) and
-        drops any cached view of its SSTables.  The membership view
-        queues the rank for re-replication, pushed by the next tick.
+        Idempotent — and the release also runs when the death is not
+        news to the membership view (it may have arrived as gossip,
+        which cleans up nothing).  The view queues the rank for
+        re-replication, pushed by the next tick.
         """
         mv = self.membership
-        if mv is None or not mv.declare_dead(rank):
+        if mv is None:
             return
-        self.stats.rank_deaths += 1
+        if mv.declare_dead(rank):
+            self.stats.rank_deaths += 1
+        self._forget_dead_rank(rank)
+
+    def _forget_dead_rank(self, rank: int) -> None:
+        """Drop every piece of main-thread state that waits on, or was
+        cached from, a dead rank.  Idempotent.
+
+        Purges the dead rank's pending acks and inflight chunks (each
+        replica-fanned pair still lives on the surviving group members,
+        so no acknowledged write loses visibility) and drops any cached
+        view of its SSTables.  Runs for deaths this rank declared and —
+        from :meth:`_rereplicate` — for deaths it only learned through
+        membership gossip (``MembershipView.merge``).
+        """
         self._hb_ping.pop(rank, None)
         self._hb_last.pop(rank, None)
         with self._lock:
@@ -1551,7 +1516,7 @@ class Database:
                 self._pending_acks.discard(s)
                 self._replica_seqs.discard(s)
             self.inflight = [e for e in self.inflight if e[1] != rank]
-        self._drop_peer_cache(rank, f"{self.dbdir}/rank{rank}")
+        self._drop_peer_cache(rank, self._owner_dir(rank))
 
     def _absorb_pong(self, pong: msg.ReplicaAckMsg, source: int) -> None:
         """One heartbeat pong: proof of life plus membership gossip."""
@@ -1575,17 +1540,17 @@ class Database:
         # a poll is not free — and advancing the virtual clock is what
         # lets silence accumulate toward the detector's timeouts when
         # the application itself has gone quiet
-        self.clock.advance(self.options.heartbeat_interval)
+        self.clock.advance(HEARTBEAT_INTERVAL)
         self._tick()
 
     def _tick(self) -> None:
         """Failure-detector maintenance (main thread, replication only).
 
         Runs opportunistically at the top of every put/get: absorb
-        heartbeat pongs, ping peers silent for ``heartbeat_interval``,
-        mark ``suspect_timeout`` silences suspected, and declare a peer
+        heartbeat pongs, ping peers silent for ``HEARTBEAT_INTERVAL``,
+        mark ``SUSPECT_TIMEOUT`` silences suspected, and declare a peer
         dead only when its oldest unanswered ping exceeds the *virtual*
-        ``dead_timeout`` AND it stays silent through a *wall-clock*
+        ``DEAD_TIMEOUT`` AND it stays silent through a *wall-clock*
         grace receive — a live handler always pongs promptly in real
         time, so a live rank is never falsely declared (this is what
         makes kill tests deterministic).  Finishes by pushing any
@@ -1595,7 +1560,6 @@ class Database:
         if mv is None or self._in_rerepl or self._killed:
             return
         now = self.clock.now
-        opts = self.options
         while self.ack_comm.iprobe(ANY_SOURCE, HB_TAG):
             status: dict = {}
             pong = self.ack_comm.recv(ANY_SOURCE, HB_TAG, status=status)
@@ -1604,10 +1568,10 @@ class Database:
             if r == self.rank:
                 continue
             silence = now - mv.last_heard(r)
-            if silence < opts.heartbeat_interval:
+            if silence < HEARTBEAT_INTERVAL:
                 self._hb_ping.pop(r, None)
                 continue
-            if now - self._hb_last.get(r, -1.0) >= opts.heartbeat_interval:
+            if now - self._hb_last.get(r, -1.0) >= HEARTBEAT_INTERVAL:
                 epoch, dead = mv.wire()
                 self.srv_comm.send(
                     msg.HeartbeatMsg(epoch, dead, ping=True), r, tag=0
@@ -1615,10 +1579,10 @@ class Database:
                 self.stats.heartbeats_sent += 1
                 self._hb_last[r] = now
                 self._hb_ping.setdefault(r, now)
-            if silence >= opts.suspect_timeout:
+            if silence >= SUSPECT_TIMEOUT:
                 mv.suspect(r)
-            if (silence >= opts.dead_timeout
-                    and now - self._hb_ping.get(r, now) >= opts.dead_timeout):
+            if (silence >= DEAD_TIMEOUT
+                    and now - self._hb_ping.get(r, now) >= DEAD_TIMEOUT):
                 self._grace_then_declare(r)
         if mv.pending_rereplication:
             self._rereplicate()
@@ -1694,6 +1658,8 @@ class Database:
             newly_dead = mv.take_pending_rereplication()
             if not newly_dead:
                 return
+            for r in newly_dead:
+                self._forget_dead_rank(r)
             targets: Dict[int, List[msg.Pair]] = {}
             for key, value, tomb in self._all_local_records():
                 group = self._replica_group(key, check=False)
@@ -1875,18 +1841,12 @@ class Database:
         clock to the read-completion time.
         """
         try:
-            rec, t_end = self._search_sstables(
-                self.store, self.rank_dir, ssids, key, self.clock.now,
-                own=True,
-            )
+            rec, t_end = self._search_own_sstables(ssids, key, self.clock.now)
         except StorageError:
             with self._lock:
                 self._invalidate_readers()
                 ssids = list(self.ssids)
-            rec, t_end = self._search_sstables(
-                self.store, self.rank_dir, ssids, key, self.clock.now,
-                own=True,
-            )
+            rec, t_end = self._search_own_sstables(ssids, key, self.clock.now)
         self.clock.advance_to(t_end)
         return rec
 
@@ -1933,12 +1893,16 @@ class Database:
         so no stale ``(dir, ssid, block)`` span survives to age out."""
         self._peer_readers.pop(owner, None)
         self._peer_reader_cache.invalidate_where(lambda k: k[0] == owner_dir)
+        self._purge_index_of(owner, owner_dir)
+        self.block_cache.invalidate_dir(owner_dir)
+
+    def _purge_index_of(self, owner: int, owner_dir: str) -> None:
+        """Drop one owner's replicated view *and* its bundles (either
+        thread; :meth:`_drop_index_view` keeps the bundles)."""
         with self._index_lock:
             annotate_write(self, "db.index_cache")
             self._index_views.pop(owner, None)
             self._index_bundles.invalidate_where(lambda k: k[0] == owner_dir)
-        if self.block_cache is not None:
-            self.block_cache.invalidate_dir(owner_dir)
 
     def _invalidate_readers(self, ssid: Optional[int] = None) -> None:
         """Drop one cached reader (or all) under the readers lock, and
@@ -1968,11 +1932,10 @@ class Database:
                 )
             else:
                 self._index_bundles.invalidate((self.rank_dir, ssid))
-        if self.block_cache is not None:
-            if ssid is None:
-                self.block_cache.invalidate_dir(self.rank_dir)
-            else:
-                self.block_cache.invalidate_table(self.rank_dir, ssid)
+        if ssid is None:
+            self.block_cache.invalidate_dir(self.rank_dir)
+        else:
+            self.block_cache.invalidate_table(self.rank_dir, ssid)
 
     def _ssids_snapshot(self) -> List[int]:
         """A consistent copy of my SSID list (for unlocked walks)."""
@@ -1980,17 +1943,36 @@ class Database:
             annotate_read(self, "db.ssids")
             return list(self.ssids)
 
+    def _search_own_sstables(
+        self, ssids: List[int], key: bytes, t: float
+    ) -> Tuple[Optional[Record], float]:
+        """Gate-walk my own tables (rank-main gets and the handler).
+
+        The quarantine list is snapshotted under the lock: the other
+        thread may be quarantining concurrently (db.state is re-entrant,
+        so holders are fine).
+        """
+        with self._lock:
+            annotate_read(self, "db.quarantined")
+            quarantined = tuple(self._quarantined)
+        return self._search_sstables(
+            sorted(ssids, reverse=True), self._reader, quarantined, key, t
+        )
+
     def _search_sstables(
         self,
-        store: PosixStore,
-        directory: str,
         ssids: List[int],
+        reader_of: Callable[[int], SSTableReader],
+        quarantined: Tuple[QuarantinedTable, ...],
         key: bytes,
         t: float,
-        own: bool,
     ) -> Tuple[Optional[Record], float]:
-        """Walk SSTables highest-SSID-first with fence pruning and bloom
-        skipping (§2.6 + the v2 footer fences from the durability work).
+        """The point-get gate walk (§2.6 + the v2 footer fences).
+
+        ``ssids`` is newest-first and ``reader_of`` resolves each to a
+        reader: own tables through :meth:`_reader`, a storage-group
+        peer's through :meth:`_peer_reader`, replicated metadata bundles
+        through :meth:`_bundle_reader`.
 
         Per table the gate order is: quarantine poison-range check,
         footer ``[min_key, max_key]`` fences (free after the first index
@@ -2004,20 +1986,11 @@ class Database:
         whose range may cover the key, the true newest version might
         have lived there — raising beats silently serving older data.
         """
-        if own:
-            # snapshot under the lock: the handler may be quarantining
-            # concurrently (db.state is re-entrant, so holders are fine)
-            with self._lock:
-                annotate_read(self, "db.quarantined")
-                quarantined: Tuple[QuarantinedTable, ...] = tuple(
-                    self._quarantined
-                )
-        else:
-            quarantined = ()
-        walk: List[Tuple[int, object]] = [(s, None) for s in ssids]
-        walk.extend((q.ssid, q) for q in quarantined)
-        walk.sort(key=lambda x: x[0], reverse=True)
-        for ssid, quar in walk:
+        holes = {q.ssid: q for q in quarantined}
+        if holes:
+            ssids = sorted([*ssids, *holes], reverse=True)
+        for ssid in ssids:
+            quar = holes.get(ssid)
             if quar is not None:
                 if quar.may_cover(key):
                     raise CorruptionError(
@@ -2025,19 +1998,15 @@ class Database:
                         f"({quar.reason})"
                     )
                 continue
-            reader = (
-                self._reader(ssid) if own
-                else self._peer_reader(directory, ssid)
-            )
-            if self.options.fence_pruning:
-                fences, t = reader.key_range(t)
-                if fences is not None:
-                    mn, mx = fences
-                    # an empty table has fences (b"", b"") and valid keys
-                    # are non-empty, so `not mx` prunes it for any key
-                    if not mx or key < mn or key > mx:
-                        self.stats.fence_skips += 1
-                        continue
+            reader = reader_of(ssid)
+            fences, t = reader.key_range(t)
+            if fences is not None:
+                mn, mx = fences
+                # an empty table has fences (b"", b"") and valid keys
+                # are non-empty, so `not mx` prunes it for any key
+                if not mx or key < mn or key > mx:
+                    self.stats.fence_skips += 1
+                    continue
             if self.options.bloom_enabled:
                 hit, t = reader.may_contain(key, t)
                 if not hit:
@@ -2134,10 +2103,12 @@ class Database:
         """Read the owner's SSTables directly from shared NVM (§2.7).
 
         The SSID list is cached per owner and revalidated by the
-        newest-ssid handshake in the reply; the walk itself goes through
-        :meth:`_search_sstables` with ``own=False``, so peer lookups get
-        the same fence pruning, bloom gating, and persistent cached
-        readers (sharing the block cache) as local ones.
+        newest-ssid handshake in the reply; the walk itself is
+        :meth:`_search_sstables` over :meth:`_peer_reader`, so peer
+        lookups get the same fence pruning, bloom gating, and persistent
+        cached readers (sharing the block cache) as local ones.  The
+        requester cannot see the owner's quarantine list — the owner
+        only answers NOT_IN_MEMORY while it is empty.
         """
         owner_dir = reply.owner_dir or f"{self.dbdir}/rank{owner}"
         cached = self._peer_readers.get(owner)
@@ -2150,7 +2121,9 @@ class Database:
         else:
             ssids = cached[1]
         return self._search_sstables(
-            self.store, owner_dir, ssids, key, self.clock.now, own=False,
+            sorted(ssids, reverse=True),
+            lambda ssid: self._peer_reader(owner_dir, ssid),
+            (), key, self.clock.now,
         )
 
     # ========================================= ONE-SIDED INDEX REPLICATION
@@ -2221,7 +2194,8 @@ class Database:
         (eager publishes); reader construction happens outside the lock.
         Returns False — installing nothing — if any bundle fails its
         CRC or structural checks: a half-trusted view is worse than a
-        handler round trip.
+        handler round trip — or if the owner was declared dead (or the
+        epoch moved) while the install was in flight.
         """
         readers: Dict[int, Tuple[SSTableReader, int]] = {}
         for ssid, blob in bundles.items():
@@ -2254,6 +2228,15 @@ class Database:
             )
             for ssid, (rd, cost) in readers.items():
                 self._index_bundles.put((owner_dir, ssid), rd, cost)
+        # the main thread may have declared the owner dead — and run its
+        # _drop_peer_cache purge — between the caller's staleness check
+        # and the install above.  Re-check after the locked install
+        # (db.membership ranks below db.index_cache in the canonical
+        # order, so it cannot be read under it): whichever of purge and
+        # install ran second, no view from a dead epoch survives
+        if mv is not None and (mv.is_dead(owner) or mv.epoch > epoch):
+            self._purge_index_of(owner, owner_dir)
+            return False
         return True
 
     def _index_pull(self, owner: int) -> bool:
@@ -2290,9 +2273,8 @@ class Database:
             reply.bundles, reply.mem_clean, reply.quarantine_free,
         )
 
-    def _search_bundles(self, view: _PeerIndexView, key: bytes,
-                        t: float) -> Tuple[Optional[Record], float]:
-        """PR 5 gate order over replicated metadata, newest-SSID first.
+    def _bundle_reader(self, owner_dir: str, ssid: int) -> SSTableReader:
+        """Detached reader over one replicated metadata bundle.
 
         Fences and bloom are free (the bundle pre-populated them); only
         the data probe touches the owner's NVM, through the shared
@@ -2300,32 +2282,14 @@ class Database:
         raises :class:`MetadataStaleError` — the caller re-pulls just
         the missing bundles via ``have``.
         """
-        for ssid in sorted(view.ssids, reverse=True):
-            with self._index_lock:
-                annotate_read(self, "db.index_cache")
-                reader = self._index_bundles.get((view.owner_dir, ssid))
-            if reader is None:
-                raise MetadataStaleError(
-                    f"no replicated metadata for {view.owner_dir}/{ssid}"
-                )
-            if self.options.fence_pruning:
-                fences, t = reader.key_range(t)
-                if fences is not None:
-                    mn, mx = fences
-                    if not mx or key < mn or key > mx:
-                        self.stats.fence_skips += 1
-                        continue
-            if self.options.bloom_enabled:
-                hit, t = reader.may_contain(key, t)
-                if not hit:
-                    self.stats.bloom_skips += 1
-                    continue
-            rec, t = reader.get(
-                key, t, binary_search=self.binary_search, use_bloom=False,
+        with self._index_lock:
+            annotate_read(self, "db.index_cache")
+            reader = self._index_bundles.get((owner_dir, ssid))
+        if reader is None:
+            raise MetadataStaleError(
+                f"no replicated metadata for {owner_dir}/{ssid}"
             )
-            if rec is not None:
-                return rec, t
-        return None, t
+        return reader
 
     def _index_replicated_get(self, owner: int, key: bytes):
         """Resolve a remote get one-sidedly from replicated metadata.
@@ -2362,8 +2326,13 @@ class Database:
                 continue
             if not (view.mem_clean and view.quarantine_free):
                 break  # owner-side state only its handler can see
+            owner_dir = view.owner_dir
             try:
-                rec, t_end = self._search_bundles(view, key, self.clock.now)
+                rec, t_end = self._search_sstables(
+                    sorted(view.ssids, reverse=True),
+                    lambda ssid: self._bundle_reader(owner_dir, ssid),
+                    (), key, self.clock.now,
+                )
             except (MetadataStaleError, StorageError) as exc:
                 # an evicted bundle, or a direct read racing the owner's
                 # compaction (file gone): drop, re-pull, retry once
@@ -2466,45 +2435,8 @@ class Database:
             self.stats.index_publishes += 1
 
     # ======================================================== BULK PIPELINE
-    def put_bulk(self, items) -> int:
-        """Deprecated: use :meth:`batch` — the one write surface.
-
-        ``put_bulk(items)`` is equivalent to::
-
-            with db.batch() as b:
-                for key, value in items:
-                    b.put(key, value)
-
-        ``items`` is a mapping or an iterable of ``(key, value)`` pairs;
-        duplicate keys within one call resolve last-write-wins.  Returns
-        the number of distinct keys written.
-        """
-        warnings.warn(
-            "Database.put_bulk() is deprecated; use "
-            "`with db.batch() as b: b.put(key, value)` instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        if isinstance(items, dict):
-            items = items.items()
-        with self.batch() as b:
-            for key, value in items:
-                b.put(key, value)
-        return b.written
-
-    def delete_bulk(self, keys) -> int:
-        """Deprecated: use :meth:`batch` with ``b.delete(key)``."""
-        warnings.warn(
-            "Database.delete_bulk() is deprecated; use "
-            "`with db.batch() as b: b.delete(key)` instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        with self.batch() as b:
-            for key in keys:
-                b.delete(key)
-        return b.written
-
     def _write_bulk(self, ops: List[Tuple[bytes, bytes, bool]]) -> int:
-        """The shared engine of put_bulk/delete_bulk/WriteBatch."""
+        """The engine behind :class:`WriteBatch`."""
         self._check_open()
         self._maybe_kill()
         if self.protection == config.RDONLY:
@@ -2525,12 +2457,10 @@ class Database:
             + nbytes / self._memcpy_Bps
         )
         self._drain_acks(blocking=False)
-        if (self.options.group_commit_interval > 0
-                and self.options.group_commit_bytes > 0):
-            # a bulk batch *is* one commit window: one durability charge
-            # and one ack drain amortized over every key in it
-            self.stats.group_commits += 1
-            self.stats.group_commit_coalesced += len(final) - 1
+        # a bulk batch *is* one commit window: one durability charge
+        # and one ack drain amortized over every key in it
+        self.stats.group_commits += 1
+        self.stats.group_commit_coalesced += len(final) - 1
         if self._replication_on:
             # replicated bulk write: fan every pair first (scatter), then
             # gather the quorums — all the owners' handlers apply batches
@@ -2888,19 +2818,11 @@ class Database:
             self.flush()
         self.coll_comm.barrier()
 
-    def _flush_tail(self) -> float:
-        """Virtual time at which every enqueued flush is durable."""
-        if self.options.flush_pipeline:
-            return max(self.flush_build_worker.available,
-                       self.flush_sync_worker.available)
-        return self.compaction_worker.available
-
     def flush(self, wait: bool = True) -> None:
         """Flush the local MemTable to SSTables (``papyruskv_flush``).
 
         Rotates a non-empty local MemTable into the flush pipeline.
-        With ``wait=True`` (the default, matching the old
-        ``flush_sstables`` semantics) the call blocks — virtually —
+        With ``wait=True`` (the default) the call blocks — virtually —
         until the pipeline tail is durable: every enqueued table has
         passed its build *and* sync stages.  ``wait=False`` just
         enqueues and returns, letting the pipeline drain in the
@@ -2911,17 +2833,11 @@ class Database:
             if len(self.local_mt):
                 self._rotate_local(self.clock)
             if wait:
-                self.clock.advance_to(self._flush_tail())
+                self.clock.advance_to(max(
+                    self.flush_build_worker.available,
+                    self.flush_sync_worker.available,
+                ))
                 self._retire_flushed(self.clock.now)
-
-    def flush_sstables(self) -> None:
-        """Deprecated alias of :meth:`flush` (blocking form)."""
-        warnings.warn(
-            "Database.flush_sstables() is deprecated; use db.flush() "
-            "(or db.flush(wait=False) to enqueue without blocking)",
-            DeprecationWarning, stacklevel=2,
-        )
-        self.flush()
 
     def set_consistency(self, mode: int) -> None:
         """Collective: switch relaxed ↔ sequential (``papyruskv_consistency``)."""
@@ -3008,7 +2924,7 @@ class Database:
 
         A windowed owner-ordered merge: each rank walks its own lazy
         :meth:`scan` and broadcasts in-range chunks of ``chunk`` pairs
-        (default ``Options.scan_chunk``) on demand; every rank merges
+        (default ``SCAN_CHUNK``) on demand; every rank merges
         behind a *watermark* — a pair is emitted once its key is ≤ the
         smallest last-received key over the streams that still have
         data, which is exactly when no later chunk can precede it.
@@ -3029,7 +2945,7 @@ class Database:
         """
         self._check_open()
         if chunk is None:
-            chunk = self.options.scan_chunk
+            chunk = SCAN_CHUNK
         if chunk <= 0:
             raise InvalidOptionError(f"scan chunk must be positive: {chunk}")
         if limit is not None and limit <= 0:
@@ -3101,7 +3017,7 @@ class Database:
 
     def scan_collect(self, start: Optional[bytes] = None,
                      end: Optional[bytes] = None,
-                     chunk: int = 1024) -> List[Tuple[bytes, bytes]]:
+                     chunk: int = SCAN_CHUNK) -> List[Tuple[bytes, bytes]]:
         """Collective: globally sorted live pairs across all ranks.
 
         Thin materializing wrapper over :meth:`scan_global` — all ranks
@@ -3244,7 +3160,7 @@ class Database:
     def metrics(self) -> Dict[str, object]:
         """Counter snapshot (:func:`repro.metrics.database_metrics`):
         op/tier stats, `fence_skips`/`bloom_skips`, the `block_cache`
-        block when the cache is enabled."""
+        block."""
         from repro.metrics import database_metrics
 
         return database_metrics(self)

@@ -296,9 +296,7 @@ def _lookup_one(db: Database, key: bytes, source: int,
 
     try:
         try:
-            rec, t_end = db._search_sstables(
-                db.store, db.rank_dir, ssids, key, hclock.now, own=True
-            )
+            rec, t_end = db._search_own_sstables(ssids, key, hclock.now)
         except CorruptionError:
             raise
         except StorageError:
@@ -306,9 +304,7 @@ def _lookup_one(db: Database, key: bytes, source: int,
             with db._lock:
                 db._invalidate_readers()
                 ssids = list(db.ssids)
-            rec, t_end = db._search_sstables(
-                db.store, db.rank_dir, ssids, key, hclock.now, own=True
-            )
+            rec, t_end = db._search_own_sstables(ssids, key, hclock.now)
     except CorruptionError:
         # this key's range is quarantined (or the table is corrupt):
         # never ship a possibly-stale older version — degrade loudly

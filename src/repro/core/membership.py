@@ -23,6 +23,14 @@ from typing import Dict, List, Set, Tuple
 from repro.analysis.runtime import annotate_read, annotate_write, make_lock
 from repro.errors import MembershipEpochError
 
+#: failure-detector timing in virtual seconds (read by ``Database._tick``):
+#: gap between heartbeat pings to a silent peer, ping silence after which
+#: it is suspected, and ping silence after which it is declared dead
+#: (after a final wall-clock grace wait for its pong)
+HEARTBEAT_INTERVAL = 500e-6
+SUSPECT_TIMEOUT = 2e-3
+DEAD_TIMEOUT = 5e-3
+
 
 class MembershipView:
     """One rank's monotone view of group membership.

@@ -236,7 +236,7 @@ class ScanIterator:
         t = db.clock.now
         for reader in readers:
             rng, t = reader.key_range(t)
-            if rng is not None and db.options.fence_pruning:
+            if rng is not None:
                 mn, mx = rng
                 if not mx or not _window_overlaps(mn, mx, start, end):
                     db.stats.scan_tables_pruned += 1
@@ -317,10 +317,9 @@ def reference_scan(db, start: Optional[bytes] = None,
                    ) -> List[Tuple[bytes, bytes]]:
     """The seed-era scan: ``read_all`` every table, materialize every tier.
 
-    Kept verbatim as (a) the oracle the property tests compare the
-    streamed path against and (b) the read-all baseline
-    ``benchmarks/bench_scan.py`` measures the overhaul's speedup
-    against.  No pruning, no pinning, full materialization.
+    Kept verbatim as the oracle the property tests compare the
+    streamed path against.  No pruning, no pinning, full
+    materialization.
     """
     with db._lock:
         db._retire_flushed(db.clock.now)

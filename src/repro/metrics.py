@@ -9,6 +9,7 @@ renders the operator-facing summary.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Any, Dict
 
 from repro.simtime.resources import StripedResource, TimedResource
@@ -38,52 +39,6 @@ def database_metrics(db) -> Dict[str, Any]:
     out: Dict[str, Any] = {
         "name": db.name,
         "rank": db.rank,
-        "puts": stats.puts,
-        "gets": stats.gets,
-        "deletes": stats.deletes,
-        "local_puts": stats.local_puts,
-        "remote_puts": stats.remote_puts,
-        "local_gets": stats.local_gets,
-        "remote_gets": stats.remote_gets,
-        "flushes": stats.flushes,
-        "flush_stalls": stats.flush_stalls,
-        "flush_stall_s": stats.flush_stall_s,
-        "compactions": stats.compactions,
-        "compaction_majors": stats.compaction_majors,
-        "compaction_partition_jobs": stats.compaction_partition_jobs,
-        "group_commits": stats.group_commits,
-        "group_commit_coalesced": stats.group_commit_coalesced,
-        "migrations": stats.migrations,
-        "bulk_batches": stats.bulk_batches,
-        "bulk_keys": stats.bulk_keys,
-        "bulk_owner_msgs": stats.bulk_owner_msgs,
-        "corruptions_detected": stats.corruptions_detected,
-        "tables_quarantined": stats.tables_quarantined,
-        "tables_rebuilt": stats.tables_rebuilt,
-        "remote_retries": stats.remote_retries,
-        "remote_timeouts": stats.remote_timeouts,
-        "fence_skips": stats.fence_skips,
-        "bloom_skips": stats.bloom_skips,
-        "replica_msgs": stats.replica_msgs,
-        "replica_pairs": stats.replica_pairs,
-        "replica_pairs_applied": stats.replica_pairs_applied,
-        "heartbeats_sent": stats.heartbeats_sent,
-        "epoch_rejections": stats.epoch_rejections,
-        "rank_deaths": stats.rank_deaths,
-        "rereplicated_pairs": stats.rereplicated_pairs,
-        "failover_gets": stats.failover_gets,
-        "index_repl_hits": stats.index_repl_hits,
-        "index_repl_misses": stats.index_repl_misses,
-        "index_repl_stale": stats.index_repl_stale,
-        "index_repl_fallbacks": stats.index_repl_fallbacks,
-        "index_pulls": stats.index_pulls,
-        "index_publishes": stats.index_publishes,
-        "scans": stats.scans,
-        "scan_tables_pruned": stats.scan_tables_pruned,
-        "scan_blocks_read": stats.scan_blocks_read,
-        "scan_chunks_shipped": stats.scan_chunks_shipped,
-        "scan_peak_buffered": stats.scan_peak_buffered,
-        "get_tiers": dict(stats.get_tiers),
         "sstables": len(db.ssids),
         "memtable_bytes": db.local_mt.size_bytes,
         "remote_memtable_bytes": db.remote_mt.size_bytes,
@@ -92,6 +47,10 @@ def database_metrics(db) -> Dict[str, Any]:
         "flush_build_busy_s": db.flush_build_worker.busy_time,
         "flush_sync_busy_s": db.flush_sync_worker.busy_time,
     }
+    # every DbStats counter under its field name: declared once, there
+    for f in fields(stats):
+        value = getattr(stats, f.name)
+        out[f.name] = dict(value) if isinstance(value, dict) else value
     if db.local_cache is not None:
         out["local_cache"] = {
             "entries": len(db.local_cache),
@@ -106,8 +65,7 @@ def database_metrics(db) -> Dict[str, Any]:
         "hits": db.remote_cache.hits,
         "misses": db.remote_cache.misses,
     }
-    if db.block_cache is not None:
-        out["block_cache"] = db.block_cache.counters()
+    out["block_cache"] = db.block_cache.counters()
     out["latency"] = db.latency.summary()
     from repro.analysis.runtime import get_detector
 

@@ -8,7 +8,6 @@ per-rank monotonically increasing SSID; higher SSIDs hold newer data.
 """
 
 from repro.sstable.block_cache import BlockCache
-from repro.sstable.compaction import compact
 from repro.sstable.format import (
     BLOOM_SUFFIX,
     DATA_SUFFIX,
@@ -31,7 +30,6 @@ __all__ = [
     "IndexEntry",
     "Record",
     "SSTableReader",
-    "compact",
     "decode_index",
     "decode_records",
     "encode_index",

@@ -3,18 +3,15 @@
 "PapyrusKV merges the data in a set of SSTables ... whenever the SSID of
 a new SSTable is multiples of the predefined number" (paper §2.5).  The
 merge is a sequential read of each input (the tables are key-sorted),
-keeps the record from the highest SSID for duplicate keys, and deletes
-the inputs once the output is durable.
+keeps the record from the highest SSID for duplicate keys; the caller
+deletes the inputs once its outputs are durable.
 
-Two output shapes:
-
-* :func:`compact` — the paper's monolithic merge: one output table.
-* **Partitioned** — :func:`read_and_merge` + :func:`partition_records`
-  split the merged stream into contiguous key-range partitions that the
-  database schedules as independent, rate-limited jobs, each producing
-  one fresh-SSID table with disjoint footer fences.  Minor (delta-only)
-  merges keep old data in place, so a run of flushes rewrites each byte
-  once instead of rewriting the whole rank shard every trigger.
+:func:`read_and_merge` + :func:`partition_records` split the merged
+stream into contiguous key-range partitions that the database schedules
+as independent, rate-limited jobs, each producing one fresh-SSID table
+with disjoint footer fences.  Minor (delta-only) merges keep old data in
+place, so a run of flushes rewrites each byte once instead of rewriting
+the whole rank shard every trigger.
 
 Tombstones survive a *partial* compaction (they may still shadow live
 records in tables older than the compacted run); a *full* compaction of
@@ -30,7 +27,6 @@ from repro.nvm.posixfs import PosixStore
 from repro.sstable.block_cache import BlockCache
 from repro.sstable.format import Record
 from repro.sstable.reader import SSTableReader
-from repro.sstable.writer import write_sstable
 
 
 def merge_records(
@@ -110,37 +106,3 @@ def partition_records(
         parts.append(records[lo:hi])
         lo = hi
     return parts
-
-
-def compact(
-    store: PosixStore,
-    directory: str,
-    ssids: List[int],
-    new_ssid: int,
-    t: float,
-    drop_tombstones: bool = False,
-    fp_rate: float = 0.01,
-    block_cache: Optional[BlockCache] = None,
-    delete_inputs: bool = True,
-) -> Tuple[int, float]:
-    """Merge the tables ``ssids`` into one table ``new_ssid``.
-
-    The paper's monolithic merge (and the ``compaction_partitions<=1``
-    fallback).  Returns ``(merged_record_count, completion_time)``.
-    The inputs are deleted after the merged table is durably written,
-    so a reader never observes a state with data missing;
-    ``delete_inputs=False`` leaves retirement to the caller (the
-    database defers unlinks of tables an open scan has pinned).
-    """
-    if not ssids:
-        return 0, t
-    merged, readers, t = read_and_merge(
-        store, directory, ssids, t,
-        drop_tombstones=drop_tombstones, block_cache=block_cache,
-    )
-    _, t = write_sstable(store, directory, new_ssid, merged, t, fp_rate)
-    if delete_inputs:
-        for rd in readers:
-            if rd.ssid != new_ssid:  # reusing an input SSID replaces its files
-                t = rd.delete(t)
-    return len(merged), t

@@ -9,7 +9,7 @@
     python -m repro.tools.cli demo [--ranks N] [--system NAME] [--stats]
     python -m repro.tools.cli systems
     python -m repro.tools.cli lint <paths...> [--format text|json|sarif]
-                                   [--lexical] [--allowlist F] [--output F]
+                                   [--allowlist F] [--output F]
     python -m repro.tools.cli race-report [--ranks N] [--ops N] [--json]
 """
 
@@ -191,13 +191,10 @@ def _cmd_lint(args) -> int:
     allowlist = args.allowlist
     if allowlist is None and os.path.exists(".pkvlint-allow"):
         allowlist = ".pkvlint-allow"
-    findings = lint_paths(
-        args.paths, allowlist=allowlist,
-        interprocedural=not args.lexical,
-    )
+    findings = lint_paths(args.paths, allowlist=allowlist)
     fmt = "json" if args.json else args.format
     if fmt == "json":
-        text = findings_to_json(findings, version=args.schema_version)
+        text = findings_to_json(findings)
     elif fmt == "sarif":
         text = findings_to_sarif(findings)
     else:
@@ -295,13 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "SARIF 2.1.0 for CI annotations)")
     p.add_argument("--json", action="store_true",
                    help="alias for --format json (back-compat)")
-    p.add_argument("--schema-version", type=int, choices=(1, 2), default=2,
-                   help="findings JSON schema version (v1 drops call_path)")
     p.add_argument("--output", default=None,
                    help="write the report to a file instead of stdout")
-    p.add_argument("--lexical", action="store_true",
-                   help="PR-4 per-function rules only: no call graph, no "
-                        "interprocedural propagation (diagnostic mode)")
     p.add_argument("--allowlist", default=None,
                    help="allowlist file (default: .pkvlint-allow if present)")
     p.set_defaults(fn=_cmd_lint)

@@ -1,4 +1,4 @@
-"""Findings schema v1/v2 migration, round-trips, and SARIF output."""
+"""Findings schema round-trips and SARIF output."""
 
 from __future__ import annotations
 
@@ -9,11 +9,8 @@ import pytest
 from repro.analysis.findings import (
     SCHEMA_VERSION,
     Finding,
-    downgrade_doc,
-    finding_from_dict,
     findings_to_json,
     load_doc,
-    migrate_doc,
 )
 from repro.analysis.sarif import findings_to_sarif
 
@@ -30,82 +27,25 @@ F_CHAIN = Finding(
 
 
 class TestSerialization:
-    def test_default_version_is_2(self):
+    def test_emitted_version_is_2(self):
         doc = json.loads(findings_to_json([F_CHAIN]))
         assert doc["version"] == SCHEMA_VERSION == 2
         assert doc["findings"][0]["call_path"] == list(F_CHAIN.call_path)
 
-    def test_v1_output_matches_pr4_schema(self):
-        doc = json.loads(findings_to_json([F_CHAIN], version=1))
-        assert doc["version"] == 1
-        keys = set(doc["findings"][0])
-        assert "call_path" not in keys
-        assert keys == {"tool", "rule", "message", "path", "line",
-                        "function", "details"}
-
-    def test_unknown_version_rejected(self):
-        with pytest.raises(ValueError):
-            findings_to_json([F_LOCAL], version=3)
-
-
-class TestMigration:
-    def test_v1_to_v2_adds_empty_call_path(self):
-        v1 = json.loads(findings_to_json([F_LOCAL], version=1))
-        v2 = migrate_doc(v1)
-        assert v2["version"] == 2
-        assert v2["findings"][0]["call_path"] == []
-
-    def test_migrate_is_idempotent(self):
-        v2 = json.loads(findings_to_json([F_CHAIN]))
-        assert migrate_doc(v2) is v2
-
-    def test_downgrade_folds_chain_into_details(self):
-        v2 = json.loads(findings_to_json([F_CHAIN]))
-        v1 = downgrade_doc(v2)
-        assert v1["version"] == 1
-        (f,) = v1["findings"]
-        assert "call_path" not in f
-        assert f["details"][-1] == (
-            "via: repro.core.db:Database._fan_out -> self.srv_comm.fanout"
-        )
-
-    def test_downgrade_is_idempotent(self):
-        v1 = json.loads(findings_to_json([F_LOCAL], version=1))
-        assert downgrade_doc(v1) is v1
-
-    def test_unknown_versions_raise(self):
-        with pytest.raises(ValueError):
-            migrate_doc({"version": 3, "findings": []})
-        with pytest.raises(ValueError):
-            downgrade_doc({"version": 3, "findings": []})
-
 
 class TestRoundTrip:
-    def test_v2_round_trip_preserves_findings(self):
+    def test_round_trip_preserves_findings(self):
         text = findings_to_json([F_LOCAL, F_CHAIN])
         assert load_doc(text) == [F_LOCAL, F_CHAIN]
 
-    def test_v1_round_trip_drops_only_call_path(self):
-        # a v2 finding pushed through a v1 consumer and reloaded keeps
-        # everything except the chain (which lands in details)
-        text = findings_to_json([F_CHAIN], version=1)
-        (back,) = load_doc(text)
-        assert back.call_path == ()
-        assert (back.tool, back.rule, back.message, back.path, back.line,
-                back.function) == (
-            F_CHAIN.tool, F_CHAIN.rule, F_CHAIN.message, F_CHAIN.path,
-            F_CHAIN.line, F_CHAIN.function)
-
-    def test_downgrade_then_migrate_keeps_chain_in_details(self):
-        v2 = json.loads(findings_to_json([F_CHAIN]))
-        again = migrate_doc(downgrade_doc(v2))
-        (back,) = [finding_from_dict(f) for f in again["findings"]]
-        assert back.call_path == ()
-        assert any(d.startswith("via: ") for d in back.details)
-
     def test_load_doc_accepts_dict(self):
-        doc = json.loads(findings_to_json([F_LOCAL], version=1))
+        doc = json.loads(findings_to_json([F_LOCAL]))
         assert load_doc(doc) == [F_LOCAL]
+
+    @pytest.mark.parametrize("version", [1, 3, None])
+    def test_load_doc_rejects_other_versions(self, version):
+        with pytest.raises(ValueError):
+            load_doc({"version": version, "findings": []})
 
 
 class TestSarif:

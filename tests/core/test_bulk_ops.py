@@ -1,4 +1,4 @@
-"""Bulk-operation pipeline: put_bulk/get_bulk/delete_bulk semantics.
+"""Bulk-operation pipeline: WriteBatch / get_bulk semantics.
 
 Covers the batched API's contract against the per-key loop it replaces:
 empty batches, duplicate keys (last-write-wins), mixed local/remote
@@ -24,6 +24,22 @@ def run1(fn, **kw):
     return spmd_run(1, fn, **kw)[0]
 
 
+def _put_many(db, pairs) -> int:
+    """One WriteBatch carrying ``pairs``; returns distinct keys written."""
+    with db.batch() as b:
+        for key, value in pairs:
+            b.put(key, value)
+    return b.written
+
+
+def _delete_many(db, keys) -> int:
+    """One WriteBatch deleting ``keys``; returns distinct keys written."""
+    with db.batch() as b:
+        for key in keys:
+            b.delete(key)
+    return b.written
+
+
 def _kv(tag: str, i: int, vlen: int = 24) -> tuple:
     return f"{tag}{i:04d}".encode(), f"v{tag}{i}".encode().ljust(vlen, b".")
 
@@ -33,9 +49,8 @@ class TestEmptyAndValidation:
         def app(ctx):
             with Papyrus(ctx) as env:
                 db = env.open("d", small_options())
-                assert db.put_bulk([]) == 0
-                assert db.put_bulk({}) == 0
-                assert db.delete_bulk([]) == 0
+                assert _put_many(db, []) == 0
+                assert _delete_many(db, []) == 0
                 assert db.get_bulk([]) == []
                 assert db.stats.puts == 0
                 assert db.stats.gets == 0
@@ -49,7 +64,7 @@ class TestEmptyAndValidation:
             with Papyrus(ctx) as env:
                 db = env.open("d", small_options())
                 with pytest.raises(InvalidKeyError):
-                    db.put_bulk([(b"ok", b"v"), (b"", b"v")])
+                    _put_many(db, [(b"ok", b"v"), (b"", b"v")])
                 # validation happens before any insert lands
                 assert db.get_or_none(b"ok") is None
                 with pytest.raises(InvalidKeyError):
@@ -65,9 +80,9 @@ class TestEmptyAndValidation:
                 db.put(b"k", b"v")
                 db.protect(RDONLY)
                 with pytest.raises(ProtectionError):
-                    db.put_bulk([(b"a", b"1")])
+                    _put_many(db, [(b"a", b"1")])
                 with pytest.raises(ProtectionError):
-                    db.delete_bulk([b"k"])
+                    _delete_many(db, [b"k"])
                 assert db.get_bulk([b"k"]) == [b"v"]  # reads still fine
                 db.close()
 
@@ -79,8 +94,8 @@ class TestBatchSemantics:
         def app(ctx):
             with Papyrus(ctx) as env:
                 db = env.open("d", small_options())
-                assert db.put_bulk(
-                    [(b"k", b"first"), (b"x", b"xv"), (b"k", b"last")]
+                assert _put_many(
+                    db, [(b"k", b"first"), (b"x", b"xv"), (b"k", b"last")]
                 ) == 2
                 assert db.get(b"k") == b"last"
                 assert db.get(b"x") == b"xv"
@@ -92,7 +107,7 @@ class TestBatchSemantics:
         def app(ctx):
             with Papyrus(ctx) as env:
                 db = env.open("d", small_options())
-                db.put_bulk([(b"a", b"1"), (b"b", b"2")])
+                _put_many(db, [(b"a", b"1"), (b"b", b"2")])
                 got = db.get_bulk([b"b", b"missing", b"a", b"b"])
                 assert got == [b"2", None, b"1", b"2"]
                 db.close()
@@ -103,7 +118,7 @@ class TestBatchSemantics:
         def app(ctx):
             with Papyrus(ctx) as env:
                 db = env.open("d", small_options())
-                db.put_bulk([(b"keep", b"old"), (b"gone", b"old")])
+                _put_many(db, [(b"keep", b"old"), (b"gone", b"old")])
                 with db.batch() as b:
                     b.put(b"gone", b"temp")
                     b.delete(b"gone")       # delete after put: key dies
@@ -124,11 +139,11 @@ class TestBatchSemantics:
                 pairs = [_kv("k", i) for i in range(150)]
                 for k, v in pairs:
                     a.put(k, v)
-                b.put_bulk(pairs)
+                _put_many(b, pairs)
                 dels = [k for k, _ in pairs[::7]]
                 for k in dels:
                     a.delete(k)
-                b.delete_bulk(dels)
+                _delete_many(b, dels)
                 keys = [k for k, _ in pairs]
                 expect = [a.get_or_none(k) for k in keys]
                 assert b.get_bulk(keys) == expect
@@ -149,7 +164,7 @@ class TestMixedOwners:
                 pairs = [_kv(f"r{me}-", i) for i in range(120)]
                 owners = {db.owner_of(k) for k, _ in pairs}
                 assert len(owners) > 1  # genuinely mixed
-                db.put_bulk(pairs)
+                _put_many(db, pairs)
                 # my own shard's share is visible immediately
                 for k, v in pairs:
                     if db.owner_of(k) == me:
@@ -178,7 +193,7 @@ class TestMixedOwners:
                     remote_owners = {
                         db.owner_of(k) for k, _ in pairs
                     } - {0}
-                    db.put_bulk(pairs)
+                    _put_many(db, pairs)
                     # one PutSyncBatchMsg per distinct remote owner
                     assert db.stats.bulk_owner_msgs == len(remote_owners)
                     # and the data is already visible everywhere
@@ -206,7 +221,7 @@ class TestMixedOwners:
                     remote_owners = {
                         db.owner_of(k) for k, _ in pairs
                     } - {0}
-                    db.put_bulk(pairs)
+                    _put_many(db, pairs)
                     assert db.stats.migrations == 0  # staged, not sent
                     db.fence()
                     assert db.stats.migrations == len(remote_owners)
@@ -221,7 +236,7 @@ class TestMixedOwners:
                 db = env.open("d", small_options())
                 me = ctx.world_rank
                 pairs = [_kv(f"g{me}-", i) for i in range(80)]
-                db.put_bulk(pairs)
+                _put_many(db, pairs)
                 db.barrier()
                 if me == 0:
                     keys = [_kv("g2-", i)[0] for i in range(80)]
@@ -245,7 +260,7 @@ class TestMixedOwners:
                 db = env.open("d", small_options())
                 me = ctx.world_rank
                 pairs = [_kv(f"s{me}-", i, vlen=64) for i in range(60)]
-                db.put_bulk(pairs)
+                _put_many(db, pairs)
                 db.barrier(SSTABLE)  # everything flushed out of memory
                 other = (me + 1) % ctx.nranks
                 keys = [_kv(f"s{other}-", i, vlen=64)[0]

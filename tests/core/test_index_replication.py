@@ -571,6 +571,35 @@ class TestRankDeath:
         assert res[1] == "survivor-ok" and res[2] == "survivor-ok"
 
 
+    def test_install_after_death_declaration_leaves_no_view(self):
+        """The race behind the flaky purge test, made deterministic: an
+        eager publish whose staleness check passed *before* the main
+        thread declared its sender dead reaches _install_index_view
+        *after* the purge.  The install must not resurrect the view."""
+
+        def app(ctx):
+            env = Papyrus(ctx)
+            db = env.open("ixlate", _ix_options(
+                replicas=2, write_quorum=1, remote_timeout=0.2,
+            ))
+            if ctx.world_rank == 1:
+                dead_dir = f"{db.dbdir}/rank0"
+                db._declare_dead(0)
+                installed = db._install_index_view(
+                    0, dead_dir, 0, (), {}, True, True,
+                )
+                assert installed is False
+                assert 0 not in db._index_views
+                assert not [k for k in db._index_bundles.keys()
+                            if k[0] == dead_dir]
+            # no collective close: rank 1 now holds rank 0 dead
+            db.srv_comm.send(msg.StopMsg(), db.rank, tag=0)
+            db._handler_thread.join(10)
+            db._closed = True
+
+        spmd_run(2, app, timeout=60)
+
+
 class TestRaceDetector:
     def test_one_sided_path_is_race_clean(self):
         """Pulls (main thread) racing eager publishes (handler thread)

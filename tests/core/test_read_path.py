@@ -15,7 +15,7 @@ import pytest
 from repro import Options, Papyrus
 from repro.analysis import runtime as rt
 from repro.config import MB, SSTABLE, options_from_env
-from repro.errors import CorruptionError, KeyNotFoundError
+from repro.errors import CorruptionError, InvalidOptionError
 from repro.metrics import database_metrics, format_report
 from repro.mpi.launcher import spmd_run
 from repro.nvm.posixfs import PosixStore
@@ -110,20 +110,6 @@ class TestFencePruning:
                 assert db.get_or_none(b"m0150") is None  # within [m000,m029]
                 # 'z' and 'a' pruned; 'm' passed its fence to the bloom
                 assert db.stats.fence_skips - d0 == 2
-                db.close()
-
-        run1(app)
-
-    def test_disabled_pruning_keeps_bloom_behavior(self):
-        def app(ctx):
-            with Papyrus(ctx) as env:
-                db = env.open("d", _opts(fence_pruning=False))
-                _load_phases(db, "amz")
-                assert db.get(b"a015") == b"a" * 64
-                with pytest.raises(KeyNotFoundError):
-                    db.get(b"q-between")
-                assert db.stats.fence_skips == 0
-                assert db.stats.bloom_skips > 0
                 db.close()
 
         run1(app)
@@ -260,18 +246,6 @@ class TestCacheInvalidation:
 
         run1(app)
 
-    def test_disabled_cache_still_serves(self):
-        def app(ctx):
-            with Papyrus(ctx) as env:
-                db = env.open("d", _opts(block_cache_enabled=False))
-                _load_phases(db, "am")
-                assert db.block_cache is None
-                assert db.get(b"a003") == b"a" * 64
-                assert db.get_or_none(b"q-absent") is None
-                db.close()
-
-        run1(app)
-
 
 class TestPeerReaderCache:
     def test_peer_readers_are_cached_and_hit_the_block_cache(self):
@@ -334,28 +308,11 @@ class TestCountersSurface:
         assert m["block_cache"]["bytes"] <= m["block_cache"]["capacity_bytes"]
         assert "block cache:" in report and "read path:" in report
 
-    def test_metrics_omit_block_cache_when_disabled(self):
-        def app(ctx):
-            with Papyrus(ctx) as env:
-                db = env.open("d", _opts(block_cache_enabled=False))
-                db.put(b"k", b"v")
-                m = database_metrics(db)
-                report = format_report(m)
-                db.close()
-                return m, report
-
-        m, report = run1(app)
-        assert "block_cache" not in m
-        assert "block cache:" not in report
-
-    def test_env_knobs(self):
-        opt = options_from_env({"PAPYRUSKV_BLOCK_CACHE": "0"})
-        assert not opt.block_cache_enabled
+    def test_block_cache_env_is_a_byte_budget(self):
         opt = options_from_env({"PAPYRUSKV_BLOCK_CACHE": "65536"})
-        assert opt.block_cache_enabled
         assert opt.block_cache_capacity == 65536
-        opt = options_from_env({"PAPYRUSKV_FENCE_PRUNING": "0"})
-        assert not opt.fence_pruning
+        with pytest.raises(InvalidOptionError):
+            options_from_env({"PAPYRUSKV_BLOCK_CACHE": "0"})
 
 
 class TestRaceCleanliness:

@@ -1,21 +1,27 @@
 """Write-path overhaul: group commit, pipelined flush, partitioned
 compaction, and the WriteBatch surface.
 
-Covers the redesigned write API's contract: commit-window coalescing
-and its cost model, the two-stage flush pipeline (equivalence with the
-monolithic path, non-blocking flush, worker accounting), incremental
+Covers the write API's contract: commit-window coalescing and its cost
+model, the two-stage flush pipeline (persistence across reopen, stage
+overlap, non-blocking flush, worker accounting), incremental
 partitioned compaction (correctness, precise invalidation, major
-merges dropping tombstones, the legacy monolithic fallback), the
-deprecation shims, batch durability levels and auto-flush, and the
-streaming scan_collect merge.
+merges dropping tombstones, duty-cycle pacing), batch durability levels
+and auto-flush, and the streaming scan_collect merge.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import FaultPlan, Options, Papyrus, SSTABLE, spmd_run
+from repro import FaultPlan, Papyrus, SSTABLE, spmd_run
 from repro.core import api
+from repro.core.db import (
+    COMPACTION_DUTY_CYCLE,
+    COMPACTION_MAJOR_EVERY,
+    COMPACTION_PARTITIONS,
+    GROUP_COMMIT_BYTES,
+    GROUP_COMMIT_INTERVAL,
+)
 from repro.errors import InvalidOptionError
 from repro.mpi.launcher import RankFailure
 from repro.nvm.storage import Machine
@@ -53,54 +59,51 @@ class TestGroupCommit:
 
         run1(app)
 
-    def test_disabled_by_zero_interval(self):
+    def test_rider_shares_the_openers_durability_charge(self):
+        """A put riding an open window pays the CPU op and its memcpy;
+        only the opener pays the DRAM durability latency."""
+
         def app(ctx):
             with Papyrus(ctx) as env:
-                db = env.open(
-                    "gcoff",
-                    small_options(memtable_capacity=1 << 20,
-                                  group_commit_interval=0.0),
-                )
-                _fill(db, 100)
-                assert db.stats.group_commits == 0
+                db = env.open("gctime", small_options(
+                    memtable_capacity=1 << 20))
+                t0 = ctx.clock.now
+                db.put(b"k0", b"v" * 32)
+                t1 = ctx.clock.now
+                db.put(b"k1", b"v" * 32)
+                t2 = ctx.clock.now
+                assert db.stats.group_commits == 1
+                assert db.stats.group_commit_coalesced == 1
+                cpu = ctx.system.cpu
+                assert (t1 - t0) - (t2 - t1) == \
+                    pytest.approx(cpu.dram_latency_s)
+                db.close()
+
+        run1(app)
+
+    def test_interval_expiry_reopens_window(self):
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("gcint", small_options(
+                    memtable_capacity=1 << 20))
+                for i in range(5):
+                    db.put(f"k{i}".encode(), b"v" * 16)
+                    ctx.clock.advance(GROUP_COMMIT_INTERVAL)
+                assert db.stats.group_commits == 5
                 assert db.stats.group_commit_coalesced == 0
                 db.close()
 
         run1(app)
 
-    def test_coalesced_puts_are_cheaper(self):
-        """Same single-rank workload, group commit on vs off: the
-        coalesced run must finish earlier on the virtual clock."""
-
-        def timed(gc_on):
-            def app(ctx):
-                with Papyrus(ctx) as env:
-                    opts = small_options(
-                        memtable_capacity=1 << 20,
-                        group_commit_interval=200e-6 if gc_on else 0.0,
-                    )
-                    db = env.open("gctime", opts)
-                    t0 = ctx.clock.now
-                    _fill(db, 500)
-                    dt = ctx.clock.now - t0
-                    db.close()
-                    return dt
-
-            return run1(app)
-
-        assert timed(True) < timed(False)
-
     def test_bytes_budget_reopens_window(self):
         def app(ctx):
             with Papyrus(ctx) as env:
-                db = env.open(
-                    "gcbytes",
-                    small_options(memtable_capacity=1 << 20,
-                                  group_commit_bytes=128),
-                )
-                _fill(db, 50, vlen=150)  # each put overflows the budget
-                # alone, so every put opens its own window
-                assert db.stats.group_commits == 50
+                db = env.open("gcbytes", small_options(
+                    memtable_capacity=1 << 20))
+                # each put overflows the byte budget alone, so every put
+                # opens its own window
+                _fill(db, 8, vlen=GROUP_COMMIT_BYTES)
+                assert db.stats.group_commits == 8
                 assert db.stats.group_commit_coalesced == 0
                 db.close()
 
@@ -121,36 +124,27 @@ class TestGroupCommit:
 
 
 class TestPipelinedFlush:
-    def test_pipeline_matches_legacy_data(self, tmp_path):
-        """Both flush shapes persist identical key/value sets."""
+    def test_flushed_data_survives_reopen(self, tmp_path):
+        machine = Machine(SUMMITDEV, 1, base_dir=str(tmp_path))
 
-        def write_and_read(pipeline, base):
-            machine = Machine(SUMMITDEV, 1, base_dir=str(base))
+        def writer(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("pf", small_options())
+                _fill(db, 300)
+                db.barrier(SSTABLE)
+                db.close()
 
-            def writer(ctx):
-                with Papyrus(ctx) as env:
-                    db = env.open("pf", small_options(
-                        flush_pipeline=pipeline))
-                    _fill(db, 300)
-                    db.barrier(SSTABLE)
-                    db.close()
+        def reader(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("pf", small_options())
+                _check(db, 300)
+                n = len(db.scan_local())
+                db.close()
+                return n
 
-            def reader(ctx):
-                with Papyrus(ctx) as env:
-                    db = env.open("pf", small_options(
-                        flush_pipeline=pipeline))
-                    _check(db, 300)
-                    n = len(db.scan_local())
-                    db.close()
-                    return n
-
-            spmd_run(1, writer, machine=machine)
-            n = spmd_run(1, reader, machine=machine)[0]
-            machine.close()
-            return n
-
-        assert write_and_read(True, tmp_path / "on") == \
-            write_and_read(False, tmp_path / "off") == 300
+        spmd_run(1, writer, machine=machine)
+        assert spmd_run(1, reader, machine=machine)[0] == 300
+        machine.close()
 
     def test_stage_workers_charged(self):
         def app(ctx):
@@ -164,24 +158,26 @@ class TestPipelinedFlush:
 
         run1(app)
 
-    def test_pipeline_overlap_beats_serial(self):
-        """Overlapped build/sync stages finish the flush train no later
-        than the monolithic single-worker path."""
+    def test_build_and_sync_stages_overlap(self):
+        """Every flush runs one build and one sync job (none on the
+        compaction worker), and the train finishes sooner than the two
+        stages' busy times laid end to end."""
 
-        def timed(pipeline):
-            def app(ctx):
-                with Papyrus(ctx) as env:
-                    db = env.open("pft", small_options(
-                        flush_pipeline=pipeline, compaction_interval=0))
-                    _fill(db, 400)
-                    db.flush()
-                    t = ctx.clock.now
-                    db.close()
-                    return t
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("pft", small_options(compaction_interval=0))
+                t0 = ctx.clock.now
+                _fill(db, 400)
+                db.flush()
+                elapsed = ctx.clock.now - t0
+                build, sync = db.flush_build_worker, db.flush_sync_worker
+                assert db.stats.flushes >= 2
+                assert build.jobs == sync.jobs == db.stats.flushes
+                assert db.compaction_worker.jobs == 0
+                assert elapsed < build.busy_time + sync.busy_time
+                db.close()
 
-            return run1(app)
-
-        assert timed(True) < timed(False)
+        run1(app)
 
     def test_flush_nowait_enqueues_only(self):
         def app(ctx):
@@ -197,18 +193,6 @@ class TestPipelinedFlush:
                 assert ctx.clock.now > t_nowait  # waiting costs time
                 assert t_nowait - t0 < ctx.clock.now - t_nowait
                 _check(db, 50)
-                db.close()
-
-        run1(app)
-
-    def test_flush_sstables_alias_warns(self):
-        def app(ctx):
-            with Papyrus(ctx) as env:
-                db = env.open("pfdep", small_options())
-                db.put(b"k", b"v")
-                with pytest.warns(DeprecationWarning):
-                    db.flush_sstables()
-                assert db.ssids
                 db.close()
 
         run1(app)
@@ -234,7 +218,8 @@ class TestPartitionedCompaction:
                 db.flush()
                 s = db.stats
                 assert s.compactions >= 1
-                assert s.compaction_partition_jobs >= 2
+                assert s.compaction_partition_jobs == \
+                    s.compactions * COMPACTION_PARTITIONS
                 _check(db, 400)
                 db.close()
 
@@ -247,13 +232,13 @@ class TestPartitionedCompaction:
         def app(ctx):
             with Papyrus(ctx) as env:
                 db = env.open("pcminor", small_options(
-                    compaction_interval=2, compaction_major_every=100))
+                    compaction_interval=2))
                 _fill(db, 500)
                 db.flush()
-                assert db.stats.compactions >= 2
+                assert 2 <= db.stats.compactions < COMPACTION_MAJOR_EVERY
                 assert db.stats.compaction_majors == 0
                 # several generations of partition outputs accumulate
-                assert len(db.ssids) > db.options.compaction_partitions
+                assert len(db.ssids) > COMPACTION_PARTITIONS
                 _check(db, 500)
                 db.close()
 
@@ -263,14 +248,17 @@ class TestPartitionedCompaction:
         def app(ctx):
             with Papyrus(ctx) as env:
                 db = env.open("pcmajor", small_options(
-                    compaction_interval=2, compaction_major_every=2))
+                    compaction_interval=2))
                 _fill(db, 200)
                 for i in range(0, 200, 2):
                     db.delete(f"w{i:04d}".encode())
                 # churn until a major pass has consumed the tombstones
-                _fill(db, 200, tag="x")
+                _fill(db, 1200, tag="x")
                 db.flush()
-                assert db.stats.compaction_majors >= 1
+                s = db.stats
+                assert s.compaction_majors >= 1
+                assert s.compaction_majors == \
+                    s.compactions // COMPACTION_MAJOR_EVERY
                 live = db.scan_local()
                 keys = {k for k, _ in live}
                 assert not any(
@@ -279,20 +267,6 @@ class TestPartitionedCompaction:
                 assert all(
                     f"w{i:04d}".encode() in keys for i in range(1, 200, 2)
                 )
-                db.close()
-
-        run1(app)
-
-    def test_legacy_monolithic_fallback(self):
-        def app(ctx):
-            with Papyrus(ctx) as env:
-                db = env.open("pcmono", small_options(
-                    compaction_partitions=1))
-                _fill(db, 400)
-                db.flush()
-                assert db.stats.compactions >= 1
-                assert db.stats.compaction_partition_jobs == 0
-                _check(db, 400)
                 db.close()
 
         run1(app)
@@ -325,19 +299,20 @@ class TestPartitionedCompaction:
 
         run1(app)
 
-    def test_rate_limit_paces_worker(self):
-        """duty < 1 forces idle gaps: the compaction worker's horizon
-        stretches past its busy time."""
+    def test_duty_cycle_paces_worker(self):
+        """Each round is followed by an idle gap sized to the duty
+        cycle, so the compaction worker is busy for at most that
+        fraction of its timeline."""
 
         def app(ctx):
             with Papyrus(ctx) as env:
                 db = env.open("pcrate", small_options(
-                    compaction_interval=2, compaction_rate_limit=0.25))
+                    compaction_interval=2))
                 _fill(db, 400)
                 db.flush()
                 w = db.compaction_worker
                 assert w.jobs > 0
-                assert w.available > w.busy_time * 1.5
+                assert w.busy_time <= w.available * COMPACTION_DUTY_CYCLE
                 db.close()
 
         run1(app)
@@ -434,20 +409,6 @@ class TestWriteBatch:
                     db.batch(durability="eventually")
                 with pytest.raises(InvalidOptionError):
                     db.batch(max_bytes=0)
-                db.close()
-
-        run1(app)
-
-    def test_bulk_shims_warn_and_work(self):
-        def app(ctx):
-            with Papyrus(ctx) as env:
-                db = env.open("wbdep", small_options())
-                with pytest.warns(DeprecationWarning):
-                    assert db.put_bulk([(b"a", b"1"), (b"b", b"2")]) == 2
-                with pytest.warns(DeprecationWarning):
-                    assert db.delete_bulk([b"a"]) == 1
-                assert db.get_or_none(b"a") is None
-                assert db.get(b"b") == b"2"
                 db.close()
 
         run1(app)
@@ -586,21 +547,3 @@ class TestFlushCrashPoints:
 
         assert spmd_run(1, reopen, machine=machine, timeout=120)[0] >= 0
         machine.close()
-
-
-class TestOptionsValidation:
-    def test_new_options_validate(self):
-        with pytest.raises(InvalidOptionError):
-            Options(group_commit_interval=-1.0)
-        with pytest.raises(InvalidOptionError):
-            Options(group_commit_bytes=-1)
-        with pytest.raises(InvalidOptionError):
-            Options(compaction_partitions=-2)
-        with pytest.raises(InvalidOptionError):
-            Options(compaction_major_every=-1)
-        with pytest.raises(InvalidOptionError):
-            Options(compaction_rate_limit=0.0)
-        with pytest.raises(InvalidOptionError):
-            Options(compaction_rate_limit=1.5)
-        # the boundary duty cycle is legal
-        assert Options(compaction_rate_limit=1.0)

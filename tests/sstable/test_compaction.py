@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 
 from repro.nvm.posixfs import PosixStore
 from repro.simtime.resources import TimedResource
-from repro.sstable.compaction import compact, merge_records
+from repro.sstable.compaction import merge_records, read_and_merge
 from repro.sstable.format import Record
 from repro.sstable.reader import SSTableReader, list_ssids
-from repro.sstable.writer import write_sstable
+from repro.sstable.writer import (
+    encode_table,
+    write_sstable,
+    write_tables_ordered,
+)
 
 
 @pytest.fixture()
@@ -56,41 +60,48 @@ class TestMergeRecords:
         assert merge_records([[], []]) == []
 
 
-class TestCompact:
+class TestReadMergeWrite:
+    """The round the database runs: read_and_merge the inputs, land the
+    outputs with one write_tables_ordered commit."""
+
     def _write(self, store, ssid, pairs):
         recs = [
             Record(k, v, v == b"") for k, v in sorted(pairs.items())
         ]
         write_sstable(store, "t", ssid, recs, 0.0)
 
-    def test_merges_to_single_table(self, store):
+    def _round(self, store, ssids, new_ssid, t, drop_tombstones=False):
+        merged, readers, t = read_and_merge(
+            store, "t", ssids, t, drop_tombstones=drop_tombstones
+        )
+        _, t = write_tables_ordered(
+            store, "t", [(new_ssid, encode_table(merged))], t
+        )
+        return merged, readers, t
+
+    def test_newest_wins(self, store):
         self._write(store, 1, {b"a": b"1", b"b": b"2"})
         self._write(store, 2, {b"b": b"22", b"c": b"3"})
-        n, _ = compact(store, "t", [1, 2], 3, 0.0)
-        assert n == 3
-        assert list_ssids(store, "t") == [3]
+        merged, readers, _ = self._round(store, [1, 2], 3, 0.0)
+        assert len(merged) == 3
+        assert [rd.ssid for rd in readers] == [1, 2]
+        assert list_ssids(store, "t") == [1, 2, 3]  # caller retires inputs
         rd = SSTableReader(store, "t", 3)
         assert rd.get(b"b", 0.0)[0].value == b"22"
         assert rd.get(b"a", 0.0)[0].value == b"1"
 
-    def test_reuse_highest_input_ssid(self, store):
-        self._write(store, 1, {b"a": b"1"})
-        self._write(store, 2, {b"a": b"2"})
-        compact(store, "t", [1, 2], 2, 0.0)
-        assert list_ssids(store, "t") == [2]
-        assert SSTableReader(store, "t", 2).get(b"a", 0.0)[0].value == b"2"
-
-    def test_tombstones_dropped_on_full_compaction(self, store):
+    def test_tombstones_dropped_on_major(self, store):
         self._write(store, 1, {b"a": b"1", b"b": b"2"})
         self._write(store, 2, {b"a": b""})  # tombstone
-        compact(store, "t", [1, 2], 3, 0.0, drop_tombstones=True)
+        self._round(store, [1, 2], 3, 0.0, drop_tombstones=True)
         rd = SSTableReader(store, "t", 3)
         assert rd.get(b"a", 0.0)[0] is None
         assert rd.get(b"b", 0.0)[0].value == b"2"
 
     def test_empty_input(self, store):
-        n, t = compact(store, "t", [], 1, 5.0)
-        assert n == 0 and t == 5.0
+        merged, readers, t = read_and_merge(store, "t", [], 5.0)
+        assert merged == [] and readers == [] and t == 5.0
+        assert write_tables_ordered(store, "t", [], t) == (0, 5.0)
 
     def test_charges_time(self, store):
         slow = PosixStore(
@@ -98,7 +109,7 @@ class TestCompact:
         )
         self._write(slow, 1, {b"a": b"x" * 1000})
         self._write(slow, 2, {b"b": b"y" * 1000})
-        _, end = compact(slow, "t", [1, 2], 3, 0.0)
+        _, _, end = self._round(slow, [1, 2], 3, 0.0)
         assert end > 0.05  # several latency-charged file ops
 
 
@@ -124,8 +135,5 @@ def test_compaction_equals_dict_overlay(tmp_path_factory, generations):
         expected.update(gen)
     if not ssids:
         return
-    new_ssid = ssids[-1]
-    compact(store, "t", ssids, new_ssid, 0.0)
-    rd = SSTableReader(store, "t", new_ssid)
-    out, _ = rd.read_all(0.0)
+    out, _, _ = read_and_merge(store, "t", ssids, 0.0)
     assert {r.key: r.value for r in out} == expected

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import config
@@ -71,8 +73,7 @@ class TestOptionsValidation:
         ("flush_queue_capacity", 0, InvalidOptionError),
         ("migration_queue_capacity", 0, InvalidOptionError),
         ("compaction_interval", -1, InvalidOptionError),
-        ("bloom_fp_rate", 0.0, InvalidOptionError),
-        ("bloom_fp_rate", 1.0, InvalidOptionError),
+        ("block_cache_capacity", 0, InvalidOptionError),
         ("repository", "tape", InvalidOptionError),
         ("group_size", 0, InvalidOptionError),
         ("cache_local_capacity", 0, InvalidOptionError),
@@ -95,6 +96,32 @@ class TestOptionsValidation:
         assert opt.remote_timeout == 0.5
         assert opt.remote_retries == 0
         assert opt.verify_on_open is True
+
+    #: the knobs that selected a pre-overhaul code path, or whose one
+    #: value in use became a module constant
+    REMOVED = (
+        "flush_pipeline", "compaction_partitions", "group_commit_interval",
+        "group_commit_bytes", "compaction_major_every",
+        "compaction_rate_limit", "bloom_fp_rate", "scan_chunk",
+        "heartbeat_interval", "suspect_timeout", "dead_timeout",
+        "fence_pruning", "block_cache_enabled",
+    )
+
+    def test_options_field_count(self):
+        assert len(dataclasses.fields(Options)) == 25
+        for name in self.REMOVED:
+            with pytest.raises(TypeError):
+                Options(**{name: 1})
+
+    def test_removed_env_vars_are_ignored(self):
+        env = {
+            "PAPYRUSKV_GROUP_COMMIT": "0",
+            "PAPYRUSKV_FLUSH_PIPELINE": "0",
+            "PAPYRUSKV_COMPACTION_PARTITIONS": "1",
+            "PAPYRUSKV_FENCE_PRUNING": "0",
+            "PAPYRUSKV_SCAN_CHUNK": "7",
+        }
+        assert options_from_env(env) == Options()
 
     def test_keyword_only_construction(self):
         # positional construction is a bug magnet with ~20 fields; the

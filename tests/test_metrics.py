@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import Papyrus, SSTABLE, spmd_run
+from repro.core.db import DbStats
 from repro.metrics import database_metrics, format_report, machine_metrics
 from tests.conftest import small_options
 
@@ -51,6 +54,17 @@ class TestDatabaseMetrics:
         assert "local_cache" in dbm
         assert "remote_cache" in dbm
         assert dbm["local_cache"]["entries"] >= 0
+
+    def test_every_dbstats_counter_is_exported(self):
+        """DbStats is the one declaration: each field shows up in the
+        metrics dict under its own name, with the live value."""
+        (dbm, _), _ = _run_and_collect()
+        names = {f.name for f in dataclasses.fields(DbStats)}
+        assert names <= set(dbm)
+        assert isinstance(dbm["get_tiers"], dict)
+        assert isinstance(dbm["flush_stall_s"], float)
+        for name in names - {"get_tiers", "flush_stall_s"}:
+            assert isinstance(dbm[name], int), name
 
     def test_get_tiers_sum(self):
         (dbm, _), _ = _run_and_collect()
