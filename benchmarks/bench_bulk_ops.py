@@ -11,10 +11,10 @@ in a scatter/gather.
 Measured here on a 4-rank mixed-owner workload (each rank writes keys
 that hash across all ranks, then reads them back after a fence):
 
-* puts under sequential consistency: one ``PutSyncBatchMsg`` round per
-  owner instead of one ``PutSyncMsg`` round per key;
-* gets under both modes: one ``MGetMsg`` round per owner instead of
-  one ``GetMsg`` round per key;
+* puts under sequential consistency: one ``PutSyncMsg`` round per
+  owner instead of one per key;
+* gets under both modes: one ``GetMsg`` round per owner instead of
+  one per key;
 * relaxed puts: both paths stage locally, so bulk only wins the
   batched bookkeeping — asserted not-slower, not 2x.
 

@@ -30,7 +30,7 @@ Bulk veneer                            Object API it wraps
 ``papyruskv_put_bulk(db, items)``      :meth:`Database.batch` — per-owner
 → ``code``                             coalesced migration
 ``papyruskv_get_bulk(db, keys)``       :meth:`Database.get_bulk` — one
-→ ``(code, values)``                   MGET round per owner; ``values``
+→ ``(code, values)``                   GetMsg round per owner; ``values``
                                        aligns with ``keys``, ``None``
                                        marking NOT_FOUND
 ``papyruskv_delete_bulk(db, keys)``    :meth:`Database.batch` — batched

@@ -14,6 +14,10 @@ moving parts mirror Figure 2/3 of the paper:
   bloom-filter skipping and (optionally) binary search;
 * a **message handler** thread serving migrations, synchronous puts and
   remote gets for this rank's shard.
+
+Every put, delete and get — point call or batch — runs one write
+pipeline (:meth:`Database._write`) and one tiered get resolver
+(:meth:`Database._read`); a point call is a batch of one.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ import json
 import threading
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.scan import ScanIterator
@@ -223,8 +229,9 @@ class DbStats:
     compaction_majors: int = 0
     flush_stalls: int = 0
     flush_stall_s: float = 0.0
-    #: bulk-pipeline counters: batches issued, keys carried by them, and
-    #: per-owner runtime messages they produced (MGET + batched sync puts)
+    #: batch-call counters (``WriteBatch.flush`` / ``get_bulk`` only,
+    #: never point calls): batches issued, distinct keys carried by them,
+    #: and per-owner runtime messages they produced (GetMsg + PutSyncMsg)
     bulk_batches: int = 0
     bulk_keys: int = 0
     bulk_owner_msgs: int = 0
@@ -283,14 +290,14 @@ class DbStats:
 
 
 class WriteBatch:
-    """The one write surface: a mutation buffer over the bulk pipeline.
+    """The batch write surface: a mutation buffer over the write pipeline.
 
     Created by :meth:`Database.batch`.  Operations are recorded in
     program order; within one batch the last operation on a key wins
-    (the bulk pipeline's last-write-wins rule), which matches the
-    outcome of the equivalent per-key sequence.  ``put`` and ``delete``
-    have full parity — both buffer, both count toward ``max_bytes``,
-    both resolve through the same engine.
+    (the pipeline's last-write-wins rule), which matches the outcome of
+    the equivalent per-key sequence.  ``put`` and ``delete`` have full
+    parity — both buffer, both count toward ``max_bytes``, both resolve
+    through the engine ``db.put``/``db.delete`` use with one pair.
 
     Parameters
     ----------
@@ -364,7 +371,7 @@ class WriteBatch:
     def flush(self) -> int:
         """Write the buffered operations now; returns keys written."""
         ops, self._ops, self._bytes = self._ops, [], 0
-        n = self._db._write_bulk(ops)
+        n = self._db._write(ops, "put_bulk")
         self._written += n
         return n
 
@@ -428,7 +435,6 @@ class Database:
         self.coll_comm = coll_comm
 
         cpu = self.ctx.system.cpu
-        self._op_cost = cpu.kv_op_s + cpu.dram_latency_s
         self._memcpy_Bps = cpu.memcpy_Bps
 
         if options.race_detect:
@@ -539,8 +545,8 @@ class Database:
         self.flush_sync_worker = BackgroundWorker(f"flush-sync-r{self.rank}")
 
         #: group-commit window state — main-thread-only (mutated solely
-        #: under the application thread inside _put_impl/_write_bulk), so
-        #: it needs no lock and no registry entry
+        #: under the application thread inside _write), so it needs no
+        #: lock and no registry entry
         self._gc_open = False
         self._gc_t0 = 0.0
         self._gc_bytes = 0
@@ -650,12 +656,6 @@ class Database:
             self.clock.advance_to(t)
         except (StorageError, ValueError):
             return None, None  # no trustworthy metadata at all
-        if footer is None:  # v1 table: no CRCs, decode best-effort
-            try:
-                keys = [r.key for r in decode_records(data)]
-            except (StorageError, ValueError):
-                return None, None
-            return (min(keys), max(keys)) if keys else (None, None)
         bs = footer.block_size
         bad = {
             i for i, want in enumerate(footer.block_crcs)
@@ -743,10 +743,7 @@ class Database:
         if self._tracer is not None:
             self._tracer.record(name, self.rank, lane, t_start, t_end)
 
-    # ------------------------------------------------------------ op charges
-    def _charge_op(self, nbytes: int) -> None:
-        self.clock.advance(self._op_cost + nbytes / self._memcpy_Bps)
-
+    # ------------------------------------------------------------ validation
     def _validate_kv(self, key: bytes, value: Optional[bytes]) -> None:
         if not isinstance(key, (bytes, bytearray)) or len(key) == 0:
             raise InvalidKeyError("key must be a non-empty byte string")
@@ -755,79 +752,126 @@ class Database:
 
     def owner_of(self, key: bytes) -> int:
         """The rank owning ``key`` (hash % nranks, custom hash honoured)."""
-        return owner_rank(bytes(key), self.nranks, self.hash_fn)
+        return owner_rank(key, self.nranks, self.hash_fn)
 
     # ============================================================ PUT / DELETE
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or update a key-value pair (``papyruskv_put``)."""
         self._validate_kv(key, value)
-        self._put_impl(bytes(key), bytes(value), tombstone=False)
+        self._write([(bytes(key), bytes(value), False)], "put")
 
     def delete(self, key: bytes) -> None:
         """Delete a key: a put with a tombstone bit (``papyruskv_delete``)."""
         self._validate_kv(key, None)
-        self._put_impl(bytes(key), b"", tombstone=True)
+        self._write([(bytes(key), b"", True)], "delete")
 
-    def _put_impl(self, key: bytes, value: bytes, tombstone: bool) -> None:
+    def _write(self, ops: List[msg.Pair], kind: str) -> int:
+        """The write pipeline: every put, delete and batch runs this.
+
+        ``ops`` is already validated and normalised, in program order;
+        a point call is a batch of one.  Within the batch only each
+        key's final op lands (last-write-wins).  Returns the number of
+        distinct keys written; ``kind`` labels the latency sample.
+        """
         self._check_open()
         self._maybe_kill()
         if self.protection == config.RDONLY:
             raise ProtectionError("database is read-only (PAPYRUSKV_RDONLY)")
-        self.stats.puts += 1
-        if tombstone:
-            self.stats.deletes += 1
+        if not ops:
+            return 0
         t_start = self.clock.now
-        nbytes = len(key) + len(value)
-        # group commit: puts landing inside an open commit window
-        # coalesce — they share the window-opener's durability charge
-        # (DRAM write latency) and its ack drain, paying only the CPU
-        # op plus the memcpy of their own payload
-        gc_rider = (
+        pairs = list({op[0]: op for op in ops}.values())
+        n = len(pairs)
+        nbytes = 0
+        for key, value, tomb in pairs:
+            nbytes += len(key) + len(value)
+            self.stats.deletes += tomb
+        self.stats.puts += n
+        # group commit: a call landing inside an open commit window
+        # coalesces — it shares the window-opener's durability charge
+        # (DRAM write latency) and its ack drain, paying only the
+        # per-key CPU op plus the memcpy of its own payload
+        rider = (
             self._gc_open
             and t_start - self._gc_t0 < GROUP_COMMIT_INTERVAL
             and self._gc_bytes < GROUP_COMMIT_BYTES
         )
-        if gc_rider:
-            cpu = self.ctx.system.cpu
-            self.clock.advance(cpu.kv_op_s + nbytes / self._memcpy_Bps)
+        cpu = self.ctx.system.cpu
+        self.clock.advance(
+            cpu.kv_op_s * n + (0.0 if rider else cpu.dram_latency_s)
+            + nbytes / self._memcpy_Bps
+        )
+        if rider:
             self._gc_bytes += nbytes
-            self.stats.group_commit_coalesced += 1
+            self.stats.group_commit_coalesced += n
         else:
-            self._charge_op(nbytes)
             self._drain_acks(blocking=False)
             self._quorum_drain()  # settle the previous window's debts
             self._gc_open = True
             self._gc_t0 = t_start
             self._gc_bytes = nbytes
             self.stats.group_commits += 1
+            self.stats.group_commit_coalesced += n - 1
+        owner_msgs = 0
         if self._replication_on:
-            # replicated write: fan to the key's group; return once the
-            # write quorum has durably logged it.  Riders in an open
-            # group-commit window defer their quorum wait to the window
+            # replicated write: fan every pair to its group first
+            # (scatter), then gather the quorums — the members' handlers
+            # apply while this rank is still collecting acks.  Riders in
+            # an open window defer their quorum wait to the window
             # boundary (next opener / fence), exactly like they defer
             # their ack drain; sequential mode always waits here.
             self._tick()
-            seqs, need = self._put_replicated(key, value, tombstone)
-            if gc_rider and self.consistency != config.SEQUENTIAL:
-                self._quorum_due.append((seqs, need))
+            debts = [self._put_replicated(*pair) for pair in pairs]
+            if rider and self.consistency != config.SEQUENTIAL:
+                self._quorum_due.extend(debts)
             else:
-                self._await_quorum(seqs, need)
+                for seqs, need in debts:
+                    self._await_quorum(seqs, need)
         else:
-            owner = self.owner_of(key)
-            if owner == self.rank:
-                self.stats.local_puts += 1
-                self._local_insert(key, value, tombstone, self.clock)
-            elif self.consistency == config.SEQUENTIAL:
-                self.stats.remote_puts += 1
-                self._put_sync(owner, key, value, tombstone)
-            else:
-                self.stats.remote_puts += 1
-                self._remote_stage(owner, key, value, tombstone)
-        self.latency.observe(
-            "delete" if tombstone else "put", self.clock.now - t_start
-        )
-        self._trace("delete" if tombstone else "put", "main",
-                    t_start, self.clock.now)
+            local: List[msg.Pair] = []
+            remote: Dict[int, List[msg.Pair]] = {}
+            for pair in pairs:
+                owner = self.owner_of(pair[0])
+                if owner == self.rank:
+                    local.append(pair)
+                else:
+                    remote.setdefault(owner, []).append(pair)
+            self.stats.local_puts += len(local)
+            self.stats.remote_puts += n - len(local)
+            # relaxed mode stages remote pairs in the remote MemTable
+            # (memory only).  Migration happens *outside* the state
+            # lock: the dispatcher's blocking back-pressure must never
+            # hold the lock this rank's handler needs to serve other
+            # ranks (cross-rank deadlock).
+            imm: Optional[MemTable] = None
+            with self._lock:  # one acquisition for every local/staged insert
+                for key, value, tomb in local:
+                    self._local_insert(key, value, tomb, self.clock)
+                if remote and self.consistency == config.RELAXED:
+                    for owner, staged in remote.items():
+                        for key, value, tomb in staged:
+                            self.remote_mt.put(key, value, tomb, owner)
+                    if self.remote_mt.full:
+                        imm = self._swap_remote_mt()
+            if imm is not None:
+                self._migrate(imm)
+            if remote and self.consistency == config.SEQUENTIAL:
+                owner_msgs = self._put_sync(remote)
+        self._account(kind, t_start, n, owner_msgs)
+        return n
+
+    def _account(self, kind: str, t_start: float, nkeys: int,
+                 owner_msgs: int) -> None:
+        """Latency sample and trace span of one public call; batch calls
+        (``put_bulk`` / ``get_bulk``) also bump the ``bulk_*`` counters."""
+        label = kind
+        if kind.endswith("_bulk"):
+            self.stats.bulk_batches += 1
+            self.stats.bulk_keys += nkeys
+            self.stats.bulk_owner_msgs += owner_msgs
+            label = f"{kind}({nkeys})"
+        self.latency.observe(kind, self.clock.now - t_start)
+        self._trace(label, "main", t_start, self.clock.now)
 
     def _local_insert(self, key: bytes, value: bytes, tombstone: bool,
                       clock) -> None:
@@ -1128,20 +1172,6 @@ class Database:
         )
 
     # ------------------------------------------------------ remote put paths
-    def _remote_stage(self, owner: int, key: bytes, value: bytes,
-                      tombstone: bool) -> None:
-        """Relaxed mode: stage in the remote MemTable (memory only).
-
-        Migration happens *outside* the state lock: the dispatcher's
-        blocking back-pressure must never hold the lock this rank's
-        handler needs to serve other ranks (cross-rank deadlock).
-        """
-        with self._lock:
-            self.remote_mt.put(key, value, tombstone, owner)
-            imm = self._swap_remote_mt() if self.remote_mt.full else None
-        if imm is not None:
-            self._migrate(imm)
-
     def _swap_remote_mt(self) -> MemTable:
         """Freeze and replace the remote MemTable (call under the lock)."""
         imm = self.remote_mt.freeze()
@@ -1311,15 +1341,30 @@ class Database:
             window = self._seq_dedup[source] = _SeqWindow()
         return window.check_and_add(seq)
 
-    def _put_sync(self, owner: int, key: bytes, value: bytes,
-                  tombstone: bool) -> None:
-        """Sequential mode: migrate one put synchronously (§3.1)."""
-        seq = self._next_seq
-        self._next_seq += self.nranks
-        payload = msg.PutSyncMsg(key, value, tombstone, seq)
-        self.srv_comm.send(payload, owner, tag=0)
-        reply = self._await_reply(owner, payload, seq)
-        assert isinstance(reply, msg.AckMsg) and reply.seq == seq
+    def _round_trip(self, make: Callable[[list, int], Any],
+                    groups: Dict[int, list]) -> Dict[int, Any]:
+        """One request per owner, all scattered before any reply is
+        awaited, so the owners' handlers service them in parallel.
+
+        ``make(items, seq)`` builds the owner's message from its share
+        of ``groups``; returns ``{owner: reply}``.
+        """
+        payloads = {}
+        for owner in sorted(groups):
+            payloads[owner] = make(groups[owner], self._next_seq)
+            self._next_seq += self.nranks
+        self.srv_comm.fanout(payloads, tag=0)
+        return {
+            owner: self._await_reply(owner, payload, payload.seq)
+            for owner, payload in payloads.items()
+        }
+
+    def _put_sync(self, groups: Dict[int, List[msg.Pair]]) -> int:
+        """Sequential mode: migrate synchronously, one round per owner
+        (§3.1).  Returns the number of messages sent."""
+        replies = self._round_trip(msg.PutSyncMsg, groups)
+        assert all(isinstance(r, msg.AckMsg) for r in replies.values())
+        return len(replies)
 
     # ============================================================ REPLICATION
     @property
@@ -1725,7 +1770,7 @@ class Database:
                 break
             if self.rank in group:
                 self.stats.local_gets += 1
-                result = self._local_get(key)
+                result = self._local_get([key])[key]
                 if result is not None or mv.epoch == 0:
                     return result
                 others = [r for r in group if r != self.rank]
@@ -1733,7 +1778,7 @@ class Database:
                 self.stats.remote_gets += 1
                 primary = group[0]
                 try:
-                    result = self._remote_get(primary, key)
+                    result = self._remote_get({primary: [key]})[0].get(key)
                 except RemoteTimeoutError:
                     self.stats.failover_gets += 1
                     self._declare_dead(primary)
@@ -1744,7 +1789,7 @@ class Database:
             for r in others:
                 self.stats.failover_gets += 1
                 try:
-                    result = self._remote_get(r, key)
+                    result = self._remote_get({r: [key]})[0].get(key)
                 except RemoteTimeoutError:
                     self._declare_dead(r)
                     continue
@@ -1759,44 +1804,104 @@ class Database:
 
         Raises :class:`KeyNotFoundError` when absent or deleted.
         """
-        self._validate_kv(key, None)
-        return self.get_ex(bytes(key)).value
+        return self.get_ex(key).value
 
     def get_or_none(self, key: bytes) -> Optional[bytes]:
         """Like :meth:`get` but returns None instead of raising."""
-        try:
-            return self.get(bytes(key))
-        except KeyNotFoundError:
-            return None
+        (result,) = self._read([key], "get")
+        return None if result is None else result.value
 
     def get_ex(self, key: bytes) -> GetResult:
         """Like :meth:`get` but reports which tier satisfied the lookup."""
-        self._check_open()
-        self._maybe_kill()
-        self._validate_kv(key, None)
-        if self.protection == config.WRONLY:
-            raise ProtectionError("database is write-only (PAPYRUSKV_WRONLY)")
-        self.stats.gets += 1
-        t_start = self.clock.now
-        self._charge_op(len(key))
-        self._drain_acks(blocking=False)
-        if self._replication_on:
-            self._tick()
-            result = self._replicated_get(key)
-        else:
-            owner = self.owner_of(key)
-            if owner == self.rank:
-                self.stats.local_gets += 1
-                result = self._local_get(key)
-            else:
-                self.stats.remote_gets += 1
-                result = self._remote_get(owner, key)
-        self.latency.observe("get", self.clock.now - t_start)
-        self._trace("get", "main", t_start, self.clock.now)
+        (result,) = self._read([key], "get")
         if result is None:
             raise KeyNotFoundError(key)
-        self.stats.hit(result.tier)
         return result
+
+    def get_bulk(self, keys) -> List[Optional[bytes]]:
+        """Fetch many keys; values come back in caller order (None=absent).
+
+        Duplicate keys resolve with a single lookup, and remote keys
+        cost one :class:`~repro.core.messages.GetMsg` per owner — all
+        scattered before any reply is awaited.
+        """
+        return [
+            None if r is None else r.value
+            for r in self._read(keys, "get_bulk")
+        ]
+
+    def _read(self, keys, kind: str) -> List[Optional[GetResult]]:
+        """The tiered get resolver: every get runs this.
+
+        Keys are validated and normalised here, once; a point call is a
+        batch of one.  Distinct keys are partitioned by owner in one
+        pass: local keys walk memory → local cache → own SSTables
+        (:meth:`_local_get`), remote keys walk staged/inflight → remote
+        cache → one-sided index read → one ``GetMsg`` per owner →
+        shared-SSTable read (:meth:`_remote_get`).  Results come back
+        in caller order, ``None`` for absent or deleted keys; ``kind``
+        labels the latency sample.
+        """
+        self._check_open()
+        self._maybe_kill()
+        index_of: Dict[bytes, List[int]] = {}
+        total = nbytes = 0
+        for key in keys:
+            self._validate_kv(key, None)
+            key = bytes(key)
+            slots = index_of.get(key)
+            if slots is None:
+                index_of[key] = [total]
+                nbytes += len(key)
+            else:  # a duplicate resolves with the first one's lookup
+                slots.append(total)
+            total += 1
+        if self.protection == config.WRONLY:
+            raise ProtectionError("database is write-only (PAPYRUSKV_WRONLY)")
+        if not index_of:
+            return []
+        t_start = self.clock.now
+        n = len(index_of)
+        # per-key CPU work; the per-call dispatch overhead (DRAM round
+        # trip) is paid once however many keys the call carries
+        cpu = self.ctx.system.cpu
+        self.clock.advance(
+            cpu.kv_op_s * n + cpu.dram_latency_s + nbytes / self._memcpy_Bps
+        )
+        self._drain_acks(blocking=False)
+        self.stats.gets += n
+        owner_msgs = 0
+        found: Dict[bytes, Optional[GetResult]] = {}
+        if self._replication_on:
+            # group routing (and its paranoia read after a death) is
+            # per key: it cannot be expressed as one GetMsg per hash owner
+            self._tick()
+            for key in index_of:
+                found[key] = self._replicated_get(key)
+        else:
+            local: List[bytes] = []
+            remote: Dict[int, List[bytes]] = {}
+            for key in index_of:
+                owner = self.owner_of(key)
+                if owner == self.rank:
+                    local.append(key)
+                else:
+                    remote.setdefault(owner, []).append(key)
+            self.stats.local_gets += len(local)
+            self.stats.remote_gets += n - len(local)
+            if local:
+                found = self._local_get(local)
+            if remote:
+                got, owner_msgs = self._remote_get(remote)
+                found.update(got)
+        self._account(kind, t_start, n, owner_msgs)
+        results: List[Optional[GetResult]] = [None] * total
+        for key, result in found.items():
+            if result is not None:
+                self.stats.hit(result.tier)
+                for i in index_of[key]:
+                    results[i] = result
+        return results
 
     # ---------------------------------------------------------- local lookup
     def _search_memory_local(self, key: bytes) -> Tuple[Optional[Entry], str]:
@@ -1810,26 +1915,54 @@ class Database:
                 return entry, "flushing"
         return None, ""
 
-    def _local_get(self, key: bytes) -> Optional[GetResult]:
+    def _local_get(self, keys: List[bytes]
+                   ) -> Dict[bytes, Optional[GetResult]]:
+        """Local tier walk: memory tiers and the local cache under one
+        lock acquisition, own SSTables after (filling the cache)."""
+        out: Dict[bytes, Optional[GetResult]] = {}
+        misses: List[bytes] = []
         with self._lock:
             self._retire_flushed(self.clock.now)
-            entry, tier = self._search_memory_local(key)
-            if entry is not None:
-                if entry.tombstone:
-                    return None
-                return GetResult(entry.value, tier)
-            if self.local_cache is not None and self.protection != config.WRONLY:
-                cached = self.local_cache.get(key)
-                if cached is not None:
-                    return GetResult(cached, "local_cache")
+            cache = self.local_cache  # gets never run under WRONLY
+            for key in keys:
+                entry, tier = self._search_memory_local(key)
+                if entry is not None:
+                    out[key] = (None if entry.tombstone
+                                else GetResult(entry.value, tier))
+                    continue
+                if cache is not None:
+                    cached = cache.get(key)
+                    if cached is not None:
+                        out[key] = GetResult(cached, "local_cache")
+                        continue
+                misses.append(key)
             ssids = list(self.ssids)
-        rec = self._sstable_lookup(ssids, key)
-        if rec is None or rec.tombstone:
-            return None
+            horizon = self._next_ssid
+        for key in misses:
+            rec = self._sstable_lookup(ssids, key)
+            if rec is None or rec.tombstone:
+                out[key] = None
+                continue
+            out[key] = GetResult(rec.value, "sstable")
+            self._fill_local_cache(key, rec.value, horizon)
+        return out
+
+    def _fill_local_cache(self, key: bytes, value: bytes,
+                          horizon: int) -> None:
+        """Cache an SSTable hit — unless the key may have been rewritten
+        since the lookup's snapshot (``horizon`` = ``_next_ssid`` then).
+
+        The walk ran outside db.state, so the other thread (handler
+        applying a migration / rank-main put) may have inserted a newer
+        version, whose insert already evicted the cache entry this fill
+        would resurrect.  A newer version is either still in a memory
+        tier or went out in a table allocated after the snapshot.
+        """
         with self._lock:
-            if self.local_cache is not None and self.protection != config.WRONLY:
-                self.local_cache.put(key, rec.value)
-        return GetResult(rec.value, "sstable")
+            if (self.local_cache is not None
+                    and self._next_ssid == horizon
+                    and self._search_memory_local(key)[0] is None):
+                self.local_cache.put(key, value)
 
     def _sstable_lookup(self, ssids: List[int], key: bytes
                         ) -> Optional[Record]:
@@ -1976,10 +2109,9 @@ class Database:
 
         Per table the gate order is: quarantine poison-range check,
         footer ``[min_key, max_key]`` fences (free after the first index
-        load; v1 tables have none and fall back to bloom-only), then the
-        bloom filter.  The quarantine check runs *first* — a pruned or
-        bloom-skipped walk must never mask the fact that the newest
-        version of the key may have lived in a damaged table.
+        load), then the bloom filter.  The quarantine check runs *first*
+        — a pruned or bloom-skipped walk must never mask the fact that
+        the newest version of the key may have lived in a damaged table.
 
         Quarantined tables participate in the walk as *poisoned holes*:
         if no newer table answered by the time the walk reaches one
@@ -1999,14 +2131,12 @@ class Database:
                     )
                 continue
             reader = reader_of(ssid)
-            fences, t = reader.key_range(t)
-            if fences is not None:
-                mn, mx = fences
-                # an empty table has fences (b"", b"") and valid keys
-                # are non-empty, so `not mx` prunes it for any key
-                if not mx or key < mn or key > mx:
-                    self.stats.fence_skips += 1
-                    continue
+            (mn, mx), t = reader.key_range(t)
+            # an empty table has fences (b"", b"") and valid keys are
+            # non-empty, so `not mx` prunes it for any key
+            if not mx or key < mn or key > mx:
+                self.stats.fence_skips += 1
+                continue
             if self.options.bloom_enabled:
                 hit, t = reader.may_contain(key, t)
                 if not hit:
@@ -2031,71 +2161,111 @@ class Database:
                 return Entry(value, tomb), "inflight"
         return None, ""
 
-    def _remote_get(self, owner: int, key: bytes) -> Optional[GetResult]:
-        with self._lock:
-            entry, tier = self._search_memory_remote(key)
-        if entry is not None:
-            if entry.tombstone:
-                return None
-            return GetResult(entry.value, tier)
-        remote_cache_on = self.protection == config.RDONLY
-        if remote_cache_on:
-            cached = self.remote_cache.get(key)
-            if cached is not None:
-                return GetResult(cached, "remote_cache")
-        if self._index_direct_eligible(owner):
-            res = self._index_replicated_get(owner, key)
-            if res is not _INDEX_FALLBACK:
-                if res is None:
-                    return None
-                if remote_cache_on:
-                    self.remote_cache.put(key, res.value)
-                return res
-        for attempt in range(3):
-            force = attempt == 2
-            reply = self._request_get(owner, key, force)
-            if reply.status == msg.NOT_FOUND:
-                return None
-            if reply.status == msg.DEGRADED:
-                raise CorruptionError(
-                    f"owner rank {owner} has quarantined the range covering "
-                    f"key {key!r}"
-                )
-            if reply.status == msg.FOUND:
-                if reply.tombstone:
-                    return None
-                if remote_cache_on and reply.value is not None:
-                    self.remote_cache.put(key, reply.value)
-                return GetResult(reply.value or b"", "remote")
-            # NOT_IN_MEMORY: same storage group — read the owner's
-            # SSTables directly from the shared NVM (§2.7)
-            try:
-                rec, t_end = self._shared_sstable_get(owner, key, reply)
-            except StorageError:
-                # raced a compaction; drop every cached view of this
-                # owner's tables and retry
-                self._drop_peer_cache(
-                    owner, reply.owner_dir or f"{self.dbdir}/rank{owner}"
-                )
-                continue
-            self.clock.advance_to(t_end)
-            if rec is None:
-                return None
-            if rec.tombstone:
-                return None
-            if remote_cache_on:
-                self.remote_cache.put(key, rec.value)
-            return GetResult(rec.value, "shared_sstable")
-        return None
+    def _remote_get(self, groups: Dict[int, List[bytes]]
+                    ) -> Tuple[Dict[bytes, Optional[GetResult]], int]:
+        """Remote tier walk for ``{owner: keys}``.
 
-    def _request_get(self, owner: int, key: bytes, force: bool) -> msg.GetReply:
-        seq = self._next_seq
-        self._next_seq += self.nranks
-        payload = msg.GetMsg(key, self.group, seq, force_data=force)
-        self.srv_comm.send(payload, owner, tag=0)
-        reply = self._await_reply(owner, payload, seq)
-        assert isinstance(reply, msg.GetReply)
-        return reply
+        Staged/unacked tiers and the remote cache first; then whole
+        owners one-sidedly where a replicated index allows it (zero
+        handler messages); then one ``GetMsg`` per remaining owner,
+        with NOT_IN_MEMORY answers resolved from the shared SSTables
+        (§2.7).  A shared read that races the owner's compaction drops
+        every cached view of that owner's tables and re-asks — the
+        third round forces value bytes over the network.  Returns the
+        results (absent keys may be missing) and the messages sent.
+        """
+        out: Dict[bytes, Optional[GetResult]] = {}
+        need: Dict[int, List[bytes]] = {}
+        cache = (self.remote_cache
+                 if self.protection == config.RDONLY else None)
+
+        def resolve(key: bytes, value: bytes, tier: str) -> None:
+            out[key] = GetResult(value, tier)
+            if cache is not None:
+                cache.put(key, value)
+
+        with self._lock:  # staged/unacked tiers under one acquisition
+            for owner, keys in groups.items():
+                for key in keys:
+                    entry, tier = self._search_memory_remote(key)
+                    if entry is not None:
+                        out[key] = (None if entry.tombstone
+                                    else GetResult(entry.value, tier))
+                    else:
+                        need.setdefault(owner, []).append(key)
+        for owner in sorted(need):
+            direct = self._index_direct_eligible(owner)
+            still: List[bytes] = []
+            for key in need[owner]:
+                cached = cache.get(key) if cache is not None else None
+                if cached is not None:
+                    out[key] = GetResult(cached, "remote_cache")
+                    continue
+                res = (self._index_replicated_get(owner, key)
+                       if direct else _INDEX_FALLBACK)
+                if res is _INDEX_FALLBACK:
+                    still.append(key)
+                elif res is None:
+                    out[key] = None
+                else:
+                    resolve(key, res.value, res.tier)
+            if still:
+                need[owner] = still
+            else:
+                del need[owner]
+        msgs = 0
+        for attempt in range(3):
+            if not need:
+                break
+            replies = self._request_get(need, force=attempt == 2)
+            msgs += len(replies)
+            retry: Dict[int, List[bytes]] = {}
+            for owner, reply in replies.items():
+                for key, (status, value, tombstone) in zip(
+                    need[owner], reply.results
+                ):
+                    if status == msg.FOUND:
+                        if tombstone:
+                            out[key] = None
+                        else:
+                            resolve(key, value or b"", "remote")
+                    elif status == msg.NOT_FOUND:
+                        out[key] = None
+                    elif status == msg.DEGRADED:
+                        raise CorruptionError(
+                            f"owner rank {owner} has quarantined the "
+                            f"range covering key {key!r}"
+                        )
+                    else:  # NOT_IN_MEMORY: read the shared SSTables myself
+                        try:
+                            rec, t_end = self._shared_sstable_get(
+                                owner, key, reply
+                            )
+                        except StorageError:
+                            self._drop_peer_cache(
+                                owner,
+                                reply.owner_dir or self._owner_dir(owner),
+                            )
+                            retry.setdefault(owner, []).append(key)
+                            continue
+                        self.clock.advance_to(t_end)
+                        if rec is None or rec.tombstone:
+                            out[key] = None
+                        else:
+                            resolve(key, rec.value, "shared_sstable")
+            need = retry
+        return out, msgs
+
+    def _request_get(self, groups: Dict[int, List[bytes]], force: bool
+                     ) -> Dict[int, msg.GetReply]:
+        """Ask each owner's handler for its share of ``groups``."""
+        replies = self._round_trip(
+            lambda keys, seq: msg.GetMsg(keys, self.group, seq,
+                                         force_data=force),
+            groups,
+        )
+        assert all(isinstance(r, msg.GetReply) for r in replies.values())
+        return replies
 
     def _shared_sstable_get(
         self, owner: int, key: bytes, reply: msg.GetReply
@@ -2110,7 +2280,7 @@ class Database:
         requester cannot see the owner's quarantine list — the owner
         only answers NOT_IN_MEMORY while it is empty.
         """
-        owner_dir = reply.owner_dir or f"{self.dbdir}/rank{owner}"
+        owner_dir = reply.owner_dir or self._owner_dir(owner)
         cached = self._peer_readers.get(owner)
         if cached is None or cached[0] != reply.newest_ssid:
             # a new SSTable appeared at the owner: re-list, but keep
@@ -2433,349 +2603,6 @@ class Database:
                 target, tag=0,
             )
             self.stats.index_publishes += 1
-
-    # ======================================================== BULK PIPELINE
-    def _write_bulk(self, ops: List[Tuple[bytes, bytes, bool]]) -> int:
-        """The engine behind :class:`WriteBatch`."""
-        self._check_open()
-        self._maybe_kill()
-        if self.protection == config.RDONLY:
-            raise ProtectionError("database is read-only (PAPYRUSKV_RDONLY)")
-        if not ops:
-            return 0
-        t_start = self.clock.now
-        # last-write-wins within the batch: only each key's final op lands
-        final: Dict[bytes, Tuple[bytes, bool]] = {}
-        for key, value, tomb in ops:
-            final[key] = (value, tomb)
-        cpu = self.ctx.system.cpu
-        nbytes = sum(len(k) + len(v) for k, (v, _) in final.items())
-        # per-key CPU work remains; the per-call dispatch overhead
-        # (DRAM round trip) is paid once for the whole batch
-        self.clock.advance(
-            cpu.kv_op_s * len(final) + cpu.dram_latency_s
-            + nbytes / self._memcpy_Bps
-        )
-        self._drain_acks(blocking=False)
-        # a bulk batch *is* one commit window: one durability charge
-        # and one ack drain amortized over every key in it
-        self.stats.group_commits += 1
-        self.stats.group_commit_coalesced += len(final) - 1
-        if self._replication_on:
-            # replicated bulk write: fan every pair first (scatter), then
-            # gather the quorums — all the owners' handlers apply batches
-            # while this rank is still collecting acks
-            self._tick()
-            debts: List[Tuple[List[int], int]] = []
-            for key, (value, tomb) in final.items():
-                self.stats.puts += 1
-                if tomb:
-                    self.stats.deletes += 1
-                debts.append(self._put_replicated(key, value, tomb))
-            for seqs, need in debts:
-                self._await_quorum(seqs, need)
-            self.stats.bulk_batches += 1
-            self.stats.bulk_keys += len(final)
-            self.latency.observe("put_bulk", self.clock.now - t_start)
-            self._trace(f"put_bulk({len(final)})", "main", t_start,
-                        self.clock.now)
-            return len(final)
-        # single-pass partition by owner rank
-        local: List[Tuple[bytes, bytes, bool]] = []
-        remote: Dict[int, List[msg.Pair]] = {}
-        for key, (value, tomb) in final.items():
-            self.stats.puts += 1
-            if tomb:
-                self.stats.deletes += 1
-            owner = self.owner_of(key)
-            if owner == self.rank:
-                self.stats.local_puts += 1
-                local.append((key, value, tomb))
-            else:
-                self.stats.remote_puts += 1
-                remote.setdefault(owner, []).append((key, value, tomb))
-        imm: Optional[MemTable] = None
-        with self._lock:  # one acquisition for every local/staged insert
-            for key, value, tomb in local:
-                self.local_mt.put(key, value, tomb)
-                if (self.local_cache is not None
-                        and self.protection != config.WRONLY):
-                    self.local_cache.invalidate(key)
-                if self.local_mt.full:
-                    self._rotate_local(self.clock)
-            if remote and self.consistency == config.RELAXED:
-                for owner, pairs in remote.items():
-                    for key, value, tomb in pairs:
-                        self.remote_mt.put(key, value, tomb, owner)
-                if self.remote_mt.full:
-                    imm = self._swap_remote_mt()
-        if imm is not None:
-            self._migrate(imm)
-        if remote and self.consistency == config.SEQUENTIAL:
-            self._put_sync_bulk(remote)
-        self.stats.bulk_batches += 1
-        self.stats.bulk_keys += len(final)
-        self.latency.observe("put_bulk", self.clock.now - t_start)
-        self._trace(f"put_bulk({len(final)})", "main", t_start,
-                    self.clock.now)
-        return len(final)
-
-    def _put_sync_bulk(self, groups: Dict[int, List[msg.Pair]]) -> None:
-        """Sequential mode: one synchronous round per owner, not per key.
-
-        All per-owner batches scatter first (fan-out), then the acks
-        gather, so the owners' handlers service the batches in parallel.
-        """
-        seqs: Dict[int, int] = {}
-        payloads: Dict[int, msg.PutSyncBatchMsg] = {}
-        for owner in sorted(groups):
-            seq = self._next_seq
-            self._next_seq += self.nranks
-            seqs[owner] = seq
-            payloads[owner] = msg.PutSyncBatchMsg(groups[owner], seq)
-        self.srv_comm.fanout(payloads, tag=0)
-        self.stats.bulk_owner_msgs += len(payloads)
-        for owner in sorted(groups):
-            reply = self._await_reply(owner, payloads[owner], seqs[owner])
-            assert isinstance(reply, msg.AckMsg) and reply.seq == seqs[owner]
-
-    def get_bulk(self, keys) -> List[Optional[bytes]]:
-        """Fetch many keys; values come back in caller order (None=absent).
-
-        Keys are partitioned by owner in one pass; local keys resolve
-        through the memory/cache tiers under a single lock acquisition
-        (SSTable misses after), remote keys pipeline as one
-        :class:`~repro.core.messages.MGetMsg` per owner — scattered to
-        every owner before any reply is awaited — with the cache and
-        bloom tiers consulted per key on both sides.
-        """
-        self._check_open()
-        self._maybe_kill()
-        if self.protection == config.WRONLY:
-            raise ProtectionError("database is write-only (PAPYRUSKV_WRONLY)")
-        norm: List[bytes] = []
-        for key in keys:
-            self._validate_kv(key, None)
-            norm.append(bytes(key))
-        keys = norm
-        if not keys:
-            return []
-        t_start = self.clock.now
-        # duplicate keys in one batch resolve with a single lookup
-        index_of: Dict[bytes, List[int]] = {}
-        for i, key in enumerate(keys):
-            index_of.setdefault(key, []).append(i)
-        cpu = self.ctx.system.cpu
-        self.clock.advance(
-            cpu.kv_op_s * len(index_of) + cpu.dram_latency_s
-            + sum(len(k) for k in index_of) / self._memcpy_Bps
-        )
-        self._drain_acks(blocking=False)
-        self.stats.gets += len(index_of)
-        if self._replication_on:
-            # replicated reads go through the per-key failover path: the
-            # group routing (and its paranoia read after a death) cannot
-            # be expressed as one MGET per hash owner
-            self._tick()
-            found_r: Dict[bytes, Optional[bytes]] = {}
-            for key in index_of:
-                r = self._replicated_get(key)
-                if r is None:
-                    found_r[key] = None
-                else:
-                    found_r[key] = r.value
-                    self.stats.hit(r.tier)
-            results_r: List[Optional[bytes]] = [None] * len(keys)
-            for key, value in found_r.items():
-                for i in index_of[key]:
-                    results_r[i] = value
-            self.stats.bulk_batches += 1
-            self.stats.bulk_keys += len(index_of)
-            self.latency.observe("get_bulk", self.clock.now - t_start)
-            self._trace(f"get_bulk({len(index_of)})", "main", t_start,
-                        self.clock.now)
-            return results_r
-        local_keys: List[bytes] = []
-        remote: Dict[int, List[bytes]] = {}
-        for key in index_of:
-            owner = self.owner_of(key)
-            if owner == self.rank:
-                self.stats.local_gets += 1
-                local_keys.append(key)
-            else:
-                self.stats.remote_gets += 1
-                remote.setdefault(owner, []).append(key)
-        found: Dict[bytes, Optional[bytes]] = {}
-        if local_keys:
-            found.update(self._local_get_many(local_keys))
-        if remote:
-            found.update(self._remote_get_many(remote))
-        results: List[Optional[bytes]] = [None] * len(keys)
-        for key, value in found.items():
-            for i in index_of[key]:
-                results[i] = value
-        self.stats.bulk_batches += 1
-        self.stats.bulk_keys += len(index_of)
-        self.latency.observe("get_bulk", self.clock.now - t_start)
-        self._trace(f"get_bulk({len(index_of)})", "main", t_start,
-                    self.clock.now)
-        return results
-
-    def _local_get_many(self, keys: List[bytes]
-                        ) -> Dict[bytes, Optional[bytes]]:
-        """Bulk local lookups: memory tiers under one lock, SSTables after."""
-        out: Dict[bytes, Optional[bytes]] = {}
-        misses: List[bytes] = []
-        with self._lock:
-            self._retire_flushed(self.clock.now)
-            cache_on = (self.local_cache is not None
-                        and self.protection != config.WRONLY)
-            for key in keys:
-                entry, tier = self._search_memory_local(key)
-                if entry is not None:
-                    out[key] = None if entry.tombstone else entry.value
-                    self.stats.hit(tier)
-                    continue
-                if cache_on:
-                    cached = self.local_cache.get(key)
-                    if cached is not None:
-                        out[key] = cached
-                        self.stats.hit("local_cache")
-                        continue
-                misses.append(key)
-            ssids = list(self.ssids)
-        for key in misses:
-            rec = self._sstable_lookup(ssids, key)
-            if rec is None or rec.tombstone:
-                out[key] = None
-                continue
-            out[key] = rec.value
-            self.stats.hit("sstable")
-            with self._lock:
-                if (self.local_cache is not None
-                        and self.protection != config.WRONLY):
-                    self.local_cache.put(key, rec.value)
-        return out
-
-    def _remote_get_many(self, groups: Dict[int, List[bytes]]
-                         ) -> Dict[bytes, Optional[bytes]]:
-        """Bulk remote lookups: staged tiers, then one MGET per owner."""
-        out: Dict[bytes, Optional[bytes]] = {}
-        need: Dict[int, List[bytes]] = {}
-        with self._lock:  # staged/unacked tiers under one acquisition
-            for owner, keys in groups.items():
-                for key in keys:
-                    entry, tier = self._search_memory_remote(key)
-                    if entry is not None:
-                        out[key] = None if entry.tombstone else entry.value
-                        self.stats.hit(tier)
-                    else:
-                        need.setdefault(owner, []).append(key)
-        remote_cache_on = self.protection == config.RDONLY
-        if remote_cache_on:
-            for owner in list(need):
-                still: List[bytes] = []
-                for key in need[owner]:
-                    cached = self.remote_cache.get(key)
-                    if cached is not None:
-                        out[key] = cached
-                        self.stats.hit("remote_cache")
-                    else:
-                        still.append(key)
-                if still:
-                    need[owner] = still
-                else:
-                    del need[owner]
-        if not need:
-            return out
-        # resolve whole owners one-sidedly first: a cross-group owner
-        # with a fresh replicated index costs zero handler messages
-        if self.options.index_replication:
-            for owner in sorted(need):
-                if not self._index_direct_eligible(owner):
-                    continue
-                still2: List[bytes] = []
-                for key in need[owner]:
-                    res = self._index_replicated_get(owner, key)
-                    if res is _INDEX_FALLBACK:
-                        still2.append(key)
-                        continue
-                    if res is None:
-                        out[key] = None
-                        continue
-                    out[key] = res.value
-                    if remote_cache_on:
-                        self.remote_cache.put(key, res.value)
-                    self.stats.hit("index_sstable")
-                if still2:
-                    need[owner] = still2
-                else:
-                    del need[owner]
-            if not need:
-                return out
-        # scatter one multi-get per owner, then gather the replies —
-        # every owner's handler works while we are still collecting
-        seqs: Dict[int, int] = {}
-        payloads: Dict[int, msg.MGetMsg] = {}
-        for owner in sorted(need):
-            seq = self._next_seq
-            self._next_seq += self.nranks
-            seqs[owner] = seq
-            payloads[owner] = msg.MGetMsg(need[owner], self.group, seq)
-        self.srv_comm.fanout(payloads, tag=0)
-        self.stats.bulk_owner_msgs += len(payloads)
-        for owner in sorted(need):
-            reply = self._await_reply(owner, payloads[owner], seqs[owner])
-            assert isinstance(reply, msg.MGetReply)
-            for key, (status, value, tombstone) in zip(
-                need[owner], reply.results
-            ):
-                if status == msg.FOUND:
-                    if tombstone:
-                        out[key] = None
-                        continue
-                    out[key] = value or b""
-                    if remote_cache_on and value is not None:
-                        self.remote_cache.put(key, value)
-                    self.stats.hit("remote")
-                elif status == msg.NOT_FOUND:
-                    out[key] = None
-                elif status == msg.DEGRADED:
-                    raise CorruptionError(
-                        f"owner rank {owner} has quarantined the range "
-                        f"covering key {key!r}"
-                    )
-                else:  # NOT_IN_MEMORY: read the shared SSTables myself
-                    out[key] = self._shared_get_fallback(owner, key, reply)
-        return out
-
-    def _shared_get_fallback(self, owner: int, key: bytes,
-                             reply) -> Optional[bytes]:
-        """Resolve one NOT_IN_MEMORY multi-get key via shared NVM (§2.7)."""
-        remote_cache_on = self.protection == config.RDONLY
-        try:
-            rec, t_end = self._shared_sstable_get(owner, key, reply)
-        except StorageError:
-            # raced the owner's compaction: drop every cached view of its
-            # tables and force the value over the network instead
-            self._drop_peer_cache(
-                owner, reply.owner_dir or f"{self.dbdir}/rank{owner}"
-            )
-            single = self._request_get(owner, key, force=True)
-            if single.status == msg.FOUND and not single.tombstone:
-                value = single.value or b""
-                if remote_cache_on and single.value is not None:
-                    self.remote_cache.put(key, value)
-                self.stats.hit("remote")
-                return value
-            return None
-        self.clock.advance_to(t_end)
-        if rec is None or rec.tombstone:
-            return None
-        if remote_cache_on:
-            self.remote_cache.put(key, rec.value)
-        self.stats.hit("shared_sstable")
-        return rec.value
 
     def shares_storage_with(self, other_rank: int) -> bool:
         """True when ``other_rank`` can read this rank's SSTable files."""
@@ -3232,7 +3059,7 @@ class Database:
                 b[b"k1"] = b"v1"
                 b.delete(b"k2")
 
-        Buffered operations flush through the bulk pipeline (one
+        Buffered operations flush through the write pipeline (one
         migration batch per owner) whenever the payload reaches
         ``max_bytes`` and on clean exit; on exception nothing further is
         written.  ``durability`` picks the exit guarantee: ``"none"``

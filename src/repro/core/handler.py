@@ -6,24 +6,38 @@ per open database, on its own virtual timeline: a request arriving at
 time *a* begins service at ``max(a, handler-busy-until)``, which gives
 handler queueing exactly the server semantics the real thread has.
 
-The handler serves three request kinds:
+The handler dispatches every request class in
+:data:`repro.core.messages.WIRE_TAGS` (the checked-in spec is
+:mod:`repro.core.protocol`), in four families:
 
-* ``MigrateMsg`` — bulk-inserts migrated pairs into the local MemTable
-  and acks the source's dispatcher;
-* ``PutSyncMsg`` — a single synchronous put (sequential consistency);
-* ``GetMsg`` — a local lookup on behalf of a remote rank, honouring the
+* **pair carriers** — ``MigrateMsg`` (relaxed-mode migration chunk,
+  acked on the ack comm), ``PutSyncMsg`` (sequential-mode puts, acked
+  on the rsp comm), ``ReplicaPutBatchMsg`` (replica fan-out,
+  epoch-checked) and ``ReplicaSyncMsg`` (re-replication push).  All
+  four apply their ``pairs`` to the local MemTable through
+  :func:`_apply_pairs`; they differ only in stamp handling and in where
+  the ack travels;
+* **reads** — ``GetMsg``: per-key local lookups on behalf of a remote
+  rank, one ``GetReply`` for the whole key list, honouring the
   storage-group shortcut (§2.7): if the requester shares this rank's
-  NVM and the pair is not in memory, reply NOT_IN_MEMORY so the
-  requester reads the SSTables itself.
+  NVM and a pair is not in memory, answer NOT_IN_MEMORY so the
+  requester reads the SSTables itself;
+* **index replication** — ``IndexPullMsg`` (answered with this rank's
+  view and missing bundles) and ``IndexPublishMsg`` (fire-and-forget
+  install);
+* **maintenance** — ``HeartbeatMsg`` (pong on the ack comm's heartbeat
+  tag), ``FetchTableMsg`` (ship an SSTable's files to a storage-group
+  peer climbing its recovery ladder) and ``StopMsg``.
 
 Mutating requests carry rank-unique sequence numbers and are
 deduplicated (``db._already_applied``): when a timed-out requester
 retransmits, the replayed message re-acks without re-applying, so
-retries are idempotent.  ``FetchTableMsg`` ships an SSTable's files to
-a storage-group peer climbing its recovery ladder.
+retries are idempotent.
 """
 
 from __future__ import annotations
+
+from typing import List
 
 from repro.core import messages as msg
 from repro.core.db import ACK_TAG, HB_TAG, Database
@@ -73,18 +87,11 @@ def handler_main(db: Database) -> None:
                           t_service, hclock.now)
             elif isinstance(m, msg.PutSyncMsg):
                 _serve_put_sync(db, m, source, hclock, cpu)
-                db._trace("serve put_sync", "handler", t_service,
-                          hclock.now)
-            elif isinstance(m, msg.PutSyncBatchMsg):
-                _serve_put_sync_batch(db, m, source, hclock, cpu)
-                db._trace(f"serve put_sync_batch({len(m.pairs)})",
-                          "handler", t_service, hclock.now)
+                db._trace(f"serve put_sync({len(m.pairs)})", "handler",
+                          t_service, hclock.now)
             elif isinstance(m, msg.GetMsg):
                 _serve_get(db, m, source, hclock, cpu)
-                db._trace("serve get", "handler", t_service, hclock.now)
-            elif isinstance(m, msg.MGetMsg):
-                _serve_mget(db, m, source, hclock, cpu)
-                db._trace(f"serve mget({len(m.keys)})", "handler",
+                db._trace(f"serve get({len(m.keys)})", "handler",
                           t_service, hclock.now)
             elif isinstance(m, msg.FetchTableMsg):
                 _serve_fetch_table(db, m, source, hclock, cpu)
@@ -134,31 +141,29 @@ def handler_main(db: Database) -> None:
         bind_context(None)
 
 
+def _apply_pairs(db: Database, pairs: List[msg.Pair],
+                 hclock: VirtualClock, cpu) -> None:
+    """Insert carried pairs into the local MemTable (§2.4), charging the
+    handler's timeline one op plus the payload memcpy per pair.  Callers
+    gate on ``db._already_applied`` first."""
+    for key, value, tombstone in pairs:
+        hclock.advance(cpu.kv_op_s + len(key + value) / cpu.memcpy_Bps)
+        db._local_insert(key, value, tombstone, hclock)
+
+
 def _serve_migrate(db: Database, m: msg.MigrateMsg, source: int,
                    hclock: VirtualClock, cpu) -> None:
-    """Extract pairs and insert them into the local MemTable (§2.4)."""
+    """A relaxed-mode migration chunk, acked to the source's dispatcher."""
     if not db._already_applied(source, m.seq):
-        for key, value, tombstone in m.pairs:
-            hclock.advance(cpu.kv_op_s + len(key + value) / cpu.memcpy_Bps)
-            db._local_insert(key, value, tombstone, hclock)
+        _apply_pairs(db, m.pairs, hclock, cpu)
     db.ack_comm.send(msg.AckMsg(m.seq), source, tag=ACK_TAG)
 
 
 def _serve_put_sync(db: Database, m: msg.PutSyncMsg, source: int,
                     hclock: VirtualClock, cpu) -> None:
+    """One call's synchronous puts for this owner, one ack for all."""
     if not db._already_applied(source, m.seq):
-        hclock.advance(cpu.kv_op_s + len(m.key + m.value) / cpu.memcpy_Bps)
-        db._local_insert(m.key, m.value, m.tombstone, hclock)
-    db.rsp_comm.send(msg.AckMsg(m.seq), source, tag=m.seq)
-
-
-def _serve_put_sync_batch(db: Database, m: msg.PutSyncBatchMsg,
-                          source: int, hclock: VirtualClock, cpu) -> None:
-    """A whole per-owner batch of synchronous puts, one ack for all."""
-    if not db._already_applied(source, m.seq):
-        for key, value, tombstone in m.pairs:
-            hclock.advance(cpu.kv_op_s + len(key + value) / cpu.memcpy_Bps)
-            db._local_insert(key, value, tombstone, hclock)
+        _apply_pairs(db, m.pairs, hclock, cpu)
     db.rsp_comm.send(msg.AckMsg(m.seq), source, tag=m.seq)
 
 
@@ -183,9 +188,7 @@ def _serve_replica_put(db: Database, m: msg.ReplicaPutBatchMsg,
     if mv is not None:
         mv.merge(m.epoch, m.dead)
     if not db._already_applied(source, m.seq):
-        for key, value, tombstone in m.pairs:
-            hclock.advance(cpu.kv_op_s + len(key + value) / cpu.memcpy_Bps)
-            db._local_insert(key, value, tombstone, hclock)
+        _apply_pairs(db, m.pairs, hclock, cpu)
         db.stats.replica_pairs_applied += len(m.pairs)
     epoch, dead = mv.wire() if mv is not None else (0, ())
     db.ack_comm.send(
@@ -221,9 +224,7 @@ def _serve_replica_sync(db: Database, m: msg.ReplicaSyncMsg, source: int,
     if mv is not None:
         mv.merge(m.epoch, m.dead)
     if not db._already_applied(source, m.seq):
-        for key, value, tombstone in m.pairs:
-            hclock.advance(cpu.kv_op_s + len(key + value) / cpu.memcpy_Bps)
-            db._local_insert(key, value, tombstone, hclock)
+        _apply_pairs(db, m.pairs, hclock, cpu)
     epoch, dead = mv.wire() if mv is not None else (0, ())
     db.rsp_comm.send(
         msg.ReplicaAckMsg(m.seq, epoch, dead, applied=True),
@@ -274,6 +275,7 @@ def _lookup_one(db: Database, key: bytes, source: int,
                 return msg.FOUND, cached, False, 0
         newest = db.ssids[-1] if db.ssids else 0
         ssids = list(db.ssids)
+        horizon = db._next_ssid
         # snapshot while still under the lock: the main thread mutates
         # the quarantine list during verify/repair
         quarantine_free = not db._quarantined
@@ -312,9 +314,8 @@ def _lookup_one(db: Database, key: bytes, source: int,
     hclock.advance_to(t_end)
     if rec is None:
         return msg.NOT_FOUND, None, False, newest
-    with db._lock:
-        if db.local_cache is not None and not rec.tombstone:
-            db.local_cache.put(key, rec.value)
+    if not rec.tombstone:
+        db._fill_local_cache(key, rec.value, horizon)
     return msg.FOUND, rec.value, rec.tombstone, newest
 
 
@@ -394,23 +395,8 @@ def _serve_index_publish(db: Database, m: msg.IndexPublishMsg, source: int,
 
 def _serve_get(db: Database, m: msg.GetMsg, source: int,
                hclock: VirtualClock, cpu) -> None:
-    status, value, tombstone, newest = _lookup_one(
-        db, m.key, source, m.requester_group, m.force_data, hclock, cpu
-    )
-    if status == msg.NOT_IN_MEMORY:
-        reply = msg.GetReply(
-            msg.NOT_IN_MEMORY, m.seq,
-            owner_dir=db.rank_dir, newest_ssid=newest,
-        )
-    else:
-        reply = msg.GetReply(status, m.seq, value, tombstone)
-    db.rsp_comm.send(reply, source, tag=m.seq)
-
-
-def _serve_mget(db: Database, m: msg.MGetMsg, source: int,
-                hclock: VirtualClock, cpu) -> None:
-    """Batched multi-get: per-key lookups, one reply for the batch."""
-    results: list = []
+    """Per-key lookups for one requester, one reply for the key list."""
+    results: List[msg.KeyResult] = []
     shortcut_newest = 0
     shortcut = False
     for key in m.keys:
@@ -424,7 +410,7 @@ def _serve_mget(db: Database, m: msg.MGetMsg, source: int,
         else:
             results.append((status, value, tombstone))
     db.rsp_comm.send(
-        msg.MGetReply(
+        msg.GetReply(
             results, m.seq,
             owner_dir=db.rank_dir if shortcut else None,
             newest_ssid=shortcut_newest,

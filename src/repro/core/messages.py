@@ -4,24 +4,30 @@ Three private communicators per database keep runtime traffic invisible
 to the application (paper §2.4):
 
 * ``srv``  — requests to the owner rank's message handler;
-* ``rsp``  — synchronous responses (remote get results, PUT_SYNC acks);
-* ``ack``  — asynchronous migration acknowledgements, drained at
-  fence/barrier/close time.
+* ``rsp``  — synchronous responses (remote get results, PUT_SYNC acks,
+  table fetches, index pulls, re-replication acks);
+* ``ack``  — asynchronous acknowledgements on two tags: migration and
+  replica-put acks (``ACK_TAG``, drained at fence/barrier/close time)
+  and failure-detector heartbeat pongs (``HB_TAG``, drained by the
+  membership tick so they never interleave with the ack stream).
+
+The unit of remote work is a batch: puts travel as ``pairs``, gets as
+``keys`` answered by parallel ``results``.  A point put/get is a batch
+of one — there is no per-key message family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-# message types on the srv comm
+# message types on the srv comm.  Tags 5 (a never-used checkpoint
+# marker), 6 and 7 (the per-batch twins of GET / PUT_SYNC, folded into
+# them) are retired: a tag number is never reused
 MIGRATE = 1       # bulk key-value chunk from a remote MemTable
-PUT_SYNC = 2      # single synchronous put/delete (sequential consistency)
-GET = 3           # remote get request
+PUT_SYNC = 2      # per-owner synchronous puts/deletes (sequential consistency)
+GET = 3           # per-owner remote get request
 STOP = 4          # handler shutdown
-CHECKPOINT_MARK = 5  # reserved for future coordinated snapshot protocols
-MGET = 6          # batched multi-get (one request per owner per bulk get)
-PUT_SYNC_BATCH = 7  # per-owner batch of synchronous puts (bulk pipeline)
 FETCH_TABLE = 8   # ship a whole SSTable's files (peer rebuild)
 REPLICA_PUT = 9   # replicated put/delete fan-out to a group member
 HEARTBEAT = 10    # failure-detector ping (pong travels on the ack comm)
@@ -38,8 +44,8 @@ DEGRADED = 3       # the owner's key range is quarantined (corruption)
 #: (key, value, tombstone)
 Pair = Tuple[bytes, bytes, bool]
 
-#: one multi-get outcome: (status, value-or-None, tombstone)
-MGetResult = Tuple[int, Optional[bytes], bool]
+#: one key's get outcome: (status, value-or-None, tombstone)
+KeyResult = Tuple[int, Optional[bytes], bool]
 
 
 @dataclass
@@ -57,26 +63,9 @@ class MigrateMsg:
 
 @dataclass
 class PutSyncMsg:
-    """One put/delete migrated synchronously (sequential consistency)."""
-
-    key: bytes
-    value: bytes
-    tombstone: bool
-    seq: int
-
-    def wire_nbytes(self) -> int:
-        """Wire size of one synchronous put."""
-        return 16 + len(self.key) + len(self.value) + 9
-
-
-@dataclass
-class PutSyncBatchMsg:
-    """A per-owner batch of synchronous puts (sequential consistency).
-
-    The bulk pipeline's replacement for per-key :class:`PutSyncMsg`
-    traffic: every key the batch routes to one owner travels in a
-    single message and is acknowledged by a single :class:`AckMsg`.
-    """
+    """Every put/delete one call routes to one owner, migrated
+    synchronously (sequential consistency) and acknowledged by a single
+    :class:`AckMsg`."""
 
     pairs: List[Pair]
     seq: int
@@ -88,51 +77,14 @@ class PutSyncBatchMsg:
 
 @dataclass
 class GetMsg:
-    """Remote get request."""
-
-    key: bytes
-    requester_group: int
-    seq: int
-    #: force the owner to return value bytes even within a storage group
-    #: (fallback when a shared-SSTable read raced a compaction)
-    force_data: bool = False
-
-    def wire_nbytes(self) -> int:
-        """Wire size of a get request (key + routing metadata)."""
-        return 24 + len(self.key)
-
-
-@dataclass
-class GetReply:
-    """Remote get response."""
-
-    status: int
-    seq: int
-    value: Optional[bytes] = None
-    tombstone: bool = False
-    #: on NOT_IN_MEMORY: where the requester should look
-    owner_dir: Optional[str] = None
-    #: newest flushed SSID at reply time (diagnostic)
-    newest_ssid: int = 0
-
-    def wire_nbytes(self) -> int:
-        """Wire size of a get reply (value bytes dominate)."""
-        return 24 + (len(self.value) if self.value else 0)
-
-
-@dataclass
-class MGetMsg:
-    """Batched multi-get request: every key this rank needs from one owner.
-
-    One MGET per owner replaces one :class:`GetMsg` round trip per key;
-    the owner answers all keys with a single :class:`MGetReply`.
-    """
+    """Remote get request: every key one call needs from one owner,
+    answered by a single :class:`GetReply`."""
 
     keys: List[bytes]
     requester_group: int
     seq: int
-    #: force value bytes even within a storage group (compaction-race
-    #: fallback, same meaning as :attr:`GetMsg.force_data`)
+    #: force the owner to return value bytes even within a storage group
+    #: (fallback when a shared-SSTable read raced a compaction)
     force_data: bool = False
 
     def wire_nbytes(self) -> int:
@@ -141,14 +93,15 @@ class MGetMsg:
 
 
 @dataclass
-class MGetReply:
-    """Batched multi-get response, parallel to the request's key list."""
+class GetReply:
+    """Remote get response, parallel to the request's key list."""
 
-    results: List[MGetResult]
+    results: List[KeyResult]
     seq: int
     #: set when any key answered NOT_IN_MEMORY: where the requester
-    #: should read the shared SSTables (§2.7 shortcut, batched)
+    #: should read the shared SSTables (§2.7 shortcut)
     owner_dir: Optional[str] = None
+    #: newest flushed SSID at reply time (peer-listing handshake)
     newest_ssid: int = 0
 
     def wire_nbytes(self) -> int:
@@ -367,13 +320,12 @@ class StopMsg:
 #: Stable wire tag per message class (pkvlint R003).  Request classes
 #: reuse their dispatch constants; replies get the 100+ block.  A tag,
 #: once assigned, must never change or be reused: checkpoint manifests
-#: and fault plans written by old runs identify messages by these.
+#: and fault plans written by old runs identify messages by these
+#: (retired: 5, 6, 7 and reply 101).
 WIRE_TAGS: Dict[str, int] = {
     "MigrateMsg": MIGRATE,
     "PutSyncMsg": PUT_SYNC,
-    "PutSyncBatchMsg": PUT_SYNC_BATCH,
     "GetMsg": GET,
-    "MGetMsg": MGET,
     "FetchTableMsg": FETCH_TABLE,
     "StopMsg": STOP,
     "ReplicaPutBatchMsg": REPLICA_PUT,
@@ -382,7 +334,6 @@ WIRE_TAGS: Dict[str, int] = {
     "IndexPullMsg": INDEX_PULL,
     "IndexPublishMsg": INDEX_PUBLISH,
     "GetReply": 100,
-    "MGetReply": 101,
     "FetchTableReply": 102,
     "AckMsg": 103,
     "ReplicaAckMsg": 104,

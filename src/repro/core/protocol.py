@@ -39,7 +39,7 @@ REQUEST_COMM = "srv_comm"
 
 #: per-message invariants, one entry per WIRE_TAGS class
 MESSAGE_SPECS = {
-    # bulk migration and synchronous puts: retried mutations, seq-dedup
+    # migration chunks and synchronous puts: retried mutations, seq-dedup
     "MigrateMsg": {
         "kind": "request", "retryable": True, "epoch_stamped": False,
         "reply": "AckMsg",
@@ -48,18 +48,10 @@ MESSAGE_SPECS = {
         "kind": "request", "retryable": True, "epoch_stamped": False,
         "reply": "AckMsg",
     },
-    "PutSyncBatchMsg": {
-        "kind": "request", "retryable": True, "epoch_stamped": False,
-        "reply": "AckMsg",
-    },
     # reads are idempotent: no dedup needed, always answered
     "GetMsg": {
         "kind": "request", "retryable": False, "epoch_stamped": False,
         "reply": "GetReply",
-    },
-    "MGetMsg": {
-        "kind": "request", "retryable": False, "epoch_stamped": False,
-        "reply": "MGetReply",
     },
     "FetchTableMsg": {
         "kind": "request", "retryable": False, "epoch_stamped": False,
@@ -94,7 +86,6 @@ MESSAGE_SPECS = {
     },
     # replies (rsp/ack comms)
     "GetReply": {"kind": "reply"},
-    "MGetReply": {"kind": "reply"},
     "FetchTableReply": {"kind": "reply"},
     "AckMsg": {"kind": "reply"},
     "ReplicaAckMsg": {"kind": "reply", "epoch_stamped": True},

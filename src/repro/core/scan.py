@@ -120,40 +120,21 @@ def _sstable_cursor(db, reader, start: Optional[bytes],
                     keys_only: bool) -> Iterator[Triple]:
     """Lazy in-range records of one SSTable.
 
-    With a block cache attached (v2 tables) the SSIndex brackets the
-    overlapping entry range — a binary search on key probes finds the
-    first in-range entry — and only the 64KB SSData blocks those
-    entries touch are read, at low cache priority.  Without a cache the
-    cursor degrades to the seed-era shape: one sequential whole-table
-    read, sliced.  ``keys_only`` skips the value bytes entirely
-    (:func:`count_live`).  Device time lands on the consuming rank's
-    clock as records are pulled.
+    The SSIndex brackets the overlapping entry range — a binary search
+    on key probes finds the first in-range entry — and only the 64KB
+    SSData blocks those entries touch are read, through the database's
+    block cache at low priority.  ``keys_only`` skips the value bytes
+    entirely (:func:`count_live`).  Device time lands on the consuming
+    rank's clock as records are pulled.
     """
     t = db.clock.now
     index, t = reader.load_index(t)
-    if not reader.block_cached():
-        # v1 table or no cache: one big sequential read (the paper's
-        # natural scan access pattern), then slice in memory
-        records, t = reader.read_all(t)
-        footer, t = reader.footer(t)
-        db.clock.advance_to(t)
-        if footer is not None and records:
-            db.stats.scan_blocks_read += len(footer.block_crcs)
-        i = 0
-        if start is not None:
-            i = bisect_left(records, start, key=lambda r: r.key)
-        for r in records[i:]:
-            if end is not None and r.key >= end:
-                return
-            yield r.key, r.value, r.tombstone
-        return
-
     lo, t = reader.find_ge(start, t)
     bs = reader.data_block_size()
     seen_blocks: set = set()
 
     def charge_blocks(offset: int, length: int) -> None:
-        if not bs or length <= 0:
+        if length <= 0:
             return
         for blk in range(offset // bs, (offset + length - 1) // bs + 1):
             if blk not in seen_blocks:
@@ -230,17 +211,14 @@ class ScanIterator:
             readers = [db._reader(s) for s in ssids]
 
         # fence gate: prune tables whose [min,max] cannot intersect the
-        # window (empty v2 tables have fences (b"", b"") and always
-        # prune); v1 tables have no fences and are always read
+        # window (empty tables have fences (b"", b"") and always prune)
         selected = []
         t = db.clock.now
         for reader in readers:
-            rng, t = reader.key_range(t)
-            if rng is not None:
-                mn, mx = rng
-                if not mx or not _window_overlaps(mn, mx, start, end):
-                    db.stats.scan_tables_pruned += 1
-                    continue
+            (mn, mx), t = reader.key_range(t)
+            if not mx or not _window_overlaps(mn, mx, start, end):
+                db.stats.scan_tables_pruned += 1
+                continue
             selected.append(reader)
         db.clock.advance_to(t)
 
@@ -309,44 +287,6 @@ def local_scan(db, start: Optional[bytes] = None,
     with ScanIterator(db, start, end,
                       include_replicas=include_replicas) as it:
         return list(it)
-
-
-def reference_scan(db, start: Optional[bytes] = None,
-                   end: Optional[bytes] = None,
-                   include_replicas: bool = False
-                   ) -> List[Tuple[bytes, bytes]]:
-    """The seed-era scan: ``read_all`` every table, materialize every tier.
-
-    Kept verbatim as the oracle the property tests compare the
-    streamed path against.  No pruning, no pinning, full
-    materialization.
-    """
-    with db._lock:
-        db._retire_flushed(db.clock.now)
-        tiers: List[List[Triple]] = []
-        tiers.append([
-            (k, e.value, e.tombstone) for k, e in db.local_mt.items()
-            if _in_range(k, start, end)
-        ])
-        for imm, _end_t in reversed(db.flushing):  # newest first
-            tiers.append([
-                (k, e.value, e.tombstone) for k, e in imm.items()
-                if _in_range(k, start, end)
-            ])
-        ssids = list(db.ssids)
-    t = db.clock.now
-    for ssid in reversed(ssids):  # newest first
-        reader = db._reader(ssid)
-        records, t = reader.read_all(t)
-        tiers.append([
-            (r.key, r.value, r.tombstone) for r in records
-            if _in_range(r.key, start, end)
-        ])
-    db.clock.advance_to(t)
-    pairs = list(merge_scan(tiers, start, end))
-    if db.membership is not None and not include_replicas:
-        pairs = [(k, v) for k, v in pairs if db._is_acting_primary(k)]
-    return pairs
 
 
 def count_live(db) -> int:

@@ -1,6 +1,6 @@
 """Binary on-disk format of the three SSTable files.
 
-SSData record layout (identical in v1 and v2, little-endian)::
+SSData record layout (little-endian)::
 
     keylen   u32
     vallen   u32
@@ -8,17 +8,11 @@ SSData record layout (identical in v1 and v2, little-endian)::
     key      keylen bytes
     value    vallen bytes
 
-SSIndex v1 layout::
-
-    magic    u32  = 0x50414B56  ("PAKV")
-    count    u64
-    entries  count * 17 bytes: offset u64, keylen u32, vallen u32, flags u8
-
-SSIndex v2 layout (``format 2``)::
+SSIndex layout (``format 2``)::
 
     magic      u32  = 0x32564B50  ("PKV2")
     count      u64
-    entries    count * 17 bytes             (same as v1)
+    entries    count * 17 bytes: offset u64, keylen u32, vallen u32, flags u8
     footer:
         data_len    u64    committed SSData file length
         block_size  u32    CRC block granularity over SSData
@@ -26,25 +20,29 @@ SSIndex v2 layout (``format 2``)::
         block_crcs  nblocks * u32   CRC32C of each SSData block
         bloom_crc   u32    CRC32C of the whole bloom *file*
         bloom_len   u32    committed bloom file length
+        min_key     u32 length + bytes   smallest key (empty table: b"")
+        max_key     u32 length + bytes   largest key
     index_crc  u32   CRC32C over every preceding byte of this file
 
-The v1 bloom file is the raw serialized
-:class:`repro.util.bloom.BloomFilter`; v2 prefixes it with a
-self-checking header (``magic u32 = "PKVB"``, ``body_crc u32``) so the
-bloom can be verified before the index is ever read (gets consult the
-bloom first).  Keys live only in SSData — a binary-search probe must
-touch SSData at the indexed offset, which is the access pattern whose
-cost the paper's "SSTable binary search" optimization targets.
+The bloom file is the serialized :class:`repro.util.bloom.BloomFilter`
+behind a self-checking header (``magic u32 = "PKVB"``, ``body_crc
+u32``) so the bloom can be verified before the index is ever read (gets
+consult the bloom first).  Keys live only in SSData — a binary-search
+probe must touch SSData at the indexed offset, which is the access
+pattern whose cost the paper's "SSTable binary search" optimization
+targets.
 
-All parse errors raise :class:`repro.errors.CorruptionError` (a
-``ValueError`` subclass, so pre-v2 callers keep working).
+Format 1 (footer-less index, raw bloom) is no longer written or read:
+a file carrying its magic — or no recognised magic — is rejected.  All
+parse errors raise :class:`repro.errors.CorruptionError` (a
+``ValueError`` subclass).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.errors import CorruptionError
 from repro.util.bloom import BloomFilter
@@ -55,11 +53,9 @@ INDEX_SUFFIX = ".ssi"
 BLOOM_SUFFIX = ".bf"
 QUARANTINE_SUFFIX = ".quar"
 
-MAGIC = 0x50414B56  # v1 "PAKV"
+MAGIC_V1 = 0x50414B56  # "PAKV": recognised only to be rejected by name
 MAGIC_V2 = 0x32564B50  # "PKV2"
 BLOOM_MAGIC_V2 = 0x42564B50  # "PKVB"
-FORMAT_V1 = 1
-FORMAT_V2 = 2
 DATA_BLOCK_SIZE = 64 * 1024
 
 _HDR = struct.Struct("<IQ")
@@ -112,7 +108,7 @@ class IndexEntry:
 
 @dataclass(frozen=True)
 class TableFooter:
-    """v2 integrity metadata carried at the end of the SSIndex file.
+    """Integrity metadata carried at the end of the SSIndex file.
 
     ``min_key``/``max_key`` are the table's smallest and largest keys
     (empty for an empty table) — CRC-protected fences that bound the
@@ -161,18 +157,8 @@ def decode_records(buf: bytes) -> Iterator[Record]:
         yield rec
 
 
-def encode_index(entries: List[IndexEntry]) -> bytes:
-    """Serialize a v1 SSIndex file (magic + count + fixed entries)."""
-    out = bytearray(_HDR.pack(MAGIC, len(entries)))
-    for e in entries:
-        out += _ENTRY.pack(
-            e.offset, e.keylen, e.vallen, TOMBSTONE_FLAG if e.tombstone else 0
-        )
-    return bytes(out)
-
-
-def encode_index_v2(entries: List[IndexEntry], footer: TableFooter) -> bytes:
-    """Serialize a v2 SSIndex file (entries + footer + trailing CRC)."""
+def encode_index(entries: List[IndexEntry], footer: TableFooter) -> bytes:
+    """Serialize an SSIndex file (entries + footer + trailing CRC)."""
     out = bytearray(_HDR.pack(MAGIC_V2, len(entries)))
     for e in entries:
         out += _ENTRY.pack(
@@ -203,19 +189,21 @@ def _decode_entries(buf: bytes, count: int, pos: int) -> Tuple[List[IndexEntry],
     return entries, pos
 
 
-def parse_index(buf: bytes) -> Tuple[List[IndexEntry], Optional[TableFooter]]:
-    """Parse a v1 or v2 SSIndex file.
+def parse_index(buf: bytes) -> Tuple[List[IndexEntry], TableFooter]:
+    """Parse an SSIndex file; returns ``(entries, footer)``.
 
-    Returns ``(entries, footer)``; the footer is ``None`` for v1 files.
-    v2 files are verified against their trailing CRC before any field
-    is trusted.  Raises :class:`CorruptionError` on any mismatch.
+    The file is verified against its trailing CRC before any field is
+    trusted.  Raises :class:`CorruptionError` on any mismatch, and on
+    the footer-less format-1 magic (unsupported version).
     """
     if len(buf) < _HDR.size:
         raise CorruptionError("SSIndex truncated")
     magic, count = _HDR.unpack_from(buf, 0)
-    if magic == MAGIC:
-        entries, _ = _decode_entries(buf, count, _HDR.size)
-        return entries, None
+    if magic == MAGIC_V1:
+        raise CorruptionError(
+            "SSIndex is format version 1 (no checksummed footer), which "
+            "is no longer supported; only version 2 tables are readable"
+        )
     if magic != MAGIC_V2:
         raise CorruptionError(f"bad SSIndex magic {magic:#x}")
     if len(buf) < _U32.size:
@@ -247,7 +235,7 @@ def parse_index(buf: bytes) -> Tuple[List[IndexEntry], Optional[TableFooter]]:
 
 
 def decode_index(buf: bytes) -> List[IndexEntry]:
-    """Parse an SSIndex file (v1 or v2); raises CorruptionError."""
+    """Parse an SSIndex file's entries; raises CorruptionError."""
     return parse_index(buf)[0]
 
 
@@ -262,7 +250,7 @@ def data_block_crcs(data: bytes, block_size: int = DATA_BLOCK_SIZE) -> Tuple[int
 def make_footer(data: bytes, bloom_blob: bytes,
                 block_size: int = DATA_BLOCK_SIZE,
                 min_key: bytes = b"", max_key: bytes = b"") -> TableFooter:
-    """Build the v2 footer for an SSData buffer and bloom file blob."""
+    """Build the footer for an SSData buffer and bloom file blob."""
     return TableFooter(
         data_len=len(data),
         block_size=block_size,
@@ -275,25 +263,30 @@ def make_footer(data: bytes, bloom_blob: bytes,
 
 
 def encode_bloom_file(bloom: BloomFilter) -> bytes:
-    """Serialize a bloom filter as a self-checking v2 file blob."""
+    """Serialize a bloom filter as a self-checking file blob."""
     body = bloom.to_bytes()
     return _BLOOM_HDR.pack(BLOOM_MAGIC_V2, crc32c(body)) + body
 
 
 def decode_bloom_file(blob: bytes) -> BloomFilter:
-    """Parse a v1 or v2 bloom file; raises CorruptionError."""
-    if len(blob) >= _BLOOM_HDR.size:
-        magic, body_crc = _BLOOM_HDR.unpack_from(blob, 0)
-        if magic == BLOOM_MAGIC_V2:
-            body = blob[_BLOOM_HDR.size:]
-            if crc32c(body) != body_crc:
-                raise CorruptionError("bloom filter checksum mismatch")
-            try:
-                return BloomFilter.from_bytes(body)
-            except ValueError as exc:
-                raise CorruptionError(f"bloom filter malformed: {exc}") from exc
+    """Parse a bloom file; raises CorruptionError.
+
+    A blob without the self-checking header (the raw format-1 layout,
+    or garbage) is rejected as an unsupported version.
+    """
+    if len(blob) < _BLOOM_HDR.size:
+        raise CorruptionError("bloom file truncated")
+    magic, body_crc = _BLOOM_HDR.unpack_from(blob, 0)
+    if magic != BLOOM_MAGIC_V2:
+        raise CorruptionError(
+            f"bloom file has no version-2 header (magic {magic:#x}); "
+            "format version 1 is no longer supported"
+        )
+    body = blob[_BLOOM_HDR.size:]
+    if crc32c(body) != body_crc:
+        raise CorruptionError("bloom filter checksum mismatch")
     try:
-        return BloomFilter.from_bytes(blob)
+        return BloomFilter.from_bytes(body)
     except ValueError as exc:
         raise CorruptionError(f"bloom filter malformed: {exc}") from exc
 

@@ -8,13 +8,12 @@ bytes at an indexed offset — cheap on NVM, which is the point of the
 optimization.  With it disabled the reader scans SSData from the front
 (the ``Default`` configuration in Figure 8).
 
-Verification (format v2) is lazy: the bloom and index files check their
-own CRCs when first loaded, and SSData blocks are checked the first
-time a probe touches them, against the footer committed in the SSIndex.
-A mismatch raises :class:`repro.errors.CorruptionError` (or
+Verification is lazy: the bloom and index files check their own CRCs
+when first loaded, and SSData blocks are checked the first time a probe
+touches them, against the footer committed in the SSIndex.  A mismatch
+raises :class:`repro.errors.CorruptionError` (or
 :class:`repro.errors.TornWriteError` when the file is short) — the
-reader never returns bytes that failed their checksum.  v1 tables have
-no checksums and are served with structural validation only.
+reader never returns bytes that failed their checksum.
 """
 
 from __future__ import annotations
@@ -72,8 +71,7 @@ class SSTableReader:
     caches it for every other reader of the same directory.
     ``cache_priority="low"`` (compaction, whole-table scans) inserts at
     the cold end of the LRU and never promotes, so streaming reads
-    cannot evict the point-get working set.  v1 tables (no footer, no
-    block CRCs) bypass the cache entirely.
+    cannot evict the point-get working set.
     """
 
     def __init__(self, store: PosixStore, directory: str, ssid: int,
@@ -101,14 +99,12 @@ class SSTableReader:
                     cache_priority: str = "normal") -> "SSTableReader":
         """Build a reader from a replicated metadata bundle.
 
-        The bloom filter, index entries, and v2 footer are parsed from
+        The bloom filter, index entries, and footer are parsed from
         the shipped blobs instead of the sidecar files, so the metadata
         side of the gate order (fences → bloom → index) costs no device
         time on the owner's NVM — only data-block probes touch
-        ``directory``.  Requires a v2 index (the footer's block CRCs are
-        what make one-sided data reads verifiable); raises
-        :class:`CorruptionError` if either blob fails its checksum or
-        the index has no footer.
+        ``directory``.  Raises :class:`CorruptionError` if either blob
+        fails its checksum.
         """
         reader = cls(store, directory, ssid, block_cache=block_cache,
                      cache_priority=cache_priority)
@@ -117,11 +113,6 @@ class SSTableReader:
             reader._index, reader._footer = parse_index(index_blob)
         except CorruptionError as exc:
             raise reader._corrupt(f"metadata bundle: {exc}") from exc
-        if reader._footer is None:
-            raise reader._corrupt(
-                "metadata bundle carries a v1 index (no footer); "
-                "one-sided reads need v2 block CRCs"
-            )
         return reader
 
     def _corrupt(self, detail: str) -> CorruptionError:
@@ -148,9 +139,10 @@ class SSTableReader:
                 raise self._corrupt(str(exc)) from exc
         return self._index, t
 
-    def footer(self, t: float) -> Tuple[Optional[TableFooter], float]:
-        """The v2 footer, loading the index if needed (None for v1)."""
+    def footer(self, t: float) -> Tuple[TableFooter, float]:
+        """The index footer, loading the index if needed."""
         _, t = self.load_index(t)
+        assert self._footer is not None
         return self._footer, t
 
     def may_contain(self, key: bytes, t: float) -> Tuple[bool, float]:
@@ -158,38 +150,35 @@ class SSTableReader:
         bloom, t = self.load_bloom(t)
         return key in bloom, t
 
-    def key_range(self, t: float) -> Tuple[Optional[Tuple[bytes, bytes]], float]:
-        """The CRC-protected ``[min_key, max_key]`` fences, or None.
+    def key_range(self, t: float) -> Tuple[Tuple[bytes, bytes], float]:
+        """The CRC-protected ``[min_key, max_key]`` fences.
 
-        v1 tables have no footer and return ``None`` (callers fall back
-        to bloom-only gating).  An *empty* v2 table has fences
-        ``(b"", b"")`` — since valid keys are non-empty, every lookup
-        prunes it.  Cheap after the first index load.
+        An *empty* table has fences ``(b"", b"")`` — since valid keys
+        are non-empty, every lookup prunes it.  Cheap after the first
+        index load.
         """
         footer, t = self.footer(t)
-        if footer is None:
-            return None, t
         return (footer.min_key, footer.max_key), t
 
     # -------------------------------------------------------- data integrity
-    def _check_data_size(self) -> None:
+    def _check_data_size(self, footer: TableFooter) -> None:
         """First-touch check that SSData matches its committed length."""
-        if self._size_checked or self._footer is None:
+        if self._size_checked:
             return
         size = self.store.size(self._data_path)
-        if size != self._footer.data_len:
+        if size != footer.data_len:
             raise TornWriteError(
                 f"sstable {self.ssid} ({self.directory}): SSData is "
-                f"{size} bytes, footer committed {self._footer.data_len}"
+                f"{size} bytes, footer committed {footer.data_len}"
             )
         self._size_checked = True
 
     def _verify_span(self, lo: int, hi: int, t: float) -> float:
-        """Verify (once) every data block overlapping ``[lo, hi)``."""
+        """Verify (once) every data block overlapping ``[lo, hi)``
+        (index must be loaded)."""
         footer = self._footer
-        if footer is None:
-            return t  # v1: no checksums on disk
-        self._check_data_size()
+        assert footer is not None
+        self._check_data_size(footer)
         bs = footer.block_size
         for blk in range(lo // bs, (max(hi, lo + 1) - 1) // bs + 1):
             if blk in self._verified_blocks:
@@ -204,16 +193,10 @@ class SSTableReader:
 
     def _entry_bounds_ok(self, entry: IndexEntry) -> bool:
         footer = self._footer
-        if footer is None:
-            return True
+        assert footer is not None
         return entry.offset + entry.record_len <= footer.data_len
 
     # ------------------------------------------------------------ cached I/O
-    def _cache_active(self) -> bool:
-        """Block-cached reads need a cache and v2 block CRCs to verify
-        fills against; v1 tables always take the direct path."""
-        return self._cache is not None and self._footer is not None
-
     def _read_at(self, offset: int, length: int, t: float,
                  low_priority: bool = False) -> Tuple[bytes, float]:
         """Read ``[offset, offset+length)`` through the block cache.
@@ -221,14 +204,14 @@ class SSTableReader:
         Cached blocks cost no device time (they were verified at fill);
         the missing blocks of the span are fetched as one vectored read
         and CRC-checked before insertion, so the cache only ever holds
-        verified bytes.  Only callable when :meth:`_cache_active`.
+        verified bytes.  Needs a cache attached and the index loaded.
         ``low_priority=True`` (scan cursors) makes this one call behave
         like a ``cache_priority="low"`` reader: hits do not promote and
         fills land at the cold end, whatever the reader's own priority.
         """
         footer, cache = self._footer, self._cache
         assert footer is not None and cache is not None
-        self._check_data_size()
+        self._check_data_size(footer)
         if length <= 0:
             return b"", t
         promote = self._cache_promote and not low_priority
@@ -261,32 +244,22 @@ class SSTableReader:
         return buf[start:start + length], t
 
     # ------------------------------------------------------------ scan support
-    def block_cached(self) -> bool:
-        """Whether SSData reads route through a shared block cache.
-
-        Meaningful once the index is loaded (the footer decides: v1
-        tables have no block CRCs to verify fills against).  Scan
-        cursors use this to choose between block-bracketed streaming
-        and the one-big-read fallback.
-        """
-        return self._cache_active()
-
-    def data_block_size(self) -> Optional[int]:
-        """The v2 SSData block size, or None for v1 (index must be loaded)."""
-        return None if self._footer is None else self._footer.block_size
+    def data_block_size(self) -> int:
+        """The SSData CRC/cache block size (index must be loaded)."""
+        assert self._footer is not None
+        return self._footer.block_size
 
     def read_span(self, offset: int, length: int, t: float,
                   low_priority: bool = True) -> Tuple[bytes, float]:
         """Read ``[offset, offset+length)`` of SSData (scan cursors).
 
-        Routes through the shared block cache when one is attached and
-        the table is v2 — by default at *low* priority, so a scan's
-        streaming reads fill free budget without evicting the point-get
-        working set — and falls back to a direct verified device read
-        otherwise.  Call :meth:`load_index` first: the footer gates both
-        the cache path and span verification.
+        Routes through the shared block cache when one is attached — by
+        default at *low* priority, so a scan's streaming reads fill free
+        budget without evicting the point-get working set — and falls
+        back to a direct verified device read otherwise.  Call
+        :meth:`load_index` first: the footer drives span verification.
         """
-        if self._cache_active():
+        if self._cache is not None:
             return self._read_at(offset, length, t, low_priority=low_priority)
         t = self._verify_span(offset, offset + length, t)
         return self.store.read(self._data_path, t, offset, length)
@@ -336,7 +309,7 @@ class SSTableReader:
 
     def _binary_get(self, key: bytes, t: float) -> Tuple[Optional[Record], float]:
         index, t = self.load_index(t)
-        cached = self._cache_active()
+        cached = self._cache is not None
         lo, hi = 0, len(index) - 1
         while lo <= hi:
             mid = (lo + hi) // 2
@@ -421,9 +394,9 @@ class SSTableReader:
     def read_all(self, t: float) -> Tuple[List[Record], float]:
         """Sequential read of the whole table (compaction, redistribution).
 
-        For v2 tables the whole buffer is verified against the footer's
-        block CRCs before decoding; compaction therefore never launders
-        corrupt bytes into a fresh table.
+        The whole buffer is verified against the footer's block CRCs
+        before decoding; compaction therefore never launders corrupt
+        bytes into a fresh table.
         """
         blob, t = self.store.read(self._data_path, t)
         try:
@@ -460,22 +433,20 @@ class SSTableReader:
         """Full integrity check of all three files; returns completion time.
 
         Raises :class:`CorruptionError` / :class:`TornWriteError` on the
-        first problem found.  For v2 this checks the index CRC, the
-        bloom file CRC against the footer, every SSData block CRC, and
-        that the decoded records agree with the index; v1 tables get the
-        structural subset.
+        first problem found: the index CRC, the bloom file CRC against
+        the footer, every SSData block CRC, and that the decoded records
+        agree with the index.
         """
         index, t = self.load_index(t)
-        footer = self._footer
+        footer, t = self.footer(t)
         bloom_blob, t = self.store.read(self._bloom_path, t)
-        if footer is not None:
-            if len(bloom_blob) != footer.bloom_len:
-                raise TornWriteError(
-                    f"sstable {self.ssid} ({self.directory}): bloom is "
-                    f"{len(bloom_blob)} bytes, footer committed {footer.bloom_len}"
-                )
-            if crc32c(bloom_blob) != footer.bloom_crc:
-                raise self._corrupt("bloom file checksum mismatch")
+        if len(bloom_blob) != footer.bloom_len:
+            raise TornWriteError(
+                f"sstable {self.ssid} ({self.directory}): bloom is "
+                f"{len(bloom_blob)} bytes, footer committed {footer.bloom_len}"
+            )
+        if crc32c(bloom_blob) != footer.bloom_crc:
+            raise self._corrupt("bloom file checksum mismatch")
         try:
             self._bloom = decode_bloom_file(bloom_blob)
         except CorruptionError as exc:

@@ -1,6 +1,6 @@
 """SSTable writer: flush sorted records to the three files.
 
-Tables are written in format v2 by default: the SSIndex carries a
+Tables are written in format v2, the only format: the SSIndex carries a
 footer with CRC32C checksums over the SSData blocks and the bloom file,
 and the bloom file carries its own self-checking header (see
 :mod:`repro.sstable.format`).  All three files go through the store's
@@ -15,13 +15,10 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.nvm.posixfs import PosixStore
 from repro.sstable.format import (
-    FORMAT_V1,
-    FORMAT_V2,
     IndexEntry,
     Record,
     encode_bloom_file,
     encode_index,
-    encode_index_v2,
     encode_record,
     make_footer,
     sstable_filenames,
@@ -32,7 +29,6 @@ from repro.util.bloom import BloomFilter
 def encode_table(
     records: Iterable[Record],
     fp_rate: float = 0.01,
-    format_version: int = FORMAT_V2,
 ) -> Dict[str, bytes]:
     """Encode sorted ``records`` into the three file blobs.
 
@@ -58,19 +54,13 @@ def encode_table(
         bloom.add(rec.key)
 
     data_blob = bytes(data)
-    if format_version == FORMAT_V1:
-        return {
-            "data": data_blob,
-            "index": encode_index(entries),
-            "bloom": bloom.to_bytes(),
-        }
     bloom_blob = encode_bloom_file(bloom)
     footer = make_footer(
         data_blob, bloom_blob,
         min_key=recs[0].key if recs else b"",
         max_key=recs[-1].key if recs else b"",
     )
-    index_blob = encode_index_v2(entries, footer)
+    index_blob = encode_index(entries, footer)
     return {"data": data_blob, "index": index_blob, "bloom": bloom_blob}
 
 
@@ -81,7 +71,6 @@ def write_sstable(
     records: Iterable[Record],
     t: float,
     fp_rate: float = 0.01,
-    format_version: int = FORMAT_V2,
 ) -> Tuple[int, float]:
     """Write one SSTable under ``directory`` in ``store``.
 
@@ -90,7 +79,7 @@ def write_sstable(
     Tombstones are written too — they must shadow older SSTables until a
     compaction drops the dead keys.
     """
-    blobs = encode_table(records, fp_rate, format_version)
+    blobs = encode_table(records, fp_rate)
     data_name, index_name, bloom_name = sstable_filenames(ssid)
     end = store.write(f"{directory}/{data_name}", blobs["data"], t)
     end = store.write(f"{directory}/{index_name}", blobs["index"], end)

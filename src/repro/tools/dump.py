@@ -150,9 +150,10 @@ def dump_sstable(rank_dir: str, ssid: int,
 def verify_sstable(rank_dir: str, ssid: int) -> List[str]:
     """Cross-check one SSTable's three files; returns found problems.
 
-    Understands both on-disk formats: v2 tables are additionally
-    checked against their footer (data length, per-block CRC32C, bloom
-    checksum); v1 tables get the structural checks only.
+    Structural checks (sorted keys, index/record agreement, bloom
+    membership) plus the footer's checksums (data length, per-block
+    CRC32C, bloom checksum).  A format-1 (footer-less) table is reported
+    as unreadable: that version is no longer supported.
     """
     problems: List[str] = []
     base = os.path.join(rank_dir, f"{ssid:010d}")
@@ -186,7 +187,7 @@ def verify_sstable(rank_dir: str, ssid: int) -> List[str]:
                 break
     except (OSError, ValueError) as exc:
         problems.append(f"SSIndex unreadable: {exc}")
-    if footer is not None:  # format v2: checksum everything
+    if footer is not None:  # index readable: checksum everything
         if len(data) != footer.data_len:
             problems.append(
                 f"SSData length {len(data)} != footer {footer.data_len} "

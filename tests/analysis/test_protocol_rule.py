@@ -19,7 +19,7 @@ MESSAGES_OK = """
                  "ReplicaAckMsg": 4, "IndexPublishMsg": 5}
 
     class PutSyncMsg:
-        key: bytes
+        pairs: list
         seq: int
 
     class AckMsg:
@@ -131,8 +131,8 @@ class TestCoverage:
 class TestRetryable:
     def test_retryable_without_seq_field(self, tmp_path):
         messages = MESSAGES_OK.replace(
-            "    class PutSyncMsg:\n        key: bytes\n        seq: int",
-            "    class PutSyncMsg:\n        key: bytes")
+            "    class PutSyncMsg:\n        pairs: list\n        seq: int",
+            "    class PutSyncMsg:\n        pairs: list")
         fs = _run(tmp_path, messages=messages)
         assert any("no `seq` field" in f.message and f.function == "PutSyncMsg"
                    for f in fs)

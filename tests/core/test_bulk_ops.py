@@ -13,9 +13,9 @@ import random
 
 import pytest
 
-from repro import Options, Papyrus, SSTABLE
+from repro import MEMTABLE, Options, Papyrus, SSTABLE
 from repro.config import RDONLY, RELAXED, SEQUENTIAL
-from repro.errors import InvalidKeyError, ProtectionError
+from repro.errors import InvalidKeyError, KeyNotFoundError, ProtectionError
 from repro.mpi.launcher import spmd_run
 from tests.conftest import small_options
 
@@ -194,7 +194,7 @@ class TestMixedOwners:
                         db.owner_of(k) for k, _ in pairs
                     } - {0}
                     _put_many(db, pairs)
-                    # one PutSyncBatchMsg per distinct remote owner
+                    # one PutSyncMsg per distinct remote owner
                     assert db.stats.bulk_owner_msgs == len(remote_owners)
                     # and the data is already visible everywhere
                     assert db.get_bulk([k for k, _ in pairs]) == [
@@ -230,7 +230,7 @@ class TestMixedOwners:
 
         spmd_run(4, app)
 
-    def test_get_bulk_one_mget_per_owner(self):
+    def test_get_bulk_one_get_msg_per_owner(self):
         def app(ctx):
             with Papyrus(ctx) as env:
                 db = env.open("d", small_options())
@@ -253,7 +253,7 @@ class TestMixedOwners:
         spmd_run(4, app)
 
     def test_get_bulk_reads_shared_sstables(self):
-        """NOT_IN_MEMORY multi-get keys resolve from shared NVM (§2.7)."""
+        """NOT_IN_MEMORY get_bulk keys resolve from shared NVM (§2.7)."""
 
         def app(ctx):
             with Papyrus(ctx) as env:
@@ -323,13 +323,23 @@ class TestRandomizedEquivalence:
 
         spmd_run(4, app)
 
-    def test_bulk_equals_per_key_same_op_stream(self):
-        """With a single writer the two paths agree key-for-key."""
+    @pytest.mark.parametrize(
+        "layout", ["memory", "shared_sstable", "index_sstable"])
+    def test_bulk_equals_per_key_same_op_stream(self, layout):
+        """With a single writer the point and batch calls agree
+        key-for-key — and, being one engine, tier-for-tier: the same
+        data read by a ``get_ex`` loop and by one ``get_bulk`` resolves
+        through the same tiers, whether it sits in the owners'
+        MemTables, in same-group SSTables (§2.7 shared read) or in
+        cross-group SSTables behind a replicated index."""
+        opts = (dict(group_size=1, index_replication=True)
+                if layout == "index_sstable" else {})
+        level = MEMTABLE if layout == "memory" else SSTABLE
 
         def app(ctx):
             with Papyrus(ctx) as env:
-                per = env.open("perkey", small_options())
-                blk = env.open("bulk", small_options())
+                per = env.open("perkey", small_options(**opts))
+                blk = env.open("bulk", small_options(**opts))
                 rng = random.Random(99)
                 if ctx.world_rank == 0:
                     ops = []
@@ -350,16 +360,43 @@ class TestRandomizedEquivalence:
                                 b.delete(k)
                             else:
                                 b[k] = v
-                per.barrier()
-                blk.barrier()
+                    # every write either opens a commit window or rides
+                    # one — per op for point calls, per distinct key
+                    # (last-write-wins) for the batch
+                    for db, writes in ((per, len(ops)),
+                                       (blk, len({k for k, _ in ops}))):
+                        st = db.stats
+                        assert st.puts == writes
+                        assert (st.group_commits
+                                + st.group_commit_coalesced) == writes
+                per.barrier(level)
+                blk.barrier(level)
                 keys = [f"q{i:03d}".encode() for i in range(80)]
-                assert blk.get_bulk(keys) == [
-                    per.get_or_none(k) for k in keys
-                ]
+                mine = [k for k in keys
+                        if per.owner_of(k) == ctx.world_rank]
+                theirs = [k for k in keys if k not in mine]
+                # remote keys first, own keys after a barrier: an
+                # owner's own get fills its local cache, which its
+                # handler would then serve to a racing remote reader
+                for phase in (theirs, mine):
+                    got_per = []
+                    for k in phase:
+                        try:
+                            got_per.append(per.get_ex(k).value)
+                        except KeyNotFoundError:
+                            got_per.append(None)
+                    assert blk.get_bulk(phase) == got_per
+                    ctx.comm.barrier()
+                assert blk.stats.get_tiers == per.stats.get_tiers
+                assert blk.stats.gets == per.stats.gets == len(keys)
+                tiers = dict(per.stats.get_tiers)
                 per.close()
                 blk.close()
+                return tiers
 
-        spmd_run(4, app)
+        res = spmd_run(4, app)
+        if layout != "memory":
+            assert all(layout in tiers for tiers in res)
 
 
 class TestBulkVeneer:

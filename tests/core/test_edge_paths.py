@@ -25,9 +25,10 @@ class TestForceDataFallback:
                     db.put(key, b"direct-value" * 8)
                 db.barrier(SSTABLE)
                 if ctx.world_rank == 0:
-                    reply = db._request_get(1, key, force=True)
-                    assert reply.status == msg.FOUND
-                    assert reply.value == b"direct-value" * 8
+                    reply = db._request_get({1: [key]}, force=True)[1]
+                    assert reply.results == [
+                        (msg.FOUND, b"direct-value" * 8, False)
+                    ]
                 db.barrier()
                 db.close()
 
@@ -45,8 +46,8 @@ class TestForceDataFallback:
                     db.put(key, b"x" * 64)
                 db.barrier(SSTABLE)
                 if ctx.world_rank == 0:
-                    reply = db._request_get(1, key, force=False)
-                    assert reply.status == msg.NOT_IN_MEMORY
+                    reply = db._request_get({1: [key]}, force=False)[1]
+                    assert reply.results == [(msg.NOT_IN_MEMORY, None, False)]
                     assert reply.owner_dir == "db_meta/rank1"
                     assert reply.newest_ssid >= 1
                 db.barrier()

@@ -21,7 +21,7 @@ from repro.mpi.launcher import spmd_run
 from repro.nvm.posixfs import PosixStore
 from repro.simtime.profiles import SUMMITDEV
 from repro.simtime.resources import TimedResource
-from repro.sstable.format import FORMAT_V1, Record
+from repro.sstable.format import Record
 from repro.sstable.reader import SSTableReader
 from repro.sstable.writer import write_sstable
 from tests.conftest import small_options
@@ -114,32 +114,6 @@ class TestFencePruning:
 
         run1(app)
 
-    def test_v1_tables_fall_back_to_bloom_and_skip_the_cache(self):
-        """A table rewritten in v1 (no footer) keeps serving: no fence
-        pruning, no block caching — and no wrong answers."""
-
-        def app(ctx):
-            with Papyrus(ctx) as env:
-                db = env.open("d", _opts())
-                _load_phases(db, "m")
-                ssid = db.ssids[0]
-                recs, _ = SSTableReader(db.store, db.rank_dir, ssid).read_all(
-                    db.clock.now
-                )
-                write_sstable(db.store, db.rank_dir, ssid, recs,
-                              db.clock.now, format_version=FORMAT_V1)
-                db._invalidate_readers()
-                c0 = db.block_cache.counters()
-                assert db.get(b"m007") == b"m" * 64
-                assert db.get_or_none(b"q-absent") is None
-                c1 = db.block_cache.counters()
-                assert db.stats.fence_skips == 0
-                assert db.stats.bloom_skips > 0
-                assert (c1["hits"], c1["misses"]) == (c0["hits"], c0["misses"])
-                db.close()
-
-        run1(app)
-
     def test_pruning_never_masks_a_poisoned_range(self):
         """Gate order: the quarantine check runs before the fences.  A
         key in a quarantined table's poison range must raise even though
@@ -183,12 +157,6 @@ class TestReaderFences:
         fences, _ = SSTableReader(store, "t", 1).key_range(0.0)
         assert fences == (b"", b"")  # `not max_key` prunes any valid key
 
-    def test_v1_table_has_no_fences(self, store):
-        recs = [Record(b"a", b"v"), Record(b"b", b"v")]
-        write_sstable(store, "t", 1, recs, 0.0, format_version=FORMAT_V1)
-        fences, _ = SSTableReader(store, "t", 1).key_range(0.0)
-        assert fences is None
-
 
 class TestCacheInvalidation:
     def test_compaction_drops_cached_blocks(self):
@@ -206,6 +174,41 @@ class TestCacheInvalidation:
                 # reads come back right through the merged table
                 assert db.get(b"a003") == b"a" * 64
                 assert db.get(b"b003") == b"b" * 64
+                db.close()
+
+        run1(app)
+
+    @pytest.mark.parametrize("flushed", [False, True],
+                             ids=["still-in-memtable", "flushed"])
+    def test_racing_write_is_not_shadowed_by_a_stale_cache_fill(
+            self, flushed):
+        """A get walks the SSTables outside db.state; a write to the
+        same key landing meanwhile (the handler applying a migration)
+        evicts the local-cache entry *before* the get fills it.  The
+        fill must not resurrect the old value — once the new version
+        leaves the MemTable the cache would serve it forever."""
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("d", _opts(cache_local_enabled=True))
+                db.put(b"k", b"old")
+                db.barrier(SSTABLE)
+                walk = db._sstable_lookup
+
+                def racing_walk(ssids, key):
+                    rec = walk(ssids, key)
+                    db._sstable_lookup = walk
+                    db._local_insert(b"k", b"new", False, ctx.clock)
+                    if flushed:
+                        db.flush()
+                    return rec
+
+                db._sstable_lookup = racing_walk
+                assert db.get(b"k") == b"old"  # raced: either is legal
+                db.flush()
+                res = db.get_ex(b"k")
+                assert (res.value, res.tier) == (b"new", "sstable")
+                assert db.get_ex(b"k").tier == "local_cache"  # now cached
                 db.close()
 
         run1(app)

@@ -23,6 +23,7 @@ import pytest
 from repro import Papyrus
 from repro.config import Options
 from repro.core import messages as msg
+from repro.core.db import GROUP_COMMIT_INTERVAL
 from repro.errors import InvalidOptionError, QuorumLostError
 from repro.faults import FaultPlan
 from repro.mpi.launcher import spmd_run
@@ -116,6 +117,39 @@ class TestReplicatedOperation:
                 db.barrier()
                 for rr in range(ctx.nranks):
                     assert db.get(f"b{rr}-015".encode()) == b"w15"
+                db.close()
+
+        run4(app)
+
+    @pytest.mark.parametrize("opener", ["put", "batch"])
+    def test_window_opener_settles_rider_quorum_debts(self, opener):
+        """A group-commit rider defers its quorum wait to the window
+        boundary; whatever opens the next window — a point put or a
+        batch, it is one pipeline — settles the debt and resets the
+        window."""
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("repl", _repl_options())
+                if ctx.world_rank == 0:
+                    db.put(b"opens", b"v")
+                    db.put(b"rides", b"v")
+                    assert db.stats.group_commit_coalesced == 1
+                    assert len(db._quorum_due) == 1
+                    ctx.clock.advance(GROUP_COMMIT_INTERVAL)  # window over
+                    if opener == "put":
+                        db.put(b"next", b"v")
+                    else:
+                        with db.batch() as b:
+                            b.put(b"next", b"v")
+                            b.put(b"next2", b"v")
+                    assert db._quorum_due == []
+                    assert db.stats.group_commits == 2
+                    # ...and the new window is open: the next call rides
+                    db.delete(b"rides")
+                    assert db.stats.group_commits == 2
+                    assert len(db._quorum_due) == 1
+                db.barrier()
                 db.close()
 
         run4(app)

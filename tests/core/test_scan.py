@@ -9,8 +9,43 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Papyrus, SSTABLE, WRONLY, RDWR, ProtectionError, spmd_run
-from repro.core.scan import merge_scan, reference_scan
+from repro.core.scan import _in_range, merge_scan
 from tests.conftest import small_options
+
+
+def reference_scan(db, start=None, end=None, include_replicas=False):
+    """The seed-era scan: ``read_all`` every table, materialize every tier.
+
+    The oracle the property tests compare the streamed path against
+    (it lived in ``repro.core.scan`` until PR 14).  No pruning, no
+    pinning, full materialization.
+    """
+    with db._lock:
+        db._retire_flushed(db.clock.now)
+        tiers: list = []
+        tiers.append([
+            (k, e.value, e.tombstone) for k, e in db.local_mt.items()
+            if _in_range(k, start, end)
+        ])
+        for imm, _end_t in reversed(db.flushing):  # newest first
+            tiers.append([
+                (k, e.value, e.tombstone) for k, e in imm.items()
+                if _in_range(k, start, end)
+            ])
+        ssids = list(db.ssids)
+    t = db.clock.now
+    for ssid in reversed(ssids):  # newest first
+        reader = db._reader(ssid)
+        records, t = reader.read_all(t)
+        tiers.append([
+            (r.key, r.value, r.tombstone) for r in records
+            if _in_range(r.key, start, end)
+        ])
+    db.clock.advance_to(t)
+    pairs = list(merge_scan(tiers, start, end))
+    if db.membership is not None and not include_replicas:
+        pairs = [(k, v) for k, v in pairs if db._is_acting_primary(k)]
+    return pairs
 
 
 class TestMergeScan:

@@ -54,16 +54,24 @@ class TestKvMessageSizes:
         assert m.wire_nbytes() == 16 + 3 + 5 + 9
 
     def test_put_sync_msg(self):
-        m = msg.PutSyncMsg(b"k", b"vv", False, seq=1)
+        m = msg.PutSyncMsg([(b"k", b"vv", False)], seq=1)
         assert m.wire_nbytes() == 16 + 1 + 2 + 9
+        two = msg.PutSyncMsg([(b"k", b"vv", False), (b"d", b"", True)], 2)
+        assert two.wire_nbytes() == m.wire_nbytes() + 1 + 9
 
     def test_get_msg(self):
-        assert msg.GetMsg(b"key", 0, 1).wire_nbytes() == 24 + 3
+        assert msg.GetMsg([b"key"], 0, 1).wire_nbytes() == 24 + 3 + 4
+        assert msg.GetMsg([b"key", b"k2"], 0, 1).wire_nbytes() == \
+            24 + (3 + 4) + (2 + 4)
 
     def test_get_reply_value_dominates(self):
-        small = msg.GetReply(msg.FOUND, 1, b"")
-        big = msg.GetReply(msg.FOUND, 1, b"x" * 1000)
+        small = msg.GetReply([(msg.FOUND, b"", False)], 1)
+        big = msg.GetReply([(msg.FOUND, b"x" * 1000, False)], 1)
+        assert small.wire_nbytes() == 24 + 9
         assert big.wire_nbytes() - small.wire_nbytes() == 1000
+        miss = msg.GetReply([(msg.NOT_IN_MEMORY, None, False)], 1,
+                            owner_dir="db/rank1", newest_ssid=3)
+        assert miss.wire_nbytes() == small.wire_nbytes()
 
     def test_ack_and_stop_tiny(self):
         assert msg.AckMsg(1).wire_nbytes() <= 16

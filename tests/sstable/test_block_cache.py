@@ -14,7 +14,7 @@ from repro.errors import CorruptionError
 from repro.nvm.posixfs import PosixStore
 from repro.simtime.resources import TimedResource
 from repro.sstable.block_cache import BlockCache
-from repro.sstable.format import FORMAT_V1, Record
+from repro.sstable.format import Record
 from repro.sstable.reader import SSTableReader
 from repro.sstable.writer import write_sstable
 
@@ -217,15 +217,6 @@ class TestReaderIntegration:
         assert cache.low_priority_inserts > 0 and cache.inserts == 0
         rd.get(b"key0007", 0.0)
         assert cache.hits > 0  # hit, but recency untouched (promote=False)
-
-    def test_v1_table_bypasses_cache(self, store):
-        write_sstable(store, "t", 1, RECORDS, 0.0, format_version=FORMAT_V1)
-        cache = BlockCache(1 << 20)
-        rd = SSTableReader(store, "t", 1, block_cache=cache)
-        rec, _ = rd.get(b"key0010", 0.0)
-        assert rec.value == b"val0010" * 40
-        assert len(cache) == 0
-        assert cache.hits == 0 and cache.misses == 0
 
     def test_cache_consistent_across_all_keys(self, store):
         """Every key read through a tiny (thrashing) cache still

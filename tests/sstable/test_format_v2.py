@@ -2,10 +2,13 @@
 
 The v2 promise: no ``get`` ever silently returns a wrong value.  Every
 kind of single-byte damage to any of the three files must surface as a
-typed error — and pristine v1 tables must keep working unchanged.
+typed error.  Format v1 (footer-less index, raw bloom) is no longer
+read: such a file is outside input and must be *rejected* by name.
 """
 
 from __future__ import annotations
+
+import struct
 
 import pytest
 
@@ -13,7 +16,7 @@ from repro.errors import CorruptionError, StorageError, TornWriteError
 from repro.nvm.posixfs import PosixStore
 from repro.simtime.resources import TimedResource
 from repro.sstable.format import (
-    FORMAT_V1,
+    MAGIC_V1,
     Record,
     data_block_crcs,
     decode_bloom_file,
@@ -36,9 +39,8 @@ RECORDS = [Record(f"key{i:04d}".encode(), f"val{i:04d}".encode() * 4)
            for i in range(200)]
 
 
-def _write(store, fmt=2):
-    write_sstable(store, "t", 1, RECORDS, 0.0,
-                  format_version=fmt)
+def _write(store):
+    write_sstable(store, "t", 1, RECORDS, 0.0)
 
 
 def _flip_byte(store, rel, offset=100):
@@ -108,22 +110,38 @@ class TestV2RoundTrip:
             decode_bloom_file(bytes(damaged))
 
 
-class TestV1Compat:
-    def test_v1_tables_still_readable(self, store):
-        _write(store, fmt=FORMAT_V1)
-        rd = SSTableReader(store, "t", 1)
-        rec, _ = rd.get(b"key0003", 0.0)
-        assert rec.value == b"val0003" * 4
-        records, _ = rd.read_all(0.0)
-        assert records == RECORDS
-        rd.verify(0.0)  # structural checks only, but must not raise
+class TestV1Rejected:
+    """A footer-less format-1 table is refused, never half-trusted."""
 
-    def test_v1_index_has_no_footer(self, store):
-        _write(store, fmt=FORMAT_V1)
-        blob, _ = store.read("t/0000000001.ssi", 0.0)
-        entries, footer = parse_index(blob)
-        assert footer is None
-        assert len(entries) == len(RECORDS)
+    @staticmethod
+    def _v1_index(nentries=1):
+        # the retired layout: "PAKV" magic, count, fixed entries, no footer
+        blob = struct.pack("<IQ", MAGIC_V1, nentries)
+        for i in range(nentries):
+            blob += struct.pack("<QIIB", 38 * i, 7, 28, 0)
+        return blob
+
+    def test_v1_index_names_the_unsupported_version(self):
+        with pytest.raises(CorruptionError, match="version 1"):
+            parse_index(self._v1_index())
+
+    def test_raw_v1_bloom_is_rejected(self):
+        bloom = BloomFilter.for_capacity(4, 0.01)
+        bloom.add(b"k")
+        with pytest.raises(CorruptionError, match="version 1"):
+            decode_bloom_file(bloom.to_bytes())
+        with pytest.raises(CorruptionError):
+            decode_bloom_file(b"\x00\x01")
+
+    def test_reader_refuses_a_v1_table(self, store):
+        _write(store)
+        with open(store.path("t/0000000001.ssi"), "wb") as f:
+            f.write(self._v1_index(len(RECORDS)))
+        rd = SSTableReader(store, "t", 1)
+        with pytest.raises(CorruptionError, match="version 1"):
+            rd.get(b"key0003", 0.0, use_bloom=False)
+        with pytest.raises(CorruptionError, match="version 1"):
+            SSTableReader(store, "t", 1).verify(0.0)
 
 
 class TestDamageDetection:

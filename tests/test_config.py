@@ -113,6 +113,18 @@ class TestOptionsValidation:
             with pytest.raises(TypeError):
                 Options(**{name: 1})
 
+    def test_wire_family_size(self):
+        """One batch-shaped message family: the per-batch twins of
+        PutSyncMsg / GetMsg / GetReply are gone, their tags retired."""
+        from repro.core import messages as msg
+
+        assert len(msg.WIRE_TAGS) == 15
+        for name in ("PutSyncBatchMsg", "MGetMsg", "MGetReply"):
+            assert name not in msg.WIRE_TAGS
+            assert not hasattr(msg, name)
+        # retired tag numbers are never reused
+        assert not {5, 6, 7, 101} & set(msg.WIRE_TAGS.values())
+
     def test_removed_env_vars_are_ignored(self):
         env = {
             "PAPYRUSKV_GROUP_COMMIT": "0",

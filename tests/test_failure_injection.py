@@ -155,7 +155,7 @@ class TestHandlerCrash:
                         if db.owner_of(f"k{i}".encode()) == 1
                     )
                     db.set_consistency(2)  # keep relaxed
-                    db._put_sync(1, key, b"v", False)  # would hang
+                    db._put_sync({1: [(key, b"v", False)]})  # would hang
                 db.barrier()
                 db.close()
 
