@@ -8,13 +8,14 @@ transfer the SSTables from NVM to the target parallel file system"
 background compaction timeline, so the application overlaps them with
 useful work until ``papyruskv_wait``.
 
-Crash consistency (format 2).  Repeated checkpoints to one path land in
-numbered *generations* — ``ckpt/<path>/db_<name>/gen<k>/rank<r>/`` — and
-every file inside a generation is covered by a manifest chain written
-strictly after the data it describes:
+Crash consistency (layout version 3).  Repeated checkpoints to one path
+land in numbered *generations* —
+``ckpt/<path>/db_<name>/gen<k>/rank<r>/`` — and every file inside a
+generation is covered by a manifest chain written strictly after the
+data it describes:
 
 * each rank writes its files, then ``rank<r>/MANIFEST.json`` recording
-  every file's length and CRC32C;
+  every file's length and CRC-32;
 * after a barrier, rank 0 writes ``gen<k>/manifest.json``.
 
 All writes are atomic (tmp + fsync + rename), so a crash mid-checkpoint
@@ -23,7 +24,8 @@ generation incomplete.  ``restart()`` resolves the newest **complete**
 generation, verifies each file's checksum during the copy back to NVM,
 and skips (counts) mismatches; when no generation is complete it
 degrades to a best-effort restore of the newest one rather than losing
-the surviving shards.
+the surviving shards.  A generation written under another layout
+version is refused by number — its checksums mean something else.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ from repro.errors import CorruptionError, StorageError
 from repro.sstable.reader import SSTableReader, list_ssids
 from repro.util.checksum import crc32c
 
-#: snapshot layout version written into every generation manifest
-CHECKPOINT_FORMAT = 2
+#: snapshot layout version written into every generation manifest and
+#: checked on restore (3: per-file ``crc32`` is CRC-32/ISO-HDLC and the
+#: tables inside are SSTable format 3)
+CHECKPOINT_FORMAT = 3
 
 _RANK_MANIFEST = "MANIFEST.json"
 _GEN_MANIFEST = "manifest.json"
@@ -137,7 +141,7 @@ def checkpoint(db, path: str) -> Event:
         for rel, data in blobs.items():
             base = posixpath.basename(rel)
             out[posixpath.join(rank_dst, base)] = data
-            files[base] = {"crc32c": crc32c(data), "len": len(data)}
+            files[base] = {"crc32": crc32c(data), "len": len(data)}
         t = lustre.bulk_write(out, t)
         rman = {"rank": db.rank, "files": files}
         t = lustre.write(
@@ -166,13 +170,26 @@ def checkpoint(db, path: str) -> Event:
     return Event(f"checkpoint:{db.name}:{path}:gen{gen}").complete_at(end)
 
 
+def _resolved(manifest: dict, gen: int) -> dict:
+    """``manifest`` tagged with its generation, if this build reads it."""
+    version = manifest.get("format")
+    if version != CHECKPOINT_FORMAT:
+        raise CorruptionError(
+            f"checkpoint layout version {version} is not supported (this "
+            f"build reads version {CHECKPOINT_FORMAT}); checkpoint again "
+            "from a live database to migrate"
+        )
+    return {**manifest, "generation": gen}
+
+
 def read_manifest(machine, path: str, name: str) -> dict:
     """Resolve a snapshot to its newest usable generation's manifest.
 
     Preference order: the newest *complete* generation; failing that,
     the newest generation with a readable manifest (best-effort restore
     of whatever shards survive).  The returned dict always carries a
-    ``generation`` key.
+    ``generation`` key.  Raises :class:`CorruptionError` when the chosen
+    generation was written under another layout version.
     """
     lustre = machine.lustre_store()
     snap = _snapshot_dir(path, name)
@@ -180,17 +197,13 @@ def read_manifest(machine, path: str, name: str) -> dict:
     for gen in reversed(gens):
         manifest = _generation_complete(lustre, _gen_dir(snap, gen))
         if manifest is not None:
-            out = dict(manifest)
-            out["generation"] = gen
-            return out
+            return _resolved(manifest, gen)
     for gen in reversed(gens):  # degraded: no generation is complete
         manifest = _read_json(
             lustre, posixpath.join(_gen_dir(snap, gen), _GEN_MANIFEST)
         )
         if manifest is not None:
-            out = dict(manifest)
-            out["generation"] = gen
-            return out
+            return _resolved(manifest, gen)
     raise StorageError(f"no usable snapshot generation under {snap}")
 
 
@@ -227,7 +240,7 @@ def restore_table_blobs(db, path: str, ssid: int) -> Optional[dict]:
             data, t = lustre.read(posixpath.join(rank_dir, name), t)
         except StorageError:
             return None
-        if len(data) != info["len"] or crc32c(data) != info["crc32c"]:
+        if len(data) != info["len"] or crc32c(data) != info["crc32"]:
             return None  # the snapshot copy is itself damaged
         blobs[name] = data
     db.clock.advance_to(t)
@@ -315,7 +328,7 @@ def _restart_copy(env, db, path: str, name: str, gen: int) -> float:
         for rel, data in blobs.items():
             base = posixpath.basename(rel)
             info = wanted[base]
-            if len(data) != info["len"] or crc32c(data) != info["crc32c"]:
+            if len(data) != info["len"] or crc32c(data) != info["crc32"]:
                 skipped += 1
                 continue
             out[posixpath.join(db.rank_dir, base)] = data

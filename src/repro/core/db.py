@@ -657,9 +657,10 @@ class Database:
         except (StorageError, ValueError):
             return None, None  # no trustworthy metadata at all
         bs = footer.block_size
+        view = memoryview(data)
         bad = {
             i for i, want in enumerate(footer.block_crcs)
-            if crc32c(data[i * bs:(i + 1) * bs]) != want
+            if crc32c(view[i * bs:(i + 1) * bs]) != want
         }
         if len(data) != footer.data_len:
             bad.add(max(0, (footer.data_len - 1) // bs))
@@ -2100,7 +2101,7 @@ class Database:
         key: bytes,
         t: float,
     ) -> Tuple[Optional[Record], float]:
-        """The point-get gate walk (§2.6 + the v2 footer fences).
+        """The point-get gate walk (§2.6 + the footer fences).
 
         ``ssids`` is newest-first and ``reader_of`` resolves each to a
         reader: own tables through :meth:`_reader`, a storage-group

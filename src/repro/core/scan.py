@@ -11,7 +11,7 @@ The merge is **streamed**: :class:`ScanIterator` holds one lazy cursor
 per tier and :func:`merge_scan` is a generator over them, so a one-key
 window costs a handful of block reads, not a shard materialization.
 SSTable selection is gated the same way as the get path — quarantine →
-v2 footer key fences → SSIndex block-range bracketing — and the data
+footer key fences → SSIndex block-range bracketing — and the data
 blocks stream through the shared block cache at low priority.
 
 Snapshot consistency: the iterator pins its SSID horizon at open

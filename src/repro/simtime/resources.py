@@ -20,8 +20,12 @@ at large transfer sizes in Figure 6.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import List
+
+_END = itemgetter(1)  # an idle window is ``[start, end]``
 
 
 @dataclass
@@ -47,7 +51,9 @@ class TimedResource:
     #: requested beyond it; later requests may be served inside one
     _free: List[List[float]] = field(default_factory=list, repr=False)
 
-    #: bound on remembered idle windows (oldest dropped first)
+    #: once this many idle windows are remembered, each new one drops
+    #: the one furthest in the virtual past (splitting a window to serve
+    #: a request inside it may still take the list past this)
     MAX_FREE_WINDOWS = 64
 
     def service_time(self, nbytes: int) -> float:
@@ -55,31 +61,42 @@ class TimedResource:
         return self.latency_s + (nbytes / self.bandwidth_Bps if nbytes else 0.0)
 
     def _reserve(self, t_request: float, duration: float) -> float:
-        """Pick a start time for an exclusive operation (lock held).
+        """Pick a start time for ``duration`` of device time (lock held).
 
         Work executes eagerly here, so operations arrive in *call*
         order, not virtual-time order: a background job scheduled for
-        the far future must not make the device look busy in between.
-        When a request lands beyond the horizon the idle window behind
-        it is remembered, and a later call whose request time falls
-        inside such a window is served there — like a real device, which
+        the far future, or a rank thread that ran a scheduler slice
+        ahead, must not make the device look busy in between.  When a
+        request lands beyond the horizon the idle window behind it is
+        remembered, and a later call whose request time falls inside
+        such a window is served there — like a real device, which
         orders service by arrival time, not by who asked first.
+        ``_free`` stays sorted and disjoint (windows are only appended
+        at the horizon or split in place): index 0 is the oldest.
         """
-        for i, win in enumerate(self._free):
-            start = max(win[0], t_request)
-            if start + duration <= win[1]:
+        free = self._free
+        if t_request >= self.available:
+            if t_request > self.available:
+                free.append([self.available, t_request])
+                if len(free) > self.MAX_FREE_WINDOWS:
+                    del free[0]
+            self.available = t_request + duration
+            return t_request
+        # behind the horizon: windows ending before the operation could
+        # finish cannot hold it; take the first later one that can
+        for i in range(bisect_left(free, t_request + duration, key=_END),
+                       len(free)):
+            lo, hi = free[i]
+            start = max(lo, t_request)
+            if start + duration <= hi:
                 rest = []
-                if start > win[0]:
-                    rest.append([win[0], start])
-                if start + duration < win[1]:
-                    rest.append([start + duration, win[1]])
-                self._free[i:i + 1] = rest
+                if start > lo:
+                    rest.append([lo, start])
+                if start + duration < hi:
+                    rest.append([start + duration, hi])
+                free[i:i + 1] = rest
                 return start
-        start = max(t_request, self.available)
-        if start > self.available:
-            self._free.append([self.available, start])
-            if len(self._free) > self.MAX_FREE_WINDOWS:
-                self._free.pop(0)
+        start = self.available
         self.available = start + duration
         return start
 
@@ -88,32 +105,30 @@ class TimedResource:
         duration = self.service_time(nbytes)
         with self._lock:
             start = self._reserve(t_request, duration)
-            end = start + duration
             self.busy_time += duration
             self.ops += 1
             self.bytes_moved += nbytes
-            return end
+            return start + duration
 
     def access_concurrent(self, t_request: float, nbytes: int) -> float:
         """An operation that shares the resource without exclusive queueing.
 
         Used for read paths on parallel file systems where many readers
         proceed concurrently and only bandwidth matters statistically: the
-        operation takes its service time but only pushes the availability
-        horizon by the *bandwidth share* it consumed.
+        operation takes its full service time but occupies the device
+        only for the *bandwidth share* it consumed — reserved through
+        the same idle windows as :meth:`access`, so a reader is queued
+        behind the transfers that precede it in virtual time, not
+        behind whichever thread happened to call first.
         """
-        duration = self.service_time(nbytes)
+        share = nbytes / self.bandwidth_Bps if nbytes else 0.0
+        duration = self.latency_s + share
         with self._lock:
-            start = max(t_request, self.available)
-            end = start + duration
-            # push the horizon by the transfer component only
-            self.available = max(self.available, start) + (
-                nbytes / self.bandwidth_Bps if nbytes else 0.0
-            )
+            start = self._reserve(t_request, share)
             self.busy_time += duration
             self.ops += 1
             self.bytes_moved += nbytes
-            return end
+            return start + duration
 
     def reset(self) -> None:
         """Zero the horizon and counters (benchmark phase boundaries)."""

@@ -14,7 +14,6 @@ from repro.sstable.format import (
     INDEX_SUFFIX,
     IndexEntry,
     Record,
-    decode_index,
     decode_records,
     encode_index,
     encode_record,
@@ -30,7 +29,6 @@ __all__ = [
     "IndexEntry",
     "Record",
     "SSTableReader",
-    "decode_index",
     "decode_records",
     "encode_index",
     "encode_record",

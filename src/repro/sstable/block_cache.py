@@ -13,7 +13,7 @@ Design points:
   cached block payloads, like the MemTable-style accounting of
   :class:`repro.util.lru.LRUCache`.
 * **Verified-once fill.**  Blocks enter the cache only through the
-  reader's fill path, which checks the footer CRC32C *before* insert —
+  reader's fill path, which checks the footer CRC-32 *before* insert —
   a cache hit never needs re-verification, and a corrupt block can
   never be cached.
 * **Low-priority inserts.**  Compaction and whole-table scans stream

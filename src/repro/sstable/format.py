@@ -8,41 +8,43 @@ SSData record layout (little-endian)::
     key      keylen bytes
     value    vallen bytes
 
-SSIndex layout (``format 2``)::
+SSIndex layout (``format 3``)::
 
-    magic      u32  = 0x32564B50  ("PKV2")
+    magic      u32  = 0x33564B50  ("PKV3")
     count      u64
     entries    count * 17 bytes: offset u64, keylen u32, vallen u32, flags u8
     footer:
         data_len    u64    committed SSData file length
         block_size  u32    CRC block granularity over SSData
         nblocks     u32
-        block_crcs  nblocks * u32   CRC32C of each SSData block
-        bloom_crc   u32    CRC32C of the whole bloom *file*
+        block_crcs  nblocks * u32   CRC-32 of each SSData block
+        bloom_crc   u32    CRC-32 of the whole bloom *file*
         bloom_len   u32    committed bloom file length
         min_key     u32 length + bytes   smallest key (empty table: b"")
         max_key     u32 length + bytes   largest key
-    index_crc  u32   CRC32C over every preceding byte of this file
+    index_crc  u32   CRC-32 over every preceding byte of this file
 
-The bloom file is the serialized :class:`repro.util.bloom.BloomFilter`
-behind a self-checking header (``magic u32 = "PKVB"``, ``body_crc
+Every checksum is CRC-32/ISO-HDLC (:mod:`repro.util.checksum`).  The
+bloom file is the serialized :class:`repro.util.bloom.BloomFilter`
+behind a self-checking header (``magic u32 = "PKB3"``, ``body_crc
 u32``) so the bloom can be verified before the index is ever read (gets
 consult the bloom first).  Keys live only in SSData — a binary-search
 probe must touch SSData at the indexed offset, which is the access
 pattern whose cost the paper's "SSTable binary search" optimization
 targets.
 
-Format 1 (footer-less index, raw bloom) is no longer written or read:
-a file carrying its magic — or no recognised magic — is rejected.  All
-parse errors raise :class:`repro.errors.CorruptionError` (a
-``ValueError`` subclass).
+Formats 1 (footer-less index, raw bloom) and 2 (the same layout as 3
+under Castagnoli CRC32C) are no longer written or read: a file carrying
+either magic is rejected by version, one with no recognised magic as
+garbage.  All parse errors raise :class:`repro.errors.CorruptionError`
+(a ``ValueError`` subclass).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import CorruptionError
 from repro.util.bloom import BloomFilter
@@ -53,9 +55,14 @@ INDEX_SUFFIX = ".ssi"
 BLOOM_SUFFIX = ".bf"
 QUARANTINE_SUFFIX = ".quar"
 
-MAGIC_V1 = 0x50414B56  # "PAKV": recognised only to be rejected by name
+FORMAT_VERSION = 3
+MAGIC = 0x33564B50  # "PKV3"
+BLOOM_MAGIC = 0x33424B50  # "PKB3"
+#: retired magics, recognised only to be rejected by version
+MAGIC_V1 = 0x50414B56  # "PAKV"
 MAGIC_V2 = 0x32564B50  # "PKV2"
 BLOOM_MAGIC_V2 = 0x42564B50  # "PKVB"
+_INDEX_VERSIONS = {MAGIC_V1: 1, MAGIC_V2: 2, MAGIC: FORMAT_VERSION}
 DATA_BLOCK_SIZE = 64 * 1024
 
 _HDR = struct.Struct("<IQ")
@@ -159,7 +166,7 @@ def decode_records(buf: bytes) -> Iterator[Record]:
 
 def encode_index(entries: List[IndexEntry], footer: TableFooter) -> bytes:
     """Serialize an SSIndex file (entries + footer + trailing CRC)."""
-    out = bytearray(_HDR.pack(MAGIC_V2, len(entries)))
+    out = bytearray(_HDR.pack(MAGIC, len(entries)))
     for e in entries:
         out += _ENTRY.pack(
             e.offset, e.keylen, e.vallen, TOMBSTONE_FLAG if e.tombstone else 0
@@ -171,7 +178,7 @@ def encode_index(entries: List[IndexEntry], footer: TableFooter) -> bytes:
     out += _FOOTER_TAIL.pack(footer.bloom_crc, footer.bloom_len)
     out += _U32.pack(len(footer.min_key)) + footer.min_key
     out += _U32.pack(len(footer.max_key)) + footer.max_key
-    out += _U32.pack(crc32c(bytes(out)))
+    out += _U32.pack(crc32c(out))
     return bytes(out)
 
 
@@ -189,28 +196,36 @@ def _decode_entries(buf: bytes, count: int, pos: int) -> Tuple[List[IndexEntry],
     return entries, pos
 
 
+def index_format_version(buf: bytes) -> Optional[int]:
+    """The format version an SSIndex file's magic announces (``None``
+    for a missing or unrecognised magic: damage, not another version)."""
+    if len(buf) < _HDR.size:
+        return None
+    return _INDEX_VERSIONS.get(_HDR.unpack_from(buf, 0)[0])
+
+
 def parse_index(buf: bytes) -> Tuple[List[IndexEntry], TableFooter]:
     """Parse an SSIndex file; returns ``(entries, footer)``.
 
     The file is verified against its trailing CRC before any field is
     trusted.  Raises :class:`CorruptionError` on any mismatch, and on
-    the footer-less format-1 magic (unsupported version).
+    the magic of a retired format (unsupported version).
     """
     if len(buf) < _HDR.size:
         raise CorruptionError("SSIndex truncated")
     magic, count = _HDR.unpack_from(buf, 0)
-    if magic == MAGIC_V1:
-        raise CorruptionError(
-            "SSIndex is format version 1 (no checksummed footer), which "
-            "is no longer supported; only version 2 tables are readable"
-        )
-    if magic != MAGIC_V2:
+    version = _INDEX_VERSIONS.get(magic)
+    if version is None:
         raise CorruptionError(f"bad SSIndex magic {magic:#x}")
-    if len(buf) < _U32.size:
-        raise CorruptionError("SSIndex v2 truncated")
+    if version != FORMAT_VERSION:
+        raise CorruptionError(
+            f"SSIndex is format version {version}, which is no longer "
+            f"supported; only version {FORMAT_VERSION} tables are readable "
+            "(reload the data to migrate)"
+        )
     (stored_crc,) = _U32.unpack_from(buf, len(buf) - _U32.size)
-    if crc32c(buf[:-_U32.size]) != stored_crc:
-        raise CorruptionError("SSIndex v2 checksum mismatch")
+    if crc32c(memoryview(buf)[:-_U32.size]) != stored_crc:
+        raise CorruptionError("SSIndex checksum mismatch")
     entries, pos = _decode_entries(buf, count, _HDR.size)
     try:
         data_len, block_size, nblocks = _FOOTER_FIXED.unpack_from(buf, pos)
@@ -224,25 +239,21 @@ def parse_index(buf: bytes) -> Tuple[List[IndexEntry], TableFooter]:
             (klen,) = _U32.unpack_from(buf, pos)
             pos += _U32.size
             if pos + klen > len(buf) - _U32.size:
-                raise CorruptionError("SSIndex v2 key fence overruns footer")
+                raise CorruptionError("SSIndex key fence overruns footer")
             fences.append(bytes(buf[pos:pos + klen]))
             pos += klen
     except struct.error as exc:
-        raise CorruptionError("SSIndex v2 footer truncated") from exc
+        raise CorruptionError("SSIndex footer truncated") from exc
     footer = TableFooter(data_len, block_size, block_crcs, bloom_crc,
                          bloom_len, fences[0], fences[1])
     return entries, footer
 
 
-def decode_index(buf: bytes) -> List[IndexEntry]:
-    """Parse an SSIndex file's entries; raises CorruptionError."""
-    return parse_index(buf)[0]
-
-
 def data_block_crcs(data: bytes, block_size: int = DATA_BLOCK_SIZE) -> Tuple[int, ...]:
-    """CRC32C of each ``block_size`` chunk of an SSData buffer."""
+    """Checksum of each ``block_size`` chunk of an SSData buffer."""
+    view = memoryview(data)
     return tuple(
-        crc32c(data[off:off + block_size])
+        crc32c(view[off:off + block_size])
         for off in range(0, len(data), block_size)
     ) or (crc32c(b""),)
 
@@ -265,22 +276,27 @@ def make_footer(data: bytes, bloom_blob: bytes,
 def encode_bloom_file(bloom: BloomFilter) -> bytes:
     """Serialize a bloom filter as a self-checking file blob."""
     body = bloom.to_bytes()
-    return _BLOOM_HDR.pack(BLOOM_MAGIC_V2, crc32c(body)) + body
+    return _BLOOM_HDR.pack(BLOOM_MAGIC, crc32c(body)) + body
 
 
 def decode_bloom_file(blob: bytes) -> BloomFilter:
     """Parse a bloom file; raises CorruptionError.
 
-    A blob without the self-checking header (the raw format-1 layout,
-    or garbage) is rejected as an unsupported version.
+    A blob carrying the format-2 header, or no self-checking header at
+    all (the raw format-1 layout, or garbage), is rejected as an
+    unsupported version.
     """
     if len(blob) < _BLOOM_HDR.size:
         raise CorruptionError("bloom file truncated")
     magic, body_crc = _BLOOM_HDR.unpack_from(blob, 0)
-    if magic != BLOOM_MAGIC_V2:
+    if magic == BLOOM_MAGIC_V2:
         raise CorruptionError(
-            f"bloom file has no version-2 header (magic {magic:#x}); "
-            "format version 1 is no longer supported"
+            "bloom file is format version 2, which is no longer supported"
+        )
+    if magic != BLOOM_MAGIC:
+        raise CorruptionError(
+            f"bloom file has no version-{FORMAT_VERSION} header (magic "
+            f"{magic:#x}); format version 1 is no longer supported"
         )
     body = blob[_BLOOM_HDR.size:]
     if crc32c(body) != body_crc:
@@ -302,15 +318,15 @@ def encode_meta_bundle(ssid: int, index_blob: bytes, bloom_blob: bytes) -> bytes
 
     The bundle is the unit an owner ships to non-owners so they can run
     the read-path gate order (fences → bloom → index) without touching
-    the owner's sidecar files: the raw v2 SSIndex file bytes (entries,
+    the owner's sidecar files: the raw SSIndex file bytes (entries,
     footer fences, block CRCs) and the raw bloom file bytes, framed with
-    the table's ssid and a trailing CRC32C over the whole frame.
+    the table's ssid and a trailing CRC-32 over the whole frame.
     """
     out = bytearray(_BUNDLE_HDR.pack(BUNDLE_MAGIC, BUNDLE_VERSION, ssid,
                                      len(index_blob), len(bloom_blob)))
     out += index_blob
     out += bloom_blob
-    out += _U32.pack(crc32c(bytes(out)))
+    out += _U32.pack(crc32c(out))
     return bytes(out)
 
 
@@ -325,7 +341,7 @@ def decode_meta_bundle(blob: bytes) -> Tuple[int, bytes, bytes]:
     if len(blob) < _BUNDLE_HDR.size + _U32.size:
         raise CorruptionError("metadata bundle truncated")
     (stored_crc,) = _U32.unpack_from(blob, len(blob) - _U32.size)
-    if crc32c(blob[:-_U32.size]) != stored_crc:
+    if crc32c(memoryview(blob)[:-_U32.size]) != stored_crc:
         raise CorruptionError("metadata bundle checksum mismatch")
     magic, version, ssid, index_len, bloom_len = _BUNDLE_HDR.unpack_from(blob, 0)
     if magic != BUNDLE_MAGIC:

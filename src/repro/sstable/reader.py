@@ -413,16 +413,17 @@ class SSTableReader:
                     f"{len(blob)} bytes, footer committed {footer.data_len}"
                 )
             bs = footer.block_size
+            view = memoryview(blob)
             for blk, want in enumerate(footer.block_crcs):
-                span = blob[blk * bs:(blk + 1) * bs]
-                if crc32c(span) != want:
+                lo, hi = blk * bs, (blk + 1) * bs
+                if crc32c(view[lo:hi]) != want:
                     raise self._corrupt(f"SSData block {blk} checksum mismatch")
                 self._verified_blocks.add(blk)
                 if self._cache is not None:
                     # streaming reads fill free budget only (cold end):
                     # a compaction or scan must not evict the hot set
-                    self._cache.put(self.directory, self.ssid, blk, span,
-                                    low_priority=True)
+                    self._cache.put(self.directory, self.ssid, blk,
+                                    blob[lo:hi], low_priority=True)
             self._size_checked = True
         try:
             return list(decode_records(blob)), t

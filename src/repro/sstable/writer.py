@@ -1,7 +1,7 @@
 """SSTable writer: flush sorted records to the three files.
 
-Tables are written in format v2, the only format: the SSIndex carries a
-footer with CRC32C checksums over the SSData blocks and the bloom file,
+Tables are written in format 3, the only format: the SSIndex carries a
+footer with CRC-32 checksums over the SSData blocks and the bloom file,
 and the bloom file carries its own self-checking header (see
 :mod:`repro.sstable.format`).  All three files go through the store's
 tmp-file + fsync + atomic-rename path, in the order SSData -> SSIndex

@@ -21,12 +21,14 @@ from typing import Dict, Iterator, List, Optional
 from repro.sstable.format import (
     BLOOM_SUFFIX,
     DATA_SUFFIX,
+    FORMAT_VERSION,
     INDEX_SUFFIX,
     QUARANTINE_SUFFIX,
     Record,
     data_block_crcs,
     decode_bloom_file,
     decode_records,
+    index_format_version,
     parse_index,
 )
 from repro.util.checksum import crc32c
@@ -152,8 +154,9 @@ def verify_sstable(rank_dir: str, ssid: int) -> List[str]:
 
     Structural checks (sorted keys, index/record agreement, bloom
     membership) plus the footer's checksums (data length, per-block
-    CRC32C, bloom checksum).  A format-1 (footer-less) table is reported
-    as unreadable: that version is no longer supported.
+    CRC-32, bloom checksum).  A table whose SSIndex carries the magic of
+    a retired format is reported as that unsupported version, not as
+    damage.
     """
     problems: List[str] = []
     base = os.path.join(rank_dir, f"{ssid:010d}")
@@ -175,7 +178,14 @@ def verify_sstable(rank_dir: str, ssid: int) -> List[str]:
     footer = None
     try:
         with open(base + INDEX_SUFFIX, "rb") as f:
-            entries, footer = parse_index(f.read())
+            index_blob = f.read()
+        version = index_format_version(index_blob)
+        if version not in (None, FORMAT_VERSION):
+            return problems + [
+                f"unsupported format version {version} (this build reads "
+                f"version {FORMAT_VERSION}; reload the data to migrate)"
+            ]
+        entries, footer = parse_index(index_blob)
         if len(entries) != len(records):
             problems.append(
                 f"SSIndex count {len(entries)} != record count {len(records)}"

@@ -1,51 +1,30 @@
-"""CRC32C (Castagnoli) checksums for the v2 on-disk format.
+"""The one checksum of the on-disk format (SSTable format 3).
 
-The container has no ``crc32c`` wheel, so this is a table-driven pure
-Python implementation of the reflected Castagnoli polynomial
-(0x1EDC6F41, reflected 0x82F63B78) — the same CRC used by iSCSI, ext4
-metadata, and most LSM stores.  Speed is adequate here because the
-simulator's tables are small and benchmark acceptance is measured in
-*virtual* time; if a native ``crc32c`` module is importable we use it.
+Format 3 protects every SSData block, sidecar file, metadata bundle and
+checkpoint file with CRC-32/ISO-HDLC — the zlib/PNG/Ethernet CRC,
+reflected polynomial 0xEDB88320, check value ``0xCBF43926`` for
+``b"123456789"`` — computed by the stdlib's C routine ``zlib.crc32``.
+It gives the same 32-bit guarantees as the Castagnoli CRC of format 2
+(every burst error up to 32 bits, every odd number of bit flips) at
+memory speed rather than interpreter speed, with nothing to install.
+
+:func:`crc32c` is the module's single entry point and keeps its
+format-2 name for now: the benchmark tracer observes this layer by
+wrapping the Python-level function of that name, so renaming it (or
+binding the C builtin directly) would blind ``util.checksum.*``.
 """
 
 from __future__ import annotations
 
-_POLY = 0x82F63B78
+import zlib
 
 
-def _make_table() -> list:
-    table = []
-    for i in range(256):
-        crc = i
-        for _ in range(8):
-            crc = (crc >> 1) ^ _POLY if crc & 1 else crc >> 1
-        table.append(crc)
-    return table
+def crc32c(data: bytes | bytearray | memoryview, crc: int = 0) -> int:
+    """CRC-32/ISO-HDLC of ``data``, optionally continuing from ``crc``.
 
-
-_TABLE = _make_table()
-
-
-def _crc32c_py(data: bytes, crc: int = 0) -> int:
-    """CRC32C of ``data``, optionally continuing from ``crc``."""
-    crc ^= 0xFFFFFFFF
-    table = _TABLE
-    for b in data:
-        crc = table[(crc ^ b) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFF
-
-
-try:  # pragma: no cover - exercised only where the wheel exists
-    from crc32c import crc32c as _crc32c_native  # type: ignore
-
-    def crc32c(data: bytes, crc: int = 0) -> int:
-        """CRC32C of ``data``, optionally continuing from ``crc``."""
-        return _crc32c_native(data, crc)
-
-except ImportError:
-    crc32c = _crc32c_py
-
-
-# Known-answer self check ("123456789" -> 0xE3069283); a wrong table
-# here would silently quarantine every table ever written.
-assert _crc32c_py(b"123456789") == 0xE3069283
+    ``data`` is any contiguous buffer (``bytes``, ``bytearray``,
+    ``memoryview``) — pass a ``memoryview`` slice to checksum part of a
+    buffer without copying it.  Despite the name this is *not* the
+    Castagnoli polynomial; see the module docstring.
+    """
+    return zlib.crc32(data, crc)

@@ -29,6 +29,17 @@ def run4(fn, *, nranks: int = 4, system=SUMMITDEV, timeout: float = 120.0):
     return spmd_run(nranks, fn, system=system, timeout=timeout)
 
 
+def assert_free_windows_sorted_disjoint(dev):
+    """A ``TimedResource``'s idle windows are sorted and disjoint below
+    the horizon: ``_reserve`` bisects ``_free`` and evicts index 0 as
+    the oldest window, and both are right only while this holds."""
+    prev_end = 0.0
+    for lo, hi in dev._free:
+        assert prev_end <= lo < hi
+        prev_end = hi
+    assert prev_end <= dev.available
+
+
 @pytest.fixture(params=["summitdev", "stampede", "cori"])
 def any_system(request):
     return {"summitdev": SUMMITDEV, "stampede": STAMPEDE, "cori": CORI}[

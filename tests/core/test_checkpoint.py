@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import Papyrus
-from repro.core.checkpoint import read_manifest
-from repro.errors import StorageError
+from repro.core.checkpoint import CHECKPOINT_FORMAT, read_manifest
+from repro.errors import CorruptionError, StorageError
 from repro.mpi.launcher import spmd_run
 from repro.nvm.storage import Machine
 from repro.simtime.profiles import SUMMITDEV
@@ -47,7 +47,7 @@ class TestCheckpoint:
                     m = read_manifest(ctx.machine, "snap1", "db")
                     assert m["nranks"] == ctx.nranks
                     assert m["generation"] == 1
-                    assert m["format"] == 2
+                    assert m["format"] == CHECKPOINT_FORMAT == 3
                 db.close()
 
         spmd_run(3, app)
@@ -381,6 +381,38 @@ class TestGenerations:
                 for rr in range(ctx.nranks):
                     assert db2.get(f"g-{rr}".encode()) == b"old"
                 db2.close()
+
+        spmd_run(2, app, machine=machine, timeout=240)
+        machine.close()
+
+    def test_other_layout_version_is_refused_by_number(self, tmp_path):
+        """A generation stamped ``format: 2`` holds checksums this build
+        cannot verify: restart names the version instead of skipping
+        every file as a mismatch."""
+        import json
+
+        machine = Machine(SUMMITDEV, 2, base_dir=str(tmp_path))
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("db", small_options())
+                _populate(db, ctx.world_rank, n=10)
+                db.checkpoint("old").wait(ctx.clock)
+                db.coll_comm.barrier()
+                db.close()
+                if ctx.world_rank == 0:
+                    path = ctx.machine.lustre_store().path(
+                        "ckpt/old/db_db/gen1/manifest.json"
+                    )
+                    with open(path) as f:
+                        manifest = json.load(f)
+                    manifest["format"] = 2
+                    with open(path, "w") as f:
+                        json.dump(manifest, f)
+                ctx.comm.barrier()
+                with pytest.raises(CorruptionError,
+                                   match="layout version 2 is not supported"):
+                    env.restart("old", "db", small_options())
 
         spmd_run(2, app, machine=machine, timeout=240)
         machine.close()

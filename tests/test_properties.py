@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.scan import merge_scan
 from repro.mpi.launcher import spmd_run
 from repro.simtime.resources import BackgroundWorker, StripedResource, TimedResource
+from tests.conftest import assert_free_windows_sorted_disjoint
 
 
 # --------------------------------------------------------------- resources
@@ -16,28 +17,39 @@ from repro.simtime.resources import BackgroundWorker, StripedResource, TimedReso
 @given(st.lists(st.tuples(
     st.floats(min_value=0, max_value=100, allow_nan=False),
     st.integers(min_value=0, max_value=10_000_000),
+    st.booleans(),
 )))
 def test_device_horizon_monotone(ops):
     """A device's horizon never regresses, every operation is served no
-    earlier than its request, and no two exclusive operations overlap.
+    earlier than its request, and no two reservations overlap — over
+    mixed ``access`` (exclusive for the whole service time) and
+    ``access_concurrent`` (exclusive for its bandwidth share) streams.
 
     A later *call* may complete earlier than a previous one: the device
     serves requests in virtual-arrival order, so a call whose request
     time falls inside a remembered idle window is served there instead
-    of queueing at the horizon.  Exclusivity (disjoint service spans)
+    of queueing at the horizon.  Exclusivity (disjoint reserved spans)
     is the invariant, not call-order completion.
     """
     dev = TimedResource("d", 1e-4, 1e9)
+    dev.MAX_FREE_WINDOWS = 4  # small enough for the lists to overflow it
     prev_avail = 0.0
     spans = []
-    for t_req, nbytes in ops:
+    for t_req, nbytes, concurrent in ops:
         duration = dev.service_time(nbytes)
-        end = dev.access(t_req, nbytes)
-        assert end >= t_req + duration - 1e-12
-        assert end <= dev.available + 1e-12
+        if concurrent:
+            end = dev.access_concurrent(t_req, nbytes)
+            reserved = duration - dev.latency_s
+        else:
+            end = dev.access(t_req, nbytes)
+            reserved = duration
+        start = end - duration
+        assert start >= t_req - 1e-12
+        assert start + reserved <= dev.available + 1e-12
         assert dev.available >= prev_avail
         prev_avail = dev.available
-        spans.append((end - duration, end))
+        spans.append((start, start + reserved))
+        assert_free_windows_sorted_disjoint(dev)
     spans.sort()
     for (_, e1), (s2, _) in zip(spans, spans[1:]):
         assert s2 >= e1 - 1e-9
