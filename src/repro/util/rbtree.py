@@ -323,9 +323,32 @@ class RedBlackTree:
         return node.key
 
     def clear(self) -> None:
-        """Drop every entry."""
-        self._root = self._nil
+        """Drop every entry.
+
+        Parent links put every node on a reference cycle, so nodes that
+        are merely dropped wait for a full cyclic collection, whose
+        pause (milliseconds per retired MemTable generation) lands on
+        whichever thread allocates next.  Cutting the links frees them
+        by reference counting, here and now.
+        """
+        nil = self._nil
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if node is not nil:
+                node.parent = None
+                stack.append(node.left)
+                stack.append(node.right)
+        nil.parent = nil  # a delete fix-up may have left it on a node
+        self._root = nil
         self._size = 0
+
+    def __del__(self) -> None:
+        # a dropped tree (every retired MemTable) frees its nodes like
+        # a cleared one; the sentinel's self-links are the last cycle
+        self.clear()
+        nil = self._nil
+        nil.left = nil.right = nil.parent = None
 
     # ------------------------------------------------------------- invariants
     def check_invariants(self) -> int:

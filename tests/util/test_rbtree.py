@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +70,33 @@ class TestBasics:
         t.clear()
         assert len(t) == 0
         assert list(t.items()) == []
+        # a cleared tree is an empty tree, not a dead one
+        for i in range(10):
+            t.insert(i, i)
+        t.delete(3)
+        t.check_invariants()
+        assert list(t.keys()) == [0, 1, 2, 4, 5, 6, 7, 8, 9]
+
+    @pytest.mark.parametrize("how", ["drop", "clear"])
+    def test_retired_nodes_need_no_cyclic_collection(self, how):
+        """Parent links make nodes cyclic; a retired MemTable's tree
+        must still be freed by reference counting, not left for a
+        full collection to find in somebody's timed phase."""
+        gc.collect()
+        gc.disable()
+        try:
+            t = RedBlackTree()
+            for i in range(500):
+                t.insert(i, i)
+            for i in range(0, 500, 3):
+                t.delete(i)  # fix-ups may park nil.parent on a node
+            if how == "drop":
+                del t
+            else:
+                t.clear()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_sorted_iteration(self):
         t = RedBlackTree()
