@@ -924,7 +924,7 @@ class Database:
             self.stats.flush_stall_s += clock.now - stall_t0
         ssid = self._next_ssid
         self._next_ssid += 1
-        records = imm.records()
+        records = imm.to_records()
 
         end = self._schedule_pipelined_flush(ssid, records, imm, clock)
         annotate_write(self, "db.ssids")
@@ -1658,8 +1658,8 @@ class Database:
     def _all_local_records(self) -> List[msg.Pair]:
         """Every pair this rank holds, newest version per key wins.
 
-        Unlike :func:`repro.core.scan.local_scan` this **keeps
-        tombstones**: a re-replication push must propagate deletes, or a
+        Unlike :meth:`scan_local` this **keeps tombstones**: a
+        re-replication push must propagate deletes, or a
         dead rank's deleted keys would resurrect on the new replica.
         """
         out: Dict[bytes, Tuple[bytes, bool]] = {}

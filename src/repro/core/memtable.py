@@ -41,7 +41,7 @@ class MemTable:
     """
 
     __slots__ = ("capacity", "_tree", "_bytes", "_frozen", "kind",
-                 "_race_tag", "_frozen_records")
+                 "_race_tag")
 
     def __init__(self, capacity: int, kind: str = "local") -> None:
         if capacity <= 0:
@@ -51,7 +51,6 @@ class MemTable:
         self._tree = RedBlackTree()
         self._bytes = 0
         self._frozen = False
-        self._frozen_records: Optional[List[Record]] = None
 
     # ------------------------------------------------------------ properties
     def __len__(self) -> int:
@@ -111,28 +110,16 @@ class MemTable:
         return key in self._tree
 
     # -------------------------------------------------------------- iteration
-    def items(self) -> Iterator[tuple]:
-        """(key, Entry) pairs in ascending key order."""
-        return self._tree.items()
+    def items(self, start: Optional[bytes] = None) -> Iterator[tuple]:
+        """(key, Entry) pairs in ascending key order, from the first
+        key ``>= start`` when one is given."""
+        return self._tree.items(start)
 
     def to_records(self) -> List[Record]:
         """Sorted records for an SSTable flush (tombstones included)."""
         return [
             Record(k, e.value, e.tombstone) for k, e in self._tree.items()
         ]
-
-    def records(self) -> List[Record]:
-        """Sorted records of a *frozen* table, computed once.
-
-        The flush pipeline's freeze stage snapshots an immutable
-        MemTable here; build/sync stages and read paths can then share
-        the list without re-walking the tree.
-        """
-        if not self._frozen:
-            raise RuntimeError("records() requires a frozen MemTable")
-        if self._frozen_records is None:
-            self._frozen_records = self.to_records()
-        return self._frozen_records
 
     def by_owner(self) -> dict:
         """Group entries per owner rank (migration batching, §2.4)."""

@@ -11,14 +11,15 @@ The merge is **streamed**: :class:`ScanIterator` holds one lazy cursor
 per tier and :func:`merge_scan` is a generator over them, so a one-key
 window costs a handful of block reads, not a shard materialization.
 SSTable selection is gated the same way as the get path — quarantine →
-footer key fences → SSIndex block-range bracketing — and the data
-blocks stream through the shared block cache at low priority.
+footer key fences → SSIndex bracketing — and the block is the unit of
+the read: a cursor fetches each 64KB block once, through the shared
+block cache at low priority, and slices every record out of it.
 
 Snapshot consistency: the iterator pins its SSID horizon at open
 (:meth:`Database._pin_scan_tables`), so a flush or compaction that
 retires a pinned table defers the file unlink until the scan closes.
-The live MemTable is snapshotted in-range under the state lock; frozen
-(flushing) MemTables are immutable and iterated lazily in place.
+The live MemTable is copied in-range under the state lock, seeking to
+the window's start; frozen (flushing) ones are walked lazily in place.
 
 Tombstones shadow older tiers and are skipped in the output.
 """
@@ -26,11 +27,9 @@ Tombstones shadow older tiers and are skipped in the output.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import CorruptionError
-from repro.sstable.format import Record
 
 #: one tier item: (key, value, tombstone)
 Triple = Tuple[bytes, bytes, bool]
@@ -44,9 +43,11 @@ def merge_scan(
     """Merge sorted (key, value, tombstone) runs; ``tiers[0]`` is newest.
 
     Yields live (key, value) pairs with ``start <= key < end``.  Each
-    tier may be a list or any lazy sorted iterable — the merge pulls
-    one item per tier ahead of the emit point, so a window scan over
-    lazy cursors reads O(window) records, not O(shard).
+    tier may be a list or any lazy sorted iterable — the merge holds
+    one item per tier and pulls a tier's next only after its current
+    one is emitted, so a window scan over lazy cursors reads O(window)
+    records, not O(shard), and a tier that fails mid-stream has had
+    everything before the failure delivered.
     """
     iters = [iter(run) for run in tiers]
     heap: List[Tuple[bytes, int, Triple]] = []
@@ -58,29 +59,18 @@ def merge_scan(
     last_key: Optional[bytes] = None
     while heap:
         key, ti, item = heap[0]
+        if key != last_key:  # else: an older tier's version of the key
+            last_key = key
+            if end is not None and key >= end:
+                # sorted merge: nothing further can be in range
+                return
+            if not item[2] and (start is None or key >= start):
+                yield key, item[1]
         nxt = next(iters[ti], None)
         if nxt is None:
             heapq.heappop(heap)
         else:
             heapq.heapreplace(heap, (nxt[0], ti, nxt))
-        if key == last_key:
-            continue  # an older tier's version of an emitted/shadowed key
-        last_key = key
-        if start is not None and key < start:
-            continue
-        if end is not None and key >= end:
-            # sorted merge: nothing further can be in range
-            return
-        if not item[2]:
-            yield key, item[1]
-
-
-def _in_range(key: bytes, start: Optional[bytes], end: Optional[bytes]) -> bool:
-    if start is not None and key < start:
-        return False
-    if end is not None and key >= end:
-        return False
-    return True
 
 
 def _window_overlaps(mn: Optional[bytes], mx: Optional[bytes],
@@ -99,20 +89,13 @@ def _window_overlaps(mn: Optional[bytes], mx: Optional[bytes],
     return True
 
 
-def _frozen_cursor(imm, start: Optional[bytes],
-                   end: Optional[bytes]) -> Iterator[Triple]:
-    """Lazy in-range walk of a frozen MemTable's cached record list."""
-    records = imm.records()
-    i = 0
-    if start is not None:
-        i = bisect_left(records, start, key=lambda r: r.key)
-    n = len(records)
-    while i < n:
-        r = records[i]
-        if end is not None and r.key >= end:
+def _memtable_cursor(mt, start: Optional[bytes],
+                     end: Optional[bytes]) -> Iterator[Triple]:
+    """Lazy in-range walk of a MemTable, seeking to ``start``."""
+    for key, entry in mt.items(start):
+        if end is not None and key >= end:
             return
-        yield r.key, r.value, r.tombstone
-        i += 1
+        yield key, entry.value, entry.tombstone
 
 
 def _sstable_cursor(db, reader, start: Optional[bytes],
@@ -120,44 +103,24 @@ def _sstable_cursor(db, reader, start: Optional[bytes],
                     keys_only: bool) -> Iterator[Triple]:
     """Lazy in-range records of one SSTable.
 
-    The SSIndex brackets the overlapping entry range — a binary search
-    on key probes finds the first in-range entry — and only the 64KB
-    SSData blocks those entries touch are read, through the database's
-    block cache at low priority.  ``keys_only`` skips the value bytes
-    entirely (:func:`count_live`).  Device time lands on the consuming
-    rank's clock as records are pulled.
+    ``reader.find_ge`` brackets the first in-range entry and
+    ``reader.scan_from`` streams from there one 64KB SSData block at a
+    time through the block cache at low priority; left here are the
+    window's end, the per-block counter, and the rank's clock, which
+    moves only when a block was fetched.  ``keys_only`` skips the
+    value bytes entirely (:func:`count_live`).
     """
-    t = db.clock.now
-    index, t = reader.load_index(t)
-    lo, t = reader.find_ge(start, t)
-    bs = reader.data_block_size()
-    seen_blocks: set = set()
-
-    def charge_blocks(offset: int, length: int) -> None:
-        if length <= 0:
-            return
-        for blk in range(offset // bs, (offset + length - 1) // bs + 1):
-            if blk not in seen_blocks:
-                seen_blocks.add(blk)
-                db.stats.scan_blocks_read += 1
-
-    i, n = lo, len(index)
-    while i < n:
-        entry = index[i]
-        key, t = reader.read_span(entry.key_offset, entry.keylen, t)
+    clock = db.clock
+    lo, t = reader.find_ge(start, clock.now)
+    clock.advance_to(t)
+    for key, value, tombstone, fetched, t in reader.scan_from(
+            lo, lambda: clock.now, keys_only):
+        if fetched:
+            db.stats.scan_blocks_read += fetched
+            clock.advance_to(t)
         if end is not None and key >= end:
-            break
-        if keys_only:
-            value = b""
-            charge_blocks(entry.key_offset, entry.keylen)
-        else:
-            value, t = reader.read_span(entry.value_offset, entry.vallen, t)
-            charge_blocks(entry.offset, entry.record_len)
-        db.clock.advance_to(t)
-        yield key, value, entry.tombstone
-        t = db.clock.now
-        i += 1
-    db.clock.advance_to(t)
+            return
+        yield key, value, tombstone
 
 
 class ScanIterator:
@@ -197,10 +160,7 @@ class ScanIterator:
                         f"scan window overlaps quarantined sstable "
                         f"{q.ssid}: {q.reason}"
                     )
-            live: List[Triple] = [
-                (k, e.value, e.tombstone) for k, e in db.local_mt.items()
-                if _in_range(k, start, end)
-            ]
+            live = list(_memtable_cursor(db.local_mt, start, end))
             frozen = [imm for imm, _end_t in reversed(db.flushing)]
             ssids = sorted(db.ssids, reverse=True)  # newest first
             db._pin_scan_tables(ssids)
@@ -224,7 +184,7 @@ class ScanIterator:
 
         tiers: List[Iterable[Triple]] = [live]
         for imm in frozen:
-            tiers.append(_frozen_cursor(imm, start, end))
+            tiers.append(_memtable_cursor(imm, start, end))
         for reader in selected:
             tiers.append(_sstable_cursor(db, reader, start, end, keys_only))
         merged = merge_scan(tiers, start, end)
@@ -270,25 +230,6 @@ class ScanIterator:
             pass
 
 
-def local_scan(db, start: Optional[bytes] = None,
-               end: Optional[bytes] = None,
-               include_replicas: bool = False) -> List[Tuple[bytes, bytes]]:
-    """Sorted live pairs of this rank's shard within [start, end).
-
-    Materializing wrapper over :class:`ScanIterator` (the lazy form is
-    :meth:`repro.core.db.Database.scan`).
-
-    Under replication a rank also stores copies of other ranks' shards;
-    by default those are filtered out — only keys this rank is the
-    *acting primary* for are returned, so a collective scan sees each
-    key exactly once.  ``include_replicas=True`` returns everything this
-    rank physically holds (diagnostics, replication tests).
-    """
-    with ScanIterator(db, start, end,
-                      include_replicas=include_replicas) as it:
-        return list(it)
-
-
 def count_live(db) -> int:
     """Number of live keys in this rank's shard.
 
@@ -297,8 +238,3 @@ def count_live(db) -> int:
     """
     with ScanIterator(db, keys_only=True) as it:
         return sum(1 for _ in it)
-
-
-def as_records(pairs: List[Tuple[bytes, bytes]]) -> List[Record]:
-    """Convert scan output into SSTable records (re-export helpers)."""
-    return [Record(k, v) for k, v in pairs]

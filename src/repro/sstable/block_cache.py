@@ -22,7 +22,7 @@ Design points:
   arXiv:1807.04151).  A low-priority insert lands at the *cold* end of
   the LRU order: it fills free budget but is the first thing evicted —
   when the cache is full it effectively evicts itself instead of a hot
-  block.
+  block, so a streaming reader holds the block it is working through.
 * **Precise invalidation.**  Entries are keyed ``(directory, ssid,
   block)`` with a per-table index, so flush/compaction/quarantine and
   checkpoint-restore repair can drop exactly the affected table (or a

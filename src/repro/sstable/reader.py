@@ -6,7 +6,9 @@ memory and searches SSData with the given key" (paper §2.6).  With
 binary search enabled each probe is a small random read of just the key
 bytes at an indexed offset — cheap on NVM, which is the point of the
 optimization.  With it disabled the reader scans SSData from the front
-(the ``Default`` configuration in Figure 8).
+(the ``Default`` configuration in Figure 8).  A range scan's unit is the
+64KB block instead: :meth:`SSTableReader.scan_from` fetches each block
+once, holds it, and slices every record out of it.
 
 Verification is lazy: the bloom and index files check their own CRCs
 when first loaded, and SSData blocks are checked the first time a probe
@@ -19,21 +21,19 @@ reader never returns bytes that failed their checksum.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import CorruptionError, StorageError, TornWriteError
 from repro.nvm.posixfs import PosixStore
 from repro.sstable.block_cache import BlockCache
 from repro.sstable.format import (
-    BLOOM_SUFFIX,
     DATA_SUFFIX,
-    INDEX_SUFFIX,
     RECORD_HEADER_LEN,
     IndexEntry,
     Record,
     TableFooter,
     decode_bloom_file,
-    decode_record_at,
     decode_records,
     parse_index,
     sstable_filenames,
@@ -43,7 +43,7 @@ from repro.util.checksum import crc32c
 
 _SSID_RE = re.compile(r"^(\d{10})" + re.escape(DATA_SUFFIX) + "$")
 
-#: speculative key bytes fetched with each record header during scans
+#: speculative key bytes fetched with each record header (sequential get)
 _SPEC_KEY = 64
 
 
@@ -197,24 +197,21 @@ class SSTableReader:
         return entry.offset + entry.record_len <= footer.data_len
 
     # ------------------------------------------------------------ cached I/O
-    def _read_at(self, offset: int, length: int, t: float,
-                 low_priority: bool = False) -> Tuple[bytes, float]:
+    def _read_at(self, offset: int, length: int,
+                 t: float) -> Tuple[bytes, float]:
         """Read ``[offset, offset+length)`` through the block cache.
 
         Cached blocks cost no device time (they were verified at fill);
         the missing blocks of the span are fetched as one vectored read
         and CRC-checked before insertion, so the cache only ever holds
         verified bytes.  Needs a cache attached and the index loaded.
-        ``low_priority=True`` (scan cursors) makes this one call behave
-        like a ``cache_priority="low"`` reader: hits do not promote and
-        fills land at the cold end, whatever the reader's own priority.
         """
         footer, cache = self._footer, self._cache
         assert footer is not None and cache is not None
         self._check_data_size(footer)
         if length <= 0:
             return b"", t
-        promote = self._cache_promote and not low_priority
+        promote = self._cache_promote
         bs = footer.block_size
         first, last = offset // bs, (offset + length - 1) // bs
         blocks: Dict[int, bytes] = {}
@@ -244,49 +241,109 @@ class SSTableReader:
         return buf[start:start + length], t
 
     # ------------------------------------------------------------ scan support
-    def data_block_size(self) -> int:
-        """The SSData CRC/cache block size (index must be loaded)."""
-        assert self._footer is not None
-        return self._footer.block_size
+    def _block(self, blk: int, t: float) -> Tuple[bytes, float]:
+        """One whole verified SSData block, at streaming cache priority.
 
-    def read_span(self, offset: int, length: int, t: float,
-                  low_priority: bool = True) -> Tuple[bytes, float]:
-        """Read ``[offset, offset+length)`` of SSData (scan cursors).
-
-        Routes through the shared block cache when one is attached — by
-        default at *low* priority, so a scan's streaming reads fill free
-        budget without evicting the point-get working set — and falls
-        back to a direct verified device read otherwise.  Call
-        :meth:`load_index` first: the footer drives span verification.
+        A cached block costs nothing and keeps its recency; a miss is
+        one device read, the CRC check and a cold-end fill — which a
+        full cache drops again at once, so the *caller* holds the bytes.
         """
-        if self._cache is not None:
-            return self._read_at(offset, length, t, low_priority=low_priority)
-        t = self._verify_span(offset, offset + length, t)
-        return self.store.read(self._data_path, t, offset, length)
+        footer, cache = self._footer, self._cache
+        assert footer is not None
+        self._check_data_size(footer)
+        if blk >= len(footer.block_crcs):
+            raise self._corrupt(f"index entry points past block {blk}")
+        if cache is not None:
+            data = cache.get(self.directory, self.ssid, blk, promote=False)
+            if data is not None:
+                return data, t
+        bs = footer.block_size
+        data, t = self.store.read(self._data_path, t, blk * bs, bs)
+        if crc32c(data) != footer.block_crcs[blk]:
+            raise self._corrupt(f"SSData block {blk} checksum mismatch")
+        self._verified_blocks.add(blk)
+        if cache is not None:
+            cache.put(self.directory, self.ssid, blk, data, low_priority=True)
+        return data, t
+
+    def _span(self, offset: int, length: int, blk: int, data: bytes,
+              t: float) -> Tuple[bytes, int, bytes, int, float]:
+        """``[offset, offset+length)`` of SSData, given the held block
+        ``data`` = block ``blk`` (``-1``: none).  A block is fetched only
+        where the span leaves the held one, and a span running past a
+        block's end is joined from those that follow.  Returns ``(bytes,
+        blk, data, fetched, t)``; the last block touched is now held.
+        """
+        assert self._footer is not None
+        bs = self._footer.block_size
+        fetched, pieces, end = 0, [], offset + length
+        while offset < end:
+            if offset // bs != blk:
+                blk = offset // bs
+                data, t = self._block(blk, t)
+                fetched += 1
+            pieces.append(data[offset - blk * bs:end - blk * bs])
+            offset = (blk + 1) * bs
+        return b"".join(pieces), blk, data, fetched, t
 
     def find_ge(self, key: Optional[bytes], t: float) -> Tuple[int, float]:
         """Index position of the first entry with ``entry.key >= key``.
 
         Binary search probing only the key bytes of O(log n) entries —
-        the scan cursor's bracketing step.  ``key=None`` (open start)
-        returns 0 for free; a result of ``len(index)`` means no entry
-        qualifies.
+        the scan cursor's bracketing step; the last probed block stays
+        held, so the tail of the search costs slices, not lookups.
+        ``key=None`` (open start) returns 0 for free; a result of
+        ``len(index)`` means no entry qualifies.
         """
         index, t = self.load_index(t)
         if key is None:
             return 0, t
+        blk, data = -1, b""
         lo, hi = 0, len(index)
         while lo < hi:
             mid = (lo + hi) // 2
             entry = index[mid]
             if not self._entry_bounds_ok(entry):
                 raise self._corrupt(f"index entry {mid} overruns SSData")
-            probe, t = self.read_span(entry.key_offset, entry.keylen, t)
+            probe, blk, data, _, t = self._span(
+                entry.key_offset, entry.keylen, blk, data, t)
             if probe < key:
                 lo = mid + 1
             else:
                 hi = mid
         return lo, t
+
+    def scan_from(self, lo: int, now: Callable[[], float],
+                  keys_only: bool = False,
+                  ) -> Iterator[Tuple[bytes, bytes, bool, int, float]]:
+        """Stream the records of index entries ``lo…``, a block at a time.
+
+        A block is fetched when an entry leaves the held one, and each
+        record inside it is two slices of those bytes; only a record
+        running past the block's end takes :meth:`_span`'s joined path.
+        ``keys_only`` yields ``b""`` values and touches no block holding
+        value bytes only.  Yields ``(key, value, tombstone, fetched,
+        t)``: ``fetched`` blocks were picked up for this record (0
+        inside the held one), done at ``t`` for a request at ``now()``
+        — the consumer's clock of that moment, not of the open.  Load
+        the index first (:meth:`find_ge` does).
+        """
+        assert self._index is not None and self._footer is not None
+        bs = self._footer.block_size
+        blk, data, base, size = -1, b"", 0, 0
+        t = 0.0
+        for entry in islice(self._index, lo, None):
+            klen = entry.keylen
+            start = entry.offset + RECORD_HEADER_LEN - base
+            mid = start + klen
+            end = mid if keys_only else mid + entry.vallen
+            if 0 <= start and end <= size:
+                yield data[start:mid], data[mid:end], entry.tombstone, 0, t
+                continue
+            buf, blk, data, fetched, t = self._span(
+                start + base, end - start, blk, data, now())
+            base, size = blk * bs, len(data)
+            yield buf[:klen], buf[klen:], entry.tombstone, fetched, t
 
     # ---------------------------------------------------------------- lookup
     def get(self, key: bytes, t: float,

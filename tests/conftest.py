@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.config import Options
+from repro.core.scan import _sstable_cursor
 from repro.mpi.launcher import spmd_run
+from repro.simtime.clock import VirtualClock
 from repro.simtime.profiles import CORI, STAMPEDE, SUMMITDEV
+from repro.sstable.format import encode_index, make_footer, parse_index
+from repro.sstable.writer import encode_table, write_sstable_blobs
 
 
 def small_options(**kw) -> Options:
@@ -44,4 +50,37 @@ def assert_free_windows_sorted_disjoint(dev):
 def any_system(request):
     return {"summitdev": SUMMITDEV, "stampede": STAMPEDE, "cori": CORI}[
         request.param
+    ]
+
+
+def write_table(store, directory, ssid, records, block_size=None):
+    """Write one SSTable; ``block_size`` re-cuts the SSData CRC/cache
+    blocks (the reader takes the size from the footer), so block
+    boundaries can be put anywhere without megabytes of payload."""
+    blobs = encode_table(records)
+    if block_size is not None:
+        entries, footer = parse_index(blobs["index"])
+        blobs["index"] = encode_index(entries, make_footer(
+            blobs["data"], blobs["bloom"], block_size,
+            footer.min_key, footer.max_key))
+    write_sstable_blobs(store, directory, ssid, blobs, 0.0)
+
+
+def cursor_window(reader, start=None, end=None, keys_only=False):
+    """One table's share of a scan window, pulled through the real
+    cursor (``core.scan._sstable_cursor``) against a stand-in database.
+
+    Returns ``(triples, blocks_read, clock_delta)``.
+    """
+    db = SimpleNamespace(clock=VirtualClock(),
+                         stats=SimpleNamespace(scan_blocks_read=0))
+    triples = list(_sstable_cursor(db, reader, start, end, keys_only))
+    return triples, db.stats.scan_blocks_read, db.clock.now
+
+
+def window_triples(records, start=None, end=None, keys_only=False):
+    """What a cursor over ``records`` owes for ``[start, end)``."""
+    return [
+        (r.key, b"" if keys_only else r.value, r.tombstone) for r in records
+        if (start is None or r.key >= start) and (end is None or r.key < end)
     ]

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from repro.nvm.posixfs import PosixStore
 from repro.simtime.resources import TimedResource
-from repro.sstable.format import Record
+from repro.sstable.block_cache import BlockCache
+from repro.sstable.format import DATA_BLOCK_SIZE, Record
 from repro.sstable.reader import SSTableReader, list_ssids
 from repro.sstable.writer import write_sstable
+from tests.conftest import cursor_window, window_triples, write_table
 
 
 @pytest.fixture()
@@ -121,6 +123,93 @@ class TestReaderLookup:
         rd.delete(0.0)
         assert store.listdir("t") == []
         assert rd.nbytes() == 0
+
+
+#: real 64KB blocks, every edge the block-unit cursor has: a key cut by
+#: the 0/1 boundary, a tombstone, a value over blocks 1..4 between small
+#: records, a value cut by one boundary, a short last block
+EDGE_RECS = [
+    Record(b"a", b"x" * (DATA_BLOCK_SIZE - 23)),
+    Record(b"b" * 10, b"v-b"),
+    Record(b"c", b"", True),
+    Record(b"d", b"y" * (200 * 1024)),
+    Record(b"e", b"v-e"),
+    Record(b"f", b"z" * 70_000),
+    Record(b"g", b"v-g"),
+]
+
+
+@pytest.fixture(params=["cached", "direct"])
+def edge_reader(request, store):
+    write_table(store, "t", 1, EDGE_RECS)
+    cache = BlockCache(1 << 22) if request.param == "cached" else None
+    return SSTableReader(store, "t", 1, block_cache=cache)
+
+
+class TestBlockCursor:
+    """``find_ge`` + ``scan_from``: a block is fetched once and every
+    record is sliced out of it, whatever a boundary cuts."""
+
+    def test_layout_is_what_the_cases_need(self, edge_reader):
+        index, _ = edge_reader.load_index(0.0)
+        bs = DATA_BLOCK_SIZE
+        key_cut, big, val_cut = index[1], index[3], index[5]
+        assert key_cut.key_offset < bs < key_cut.key_offset + key_cut.keylen
+        assert index[2].tombstone and index[2].offset // bs == 1
+        assert (big.value_offset // bs,
+                (big.value_offset + big.vallen - 1) // bs) == (1, 4)
+        assert (val_cut.value_offset // bs
+                != (val_cut.value_offset + val_cut.vallen - 1) // bs)
+
+    def test_full_walk_reads_each_block_once(self, edge_reader):
+        got, blocks, _ = cursor_window(edge_reader)
+        assert got == window_triples(EDGE_RECS)
+        footer, _ = edge_reader.footer(0.0)
+        assert blocks == len(footer.block_crcs)
+
+    @pytest.mark.parametrize("start,end", [
+        (b"\x00", None),          # below the table's min
+        (b"zz", None),            # above its max
+        (b"d", None),             # equal to a key
+        (b"bz", None),            # between keys
+        (None, b"c"),             # window ends mid-block
+        (b"b", b"e"),             # the big value inside the window
+        (b"e", b"e"),             # empty window
+    ])
+    def test_windows(self, edge_reader, start, end):
+        got, _, _ = cursor_window(edge_reader, start, end)
+        assert got == window_triples(EDGE_RECS, start, end)
+
+    def test_keys_only_touches_key_blocks_only(self, edge_reader):
+        got, blocks, _ = cursor_window(edge_reader, keys_only=True)
+        assert got == window_triples(EDGE_RECS, keys_only=True)
+        index, _ = edge_reader.load_index(0.0)
+        key_blocks = {
+            b for e in index
+            for b in range(e.key_offset // DATA_BLOCK_SIZE,
+                           (e.key_offset + e.keylen - 1)
+                           // DATA_BLOCK_SIZE + 1)
+        }
+        footer, _ = edge_reader.footer(0.0)
+        assert blocks == len(key_blocks) < len(footer.block_crcs)
+
+    def test_empty_table(self, store):
+        write_table(store, "t", 1, [])
+        rd = SSTableReader(store, "t", 1, block_cache=BlockCache(1 << 20))
+        assert cursor_window(rd)[:2] == ([], 0)  # pays the index load
+        assert cursor_window(rd, b"a", b"z") == ([], 0, 0.0)
+
+    def test_fills_are_low_priority_and_second_pass_is_free(self, store):
+        write_table(store, "t", 1, EDGE_RECS)
+        cache = BlockCache(1 << 22)
+        rd = SSTableReader(store, "t", 1, block_cache=cache)
+        _, blocks, cold = cursor_window(rd)
+        assert cold > 0
+        assert (cache.low_priority_inserts, cache.inserts) == (blocks, 0)
+        ops = store.read_device.ops
+        got, _, warm = cursor_window(rd)
+        assert got == window_triples(EDGE_RECS)
+        assert (warm, store.read_device.ops) == (0.0, ops)
 
 
 class TestListSsids:

@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.scan import merge_scan
 from repro.mpi.launcher import spmd_run
+from repro.nvm.posixfs import PosixStore
 from repro.simtime.resources import BackgroundWorker, StripedResource, TimedResource
-from tests.conftest import assert_free_windows_sorted_disjoint
+from repro.sstable.block_cache import BlockCache
+from repro.sstable.format import Record
+from repro.sstable.reader import SSTableReader
+from tests.conftest import (
+    assert_free_windows_sorted_disjoint,
+    cursor_window,
+    window_triples,
+    write_table,
+)
 
 
 # --------------------------------------------------------------- resources
@@ -19,6 +28,7 @@ from tests.conftest import assert_free_windows_sorted_disjoint
     st.integers(min_value=0, max_value=10_000_000),
     st.booleans(),
 )))
+@example([(0.0, 2, False), (0.0, 0, True), (0.0, 16, False)])
 def test_device_horizon_monotone(ops):
     """A device's horizon never regresses, every operation is served no
     earlier than its request, and no two reservations overlap — over
@@ -48,7 +58,8 @@ def test_device_horizon_monotone(ops):
         assert start + reserved <= dev.available + 1e-12
         assert dev.available >= prev_avail
         prev_avail = dev.available
-        spans.append((start, start + reserved))
+        if reserved > 0:  # a 0-byte concurrent access excludes nobody
+            spans.append((start, start + reserved))
         assert_free_windows_sorted_disjoint(dev)
     spans.sort()
     for (_, e1), (s2, _) in zip(spans, spans[1:]):
@@ -125,6 +136,48 @@ def test_merge_scan_range_is_filter(start, end, keys):
     got = [k for k, _ in merge_scan(tiers, start, end)]
     want = sorted(k for k in keys if start <= k < end)
     assert got == want
+
+
+_scan_key = st.integers(0, 99).map(lambda i: f"k{i:02d}".encode())
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.dictionaries(
+        _scan_key,
+        st.one_of(st.none(), st.integers(1, 3 * 64)),  # None: tombstone
+        max_size=40,
+    ),
+    st.one_of(st.none(), _scan_key),
+    st.one_of(st.none(), _scan_key),
+    st.sampled_from([None, 64, 200, 1 << 20]),
+    st.booleans(),
+)
+def test_block_cursor_equals_read_all_filtered(tmp_path_factory, table,
+                                               start, end, cache_bytes,
+                                               keys_only):
+    """The block-at-a-time cursor == ``read_all()`` cut to the window,
+    for values of 1 B to 3 blocks (64 B blocks put a boundary through
+    keys, values and headers alike), any ``start``/``end``, and a cache
+    that is absent, smaller than a scan's blocks, or ample — and it
+    never fetches a block twice."""
+    store = PosixStore(str(tmp_path_factory.mktemp("cur")),
+                       TimedResource("d", 1e-5, 1e9))
+    recs = [
+        Record(k, b"" if n is None else bytes([65 + n % 26]) * n, n is None)
+        for k, n in sorted(table.items())
+    ]
+    write_table(store, "t", 1, recs, block_size=64)
+    cache = BlockCache(cache_bytes) if cache_bytes else None
+    rd = SSTableReader(store, "t", 1, block_cache=cache)
+    all_recs, _ = SSTableReader(store, "t", 1).read_all(0.0)
+    ops = store.read_device.ops
+    got, blocks, _ = cursor_window(rd, start, end, keys_only)
+    assert got == window_triples(all_recs, start, end, keys_only)
+    footer, _ = rd.footer(0.0)
+    assert blocks <= len(footer.block_crcs)
+    if start is None:  # no find_ge probes: device reads are the cursor's
+        assert store.read_device.ops - ops <= blocks + 1  # + the index
 
 
 # -------------------------------------------------------------- persistence
