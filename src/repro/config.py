@@ -130,10 +130,6 @@ class Options:
     index_replication: bool = False
     #: byte budget of the replicated-metadata bundle cache (per rank)
     index_cache_capacity: int = 8 * MB
-    #: owners eagerly push fresh bundles to their replica group at
-    #: flush/compaction time (replicas > 1); False leaves peers to pull
-    #: lazily on first miss
-    index_push_eager: bool = True
     #: enable the dynamic race / lock-order / deadlock detector
     #: (:mod:`repro.analysis.runtime`); also switched on process-wide by
     #: the ``PKV_RACE_DETECT=1`` environment variable
@@ -192,10 +188,8 @@ def options_from_env(env: Optional[Mapping[str, str]] = None,
     shared SSData block cache), ``PAPYRUSKV_REPLICAS`` (copies per key),
     ``PAPYRUSKV_WRITE_QUORUM`` (durable copies a put waits for),
     ``PAPYRUSKV_INDEX_REPLICATION`` (1 enables one-sided index
-    replication), ``PAPYRUSKV_INDEX_CACHE`` (0 disables index
-    replication, any other value is the bundle cache's byte budget),
-    and ``PAPYRUSKV_INDEX_PUSH`` (0 disables the eager publish to the
-    replica group).
+    replication) and ``PAPYRUSKV_INDEX_CACHE`` (0 disables index
+    replication, any other value is the bundle cache's byte budget).
     """
     env = os.environ if env is None else env
     opt = base or Options()
@@ -233,6 +227,4 @@ def options_from_env(env: Optional[Mapping[str, str]] = None,
             opt = opt.with_(index_replication=False)
         else:
             opt = opt.with_(index_cache_capacity=val)
-    if "PAPYRUSKV_INDEX_PUSH" in env:
-        opt = opt.with_(index_push_eager=int(env["PAPYRUSKV_INDEX_PUSH"]) != 0)
     return opt

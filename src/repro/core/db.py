@@ -27,12 +27,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.scan import ScanIterator
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import config
 from repro.analysis.runtime import (
@@ -67,6 +62,7 @@ from repro.core.membership import (
     MembershipView,
 )
 from repro.core.memtable import Entry, MemTable
+from repro.core.scan import ScanIterator, count_live
 from repro.faults import RankKilledError
 from repro.mpi.comm import ANY_SOURCE, Comm
 from repro.nvm.posixfs import PosixStore
@@ -1655,36 +1651,6 @@ class Database:
         if rank in self._hb_ping:
             self._declare_dead(rank)
 
-    def _all_local_records(self) -> List[msg.Pair]:
-        """Every pair this rank holds, newest version per key wins.
-
-        Unlike :meth:`scan_local` this **keeps tombstones**: a
-        re-replication push must propagate deletes, or a
-        dead rank's deleted keys would resurrect on the new replica.
-        """
-        out: Dict[bytes, Tuple[bytes, bool]] = {}
-        with self._lock:
-            self._retire_flushed(self.clock.now)
-            ssids = list(self.ssids)
-            mem_tiers = [
-                [(k, e.value, e.tombstone) for k, e in imm.items()]
-                for imm, _t in self.flushing  # oldest first
-            ]
-            mem_tiers.append(
-                [(k, e.value, e.tombstone) for k, e in self.local_mt.items()]
-            )
-        t = self.clock.now
-        for ssid in ssids:  # ascending SSID = oldest first
-            reader = self._reader(ssid)
-            records, t = reader.read_all(t)
-            for rec in records:
-                out[rec.key] = (rec.value, rec.tombstone)
-        self.clock.advance_to(t)
-        for tier in mem_tiers:  # memory tiers are newer than any table
-            for k, v, tomb in tier:
-                out[k] = (v, tomb)
-        return [(k, v, tomb) for k, (v, tomb) in out.items()]
-
     def _rereplicate(self) -> None:
         """Restore the replication factor after a death (main thread).
 
@@ -1695,6 +1661,12 @@ class Database:
         on the rsp comm.  Members that already hold a pair re-apply the
         same bytes (idempotent).  A member that dies mid-push is
         declared dead and re-queued for the next pass.
+
+        The walk is a pinned :class:`ScanIterator` with tombstones kept
+        (a dead rank's deleted keys must not resurrect on the new
+        replica): a flush or compaction the handler triggers meanwhile
+        cannot unlink a table under it.  Behind a quarantined table the
+        scan refuses, nothing is pushed and the pass stays pending.
         """
         mv = self.membership
         if mv is None or self._in_rerepl:
@@ -1707,12 +1679,20 @@ class Database:
             for r in newly_dead:
                 self._forget_dead_rank(r)
             targets: Dict[int, List[msg.Pair]] = {}
-            for key, value, tomb in self._all_local_records():
-                group = self._replica_group(key, check=False)
-                if not group or group[0] != self.rank:
-                    continue
-                for r in group[1:]:
-                    targets.setdefault(r, []).append((key, value, tomb))
+            try:
+                with ScanIterator(self, include_replicas=True,
+                                  tombstones=True) as walk:
+                    for pair in walk:
+                        group = self._replica_group(pair[0], check=False)
+                        if not group or group[0] != self.rank:
+                            continue
+                        for r in group[1:]:
+                            targets.setdefault(r, []).append(pair)
+            except CorruptionError:
+                # pushing around the hole could overwrite a healthy
+                # member's newer version with an older one from here
+                mv.put_back_rereplication(newly_dead)
+                return
             chunk = 256
             epoch, dead = mv.wire()
             grace = self.options.remote_timeout or 0.25
@@ -1918,35 +1898,73 @@ class Database:
 
     def _local_get(self, keys: List[bytes]
                    ) -> Dict[bytes, Optional[GetResult]]:
-        """Local tier walk: memory tiers and the local cache under one
-        lock acquisition, own SSTables after (filling the cache)."""
-        out: Dict[bytes, Optional[GetResult]] = {}
+        """Local tier walk (§2.6, Fig. 3): the memory phase once for the
+        call, the SSTable phase per key it left over.  The handler runs
+        the same two phases on a remote rank's behalf (§2.4)."""
+        hits, misses, ssids, horizon, _ = self._memory_phase(
+            keys, self.clock.now
+        )
+        out: Dict[bytes, Optional[GetResult]] = {
+            key: None if tomb else GetResult(value, tier)
+            for key, (value, tomb, tier) in hits.items()
+        }
+        for key in misses:
+            rec = self._sstable_phase(key, ssids, horizon, self.clock)
+            out[key] = (None if rec is None or rec.tombstone
+                        else GetResult(rec.value, "sstable"))
+        return out
+
+    def _memory_phase(self, keys: List[bytes], now: float) -> Tuple[
+            Dict[bytes, Tuple[bytes, bool, str]], List[bytes], List[int],
+            int, bool]:
+        """Memory tiers, then the local cache, under one ``db.state``
+        acquisition per call.  Returns ``(hits, misses, ssids, horizon,
+        quarantine_free)``: ``hits[key] = (value, tombstone, tier)``,
+        the rest the same acquisition's snapshot for the SSTable phase
+        (``horizon`` = ``_next_ssid``) or a §2.7 requester."""
+        hits: Dict[bytes, Tuple[bytes, bool, str]] = {}
         misses: List[bytes] = []
         with self._lock:
-            self._retire_flushed(self.clock.now)
+            self._retire_flushed(now)
             cache = self.local_cache  # gets never run under WRONLY
             for key in keys:
                 entry, tier = self._search_memory_local(key)
                 if entry is not None:
-                    out[key] = (None if entry.tombstone
-                                else GetResult(entry.value, tier))
+                    hits[key] = (entry.value, entry.tombstone, tier)
                     continue
                 if cache is not None:
                     cached = cache.get(key)
                     if cached is not None:
-                        out[key] = GetResult(cached, "local_cache")
+                        hits[key] = (cached, False, "local_cache")
                         continue
                 misses.append(key)
-            ssids = list(self.ssids)
-            horizon = self._next_ssid
-        for key in misses:
-            rec = self._sstable_lookup(ssids, key)
-            if rec is None or rec.tombstone:
-                out[key] = None
-                continue
-            out[key] = GetResult(rec.value, "sstable")
+            annotate_read(self, "db.quarantined")
+            return (hits, misses, list(self.ssids), self._next_ssid,
+                    not self._quarantined)
+
+    def _sstable_phase(self, key: bytes, ssids: List[int], horizon: int,
+                       clock) -> Optional[Record]:
+        """Search my own SSTables on the caller's clock, retrying once
+        across a compaction race; a live hit fills the local cache.
+
+        A concurrent compaction (a flush triggered on the other thread)
+        may delete input tables mid-search; the retry re-reads the
+        authoritative SSID list under the lock.  Damage is not a race:
+        :class:`CorruptionError` goes straight to the caller.
+        """
+        try:
+            rec, t_end = self._search_own_sstables(ssids, key, clock.now)
+        except CorruptionError:
+            raise
+        except StorageError:
+            with self._lock:
+                self._invalidate_readers()
+                ssids = list(self.ssids)
+            rec, t_end = self._search_own_sstables(ssids, key, clock.now)
+        clock.advance_to(t_end)
+        if rec is not None and not rec.tombstone:
             self._fill_local_cache(key, rec.value, horizon)
-        return out
+        return rec
 
     def _fill_local_cache(self, key: bytes, value: bytes,
                           horizon: int) -> None:
@@ -1964,25 +1982,6 @@ class Database:
                     and self._next_ssid == horizon
                     and self._search_memory_local(key)[0] is None):
                 self.local_cache.put(key, value)
-
-    def _sstable_lookup(self, ssids: List[int], key: bytes
-                        ) -> Optional[Record]:
-        """Search my own SSTables, retrying once across a compaction race.
-
-        A concurrent compaction (handler-triggered flush on this rank)
-        may delete input tables mid-search; the retry re-reads the
-        authoritative SSID list under the lock.  Advances the caller's
-        clock to the read-completion time.
-        """
-        try:
-            rec, t_end = self._search_own_sstables(ssids, key, self.clock.now)
-        except StorageError:
-            with self._lock:
-                self._invalidate_readers()
-                ssids = list(self.ssids)
-            rec, t_end = self._search_own_sstables(ssids, key, self.clock.now)
-        self.clock.advance_to(t_end)
-        return rec
 
     def _reader(self, ssid: int) -> SSTableReader:
         """Cached reader for one of my SSTables.
@@ -2550,9 +2549,7 @@ class Database:
     def _index_publish_due(self, ssids: List[int]) -> None:
         """Record freshly retired tables for the next eager publish
         (call under db.state; flush may run on the handler thread)."""
-        if (self.options.index_replication
-                and self.options.index_push_eager
-                and self.membership is not None):
+        if self.options.index_replication and self.membership is not None:
             self._index_pub_due.extend(ssids)
 
     def _drain_index_publishes(self) -> None:
@@ -2698,7 +2695,7 @@ class Database:
     def scan(self, start: Optional[bytes] = None,
              end: Optional[bytes] = None,
              include_replicas: bool = False,
-             keys_only: bool = False) -> "ScanIterator":
+             keys_only: bool = False) -> ScanIterator:
         """Lazy snapshot-consistent iterator over this rank's shard.
 
         Yields sorted live ``(key, value)`` pairs with ``start <= key <
@@ -2722,8 +2719,6 @@ class Database:
         self._check_open()
         if self.protection == config.WRONLY:
             raise ProtectionError("database is write-only (PAPYRUSKV_WRONLY)")
-        from repro.core.scan import ScanIterator
-
         return ScanIterator(self, start, end,
                             include_replicas=include_replicas,
                             keys_only=keys_only)
@@ -2859,8 +2854,6 @@ class Database:
         Streams a keys-only scan: tombstones are resolved without
         copying a single value byte or materializing the merge.
         """
-        from repro.core.scan import count_live
-
         return count_live(self)
 
     # ============================================================ PERSISTENCE

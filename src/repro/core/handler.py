@@ -17,10 +17,11 @@ The handler dispatches every request class in
   four apply their ``pairs`` to the local MemTable through
   :func:`_apply_pairs`; they differ only in stamp handling and in where
   the ack travels;
-* **reads** — ``GetMsg``: per-key local lookups on behalf of a remote
-  rank, one ``GetReply`` for the whole key list, honouring the
-  storage-group shortcut (§2.7): if the requester shares this rank's
-  NVM and a pair is not in memory, answer NOT_IN_MEMORY so the
+* **reads** — ``GetMsg``: the owner's own get procedure
+  (``Database._local_get``'s memory and SSTable phases) run on behalf
+  of a remote rank, one ``GetReply`` for the whole key list, honouring
+  the storage-group shortcut (§2.7): if the requester shares this
+  rank's NVM and a pair is not in memory, answer NOT_IN_MEMORY so the
   requester reads the SSTables itself;
 * **index replication** — ``IndexPullMsg`` (answered with this rank's
   view and missing bundles) and ``IndexPublishMsg`` (fire-and-forget
@@ -41,6 +42,7 @@ from typing import List
 
 from repro.core import messages as msg
 from repro.core.db import ACK_TAG, HB_TAG, Database
+from repro.errors import CorruptionError
 from repro.faults import RankKilledError
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG, AbortedError
 from repro.mpi.launcher import RankContext, bind_context
@@ -255,70 +257,6 @@ def _serve_fetch_table(db: Database, m: msg.FetchTableMsg, source: int,
     db.rsp_comm.send(msg.FetchTableReply(blobs, m.seq), source, tag=m.seq)
 
 
-def _lookup_one(db: Database, key: bytes, source: int,
-                requester_group: int, force_data: bool,
-                hclock: VirtualClock, cpu):
-    """One key's owner-side lookup for a remote requester.
-
-    Returns ``(status, value, tombstone, newest_ssid)``.  NOT_IN_MEMORY
-    is only returned when the requester shares this rank's storage
-    group and value bytes were not forced (the §2.7 shortcut); the
-    caller turns it into a read-the-SSTables-yourself reply.
-    """
-    hclock.advance(cpu.kv_op_s)
-    with db._lock:
-        db._retire_flushed(hclock.now)
-        entry, _tier = db._search_memory_local(key)
-        if entry is None and db.local_cache is not None:
-            cached = db.local_cache.peek(key)
-            if cached is not None:
-                return msg.FOUND, cached, False, 0
-        newest = db.ssids[-1] if db.ssids else 0
-        ssids = list(db.ssids)
-        horizon = db._next_ssid
-        # snapshot while still under the lock: the main thread mutates
-        # the quarantine list during verify/repair
-        quarantine_free = not db._quarantined
-    if entry is not None:
-        return msg.FOUND, entry.value, entry.tombstone, newest
-    # not in memory: same storage group -> let the requester read the
-    # shared SSTables itself (saves the value transfer, §2.7) — unless
-    # this rank has quarantined tables: the requester cannot see the
-    # quarantine list, so the owner must answer (or degrade) itself
-    if (
-        not force_data
-        and requester_group == db.group
-        and db.shares_storage_with(source)
-        and quarantine_free
-    ):
-        return msg.NOT_IN_MEMORY, None, False, newest
-    # different group (or forced): do the full local get, including my
-    # SSTables, and ship the value back over the network
-    from repro.errors import CorruptionError, StorageError
-
-    try:
-        try:
-            rec, t_end = db._search_own_sstables(ssids, key, hclock.now)
-        except CorruptionError:
-            raise
-        except StorageError:
-            # raced a compaction on this rank; retry on the fresh SSID list
-            with db._lock:
-                db._invalidate_readers()
-                ssids = list(db.ssids)
-            rec, t_end = db._search_own_sstables(ssids, key, hclock.now)
-    except CorruptionError:
-        # this key's range is quarantined (or the table is corrupt):
-        # never ship a possibly-stale older version — degrade loudly
-        return msg.DEGRADED, None, False, newest
-    hclock.advance_to(t_end)
-    if rec is None:
-        return msg.NOT_FOUND, None, False, newest
-    if not rec.tombstone:
-        db._fill_local_cache(key, rec.value, horizon)
-    return msg.FOUND, rec.value, rec.tombstone, newest
-
-
 def _serve_index_pull(db: Database, m: msg.IndexPullMsg, source: int,
                       hclock: VirtualClock, cpu) -> None:
     """Answer a pull with this rank's index view and missing bundles.
@@ -395,25 +333,49 @@ def _serve_index_publish(db: Database, m: msg.IndexPublishMsg, source: int,
 
 def _serve_get(db: Database, m: msg.GetMsg, source: int,
                hclock: VirtualClock, cpu) -> None:
-    """Per-key lookups for one requester, one reply for the key list."""
-    results: List[msg.KeyResult] = []
-    shortcut_newest = 0
-    shortcut = False
-    for key in m.keys:
-        status, value, tombstone, newest = _lookup_one(
-            db, key, source, m.requester_group, m.force_data, hclock, cpu
-        )
-        if status == msg.NOT_IN_MEMORY:
-            shortcut = True
-            shortcut_newest = newest
-            results.append((status, None, False))
-        else:
-            results.append((status, value, tombstone))
+    """One requester's key list through ``Database._local_get``'s two
+    phases, one reply for the lot.
+
+    Between the phases sits the §2.7 shortcut: a requester sharing this
+    rank's storage group is told NOT_IN_MEMORY for every key that missed
+    memory and cache, and reads the SSTables itself (saves the value
+    transfer) — unless value bytes were forced, or this rank has
+    quarantined tables: the requester cannot see the quarantine list,
+    so the owner must answer (or degrade) itself.
+    """
+    hclock.advance(cpu.kv_op_s * len(m.keys))
+    hits, misses, ssids, horizon, quarantine_free = db._memory_phase(
+        m.keys, hclock.now
+    )
+    shortcut = bool(
+        misses
+        and not m.force_data
+        and m.requester_group == db.group
+        and db.shares_storage_with(source)
+        and quarantine_free
+    )
+    found = {key: (msg.FOUND, value, tomb)
+             for key, (value, tomb, _tier) in hits.items()}
+    for key in misses:
+        if shortcut:
+            found[key] = (msg.NOT_IN_MEMORY, None, False)
+            continue
+        # different group (or forced): finish the local get and ship the
+        # value back over the network
+        try:
+            rec = db._sstable_phase(key, ssids, horizon, hclock)
+        except CorruptionError:
+            # this key's range is quarantined (or the table is corrupt):
+            # never ship a possibly-stale older version — degrade loudly
+            found[key] = (msg.DEGRADED, None, False)
+            continue
+        found[key] = ((msg.NOT_FOUND, None, False) if rec is None
+                      else (msg.FOUND, rec.value, rec.tombstone))
     db.rsp_comm.send(
         msg.GetReply(
-            results, m.seq,
+            [found[key] for key in m.keys], m.seq,
             owner_dir=db.rank_dir if shortcut else None,
-            newest_ssid=shortcut_newest,
+            newest_ssid=ssids[-1] if shortcut and ssids else 0,
         ),
         source, tag=m.seq,
     )

@@ -8,7 +8,9 @@ natural unit in an SPMD program (for the global form see
 :meth:`repro.core.db.Database.scan_global`).
 
 The merge is **streamed**: :class:`ScanIterator` holds one lazy cursor
-per tier and :func:`merge_scan` is a generator over them, so a one-key
+per tier, each already cut to the window (it seeks to ``start`` and
+stops at ``end``), and pulls straight from
+:func:`repro.sstable.compaction.merge_newest` over them, so a one-key
 window costs a handful of block reads, not a shard materialization.
 SSTable selection is gated the same way as the get path — quarantine →
 footer key fences → SSIndex bracketing — and the block is the unit of
@@ -21,56 +23,16 @@ retires a pinned table defers the file unlink until the scan closes.
 The live MemTable is copied in-range under the state lock, seeking to
 the window's start; frozen (flushing) ones are walked lazily in place.
 
-Tombstones shadow older tiers and are skipped in the output.
+Tombstones shadow older tiers and are skipped in the output — unless
+the caller asks for them (re-replication must propagate deletes).
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import CorruptionError
-
-#: one tier item: (key, value, tombstone)
-Triple = Tuple[bytes, bytes, bool]
-
-
-def merge_scan(
-    tiers: Iterable[Iterable[Triple]],
-    start: Optional[bytes] = None,
-    end: Optional[bytes] = None,
-) -> Iterator[Tuple[bytes, bytes]]:
-    """Merge sorted (key, value, tombstone) runs; ``tiers[0]`` is newest.
-
-    Yields live (key, value) pairs with ``start <= key < end``.  Each
-    tier may be a list or any lazy sorted iterable — the merge holds
-    one item per tier and pulls a tier's next only after its current
-    one is emitted, so a window scan over lazy cursors reads O(window)
-    records, not O(shard), and a tier that fails mid-stream has had
-    everything before the failure delivered.
-    """
-    iters = [iter(run) for run in tiers]
-    heap: List[Tuple[bytes, int, Triple]] = []
-    for ti, it in enumerate(iters):
-        item = next(it, None)
-        if item is not None:
-            heap.append((item[0], ti, item))
-    heapq.heapify(heap)
-    last_key: Optional[bytes] = None
-    while heap:
-        key, ti, item = heap[0]
-        if key != last_key:  # else: an older tier's version of the key
-            last_key = key
-            if end is not None and key >= end:
-                # sorted merge: nothing further can be in range
-                return
-            if not item[2] and (start is None or key >= start):
-                yield key, item[1]
-        nxt = next(iters[ti], None)
-        if nxt is None:
-            heapq.heappop(heap)
-        else:
-            heapq.heapreplace(heap, (nxt[0], ti, nxt))
+from repro.sstable.compaction import Triple, merge_newest
 
 
 def _window_overlaps(mn: Optional[bytes], mx: Optional[bytes],
@@ -138,8 +100,10 @@ class ScanIterator:
     disk space is held until the iterator is garbage collected.
 
     ``keys_only=True`` yields ``(key, b"")`` without reading any value
-    bytes — the streamed-count path.  A scan window overlapping a
-    quarantined table's poisoned range raises
+    bytes — the streamed-count path.  ``tombstones=True`` keeps deletes
+    and yields ``(key, value, tombstone)`` triples instead (the
+    re-replication walk).  A scan window overlapping a quarantined
+    table's poisoned range raises
     :class:`~repro.errors.CorruptionError` at open, mirroring the get
     path's refusal to silently serve older versions.
     """
@@ -147,9 +111,11 @@ class ScanIterator:
     def __init__(self, db, start: Optional[bytes] = None,
                  end: Optional[bytes] = None,
                  include_replicas: bool = False,
-                 keys_only: bool = False) -> None:
+                 keys_only: bool = False,
+                 tombstones: bool = False) -> None:
         self._db = db
         self._closed = False
+        self._width = 3 if tombstones else 2
         self._pinned: List[int] = []
         db.stats.scans += 1
         with db._lock:
@@ -187,21 +153,21 @@ class ScanIterator:
             tiers.append(_memtable_cursor(imm, start, end))
         for reader in selected:
             tiers.append(_sstable_cursor(db, reader, start, end, keys_only))
-        merged = merge_scan(tiers, start, end)
+        merged = merge_newest(tiers, tombstones)
         if db.membership is not None and not include_replicas:
             merged = (
                 kv for kv in merged if db._is_acting_primary(kv[0])
             )
-        self._gen: Iterator[Tuple[bytes, bytes]] = merged
+        self._gen: Iterator[Triple] = merged
 
     def __iter__(self) -> "ScanIterator":
         return self
 
-    def __next__(self) -> Tuple[bytes, bytes]:
+    def __next__(self) -> Tuple:
         if self._closed:
             raise StopIteration
         try:
-            return next(self._gen)
+            return next(self._gen)[:self._width]
         except BaseException:
             # exhausted or failed: either way the snapshot is released
             self.close()

@@ -159,31 +159,6 @@ class PosixStore:
             raise StorageError(str(exc)) from exc
         return data, self._charge_read(t, len(data))
 
-    def read_spans(self, relpath: str, spans: List[Tuple[int, int]],
-                   t: float) -> Tuple[List[bytes], float]:
-        """Read several ``(offset, length)`` spans of one file as one burst.
-
-        A block-cache fill touches a handful of adjacent 64KB blocks;
-        issuing them as one operation pays the device's read latency
-        once plus the aggregate bytes, like a vectored ``preadv`` —
-        rather than a full latency charge per block.
-        """
-        if self.faults is not None:
-            self.faults.check_read(relpath)
-        p = self.path(relpath)
-        out: List[bytes] = []
-        total = 0
-        try:
-            with open(p, "rb") as f:
-                for offset, length in spans:
-                    f.seek(offset)
-                    data = f.read(length)
-                    out.append(data)
-                    total += len(data)
-        except OSError as exc:
-            raise StorageError(str(exc)) from exc
-        return out, self._charge_read(t, total)
-
     def size(self, relpath: str) -> int:
         """File size in bytes (StorageError if absent)."""
         try:
@@ -298,9 +273,8 @@ class PosixStore:
         The flush pipeline's sync stage lands an SSTable's three files
         (SSData -> SSIndex -> bloom) in one go: each file keeps the
         atomic tmp+fsync+rename discipline and its crash sites, but the
-        device is charged once — the write analogue of
-        :meth:`read_spans`'s vectored burst — so a pipelined sync pays
-        one access latency plus the aggregate bytes.
+        device is charged once, like a vectored ``pwritev`` burst, so a
+        pipelined sync pays one access latency plus the aggregate bytes.
         """
         total = 0
         for rel, data in items:

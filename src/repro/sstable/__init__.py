@@ -19,7 +19,6 @@ from repro.sstable.format import (
     encode_record,
 )
 from repro.sstable.reader import SSTableReader, list_ssids
-from repro.sstable.writer import write_sstable
 
 __all__ = [
     "BLOOM_SUFFIX",
@@ -33,5 +32,4 @@ __all__ = [
     "encode_index",
     "encode_record",
     "list_ssids",
-    "write_sstable",
 ]

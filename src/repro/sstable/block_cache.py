@@ -76,9 +76,9 @@ class BlockCache:
             promote: bool = True) -> Optional[bytes]:
         """Return the cached block or None; counts a hit or miss.
 
-        ``promote=False`` (compaction / scrub readers) leaves the
-        entry's recency untouched so background streams do not fake
-        heat onto blocks the foreground never asked for.
+        ``promote=False`` (streaming calls: scan cursors, the
+        sequential get) leaves the entry's recency untouched so streams
+        do not fake heat onto blocks no point get asked for.
         """
         key = (directory, ssid, blk)
         with self._blocks_lock:

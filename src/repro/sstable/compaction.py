@@ -4,7 +4,10 @@
 a new SSTable is multiples of the predefined number" (paper §2.5).  The
 merge is a sequential read of each input (the tables are key-sorted),
 keeps the record from the highest SSID for duplicate keys; the caller
-deletes the inputs once its outputs are durable.
+deletes the inputs once its outputs are durable.  That merge is
+:func:`merge_newest`, which lives here, below ``core/``, because the
+range scan and the re-replication walk run the same one over lazy
+cursors.
 
 :func:`read_and_merge` + :func:`partition_records` split the merged
 stream into contiguous key-range partitions that the database schedules
@@ -21,38 +24,54 @@ every table in a rank's set may drop them.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.nvm.posixfs import PosixStore
 from repro.sstable.block_cache import BlockCache
 from repro.sstable.format import Record
 from repro.sstable.reader import SSTableReader
 
+#: one tier item, indexed ``(key, value, tombstone)`` — a plain triple
+#: or a :class:`~repro.sstable.format.Record`
+Triple = Tuple[bytes, bytes, bool]
 
-def merge_records(
-    runs: List[List[Record]], drop_tombstones: bool = False
-) -> List[Record]:
-    """K-way merge; ``runs`` ordered oldest→newest, each sorted by key.
 
-    For duplicate keys the record from the newest run wins.
+def merge_newest(
+    tiers: Iterable[Iterable[Triple]], tombstones: bool = False
+) -> Iterator[Triple]:
+    """The one newest-wins merge: sorted ``(key, value, tombstone)``
+    runs in, each key's newest version out; ``tiers[0]`` is newest.
+
+    Flush-order compaction, the range scan and re-replication all merge
+    through here.  A tombstone always shadows the older tiers' versions
+    of its key; ``tombstones`` says whether it is itself yielded (a
+    partial compaction and a re-replication push must keep deletes, a
+    scan and a full compaction drop them).  Items are passed through
+    as given, never rebuilt.  Each tier may be a list or any lazy sorted
+    iterable — the merge holds one item per tier and pulls a tier's
+    next only after its current one is emitted, so a window scan over
+    lazy cursors reads O(window) records, not O(shard), and a tier that
+    fails mid-stream has had everything before the failure delivered.
     """
-    heap: List[Tuple[bytes, int, int]] = []  # (key, -run_idx, pos)
-    for ri, run in enumerate(runs):
-        if run:
-            heapq.heappush(heap, (run[0].key, -ri, 0))
-    out: List[Record] = []
+    iters = [iter(run) for run in tiers]
+    heap: List[Tuple[bytes, int, Triple]] = []
+    for ti, it in enumerate(iters):
+        item = next(it, None)
+        if item is not None:
+            heap.append((item[0], ti, item))
+    heapq.heapify(heap)
     last_key: Optional[bytes] = None
     while heap:
-        key, neg_ri, pos = heapq.heappop(heap)
-        ri = -neg_ri
-        rec = runs[ri][pos]
-        if key != last_key:
+        key, ti, item = heap[0]
+        if key != last_key:  # else: an older tier's version of the key
             last_key = key
-            if not (drop_tombstones and rec.tombstone):
-                out.append(rec)
-        if pos + 1 < len(runs[ri]):
-            heapq.heappush(heap, (runs[ri][pos + 1].key, neg_ri, pos + 1))
-    return out
+            if tombstones or not item[2]:
+                yield item
+        nxt = next(iters[ti], None)
+        if nxt is None:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (nxt[0], ti, nxt))
 
 
 def read_and_merge(
@@ -67,21 +86,20 @@ def read_and_merge(
 
     Returns ``(merged_records, readers, virtual_completion_time)``; the
     readers are handed back so the caller can delete the inputs once
-    its outputs are durable.  A shared block cache is attached at *low*
-    priority: compaction's streaming reads fill free budget but never
-    evict the point-get working set, and the caller is expected to
-    invalidate the input tables afterwards.
+    its outputs are durable.  ``read_all`` fills a shared block cache
+    at the cold end only: compaction's streaming reads use free budget
+    but never evict the point-get working set, and the caller is
+    expected to invalidate the input tables afterwards.
     """
     readers = [
-        SSTableReader(store, directory, s,
-                      block_cache=block_cache, cache_priority="low")
+        SSTableReader(store, directory, s, block_cache=block_cache)
         for s in sorted(ssids)
     ]
     runs: List[List[Record]] = []
     for rd in readers:  # oldest → newest
         recs, t = rd.read_all(t)
         runs.append(recs)
-    merged = merge_records(runs, drop_tombstones=drop_tombstones)
+    merged = list(merge_newest(reversed(runs), not drop_tombstones))
     return merged, readers, t
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import CorruptionError
 from repro.util.bloom import BloomFilter
@@ -78,9 +78,12 @@ INDEX_ENTRY_LEN = _ENTRY.size  # 17
 TOMBSTONE_FLAG = 0x01
 
 
-@dataclass(frozen=True)
-class Record:
-    """One key-value pair (tombstones carry an empty value)."""
+class Record(NamedTuple):
+    """One key-value pair (tombstones carry an empty value).
+
+    A tuple, so a decoded run feeds
+    :func:`repro.sstable.compaction.merge_newest` as it is.
+    """
 
     key: bytes
     value: bytes

@@ -3,12 +3,19 @@
 A get "opens the bloom filter file first to determine whether the
 SSTable can be skipped"; on a possible hit it "loads the SSIndex in
 memory and searches SSData with the given key" (paper §2.6).  With
-binary search enabled each probe is a small random read of just the key
-bytes at an indexed offset — cheap on NVM, which is the point of the
-optimization.  With it disabled the reader scans SSData from the front
-(the ``Default`` configuration in Figure 8).  A range scan's unit is the
-64KB block instead: :meth:`SSTableReader.scan_from` fetches each block
-once, holds it, and slices every record out of it.
+binary search enabled each probe needs just the key bytes at an indexed
+offset — O(log n) random accesses, cheap on NVM, which is the point of
+the optimization.  With it disabled the reader scans SSData from the
+front, one small read per record (the ``Default`` configuration in
+Figure 8).
+
+SSData reaches a lookup one way: :meth:`SSTableReader._block` — one
+verified 64KB block, through the shared block cache when there is one —
+and :meth:`SSTableReader._span` slicing over the block the caller
+holds.  A binary search (a point get, or a scan's ``find_ge``) holds
+the block it last probed; :meth:`SSTableReader.scan_from` fetches each
+block once and slices every record out of it; the sequential get keeps
+its small reads and only *verifies* through ``_block``.
 
 Verification is lazy: the bloom and index files check their own CRCs
 when first loaded, and SSData blocks are checked the first time a probe
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import CorruptionError, StorageError, TornWriteError
 from repro.nvm.posixfs import PosixStore
@@ -68,15 +75,15 @@ class SSTableReader:
     attached, SSData probes read through 64KB block spans: a cached
     block costs no device time and needs no re-verification (its CRC
     was checked at fill), a miss reads and verifies the block once and
-    caches it for every other reader of the same directory.
-    ``cache_priority="low"`` (compaction, whole-table scans) inserts at
-    the cold end of the LRU and never promotes, so streaming reads
-    cannot evict the point-get working set.
+    caches it for every other reader of the same directory.  Cache
+    priority belongs to the *call*, not the reader: a point get
+    promotes on a hit and fills at the hot end, a stream (scan cursor,
+    sequential get, ``read_all``) leaves recency alone and fills at the
+    cold end, so streaming reads cannot evict the point-get working set.
     """
 
     def __init__(self, store: PosixStore, directory: str, ssid: int,
-                 block_cache: Optional[BlockCache] = None,
-                 cache_priority: str = "normal") -> None:
+                 block_cache: Optional[BlockCache] = None) -> None:
         self.store = store
         self.directory = directory
         self.ssid = ssid
@@ -87,16 +94,17 @@ class SSTableReader:
         self._bloom: Optional[BloomFilter] = None
         self._index: Optional[List[IndexEntry]] = None
         self._footer: Optional[TableFooter] = None
+        #: blocks a sequential get has already seen pass their CRC: its
+        #: small reads bypass the cache, so each block is checked once
         self._verified_blocks: Set[int] = set()
         self._size_checked = False
         self._cache = block_cache
-        self._cache_promote = cache_priority == "normal"
 
     @classmethod
     def from_bundle(cls, store: PosixStore, directory: str, ssid: int,
                     index_blob: bytes, bloom_blob: bytes,
                     block_cache: Optional[BlockCache] = None,
-                    cache_priority: str = "normal") -> "SSTableReader":
+                    ) -> "SSTableReader":
         """Build a reader from a replicated metadata bundle.
 
         The bloom filter, index entries, and footer are parsed from
@@ -106,8 +114,7 @@ class SSTableReader:
         ``directory``.  Raises :class:`CorruptionError` if either blob
         fails its checksum.
         """
-        reader = cls(store, directory, ssid, block_cache=block_cache,
-                     cache_priority=cache_priority)
+        reader = cls(store, directory, ssid, block_cache=block_cache)
         try:
             reader._bloom = decode_bloom_file(bloom_blob)
             reader._index, reader._footer = parse_index(index_blob)
@@ -173,80 +180,23 @@ class SSTableReader:
             )
         self._size_checked = True
 
-    def _verify_span(self, lo: int, hi: int, t: float) -> float:
-        """Verify (once) every data block overlapping ``[lo, hi)``
-        (index must be loaded)."""
-        footer = self._footer
-        assert footer is not None
-        self._check_data_size(footer)
-        bs = footer.block_size
-        for blk in range(lo // bs, (max(hi, lo + 1) - 1) // bs + 1):
-            if blk in self._verified_blocks:
-                continue
-            if blk >= len(footer.block_crcs):
-                raise self._corrupt(f"index entry points past block {blk}")
-            blob, t = self.store.read(self._data_path, t, blk * bs, bs)
-            if crc32c(blob) != footer.block_crcs[blk]:
-                raise self._corrupt(f"SSData block {blk} checksum mismatch")
-            self._verified_blocks.add(blk)
-        return t
-
     def _entry_bounds_ok(self, entry: IndexEntry) -> bool:
         footer = self._footer
         assert footer is not None
         return entry.offset + entry.record_len <= footer.data_len
 
     # ------------------------------------------------------------ cached I/O
-    def _read_at(self, offset: int, length: int,
-                 t: float) -> Tuple[bytes, float]:
-        """Read ``[offset, offset+length)`` through the block cache.
+    def _block(self, blk: int, t: float, hot: bool) -> Tuple[bytes, float]:
+        """One whole verified SSData block — the only SSData fetch a
+        lookup makes.
 
-        Cached blocks cost no device time (they were verified at fill);
-        the missing blocks of the span are fetched as one vectored read
-        and CRC-checked before insertion, so the cache only ever holds
-        verified bytes.  Needs a cache attached and the index loaded.
-        """
-        footer, cache = self._footer, self._cache
-        assert footer is not None and cache is not None
-        self._check_data_size(footer)
-        if length <= 0:
-            return b"", t
-        promote = self._cache_promote
-        bs = footer.block_size
-        first, last = offset // bs, (offset + length - 1) // bs
-        blocks: Dict[int, bytes] = {}
-        missing: List[int] = []
-        for blk in range(first, last + 1):
-            if blk >= len(footer.block_crcs):
-                raise self._corrupt(f"index entry points past block {blk}")
-            data = cache.get(self.directory, self.ssid, blk,
-                             promote=promote)
-            if data is None:
-                missing.append(blk)
-            else:
-                blocks[blk] = data
-        if missing:
-            blobs, t = self.store.read_spans(
-                self._data_path, [(blk * bs, bs) for blk in missing], t
-            )
-            for blk, blob in zip(missing, blobs):
-                if crc32c(blob) != footer.block_crcs[blk]:
-                    raise self._corrupt(f"SSData block {blk} checksum mismatch")
-                self._verified_blocks.add(blk)
-                cache.put(self.directory, self.ssid, blk, blob,
-                          low_priority=not promote)
-                blocks[blk] = blob
-        buf = b"".join(blocks[blk] for blk in range(first, last + 1))
-        start = offset - first * bs
-        return buf[start:start + length], t
-
-    # ------------------------------------------------------------ scan support
-    def _block(self, blk: int, t: float) -> Tuple[bytes, float]:
-        """One whole verified SSData block, at streaming cache priority.
-
-        A cached block costs nothing and keeps its recency; a miss is
-        one device read, the CRC check and a cold-end fill — which a
-        full cache drops again at once, so the *caller* holds the bytes.
+        A cached block costs no device time (it was verified at fill);
+        a miss is one device read and the CRC check *before* the fill,
+        so the cache only ever holds verified bytes.  ``hot`` is the
+        call's cache priority: a point probe promotes on a hit and
+        fills at the hot end; a stream leaves recency alone and fills
+        at the cold end — which a full cache drops again at once, so
+        the *caller* holds the bytes.
         """
         footer, cache = self._footer, self._cache
         assert footer is not None
@@ -254,20 +204,21 @@ class SSTableReader:
         if blk >= len(footer.block_crcs):
             raise self._corrupt(f"index entry points past block {blk}")
         if cache is not None:
-            data = cache.get(self.directory, self.ssid, blk, promote=False)
+            data = cache.get(self.directory, self.ssid, blk, promote=hot)
             if data is not None:
                 return data, t
         bs = footer.block_size
         data, t = self.store.read(self._data_path, t, blk * bs, bs)
         if crc32c(data) != footer.block_crcs[blk]:
             raise self._corrupt(f"SSData block {blk} checksum mismatch")
-        self._verified_blocks.add(blk)
         if cache is not None:
-            cache.put(self.directory, self.ssid, blk, data, low_priority=True)
+            cache.put(self.directory, self.ssid, blk, data,
+                      low_priority=not hot)
         return data, t
 
     def _span(self, offset: int, length: int, blk: int, data: bytes,
-              t: float) -> Tuple[bytes, int, bytes, int, float]:
+              t: float, hot: bool,
+              ) -> Tuple[bytes, int, bytes, int, float]:
         """``[offset, offset+length)`` of SSData, given the held block
         ``data`` = block ``blk`` (``-1``: none).  A block is fetched only
         where the span leaves the held one, and a span running past a
@@ -280,12 +231,13 @@ class SSTableReader:
         while offset < end:
             if offset // bs != blk:
                 blk = offset // bs
-                data, t = self._block(blk, t)
+                data, t = self._block(blk, t, hot)
                 fetched += 1
             pieces.append(data[offset - blk * bs:end - blk * bs])
             offset = (blk + 1) * bs
         return b"".join(pieces), blk, data, fetched, t
 
+    # ------------------------------------------------------------ scan support
     def find_ge(self, key: Optional[bytes], t: float) -> Tuple[int, float]:
         """Index position of the first entry with ``entry.key >= key``.
 
@@ -306,7 +258,7 @@ class SSTableReader:
             if not self._entry_bounds_ok(entry):
                 raise self._corrupt(f"index entry {mid} overruns SSData")
             probe, blk, data, _, t = self._span(
-                entry.key_offset, entry.keylen, blk, data, t)
+                entry.key_offset, entry.keylen, blk, data, t, hot=False)
             if probe < key:
                 lo = mid + 1
             else:
@@ -341,7 +293,7 @@ class SSTableReader:
                 yield data[start:mid], data[mid:end], entry.tombstone, 0, t
                 continue
             buf, blk, data, fetched, t = self._span(
-                start + base, end - start, blk, data, now())
+                start + base, end - start, blk, data, now(), hot=False)
             base, size = blk * bs, len(data)
             yield buf[:klen], buf[klen:], entry.tombstone, fetched, t
 
@@ -365,29 +317,22 @@ class SSTableReader:
         return self._sequential_get(key, t)
 
     def _binary_get(self, key: bytes, t: float) -> Tuple[Optional[Record], float]:
+        """Binary search over the index, probing key bytes through
+        :meth:`_span` at point-get priority; the last probed block stays
+        held, exactly as in :meth:`find_ge`."""
         index, t = self.load_index(t)
-        cached = self._cache is not None
+        blk, data = -1, b""
         lo, hi = 0, len(index) - 1
         while lo <= hi:
             mid = (lo + hi) // 2
             entry = index[mid]
             if not self._entry_bounds_ok(entry):
                 raise self._corrupt(f"index entry {mid} overruns SSData")
-            if cached:
-                probe, t = self._read_at(entry.key_offset, entry.keylen, t)
-            else:
-                t = self._verify_span(entry.offset,
-                                      entry.offset + entry.record_len, t)
-                probe, t = self.store.read(
-                    self._data_path, t, entry.key_offset, entry.keylen
-                )
+            probe, blk, data, _, t = self._span(
+                entry.key_offset, entry.keylen, blk, data, t, hot=True)
             if probe == key:
-                if cached:
-                    value, t = self._read_at(entry.value_offset, entry.vallen, t)
-                else:
-                    value, t = self.store.read(
-                        self._data_path, t, entry.value_offset, entry.vallen
-                    )
+                value, blk, data, _, t = self._span(
+                    entry.value_offset, entry.vallen, blk, data, t, hot=True)
                 return Record(key, value, entry.tombstone), t
             if probe < key:
                 lo = mid + 1
@@ -430,7 +375,12 @@ class SSTableReader:
             if offset + kend + vallen > size:
                 raise self._corrupt(f"SSData record at {offset} overruns the file")
             if self._footer is not None:
-                t = self._verify_span(offset, offset + kend + vallen, t)
+                bs = self._footer.block_size
+                for blk in range(offset // bs,
+                                 (offset + kend + vallen - 1) // bs + 1):
+                    if blk not in self._verified_blocks:
+                        _, t = self._block(blk, t, hot=False)
+                        self._verified_blocks.add(blk)
             if keylen <= _SPEC_KEY:
                 rkey = probe[RECORD_HEADER_LEN:kend]
             else:  # long key: one more read
@@ -475,7 +425,6 @@ class SSTableReader:
                 lo, hi = blk * bs, (blk + 1) * bs
                 if crc32c(view[lo:hi]) != want:
                     raise self._corrupt(f"SSData block {blk} checksum mismatch")
-                self._verified_blocks.add(blk)
                 if self._cache is not None:
                     # streaming reads fill free budget only (cold end):
                     # a compaction or scan must not evict the hot set

@@ -32,9 +32,11 @@ def encode_table(
 ) -> Dict[str, bytes]:
     """Encode sorted ``records`` into the three file blobs.
 
-    Returns ``{"data": ..., "index": ..., "bloom": ...}``.  Factored out
-    of :func:`write_sstable` so recovery paths (sidecar rebuild from an
-    intact SSData file) can re-derive blobs without rewriting the data.
+    Returns ``{"data": ..., "index": ..., "bloom": ...}``.  Separate
+    from the device commit (:func:`write_sstable_blobs`) so the flush
+    pipeline can build on its CPU stage, and recovery paths (sidecar
+    rebuild from an intact SSData file) can re-derive blobs without
+    rewriting the data.
     """
     recs: List[Record] = list(records)
     prev_key = None
@@ -62,29 +64,6 @@ def encode_table(
     )
     index_blob = encode_index(entries, footer)
     return {"data": data_blob, "index": index_blob, "bloom": bloom_blob}
-
-
-def write_sstable(
-    store: PosixStore,
-    directory: str,
-    ssid: int,
-    records: Iterable[Record],
-    t: float,
-    fp_rate: float = 0.01,
-) -> Tuple[int, float]:
-    """Write one SSTable under ``directory`` in ``store``.
-
-    ``records`` must already be sorted by key (MemTables iterate in key
-    order).  Returns ``(bytes_written, virtual_completion_time)``.
-    Tombstones are written too — they must shadow older SSTables until a
-    compaction drops the dead keys.
-    """
-    blobs = encode_table(records, fp_rate)
-    data_name, index_name, bloom_name = sstable_filenames(ssid)
-    end = store.write(f"{directory}/{data_name}", blobs["data"], t)
-    end = store.write(f"{directory}/{index_name}", blobs["index"], end)
-    end = store.write(f"{directory}/{bloom_name}", blobs["bloom"], end)
-    return sum(len(b) for b in blobs.values()), end
 
 
 def write_sstable_blobs(

@@ -1,4 +1,4 @@
-"""Byte-budgeted LRU cache.
+"""Cost-budgeted LRU cache.
 
 "The cache is a kind of MemTable, and it is managed in a LRU fashion"
 (paper §2.3).  The local cache holds pairs fetched from SSTables; the
@@ -14,99 +14,17 @@ from typing import Any, Callable, Hashable, Iterator, List, Optional, Tuple
 from repro.analysis.runtime import annotate_read, annotate_write
 
 
-class LRUCache:
-    """LRU map from ``bytes`` keys to ``bytes`` values with a byte budget."""
-
-    __slots__ = ("capacity_bytes", "_data", "_bytes", "hits", "misses",
-                 "evictions", "_race_tag")
-
-    def __init__(self, capacity_bytes: int) -> None:
-        if capacity_bytes < 0:
-            raise ValueError("capacity must be non-negative")
-        self.capacity_bytes = capacity_bytes
-        self._data: OrderedDict[bytes, bytes] = OrderedDict()
-        self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    # -------------------------------------------------------------- accessors
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: bytes) -> bool:
-        return key in self._data
-
-    @property
-    def size_bytes(self) -> int:
-        return self._bytes
-
-    def get(self, key: bytes) -> Optional[bytes]:
-        """Return the cached value and mark it most-recently-used."""
-        annotate_write(self, "lru")  # recency + counters mutate
-        try:
-            value = self._data[key]
-        except KeyError:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def peek(self, key: bytes) -> Optional[bytes]:
-        """Return the value without touching recency or statistics."""
-        annotate_read(self, "lru")
-        return self._data.get(key)
-
-    # --------------------------------------------------------------- mutation
-    def put(self, key: bytes, value: bytes) -> None:
-        """Insert/refresh an entry, evicting LRU entries to fit the budget."""
-        annotate_write(self, "lru")
-        entry = len(key) + len(value)
-        if entry > self.capacity_bytes:
-            # An oversized entry cannot be cached; drop any stale copy.
-            self.invalidate(key)
-            return
-        old = self._data.pop(key, None)
-        if old is not None:
-            self._bytes -= len(key) + len(old)
-        self._data[key] = value
-        self._bytes += entry
-        while self._bytes > self.capacity_bytes and self._data:
-            k, v = self._data.popitem(last=False)
-            self._bytes -= len(k) + len(v)
-            self.evictions += 1
-
-    def invalidate(self, key: bytes) -> bool:
-        """Drop a (possibly stale) entry. Returns True if it was present."""
-        annotate_write(self, "lru")
-        value = self._data.pop(key, None)
-        if value is None:
-            return False
-        self._bytes -= len(key) + len(value)
-        return True
-
-    def clear(self) -> None:
-        """Evict everything (used when protection flips to writable)."""
-        annotate_write(self, "lru")
-        self._data.clear()
-        self._bytes = 0
-
-    def items(self) -> Iterator[Tuple[bytes, bytes]]:
-        """Snapshot of (key, value) pairs, LRU first."""
-        return iter(list(self._data.items()))
-
-
 class ObjectLRU:
     """Cost-budgeted LRU map from hashable keys to arbitrary values.
 
-    Sibling of :class:`LRUCache` for caches whose entries are not byte
-    strings — peer :class:`~repro.sstable.reader.SSTableReader` handles
-    keyed ``(owner_dir, ssid)``, replicated metadata bundles, and the
-    like.  Each ``put`` carries an explicit ``cost`` (bytes, or 1 for a
-    pure entry-count bound); LRU entries are evicted until the total
-    cost fits the budget.  Callers provide their own locking; the race
-    annotations here only flag unlocked cross-thread use.
+    The one LRU implementation: peer
+    :class:`~repro.sstable.reader.SSTableReader` handles keyed
+    ``(owner_dir, ssid)``, replicated metadata bundles, and — through
+    :class:`LRUCache` — the byte-keyed pair caches.  Each ``put``
+    carries an explicit ``cost`` (bytes, or 1 for a pure entry-count
+    bound); LRU entries are evicted until the total cost fits the
+    budget.  Callers provide their own locking; the race annotations
+    here only flag unlocked cross-thread use.
     """
 
     __slots__ = ("capacity", "_data", "_costs", "_cost", "hits", "misses",
@@ -151,11 +69,6 @@ class ObjectLRU:
         self._data.move_to_end(key)
         self.hits += 1
         return value
-
-    def peek(self, key: Hashable) -> Optional[Any]:
-        """Return the value without touching recency or statistics."""
-        annotate_read(self, "lru")
-        return self._data.get(key)
 
     def put(self, key: Hashable, value: Any, cost: int = 1) -> None:
         """Insert/refresh an entry, evicting LRU entries to fit the budget."""
@@ -206,3 +119,22 @@ class ObjectLRU:
         """Snapshot of (key, value) pairs, LRU first."""
         annotate_read(self, "lru")
         return iter(list(self._data.items()))
+
+
+class LRUCache(ObjectLRU):
+    """LRU map from ``bytes`` keys to ``bytes`` values with a byte
+    budget: an entry costs ``len(key) + len(value)``."""
+
+    __slots__ = ()
+
+    def put(self, key: bytes, value: bytes) -> None:  # type: ignore[override]
+        """Insert/refresh a pair, evicting LRU pairs to fit the budget."""
+        ObjectLRU.put(self, key, value, len(key) + len(value))
+
+    @property
+    def capacity_bytes(self) -> int:
+        return self.capacity
+
+    @property
+    def size_bytes(self) -> int:
+        return self._cost

@@ -7,10 +7,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.config import Options
-from repro.core.scan import _sstable_cursor
+from repro.core.memtable import MemTable
+from repro.core.scan import _memtable_cursor, _sstable_cursor
 from repro.mpi.launcher import spmd_run
 from repro.simtime.clock import VirtualClock
 from repro.simtime.profiles import CORI, STAMPEDE, SUMMITDEV
+from repro.sstable.compaction import merge_newest
 from repro.sstable.format import encode_index, make_footer, parse_index
 from repro.sstable.writer import encode_table, write_sstable_blobs
 
@@ -53,17 +55,41 @@ def any_system(request):
     ]
 
 
+def flip_byte(store, rel, offset=100):
+    """Flip one bit of a stored file in place (silent media damage)."""
+    p = store.path(rel)
+    blob = bytearray(open(p, "rb").read())
+    blob[offset % len(blob)] ^= 0x40
+    with open(p, "wb") as f:
+        f.write(bytes(blob))
+
+
 def write_table(store, directory, ssid, records, block_size=None):
     """Write one SSTable; ``block_size`` re-cuts the SSData CRC/cache
     blocks (the reader takes the size from the footer), so block
-    boundaries can be put anywhere without megabytes of payload."""
+    boundaries can be put anywhere without megabytes of payload.
+    Returns ``(bytes_written, virtual_completion_time)``."""
     blobs = encode_table(records)
     if block_size is not None:
         entries, footer = parse_index(blobs["index"])
         blobs["index"] = encode_index(entries, make_footer(
             blobs["data"], blobs["bloom"], block_size,
             footer.min_key, footer.max_key))
-    write_sstable_blobs(store, directory, ssid, blobs, 0.0)
+    return write_sstable_blobs(store, directory, ssid, blobs, 0.0)
+
+
+def merge_scan(tiers, start=None, end=None):
+    """What a scan of ``[start, end)`` yields over newest-first tiers of
+    ``(key, value, tombstone)``: each tier through the real MemTable
+    cursor (which seeks to ``start`` and stops at ``end``), the cursors
+    through ``merge_newest`` — the way ``ScanIterator`` wires them."""
+    cursors = []
+    for tier in tiers:
+        mt = MemTable(1 << 30)
+        for key, value, tombstone in tier:
+            mt.put(key, value, tombstone)
+        cursors.append(_memtable_cursor(mt, start, end))
+    return [(key, value) for key, value, _ in merge_newest(cursors)]
 
 
 def cursor_window(reader, start=None, end=None, keys_only=False):

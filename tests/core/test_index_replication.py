@@ -467,31 +467,6 @@ class TestEagerPublish:
 
         spmd_run(2, app)
 
-    def test_push_disabled_leaves_peers_to_pull(self):
-        """``index_push_eager=False`` sends nothing: no view appears
-        until a get pulls one."""
-
-        def app(ctx):
-            with Papyrus(ctx) as env:
-                db = env.open("ixnp", _ix_options(
-                    replicas=2, write_quorum=1, remote_timeout=0.2,
-                    index_push_eager=False,
-                ))
-                r = ctx.world_rank
-                other = (r + 1) % ctx.nranks
-                for i in range(40):
-                    db.put(f"n-{r}-{i:02d}".encode(), b"g" * 24)
-                db.barrier(SSTABLE)
-                db.tick()
-                db.barrier()
-                time.sleep(0.05)  # a publish, had one been sent, lands
-                assert other not in db._index_views
-                assert db.stats.index_publishes == 0
-                db.barrier()
-                db.close()
-
-        spmd_run(2, app)
-
 
 class TestRankDeath:
     def test_dead_owner_bundles_are_dropped_and_rejected(self):

@@ -15,16 +15,18 @@ import pytest
 from repro import Options, Papyrus
 from repro.analysis import runtime as rt
 from repro.config import MB, SSTABLE, options_from_env
+from repro.core import messages as msg
+from repro.core.handler import _serve_get
 from repro.errors import CorruptionError, InvalidOptionError
 from repro.metrics import database_metrics, format_report
 from repro.mpi.launcher import spmd_run
 from repro.nvm.posixfs import PosixStore
+from repro.simtime.clock import VirtualClock
 from repro.simtime.profiles import SUMMITDEV
 from repro.simtime.resources import TimedResource
 from repro.sstable.format import Record
 from repro.sstable.reader import SSTableReader
-from repro.sstable.writer import write_sstable
-from tests.conftest import small_options
+from tests.conftest import flip_byte, small_options, write_table
 
 
 def run1(fn, **kw):
@@ -48,14 +50,6 @@ def _load_phases(db, prefixes, n=30, vlen=64):
         for i in range(n):
             db.put(f"{p}{i:03d}".encode(), p.encode() * vlen)
         db.barrier(SSTABLE)
-
-
-def _flip_byte(store, rel, offset=100):
-    p = store.path(rel)
-    blob = bytearray(open(p, "rb").read())
-    blob[offset % len(blob)] ^= 0x40
-    with open(p, "wb") as f:
-        f.write(bytes(blob))
 
 
 class TestFencePruning:
@@ -124,7 +118,7 @@ class TestFencePruning:
                 db = env.open("d", _opts())
                 _load_phases(db, "amz")
                 victim = db.ssids[1]  # the 'm' table
-                _flip_byte(db.store, f"{db.rank_dir}/{victim:010d}.ssd",
+                flip_byte(db.store, f"{db.rank_dir}/{victim:010d}.ssd",
                            offset=500)
                 report = db.verify(repair=False)
                 assert victim in report["quarantined"]
@@ -148,12 +142,12 @@ class TestReaderFences:
 
     def test_v2_fences_match_key_extremes(self, store):
         recs = [Record(f"k{i:02d}".encode(), b"v") for i in range(10)]
-        write_sstable(store, "t", 1, recs, 0.0)
+        write_table(store, "t", 1, recs)
         fences, _ = SSTableReader(store, "t", 1).key_range(0.0)
         assert fences == (b"k00", b"k09")
 
     def test_empty_v2_table_prunes_everything(self, store):
-        write_sstable(store, "t", 1, [], 0.0)
+        write_table(store, "t", 1, [])
         fences, _ = SSTableReader(store, "t", 1).key_range(0.0)
         assert fences == (b"", b"")  # `not max_key` prunes any valid key
 
@@ -193,17 +187,17 @@ class TestCacheInvalidation:
                 db = env.open("d", _opts(cache_local_enabled=True))
                 db.put(b"k", b"old")
                 db.barrier(SSTABLE)
-                walk = db._sstable_lookup
+                walk = db._search_own_sstables
 
-                def racing_walk(ssids, key):
-                    rec = walk(ssids, key)
-                    db._sstable_lookup = walk
+                def racing_walk(ssids, key, t):
+                    found = walk(ssids, key, t)
+                    db._search_own_sstables = walk
                     db._local_insert(b"k", b"new", False, ctx.clock)
                     if flushed:
                         db.flush()
-                    return rec
+                    return found
 
-                db._sstable_lookup = racing_walk
+                db._search_own_sstables = racing_walk
                 assert db.get(b"k") == b"old"  # raced: either is legal
                 db.flush()
                 res = db.get_ex(b"k")
@@ -221,7 +215,7 @@ class TestCacheInvalidation:
                 victim = db.ssids[0]
                 assert db.get(b"a003") == b"a" * 64
                 assert db.block_cache.cached_blocks(db.rank_dir, victim) > 0
-                _flip_byte(db.store, f"{db.rank_dir}/{victim:010d}.ssd",
+                flip_byte(db.store, f"{db.rank_dir}/{victim:010d}.ssd",
                            offset=500)
                 report = db.verify(repair=False)
                 assert victim in report["quarantined"]
@@ -239,12 +233,157 @@ class TestCacheInvalidation:
                 db.checkpoint("cp").wait(ctx.clock)
                 victim = db.ssids[0]
                 assert db.get(b"a003") == b"a" * 64  # warm the cache
-                _flip_byte(db.store, f"{db.rank_dir}/{victim:010d}.ssd",
+                flip_byte(db.store, f"{db.rank_dir}/{victim:010d}.ssd",
                            offset=500)
                 report = db.verify()  # ladder ends at the checkpoint rung
                 assert victim in report["rebuilt"]
                 assert db.get(b"a003") == b"a" * 64
                 assert db.get(b"a029") == b"a" * 64
+                db.close()
+
+        run1(app)
+
+
+class _CountingLock:
+    """Counts ``with`` acquisitions of the ``db.state`` lock it wraps."""
+
+    def __init__(self, inner):
+        self.inner, self.acquisitions = inner, 0
+
+    def __enter__(self):
+        self.acquisitions += 1
+        return self.inner.__enter__()
+
+    def __exit__(self, *exc):
+        return self.inner.__exit__(*exc)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class TestHandlerEqualsRankMain:
+    """§2.4: the owner's handler runs the get procedure on a remote
+    rank's behalf — the *same* two phases ``get_bulk`` runs, not a copy.
+    One rank; ``_serve_get`` is called directly with the rank as its own
+    requester, so there is no schedule to race."""
+
+    #: one key of every kind the tier walk distinguishes
+    KEYS = [
+        b"a000",  # live in the MemTable
+        b"a001",  # MemTable tombstone over an SSTable version
+        b"a002",  # SSTable, already in the local cache
+        b"a003", b"m004",  # SSTable only
+        b"m005",  # SSTable tombstone over an older SSTable version
+        b"q404",  # absent
+    ]
+
+    @staticmethod
+    def _build(env, name):
+        db = env.open(name, _opts(cache_local_enabled=True))
+        _load_phases(db, "am")
+        db.delete(b"m005")
+        db.barrier(SSTABLE)
+        db.put(b"a000", b"fresh")
+        db.delete(b"a001")
+        assert db.get(b"a002") == b"a" * 64
+        assert b"a002" in db.local_cache
+        return db
+
+    @staticmethod
+    def _serve(db, keys, requester_group, force_data=False):
+        m = msg.GetMsg(list(keys), requester_group, seq=990_001,
+                       force_data=force_data)
+        _serve_get(db, m, db.rank, VirtualClock(start=db.clock.now),
+                   db.ctx.system.cpu)
+        return db.rsp_comm.recv(source=db.rank, tag=m.seq)
+
+    def test_same_answers_and_same_cache_fills(self):
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                main, served = self._build(env, "a"), self._build(env, "b")
+                values = main.get_bulk(self.KEYS)
+                reply = self._serve(served, self.KEYS, requester_group=-1)
+                assert reply.owner_dir is None and reply.newest_ssid == 0
+                by_key = dict(zip(self.KEYS, reply.results))
+                assert [
+                    value if status == msg.FOUND and not tomb else None
+                    for status, value, tomb in reply.results
+                ] == values
+                # a delete is FOUND-with-tombstone in either tier
+                assert by_key[b"a001"] == (msg.FOUND, b"", True)
+                assert by_key[b"m005"] == (msg.FOUND, b"", True)
+                assert by_key[b"q404"] == (msg.NOT_FOUND, None, False)
+                # the same entries, in the same recency order
+                assert list(served.local_cache.items()) == list(
+                    main.local_cache.items())
+                assert set(dict(main.local_cache.items())) == {
+                    b"a002", b"a003", b"m004"}
+                assert (served.local_cache.hits, served.local_cache.misses
+                        ) == (main.local_cache.hits, main.local_cache.misses)
+                main.close()
+                served.close()
+
+        run1(app)
+
+    def test_same_group_requester_reads_the_sstables_itself(self):
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = self._build(env, "a")
+                reply = self._serve(db, self.KEYS, db.group)
+                assert reply.owner_dir == db.rank_dir
+                assert reply.newest_ssid == db.ssids[-1]
+                statuses = {key: res[0]
+                            for key, res in zip(self.KEYS, reply.results)}
+                # exactly the keys that missed memory and the cache
+                assert {k for k, s in statuses.items()
+                        if s == msg.NOT_IN_MEMORY} == {
+                    b"a003", b"m004", b"m005", b"q404"}
+                assert all(statuses[k] == msg.FOUND
+                           for k in (b"a000", b"a001", b"a002"))
+                assert len(db.local_cache) == 1  # nothing was looked up
+                # forced value bytes: the owner finishes the get itself
+                forced = self._serve(db, self.KEYS, db.group, force_data=True)
+                assert forced.owner_dir is None
+                assert all(res[0] != msg.NOT_IN_MEMORY
+                           for res in forced.results)
+                db.close()
+
+        run1(app)
+
+    def test_quarantined_range_answers_degraded(self):
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = self._build(env, "a")
+                db._quarantine_table(db.ssids[1], "test: damaged")  # 'm'
+                for group in (-1, db.group):  # no shortcut past a hole
+                    reply = self._serve(db, self.KEYS, group)
+                    assert reply.owner_dir is None
+                    statuses = {key: res[0]
+                                for key, res in zip(self.KEYS, reply.results)}
+                    assert {k for k, s in statuses.items()
+                            if s == msg.DEGRADED} == {b"m004"}
+                    # a newer table answered before the walk met the hole
+                    assert statuses[b"m005"] == msg.FOUND
+                    assert statuses[b"a003"] == msg.FOUND
+                    assert statuses[b"q404"] == msg.NOT_FOUND
+                db.close()
+
+        run1(app)
+
+    def test_memory_phase_takes_db_state_once_per_message(self):
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("d", _opts())
+                keys = [f"k{i:02d}".encode() for i in range(64)]
+                for key in keys:
+                    db.put(key, b"v")
+                db._lock = counting = _CountingLock(db._lock)
+                try:
+                    reply = self._serve(db, keys, requester_group=-1)
+                finally:
+                    db._lock = counting.inner
+                assert [res[0] for res in reply.results] == [msg.FOUND] * 64
+                assert counting.acquisitions == 1
                 db.close()
 
         run1(app)

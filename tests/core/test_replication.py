@@ -16,6 +16,7 @@ post-failure teardown.
 from __future__ import annotations
 
 import os
+import random
 import threading
 
 import pytest
@@ -27,6 +28,7 @@ from repro.core.db import GROUP_COMMIT_INTERVAL
 from repro.errors import InvalidOptionError, QuorumLostError
 from repro.faults import FaultPlan
 from repro.mpi.launcher import spmd_run
+from repro.sstable.reader import list_ssids
 from tests.conftest import run4, small_options
 
 #: CI's fault matrix re-runs this module under several seeds
@@ -219,7 +221,7 @@ class TestKillRank:
             # back to full replication factor: every acked key must be
             # physically held by >= R of the survivors
             shared["held"][rank] = {
-                k for k, v, tomb in db._all_local_records() if not tomb
+                k for k, _ in db.scan_local(include_replicas=True)
             }
             survivors.wait()
             if rank == min(r for r in range(NRANKS) if r != VICTIM):
@@ -321,3 +323,123 @@ class TestKillRecoverUnderRaceDetector:
         finally:
             runtime.disable()
             runtime.restore(saved)
+
+
+class TestRereplicationWalk:
+    """``_rereplicate`` walks the shard through a pinned ``ScanIterator``
+    with tombstones kept.  Three live ranks, R=2; rank 0 alone writes,
+    then declares rank 2 dead *in its own view* and runs one pass, so
+    the schedule is fixed: no kill, no detector timeouts."""
+
+    @staticmethod
+    def _load(db, rng):
+        """Several L0 tables plus a live MemTable on rank 0, with
+        overwrites and deletes spread over both; returns the newest
+        version rank 0 holds of every key, tombstones included."""
+        model = {}
+        for round_ in range(4):
+            for i in range(40):
+                key = f"w{i:03d}".encode()
+                if rng.random() < 0.2:
+                    db.delete(key)
+                    pair = (b"", True)
+                else:
+                    pair = (f"r{round_}-{i}".encode() * 8, False)
+                    db.put(key, pair[0])
+                if db.rank in db._replica_group(key, check=False):
+                    model[key] = pair
+            if round_ < 3:
+                db.flush()
+        db.fence()
+        assert len(db.ssids) >= 3 and len(db.local_mt) > 0
+        return model
+
+    @staticmethod
+    def _spy_on_pushes(db):
+        pushed = []
+        send = db.srv_comm.send
+
+        def spy(payload, dest, tag=0):
+            if isinstance(payload, msg.ReplicaSyncMsg):
+                pushed.extend((dest, *pair) for pair in payload.pairs)
+            return send(payload, dest, tag=tag)
+
+        db.srv_comm.send = spy
+        return pushed
+
+    def _run(self, body):
+        """``body(db)`` on rank 0 while ranks 1 and 2 only serve."""
+        done = threading.Barrier(3)
+
+        def app(ctx):
+            env = Papyrus(ctx)
+            db = env.open("walk", _repl_options(
+                replicas=2, write_quorum=1, compaction_interval=0,
+            ))
+            try:
+                if ctx.world_rank == 0:
+                    return body(db)
+            finally:
+                done.wait(60)
+                _survivor_close(db)
+
+        return spmd_run(3, app, timeout=120)[0]
+
+    def test_compaction_mid_walk_neither_raises_nor_changes_the_view(self):
+        def body(db):
+            model = self._load(db, random.Random(FAULT_SEED))
+            walked = list(db.ssids)
+            pushed = self._spy_on_pushes(db)
+            reader_of, calls = db._reader, []
+
+            def compacting_reader(ssid):
+                # between the walk's first and second table: a replica
+                # batch on the handler filled the MemTable, flushed and
+                # compacted — BackgroundWorker.schedule runs it at once
+                calls.append(ssid)
+                if len(calls) == 2:
+                    with db._lock:
+                        db._schedule_compaction(db.clock.now)
+                return reader_of(ssid)
+
+            db._reader = compacting_reader
+            db.membership.declare_dead(2)
+            db._rereplicate()
+            db._reader = reader_of
+            assert db.stats.compactions == 1
+            assert not set(walked) & set(db.ssids)  # every input retired
+            # the pre-compaction newest-wins view, deletes included, for
+            # the keys rank 0 now heads: all go to rank 1, in key order
+            want = [
+                (1, key, value, tomb)
+                for key, (value, tomb) in sorted(model.items())
+                if db._replica_group(key, check=False)[0] == 0
+            ]
+            assert any(tomb for *_, tomb in want)
+            assert pushed == want
+            assert db.stats.rereplicated_pairs == len(want)
+            assert not db.membership.pending_rereplication
+            # the walk's pins are gone and the unlinks they deferred ran
+            assert not db._scan_pins and not db._deferred_unlinks
+            assert not set(walked) & set(list_ssids(db.store, db.rank_dir))
+
+        self._run(body)
+
+    def test_quarantined_table_keeps_the_pass_pending(self):
+        """A rank behind a quarantined table cannot vouch for its newest
+        versions: it pushes nothing — never around the hole — and the
+        pass stays pending."""
+
+        def body(db):
+            self._load(db, random.Random(FAULT_SEED))
+            pushed = self._spy_on_pushes(db)
+            db._quarantine_table(db.ssids[1], "test: damaged")
+            db.membership.declare_dead(2)
+            for _ in range(2):  # and again on the next tick
+                db._rereplicate()
+                assert pushed == []
+                assert db.stats.rereplicated_pairs == 0
+                assert db.membership.pending_rereplication
+            assert not db._scan_pins
+
+        self._run(body)

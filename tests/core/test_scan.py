@@ -14,10 +14,9 @@ from hypothesis import strategies as st
 from repro import (
     Options, Papyrus, SSTABLE, WRONLY, RDWR, ProtectionError, spmd_run,
 )
-from repro.core.scan import merge_scan
 from repro.errors import CorruptionError
 from repro.sstable.format import DATA_BLOCK_SIZE
-from tests.conftest import small_options
+from tests.conftest import merge_scan, small_options
 
 
 def _in_range(key, start, end):

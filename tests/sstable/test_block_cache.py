@@ -16,7 +16,7 @@ from repro.simtime.resources import TimedResource
 from repro.sstable.block_cache import BlockCache
 from repro.sstable.format import Record
 from repro.sstable.reader import SSTableReader
-from repro.sstable.writer import write_sstable
+from tests.conftest import flip_byte, write_table
 
 
 @pytest.fixture()
@@ -26,14 +26,6 @@ def store(tmp_path):
 
 RECORDS = [Record(f"key{i:04d}".encode(), f"val{i:04d}".encode() * 40)
            for i in range(300)]
-
-
-def _flip_byte(store, rel, offset=100):
-    p = store.path(rel)
-    blob = bytearray(open(p, "rb").read())
-    blob[offset % len(blob)] ^= 0x40
-    with open(p, "wb") as f:
-        f.write(bytes(blob))
 
 
 class TestAccounting:
@@ -159,7 +151,7 @@ class TestInvalidation:
 
 class TestReaderIntegration:
     def test_probe_fills_and_second_reader_hits(self, store):
-        write_sstable(store, "t", 1, RECORDS, 0.0)
+        write_table(store, "t", 1, RECORDS)
         cache = BlockCache(1 << 20)
         rd1 = SSTableReader(store, "t", 1, block_cache=cache)
         rec, _ = rd1.get(b"key0123", 0.0)
@@ -176,11 +168,11 @@ class TestReaderIntegration:
         """The cache holds bytes verified at fill; damaging the file
         afterwards must not reach cached reads — while an uncached
         reader of the same file sees the corruption immediately."""
-        write_sstable(store, "t", 1, RECORDS, 0.0)
+        write_table(store, "t", 1, RECORDS)
         cache = BlockCache(1 << 20)
         warm = SSTableReader(store, "t", 1, block_cache=cache)
         rec, _ = warm.get(b"key0042", 0.0)  # fills + verifies the blocks
-        _flip_byte(store, "t/0000000001.ssd", offset=50)
+        flip_byte(store, "t/0000000001.ssd", offset=50)
         again, _ = SSTableReader(store, "t", 1, block_cache=cache).get(
             b"key0042", 0.0
         )
@@ -189,8 +181,8 @@ class TestReaderIntegration:
             SSTableReader(store, "t", 1).get(b"key0042", 0.0)
 
     def test_fill_time_corruption_raises_and_never_caches(self, store):
-        write_sstable(store, "t", 1, RECORDS, 0.0)
-        _flip_byte(store, "t/0000000001.ssd", offset=50)
+        write_table(store, "t", 1, RECORDS)
+        flip_byte(store, "t/0000000001.ssd", offset=50)
         cache = BlockCache(1 << 20)
         rd = SSTableReader(store, "t", 1, block_cache=cache)
         with pytest.raises(CorruptionError):
@@ -199,7 +191,7 @@ class TestReaderIntegration:
         assert cache.cached_blocks("t", 1) == 0
 
     def test_read_all_inserts_low_priority(self, store):
-        write_sstable(store, "t", 1, RECORDS, 0.0)
+        write_table(store, "t", 1, RECORDS)
         cache = BlockCache(1 << 20)
         rd = SSTableReader(store, "t", 1, block_cache=cache)
         records, _ = rd.read_all(0.0)
@@ -207,21 +199,10 @@ class TestReaderIntegration:
         assert cache.low_priority_inserts > 0 and cache.inserts == 0
         assert cache.cached_blocks("t", 1) == cache.low_priority_inserts
 
-    def test_low_priority_reader_never_promotes(self, store):
-        write_sstable(store, "t", 1, RECORDS, 0.0)
-        cache = BlockCache(1 << 20)
-        rd = SSTableReader(store, "t", 1, block_cache=cache,
-                           cache_priority="low")
-        rec, _ = rd.get(b"key0007", 0.0)
-        assert rec.value == b"val0007" * 40
-        assert cache.low_priority_inserts > 0 and cache.inserts == 0
-        rd.get(b"key0007", 0.0)
-        assert cache.hits > 0  # hit, but recency untouched (promote=False)
-
     def test_cache_consistent_across_all_keys(self, store):
         """Every key read through a tiny (thrashing) cache still
         returns exactly what an uncached reader returns."""
-        write_sstable(store, "t", 1, RECORDS, 0.0)
+        write_table(store, "t", 1, RECORDS)
         cache = BlockCache(64 * 1024)  # one block: constant thrash
         cached = SSTableReader(store, "t", 1, block_cache=cache)
         plain = SSTableReader(store, "t", 1)

@@ -8,19 +8,25 @@ from hypothesis import strategies as st
 
 from repro.nvm.posixfs import PosixStore
 from repro.simtime.resources import TimedResource
-from repro.sstable.compaction import merge_records, read_and_merge
+from repro.sstable.compaction import merge_newest, read_and_merge
 from repro.sstable.format import Record
 from repro.sstable.reader import SSTableReader, list_ssids
 from repro.sstable.writer import (
     encode_table,
-    write_sstable,
     write_tables_ordered,
 )
+from tests.conftest import write_table
 
 
 @pytest.fixture()
 def store(tmp_path):
     return PosixStore(str(tmp_path), TimedResource("d", 0.0, 1e9))
+
+
+def merge_records(runs, drop_tombstones=False):
+    """``merge_newest`` the way ``read_and_merge`` calls it: decoded
+    runs oldest→newest in, the merged list out."""
+    return list(merge_newest(reversed(runs), not drop_tombstones))
 
 
 class TestMergeRecords:
@@ -60,6 +66,60 @@ class TestMergeRecords:
         assert merge_records([[], []]) == []
 
 
+def _reference_merge(tiers, tombstones):
+    """Newest version per key (``tiers[0]`` newest), sorted."""
+    newest: dict = {}
+    for tier in reversed(list(tiers)):
+        for item in tier:
+            newest[item[0]] = item
+    return [it for _, it in sorted(newest.items()) if tombstones or not it[2]]
+
+
+_tier = st.dictionaries(
+    st.binary(min_size=1, max_size=3),  # short keys: duplicates across tiers
+    st.tuples(st.binary(max_size=8), st.booleans()),
+    max_size=12,
+).map(lambda d: [(k, b"" if tomb else v, tomb)
+                 for k, (v, tomb) in sorted(d.items())])
+
+
+class TestMergeNewest:
+    """The one newest-wins merge against a reference kept here."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_tier, max_size=6), st.booleans())
+    def test_equals_reference(self, tiers, tombstones):
+        want = _reference_merge(tiers, tombstones)
+        assert list(merge_newest(tiers, tombstones)) == want
+        # lazy tiers and Records merge the same, and come out as given
+        lazy = [iter([Record(*it) for it in tier]) for tier in tiers]
+        got = list(merge_newest(lazy, tombstones))
+        assert got == want
+        assert all(isinstance(it, Record) for it in got)
+
+    @pytest.mark.parametrize("tombstones", [False, True])
+    def test_failing_tier_delivers_everything_before_it(self, tombstones):
+        def failing():
+            yield (b"b", b"new", False)
+            yield (b"d", b"", True)
+            raise OSError("block gone")
+
+        older = [(b"a", b"1", False), (b"b", b"old", False),
+                 (b"c", b"3", False), (b"e", b"5", False)]
+        merged = merge_newest([failing(), older], tombstones)
+        got = []
+        with pytest.raises(OSError):
+            for item in merged:
+                got.append(item)
+        # the failure surfaces only when the merge needs the tier's next
+        # item — after d, the last one it delivered, has been emitted
+        want = [(b"a", b"1", False), (b"b", b"new", False),
+                (b"c", b"3", False)]
+        if tombstones:
+            want.append((b"d", b"", True))
+        assert got == want
+
+
 class TestReadMergeWrite:
     """The round the database runs: read_and_merge the inputs, land the
     outputs with one write_tables_ordered commit."""
@@ -68,7 +128,7 @@ class TestReadMergeWrite:
         recs = [
             Record(k, v, v == b"") for k, v in sorted(pairs.items())
         ]
-        write_sstable(store, "t", ssid, recs, 0.0)
+        write_table(store, "t", ssid, recs)
 
     def _round(self, store, ssids, new_ssid, t, drop_tombstones=False):
         merged, readers, t = read_and_merge(
@@ -130,7 +190,7 @@ def test_compaction_equals_dict_overlay(tmp_path_factory, generations):
         if not gen:
             continue
         recs = [Record(k, v) for k, v in sorted(gen.items())]
-        write_sstable(store, "t", i, recs, 0.0)
+        write_table(store, "t", i, recs)
         ssids.append(i)
         expected.update(gen)
     if not ssids:

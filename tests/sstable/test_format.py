@@ -39,10 +39,11 @@ from repro.sstable.format import (
     sstable_filenames,
 )
 from repro.sstable.reader import SSTableReader
-from repro.sstable.writer import encode_table, write_sstable
+from repro.sstable.writer import encode_table
 from repro.tools.dump import verify_sstable
 from repro.util.bloom import BloomFilter
 from repro.util.checksum import crc32c
+from tests.conftest import flip_byte, write_table
 
 #: a footer for index-only round trips (no data/bloom behind it)
 FOOTER = make_footer(b"", b"")
@@ -147,15 +148,7 @@ RECORDS = [Record(f"key{i:04d}".encode(), f"val{i:04d}".encode() * 4)
 
 
 def _write(store):
-    write_sstable(store, "t", 1, RECORDS, 0.0)
-
-
-def _flip_byte(store, rel, offset=100):
-    p = store.path(rel)
-    blob = bytearray(open(p, "rb").read())
-    blob[offset % len(blob)] ^= 0x40
-    with open(p, "wb") as f:
-        f.write(bytes(blob))
+    write_table(store, "t", 1, RECORDS)
 
 
 def _truncate(store, rel, keep):
@@ -301,7 +294,7 @@ class TestDamageDetection:
 
     def test_data_bit_flip_detected_on_get(self, store):
         _write(store)
-        _flip_byte(store, "t/0000000001.ssd", offset=500)
+        flip_byte(store, "t/0000000001.ssd", offset=500)
         rd = SSTableReader(store, "t", 1)
         with pytest.raises(CorruptionError):
             # probe every key: whichever path touches the damaged block
@@ -320,13 +313,13 @@ class TestDamageDetection:
 
     def test_index_bit_flip_detected(self, store):
         _write(store)
-        _flip_byte(store, "t/0000000001.ssi", offset=40)
+        flip_byte(store, "t/0000000001.ssi", offset=40)
         with pytest.raises(CorruptionError):
             SSTableReader(store, "t", 1).get(RECORDS[0].key, 0.0)
 
     def test_bloom_bit_flip_detected(self, store):
         _write(store)
-        _flip_byte(store, "t/0000000001.bf", offset=20)
+        flip_byte(store, "t/0000000001.bf", offset=20)
         with pytest.raises(CorruptionError):
             SSTableReader(store, "t", 1).get(RECORDS[0].key, 0.0)
 
@@ -337,13 +330,13 @@ class TestDamageDetection:
             ("t/0000000001.bf", CorruptionError),
         ]:
             _write(store)
-            _flip_byte(store, rel, offset=33)
+            flip_byte(store, rel, offset=33)
             with pytest.raises(exc):
                 SSTableReader(store, "t", 1).verify(0.0)
 
     def test_corruption_error_is_value_and_storage_error(self, store):
         _write(store)
-        _flip_byte(store, "t/0000000001.ssi", offset=40)
+        flip_byte(store, "t/0000000001.ssi", offset=40)
         rd = SSTableReader(store, "t", 1)
         with pytest.raises(ValueError):
             rd.get(RECORDS[0].key, 0.0)

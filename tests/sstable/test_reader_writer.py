@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CorruptionError
 from repro.nvm.posixfs import PosixStore
 from repro.simtime.resources import TimedResource
 from repro.sstable.block_cache import BlockCache
 from repro.sstable.format import DATA_BLOCK_SIZE, Record
 from repro.sstable.reader import SSTableReader, list_ssids
-from repro.sstable.writer import write_sstable
-from tests.conftest import cursor_window, window_triples, write_table
+from tests.conftest import (
+    cursor_window, flip_byte, window_triples, write_table,
+)
 
 
 @pytest.fixture()
@@ -27,7 +29,7 @@ def make_table(store, ssid=1, n=50, directory="t"):
         Record(f"key-{i:04d}".encode(), f"value-{i:04d}".encode() * 2)
         for i in range(n)
     ]
-    write_sstable(store, directory, ssid, recs, 0.0)
+    write_table(store, directory, ssid, recs)
     return recs
 
 
@@ -41,23 +43,23 @@ class TestWriter:
     def test_rejects_unsorted(self, store):
         recs = [Record(b"b", b"1"), Record(b"a", b"2")]
         with pytest.raises(ValueError):
-            write_sstable(store, "t", 1, recs, 0.0)
+            write_table(store, "t", 1, recs)
 
     def test_rejects_duplicates(self, store):
         recs = [Record(b"a", b"1"), Record(b"a", b"2")]
         with pytest.raises(ValueError):
-            write_sstable(store, "t", 1, recs, 0.0)
+            write_table(store, "t", 1, recs)
 
     def test_empty_table(self, store):
-        nbytes, end = write_sstable(store, "t", 1, [], 0.0)
+        nbytes, end = write_table(store, "t", 1, [])
         assert nbytes > 0  # index + bloom headers exist
         rd = SSTableReader(store, "t", 1)
         rec, _ = rd.get(b"anything", 0.0)
         assert rec is None
 
     def test_returns_bytes_and_time(self, store):
-        nbytes, end = write_sstable(
-            store, "t", 1, [Record(b"k", b"v" * 1000)], 0.0
+        nbytes, end = write_table(
+            store, "t", 1, [Record(b"k", b"v" * 1000)]
         )
         assert nbytes > 1000
         assert end > 0
@@ -79,7 +81,7 @@ class TestReaderLookup:
 
     def test_tombstone_returned_not_skipped(self, store):
         recs = [Record(b"alive", b"v"), Record(b"dead", b"", True)]
-        write_sstable(store, "t", 1, recs, 0.0)
+        write_table(store, "t", 1, recs)
         rd = SSTableReader(store, "t", 1)
         out, _ = rd.get(b"dead", 0.0)
         assert out is not None and out.tombstone
@@ -212,6 +214,60 @@ class TestBlockCursor:
         assert (warm, store.read_device.ops) == (0.0, ops)
 
 
+class TestPointGetEdges:
+    """``get`` probes through the same ``_span`` the cursor uses, at
+    point-get priority: whatever a 64KB boundary cuts, cached or not."""
+
+    @pytest.mark.parametrize("binary_search", [True, False])
+    def test_every_edge_record_and_the_gaps_between(self, edge_reader,
+                                                    binary_search):
+        edge_reader.load_index(0.0)  # a sequential get verifies only then
+        for rec in EDGE_RECS:  # cut key, tombstone, 200KB and cut values
+            got, _ = edge_reader.get(rec.key, 0.0, binary_search)
+            assert got == rec
+        for absent in (b"\x00", b"bz", b"dd", b"zz"):
+            got, _ = edge_reader.get(absent, 0.0, binary_search,
+                                     use_bloom=False)
+            assert got is None
+
+    def test_probes_inside_the_held_block_skip_the_cache(self, store):
+        recs = make_table(store, n=80)  # one block, ~7 probes a get
+        cache = BlockCache(1 << 20)
+        rd = SSTableReader(store, "t", 1, block_cache=cache)
+        got, _ = rd.get(recs[37].key, 0.0)
+        assert got == recs[37]
+        assert (cache.misses, cache.hits) == (1, 0)
+        rd.get(recs[5].key, 0.0)
+        assert (cache.misses, cache.hits) == (1, 1)
+
+    def test_fills_are_hot_and_a_repeat_costs_no_device_time(self, store):
+        write_table(store, "t", 1, EDGE_RECS)
+        cache = BlockCache(1 << 22)
+        rd = SSTableReader(store, "t", 1, block_cache=cache)
+        _, cold = rd.get(b"d", 0.0)
+        assert cold > 0
+        assert cache.inserts >= 4 and cache.low_priority_inserts == 0
+        ops = store.read_device.ops
+        got, warm = rd.get(b"d", cold)
+        assert got == EDGE_RECS[3]
+        assert (warm, store.read_device.ops) == (cold, ops)
+
+    def test_corrupt_block_inside_a_span_raises_and_is_never_cached(
+            self, edge_reader):
+        bad = 3  # inside d's value, which spans blocks 1..4
+        flip_byte(edge_reader.store, "t/0000000001.ssd",
+                  offset=bad * DATA_BLOCK_SIZE + 17)
+        with pytest.raises(CorruptionError):
+            edge_reader.get(b"d", 0.0)
+        assert edge_reader.get(b"b" * 10, 0.0)[0] == EDGE_RECS[1]
+        with pytest.raises(CorruptionError):  # the front-to-back walk too
+            edge_reader.get(b"g", 0.0, binary_search=False)
+        cache = edge_reader._cache
+        if cache is not None:
+            assert cache.get("t", 1, bad, promote=False) is None
+            assert cache.get("t", 1, bad - 1, promote=False) is not None
+
+
 class TestListSsids:
     def test_ascending(self, store):
         for ssid in (3, 1, 10):
@@ -242,7 +298,7 @@ def test_write_read_property(tmp_path_factory, kv):
         Record(k, b"" if tomb else v, tomb)
         for k, (v, tomb) in sorted(kv.items())
     ]
-    write_sstable(store, "t", 1, recs, 0.0)
+    write_table(store, "t", 1, recs)
     rd = SSTableReader(store, "t", 1)
     for rec in recs:
         for mode in (True, False):

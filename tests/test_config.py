@@ -104,11 +104,11 @@ class TestOptionsValidation:
         "group_commit_bytes", "compaction_major_every",
         "compaction_rate_limit", "bloom_fp_rate", "scan_chunk",
         "heartbeat_interval", "suspect_timeout", "dead_timeout",
-        "fence_pruning", "block_cache_enabled",
+        "fence_pruning", "block_cache_enabled", "index_push_eager",
     )
 
     def test_options_field_count(self):
-        assert len(dataclasses.fields(Options)) == 25
+        assert len(dataclasses.fields(Options)) == 24
         for name in self.REMOVED:
             with pytest.raises(TypeError):
                 Options(**{name: 1})
@@ -149,13 +149,10 @@ class TestOptionsValidation:
         opt = Options()
         assert opt.index_replication is False  # opt-in
         assert opt.index_cache_capacity == 8 << 20
-        assert opt.index_push_eager is True
         opt = Options(index_replication=True,
-                      index_cache_capacity=1 << 16,
-                      index_push_eager=False)
+                      index_cache_capacity=1 << 16)
         assert opt.index_replication is True
         assert opt.index_cache_capacity == 1 << 16
-        assert opt.index_push_eager is False
 
     @pytest.mark.parametrize("value", [0, -1])
     def test_index_cache_capacity_must_be_positive(self, value):
@@ -225,10 +222,3 @@ class TestEnvParsing:
         assert opt.index_replication is False
         assert opt.index_cache_capacity == Options().index_cache_capacity
 
-    def test_index_push_var(self):
-        assert options_from_env(
-            {"PAPYRUSKV_INDEX_PUSH": "0"}
-        ).index_push_eager is False
-        assert options_from_env(
-            {"PAPYRUSKV_INDEX_PUSH": "1"}
-        ).index_push_eager is True

@@ -19,10 +19,9 @@ from repro.nvm.posixfs import PosixStore
 from repro.nvm.storage import Machine
 from repro.simtime.profiles import SUMMITDEV
 from repro.sstable.reader import SSTableReader
-from repro.sstable.writer import write_sstable
 from repro.sstable.format import Record
 from repro.simtime.resources import TimedResource
-from tests.conftest import small_options
+from tests.conftest import small_options, write_table
 
 #: CI's fault matrix re-runs this module under several seeds
 FAULT_SEED = int(os.environ.get("PKV_FAULT_SEED", "7"))
@@ -36,7 +35,7 @@ def store(tmp_path):
 class TestStorageCorruption:
     def _write_table(self, store):
         recs = [Record(f"k{i:02d}".encode(), b"v" * 8) for i in range(20)]
-        write_sstable(store, "t", 1, recs, 0.0)
+        write_table(store, "t", 1, recs)
         return recs
 
     def test_missing_data_file(self, store):

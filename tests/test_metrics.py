@@ -66,6 +66,30 @@ class TestDatabaseMetrics:
         for name in names - {"get_tiers", "flush_stall_s"}:
             assert isinstance(dbm[name], int), name
 
+    def test_key_set_is_the_one_callers_read(self):
+        """The runner, ``format_report`` and operators' scripts read
+        these by name: a refactor of the layers beneath may not add,
+        drop or rename one."""
+        (dbm, _), _ = _run_and_collect()
+        sections = {
+            "local_cache": "entries bytes hits misses evictions",
+            "remote_cache": "entries bytes hits misses",
+            "block_cache": "entries bytes capacity_bytes hits misses "
+                           "evictions inserts low_priority_inserts "
+                           "invalidations",
+        }
+        for name, keys in sections.items():
+            assert set(dbm[name]) == set(keys.split()), name
+        assert set(dbm["latency"]) == {"put", "get"}
+        # ("race_detect" joins only while the detector is enabled)
+        assert set(dbm) - {"race_detect"} == (
+            {f.name for f in dataclasses.fields(DbStats)} | set(sections)
+            | set("name rank sstables memtable_bytes remote_memtable_bytes "
+                  "compaction_busy_s dispatcher_busy_s flush_build_busy_s "
+                  "flush_sync_busy_s latency".split())
+        )
+        assert len(dataclasses.fields(DbStats)) == 46
+
     def test_get_tiers_sum(self):
         (dbm, _), _ = _run_and_collect()
         assert sum(dbm["get_tiers"].values()) == dbm["gets"]

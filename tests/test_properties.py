@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.scan import merge_scan
 from repro.mpi.launcher import spmd_run
 from repro.nvm.posixfs import PosixStore
 from repro.simtime.resources import BackgroundWorker, StripedResource, TimedResource
@@ -16,6 +15,7 @@ from repro.sstable.reader import SSTableReader
 from tests.conftest import (
     assert_free_windows_sorted_disjoint,
     cursor_window,
+    merge_scan,
     window_triples,
     write_table,
 )

@@ -31,13 +31,6 @@ class TestBasics:
         c.put(b"abc", b"1")  # replace shrinks
         assert c.size_bytes == 4
 
-    def test_peek_does_not_touch_stats(self):
-        c = LRUCache(1024)
-        c.put(b"k", b"v")
-        assert c.peek(b"k") == b"v"
-        assert c.peek(b"x") is None
-        assert c.hits == 0 and c.misses == 0
-
 
 class TestEviction:
     def test_lru_order(self):
@@ -171,8 +164,6 @@ class TestObjectLRU:
     def test_peek_and_clear(self):
         c = self._cache(100)
         c.put("k", "v", cost=5)
-        assert c.peek("k") == "v"
-        assert c.hits == 0 and c.misses == 0
         c.clear()
         assert len(c) == 0 and c.cost == 0
 
