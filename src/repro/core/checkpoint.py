@@ -8,7 +8,7 @@ transfer the SSTables from NVM to the target parallel file system"
 background compaction timeline, so the application overlaps them with
 useful work until ``papyruskv_wait``.
 
-Crash consistency (layout version 3).  Repeated checkpoints to one path
+Crash consistency (layout version 4).  Repeated checkpoints to one path
 land in numbered *generations* —
 ``ckpt/<path>/db_<name>/gen<k>/rank<r>/`` — and every file inside a
 generation is covered by a manifest chain written strictly after the
@@ -42,9 +42,9 @@ from repro.sstable.reader import SSTableReader, list_ssids
 from repro.util.checksum import crc32c
 
 #: snapshot layout version written into every generation manifest and
-#: checked on restore (3: per-file ``crc32`` is CRC-32/ISO-HDLC and the
-#: tables inside are SSTable format 3)
-CHECKPOINT_FORMAT = 3
+#: checked on restore (4: per-file ``crc32`` is CRC-32/ISO-HDLC and the
+#: tables inside are SSTable format 4)
+CHECKPOINT_FORMAT = 4
 
 _RANK_MANIFEST = "MANIFEST.json"
 _GEN_MANIFEST = "manifest.json"

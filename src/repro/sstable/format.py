@@ -8,9 +8,9 @@ SSData record layout (little-endian)::
     key      keylen bytes
     value    vallen bytes
 
-SSIndex layout (``format 3``)::
+SSIndex layout (``format 4``)::
 
-    magic      u32  = 0x33564B50  ("PKV3")
+    magic      u32  = 0x34564B50  ("PKV4")
     count      u64
     entries    count * 17 bytes: offset u64, keylen u32, vallen u32, flags u8
     footer:
@@ -22,29 +22,35 @@ SSIndex layout (``format 3``)::
         bloom_len   u32    committed bloom file length
         min_key     u32 length + bytes   smallest key (empty table: b"")
         max_key     u32 length + bytes   largest key
+        nkeys       u32
+        block_keys  nkeys * (u32 length + bytes)   for every block in
+                    which a record starts, that record's key; ascending
     index_crc  u32   CRC-32 over every preceding byte of this file
 
 Every checksum is CRC-32/ISO-HDLC (:mod:`repro.util.checksum`).  The
 bloom file is the serialized :class:`repro.util.bloom.BloomFilter`
-behind a self-checking header (``magic u32 = "PKB3"``, ``body_crc
+behind a self-checking header (``magic u32 = "PKB4"``, ``body_crc
 u32``) so the bloom can be verified before the index is ever read (gets
-consult the bloom first).  Keys live only in SSData — a binary-search
-probe must touch SSData at the indexed offset, which is the access
-pattern whose cost the paper's "SSTable binary search" optimization
-targets.
+consult the bloom first).  Keys still live only in SSData, which is read
+a verified block at a time; the footer holds one key per block, so the
+paper's "SSTable binary search" bisects those in memory and touches the
+one block whose records can hold the key.  A block key's entry ordinal
+and block number are not stored: :func:`parse_index` derives them from
+the entries' ``offset // block_size`` runs and rejects a list that
+disagrees with them.
 
-Formats 1 (footer-less index, raw bloom) and 2 (the same layout as 3
-under Castagnoli CRC32C) are no longer written or read: a file carrying
-either magic is rejected by version, one with no recognised magic as
-garbage.  All parse errors raise :class:`repro.errors.CorruptionError`
-(a ``ValueError`` subclass).
+Formats 1 (footer-less index, raw bloom), 2 (Castagnoli CRC32C) and 3
+(no block keys, FNV bloom hashes) are no longer written or read: a file
+carrying one of their magics is rejected by version, one with no
+recognised magic as garbage.  All parse errors raise
+:class:`repro.errors.CorruptionError` (a ``ValueError`` subclass).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import CorruptionError
 from repro.util.bloom import BloomFilter
@@ -55,14 +61,17 @@ INDEX_SUFFIX = ".ssi"
 BLOOM_SUFFIX = ".bf"
 QUARANTINE_SUFFIX = ".quar"
 
-FORMAT_VERSION = 3
-MAGIC = 0x33564B50  # "PKV3"
-BLOOM_MAGIC = 0x33424B50  # "PKB3"
+FORMAT_VERSION = 4
+MAGIC = 0x34564B50  # "PKV4"
+BLOOM_MAGIC = 0x34424B50  # "PKB4"
 #: retired magics, recognised only to be rejected by version
 MAGIC_V1 = 0x50414B56  # "PAKV"
 MAGIC_V2 = 0x32564B50  # "PKV2"
+MAGIC_V3 = 0x33564B50  # "PKV3"
 BLOOM_MAGIC_V2 = 0x42564B50  # "PKVB"
-_INDEX_VERSIONS = {MAGIC_V1: 1, MAGIC_V2: 2, MAGIC: FORMAT_VERSION}
+BLOOM_MAGIC_V3 = 0x33424B50  # "PKB3"
+_INDEX_VERSIONS = {MAGIC_V1: 1, MAGIC_V2: 2, MAGIC_V3: 3, MAGIC: FORMAT_VERSION}
+_BLOOM_VERSIONS = {BLOOM_MAGIC_V2: 2, BLOOM_MAGIC_V3: 3}
 DATA_BLOCK_SIZE = 64 * 1024
 
 _HDR = struct.Struct("<IQ")
@@ -94,8 +103,7 @@ class Record(NamedTuple):
         return RECORD_HEADER_LEN + len(self.key) + len(self.value)
 
 
-@dataclass(frozen=True)
-class IndexEntry:
+class IndexEntry(NamedTuple):
     """Location of one record inside SSData."""
 
     offset: int
@@ -123,6 +131,8 @@ class TableFooter:
     ``min_key``/``max_key`` are the table's smallest and largest keys
     (empty for an empty table) — CRC-protected fences that bound the
     poisoned range when the data file itself is too damaged to trust.
+    ``block_keys[j]`` is the key of entry ``block_first[j]``, the first
+    record starting in its SSData block; only the keys are stored.
     """
 
     data_len: int
@@ -132,6 +142,8 @@ class TableFooter:
     bloom_len: int
     min_key: bytes = b""
     max_key: bytes = b""
+    block_keys: Tuple[bytes, ...] = ()
+    block_first: Tuple[int, ...] = ()
 
 
 def encode_record(rec: Record) -> bytes:
@@ -181,22 +193,41 @@ def encode_index(entries: List[IndexEntry], footer: TableFooter) -> bytes:
     out += _FOOTER_TAIL.pack(footer.bloom_crc, footer.bloom_len)
     out += _U32.pack(len(footer.min_key)) + footer.min_key
     out += _U32.pack(len(footer.max_key)) + footer.max_key
+    out += _U32.pack(len(footer.block_keys))
+    for key in footer.block_keys:
+        out += _U32.pack(len(key)) + key
     out += _U32.pack(crc32c(out))
     return bytes(out)
 
 
 def _decode_entries(buf: bytes, count: int, pos: int) -> Tuple[List[IndexEntry], int]:
-    expected = pos + count * INDEX_ENTRY_LEN
-    if len(buf) < expected:
+    end = pos + count * INDEX_ENTRY_LEN
+    if len(buf) < end:
         raise CorruptionError("SSIndex shorter than its count claims")
-    entries: List[IndexEntry] = []
-    for _ in range(count):
-        offset, keylen, vallen, flags = _ENTRY.unpack_from(buf, pos)
-        entries.append(
-            IndexEntry(offset, keylen, vallen, bool(flags & TOMBSTONE_FLAG))
-        )
-        pos += INDEX_ENTRY_LEN
-    return entries, pos
+    return [
+        IndexEntry(offset, keylen, vallen, bool(flags & TOMBSTONE_FLAG))
+        for offset, keylen, vallen, flags
+        in _ENTRY.iter_unpack(memoryview(buf)[pos:end])
+    ], end
+
+
+def block_starts(offsets: Iterable[int], block_size: int) -> Tuple[int, ...]:
+    """Ordinals of the record ``offsets`` that are the first inside their
+    ``block_size`` block: the records whose keys the footer carries."""
+    first, blk = [], -1
+    for i, offset in enumerate(offsets):
+        if offset // block_size != blk:
+            blk = offset // block_size
+            first.append(i)
+    return tuple(first)
+
+
+def _read_key(buf: bytes, pos: int) -> Tuple[bytes, int]:
+    (klen,) = _U32.unpack_from(buf, pos)
+    pos += _U32.size
+    if pos + klen > len(buf) - _U32.size:
+        raise CorruptionError("SSIndex key fence overruns footer")
+    return bytes(buf[pos:pos + klen]), pos + klen
 
 
 def index_format_version(buf: bytes) -> Optional[int]:
@@ -237,18 +268,30 @@ def parse_index(buf: bytes) -> Tuple[List[IndexEntry], TableFooter]:
         pos += nblocks * _U32.size
         bloom_crc, bloom_len = _FOOTER_TAIL.unpack_from(buf, pos)
         pos += _FOOTER_TAIL.size
-        fences = []
-        for _ in range(2):
-            (klen,) = _U32.unpack_from(buf, pos)
-            pos += _U32.size
-            if pos + klen > len(buf) - _U32.size:
-                raise CorruptionError("SSIndex key fence overruns footer")
-            fences.append(bytes(buf[pos:pos + klen]))
-            pos += klen
+        min_key, pos = _read_key(buf, pos)
+        max_key, pos = _read_key(buf, pos)
+        (nkeys,) = _U32.unpack_from(buf, pos)
+        pos += _U32.size
+        block_keys = []
+        for _ in range(nkeys):
+            key, pos = _read_key(buf, pos)
+            block_keys.append(key)
     except struct.error as exc:
         raise CorruptionError("SSIndex footer truncated") from exc
+    if not block_size:
+        raise CorruptionError("SSIndex block size is zero")
+    first = block_starts([e.offset for e in entries], block_size)
+    if len(block_keys) != len(first):
+        raise CorruptionError(f"SSIndex has {len(block_keys)} block keys "
+                              f"for {len(first)} blocks with a record start")
+    if (any(a >= b for a, b in zip(block_keys, block_keys[1:]))
+            or (block_keys and block_keys[0] != min_key)
+            or any(len(k) != entries[i].keylen
+                   for k, i in zip(block_keys, first))):
+        raise CorruptionError("SSIndex block keys are not the ascending "
+                              "first keys of their blocks")
     footer = TableFooter(data_len, block_size, block_crcs, bloom_crc,
-                         bloom_len, fences[0], fences[1])
+                         bloom_len, min_key, max_key, tuple(block_keys), first)
     return entries, footer
 
 
@@ -263,7 +306,9 @@ def data_block_crcs(data: bytes, block_size: int = DATA_BLOCK_SIZE) -> Tuple[int
 
 def make_footer(data: bytes, bloom_blob: bytes,
                 block_size: int = DATA_BLOCK_SIZE,
-                min_key: bytes = b"", max_key: bytes = b"") -> TableFooter:
+                min_key: bytes = b"", max_key: bytes = b"",
+                block_keys: Tuple[bytes, ...] = (),
+                block_first: Tuple[int, ...] = ()) -> TableFooter:
     """Build the footer for an SSData buffer and bloom file blob."""
     return TableFooter(
         data_len=len(data),
@@ -273,6 +318,8 @@ def make_footer(data: bytes, bloom_blob: bytes,
         bloom_len=len(bloom_blob),
         min_key=min_key,
         max_key=max_key,
+        block_keys=block_keys,
+        block_first=block_first,
     )
 
 
@@ -285,16 +332,17 @@ def encode_bloom_file(bloom: BloomFilter) -> bytes:
 def decode_bloom_file(blob: bytes) -> BloomFilter:
     """Parse a bloom file; raises CorruptionError.
 
-    A blob carrying the format-2 header, or no self-checking header at
-    all (the raw format-1 layout, or garbage), is rejected as an
-    unsupported version.
+    A blob carrying the format-2 or format-3 header, or no
+    self-checking header at all (the raw format-1 layout, or garbage),
+    is rejected as an unsupported version.
     """
     if len(blob) < _BLOOM_HDR.size:
         raise CorruptionError("bloom file truncated")
     magic, body_crc = _BLOOM_HDR.unpack_from(blob, 0)
-    if magic == BLOOM_MAGIC_V2:
+    if magic in _BLOOM_VERSIONS:
         raise CorruptionError(
-            "bloom file is format version 2, which is no longer supported"
+            f"bloom file is format version {_BLOOM_VERSIONS[magic]}, which "
+            "is no longer supported"
         )
     if magic != BLOOM_MAGIC:
         raise CorruptionError(

@@ -3,19 +3,19 @@
 A get "opens the bloom filter file first to determine whether the
 SSTable can be skipped"; on a possible hit it "loads the SSIndex in
 memory and searches SSData with the given key" (paper §2.6).  With
-binary search enabled each probe needs just the key bytes at an indexed
-offset — O(log n) random accesses, cheap on NVM, which is the point of
-the optimization.  With it disabled the reader scans SSData from the
-front, one small read per record (the ``Default`` configuration in
-Figure 8).
+binary search enabled the footer's block keys are bisected in memory and
+the search runs inside the one block they pick: one device access per
+lookup.  With it disabled the reader scans SSData from the front, one
+small read per record (the ``Default`` configuration in Figure 8).
 
 SSData reaches a lookup one way: :meth:`SSTableReader._block` — one
 verified 64KB block, through the shared block cache when there is one —
 and :meth:`SSTableReader._span` slicing over the block the caller
-holds.  A binary search (a point get, or a scan's ``find_ge``) holds
-the block it last probed; :meth:`SSTableReader.scan_from` fetches each
-block once and slices every record out of it; the sequential get keeps
-its small reads and only *verifies* through ``_block``.
+holds.  The binary search (:meth:`SSTableReader._seek`: a point get, a
+scan's ``find_ge``) fetches the one block its key can be in;
+:meth:`SSTableReader.scan_from` fetches each block once and slices every
+record out of it; the sequential get keeps its small reads and only
+*verifies* through ``_block``.
 
 Verification is lazy: the bloom and index files check their own CRCs
 when first loaded, and SSData blocks are checked the first time a probe
@@ -28,6 +28,8 @@ reader never returns bytes that failed their checksum.
 from __future__ import annotations
 
 import re
+import struct
+from bisect import bisect_right
 from itertools import islice
 from typing import Callable, Iterator, List, Optional, Set, Tuple
 
@@ -40,6 +42,7 @@ from repro.sstable.format import (
     IndexEntry,
     Record,
     TableFooter,
+    _REC_HDR,
     decode_bloom_file,
     decode_records,
     parse_index,
@@ -125,6 +128,13 @@ class SSTableReader:
     def _corrupt(self, detail: str) -> CorruptionError:
         return CorruptionError(f"sstable {self.ssid} ({self.directory}): {detail}")
 
+    def _check_len(self, what: str, size: int, committed: int) -> None:
+        if size != committed:
+            raise TornWriteError(
+                f"sstable {self.ssid} ({self.directory}): {what} is "
+                f"{size} bytes, footer committed {committed}"
+            )
+
     # ----------------------------------------------------------------- loads
     def load_bloom(self, t: float) -> Tuple[BloomFilter, float]:
         """Load (once), verify, and return the bloom filter."""
@@ -170,20 +180,17 @@ class SSTableReader:
     # -------------------------------------------------------- data integrity
     def _check_data_size(self, footer: TableFooter) -> None:
         """First-touch check that SSData matches its committed length."""
-        if self._size_checked:
-            return
-        size = self.store.size(self._data_path)
-        if size != footer.data_len:
-            raise TornWriteError(
-                f"sstable {self.ssid} ({self.directory}): SSData is "
-                f"{size} bytes, footer committed {footer.data_len}"
-            )
-        self._size_checked = True
+        if not self._size_checked:
+            size = self.store.size(self._data_path)
+            self._check_len("SSData", size, footer.data_len)
+            self._size_checked = True
 
-    def _entry_bounds_ok(self, entry: IndexEntry) -> bool:
-        footer = self._footer
-        assert footer is not None
-        return entry.offset + entry.record_len <= footer.data_len
+    def _entry(self, i: int) -> IndexEntry:
+        """Index entry ``i``, checked to end inside the committed SSData."""
+        entry = self._index[i]
+        if entry.offset + entry.record_len > self._footer.data_len:
+            raise self._corrupt(f"index entry {i} overruns SSData")
+        return entry
 
     # ------------------------------------------------------------ cached I/O
     def _block(self, blk: int, t: float, hot: bool) -> Tuple[bytes, float]:
@@ -237,33 +244,52 @@ class SSTableReader:
             offset = (blk + 1) * bs
         return b"".join(pieces), blk, data, fetched, t
 
+    def _seek(self, key: bytes, t: float, hot: bool,
+              ) -> Tuple[int, bool, int, bytes, float]:
+        """The one binary search: index position of the first entry with
+        ``entry.key >= key``, and whether that key *is* ``key``.
+
+        The footer's block keys pick, in memory, the only block whose
+        records can hold ``key`` (below the first: position 0, no I/O).
+        It is fetched once and every probe is a slice of the held bytes;
+        only the last record starting in a block can run past its end,
+        and :meth:`_span` follows that one into the next.  Returns
+        ``(pos, found, blk, data, t)``: ``data`` is block ``blk``, the
+        one a found key ends in — where its value starts.
+        """
+        footer, t = self.footer(t)
+        index = self._index
+        j = bisect_right(footer.block_keys, key) - 1
+        if j < 0:
+            return 0, False, -1, b"", t
+        first = footer.block_first
+        lo = first[j]
+        hi = first[j + 1] if j + 1 < len(first) else len(index)
+        blk = index[lo].offset // footer.block_size
+        data, t = self._block(blk, t, hot)
+        found = footer.block_keys[j] == key
+        while lo + 1 < hi and not found:  # index[lo].key <= key < index[hi].key
+            mid = (lo + hi) // 2
+            entry = self._entry(mid)
+            probe, nblk, ndata, _, t = self._span(
+                entry.key_offset, entry.keylen, blk, data, t, hot)
+            if probe <= key:
+                lo, found, blk, data = mid, probe == key, nblk, ndata
+            else:
+                hi = mid
+        return lo if found else lo + 1, found, blk, data, t
+
     # ------------------------------------------------------------ scan support
     def find_ge(self, key: Optional[bytes], t: float) -> Tuple[int, float]:
-        """Index position of the first entry with ``entry.key >= key``.
-
-        Binary search probing only the key bytes of O(log n) entries —
-        the scan cursor's bracketing step; the last probed block stays
-        held, so the tail of the search costs slices, not lookups.
+        """Index position of the first entry with ``entry.key >= key`` —
+        the scan cursor's bracketing step, one block at stream priority.
         ``key=None`` (open start) returns 0 for free; a result of
         ``len(index)`` means no entry qualifies.
         """
-        index, t = self.load_index(t)
         if key is None:
-            return 0, t
-        blk, data = -1, b""
-        lo, hi = 0, len(index)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            entry = index[mid]
-            if not self._entry_bounds_ok(entry):
-                raise self._corrupt(f"index entry {mid} overruns SSData")
-            probe, blk, data, _, t = self._span(
-                entry.key_offset, entry.keylen, blk, data, t, hot=False)
-            if probe < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo, t
+            return 0, self.load_index(t)[1]
+        pos, _, _, _, t = self._seek(key, t, hot=False)
+        return pos, t
 
     def scan_from(self, lo: int, now: Callable[[], float],
                   keys_only: bool = False,
@@ -312,33 +338,15 @@ class SSTableReader:
             hit, t = self.may_contain(key, t)
             if not hit:
                 return None, t
-        if binary_search:
-            return self._binary_get(key, t)
-        return self._sequential_get(key, t)
-
-    def _binary_get(self, key: bytes, t: float) -> Tuple[Optional[Record], float]:
-        """Binary search over the index, probing key bytes through
-        :meth:`_span` at point-get priority; the last probed block stays
-        held, exactly as in :meth:`find_ge`."""
-        index, t = self.load_index(t)
-        blk, data = -1, b""
-        lo, hi = 0, len(index) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            entry = index[mid]
-            if not self._entry_bounds_ok(entry):
-                raise self._corrupt(f"index entry {mid} overruns SSData")
-            probe, blk, data, _, t = self._span(
-                entry.key_offset, entry.keylen, blk, data, t, hot=True)
-            if probe == key:
-                value, blk, data, _, t = self._span(
-                    entry.value_offset, entry.vallen, blk, data, t, hot=True)
-                return Record(key, value, entry.tombstone), t
-            if probe < key:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return None, t
+        if not binary_search:
+            return self._sequential_get(key, t)
+        pos, found, blk, data, t = self._seek(key, t, hot=True)
+        if not found:
+            return None, t
+        entry = self._entry(pos)
+        value, _, _, _, t = self._span(
+            entry.value_offset, entry.vallen, blk, data, t, hot=True)
+        return Record(key, value, entry.tombstone), t
 
     def _sequential_get(self, key: bytes, t: float) -> Tuple[Optional[Record], float]:
         """Record-by-record scan of SSData front to back.
@@ -351,14 +359,9 @@ class SSTableReader:
         (it deliberately avoids loading the index, that being the whole
         point of the ablation); structural decode errors still raise.
         """
-        import struct as _struct
-
         size = self.store.size(self._data_path)
-        if self._footer is not None and size != self._footer.data_len:
-            raise TornWriteError(
-                f"sstable {self.ssid} ({self.directory}): SSData is "
-                f"{size} bytes, footer committed {self._footer.data_len}"
-            )
+        if self._footer is not None:
+            self._check_len("SSData", size, self._footer.data_len)
         offset = 0
         while offset < size:
             # speculative read: header plus enough bytes for typical keys
@@ -366,8 +369,8 @@ class SSTableReader:
                 self._data_path, t, offset, RECORD_HEADER_LEN + _SPEC_KEY
             )
             try:
-                keylen, vallen, flags = _struct.unpack_from("<IIB", probe, 0)
-            except _struct.error as exc:
+                keylen, vallen, flags = _REC_HDR.unpack_from(probe, 0)
+            except struct.error as exc:
                 raise self._corrupt(
                     f"SSData record header truncated at {offset}"
                 ) from exc
@@ -414,11 +417,7 @@ class SSTableReader:
             self._footer = None  # sidecar missing: structural checks only
         footer = self._footer
         if footer is not None:
-            if len(blob) != footer.data_len:
-                raise TornWriteError(
-                    f"sstable {self.ssid} ({self.directory}): SSData is "
-                    f"{len(blob)} bytes, footer committed {footer.data_len}"
-                )
+            self._check_len("SSData", len(blob), footer.data_len)
             bs = footer.block_size
             view = memoryview(blob)
             for blk, want in enumerate(footer.block_crcs):
@@ -442,16 +441,12 @@ class SSTableReader:
         Raises :class:`CorruptionError` / :class:`TornWriteError` on the
         first problem found: the index CRC, the bloom file CRC against
         the footer, every SSData block CRC, and that the decoded records
-        agree with the index.
+        agree with the index entries and the footer's block keys.
         """
         index, t = self.load_index(t)
         footer, t = self.footer(t)
         bloom_blob, t = self.store.read(self._bloom_path, t)
-        if len(bloom_blob) != footer.bloom_len:
-            raise TornWriteError(
-                f"sstable {self.ssid} ({self.directory}): bloom is "
-                f"{len(bloom_blob)} bytes, footer committed {footer.bloom_len}"
-            )
+        self._check_len("bloom", len(bloom_blob), footer.bloom_len)
         if crc32c(bloom_blob) != footer.bloom_crc:
             raise self._corrupt("bloom file checksum mismatch")
         try:
@@ -463,9 +458,14 @@ class SSTableReader:
             raise self._corrupt(
                 f"SSData holds {len(records)} records, index claims {len(index)}"
             )
+        offset = 0
         for rec, entry in zip(records, index):
-            if len(rec.key) != entry.keylen or len(rec.value) != entry.vallen:
+            if entry != (offset, len(rec.key), len(rec.value), rec.tombstone):
                 raise self._corrupt("index entry disagrees with SSData record")
+            offset += rec.encoded_len()
+        for key, i in zip(footer.block_keys, footer.block_first):
+            if records[i].key != key:  # i: derived from the offsets above
+                raise self._corrupt(f"block key {key!r} is not record {i}'s")
         return t
 
     def nbytes(self) -> int:

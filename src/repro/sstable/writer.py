@@ -1,12 +1,13 @@
 """SSTable writer: flush sorted records to the three files.
 
-Tables are written in format 3, the only format: the SSIndex carries a
-footer with CRC-32 checksums over the SSData blocks and the bloom file,
-and the bloom file carries its own self-checking header (see
-:mod:`repro.sstable.format`).  All three files go through the store's
-tmp-file + fsync + atomic-rename path, in the order SSData -> SSIndex
--> bloom, so a crash leaves either no table, a complete data file whose
-sidecars can be rebuilt, or a complete table — never a torn one.
+Tables are written in format 4, the only format: the SSIndex carries a
+footer with CRC-32 checksums over the SSData blocks and the bloom file
+and the first key of every block a record starts in, and the bloom file
+carries its own self-checking header (see :mod:`repro.sstable.format`).
+All three files go through the store's tmp-file + fsync + atomic-rename
+path, in the order SSData -> SSIndex -> bloom, so a crash leaves either
+no table, a complete data file whose sidecars can be rebuilt, or a
+complete table — never a torn one.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.nvm.posixfs import PosixStore
 from repro.sstable.format import (
+    DATA_BLOCK_SIZE,
     IndexEntry,
     Record,
+    block_starts,
     encode_bloom_file,
     encode_index,
     encode_record,
@@ -29,14 +32,16 @@ from repro.util.bloom import BloomFilter
 def encode_table(
     records: Iterable[Record],
     fp_rate: float = 0.01,
+    block_size: int = DATA_BLOCK_SIZE,
 ) -> Dict[str, bytes]:
     """Encode sorted ``records`` into the three file blobs.
 
-    Returns ``{"data": ..., "index": ..., "bloom": ...}``.  Separate
-    from the device commit (:func:`write_sstable_blobs`) so the flush
-    pipeline can build on its CPU stage, and recovery paths (sidecar
-    rebuild from an intact SSData file) can re-derive blobs without
-    rewriting the data.
+    Returns ``{"data": ..., "index": ..., "bloom": ...}``; ``block_size``
+    cuts the SSData blocks the footer's CRCs and block keys are for
+    (the reader takes it from the footer).  Separate from the device
+    commit (:func:`write_sstable_blobs`) so the flush pipeline can build
+    on its CPU stage, and recovery paths (sidecar rebuild from an intact
+    SSData file) can re-derive blobs without rewriting the data.
     """
     recs: List[Record] = list(records)
     prev_key = None
@@ -57,10 +62,12 @@ def encode_table(
 
     data_blob = bytes(data)
     bloom_blob = encode_bloom_file(bloom)
+    first = block_starts([e.offset for e in entries], block_size)
     footer = make_footer(
-        data_blob, bloom_blob,
+        data_blob, bloom_blob, block_size,
         min_key=recs[0].key if recs else b"",
         max_key=recs[-1].key if recs else b"",
+        block_keys=tuple(recs[i].key for i in first), block_first=first,
     )
     index_blob = encode_index(entries, footer)
     return {"data": data_blob, "index": index_blob, "bloom": bloom_blob}

@@ -41,6 +41,8 @@ def _cmd_inspect(args) -> int:
                     f"{t.total_bytes:9d} B  "
                     f"[{t.min_key!r} .. {t.max_key!r}]"
                 )
+                for blk, i, key in t.block_keys:
+                    print(f"{'':12}block {blk:4d} from entry {i:6d}  {key!r}")
     return 0
 
 

@@ -16,7 +16,8 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from itertools import accumulate
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.sstable.format import (
     BLOOM_SUFFIX,
@@ -25,6 +26,7 @@ from repro.sstable.format import (
     INDEX_SUFFIX,
     QUARANTINE_SUFFIX,
     Record,
+    block_starts,
     data_block_crcs,
     decode_bloom_file,
     decode_records,
@@ -50,6 +52,8 @@ class SSTableSummary:
     bloom_bytes: int
     min_key: Optional[bytes] = None
     max_key: Optional[bytes] = None
+    #: the footer's sparse block index: ``(block, first entry, its key)``
+    block_keys: List[Tuple[int, int, bytes]] = field(default_factory=list)
 
     @property
     def total_bytes(self) -> int:
@@ -92,6 +96,14 @@ def _summarize_table(rank_dir: str, ssid: int) -> SSTableSummary:
         if min_key is None:
             min_key = rec.key
         max_key = rec.key
+    block_keys = []
+    try:
+        with open(index_path, "rb") as f:
+            entries, footer = parse_index(f.read())
+        block_keys = [(entries[i].offset // footer.block_size, i, key) for
+                      key, i in zip(footer.block_keys, footer.block_first)]
+    except (OSError, ValueError):
+        pass  # no readable index to list: fsck says why
     return SSTableSummary(
         ssid=ssid,
         records=records,
@@ -103,6 +115,7 @@ def _summarize_table(rank_dir: str, ssid: int) -> SSTableSummary:
         if os.path.exists(bloom_path) else 0,
         min_key=min_key,
         max_key=max_key,
+        block_keys=block_keys,
     )
 
 
@@ -152,11 +165,11 @@ def dump_sstable(rank_dir: str, ssid: int,
 def verify_sstable(rank_dir: str, ssid: int) -> List[str]:
     """Cross-check one SSTable's three files; returns found problems.
 
-    Structural checks (sorted keys, index/record agreement, bloom
-    membership) plus the footer's checksums (data length, per-block
-    CRC-32, bloom checksum).  A table whose SSIndex carries the magic of
-    a retired format is reported as that unsupported version, not as
-    damage.
+    Structural checks (sorted keys, index/record agreement, each block
+    key against the decoded record it names, bloom membership) plus the
+    footer's checksums (data length, per-block CRC-32, bloom checksum).
+    A table whose SSIndex carries the magic of a retired format is
+    reported as that unsupported version, not as damage.
     """
     problems: List[str] = []
     base = os.path.join(rank_dir, f"{ssid:010d}")
@@ -195,6 +208,13 @@ def verify_sstable(rank_dir: str, ssid: int) -> List[str]:
             if got != rec.key:
                 problems.append(f"SSIndex offset mismatch at key {rec.key!r}")
                 break
+        starts = [0, *accumulate(r.encoded_len() for r in records)][:-1]
+        if footer.block_first != block_starts(starts, footer.block_size):
+            problems.append("block keys do not sit at the first record "
+                            "starting in each SSData block")
+        for key, i in zip(footer.block_keys, footer.block_first):
+            if i >= len(records) or records[i].key != key:
+                problems.append(f"block key {key!r} is not record {i}'s key")
     except (OSError, ValueError) as exc:
         problems.append(f"SSIndex unreadable: {exc}")
     if footer is not None:  # index readable: checksum everything

@@ -6,8 +6,9 @@ guarantees no false negatives: if ``key in filter`` is False the key is
 definitely not in the SSTable's data file.
 
 The implementation uses the standard Kirsch-Mitzenmacher double-hashing
-scheme (k probe positions derived from two 64-bit FNV hashes), the same
-approach used by LevelDB.
+scheme, the approach LevelDB takes: k probe positions stepped from the
+two 64-bit halves of one 128-bit BLAKE2b digest (the stdlib's C routine;
+two independent hashes, which two seeds of one CRC would not be).
 """
 
 from __future__ import annotations
@@ -15,19 +16,14 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from repro.util.hashing import fnv1a_64
+try:  # the C routine hashlib.blake2b is bound to, taken the way the
+    # stdlib's ``random`` takes its digest: ``hashlib`` itself loads
+    # OpenSSL, ~4 MB of resident memory the store has no other use for
+    from _blake2 import blake2b
+except ImportError:  # pragma: no cover - not CPython
+    from hashlib import blake2b
 
-_FNV2_OFFSET = 0x6C62272E07BB0142
 _MASK64 = (1 << 64) - 1
-
-
-def _hash2(data: bytes) -> int:
-    """A second independent 64-bit hash (FNV over the reversed bytes)."""
-    h = _FNV2_OFFSET
-    for b in reversed(data):
-        h ^= b
-        h = (h * 0x100000001B3) & _MASK64
-    return h
 
 
 class BloomFilter:
@@ -58,8 +54,9 @@ class BloomFilter:
 
     # ------------------------------------------------------------- operations
     def _positions(self, key: bytes) -> Iterable[int]:
-        h1 = fnv1a_64(key)
-        h2 = _hash2(key) | 1  # odd => full-period stepping
+        h = int.from_bytes(blake2b(key, digest_size=16).digest(), "little")
+        h1 = h & _MASK64
+        h2 = h >> 64 | 1  # odd => full-period stepping
         nbits = self.nbits
         for i in range(self.nhashes):
             yield ((h1 + i * h2) & _MASK64) % nbits

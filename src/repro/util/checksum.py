@@ -1,6 +1,6 @@
-"""The one checksum of the on-disk format (SSTable format 3).
+"""The one checksum of the on-disk format (since SSTable format 3).
 
-Format 3 protects every SSData block, sidecar file, metadata bundle and
+The format protects every SSData block, sidecar file, metadata bundle and
 checkpoint file with CRC-32/ISO-HDLC — the zlib/PNG/Ethernet CRC,
 reflected polynomial 0xEDB88320, check value ``0xCBF43926`` for
 ``b"123456789"`` — computed by the stdlib's C routine ``zlib.crc32``.

@@ -13,7 +13,7 @@ from repro.mpi.launcher import spmd_run
 from repro.simtime.clock import VirtualClock
 from repro.simtime.profiles import CORI, STAMPEDE, SUMMITDEV
 from repro.sstable.compaction import merge_newest
-from repro.sstable.format import encode_index, make_footer, parse_index
+from repro.sstable.format import DATA_BLOCK_SIZE
 from repro.sstable.writer import encode_table, write_sstable_blobs
 
 
@@ -64,17 +64,12 @@ def flip_byte(store, rel, offset=100):
         f.write(bytes(blob))
 
 
-def write_table(store, directory, ssid, records, block_size=None):
+def write_table(store, directory, ssid, records, block_size=DATA_BLOCK_SIZE):
     """Write one SSTable; ``block_size`` re-cuts the SSData CRC/cache
     blocks (the reader takes the size from the footer), so block
     boundaries can be put anywhere without megabytes of payload.
     Returns ``(bytes_written, virtual_completion_time)``."""
-    blobs = encode_table(records)
-    if block_size is not None:
-        entries, footer = parse_index(blobs["index"])
-        blobs["index"] = encode_index(entries, make_footer(
-            blobs["data"], blobs["bloom"], block_size,
-            footer.min_key, footer.max_key))
+    blobs = encode_table(records, block_size=block_size)
     return write_sstable_blobs(store, directory, ssid, blobs, 0.0)
 
 

@@ -47,7 +47,7 @@ class TestCheckpoint:
                     m = read_manifest(ctx.machine, "snap1", "db")
                     assert m["nranks"] == ctx.nranks
                     assert m["generation"] == 1
-                    assert m["format"] == CHECKPOINT_FORMAT == 3
+                    assert m["format"] == CHECKPOINT_FORMAT == 4
                 db.close()
 
         spmd_run(3, app)
@@ -387,8 +387,9 @@ class TestGenerations:
 
     def test_other_layout_version_is_refused_by_number(self, tmp_path):
         """A generation stamped ``format: 2`` holds checksums this build
-        cannot verify: restart names the version instead of skipping
-        every file as a mismatch."""
+        cannot verify, one stamped ``format: 3`` tables it cannot read:
+        restart names the version instead of skipping every file as a
+        mismatch."""
         import json
 
         machine = Machine(SUMMITDEV, 2, base_dir=str(tmp_path))
@@ -400,19 +401,22 @@ class TestGenerations:
                 db.checkpoint("old").wait(ctx.clock)
                 db.coll_comm.barrier()
                 db.close()
-                if ctx.world_rank == 0:
-                    path = ctx.machine.lustre_store().path(
-                        "ckpt/old/db_db/gen1/manifest.json"
-                    )
-                    with open(path) as f:
-                        manifest = json.load(f)
-                    manifest["format"] = 2
-                    with open(path, "w") as f:
-                        json.dump(manifest, f)
-                ctx.comm.barrier()
-                with pytest.raises(CorruptionError,
-                                   match="layout version 2 is not supported"):
-                    env.restart("old", "db", small_options())
+                for version in (2, 3):
+                    if ctx.world_rank == 0:
+                        path = ctx.machine.lustre_store().path(
+                            "ckpt/old/db_db/gen1/manifest.json"
+                        )
+                        with open(path) as f:
+                            manifest = json.load(f)
+                        manifest["format"] = version
+                        with open(path, "w") as f:
+                            json.dump(manifest, f)
+                    ctx.comm.barrier()
+                    with pytest.raises(
+                            CorruptionError,
+                            match=f"layout version {version} is not supported"):
+                        env.restart("old", "db", small_options())
+                    ctx.comm.barrier()
 
         spmd_run(2, app, machine=machine, timeout=240)
         machine.close()

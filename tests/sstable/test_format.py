@@ -1,16 +1,19 @@
 """SSTable binary format: round trips and the integrity promise.
 
-The format-3 promise: no ``get`` ever silently returns a wrong value.
+The format's promise: no ``get`` ever silently returns a wrong value.
 Every kind of single-byte damage to any of the three files must surface
-as a typed error.  Formats 1 (footer-less index, raw bloom) and 2 (the
-same layout under Castagnoli CRC32C) are no longer read: such a file is
-outside input and must be *rejected* by version.
+as a typed error — and so must a footer whose block keys would steer a
+lookup to the wrong block.  Formats 1 (footer-less index, raw bloom), 2
+(Castagnoli CRC32C) and 3 (no block keys, FNV bloom hashes) are no
+longer read: such a file is outside input and must be *rejected* by
+version.
 """
 
 from __future__ import annotations
 
 import struct
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +22,14 @@ from hypothesis import strategies as st
 from repro.errors import CorruptionError, StorageError, TornWriteError
 from repro.nvm.posixfs import PosixStore
 from repro.simtime.resources import TimedResource
+from repro.core.checkpoint import _resolved
 from repro.sstable.format import (
     BLOOM_MAGIC_V2,
+    BLOOM_MAGIC_V3,
     INDEX_ENTRY_LEN,
     MAGIC_V1,
     MAGIC_V2,
+    MAGIC_V3,
     RECORD_HEADER_LEN,
     IndexEntry,
     Record,
@@ -86,7 +92,11 @@ class TestIndex:
             IndexEntry(0, 3, 5, False),
             IndexEntry(17, 4, 0, True),
         ]
-        assert parse_index(encode_index(entries, FOOTER))[0] == entries
+        # format 4: a footer names the first key of each block a record
+        # starts in, so it can no longer be independent of the entries
+        footer = replace(FOOTER, min_key=b"abc", block_keys=(b"abc",),
+                         block_first=(0,))
+        assert parse_index(encode_index(entries, footer)) == (entries, footer)
 
     def test_empty_index(self):
         assert parse_index(encode_index([], FOOTER))[0] == []
@@ -228,7 +238,7 @@ class TestRoundTrip:
 
 
 class TestRetiredFormatsRejected:
-    """A format-1 or format-2 file is refused by version, never
+    """A format-1, -2 or -3 file is refused by version, never
     half-trusted and never reported as mere damage."""
 
     @staticmethod
@@ -240,11 +250,11 @@ class TestRetiredFormatsRejected:
         return blob
 
     @staticmethod
-    def _v2_index():
-        # format 2 is byte-for-byte the format-3 layout under another
-        # magic (and another CRC polynomial, never reached)
+    def _restamped_index(magic=MAGIC_V2):
+        # the version is read off the magic before anything else (the
+        # CRC polynomial of 2, the shorter footer of 3 are never reached)
         blob = bytearray(encode_table(RECORDS)["index"])
-        struct.pack_into("<I", blob, 0, MAGIC_V2)
+        struct.pack_into("<I", blob, 0, magic)
         return bytes(blob)
 
     def test_v1_index_names_the_unsupported_version(self):
@@ -253,7 +263,17 @@ class TestRetiredFormatsRejected:
 
     def test_v2_index_names_the_unsupported_version(self):
         with pytest.raises(CorruptionError, match="version 2"):
-            parse_index(self._v2_index())
+            parse_index(self._restamped_index())
+
+    def test_v3_index_bloom_and_checkpoint_name_the_unsupported_version(self):
+        with pytest.raises(CorruptionError, match="version 3"):
+            parse_index(self._restamped_index(MAGIC_V3))
+        blob = bytearray(encode_table(RECORDS)["bloom"])
+        struct.pack_into("<I", blob, 0, BLOOM_MAGIC_V3)
+        with pytest.raises(CorruptionError, match="version 3"):
+            decode_bloom_file(bytes(blob))
+        with pytest.raises(CorruptionError, match="version 3 is not supp"):
+            _resolved({"format": 3}, 1)
 
     def test_raw_v1_bloom_is_rejected(self):
         bloom = BloomFilter.for_capacity(4, 0.01)
@@ -274,7 +294,7 @@ class TestRetiredFormatsRejected:
         _write(store)
         with open(store.path("t/0000000001.ssi"), "wb") as f:
             f.write(self._v1_index(len(RECORDS)) if version == 1
-                    else self._v2_index())
+                    else self._restamped_index())
         rd = SSTableReader(store, "t", 1)
         with pytest.raises(CorruptionError, match=f"version {version}"):
             rd.get(b"key0003", 0.0, use_bloom=False)
@@ -284,7 +304,7 @@ class TestRetiredFormatsRejected:
     def test_fsck_names_the_version_not_damage(self, store):
         _write(store)
         with open(store.path("t/0000000001.ssi"), "wb") as f:
-            f.write(self._v2_index())
+            f.write(self._restamped_index())
         (problem,) = verify_sstable(store.path("t"), 1)
         assert "unsupported format version 2" in problem
 
@@ -360,3 +380,79 @@ class TestEncodeTable:
     def test_empty_data_has_one_block_crc(self):
         footer = make_footer(b"", b"bloomblob")
         assert footer.block_crcs == (crc32c(b""),)
+
+
+#: three records over two 32-byte blocks: ``bb`` is cut by the boundary
+#: (it *starts* in block 0), so the second block's key is ``c``
+TWO_BLOCK = [Record(b"a", b"1" * 12), Record(b"bb", b"2" * 6),
+             Record(b"c", b"", True)]
+
+
+class TestBlockKeys:
+    """The footer's sparse block index: one key per block a record
+    starts in, validated at parse so it can never misdirect a lookup."""
+
+    def test_golden_footer_bytes(self):
+        blobs = encode_table(TWO_BLOCK, block_size=32)
+        data, index = blobs["data"], blobs["index"]
+        assert len(data) == 22 + 17 + 10
+        want = struct.pack("<IQ", 0x34564B50, 3)  # "PKV4", count
+        want += struct.pack("<QIIB", 0, 1, 12, 0)
+        want += struct.pack("<QIIB", 22, 2, 6, 0)
+        want += struct.pack("<QIIB", 39, 1, 0, 1)
+        want += struct.pack("<QII", 49, 32, 2)  # data_len, block_size, nblocks
+        want += struct.pack("<II", crc32c(data[:32]), crc32c(data[32:]))
+        want += struct.pack("<II", crc32c(blobs["bloom"]), len(blobs["bloom"]))
+        want += b"\x01\x00\x00\x00a" + b"\x01\x00\x00\x00c"  # min, max
+        want += b"\x02\x00\x00\x00"  # two block keys follow
+        want += b"\x01\x00\x00\x00a" + b"\x01\x00\x00\x00c"
+        assert index == want + struct.pack("<I", crc32c(want))
+        _, footer = parse_index(index)
+        assert (footer.block_keys, footer.block_first) == ((b"a", b"c"), (0, 2))
+        assert blobs["bloom"][:4] == b"PKB4"
+
+    def test_blocks_without_a_record_start_have_no_key(self):
+        recs = [Record(b"a", b"x" * 100), Record(b"b", b"y" * 10),
+                Record(b"c", b"z")]
+        entries, footer = parse_index(encode_table(recs, block_size=32)["index"])
+        assert len(footer.block_crcs) == 5
+        assert [entries[i].offset // 32 for i in footer.block_first] == [0, 3, 4]
+        assert footer.block_keys == (b"a", b"b", b"c")
+
+    @pytest.mark.parametrize("damage", [
+        dict(block_keys=(b"a", b"a")),              # not strictly ascending
+        dict(block_keys=(b"c", b"a")),              # descending
+        dict(block_keys=(b"b", b"c")),              # first is not min_key
+        dict(block_keys=(b"a",)),                   # a block lost its key
+        dict(block_keys=(b"a", b"bb", b"c")),       # one key too many
+        dict(block_keys=(b"a", b"cc")),             # not its entry's length
+        dict(block_keys=()),                        # none at all
+        dict(block_size=0),
+    ])
+    def test_malformed_block_keys_are_corruption_crc_valid_or_not(self, damage):
+        entries, footer = parse_index(
+            encode_table(TWO_BLOCK, block_size=32)["index"])
+        blob = encode_index(entries, replace(footer, **damage))
+        with pytest.raises(CorruptionError, match="block"):
+            parse_index(blob)  # the CRC is valid: the writer was wrong
+
+    def test_block_keys_on_an_empty_table_are_corruption(self):
+        entries, footer = parse_index(encode_table([])["index"])
+        assert (entries, footer.block_keys, footer.block_first) == ([], (), ())
+        blob = encode_index([], replace(footer, block_keys=(b"a",)))
+        with pytest.raises(CorruptionError, match="1 block keys for 0"):
+            parse_index(blob)
+
+    def test_a_wrong_block_key_of_the_right_shape_fails_verify_and_fsck(
+            self, store):
+        # "b" < "c" keeps the list ascending and entry 2's key length:
+        # parse cannot see it, the verifiers that decode SSData must
+        write_table(store, "t", 1, TWO_BLOCK, block_size=32)
+        entries, footer = parse_index(store.read("t/0000000001.ssi", 0.0)[0])
+        with open(store.path("t/0000000001.ssi"), "wb") as f:
+            f.write(encode_index(entries, replace(footer,
+                                                  block_keys=(b"a", b"b"))))
+        with pytest.raises(CorruptionError, match="block key b'b'"):
+            SSTableReader(store, "t", 1).verify(0.0)
+        assert any("block key b'b'" in p
+                   for p in verify_sstable(store.path("t"), 1))

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import os
+from bisect import bisect_left
+from types import SimpleNamespace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from repro.core.db import Database
 from repro.errors import CorruptionError
 from repro.nvm.posixfs import PosixStore
 from repro.simtime.resources import TimedResource
 from repro.sstable.block_cache import BlockCache
 from repro.sstable.format import DATA_BLOCK_SIZE, Record
 from repro.sstable.reader import SSTableReader, list_ssids
+from repro.sstable.writer import encode_table
+from repro.util.lru import ObjectLRU
 from tests.conftest import (
     cursor_window, flip_byte, window_triples, write_table,
 )
@@ -268,6 +275,111 @@ class TestPointGetEdges:
             assert cache.get("t", 1, bad - 1, promote=False) is not None
 
 
+def data_reads(store):
+    """Make ``store`` log the path of every ``read`` of an SSData file."""
+    log, read = [], store.read
+
+    def logging_read(relpath, *args, **kw):
+        if relpath.endswith(".ssd"):
+            log.append(relpath)
+        return read(relpath, *args, **kw)
+
+    store.read = logging_read
+    return log
+
+
+def four_blocks(store, directory="t"):
+    """250 records of 1 KB: SSData of three full blocks and a short one."""
+    recs = [Record(f"key-{i:04d}".encode(), bytes([i]) * 1000)
+            for i in range(250)]
+    write_table(store, directory, 1, recs)
+    return recs
+
+
+class TestOneBlockPerLookup:
+    """Format 4: the footer's block keys are bisected in memory, so a
+    get, a peer's get and a scan's seek read exactly one SSData block."""
+
+    @pytest.fixture(params=["cached", "direct"])
+    def reader(self, request, store):
+        self.recs = four_blocks(store)
+        cache = BlockCache(1 << 22) if request.param == "cached" else None
+        rd = SSTableReader(store, "t", 1, block_cache=cache)
+        rd.load_bloom(0.0)
+        _, self.t0 = rd.load_index(0.0)
+        self.reads = data_reads(store)
+        return rd
+
+    def test_a_cold_get_is_one_read_and_one_block_of_virtual_time(
+            self, reader, store):
+        footer, _ = reader.footer(0.0)
+        assert len(footer.block_crcs) == 4 == len(footer.block_keys)
+        one_block = store.read_device.service_time(DATA_BLOCK_SIZE)
+        # a cold block each: present, absent inside [min, max], present
+        t = self.t0
+        for n, (key, want) in enumerate([(self.recs[40].key, self.recs[40]),
+                                         (b"key-0100\0", None),
+                                         (self.recs[170].key, self.recs[170])]):
+            rec, done = reader.get(key, t, use_bloom=False)
+            assert rec == want
+            assert (len(self.reads), done - t) == (
+                n + 1, pytest.approx(one_block))
+            t = done
+
+    def test_what_the_block_keys_decide_costs_no_read(self, reader):
+        index, _ = reader.load_index(0.0)
+        assert reader.get(b"key", self.t0, use_bloom=False) == (None, self.t0)
+        assert reader.find_ge(b"a", self.t0) == (0, self.t0)
+        assert self.reads == []
+        # in the gap past block 0's last record: block 1 is not needed
+        # to learn that its first record is the answer
+        footer, _ = reader.footer(0.0)
+        nxt = footer.block_first[1]
+        gap = self.recs[nxt - 1].key + b"\0"
+        assert index[nxt - 1].offset // DATA_BLOCK_SIZE == 0
+        assert reader.find_ge(gap, self.t0)[0] == nxt
+        assert len(self.reads) == 1
+        assert reader.get(gap, self.t0, use_bloom=False)[0] is None
+        assert len(self.reads) == (1 if reader._cache is not None else 2)
+        # above the table: the last block, once
+        del self.reads[:]
+        assert reader.find_ge(b"zzz", self.t0)[0] == len(index)
+        assert len(self.reads) == 1
+
+    def test_a_peer_and_a_bundle_reader_read_the_owner_once(self, store):
+        recs = four_blocks(store, "owner")
+        blobs = encode_table(recs)
+        reads = data_reads(store)
+        bundle = SSTableReader.from_bundle(
+            store, "owner", 1, blobs["index"], blobs["bloom"])
+        db = SimpleNamespace(store=store, block_cache=None,
+                             _peer_reader_cache=ObjectLRU(4))
+        peer = Database._peer_reader(db, "owner", 1)
+        assert Database._peer_reader(db, "owner", 1) is peer
+        sidecars = store.read_device.ops
+        assert bundle.get(recs[99].key, 0.0)[0] == recs[99]
+        assert (reads, store.read_device.ops - sidecars) == (
+            ["owner/0000000001.ssd"], 1)  # no sidecar read either
+        assert peer.get(recs[99].key, 0.0)[0] == recs[99]
+        assert reads == ["owner/0000000001.ssd"] * 2
+
+    def test_a_corrupt_target_block_raises_and_is_never_cached(
+            self, reader, store):
+        flip_byte(store, "t/0000000001.ssd", offset=2 * DATA_BLOCK_SIZE + 99)
+        index, _ = reader.load_index(0.0)
+        victim = next(r for r, e in zip(self.recs, index)
+                      if e.offset // DATA_BLOCK_SIZE == 2)
+        for _ in range(2):  # the second try re-reads: nothing was cached
+            with pytest.raises(CorruptionError, match="block 2"):
+                reader.get(victim.key, 0.0)
+        with pytest.raises(CorruptionError, match="block 2"):
+            reader.find_ge(victim.key, 0.0)
+        assert len(self.reads) == 3
+        assert reader.get(self.recs[0].key, 0.0)[0] == self.recs[0]
+        if reader._cache is not None:
+            assert reader._cache.get("t", 1, 2, promote=False) is None
+
+
 class TestListSsids:
     def test_ascending(self, store):
         for ssid in (3, 1, 10):
@@ -304,3 +416,56 @@ def test_write_read_property(tmp_path_factory, kv):
         for mode in (True, False):
             out, _ = rd.get(rec.key, 0.0, binary_search=mode)
             assert out == rec
+
+
+@st.composite
+def _cut_tables(draw):
+    """Records and a block size that cuts them anywhere: keys and values
+    across block ends, tombstones, and (sometimes) a 200KB value that
+    leaves thousands of blocks with no record starting in them."""
+    kv = draw(st.dictionaries(
+        st.binary(min_size=1, max_size=40),
+        st.one_of(st.none(), st.binary(max_size=200)),
+        min_size=1, max_size=50,
+    ))
+    recs = [Record(k, v or b"", v is None) for k, v in sorted(kv.items())]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(recs) - 1))
+        recs[i] = Record(recs[i].key, b"L" * (200 * 1024))
+    return recs, draw(st.sampled_from([64, 100, 257, 4096, DATA_BLOCK_SIZE]))
+
+
+@seed(int(os.environ.get("PKV_FAULT_SEED", "7")))
+@settings(max_examples=60, deadline=None)
+@given(_cut_tables(), st.booleans())
+def test_block_key_search_equals_the_oracles(tmp_path_factory, table, cached):
+    """``get`` equals a dict, ``find_ge`` equals ``bisect_left`` over the
+    decoded keys, and a get reads its key's block once plus whatever the
+    record itself spills into — for any keys, sizes and block cut."""
+    recs, bs = table
+    store = PosixStore(
+        str(tmp_path_factory.mktemp("cut")), TimedResource("d", 0.0, 1e9)
+    )
+    write_table(store, "t", 1, recs, block_size=bs)
+    rd = SSTableReader(store, "t", 1,
+                       block_cache=BlockCache(1 << 24) if cached else None)
+    rd.verify(0.0)
+    if cached:
+        rd._cache.clear()  # verify's read_all filled it
+    index, _ = rd.load_index(0.0)
+    oracle = {r.key: r for r in recs}
+    keys = sorted(oracle)
+    reads = data_reads(store)
+    for rec, entry in zip(recs, index):
+        near = {rec.key, rec.key + b"\0", rec.key[:-1], rec.key[:-1] + b"\xff"}
+        for k in near - {b""}:
+            before = len(reads)
+            assert rd.get(k, 0.0, use_bloom=False)[0] == oracle.get(k)
+            if k == rec.key and not cached:
+                spill = ((entry.offset + entry.record_len - 1) // bs
+                         - entry.offset // bs)
+                assert 1 <= len(reads) - before <= 1 + spill
+            assert rd.find_ge(k, 0.0)[0] == bisect_left(keys, k)
+    assert rd.find_ge(None, 0.0)[0] == 0
+    if cached:  # every block was read at most once, whatever was asked
+        assert len(reads) <= len(rd._footer.block_crcs)

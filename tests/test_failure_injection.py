@@ -19,7 +19,7 @@ from repro.nvm.posixfs import PosixStore
 from repro.nvm.storage import Machine
 from repro.simtime.profiles import SUMMITDEV
 from repro.sstable.reader import SSTableReader
-from repro.sstable.format import Record
+from repro.sstable.format import Record, parse_index
 from repro.simtime.resources import TimedResource
 from tests.conftest import small_options, write_table
 
@@ -280,10 +280,21 @@ class TestFaultPlanStorage:
                 )
                 base = victim[:-4]
                 db.close()
+
+                def block_index():
+                    blob, _ = db.store.read(f"{db.rank_dir}/{base}.ssi", 0.0)
+                    footer = parse_index(blob)[1]
+                    return footer.block_keys, footer.block_first
+
+                written = block_index()
+                assert written[0] and written[1][0] == 0
                 os.remove(db.store.path(f"{db.rank_dir}/{base}.ssi"))
                 os.remove(db.store.path(f"{db.rank_dir}/{base}.bf"))
                 db2 = env.open("flt", small_options())
                 assert db2.stats.tables_rebuilt >= 1
+                # the rebuild re-derives the index through encode_table,
+                # so it names the same first key for every block
+                assert block_index() == written
                 for k, v in model.items():
                     assert db2.get(k) == v
                 db2.close()

@@ -103,6 +103,11 @@ class TestCli:
         assert rc == 0
         assert "database 'insp'" in out
         assert "SSTables" in out
+        # every non-empty table lists its block keys: block, ordinal, key
+        tables = [t for ts in inspect_repository(
+            _nvm_root(populated_machine))[0].ranks.values() for t in ts]
+        assert all(t.block_keys[0] == (0, 0, t.min_key) for t in tables)
+        assert out.count("block    0 from entry      0  b'key") == len(tables)
 
     def test_inspect_empty(self, tmp_path, capsys):
         rc = cli_main(["inspect", str(tmp_path)])

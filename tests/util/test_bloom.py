@@ -57,6 +57,18 @@ class TestMembership:
         )
         assert fps / 10_000 < 0.05  # generous bound on the 1% target
 
+    def test_measured_fp_rate_of_ten_thousand_keys(self):
+        """Both hashes come from one BLAKE2b digest: independent enough
+        that the measured rate stays within 2x of the one asked for
+        (structured keys, the kind the workloads write)."""
+        bf = BloomFilter.for_capacity(10_000, 0.01)
+        for i in range(10_000):
+            bf.add(f"user{i:012d}".encode())
+        assert all(f"user{i:012d}".encode() in bf for i in range(10_000))
+        fps = sum(f"user{i:012d}".encode() in bf
+                  for i in range(10_000, 20_000))
+        assert fps / 10_000 <= 0.02
+
     def test_fill_ratio(self):
         bf = BloomFilter.for_capacity(100, 0.01)
         assert bf.fill_ratio() == 0.0
