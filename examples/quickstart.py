@@ -44,6 +44,14 @@ def app(ctx):
             assert values == [v for _, v in wanted]
             checked = len(values)
 
+            # every rank must be done reading before anyone deletes:
+            # the barrier after the delete migrates rank 0's tombstone
+            # to the key's owner *before* it synchronizes, so without
+            # this one a slower rank's get_bulk above could run after
+            # it and see the key gone.  Relaxed consistency permits
+            # that interleaving — a program that wants phases fences
+            # them itself
+            db.barrier()
             if me == 0:
                 del db[b"rank0/key000"]
             db.barrier()

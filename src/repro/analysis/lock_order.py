@@ -76,8 +76,9 @@ LOCK_ORDER: Tuple[LockClass, ...] = (
         level=25,
         attrs=("_index_lock",),
         holder="core.db.Database",
-        guards="replicated peer index views and the metadata-bundle LRU "
-               "(one-sided cross-group reads; main + handler threads)",
+        guards="the peer-read plane: per-owner views of other ranks' "
+               "table sets and the byte-budgeted LRU of readers over "
+               "their tables (main + handler threads)",
     ),
     LockClass(
         name="world.comm",
@@ -170,8 +171,8 @@ def render_threads_map() -> str:
         "releasing it at iterator close), "
         "`db.membership` (replica-group routing and failure "
         "declarations when `replicas > 1`), "
-        "`db.readers` (SSTable lookups), `db.index_cache` (replicated "
-        "peer metadata on one-sided cross-group gets), "
+        "`db.readers` (SSTable lookups), `db.index_cache` (views and "
+        "readers of other ranks' tables, on every get that walks them), "
         "`world.comm`/`world.mailboxes` "
         "(comm management), `comm.collective` (collectives), `queue.fifo`, "
         "`sstable.block_cache` (block-cached SSData probes).",

@@ -121,14 +121,16 @@ class Options:
     #: the writer's own copy when it is a group member); must satisfy
     #: ``1 <= write_quorum <= replicas``
     write_quorum: int = 1
-    #: one-sided index replication: cache peers' SSTable metadata
-    #: bundles (bloom + index + footer fences) locally and resolve
-    #: cross-group remote gets with direct data reads against the
-    #: owner's NVM, falling back to the handler on staleness.  Opt-in:
-    #: gets bypass the owner's handler, so only enable under the relaxed
+    #: one-sided index replication: keep a view of each peer's table
+    #: set and resolve remote gets with direct data reads against the
+    #: owner's NVM — its metadata (bloom + index + footer fences) read
+    #: off the shared directory, or shipped as a bundle to a rank that
+    #: cannot — falling back to the handler on staleness.  Opt-in: gets
+    #: bypass the owner's handler, so only enable under the relaxed
     #: consistency contract (or RDONLY) the direct path requires
     index_replication: bool = False
-    #: byte budget of the replicated-metadata bundle cache (per rank)
+    #: byte budget (per rank) of the cache of readers over other ranks'
+    #: tables, charged by the index + bloom bytes each holds
     index_cache_capacity: int = 8 * MB
     #: enable the dynamic race / lock-order / deadlock detector
     #: (:mod:`repro.analysis.runtime`); also switched on process-wide by
@@ -189,7 +191,7 @@ def options_from_env(env: Optional[Mapping[str, str]] = None,
     ``PAPYRUSKV_WRITE_QUORUM`` (durable copies a put waits for),
     ``PAPYRUSKV_INDEX_REPLICATION`` (1 enables one-sided index
     replication) and ``PAPYRUSKV_INDEX_CACHE`` (0 disables index
-    replication, any other value is the bundle cache's byte budget).
+    replication, any other value is the peer-reader cache's byte budget).
     """
     env = os.environ if env is None else env
     opt = base or Options()

@@ -13,7 +13,11 @@ moving parts mirror Figure 2/3 of the paper:
 * a per-rank sequence of **SSTables** searched newest-SSID-first with
   bloom-filter skipping and (optionally) binary search;
 * a **message handler** thread serving migrations, synchronous puts and
-  remote gets for this rank's shard.
+  remote gets for this rank's shard;
+* one **peer-read plane** for every read of another rank's SSTables:
+  a view per owner, one reader cache, one walk, and one stale-view
+  ladder — entered after the owner's ``NOT_IN_MEMORY`` (§2.7) or, with
+  ``index_replication``, with no message at all.
 
 Every put, delete and get — point call or batch — runs one write
 pipeline (:meth:`Database._write`) and one tiered get resolver
@@ -25,7 +29,7 @@ from __future__ import annotations
 import heapq
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -91,13 +95,9 @@ from repro.util.lru import LRUCache, ObjectLRU
 
 #: tag used on the ack comm for migration acknowledgements
 ACK_TAG = 7
-#: entry bound of the peer-reader LRU (readers are small handles; the
-#: bound only caps pathological many-owner working sets)
-PEER_READER_CACHE_ENTRIES = 256
-
-#: sentinel returned by the one-sided read path when the get must fall
-#: back to the owner's handler (staleness, dirty memtable, dead owner)
-_INDEX_FALLBACK = object()
+#: returned by a walk of a peer's tables whose view turned out stale
+#: (and was dropped): the caller refreshes the view and retries
+_STALE = object()
 #: tag used on the ack comm for heartbeat pongs (failure detector) —
 #: separate from ACK_TAG so pongs never interleave with the migration
 #: ack stream the quorum/fence drains consume
@@ -169,21 +169,23 @@ class _SeqWindow:
 
 
 @dataclass(frozen=True)
-class _PeerIndexView:
-    """One owner's replicated index view, as cached by a non-owner.
+class _PeerView:
+    """What a non-owner knows of one owner's tables.
 
-    ``ssids`` is the owner's authoritative table set at publish/pull
-    time; a one-sided get revalidates it against a (free) directory
-    listing before trusting any bundle — the newest-ssid handshake.
-    ``mem_clean`` records whether the owner's local MemTable was empty
-    when the view was taken (a direct read cannot see memtable state);
-    ``quarantine_free`` whether none of its range was quarantined.
-    ``epoch`` is the membership epoch at install time: any later epoch
-    bump invalidates the view wholesale.
+    ``ssids`` is the owner's table set when the view was taken
+    (ascending; the newest is ``ssids[-1]``).  A get that follows a
+    ``NOT_IN_MEMORY`` reply trusts it while the reply names the same
+    newest table; a one-sided get revalidates it against a (free)
+    directory listing first.  ``mem_clean`` records whether the owner's
+    local MemTable was empty when a pull or publish took the view (a
+    direct read cannot see memtable state; a view taken off a
+    directory listing never claims it); ``quarantine_free`` whether
+    none of its range was quarantined.  ``epoch`` is the membership
+    epoch at install time: any later epoch bump invalidates the view
+    wholesale.
     """
 
     owner_dir: str
-    newest_ssid: int
     ssids: Tuple[int, ...]
     mem_clean: bool
     quarantine_free: bool
@@ -500,25 +502,20 @@ class Database:
         self._deferred_unlinks: Dict[int, List[str]] = {}
         #: newest checkpoint target (recovery ladder's last rung)
         self._last_checkpoint_path: Optional[str] = None
-        #: cached view of group peers' SSTable sets: owner -> (newest, ssids)
-        self._peer_readers: Dict[int, Tuple[int, List[int]]] = {}
-        #: reader objects per (directory, ssid) — SSTables are immutable,
-        #: so these stay valid until the file disappears (compaction).
-        #: Entry-bounded: many-owner workloads must not grow it forever.
-        #: Main-thread only (remote gets), so unlocked.
-        self._peer_reader_cache = ObjectLRU(PEER_READER_CACHE_ENTRIES)
 
-        # -- one-sided index replication (Options.index_replication) --
+        # -- the peer-read plane: every read of another rank's SSTables --
         #: guards the two structures below: the rank-main thread reads
-        #: views and bundles on every direct get, the handler thread
-        #: installs eagerly pushed publishes.  Level 25 in the canonical
-        #: order (between db.readers and world.comm); never held across
-        #: a send or an SSTable search
+        #: them on every get that walks a peer's tables, the handler
+        #: thread installs eagerly pushed publishes.  Level 25 in the
+        #: canonical order (between db.readers and world.comm); never
+        #: held across a send or an SSTable search
         self._index_lock = make_lock("db.index_cache")
-        #: per-owner replicated index views (newest-ssid handshake state)
-        self._index_views: Dict[int, _PeerIndexView] = {}
-        #: detached readers built from replicated metadata bundles, keyed
-        #: (owner_dir, ssid), charged at the encoded bundle's byte size
+        #: per-owner view of a peer's table set
+        self._index_views: Dict[int, _PeerView] = {}
+        #: readers of peers' tables keyed (owner_dir, ssid) — built from
+        #: a shipped metadata bundle, or from the sidecar files by a
+        #: rank that shares the owner's storage — charged at the byte
+        #: size of the index + bloom they hold
         self._index_bundles = ObjectLRU(options.index_cache_capacity)
         #: ssids flushed/compacted since the last eager publish drain
         #: (guarded by db.state; drained by the main-thread _tick)
@@ -1818,8 +1815,8 @@ class Database:
         batch of one.  Distinct keys are partitioned by owner in one
         pass: local keys walk memory → local cache → own SSTables
         (:meth:`_local_get`), remote keys walk staged/inflight → remote
-        cache → one-sided index read → one ``GetMsg`` per owner →
-        shared-SSTable read (:meth:`_remote_get`).  Results come back
+        cache → the owner's tables, read by this rank where it may, or
+        one ``GetMsg`` per owner (:meth:`_remote_get`).  Results come back
         in caller order, ``None`` for absent or deleted keys; ``kind``
         labels the latency sample.
         """
@@ -2001,41 +1998,48 @@ class Database:
                 self._readers[ssid] = rd
             return rd
 
-    def _peer_reader(self, directory: str, ssid: int) -> SSTableReader:
-        """Cached reader for a storage-group peer's SSTable (§2.7).
+    def _peer_reader(self, owner: int, owner_dir: str,
+                     ssid: int) -> SSTableReader:
+        """Cached reader of one of ``owner``'s tables (call under
+        ``db.index_cache``).
 
-        Peer tables are immutable and compaction never reuses an input
-        SSID, so a cached bloom/index stays valid until the file
-        disappears — which surfaces as StorageError and drops the
-        owner's whole cached view.  Shares the block cache with own
-        readers.  Only the rank-main thread does remote gets, so no
-        lock guards this LRU.
+        A pull or publish put it there, built from a shipped bundle; a
+        rank sharing the owner's storage builds it from the sidecar
+        files instead and charges the LRU the same way — by the
+        metadata bytes it will hold.  Anyone else missing it raises
+        :class:`MetadataStaleError`: the re-pull ships what ``have``
+        no longer lists.  Peer tables are immutable and compaction
+        never reuses an input SSID, so a cached reader stays valid
+        until the file disappears — which surfaces as StorageError and
+        drops everything cached from that owner.  Data blocks go
+        through the shared block cache either way.
         """
-        rd = self._peer_reader_cache.get((directory, ssid))
+        rd = self._index_bundles.get((owner_dir, ssid))
         if rd is None:
-            rd = SSTableReader(self.store, directory, ssid,
+            if not self.shares_storage_with(owner):
+                raise MetadataStaleError(
+                    f"no replicated metadata for {owner_dir}/{ssid}"
+                )
+            rd = SSTableReader(self.store, owner_dir, ssid,
                                block_cache=self.block_cache)
-            self._peer_reader_cache.put((directory, ssid), rd)
+            _, index_path, bloom_path = rd.file_paths()
+            self._index_bundles.put(
+                (owner_dir, ssid), rd,
+                self.store.size(index_path) + self.store.size(bloom_path),
+            )
         return rd
 
     def _drop_peer_cache(self, owner: int, owner_dir: str) -> None:
-        """Forget every cached view of one owner's tables (compaction
-        race, rank death): the SSID list, the reader objects, the
-        replicated index view and its metadata bundles, and — in the
-        same call — any cached data blocks under the owner's directory,
-        so no stale ``(dir, ssid, block)`` span survives to age out."""
-        self._peer_readers.pop(owner, None)
-        self._peer_reader_cache.invalidate_where(lambda k: k[0] == owner_dir)
-        self._purge_index_of(owner, owner_dir)
-        self.block_cache.invalidate_dir(owner_dir)
-
-    def _purge_index_of(self, owner: int, owner_dir: str) -> None:
-        """Drop one owner's replicated view *and* its bundles (either
-        thread; :meth:`_drop_index_view` keeps the bundles)."""
+        """Forget everything cached from one owner's tables (compaction
+        race, rank death; either thread): the view, the readers, and —
+        in the same call — any cached data blocks under the owner's
+        directory, so no stale ``(dir, ssid, block)`` span survives to
+        age out.  :meth:`_drop_index_view` keeps the readers."""
         with self._index_lock:
             annotate_write(self, "db.index_cache")
             self._index_views.pop(owner, None)
             self._index_bundles.invalidate_where(lambda k: k[0] == owner_dir)
+        self.block_cache.invalidate_dir(owner_dir)
 
     def _invalidate_readers(self, ssid: Optional[int] = None) -> None:
         """Drop one cached reader (or all) under the readers lock, and
@@ -2048,26 +2052,15 @@ class Database:
                 self._readers.clear()
             else:
                 self._readers.pop(ssid, None)
-        # the peer-facing caches funnel through here too: a table
+        # the peer-facing cache funnels through here too: a table
         # replaced in place (quarantine repair, checkpoint restore)
         # must not survive under any cache keyed by its old bytes
         if ssid is None:
-            self._peer_reader_cache.invalidate_where(
-                lambda k: k[0] == self.rank_dir
-            )
+            self._drop_peer_cache(self.rank, self.rank_dir)
         else:
-            self._peer_reader_cache.invalidate((self.rank_dir, ssid))
-        with self._index_lock:
-            annotate_write(self, "db.index_cache")
-            if ssid is None:
-                self._index_bundles.invalidate_where(
-                    lambda k: k[0] == self.rank_dir
-                )
-            else:
+            with self._index_lock:
+                annotate_write(self, "db.index_cache")
                 self._index_bundles.invalidate((self.rank_dir, ssid))
-        if ssid is None:
-            self.block_cache.invalidate_dir(self.rank_dir)
-        else:
             self.block_cache.invalidate_table(self.rank_dir, ssid)
 
     def _ssids_snapshot(self) -> List[int]:
@@ -2103,9 +2096,8 @@ class Database:
         """The point-get gate walk (§2.6 + the footer fences).
 
         ``ssids`` is newest-first and ``reader_of`` resolves each to a
-        reader: own tables through :meth:`_reader`, a storage-group
-        peer's through :meth:`_peer_reader`, replicated metadata bundles
-        through :meth:`_bundle_reader`.
+        reader: own tables through :meth:`_reader`, a peer's through
+        the readers :meth:`_peer_walk` resolved.
 
         Per table the gate order is: quarantine poison-range check,
         footer ``[min_key, max_key]`` fences (free after the first index
@@ -2165,14 +2157,17 @@ class Database:
                     ) -> Tuple[Dict[bytes, Optional[GetResult]], int]:
         """Remote tier walk for ``{owner: keys}``.
 
-        Staged/unacked tiers and the remote cache first; then whole
-        owners one-sidedly where a replicated index allows it (zero
-        handler messages); then one ``GetMsg`` per remaining owner,
-        with NOT_IN_MEMORY answers resolved from the shared SSTables
-        (§2.7).  A shared read that races the owner's compaction drops
-        every cached view of that owner's tables and re-asks — the
-        third round forces value bytes over the network.  Returns the
-        results (absent keys may be missing) and the messages sent.
+        Staged/unacked tiers and the remote cache first.  What is left
+        reads the owner's tables itself where it may — under a view it
+        can trust with no message (:meth:`_one_sided_view`), or after
+        the owner's handler answered ``NOT_IN_MEMORY`` to the one
+        ``GetMsg`` per owner (§2.7) — and takes value bytes off the
+        wire where it may not.  The loop is the stale-view ladder,
+        spelled once: a walk that races the owner's compaction drops
+        what was cached from that owner, the next round refreshes the
+        view (a pull, or the re-asked ``GetMsg``) and retries once, the
+        third forces value bytes over the network.  Returns the results
+        (absent keys may be missing) and the messages sent.
         """
         out: Dict[bytes, Optional[GetResult]] = {}
         need: Dict[int, List[bytes]] = {}
@@ -2184,6 +2179,16 @@ class Database:
             if cache is not None:
                 cache.put(key, value)
 
+        def walk(owner: int, view: _PeerView, key: bytes, tier: str) -> bool:
+            rec = self._peer_walk(owner, view, key)
+            if rec is _STALE:
+                return False
+            if rec is None or rec.tombstone:
+                out[key] = None
+            else:
+                resolve(key, rec.value, tier)
+            return True
+
         with self._lock:  # staged/unacked tiers under one acquisition
             for owner, keys in groups.items():
                 for key in keys:
@@ -2191,38 +2196,41 @@ class Database:
                     if entry is not None:
                         out[key] = (None if entry.tombstone
                                     else GetResult(entry.value, tier))
+                        continue
+                    cached = cache.get(key) if cache is not None else None
+                    if cached is not None:
+                        out[key] = GetResult(cached, "remote_cache")
                     else:
                         need.setdefault(owner, []).append(key)
-        for owner in sorted(need):
-            direct = self._index_direct_eligible(owner)
-            still: List[bytes] = []
-            for key in need[owner]:
-                cached = cache.get(key) if cache is not None else None
-                if cached is not None:
-                    out[key] = GetResult(cached, "remote_cache")
-                    continue
-                res = (self._index_replicated_get(owner, key)
-                       if direct else _INDEX_FALLBACK)
-                if res is _INDEX_FALLBACK:
-                    still.append(key)
-                elif res is None:
-                    out[key] = None
-                else:
-                    resolve(key, res.value, res.tier)
-            if still:
-                need[owner] = still
-            else:
-                del need[owner]
         msgs = 0
         for attempt in range(3):
             if not need:
                 break
-            replies = self._request_get(need, force=attempt == 2)
-            msgs += len(replies)
+            force = attempt == 2
+            ask: Dict[int, List[bytes]] = {}
             retry: Dict[int, List[bytes]] = {}
+            for owner in sorted(need):
+                keys = need[owner]
+                direct = self._index_direct_eligible(owner)
+                view = (self._one_sided_view(owner)
+                        if direct and not force else None)
+                if view is None:
+                    if direct:
+                        self.stats.index_repl_fallbacks += len(keys)
+                    ask[owner] = keys
+                    continue
+                for i, key in enumerate(keys):
+                    if not walk(owner, view, key, "index_sstable"):
+                        self.stats.index_repl_stale += 1
+                        retry[owner] = keys[i:]
+                        break
+                    self.stats.index_repl_hits += 1
+            replies = self._request_get(ask, force) if ask else {}
+            msgs += len(replies)
             for owner, reply in replies.items():
+                view = None
                 for key, (status, value, tombstone) in zip(
-                    need[owner], reply.results
+                    ask[owner], reply.results
                 ):
                     if status == msg.FOUND:
                         if tombstone:
@@ -2236,23 +2244,13 @@ class Database:
                             f"owner rank {owner} has quarantined the "
                             f"range covering key {key!r}"
                         )
+                    elif owner in retry:  # its view went stale this round
+                        retry[owner].append(key)
                     else:  # NOT_IN_MEMORY: read the shared SSTables myself
-                        try:
-                            rec, t_end = self._shared_sstable_get(
-                                owner, key, reply
-                            )
-                        except StorageError:
-                            self._drop_peer_cache(
-                                owner,
-                                reply.owner_dir or self._owner_dir(owner),
-                            )
-                            retry.setdefault(owner, []).append(key)
-                            continue
-                        self.clock.advance_to(t_end)
-                        if rec is None or rec.tombstone:
-                            out[key] = None
-                        else:
-                            resolve(key, rec.value, "shared_sstable")
+                        if view is None:
+                            view = self._handshake_view(owner, reply)
+                        if not walk(owner, view, key, "shared_sstable"):
+                            retry[owner] = [key]
             need = retry
         return out, msgs
 
@@ -2267,69 +2265,121 @@ class Database:
         assert all(isinstance(r, msg.GetReply) for r in replies.values())
         return replies
 
-    def _shared_sstable_get(
-        self, owner: int, key: bytes, reply: msg.GetReply
-    ) -> Tuple[Optional[Record], float]:
-        """Read the owner's SSTables directly from shared NVM (§2.7).
-
-        The SSID list is cached per owner and revalidated by the
-        newest-ssid handshake in the reply; the walk itself is
-        :meth:`_search_sstables` over :meth:`_peer_reader`, so peer
-        lookups get the same fence pruning, bloom gating, and persistent
-        cached readers (sharing the block cache) as local ones.  The
-        requester cannot see the owner's quarantine list — the owner
-        only answers NOT_IN_MEMORY while it is empty.
-        """
-        owner_dir = reply.owner_dir or self._owner_dir(owner)
-        cached = self._peer_readers.get(owner)
-        if cached is None or cached[0] != reply.newest_ssid:
-            # a new SSTable appeared at the owner: re-list, but keep
-            # reader objects for SSIDs we already know — the files are
-            # immutable, so their loaded blooms/indexes stay valid
-            ssids = list_ssids(self.store, owner_dir)
-            self._peer_readers[owner] = (reply.newest_ssid, ssids)
-        else:
-            ssids = cached[1]
-        return self._search_sstables(
-            sorted(ssids, reverse=True),
-            lambda ssid: self._peer_reader(owner_dir, ssid),
-            (), key, self.clock.now,
-        )
-
-    # ========================================= ONE-SIDED INDEX REPLICATION
+    # ===================================================== THE PEER-READ PLANE
     def _owner_dir(self, owner: int) -> str:
         """Shared-NVM directory of another rank's SSTables."""
         return f"{self.dbdir}/rank{owner}"
 
+    def _peer_walk(self, owner: int, view: _PeerView, key: bytes):
+        """Gate-walk ``owner``'s tables under ``view`` — the one read of
+        another rank's SSTables, whichever way the view arrived.
+
+        Peer lookups get the same fence pruning, bloom gating and
+        cached readers (sharing the block cache) as local ones; the
+        view's readers are resolved in one ``db.index_cache``
+        acquisition per walk.  The requester cannot see the owner's
+        quarantine list — both ways in are closed while it is non-empty.
+        Returns the record (``None``: no table holds the key), or
+        ``_STALE`` after dropping what the walk could not trust: the
+        view alone for a reader the LRU evicted (the refresh re-ships
+        just that bundle), everything cached from the owner for a file
+        its compaction deleted under the walk or a block that failed
+        its CRC — then the owner judges.
+        """
+        owner_dir = view.owner_dir
+        try:
+            with self._index_lock:
+                annotate_write(self, "db.index_cache")
+                readers = {ssid: self._peer_reader(owner, owner_dir, ssid)
+                           for ssid in view.ssids}
+            rec, t_end = self._search_sstables(
+                view.ssids[::-1], readers.__getitem__, (), key,
+                self.clock.now,
+            )
+        except MetadataStaleError:
+            self._drop_index_view(owner)
+            return _STALE
+        except StorageError:
+            self._drop_peer_cache(owner, owner_dir)
+            return _STALE
+        self.clock.advance_to(t_end)
+        return rec
+
+    def _handshake_view(self, owner: int,
+                        reply: msg.GetReply) -> _PeerView:
+        """The view a ``NOT_IN_MEMORY`` reply lets me read under (§2.7).
+
+        The reply names the owner's newest table; a cached view with
+        another one (or none) is replaced by a fresh directory listing —
+        readers of tables still live stay cached, the files are
+        immutable.  A listing says nothing about the owner's MemTable,
+        so a view installed here never claims ``mem_clean``.
+        """
+        view = self._index_view_of(owner)
+        if view is None or (
+                view.ssids[-1] if view.ssids else 0) != reply.newest_ssid:
+            owner_dir = reply.owner_dir or self._owner_dir(owner)
+            mv = self.membership
+            view = _PeerView(
+                owner_dir, tuple(list_ssids(self.store, owner_dir)),
+                False, True, mv.epoch if mv is not None else 0,
+            )
+            self._set_index_view(owner, view, {})
+        return view
+
     def _index_direct_eligible(self, owner: int) -> bool:
-        """May this get try the one-sided path against ``owner``?
+        """May this get try ``owner``'s tables with no message?
 
         Requires the option, a consistency regime whose visibility
         contract a direct read can honour (relaxed — remote puts are
         only promised visible after a barrier — or RDONLY, where no
-        writes exist), an owner outside my storage group (§2.7 already
-        reads same-group tables one-sidedly, handshake included), and
-        an owner not held dead.
+        writes exist), and an owner not held dead.
         """
         if not self.options.index_replication:
             return False
         if (self.consistency != config.RELAXED
                 and self.protection != config.RDONLY):
             return False
-        if self.shares_storage_with(owner):
-            return False
         mv = self.membership
         if mv is not None and mv.is_dead(owner):
             return False
         return True
 
-    def _index_view_of(self, owner: int) -> Optional[_PeerIndexView]:
+    def _one_sided_view(self, owner: int) -> Optional[_PeerView]:
+        """A view of ``owner``'s tables this get may read under without
+        asking its handler, or ``None``.
+
+        The cached view is validated by the newest-ssid handshake — a
+        free directory listing must match its table set, the epoch must
+        be current; an absent or stale one is pulled, once, and
+        validated again.  A fresh view that does not vouch for the
+        owner's memory and quarantine list is state only the handler
+        can see.
+        """
+        mv = self.membership
+        for pulled in (False, True):
+            view = self._index_view_of(owner)
+            if view is not None:
+                if (mv is None or view.epoch >= mv.epoch) and tuple(
+                        list_ssids(self.store, view.owner_dir)) == view.ssids:
+                    usable = view.mem_clean and view.quarantine_free
+                    return view if usable else None
+                self.stats.index_repl_stale += 1
+                self._drop_index_view(owner)
+            if pulled:
+                break
+            self.stats.index_repl_misses += 1
+            if not self._index_pull(owner):
+                break
+        return None
+
+    def _index_view_of(self, owner: int) -> Optional[_PeerView]:
         with self._index_lock:
             annotate_read(self, "db.index_cache")
             return self._index_views.get(owner)
 
     def _drop_index_view(self, owner: int) -> None:
-        """Forget one owner's view; its bundles stay cached — a re-pull
+        """Forget one owner's view; its readers stay cached — a re-pull
         re-validates them via ``have`` without re-shipping bytes."""
         with self._index_lock:
             annotate_write(self, "db.index_cache")
@@ -2349,13 +2399,26 @@ class Database:
             annotate_write(self, "db.index_cache")
             for owner, view in list(self._index_views.items()):
                 if view.mem_clean:
-                    self._index_views[owner] = _PeerIndexView(
-                        view.owner_dir, view.newest_ssid, view.ssids,
-                        False, view.quarantine_free, view.epoch,
-                    )
+                    self._index_views[owner] = replace(view, mem_clean=False)
+
+    def _set_index_view(self, owner: int, view: _PeerView,
+                        readers: Dict[int, Tuple[SSTableReader, int]]
+                        ) -> None:
+        """Install ``view`` with the ``{ssid: (reader, cost)}`` that
+        came with it; readers of tables it no longer names die with the
+        view that named them."""
+        live = set(view.ssids)
+        with self._index_lock:
+            annotate_write(self, "db.index_cache")
+            self._index_views[owner] = view
+            self._index_bundles.invalidate_where(
+                lambda k: k[0] == view.owner_dir and k[1] not in live
+            )
+            for ssid, (rd, cost) in readers.items():
+                self._index_bundles.put((view.owner_dir, ssid), rd, cost)
 
     def _install_index_view(self, owner: int, owner_dir: str,
-                            newest_ssid: int, ssids: Tuple[int, ...],
+                            ssids: Tuple[int, ...],
                             bundles: Dict[int, bytes], mem_clean: bool,
                             quarantine_free: bool) -> bool:
         """Decode shipped bundles and install the owner's view.
@@ -2385,19 +2448,12 @@ class Database:
             readers[ssid] = (rd, len(blob))
         mv = self.membership
         epoch = mv.epoch if mv is not None else 0
-        live = set(ssids)
-        with self._index_lock:
-            annotate_write(self, "db.index_cache")
-            self._index_views[owner] = _PeerIndexView(
-                owner_dir, newest_ssid, tuple(ssids), mem_clean,
-                quarantine_free, epoch,
-            )
-            # retired tables' bundles die with the view that named them
-            self._index_bundles.invalidate_where(
-                lambda k: k[0] == owner_dir and k[1] not in live
-            )
-            for ssid, (rd, cost) in readers.items():
-                self._index_bundles.put((owner_dir, ssid), rd, cost)
+        self._set_index_view(
+            owner,
+            _PeerView(owner_dir, tuple(ssids), mem_clean, quarantine_free,
+                      epoch),
+            readers,
+        )
         # the main thread may have declared the owner dead — and run its
         # _drop_peer_cache purge — between the caller's staleness check
         # and the install above.  Re-check after the locked install
@@ -2405,16 +2461,16 @@ class Database:
         # order, so it cannot be read under it): whichever of purge and
         # install ran second, no view from a dead epoch survives
         if mv is not None and (mv.is_dead(owner) or mv.epoch > epoch):
-            self._purge_index_of(owner, owner_dir)
+            self._drop_peer_cache(owner, owner_dir)
             return False
         return True
 
     def _index_pull(self, owner: int) -> bool:
-        """Pull the owner's index view + missing bundles (lazy path).
+        """Pull the owner's view + the bundles I miss (lazy path).
 
-        Returns True when a usable view was installed.  A timeout is
-        absorbed (False): the caller's handler fallback owns the
-        retry/failover machinery.
+        Returns True when a view was installed.  A timeout is absorbed
+        (False): the caller's handler fallback owns the retry/failover
+        machinery.
         """
         owner_dir = self._owner_dir(owner)
         with self._index_lock:
@@ -2434,117 +2490,59 @@ class Database:
             return False
         assert isinstance(reply, msg.IndexPullReply)
         self.stats.index_pulls += 1
-        mv = self.membership
         if mv is not None:
             mv.merge(reply.epoch, reply.dead)
             mv.heard_from(owner, self.clock.now)
         return self._install_index_view(
-            owner, reply.owner_dir, reply.newest_ssid, reply.ssids,
-            reply.bundles, reply.mem_clean, reply.quarantine_free,
+            owner, reply.owner_dir, reply.ssids, reply.bundles,
+            reply.mem_clean, reply.quarantine_free,
         )
 
-    def _bundle_reader(self, owner_dir: str, ssid: int) -> SSTableReader:
-        """Detached reader over one replicated metadata bundle.
+    def _index_snapshot(self, targets: List[int],
+                        wanted: Callable[[int], bool], clock
+                        ) -> Tuple[Tuple[int, ...], bool, bool,
+                                   Dict[int, Dict[int, bytes]]]:
+        """Owner side of pull and publish (either thread): ``(ssids,
+        mem_clean, quarantine_free, bundles_for)``.
 
-        Fences and bloom are free (the bundle pre-populated them); only
-        the data probe touches the owner's NVM, through the shared
-        block cache.  A bundle the view names but the LRU evicted
-        raises :class:`MetadataStaleError` — the caller re-pulls just
-        the missing bundles via ``have``.
+        The table set and the two flags are one ``db.state`` snapshot;
+        the sidecars of the tables ``wanted`` picks are read outside it,
+        on ``clock``, and framed as bundles.  ``bundles_for[rank]`` is
+        what to ship each of ``targets`` — nothing to one that shares
+        my storage: it reads the sidecars itself
+        (:meth:`_peer_reader`).  A compaction retiring a table between
+        snapshot and read surfaces as StorageError: snapshot again,
+        once; a second race answers a view nobody can use.
         """
-        with self._index_lock:
-            annotate_read(self, "db.index_cache")
-            reader = self._index_bundles.get((owner_dir, ssid))
-        if reader is None:
-            raise MetadataStaleError(
-                f"no replicated metadata for {owner_dir}/{ssid}"
-            )
-        return reader
-
-    def _index_replicated_get(self, owner: int, key: bytes):
-        """Resolve a remote get one-sidedly from replicated metadata.
-
-        The full sequence: validate the cached view with the newest-ssid
-        handshake (a free directory listing must match the view's table
-        set, the epoch must be current, the owner's memory clean), walk
-        the bundles through the gate order, and issue direct data reads
-        against the owner's NVM.  Any staleness re-pulls and retries
-        once; anything else returns ``_INDEX_FALLBACK`` and the caller
-        takes the handler round trip.  Returns a :class:`GetResult`,
-        ``None`` (definitively absent/deleted), or ``_INDEX_FALLBACK``.
-        """
-        mv = self.membership
-        pulled = False
+        ship = [r for r in targets if not self.shares_storage_with(r)]
+        t = clock.now
         for _attempt in range(2):
-            view = self._index_view_of(owner)
-            if view is not None:
-                epoch_ok = mv is None or view.epoch >= mv.epoch
-                fresh = epoch_ok and (
-                    tuple(list_ssids(self.store, view.owner_dir))
-                    == view.ssids
-                )
-            if view is None or not fresh:
-                if view is not None:
-                    self.stats.index_repl_stale += 1
-                    self._drop_index_view(owner)
-                if pulled:
-                    break
-                self.stats.index_repl_misses += 1
-                if not self._index_pull(owner):
-                    break
-                pulled = True
-                continue
-            if not (view.mem_clean and view.quarantine_free):
-                break  # owner-side state only its handler can see
-            owner_dir = view.owner_dir
+            with self._lock:
+                self._retire_flushed(clock.now)
+                ssids = tuple(self.ssids)
+                mem_clean = len(self.local_mt) == 0
+                annotate_read(self, "db.quarantined")
+                quarantine_free = not self._quarantined
+            bundles: Dict[int, bytes] = {}
             try:
-                rec, t_end = self._search_sstables(
-                    sorted(view.ssids, reverse=True),
-                    lambda ssid: self._bundle_reader(owner_dir, ssid),
-                    (), key, self.clock.now,
-                )
-            except (MetadataStaleError, StorageError) as exc:
-                # an evicted bundle, or a direct read racing the owner's
-                # compaction (file gone): drop, re-pull, retry once
-                self.stats.index_repl_stale += 1
-                if isinstance(exc, StorageError) and not isinstance(
-                        exc, MetadataStaleError):
-                    self._drop_peer_cache(owner, view.owner_dir)
-                else:
-                    self._drop_index_view(owner)
-                if pulled:
-                    break
-                self.stats.index_repl_misses += 1
-                if not self._index_pull(owner):
-                    break
-                pulled = True
+                for ssid in filter(wanted, ssids if ship else ()):
+                    _, index_name, bloom_name = sstable_filenames(ssid)
+                    index_blob, t = self.store.read(
+                        f"{self.rank_dir}/{index_name}", t
+                    )
+                    bloom_blob, t = self.store.read(
+                        f"{self.rank_dir}/{bloom_name}", t
+                    )
+                    bundles[ssid] = encode_meta_bundle(
+                        ssid, index_blob, bloom_blob
+                    )
+            except StorageError:
                 continue
-            except CorruptionError:
-                break  # owner's data failed its CRC: let the owner judge
-            self.clock.advance_to(t_end)
-            self.stats.index_repl_hits += 1
-            if rec is None or rec.tombstone:
-                return None
-            return GetResult(rec.value, "index_sstable")
-        self.stats.index_repl_fallbacks += 1
-        return _INDEX_FALLBACK
-
-    def _read_bundle_blobs(self, ssids, t: float
-                           ) -> Tuple[Dict[int, bytes], float]:
-        """Read my own sidecar files and frame them as bundles (owner
-        side of pull/publish).  Raises StorageError if a table vanished
-        (caller re-snapshots)."""
-        bundles: Dict[int, bytes] = {}
-        for ssid in ssids:
-            _, index_name, bloom_name = sstable_filenames(ssid)
-            index_blob, t = self.store.read(
-                f"{self.rank_dir}/{index_name}", t
-            )
-            bloom_blob, t = self.store.read(
-                f"{self.rank_dir}/{bloom_name}", t
-            )
-            bundles[ssid] = encode_meta_bundle(ssid, index_blob, bloom_blob)
-        return bundles, t
+            clock.advance_to(t)
+            return (ssids, mem_clean, quarantine_free,
+                    {r: bundles if r in ship else {} for r in targets})
+        clock.advance_to(t)
+        return (), False, True, {r: {} for r in targets}
 
     def _index_publish_due(self, ssids: List[int]) -> None:
         """Record freshly retired tables for the next eager publish
@@ -2561,11 +2559,9 @@ class Database:
         thread.
         """
         with self._lock:
-            due, self._index_pub_due = self._index_pub_due, []
-        if not due:
-            return
+            due, self._index_pub_due = set(self._index_pub_due), []
         mv = self.membership
-        if mv is None:
+        if not due or mv is None:
             return
         targets = [
             r for r in (
@@ -2576,26 +2572,16 @@ class Database:
         ]
         if not targets:
             return
-        with self._lock:
-            self._retire_flushed(self.clock.now)
-            ssids = tuple(self.ssids)
-            newest = ssids[-1] if ssids else 0
-            mem_clean = len(self.local_mt) == 0
-            annotate_read(self, "db.quarantined")
-            quarantine_free = not self._quarantined
-        fresh = [s for s in dict.fromkeys(due) if s in set(ssids)]
-        try:
-            bundles, t_end = self._read_bundle_blobs(fresh, self.clock.now)
-        except StorageError:
-            return  # raced my own compaction; the retired ssid is moot
-        self.clock.advance_to(t_end)
+        ssids, mem_clean, quarantine_free, bundles_for = self._index_snapshot(
+            targets, due.__contains__, self.clock
+        )
         epoch, dead = mv.wire()
         for target in targets:
             seq = self._next_seq
             self._next_seq += self.nranks
             self.srv_comm.send(
                 msg.IndexPublishMsg(
-                    self.rank_dir, newest, ssids, bundles, mem_clean,
+                    self.rank_dir, ssids, bundles_for[target], mem_clean,
                     quarantine_free, seq, epoch, dead,
                 ),
                 target, tag=0,

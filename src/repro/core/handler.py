@@ -24,7 +24,8 @@ The handler dispatches every request class in
   rank's NVM and a pair is not in memory, answer NOT_IN_MEMORY so the
   requester reads the SSTables itself;
 * **index replication** — ``IndexPullMsg`` (answered with this rank's
-  view and missing bundles) and ``IndexPublishMsg`` (fire-and-forget
+  view, and the bundles a requester that cannot read this rank's
+  sidecar files is missing) and ``IndexPublishMsg`` (fire-and-forget
   install);
 * **maintenance** — ``HeartbeatMsg`` (pong on the ack comm's heartbeat
   tag), ``FetchTableMsg`` (ship an SSTable's files to a storage-group
@@ -259,48 +260,22 @@ def _serve_fetch_table(db: Database, m: msg.FetchTableMsg, source: int,
 
 def _serve_index_pull(db: Database, m: msg.IndexPullMsg, source: int,
                       hclock: VirtualClock, cpu) -> None:
-    """Answer a pull with this rank's index view and missing bundles.
-
-    The snapshot (table set, memory-clean and quarantine-free flags) is
-    taken under the state lock; the sidecar reads happen outside it.  A
-    compaction retiring a table between snapshot and read surfaces as a
-    StorageError — re-snapshot once and read the fresh set.  Only ssids
-    the requester did not report in ``have`` are shipped.
-    """
-    from repro.errors import StorageError
-
+    """Answer a pull with this rank's index view and the bundles the
+    requester did not report in ``have`` (``Database._index_snapshot``;
+    none at all to a requester that shares this rank's storage)."""
     mv = db.membership
     if mv is not None:
         # the pull carries the requester's membership stamp: merge it so
         # epoch news travels on every index exchange, not just puts
         mv.merge(m.epoch, m.dead)
     have = set(m.have)
-    t = hclock.now
-    for _attempt in range(2):
-        with db._lock:
-            db._retire_flushed(hclock.now)
-            ssids = tuple(db.ssids)
-            newest = ssids[-1] if ssids else 0
-            mem_clean = len(db.local_mt) == 0
-            quarantine_free = not db._quarantined
-        try:
-            bundles, t = db._read_bundle_blobs(
-                [s for s in ssids if s not in have], t
-            )
-            break
-        except StorageError:
-            continue  # raced my own compaction: snapshot again
-    else:
-        bundles = {}
-        ssids = ()
-        newest = 0
-        mem_clean = False  # unusable view: force the handler path
-        quarantine_free = True
-    hclock.advance_to(t)
+    ssids, mem_clean, quarantine_free, bundles_for = db._index_snapshot(
+        [source], lambda ssid: ssid not in have, hclock
+    )
     epoch, dead = mv.wire() if mv is not None else (0, ())
     db.rsp_comm.send(
         msg.IndexPullReply(
-            db.rank_dir, newest, ssids, bundles, mem_clean,
+            db.rank_dir, ssids, bundles_for[source], mem_clean,
             quarantine_free, m.seq, epoch, dead,
         ),
         source, tag=m.seq,
@@ -326,8 +301,8 @@ def _serve_index_publish(db: Database, m: msg.IndexPublishMsg, source: int,
         return
     hclock.advance(cpu.kv_op_s * max(1, len(m.bundles)))
     db._install_index_view(
-        source, m.owner_dir, m.newest_ssid, tuple(m.ssids), m.bundles,
-        m.mem_clean, m.quarantine_free,
+        source, m.owner_dir, tuple(m.ssids), m.bundles, m.mem_clean,
+        m.quarantine_free,
     )
 
 

@@ -260,12 +260,12 @@ class IndexPullReply:
     holds unflushed pairs a direct read could not see;
     ``quarantine_free`` is False while any of the owner's key range is
     quarantined.  ``bundles`` maps ssid → encoded metadata bundle for
-    every table the requester reported missing.  Carries the owner's
+    every table the requester reported missing — none for a requester
+    that shares the owner's storage.  Carries the owner's
     ``(epoch, dead)`` membership stamp like every replication reply.
     """
 
     owner_dir: str
-    newest_ssid: int
     ssids: Tuple[int, ...]
     bundles: Dict[int, bytes]
     mem_clean: bool
@@ -292,7 +292,6 @@ class IndexPublishMsg:
     """
 
     owner_dir: str
-    newest_ssid: int
     ssids: Tuple[int, ...]
     bundles: Dict[int, bytes]
     mem_clean: bool

@@ -1,12 +1,14 @@
-"""One-sided index replication: cross-group gets without the handler.
+"""One-sided index replication: peer gets without the handler.
 
-The contract under test: with ``index_replication=True`` a cross-group
-get runs the full gate order (quarantine flag, fences, bloom, index)
-against *replicated* SSTable metadata and issues a single direct data
-read into the owner's shared NVM — zero handler messages at steady
-state — while every owner-side mutation (flush, compaction, quarantine,
-delete, rank death) makes the replicated view detectably stale rather
-than silently wrong.
+The contract under test: with ``index_replication=True`` a get of
+another rank's key runs the full gate order (quarantine flag, fences,
+bloom, index) against the owner's SSTable metadata — *replicated*
+bundles when the owner sits in another storage group, the sidecar
+files themselves when it shares the requester's — and issues a single
+direct data read into the owner's NVM: zero handler messages at steady
+state, while every owner-side mutation (flush, compaction, quarantine,
+delete, rank death) makes the view detectably stale rather than
+silently wrong.
 """
 
 from __future__ import annotations
@@ -14,14 +16,20 @@ from __future__ import annotations
 import os
 import threading
 import time
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from repro import Papyrus, SSTABLE, spmd_run
 from repro.config import Options, SEQUENTIAL
+from repro.core import handler
 from repro.core import messages as msg
-from repro.errors import CorruptionError, KeyNotFoundError
+from repro.core.db import Database
+from repro.errors import CorruptionError, KeyNotFoundError, StorageError
 from repro.faults import FaultPlan
+from repro.nvm.posixfs import PosixStore
+from repro.sstable.reader import SSTableReader, list_ssids
 from tests.conftest import small_options
 
 FAULT_SEED = int(os.environ.get("PKV_FAULT_SEED", "7"))
@@ -33,6 +41,35 @@ def _ix_options(**kw) -> Options:
     base = dict(group_size=1, index_replication=True)
     base.update(kw)
     return small_options(**base)
+
+
+def _watch(monkeypatch) -> SimpleNamespace:
+    """Log what the plane puts on the wire and the device, process-wide:
+    ``gets`` — the owner rank of every ``GetMsg`` a handler served;
+    ``shipped`` — the bundle bytes each pull/publish brought its
+    requester, as ``(requester, nbytes)``; ``sidecars`` — every index or
+    bloom file read, as ``(thread ident, path)``."""
+    log = SimpleNamespace(gets=[], shipped=[], sidecars=[])
+    serve_get, install = handler._serve_get, Database._install_index_view
+    read = PosixStore.read
+
+    def counting_serve_get(db, *args):
+        log.gets.append(db.rank)
+        return serve_get(db, *args)
+
+    def counting_install(db, owner, owner_dir, ssids, bundles, *flags):
+        log.shipped.append((db.rank, sum(map(len, bundles.values()))))
+        return install(db, owner, owner_dir, ssids, bundles, *flags)
+
+    def logging_read(store, relpath, *args, **kw):
+        if relpath.endswith((".ssi", ".bf")):
+            log.sidecars.append((threading.get_ident(), relpath))
+        return read(store, relpath, *args, **kw)
+
+    monkeypatch.setattr(handler, "_serve_get", counting_serve_get)
+    monkeypatch.setattr(Database, "_install_index_view", counting_install)
+    monkeypatch.setattr(PosixStore, "read", logging_read)
+    return log
 
 
 def _keys_of(db, owner: int, n: int = 200, prefix: str = "k"):
@@ -48,13 +85,22 @@ def _keys_of(db, owner: int, n: int = 200, prefix: str = "k"):
 
 
 class TestSteadyState:
-    def test_cross_group_gets_resolve_one_sided(self):
-        """After one pull, every cross-group get is a direct read: tier
-        ``index_sstable``, hit-rate 100%, zero fallbacks."""
+    #: the owner's placement: with 1 every peer sits in another storage
+    #: group and its metadata travels as bundles; with 2 it shares the
+    #: requester's storage (see the ``...SameGroup`` subclass below)
+    group_size = 1
+
+    def test_cross_group_gets_resolve_one_sided(self, monkeypatch):
+        """After one pull, every peer get is a direct read: tier
+        ``index_sstable``, hit-rate 100%, zero fallbacks, no ``GetMsg``.
+        Bundle bytes travel only to a requester that cannot read the
+        owner's sidecars, which it then reads once per table."""
+        log = _watch(monkeypatch)
+        same_group = self.group_size == 2
 
         def app(ctx):
             with Papyrus(ctx) as env:
-                db = env.open("ix", _ix_options())
+                db = env.open("ix", _ix_options(group_size=self.group_size))
                 r = ctx.world_rank
                 for i in range(60):
                     db.put(f"k-{r}-{i:02d}".encode(), bytes([65 + r]) * 32)
@@ -78,17 +124,26 @@ class TestSteadyState:
                 # zero handler round trips: no remote/shared tiers at all
                 assert "remote" not in st.get_tiers
                 assert "shared_sstable" not in st.get_tiers
+                shipped = sum(n for rank, n in log.shipped if rank == r)
+                assert (shipped == 0) == same_group
+                me = threading.get_ident()
+                owner_dir = f"{db.dbdir}/rank{other}/"
+                mine = Counter(p for t, p in log.sidecars
+                               if t == me and p.startswith(owner_dir))
+                assert set(mine.values()) <= {1}  # once per table, if ever
+                assert bool(mine) == same_group
                 db.barrier()
                 db.close()
 
         spmd_run(2, app)
+        assert log.gets == []
 
     def test_bulk_gets_route_one_sided(self):
         """get_bulk resolves whole owners from replicated metadata."""
 
         def app(ctx):
             with Papyrus(ctx) as env:
-                db = env.open("ixb", _ix_options())
+                db = env.open("ixb", _ix_options(group_size=self.group_size))
                 r = ctx.world_rank
                 for i in range(60):
                     db.put(f"b-{r}-{i:02d}".encode(), b"w" * 24)
@@ -117,7 +172,8 @@ class TestSteadyState:
         def app(ctx):
             with Papyrus(ctx) as env:
                 db = env.open(
-                    "ixs", _ix_options(consistency=SEQUENTIAL)
+                    "ixs", _ix_options(group_size=self.group_size,
+                                     consistency=SEQUENTIAL)
                 )
                 r = ctx.world_rank
                 for i in range(30):
@@ -128,7 +184,9 @@ class TestSteadyState:
                     key = f"s-{other}-{i:02d}".encode()
                     if db.owner_of(key) != r:
                         res = db.get_ex(key)
-                        assert res.tier == "remote"
+                        assert res.tier == (
+                            "remote" if self.group_size == 1
+                            else "shared_sstable")
                 st = db.stats
                 assert st.index_repl_hits == 0
                 assert st.index_pulls == 0
@@ -138,14 +196,20 @@ class TestSteadyState:
         spmd_run(2, app)
 
 
+class TestSteadyStateSameGroup(TestSteadyState):
+    group_size = 2
+
+
 class TestStaleness:
+    group_size = 1
+
     def test_owner_flush_is_detected_and_repulled(self):
         """A new table at the owner changes its directory listing; the
         requester's next get re-pulls instead of trusting old metadata."""
 
         def app(ctx):
             with Papyrus(ctx) as env:
-                db = env.open("ixf", _ix_options())
+                db = env.open("ixf", _ix_options(group_size=self.group_size))
                 r = ctx.world_rank
                 for i in range(40):
                     db.put(f"f-{r}-{i:02d}".encode(), b"1" * 24)
@@ -180,7 +244,7 @@ class TestStaleness:
 
         def app(ctx):
             with Papyrus(ctx) as env:
-                db = env.open("ixt", _ix_options())
+                db = env.open("ixt", _ix_options(group_size=self.group_size))
                 r = ctx.world_rank
                 for i in range(40):
                     db.put(f"t-{r}-{i:02d}".encode(), b"old" * 8)
@@ -211,7 +275,8 @@ class TestStaleness:
 
         def app(ctx):
             with Papyrus(ctx) as env:
-                db = env.open("ixc", _ix_options(compaction_interval=2))
+                db = env.open("ixc", _ix_options(
+                    group_size=self.group_size, compaction_interval=2))
                 r = ctx.world_rank
                 other = (r + 1) % ctx.nranks
                 for gen in range(4):
@@ -239,7 +304,7 @@ class TestStaleness:
 
         def app(ctx):
             with Papyrus(ctx) as env:
-                db = env.open("ixq", _ix_options())
+                db = env.open("ixq", _ix_options(group_size=self.group_size))
                 r = ctx.world_rank
                 for i in range(40):
                     db.put(f"q-{r}-{i:02d}".encode(), b"h" * 48)
@@ -282,7 +347,7 @@ class TestStaleness:
 
         def app(ctx):
             with Papyrus(ctx) as env:
-                db = env.open("ixr", _ix_options())
+                db = env.open("ixr", _ix_options(group_size=self.group_size))
                 r = ctx.world_rank
                 for i in range(40):
                     db.put(f"r-{r}-{i:02d}".encode(), b"z" * 48)
@@ -319,7 +384,7 @@ class TestStaleness:
 
         def app(ctx):
             with Papyrus(ctx) as env:
-                db = env.open("ixw", _ix_options())
+                db = env.open("ixw", _ix_options(group_size=self.group_size))
                 r = ctx.world_rank
                 for i in range(40):
                     db.put(f"w-{r}-{i:02d}".encode(), b"v0" * 8)
@@ -340,14 +405,227 @@ class TestStaleness:
 
         spmd_run(2, app)
 
+    def test_owner_put_is_seen_after_the_barrier(self):
+        """The owner rewrites its own key in its MemTable — state no
+        direct read can see.  The barrier's fence marks every view
+        dirty, so the next get asks the handler and sees the put."""
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("ixo", _ix_options(group_size=self.group_size))
+                r = ctx.world_rank
+                mine = _keys_of(db, r, n=10, prefix="o")
+                for key in mine:
+                    db.put(key, b"v0" * 8)
+                db.barrier(SSTABLE)
+                theirs = _keys_of(db, (r + 1) % ctx.nranks, n=10, prefix="o")
+                assert db.get_ex(theirs[0]).tier == "index_sstable"
+                db.barrier()
+                db.put(mine[0], b"v1" * 8)  # local: stays in my MemTable
+                db.barrier()
+                fallbacks = db.stats.index_repl_fallbacks
+                res = db.get_ex(theirs[0])
+                assert res.value == b"v1" * 8
+                assert res.tier == "remote"  # answered from memory
+                assert db.stats.index_repl_fallbacks == fallbacks + 1
+                db.barrier()
+                db.close()
+
+        spmd_run(2, app)
+
+
+class TestStalenessSameGroup(TestStaleness):
+    group_size = 2
+
+
+def _cached_of(db, owner_dir: str):
+    """``(readers, blocks)`` this rank caches under ``owner_dir``."""
+    ssids = [s for d, s in db._index_bundles.keys() if d == owner_dir]
+    blocks = sum(db.block_cache.cached_blocks(owner_dir, s)
+                 for s in list_ssids(db.store, owner_dir))
+    return ssids, blocks
+
+
+class TestOnePlane:
+    """One view map, one reader LRU, one walk, one ladder — whether the
+    reader's metadata came as a bundle or off the shared directory."""
+
+    @pytest.mark.parametrize("group_size", [1, 2], ids=["bundle", "files"])
+    def test_one_cache_one_purge(self, group_size):
+        """Every purge leaves no reader, no cached block and (where it
+        names an owner) no view under the directory it purges."""
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("one", _ix_options(
+                    group_size=group_size, cache_local_enabled=False))
+                r = ctx.world_rank
+                other = 1 - r
+                for key in _keys_of(db, r, n=40):
+                    db.put(key, b"p" * 64)
+                db.barrier(SSTABLE)
+                other_dir = f"{db.dbdir}/rank{other}"
+                theirs = _keys_of(db, other, n=40)
+
+                def warm():
+                    for key in theirs[:8]:
+                        assert db.get_ex(key).tier == "index_sstable"
+                    readers, blocks = _cached_of(db, other_dir)
+                    assert other in db._index_views and readers and blocks
+
+                for purge in (
+                    lambda: db._drop_peer_cache(other, other_dir),
+                    lambda: db._forget_dead_rank(other),
+                ):
+                    warm()
+                    purge()
+                    assert other not in db._index_views
+                    assert _cached_of(db, other_dir) == ([], 0)
+                # my own tables, cached the way this placement caches a
+                # peer's: a table replaced in place (repair, restore)
+                # must not survive under its old bytes
+                ssids, _, _, bundles_for = db._index_snapshot(
+                    [other], lambda ssid: True, db.clock)
+                assert bool(bundles_for[other]) == (group_size == 1)
+                assert db._install_index_view(
+                    r, db.rank_dir, ssids, bundles_for[other], True, True)
+                mine = _keys_of(db, r, n=40)
+                for key in mine:
+                    rec = db._peer_walk(r, db._index_views[r], key)
+                    assert rec.value == b"p" * 64
+                readers, blocks = _cached_of(db, db.rank_dir)
+                assert sorted(readers) == list(ssids) and blocks
+                db._invalidate_readers(ssids[0])
+                assert sorted(_cached_of(db, db.rank_dir)[0]) == \
+                    list(ssids[1:])
+                assert db.block_cache.cached_blocks(
+                    db.rank_dir, ssids[0]) == 0
+                db._invalidate_readers()
+                assert r not in db._index_views
+                assert _cached_of(db, db.rank_dir) == ([], 0)
+                db.barrier()
+                db.close()
+
+        spmd_run(2, app)
+
+    @pytest.mark.parametrize(
+        "group_size,index_replication", [(2, False), (1, True), (2, True)],
+        ids=["handshake", "one-sided-bundle", "one-sided-files"])
+    def test_the_ladder_once(self, group_size, index_replication,
+                             monkeypatch):
+        """A walk that keeps failing goes drop → refresh → retry once →
+        ``force_data`` on either route, and nothing cached from the
+        owner survives a drop."""
+        planted: dict = {}  # requester thread ident -> owner directory
+        events: dict = {}   # requester rank -> what its get did, in order
+        key_range, drop = SSTableReader.key_range, Database._drop_peer_cache
+        ask, pull = Database._request_get, Database._index_pull
+
+        def failing_key_range(reader, t):
+            if planted.get(threading.get_ident()) == reader.directory:
+                raise StorageError("planted: file vanished under the walk")
+            return key_range(reader, t)
+
+        def logging_drop(db, owner, owner_dir):
+            drop(db, owner, owner_dir)
+            assert owner not in db._index_views
+            assert _cached_of(db, owner_dir) == ([], 0)
+            events.setdefault(db.rank, []).append("drop")
+
+        def logging_ask(db, groups, force):
+            events.setdefault(db.rank, []).append(
+                "force_data" if force else "ask")
+            return ask(db, groups, force)
+
+        def logging_pull(db, owner):
+            events.setdefault(db.rank, []).append("pull")
+            return pull(db, owner)
+
+        monkeypatch.setattr(SSTableReader, "key_range", failing_key_range)
+        monkeypatch.setattr(Database, "_drop_peer_cache", logging_drop)
+        monkeypatch.setattr(Database, "_request_get", logging_ask)
+        monkeypatch.setattr(Database, "_index_pull", logging_pull)
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("lad", _ix_options(
+                    group_size=group_size, cache_local_enabled=False,
+                    index_replication=index_replication))
+                r = ctx.world_rank
+                other = 1 - r
+                for key in _keys_of(db, r, n=40):
+                    db.put(key, b"l" * 64)
+                db.barrier(SSTABLE)
+                theirs = _keys_of(db, other, n=40)
+                assert db.get(theirs[0]) == b"l" * 64  # warm every cache
+                events[r] = []
+                stale = db.stats.index_repl_stale
+                fallbacks = db.stats.index_repl_fallbacks
+                planted[threading.get_ident()] = f"{db.dbdir}/rank{other}"
+                res = db.get_ex(theirs[1])
+                del planted[threading.get_ident()]
+                assert (res.value, res.tier) == (b"l" * 64, "remote")
+                refresh = "pull" if index_replication else "ask"
+                first = [] if index_replication else ["ask"]
+                assert events[r] == first + [
+                    "drop", refresh, "drop", "force_data"]
+                if index_replication:
+                    assert db.stats.index_repl_stale == stale + 2
+                    assert db.stats.index_repl_fallbacks == fallbacks + 1
+                assert db.get(theirs[1]) == b"l" * 64  # and it recovers
+                db.barrier()
+                db.close()
+
+        spmd_run(2, app)
+
+    def test_option_off_reads_what_the_owner_would(self, monkeypatch):
+        """With the option off a 64-key same-group ``get_bulk`` is one
+        ``GetMsg``, one reply, and the device reads the owner's own cold
+        lookup of those keys would make."""
+        log = _watch(monkeypatch)
+        reads: list = []
+        read = PosixStore.read  # _watch's logger: chain onto it
+
+        def counting_read(store, relpath, *args, **kw):
+            reads.append(threading.get_ident())
+            return read(store, relpath, *args, **kw)
+
+        monkeypatch.setattr(PosixStore, "read", counting_read)
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("off", _ix_options(
+                    group_size=2, index_replication=False,
+                    cache_local_enabled=False))
+                r = ctx.world_rank
+                for key in _keys_of(db, r, n=64):
+                    db.put(key, b"o" * 64)
+                db.barrier(SSTABLE)
+                db._invalidate_readers()
+                me = threading.get_ident()
+                n0, msgs0 = reads.count(me), db.stats.bulk_owner_msgs
+                # rank 0 reads them as a peer, rank 1 as their owner
+                assert db.get_bulk(_keys_of(db, 1, n=64)) == [b"o" * 64] * 64
+                made = reads.count(me) - n0
+                sent = db.stats.bulk_owner_msgs - msgs0
+                tiers = dict(db.stats.get_tiers)
+                db.barrier()
+                db.close()
+                return made, sent, tiers
+
+        (peer, sent, tiers), (own, _, _) = spmd_run(2, app)
+        assert sent == 1 and log.gets == [1] and log.shipped == []
+        assert tiers == {"shared_sstable": 64}
+        assert peer == own > 0
+
 
 class TestCacheBounds:
     def test_peer_caches_are_bounded_and_funneled(self):
-        """White-box: the peer-reader cache and the bundle cache live
-        under cost-budgeted LRUs, and ``_drop_peer_cache`` purges the
-        readers, the views, the bundles AND the owner's cached data
-        blocks in one call (the historical leak: spans survived and
-        served stale bytes until they aged out)."""
+        """White-box: the peer readers live under one cost-budgeted
+        LRU, and ``_drop_peer_cache`` purges the view, the readers AND
+        the owner's cached data blocks in one call (the historical
+        leak: spans survived and served stale bytes until they aged
+        out)."""
 
         def app(ctx):
             with Papyrus(ctx) as env:
@@ -373,12 +651,9 @@ class TestCacheBounds:
                 )
                 assert db._index_bundles.cost <= \
                     db.options.index_cache_capacity
-                assert len(db._peer_reader_cache) <= 256
                 db._drop_peer_cache(other, owner_dir)
                 assert other not in db._index_views
                 assert not [k for k in db._index_bundles.keys()
-                            if k[0] == owner_dir]
-                assert not [k for k in db._peer_reader_cache.keys()
                             if k[0] == owner_dir]
                 assert all(
                     db.block_cache.cached_blocks(owner_dir, s) == 0
@@ -561,7 +836,7 @@ class TestRankDeath:
                 dead_dir = f"{db.dbdir}/rank0"
                 db._declare_dead(0)
                 installed = db._install_index_view(
-                    0, dead_dir, 0, (), {}, True, True,
+                    0, dead_dir, (), {}, True, True,
                 )
                 assert installed is False
                 assert 0 not in db._index_views

@@ -353,9 +353,13 @@ class TestOneBlockPerLookup:
         bundle = SSTableReader.from_bundle(
             store, "owner", 1, blobs["index"], blobs["bloom"])
         db = SimpleNamespace(store=store, block_cache=None,
-                             _peer_reader_cache=ObjectLRU(4))
-        peer = Database._peer_reader(db, "owner", 1)
-        assert Database._peer_reader(db, "owner", 1) is peer
+                             _index_bundles=ObjectLRU(1 << 20),
+                             shares_storage_with=lambda rank: True)
+        peer = Database._peer_reader(db, 0, "owner", 1)
+        assert Database._peer_reader(db, 0, "owner", 1) is peer
+        # charged like the bundle: by the metadata bytes it will hold
+        assert db._index_bundles.cost == (
+            len(blobs["index"]) + len(blobs["bloom"]))
         sidecars = store.read_device.ops
         assert bundle.get(recs[99].key, 0.0)[0] == recs[99]
         assert (reads, store.read_device.ops - sidecars) == (

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.rbtree import RedBlackTree
+from repro.util.rbtree import RedBlackTree, _Node
 
 
 class TestBasics:
@@ -81,9 +81,13 @@ class TestBasics:
     def test_retired_nodes_need_no_cyclic_collection(self, how):
         """Parent links make nodes cyclic; a retired MemTable's tree
         must still be freed by reference counting, not left for a
-        full collection to find in somebody's timed phase."""
+        full collection to find in somebody's timed phase.  Only the
+        tree's own nodes are counted: the collector is process-wide,
+        and a thread an earlier test left unwinding may drop unrelated
+        cycles at any moment."""
         gc.collect()
         gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # unreachable objects -> gc.garbage
         try:
             t = RedBlackTree()
             for i in range(500):
@@ -94,8 +98,11 @@ class TestBasics:
                 del t
             else:
                 t.clear()
-            assert gc.collect() == 0
+            gc.collect()
+            assert not [o for o in gc.garbage if isinstance(o, _Node)]
         finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
             gc.enable()
 
     def test_sorted_iteration(self):
