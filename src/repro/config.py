@@ -130,7 +130,10 @@ class Options:
     #: consistency contract (or RDONLY) the direct path requires
     index_replication: bool = False
     #: byte budget (per rank) of the cache of readers over other ranks'
-    #: tables, charged by the index + bloom bytes each holds
+    #: tables, charged by the index + bloom bytes each holds — with or
+    #: without ``index_replication``: the §2.7 storage-group read keeps
+    #: its readers here too (a table larger than the whole budget is
+    #: cached alone)
     index_cache_capacity: int = 8 * MB
     #: enable the dynamic race / lock-order / deadlock detector
     #: (:mod:`repro.analysis.runtime`); also switched on process-wide by

@@ -95,9 +95,6 @@ from repro.util.lru import LRUCache, ObjectLRU
 
 #: tag used on the ack comm for migration acknowledgements
 ACK_TAG = 7
-#: returned by a walk of a peer's tables whose view turned out stale
-#: (and was dropped): the caller refreshes the view and retries
-_STALE = object()
 #: tag used on the ack comm for heartbeat pongs (failure detector) —
 #: separate from ACK_TAG so pongs never interleave with the migration
 #: ack stream the quorum/fence drains consume
@@ -178,16 +175,17 @@ class _PeerView:
     newest table; a one-sided get revalidates it against a (free)
     directory listing first.  ``mem_clean`` records whether the owner's
     local MemTable was empty when a pull or publish took the view (a
-    direct read cannot see memtable state; a view taken off a
-    directory listing never claims it); ``quarantine_free`` whether
-    none of its range was quarantined.  ``epoch`` is the membership
-    epoch at install time: any later epoch bump invalidates the view
-    wholesale.
+    direct read cannot see memtable state) and is ``None`` on a view
+    taken off a directory listing, where nobody vouched either way — a
+    one-sided get pulls before it gives up on such a view;
+    ``quarantine_free`` whether none of its range was quarantined.
+    ``epoch`` is the membership epoch at install time: any later epoch
+    bump invalidates the view wholesale.
     """
 
     owner_dir: str
     ssids: Tuple[int, ...]
-    mem_clean: bool
+    mem_clean: Optional[bool]
     quarantine_free: bool
     epoch: int = 0
 
@@ -511,12 +509,12 @@ class Database:
         #: held across a send or an SSTable search
         self._index_lock = make_lock("db.index_cache")
         #: per-owner view of a peer's table set
-        self._index_views: Dict[int, _PeerView] = {}
+        self._peer_views: Dict[int, _PeerView] = {}
         #: readers of peers' tables keyed (owner_dir, ssid) — built from
         #: a shipped metadata bundle, or from the sidecar files by a
         #: rank that shares the owner's storage — charged at the byte
         #: size of the index + bloom they hold
-        self._index_bundles = ObjectLRU(options.index_cache_capacity)
+        self._peer_reader_lru = ObjectLRU(options.index_cache_capacity)
         #: ssids flushed/compacted since the last eager publish drain
         #: (guarded by db.state; drained by the main-thread _tick)
         self._index_pub_due: List[int] = []
@@ -2014,7 +2012,7 @@ class Database:
         drops everything cached from that owner.  Data blocks go
         through the shared block cache either way.
         """
-        rd = self._index_bundles.get((owner_dir, ssid))
+        rd = self._peer_reader_lru.get((owner_dir, ssid))
         if rd is None:
             if not self.shares_storage_with(owner):
                 raise MetadataStaleError(
@@ -2023,9 +2021,13 @@ class Database:
             rd = SSTableReader(self.store, owner_dir, ssid,
                                block_cache=self.block_cache)
             _, index_path, bloom_path = rd.file_paths()
-            self._index_bundles.put(
+            cost = self.store.size(index_path) + self.store.size(bloom_path)
+            # a table whose sidecars outgrow the whole budget is cached
+            # alone rather than refused: nobody re-ships it, so a miss
+            # here is two whole-file reads on the owner's device per get
+            self._peer_reader_lru.put(
                 (owner_dir, ssid), rd,
-                self.store.size(index_path) + self.store.size(bloom_path),
+                min(cost, self._peer_reader_lru.capacity),
             )
         return rd
 
@@ -2037,8 +2039,8 @@ class Database:
         age out.  :meth:`_drop_index_view` keeps the readers."""
         with self._index_lock:
             annotate_write(self, "db.index_cache")
-            self._index_views.pop(owner, None)
-            self._index_bundles.invalidate_where(lambda k: k[0] == owner_dir)
+            self._peer_views.pop(owner, None)
+            self._peer_reader_lru.invalidate_where(lambda k: k[0] == owner_dir)
         self.block_cache.invalidate_dir(owner_dir)
 
     def _invalidate_readers(self, ssid: Optional[int] = None) -> None:
@@ -2060,7 +2062,7 @@ class Database:
         else:
             with self._index_lock:
                 annotate_write(self, "db.index_cache")
-                self._index_bundles.invalidate((self.rank_dir, ssid))
+                self._peer_reader_lru.invalidate((self.rank_dir, ssid))
             self.block_cache.invalidate_table(self.rank_dir, ssid)
 
     def _ssids_snapshot(self) -> List[int]:
@@ -2179,15 +2181,16 @@ class Database:
             if cache is not None:
                 cache.put(key, value)
 
-        def walk(owner: int, view: _PeerView, key: bytes, tier: str) -> bool:
-            rec = self._peer_walk(owner, view, key)
-            if rec is _STALE:
-                return False
-            if rec is None or rec.tombstone:
-                out[key] = None
-            else:
-                resolve(key, rec.value, tier)
-            return True
+        def walk(owner: int, view: _PeerView, keys: List[bytes],
+                 tier: str) -> List[bytes]:
+            """Settle what the walk answered; return what it could not."""
+            recs = self._peer_walk(owner, view, keys)
+            for key, rec in zip(keys, recs):
+                if rec is None or rec.tombstone:
+                    out[key] = None
+                else:
+                    resolve(key, rec.value, tier)
+            return keys[len(recs):]
 
         with self._lock:  # staged/unacked tiers under one acquisition
             for owner, keys in groups.items():
@@ -2203,6 +2206,7 @@ class Database:
                     else:
                         need.setdefault(owner, []).append(key)
         msgs = 0
+        fell_back = set()  # owners index_repl_fallbacks already counted
         for attempt in range(3):
             if not need:
                 break
@@ -2215,20 +2219,20 @@ class Database:
                 view = (self._one_sided_view(owner)
                         if direct and not force else None)
                 if view is None:
-                    if direct:
+                    if direct and owner not in fell_back:
+                        fell_back.add(owner)
                         self.stats.index_repl_fallbacks += len(keys)
                     ask[owner] = keys
                     continue
-                for i, key in enumerate(keys):
-                    if not walk(owner, view, key, "index_sstable"):
-                        self.stats.index_repl_stale += 1
-                        retry[owner] = keys[i:]
-                        break
-                    self.stats.index_repl_hits += 1
+                left = walk(owner, view, keys, "index_sstable")
+                self.stats.index_repl_hits += len(keys) - len(left)
+                if left:
+                    self.stats.index_repl_stale += 1
+                    retry[owner] = left
             replies = self._request_get(ask, force) if ask else {}
             msgs += len(replies)
             for owner, reply in replies.items():
-                view = None
+                unread: List[bytes] = []
                 for key, (status, value, tombstone) in zip(
                     ask[owner], reply.results
                 ):
@@ -2244,13 +2248,13 @@ class Database:
                             f"owner rank {owner} has quarantined the "
                             f"range covering key {key!r}"
                         )
-                    elif owner in retry:  # its view went stale this round
-                        retry[owner].append(key)
                     else:  # NOT_IN_MEMORY: read the shared SSTables myself
-                        if view is None:
-                            view = self._handshake_view(owner, reply)
-                        if not walk(owner, view, key, "shared_sstable"):
-                            retry[owner] = [key]
+                        unread.append(key)
+                if unread:
+                    left = walk(owner, self._handshake_view(owner, reply),
+                                unread, "shared_sstable")
+                    if left:
+                        retry[owner] = left
             need = retry
         return out, msgs
 
@@ -2270,40 +2274,43 @@ class Database:
         """Shared-NVM directory of another rank's SSTables."""
         return f"{self.dbdir}/rank{owner}"
 
-    def _peer_walk(self, owner: int, view: _PeerView, key: bytes):
-        """Gate-walk ``owner``'s tables under ``view`` — the one read of
-        another rank's SSTables, whichever way the view arrived.
+    def _peer_walk(self, owner: int, view: _PeerView,
+                   keys: List[bytes]) -> List[Optional[Record]]:
+        """Gate-walk ``owner``'s tables under ``view`` for each of
+        ``keys`` — the one read of another rank's SSTables, whichever
+        way the view arrived.
 
         Peer lookups get the same fence pruning, bloom gating and
         cached readers (sharing the block cache) as local ones; the
-        view's readers are resolved in one ``db.index_cache``
-        acquisition per walk.  The requester cannot see the owner's
-        quarantine list — both ways in are closed while it is non-empty.
-        Returns the record (``None``: no table holds the key), or
-        ``_STALE`` after dropping what the walk could not trust: the
-        view alone for a reader the LRU evicted (the refresh re-ships
-        just that bundle), everything cached from the owner for a file
-        its compaction deleted under the walk or a block that failed
-        its CRC — then the owner judges.
+        view's readers are resolved once, in one ``db.index_cache``
+        acquisition, for the whole batch.  The requester cannot see the
+        owner's quarantine list — both ways in are closed while it is
+        non-empty.  Returns the records in key order (``None``: no
+        table holds the key) — fewer than ``keys`` after dropping what
+        the walk could not trust: the view alone for a reader the LRU
+        evicted (the refresh re-ships just that bundle), everything
+        cached from the owner for a file its compaction deleted under
+        the walk or a block that failed its CRC — then the owner judges.
         """
         owner_dir = view.owner_dir
+        recs: List[Optional[Record]] = []
         try:
             with self._index_lock:
                 annotate_write(self, "db.index_cache")
                 readers = {ssid: self._peer_reader(owner, owner_dir, ssid)
                            for ssid in view.ssids}
-            rec, t_end = self._search_sstables(
-                view.ssids[::-1], readers.__getitem__, (), key,
-                self.clock.now,
-            )
+            for key in keys:
+                rec, t_end = self._search_sstables(
+                    view.ssids[::-1], readers.__getitem__, (), key,
+                    self.clock.now,
+                )
+                self.clock.advance_to(t_end)
+                recs.append(rec)
         except MetadataStaleError:
             self._drop_index_view(owner)
-            return _STALE
         except StorageError:
             self._drop_peer_cache(owner, owner_dir)
-            return _STALE
-        self.clock.advance_to(t_end)
-        return rec
+        return recs
 
     def _handshake_view(self, owner: int,
                         reply: msg.GetReply) -> _PeerView:
@@ -2313,7 +2320,7 @@ class Database:
         another one (or none) is replaced by a fresh directory listing —
         readers of tables still live stay cached, the files are
         immutable.  A listing says nothing about the owner's MemTable,
-        so a view installed here never claims ``mem_clean``.
+        so a view installed here leaves ``mem_clean`` unstamped.
         """
         view = self._index_view_of(owner)
         if view is None or (
@@ -2322,7 +2329,7 @@ class Database:
             mv = self.membership
             view = _PeerView(
                 owner_dir, tuple(list_ssids(self.store, owner_dir)),
-                False, True, mv.epoch if mv is not None else 0,
+                None, True, mv.epoch if mv is not None else 0,
             )
             self._set_index_view(owner, view, {})
         return view
@@ -2351,7 +2358,8 @@ class Database:
 
         The cached view is validated by the newest-ssid handshake — a
         free directory listing must match its table set, the epoch must
-        be current; an absent or stale one is pulled, once, and
+        be current; an absent or stale one — or one a handshake took
+        off a listing, which vouches for nothing — is pulled, once, and
         validated again.  A fresh view that does not vouch for the
         owner's memory and quarantine list is state only the handler
         can see.
@@ -2360,12 +2368,13 @@ class Database:
         for pulled in (False, True):
             view = self._index_view_of(owner)
             if view is not None:
-                if (mv is None or view.epoch >= mv.epoch) and tuple(
-                        list_ssids(self.store, view.owner_dir)) == view.ssids:
+                if (mv is not None and view.epoch < mv.epoch) or tuple(
+                        list_ssids(self.store, view.owner_dir)) != view.ssids:
+                    self.stats.index_repl_stale += 1
+                    self._drop_index_view(owner)
+                elif view.mem_clean is not None:
                     usable = view.mem_clean and view.quarantine_free
                     return view if usable else None
-                self.stats.index_repl_stale += 1
-                self._drop_index_view(owner)
             if pulled:
                 break
             self.stats.index_repl_misses += 1
@@ -2376,14 +2385,14 @@ class Database:
     def _index_view_of(self, owner: int) -> Optional[_PeerView]:
         with self._index_lock:
             annotate_read(self, "db.index_cache")
-            return self._index_views.get(owner)
+            return self._peer_views.get(owner)
 
     def _drop_index_view(self, owner: int) -> None:
         """Forget one owner's view; its readers stay cached — a re-pull
         re-validates them via ``have`` without re-shipping bytes."""
         with self._index_lock:
             annotate_write(self, "db.index_cache")
-            self._index_views.pop(owner, None)
+            self._peer_views.pop(owner, None)
 
     def _index_mark_all_dirty(self) -> None:
         """Drop every ``mem_clean`` stamp (fence = visibility boundary).
@@ -2397,9 +2406,9 @@ class Database:
         """
         with self._index_lock:
             annotate_write(self, "db.index_cache")
-            for owner, view in list(self._index_views.items()):
+            for owner, view in list(self._peer_views.items()):
                 if view.mem_clean:
-                    self._index_views[owner] = replace(view, mem_clean=False)
+                    self._peer_views[owner] = replace(view, mem_clean=False)
 
     def _set_index_view(self, owner: int, view: _PeerView,
                         readers: Dict[int, Tuple[SSTableReader, int]]
@@ -2410,12 +2419,12 @@ class Database:
         live = set(view.ssids)
         with self._index_lock:
             annotate_write(self, "db.index_cache")
-            self._index_views[owner] = view
-            self._index_bundles.invalidate_where(
+            self._peer_views[owner] = view
+            self._peer_reader_lru.invalidate_where(
                 lambda k: k[0] == view.owner_dir and k[1] not in live
             )
             for ssid, (rd, cost) in readers.items():
-                self._index_bundles.put((view.owner_dir, ssid), rd, cost)
+                self._peer_reader_lru.put((view.owner_dir, ssid), rd, cost)
 
     def _install_index_view(self, owner: int, owner_dir: str,
                             ssids: Tuple[int, ...],
@@ -2476,7 +2485,7 @@ class Database:
         with self._index_lock:
             annotate_read(self, "db.index_cache")
             have = tuple(sorted(
-                s for d, s in self._index_bundles.keys() if d == owner_dir
+                s for d, s in self._peer_reader_lru.keys() if d == owner_dir
             ))
         seq = self._next_seq
         self._next_seq += self.nranks
@@ -2498,23 +2507,21 @@ class Database:
             reply.mem_clean, reply.quarantine_free,
         )
 
-    def _index_snapshot(self, targets: List[int],
-                        wanted: Callable[[int], bool], clock
-                        ) -> Tuple[Tuple[int, ...], bool, bool,
-                                   Dict[int, Dict[int, bytes]]]:
+    def _index_snapshot(self, wanted: Callable[[int], bool], ship: bool,
+                        clock) -> Optional[Tuple[Tuple[int, ...], bool, bool,
+                                                 Dict[int, bytes]]]:
         """Owner side of pull and publish (either thread): ``(ssids,
-        mem_clean, quarantine_free, bundles_for)``.
+        mem_clean, quarantine_free, bundles)``.
 
         The table set and the two flags are one ``db.state`` snapshot;
-        the sidecars of the tables ``wanted`` picks are read outside it,
-        on ``clock``, and framed as bundles.  ``bundles_for[rank]`` is
-        what to ship each of ``targets`` — nothing to one that shares
-        my storage: it reads the sidecars itself
-        (:meth:`_peer_reader`).  A compaction retiring a table between
+        with ``ship``, the sidecars of the tables ``wanted`` picks are
+        read outside it, on ``clock``, and framed as bundles.  Nothing
+        is shipped to a rank that shares my storage — it reads the
+        sidecars itself (:meth:`_peer_reader`) — so callers pass
+        ``ship=False`` for one.  A compaction retiring a table between
         snapshot and read surfaces as StorageError: snapshot again,
-        once; a second race answers a view nobody can use.
+        once; ``None`` after a second race.
         """
-        ship = [r for r in targets if not self.shares_storage_with(r)]
         t = clock.now
         for _attempt in range(2):
             with self._lock:
@@ -2539,10 +2546,9 @@ class Database:
             except StorageError:
                 continue
             clock.advance_to(t)
-            return (ssids, mem_clean, quarantine_free,
-                    {r: bundles if r in ship else {} for r in targets})
+            return ssids, mem_clean, quarantine_free, bundles
         clock.advance_to(t)
-        return (), False, True, {r: {} for r in targets}
+        return None
 
     def _index_publish_due(self, ssids: List[int]) -> None:
         """Record freshly retired tables for the next eager publish
@@ -2572,17 +2578,19 @@ class Database:
         ]
         if not targets:
             return
-        ssids, mem_clean, quarantine_free, bundles_for = self._index_snapshot(
-            targets, due.__contains__, self.clock
-        )
+        far = [r for r in targets if not self.shares_storage_with(r)]
+        snap = self._index_snapshot(due.__contains__, bool(far), self.clock)
+        if snap is None:
+            return  # raced my own compaction twice; the next pull catches up
+        ssids, mem_clean, quarantine_free, bundles = snap
         epoch, dead = mv.wire()
         for target in targets:
             seq = self._next_seq
             self._next_seq += self.nranks
             self.srv_comm.send(
                 msg.IndexPublishMsg(
-                    self.rank_dir, ssids, bundles_for[target], mem_clean,
-                    quarantine_free, seq, epoch, dead,
+                    self.rank_dir, ssids, bundles if target in far else {},
+                    mem_clean, quarantine_free, seq, epoch, dead,
                 ),
                 target, tag=0,
             )

@@ -269,14 +269,17 @@ def _serve_index_pull(db: Database, m: msg.IndexPullMsg, source: int,
         # epoch news travels on every index exchange, not just puts
         mv.merge(m.epoch, m.dead)
     have = set(m.have)
-    ssids, mem_clean, quarantine_free, bundles_for = db._index_snapshot(
-        [source], lambda ssid: ssid not in have, hclock
-    )
+    # after a second raced compaction: a view nobody can use, which
+    # sends the requester to this handler
+    ssids, mem_clean, quarantine_free, bundles = db._index_snapshot(
+        lambda ssid: ssid not in have,
+        not db.shares_storage_with(source), hclock,
+    ) or ((), False, True, {})
     epoch, dead = mv.wire() if mv is not None else (0, ())
     db.rsp_comm.send(
         msg.IndexPullReply(
-            db.rank_dir, ssids, bundles_for[source], mem_clean,
-            quarantine_free, m.seq, epoch, dead,
+            db.rank_dir, ssids, bundles, mem_clean, quarantine_free,
+            m.seq, epoch, dead,
         ),
         source, tag=m.seq,
     )

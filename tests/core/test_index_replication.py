@@ -440,7 +440,7 @@ class TestStalenessSameGroup(TestStaleness):
 
 def _cached_of(db, owner_dir: str):
     """``(readers, blocks)`` this rank caches under ``owner_dir``."""
-    ssids = [s for d, s in db._index_bundles.keys() if d == owner_dir]
+    ssids = [s for d, s in db._peer_reader_lru.keys() if d == owner_dir]
     blocks = sum(db.block_cache.cached_blocks(owner_dir, s)
                  for s in list_ssids(db.store, owner_dir))
     return ssids, blocks
@@ -471,7 +471,7 @@ class TestOnePlane:
                     for key in theirs[:8]:
                         assert db.get_ex(key).tier == "index_sstable"
                     readers, blocks = _cached_of(db, other_dir)
-                    assert other in db._index_views and readers and blocks
+                    assert other in db._peer_views and readers and blocks
 
                 for purge in (
                     lambda: db._drop_peer_cache(other, other_dir),
@@ -479,20 +479,20 @@ class TestOnePlane:
                 ):
                     warm()
                     purge()
-                    assert other not in db._index_views
+                    assert other not in db._peer_views
                     assert _cached_of(db, other_dir) == ([], 0)
                 # my own tables, cached the way this placement caches a
                 # peer's: a table replaced in place (repair, restore)
                 # must not survive under its old bytes
-                ssids, _, _, bundles_for = db._index_snapshot(
-                    [other], lambda ssid: True, db.clock)
-                assert bool(bundles_for[other]) == (group_size == 1)
+                ssids, _, _, bundles = db._index_snapshot(
+                    lambda ssid: True, not db.shares_storage_with(other),
+                    db.clock)
+                assert bool(bundles) == (group_size == 1)
                 assert db._install_index_view(
-                    r, db.rank_dir, ssids, bundles_for[other], True, True)
+                    r, db.rank_dir, ssids, bundles, True, True)
                 mine = _keys_of(db, r, n=40)
-                for key in mine:
-                    rec = db._peer_walk(r, db._index_views[r], key)
-                    assert rec.value == b"p" * 64
+                recs = db._peer_walk(r, db._peer_views[r], mine)
+                assert [rec.value for rec in recs] == [b"p" * 64] * 40
                 readers, blocks = _cached_of(db, db.rank_dir)
                 assert sorted(readers) == list(ssids) and blocks
                 db._invalidate_readers(ssids[0])
@@ -501,7 +501,7 @@ class TestOnePlane:
                 assert db.block_cache.cached_blocks(
                     db.rank_dir, ssids[0]) == 0
                 db._invalidate_readers()
-                assert r not in db._index_views
+                assert r not in db._peer_views
                 assert _cached_of(db, db.rank_dir) == ([], 0)
                 db.barrier()
                 db.close()
@@ -528,7 +528,7 @@ class TestOnePlane:
 
         def logging_drop(db, owner, owner_dir):
             drop(db, owner, owner_dir)
-            assert owner not in db._index_views
+            assert owner not in db._peer_views
             assert _cached_of(db, owner_dir) == ([], 0)
             events.setdefault(db.rank, []).append("drop")
 
@@ -573,6 +573,70 @@ class TestOnePlane:
                     assert db.stats.index_repl_stale == stale + 2
                     assert db.stats.index_repl_fallbacks == fallbacks + 1
                 assert db.get(theirs[1]) == b"l" * 64  # and it recovers
+                db.barrier()
+                db.close()
+
+        spmd_run(2, app)
+
+    @pytest.mark.parametrize("group_size", [1, 2], ids=["bundle", "files"])
+    def test_a_handshake_view_does_not_shadow_the_pull(self, group_size,
+                                                       monkeypatch):
+        """A pull that timed out sends the get to the handler, whose
+        ``NOT_IN_MEMORY`` reply installs a view off a listing.  That
+        view vouches for nothing, so the next get pulls again instead of
+        asking the handler until the owner's table set changes; and a
+        key that falls back is counted once however often the ladder
+        asks for it."""
+        planted: dict = {}  # requester thread ident -> owner directory
+        key_range, pull = SSTableReader.key_range, Database._index_pull
+
+        def failing_key_range(reader, t):
+            if planted.get(threading.get_ident()) == reader.directory:
+                raise StorageError("planted: file vanished under the walk")
+            return key_range(reader, t)
+
+        lost: dict = {}  # requester rank -> pulls still to lose
+
+        def losing_pull(db, owner):
+            if lost.get(db.rank, 0) > 0:
+                lost[db.rank] -= 1
+                return False  # what a RemoteTimeoutError is absorbed to
+            return pull(db, owner)
+
+        monkeypatch.setattr(SSTableReader, "key_range", failing_key_range)
+        monkeypatch.setattr(Database, "_index_pull", losing_pull)
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("shadow", _ix_options(group_size=group_size))
+                r = ctx.world_rank
+                other = 1 - r
+                for key in _keys_of(db, r, n=40):
+                    db.put(key, b"s" * 64)
+                db.barrier(SSTABLE)
+                theirs = _keys_of(db, other, n=40)
+                lost[r] = 1
+                res = db.get_ex(theirs[0])
+                assert (res.value, res.tier) == (b"s" * 64, "shared_sstable"
+                                                 if group_size == 2
+                                                 else "remote")
+                assert db.stats.index_repl_fallbacks == 1
+                if group_size == 2:
+                    assert db._peer_views[other].mem_clean is None
+                pulls = db.stats.index_pulls
+                assert db.get_ex(theirs[1]).tier == "index_sstable"
+                assert db.stats.index_pulls == pulls + 1
+                assert db.stats.index_repl_fallbacks == 1
+                # both pulls lost and every walk failing: asked, re-asked
+                # and forced — one fallback
+                db._drop_index_view(other)
+                lost[r] = 2
+                planted[threading.get_ident()] = f"{db.dbdir}/rank{other}"
+                res = db.get_ex(theirs[2])
+                del planted[threading.get_ident()]
+                assert (res.value, res.tier) == (b"s" * 64, "remote")
+                assert lost[r] == (0 if group_size == 2 else 1)
+                assert db.stats.index_repl_fallbacks == 2
                 db.barrier()
                 db.close()
 
@@ -642,18 +706,18 @@ class TestCacheBounds:
                 for key in keys:
                     assert db.get(key) == b"p" * 64
                 # direct reads warmed data blocks under the OWNER's dir
-                other_ssids = [s for d, s in db._index_bundles.keys()
+                other_ssids = [s for d, s in db._peer_reader_lru.keys()
                                if d == owner_dir]
                 assert other_ssids
                 assert any(
                     db.block_cache.cached_blocks(owner_dir, s) > 0
                     for s in other_ssids
                 )
-                assert db._index_bundles.cost <= \
+                assert db._peer_reader_lru.cost <= \
                     db.options.index_cache_capacity
                 db._drop_peer_cache(other, owner_dir)
-                assert other not in db._index_views
-                assert not [k for k in db._index_bundles.keys()
+                assert other not in db._peer_views
+                assert not [k for k in db._peer_reader_lru.keys()
                             if k[0] == owner_dir]
                 assert all(
                     db.block_cache.cached_blocks(owner_dir, s) == 0
@@ -685,7 +749,45 @@ class TestCacheBounds:
                     key = f"e-{other}-{i:02d}".encode()
                     if db.owner_of(key) != r:
                         assert db.get(key) == b"m" * 32
-                assert db._index_bundles.cost <= 256
+                assert db._peer_reader_lru.cost <= 256
+                db.barrier()
+                db.close()
+
+        spmd_run(2, app)
+
+
+    def test_an_oversized_file_built_reader_is_cached_alone(self,
+                                                            monkeypatch):
+        """Option off, same group: a table whose sidecar files outgrow
+        ``index_cache_capacity`` is still cached — nobody re-ships a
+        file-built reader, so refusing it would reload both sidecars
+        from the owner's device on every get."""
+        log = _watch(monkeypatch)
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("big", _ix_options(
+                    group_size=2, index_replication=False,
+                    index_cache_capacity=64))
+                r = ctx.world_rank
+                other = 1 - r
+                for key in _keys_of(db, r, n=40):
+                    db.put(key, b"b" * 32)
+                db.barrier(SSTABLE)
+                owner_dir = f"{db.dbdir}/rank{other}"
+                (ssid,) = list_ssids(db.store, owner_dir)
+                for key in _keys_of(db, other, n=40):
+                    res = db.get_ex(key)
+                    assert (res.value, res.tier) == (b"b" * 32,
+                                                     "shared_sstable")
+                rd = db._peer_reader_lru[(owner_dir, ssid)]
+                _, index_path, bloom_path = rd.file_paths()
+                assert db.store.size(index_path) > 64
+                assert db._peer_reader_lru.cost <= 64
+                me = threading.get_ident()
+                mine = Counter(p for t, p in log.sidecars
+                               if t == me and p.startswith(owner_dir + "/"))
+                assert mine == {index_path: 1, bloom_path: 1}
                 db.barrier()
                 db.close()
 
@@ -717,7 +819,7 @@ class TestEagerPublish:
                 # for read-your-writes.
                 view = None
                 for _ in range(500):
-                    view = db._index_views.get(other)
+                    view = db._peer_views.get(other)
                     if view is not None and view.mem_clean:
                         break
                     time.sleep(0.01)
@@ -726,7 +828,7 @@ class TestEagerPublish:
                 assert view.ssids  # the pushed bundles cover real tables
                 other_dir = f"{db.dbdir}/rank{other}"
                 assert all(
-                    (other_dir, s) in db._index_bundles
+                    (other_dir, s) in db._peer_reader_lru
                     for s in view.ssids
                 )
                 assert db.stats.index_pulls == 0  # pushed, never pulled
@@ -737,6 +839,50 @@ class TestEagerPublish:
                 for i in range(40):
                     key = f"p-{other}-{i:02d}".encode()
                     assert db.get(key) == b"g" * 24
+                db.barrier()
+                db.close()
+
+        spmd_run(2, app)
+
+
+    def test_a_twice_raced_snapshot_publishes_nothing(self, monkeypatch):
+        """A publish whose snapshot raced the owner's own compaction
+        twice sends nothing: an empty view would purge every reader the
+        receiver holds of this owner, and a lost publish only costs it
+        a lazy pull."""
+        raced: set = set()  # ranks whose sidecar reads fail
+        read = PosixStore.read
+
+        def vanishing_read(store, relpath, *args, **kw):
+            if relpath.endswith((".ssi", ".bf")) and any(
+                    f"/rank{r}/" in relpath for r in raced):
+                raise StorageError("planted: retired under the snapshot")
+            return read(store, relpath, *args, **kw)
+
+        monkeypatch.setattr(PosixStore, "read", vanishing_read)
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("ixq", _ix_options(
+                    replicas=2, write_quorum=1, remote_timeout=0.2,
+                ))
+                r = ctx.world_rank
+                for i in range(40):
+                    db.put(f"q-{r}-{i:02d}".encode(), b"g" * 24)
+                db.barrier(SSTABLE)
+                db.tick()
+                db.barrier()
+                sent = db.stats.index_publishes
+                assert sent > 0
+                with db._lock:
+                    db._index_pub_due.extend(db.ssids)
+                raced.add(r)
+                assert db._index_snapshot(
+                    lambda ssid: True, True, db.clock) is None
+                db._drain_index_publishes()
+                raced.discard(r)
+                assert db.stats.index_publishes == sent
+                assert not db._index_pub_due
                 db.barrier()
                 db.close()
 
@@ -785,7 +931,7 @@ class TestRankDeath:
                         time.sleep(0.05)
                     assert res.value == b"s" * 24
                     assert res.tier == "index_sstable"
-                assert 0 in db._index_views
+                assert 0 in db._peer_views
             sync_all.wait()  # rank 2's view is warm; rank 0 may die now
             if r == 0:
                 for _ in range(100):  # burn ops into the kill schedule
@@ -800,9 +946,9 @@ class TestRankDeath:
             if r == 2:
                 # the epoch-bump drop point fired: nothing cached from
                 # the dead epoch survives, and the path refuses rank 0
-                assert 0 not in db._index_views
+                assert 0 not in db._peer_views
                 dead_dir = f"{db.dbdir}/rank0"
-                assert not [k for k in db._index_bundles.keys()
+                assert not [k for k in db._peer_reader_lru.keys()
                             if k[0] == dead_dir]
                 assert not db._index_direct_eligible(0)
                 hits0 = db.stats.index_repl_hits
@@ -839,8 +985,8 @@ class TestRankDeath:
                     0, dead_dir, (), {}, True, True,
                 )
                 assert installed is False
-                assert 0 not in db._index_views
-                assert not [k for k in db._index_bundles.keys()
+                assert 0 not in db._peer_views
+                assert not [k for k in db._peer_reader_lru.keys()
                             if k[0] == dead_dir]
             # no collective close: rank 1 now holds rank 0 dead
             db.srv_comm.send(msg.StopMsg(), db.rank, tag=0)

@@ -406,11 +406,11 @@ class TestPeerReaderCache:
                     if db.owner_of(f"k-{other}-{i:03d}".encode()) == other
                 ]
                 tiers = {db.get_ex(k).tier for k in peer_keys}
-                readers1 = dict(db._index_bundles)
+                readers1 = dict(db._peer_reader_lru)
                 hits0 = db.block_cache.counters()["hits"]
                 for k in peer_keys:
                     assert db.get(k) == b"V" * 64
-                readers2 = dict(db._index_bundles)
+                readers2 = dict(db._peer_reader_lru)
                 hits1 = db.block_cache.counters()["hits"]
                 db.close()
                 return {

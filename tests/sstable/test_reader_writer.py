@@ -353,12 +353,12 @@ class TestOneBlockPerLookup:
         bundle = SSTableReader.from_bundle(
             store, "owner", 1, blobs["index"], blobs["bloom"])
         db = SimpleNamespace(store=store, block_cache=None,
-                             _index_bundles=ObjectLRU(1 << 20),
+                             _peer_reader_lru=ObjectLRU(1 << 20),
                              shares_storage_with=lambda rank: True)
         peer = Database._peer_reader(db, 0, "owner", 1)
         assert Database._peer_reader(db, 0, "owner", 1) is peer
         # charged like the bundle: by the metadata bytes it will hold
-        assert db._index_bundles.cost == (
+        assert db._peer_reader_lru.cost == (
             len(blobs["index"]) + len(blobs["bloom"]))
         sidecars = store.read_device.ops
         assert bundle.get(recs[99].key, 0.0)[0] == recs[99]

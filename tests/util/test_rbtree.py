@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.rbtree import RedBlackTree, _Node
+from repro.util.rbtree import RedBlackTree
 
 
 class TestBasics:
@@ -81,13 +81,9 @@ class TestBasics:
     def test_retired_nodes_need_no_cyclic_collection(self, how):
         """Parent links make nodes cyclic; a retired MemTable's tree
         must still be freed by reference counting, not left for a
-        full collection to find in somebody's timed phase.  Only the
-        tree's own nodes are counted: the collector is process-wide,
-        and a thread an earlier test left unwinding may drop unrelated
-        cycles at any moment."""
+        full collection to find in somebody's timed phase."""
         gc.collect()
         gc.disable()
-        gc.set_debug(gc.DEBUG_SAVEALL)  # unreachable objects -> gc.garbage
         try:
             t = RedBlackTree()
             for i in range(500):
@@ -98,11 +94,8 @@ class TestBasics:
                 del t
             else:
                 t.clear()
-            gc.collect()
-            assert not [o for o in gc.garbage if isinstance(o, _Node)]
+            assert gc.collect() == 0
         finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
             gc.enable()
 
     def test_sorted_iteration(self):
