@@ -2,13 +2,37 @@
 
 from __future__ import annotations
 
-import gc
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.util.rbtree import RedBlackTree
+
+#: the directory ``repro`` was imported from, for the child interpreter
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+_NO_CYCLES_BODY = """
+import gc, sys
+from repro.util.rbtree import RedBlackTree
+
+gc.collect()
+gc.disable()
+t = RedBlackTree()
+for i in range(500):
+    t.insert(i, i)
+for i in range(0, 500, 3):
+    t.delete(i)  # fix-ups may park nil.parent on a node
+if sys.argv[1] == "drop":
+    del t
+else:
+    t.clear()
+assert gc.collect() == 0
+"""
 
 
 class TestBasics:
@@ -81,22 +105,17 @@ class TestBasics:
     def test_retired_nodes_need_no_cyclic_collection(self, how):
         """Parent links make nodes cyclic; a retired MemTable's tree
         must still be freed by reference counting, not left for a
-        full collection to find in somebody's timed phase."""
-        gc.collect()
-        gc.disable()
-        try:
-            t = RedBlackTree()
-            for i in range(500):
-                t.insert(i, i)
-            for i in range(0, 500, 3):
-                t.delete(i)  # fix-ups may park nil.parent on a node
-            if how == "drop":
-                del t
-            else:
-                t.clear()
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        full collection to find in somebody's timed phase.
+
+        ``gc.collect()`` counts the whole process, so the body runs in
+        an interpreter of its own: in this one, a thread an earlier test
+        left unwinding can drop a cycle into the count."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_CYCLES_BODY, how],
+            env={**os.environ, "PYTHONPATH": _SRC},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
     def test_sorted_iteration(self):
         t = RedBlackTree()
