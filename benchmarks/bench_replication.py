@@ -150,6 +150,7 @@ def _run_recovery() -> dict:
         s = db.stats
         out = {
             "recovery_time": recovery_time,
+            "victim_dead": mv.is_dead(VICTIM),
             "rank_deaths": s.rank_deaths,
             "rereplicated_pairs": s.rereplicated_pairs,
             "failover_gets": s.failover_gets,
@@ -166,6 +167,7 @@ def _run_recovery() -> dict:
     alive = [r for r in results if r is not None]
     return {
         "recovery_time_s": max(r["recovery_time"] for r in alive),
+        "victim_dead_views": sum(r["victim_dead"] for r in alive),
         "rank_deaths": sum(r["rank_deaths"] for r in alive),
         "rereplicated_pairs": sum(r["rereplicated_pairs"] for r in alive),
         "failover_gets": sum(r["failover_gets"] for r in alive),
@@ -219,18 +221,25 @@ def test_replication_overhead_and_recovery(benchmark):
     assert repl["replica_pairs"] >= RANKS * LOAD_N, \
         "acked puts were not fanned to replicas"
     assert base["replica_msgs"] == 0
-    assert recovery["rank_deaths"] >= RANKS - 1, \
-        "survivors never declared the victim dead"
+    # every survivor's view must hold the victim dead, but only a
+    # first-hand declaration counts as a rank_death: a survivor that
+    # learns of the death from a peer's gossip first counts none
+    assert recovery["victim_dead_views"] == RANKS - 1, \
+        "a survivor's view never learned of the victim's death"
+    assert recovery["rank_deaths"] >= 1, \
+        "no survivor ever declared the victim dead first-hand"
     assert recovery["rereplicated_pairs"] > 0, \
         "re-replication never pushed a pair"
     if not QUICK:
         # perf gates (regression tripwires, not aspirations): every put
         # waits synchronously for its quorum ack, so R=3/Q=2 load costs
-        # ~19x the async-migration baseline today — gate at 25x so a
-        # protocol regression (extra round trips, serialization stalls)
-        # trips the bench without failing on the known honest cost
-        assert payload["write_overhead_x"] <= 25.0, (
-            f"R=3/Q=2 write overhead {payload['write_overhead_x']}x > 25x"
+        # ~4.2x the async-migration baseline today (3.6-4.6x over six
+        # runs; the virtual clock still sees how rank and handler
+        # threads interleave) — gate at 8x so a protocol regression
+        # (extra round trips, serialization stalls) trips the bench
+        # without failing on the known honest cost
+        assert payload["write_overhead_x"] <= 8.0, (
+            f"R=3/Q=2 write overhead {payload['write_overhead_x']}x > 8x"
         )
         assert recovery["recovery_time_s"] <= 5.0, (
             f"recovery took {recovery['recovery_time_s']}s (virtual)"

@@ -46,7 +46,7 @@ LOCK_ORDER: Tuple[LockClass, ...] = (
         level=10,
         attrs=("_lock",),
         holder="core.db.Database (RLock)",
-        guards="MemTables, caches, ssids, inflight, quarantine list",
+        guards="MemTables, caches, ssids, unacked sends, quarantine list",
     ),
     LockClass(
         name="db.scan_pins",

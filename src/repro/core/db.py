@@ -31,7 +31,9 @@ import json
 import threading
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple,
+)
 
 from repro import config
 from repro.analysis.runtime import (
@@ -93,11 +95,11 @@ from repro.sstable.writer import (
 from repro.util.hashing import owner_rank
 from repro.util.lru import LRUCache, ObjectLRU
 
-#: tag used on the ack comm for migration acknowledgements
+#: tag used on the ack comm for the acks of non-``sync`` PairsMsgs
 ACK_TAG = 7
 #: tag used on the ack comm for heartbeat pongs (failure detector) —
-#: separate from ACK_TAG so pongs never interleave with the migration
-#: ack stream the quorum/fence drains consume
+#: separate from ACK_TAG so pongs never interleave with the ack stream
+#: the quorum/fence drains consume
 HB_TAG = 8
 
 #: group commit: puts within this virtual-time window of the first one
@@ -165,6 +167,17 @@ class _SeqWindow:
         return False
 
 
+class _Unacked(NamedTuple):
+    """One PairsMsg on the wire without its ack yet: enough to serve
+    this rank's gets from it and to send it again."""
+
+    target: int
+    #: key -> (key, value, tombstone)
+    pairs: Dict[bytes, msg.Pair]
+    #: the sender is blocked on the ack (it travels on the rsp comm)
+    sync: bool
+
+
 @dataclass(frozen=True)
 class _PeerView:
     """What a non-owner knows of one owner's tables.
@@ -227,7 +240,7 @@ class DbStats:
     flush_stall_s: float = 0.0
     #: batch-call counters (``WriteBatch.flush`` / ``get_bulk`` only,
     #: never point calls): batches issued, distinct keys carried by them,
-    #: and per-owner runtime messages they produced (GetMsg + PutSyncMsg)
+    #: and per-owner runtime messages they produced (GetMsg + sync PairsMsg)
     bulk_batches: int = 0
     bulk_keys: int = 0
     bulk_owner_msgs: int = 0
@@ -440,12 +453,12 @@ class Database:
         self.remote_mt = MemTable(options.remote_memtable_capacity, "remote")
         #: flushing queue: (immutable MemTable, virtual flush-completion time)
         self.flushing: List[Tuple[MemTable, float]] = []
-        #: migrated-but-unacked chunks, newest last:
-        #: (seq, owner, {key: (val, tomb)}) — owner kept for retransmission
-        self.inflight: List[
-            Tuple[int, int, Dict[bytes, Tuple[bytes, bool]]]
-        ] = []
-        self._pending_acks: set = set()
+        #: the outstanding-send ledger: every PairsMsg sent and not yet
+        #: acked, seq -> entry, oldest first.  Gets search it newest-first
+        #: (the ``inflight`` tier), a timed-out drain resends from it, an
+        #: ack or the target's death settles an entry.  Guarded by
+        #: db.state.
+        self._unacked: Dict[int, _Unacked] = {}
         self._next_seq = self.rank + 1  # distinct across ranks for debugging
         #: handler-side dedup of applied mutating seqs, per source rank
         self._seq_dedup: Dict[int, _SeqWindow] = {}
@@ -462,10 +475,6 @@ class Database:
             MembershipView(self.rank, self.nranks)
             if options.replicas > 1 else None
         )
-        #: seqs currently in flight as replica fan-outs (vs migrations):
-        #: a retransmit must rebuild the right message type.  Guarded by
-        #: db.state alongside _pending_acks/inflight.
-        self._replica_seqs: set = set()
         #: quorum debts deferred by group-commit riders: (seqs, need),
         #: drained by the next window opener and by fence.  Main-thread
         #: only, like the _gc_* window state below — no lock needed.
@@ -813,12 +822,9 @@ class Database:
             # boundary (next opener / fence), exactly like they defer
             # their ack drain; sequential mode always waits here.
             self._tick()
-            debts = [self._put_replicated(*pair) for pair in pairs]
-            if rider and self.consistency != config.SEQUENTIAL:
-                self._quorum_due.extend(debts)
-            else:
-                for seqs, need in debts:
-                    self._await_quorum(seqs, need)
+            self._quorum_due.extend(self._put_replicated(pairs))
+            if not rider or self.consistency == config.SEQUENTIAL:
+                self._quorum_drain()
         else:
             local: List[msg.Pair] = []
             remote: Dict[int, List[msg.Pair]] = {}
@@ -1172,6 +1178,66 @@ class Database:
         )
         return imm
 
+    def _send_pairs(
+        self, groups: Dict[int, List[msg.Pair]], sync: bool = False,
+        post: Optional[Callable[[Dict[int, msg.PairsMsg]], Any]] = None,
+    ) -> Dict[int, int]:
+        """Ship ``{target: pairs}``, one :class:`~repro.core.messages.
+        PairsMsg` per target; returns ``{target: seq}``.
+
+        Every message is entered in the ledger under a fresh seq before
+        it leaves, so its pairs stay visible to this rank's gets (the
+        ``inflight`` tier) and resendable until acked.  ``post(payloads)``
+        puts the messages on the wire: one ``send`` per target unless
+        the caller has a cheaper way (migration posts from the
+        dispatcher's timeline, a sequential put with one ``fanout``).
+
+        A ``sync`` send blocks until every target has acked or been
+        declared dead, and leaves nothing in the ledger even when it
+        raises — no later fence may wait for an ack that travels on the
+        rsp comm.
+        """
+        seqs: Dict[int, int] = {}
+        with self._lock:
+            for target in sorted(groups):
+                seq = seqs[target] = self._next_seq
+                self._next_seq += self.nranks  # keep seqs rank-unique
+                self._unacked[seq] = _Unacked(
+                    target, {pair[0]: pair for pair in groups[target]}, sync
+                )
+        payloads = {target: self._carrier(seq)
+                    for target, seq in seqs.items()}
+        if post is not None:
+            post(payloads)
+        else:
+            for target, payload in payloads.items():
+                self.srv_comm.send(payload, target, tag=0)
+        if sync:
+            try:
+                for seq in seqs.values():
+                    self._drain_acks(blocking=True, sync_seq=seq)
+            finally:
+                for seq in seqs.values():
+                    self._settle(seq)
+        return seqs
+
+    def _carrier(self, seq: int) -> msg.PairsMsg:
+        """The message of ledger entry ``seq``, stamped with the
+        ``(epoch, dead)`` view current *now* — first send and resend
+        alike, so a fan-out that stalled across a death is not rejected
+        for the stamp it first left with."""
+        entry = self._unacked[seq]
+        mv = self.membership
+        epoch, dead = mv.wire() if mv is not None else (0, ())
+        return msg.PairsMsg(list(entry.pairs.values()), seq, epoch, dead,
+                            entry.sync)
+
+    def _settle(self, seq: int) -> Optional[_Unacked]:
+        """Take a send out of the ledger: acked, rejected, or its target
+        is dead.  Returns the entry, ``None`` if already settled."""
+        with self._lock:
+            return self._unacked.pop(seq, None)
+
     def _migrate(self, imm: MemTable) -> None:
         """Ship an immutable remote MemTable to the owner ranks (§2.4).
 
@@ -1184,111 +1250,92 @@ class Database:
         groups = imm.by_owner()
         # migration-queue back-pressure: bound unacked chunks in flight
         cap = self.options.migration_queue_capacity * max(1, len(groups))
-        while len(self._pending_acks) >= cap:
+        while len(self._unacked) >= cap:
             self._drain_acks(blocking=True, at_most=1)
-        chunk_seqs: List[Tuple[int, int]] = []  # (owner, seq)
-        with self._lock:
-            for owner in sorted(groups):
-                seq = self._next_seq
-                self._next_seq += self.nranks  # keep seqs rank-unique
-                chunk_seqs.append((owner, seq))
-                pairs = groups[owner]
-                self._pending_acks.add(seq)
-                self.inflight.append(
-                    (seq, owner, {k: (v, tomb) for k, v, tomb in pairs})
-                )
-        self.stats.migrations += len(chunk_seqs)
         cpu = self.ctx.system.cpu
         sort_cost = cpu.kv_op_s * max(1, len(imm))
 
-        def job(start: float) -> float:
-            t = start + sort_cost
-            for owner, seq in chunk_seqs:
-                payload = msg.MigrateMsg(groups[owner], seq)
-                self.srv_comm.send_at(payload, owner, tag=0, t_send=t)
-                t += self.ctx.system.network.sw_overhead_s
-            self._trace(
-                f"migrate {len(chunk_seqs)} chunks", "dispatcher", start, t
-            )
-            return t
+        def post(payloads: Dict[int, msg.PairsMsg]) -> None:
+            def job(start: float) -> float:
+                t = start + sort_cost
+                for owner, payload in payloads.items():
+                    self.srv_comm.send_at(payload, owner, tag=0, t_send=t)
+                    t += self.ctx.system.network.sw_overhead_s
+                self._trace(
+                    f"migrate {len(payloads)} chunks", "dispatcher", start, t
+                )
+                return t
 
-        self.dispatcher_worker.schedule(self.clock.now, job)
+            self.dispatcher_worker.schedule(self.clock.now, job)
 
-    def _drain_acks(self, blocking: bool, at_most: Optional[int] = None) -> None:
-        """Consume migration acks; blocking mode waits for them.
+        self.stats.migrations += len(self._send_pairs(groups, post=post))
+
+    def _drain_acks(self, blocking: bool, at_most: Optional[int] = None,
+                    sync_seq: Optional[int] = None) -> None:
+        """Consume acks, settling their ledger entries.  Blocking mode
+        waits until the ledger is empty — or, given ``sync_seq``, until
+        that one blocking send is settled (the only kind of ack that
+        travels on the rsp comm).
 
         With ``Options.remote_timeout`` set, a blocking drain that stalls
-        retransmits every unacked chunk (the handler's seq dedup makes
-        the replay idempotent) up to ``remote_retries`` times before
-        raising :class:`RemoteTimeoutError` — except under replication,
-        where a rank still silent after the retry budget is **declared
-        dead** instead (its pending seqs are purged by the declaration)
-        so a fence never wedges on a killed rank.
+        resends what it waits for (:meth:`_retransmit`) up to
+        ``remote_retries`` times before raising
+        :class:`RemoteTimeoutError` — except under replication, where a
+        target still silent after the retry budget is **declared dead**
+        instead (the declaration settles its entries) so neither a fence
+        nor a re-replication push ever wedges on a killed rank.
         """
         timeout = self.options.remote_timeout
-        rounds = 0
-        drained = 0
-        while self._pending_acks:
+        if sync_seq is not None and timeout is None and self._replication_on:
+            timeout = 0.25  # a push must notice a second death mid-pass
+        rounds = drained = 0
+        while (self._unacked if sync_seq is None
+               else sync_seq in self._unacked):
             if at_most is not None and drained >= at_most:
                 return
-            if blocking:
-                try:
+            if not blocking and not self.ack_comm.iprobe(ANY_SOURCE, ACK_TAG):
+                return
+            try:
+                if sync_seq is None:
                     ack = self.ack_comm.recv(ANY_SOURCE, ACK_TAG,
                                              timeout=timeout)
-                except TimeoutError:
-                    self.stats.remote_timeouts += 1
-                    if rounds >= self.options.remote_retries:
-                        if self._replication_on:
-                            with self._lock:
-                                silent = {
-                                    o for s, o, _ in self.inflight
-                                    if s in self._pending_acks
-                                }
-                            if silent:
-                                for r in sorted(silent):
-                                    self._declare_dead(r)
-                                rounds = 0
-                                continue
-                        raise RemoteTimeoutError(
-                            f"{len(self._pending_acks)} migration ack(s) "
-                            f"missing after {rounds + 1} round(s) of "
-                            f"{timeout}s"
-                        ) from None
-                    rounds += 1
-                    self.stats.remote_retries += 1
-                    self.clock.advance(timeout * (2 ** (rounds - 1)))
-                    with self._lock:
-                        resend = [
-                            (s, o, dict(d)) for s, o, d in self.inflight
-                            if s in self._pending_acks
-                        ]
-                        replica = set(self._replica_seqs)
-                    mv = self.membership
-                    epoch, dead = mv.wire() if mv is not None else (0, ())
-                    for seq, owner, chunk in resend:
-                        pairs = [(k, v, tomb)
-                                 for k, (v, tomb) in chunk.items()]
-                        if seq in replica:
-                            payload: object = msg.ReplicaPutBatchMsg(
-                                pairs, seq, epoch, dead
-                            )
-                        else:
-                            payload = msg.MigrateMsg(pairs, seq)
-                        self.srv_comm.send(payload, owner, tag=0)
-                    continue
-            else:
-                if not self.ack_comm.iprobe(ANY_SOURCE, ACK_TAG):
-                    return
-                ack = self.ack_comm.recv(ANY_SOURCE, ACK_TAG)
-            if isinstance(ack, msg.ReplicaAckMsg):
-                self._absorb_replica_ack(ack)
-            with self._lock:
-                self._pending_acks.discard(ack.seq)
-                self._replica_seqs.discard(ack.seq)
-                self.inflight = [
-                    entry for entry in self.inflight if entry[0] != ack.seq
-                ]
+                else:
+                    ack = self.rsp_comm.recv(self._unacked[sync_seq].target,
+                                             sync_seq, timeout=timeout)
+            except TimeoutError:
+                rounds = self._retransmit(rounds, timeout, sync_seq)
+                continue
+            self._absorb_ack(ack)
             drained += 1
+
+    def _retransmit(self, rounds: int, timeout: float,
+                    sync_seq: Optional[int]) -> int:
+        """One rung of a stalled drain's ladder; returns the new round
+        count.
+
+        Resends every awaited message from the ledger under its old seq
+        (the handler's seq dedup makes the replay idempotent) after
+        backing off exponentially on the virtual clock; the wall-clock
+        wait already happened inside the timed-out receive.
+        """
+        self.stats.remote_timeouts += 1
+        with self._lock:
+            waiting = dict(self._unacked) if sync_seq is None \
+                else {sync_seq: self._unacked[sync_seq]}
+        if rounds >= self.options.remote_retries:
+            if not self._replication_on:
+                raise RemoteTimeoutError(
+                    f"{len(waiting)} ack(s) missing after {rounds + 1} "
+                    f"round(s) of {timeout}s"
+                ) from None
+            for r in sorted({entry.target for entry in waiting.values()}):
+                self._declare_dead(r)
+            return 0
+        self.stats.remote_retries += 1
+        self.clock.advance(timeout * (2 ** rounds))
+        for seq, entry in waiting.items():
+            self.srv_comm.send(self._carrier(seq), entry.target, tag=0)
+        return rounds + 1
 
     def _await_reply(self, owner: int, payload, seq: int):
         """Receive the reply to a request, retrying on timeout.
@@ -1333,30 +1380,11 @@ class Database:
             window = self._seq_dedup[source] = _SeqWindow()
         return window.check_and_add(seq)
 
-    def _round_trip(self, make: Callable[[list, int], Any],
-                    groups: Dict[int, list]) -> Dict[int, Any]:
-        """One request per owner, all scattered before any reply is
-        awaited, so the owners' handlers service them in parallel.
-
-        ``make(items, seq)`` builds the owner's message from its share
-        of ``groups``; returns ``{owner: reply}``.
-        """
-        payloads = {}
-        for owner in sorted(groups):
-            payloads[owner] = make(groups[owner], self._next_seq)
-            self._next_seq += self.nranks
-        self.srv_comm.fanout(payloads, tag=0)
-        return {
-            owner: self._await_reply(owner, payload, payload.seq)
-            for owner, payload in payloads.items()
-        }
-
     def _put_sync(self, groups: Dict[int, List[msg.Pair]]) -> int:
         """Sequential mode: migrate synchronously, one round per owner
         (§3.1).  Returns the number of messages sent."""
-        replies = self._round_trip(msg.PutSyncMsg, groups)
-        assert all(isinstance(r, msg.AckMsg) for r in replies.values())
-        return len(replies)
+        return len(self._send_pairs(groups, sync=True,
+                                    post=self.srv_comm.fanout))
 
     # ============================================================ REPLICATION
     @property
@@ -1422,52 +1450,43 @@ class Database:
         """Whether this rank is the key's current acting primary."""
         return self._acting_owner(key) == self.rank
 
-    def _put_replicated(self, key: bytes, value: bytes,
-                        tombstone: bool) -> Tuple[List[int], int]:
-        """Fan one put to its replica group; returns ``(seqs, need)``.
+    def _put_replicated(self, pairs: List[msg.Pair]
+                        ) -> List[Tuple[List[int], int]]:
+        """Fan one call's pairs to their replica groups; returns one
+        quorum debt ``(seqs, need)`` per pair.
 
-        The pair is inserted locally when this rank is a group member
-        and shipped to every other member as a
-        :class:`~repro.core.messages.ReplicaPutBatchMsg` stamped with
-        the current ``(epoch, dead)`` view.  Each fan-out seq joins
-        ``_pending_acks``/``inflight`` — giving the staged write get
-        visibility through the inflight tier — and ``need`` is how many
-        of those acks the quorum still requires after counting a local
-        insert.
+        A pair is inserted locally when this rank is a member of its
+        key's group and shipped to every other member — one message per
+        target for the whole call (:meth:`_send_pairs`).  ``seqs`` are
+        the sends that carry the pair and ``need`` is how many of their
+        acks the quorum still requires after counting a local insert.
+        Every group is resolved before anything is written, so a lost
+        quorum raises with no pair half-placed.
         """
-        group = self._replica_group(key)
-        mv = self.membership
-        assert mv is not None
-        epoch, dead = mv.wire()
-        if self.rank in group:
-            self.stats.local_puts += 1
-            self._local_insert(key, value, tombstone, self.clock)
-        else:
-            self.stats.remote_puts += 1
-        targets = [r for r in group if r != self.rank]
-        seqs: List[int] = []
-        with self._lock:
-            for _t in targets:
-                seq = self._next_seq
-                self._next_seq += self.nranks
-                seqs.append(seq)
-                self._pending_acks.add(seq)
-                self._replica_seqs.add(seq)
-        pair = (key, value, tombstone)
-        for seq, target in zip(seqs, targets):
-            with self._lock:
-                self.inflight.append((seq, target, {key: (value, tombstone)}))
-            self.srv_comm.send(
-                msg.ReplicaPutBatchMsg([pair], seq, epoch, dead),
-                target, tag=0,
-            )
-            self.stats.replica_msgs += 1
-            self.stats.replica_pairs += 1
-        need = self.options.write_quorum - (1 if self.rank in group else 0)
-        return seqs, max(0, need)
+        placed = [(self._replica_group(pair[0]), pair) for pair in pairs]
+        fan: Dict[int, List[msg.Pair]] = {}
+        for group, pair in placed:
+            if self.rank in group:
+                self.stats.local_puts += 1
+                self._local_insert(*pair, self.clock)
+            else:
+                self.stats.remote_puts += 1
+            for r in group:
+                if r != self.rank:
+                    fan.setdefault(r, []).append(pair)
+        seq_of = self._send_pairs(fan)
+        self.stats.replica_msgs += len(fan)
+        self.stats.replica_pairs += sum(map(len, fan.values()))
+        quorum = self.options.write_quorum
+        return [
+            ([seq_of[r] for r in group if r != self.rank],
+             max(0, quorum - (self.rank in group)))
+            for group, _pair in placed
+        ]
 
-    def _await_quorum(self, seqs: List[int], need: int) -> None:
-        """Block until ``need`` of ``seqs`` have settled.
+    def _quorum_drain(self) -> None:
+        """Settle every quorum debt in ``_quorum_due``: block until
+        ``need`` of each debt's ``seqs`` have settled.
 
         A seq settles when its ack arrives, when a rejected batch was
         re-fanned under fresh seqs (the fence drains those), or when its
@@ -1475,49 +1494,29 @@ class Database:
         re-replication restore the copy count) — the latter two release
         the waiter so a death can never wedge an acknowledged put.
         """
-        if need <= 0:
-            return
-        while True:
-            with self._lock:
-                settled = sum(
-                    1 for s in seqs if s not in self._pending_acks
-                )
-            if settled >= need:
-                return
-            self._drain_acks(blocking=True, at_most=1)
-
-    def _quorum_drain(self) -> None:
-        """Settle every quorum debt deferred by group-commit riders."""
-        if not self._quorum_due:
-            return
         due, self._quorum_due = self._quorum_due, []
         for seqs, need in due:
-            self._await_quorum(seqs, need)
+            while sum(s not in self._unacked for s in seqs) < need:
+                self._drain_acks(blocking=True, at_most=1)
 
-    def _absorb_replica_ack(self, ack: msg.ReplicaAckMsg) -> None:
-        """Membership gossip + stale-rejection handling for one ack.
+    def _absorb_ack(self, ack: msg.AckMsg) -> None:
+        """Settle the send an ack answers; under replication also merge
+        the replier's membership gossip and re-route a rejection.
 
         An ``applied=False`` ack means the receiver held our membership
-        stamp stale: merge its newer view, then re-fan the rejected pair
-        to the *current* group under fresh seqs.  Durability across the
-        transition window is preserved because the re-fan reaches every
-        live member and the fence drains the fresh seqs too.
+        stamp stale: merge its newer view, then re-fan the rejected
+        pairs to the *current* groups under fresh seqs.  Durability
+        across the transition window is preserved because the re-fan
+        reaches every live member and the fence drains the fresh seqs
+        too.
         """
+        entry = self._settle(ack.seq)
         mv = self.membership
         if mv is None:
             return
         mv.merge(ack.epoch, ack.dead)
-        if ack.applied:
-            return
-        with self._lock:
-            chunk = next(
-                (dict(d) for s, _o, d in self.inflight if s == ack.seq),
-                None,
-            )
-        if not chunk:
-            return
-        for key, (value, tomb) in chunk.items():
-            self._put_replicated(key, value, tomb)
+        if entry is not None and not ack.applied:
+            self._put_replicated(list(entry.pairs.values()))
 
     def _declare_dead(self, rank: int) -> None:
         """Declare a silent rank dead; release everything waiting on it.
@@ -1538,7 +1537,7 @@ class Database:
         """Drop every piece of main-thread state that waits on, or was
         cached from, a dead rank.  Idempotent.
 
-        Purges the dead rank's pending acks and inflight chunks (each
+        Settles every send still waiting on the dead rank (each
         replica-fanned pair still lives on the surviving group members,
         so no acknowledged write loses visibility) and drops any cached
         view of its SSTables.  Runs for deaths this rank declared and —
@@ -1548,14 +1547,12 @@ class Database:
         self._hb_ping.pop(rank, None)
         self._hb_last.pop(rank, None)
         with self._lock:
-            doomed = [s for s, o, _ in self.inflight if o == rank]
-            for s in doomed:
-                self._pending_acks.discard(s)
-                self._replica_seqs.discard(s)
-            self.inflight = [e for e in self.inflight if e[1] != rank]
+            for seq in [s for s, entry in self._unacked.items()
+                        if entry.target == rank]:
+                self._settle(seq)
         self._drop_peer_cache(rank, self._owner_dir(rank))
 
-    def _absorb_pong(self, pong: msg.ReplicaAckMsg, source: int) -> None:
+    def _absorb_pong(self, pong: msg.AckMsg, source: int) -> None:
         """One heartbeat pong: proof of life plus membership gossip."""
         mv = self.membership
         if mv is None or mv.is_dead(source):
@@ -1652,10 +1649,10 @@ class Database:
         For every key whose current group this rank heads (the acting
         primary always held the data before the death — the ring only
         shifts), push the pair to every other group member in chunked
-        :class:`~repro.core.messages.ReplicaSyncMsg` batches, each acked
-        on the rsp comm.  Members that already hold a pair re-apply the
-        same bytes (idempotent).  A member that dies mid-push is
-        declared dead and re-queued for the next pass.
+        ``sync`` sends, each acked on the rsp comm before the next
+        leaves.  Members that already hold a pair re-apply the same
+        bytes (idempotent).  A member that dies mid-push is declared
+        dead and re-queued for the next pass.
 
         The walk is a pinned :class:`ScanIterator` with tombstones kept
         (a dead rank's deleted keys must not resurrect on the new
@@ -1688,30 +1685,16 @@ class Database:
                 # member's newer version with an older one from here
                 mv.put_back_rereplication(newly_dead)
                 return
-            chunk = 256
-            epoch, dead = mv.wire()
-            grace = self.options.remote_timeout or 0.25
             for target in sorted(targets):
                 pairs = targets[target]
-                for i in range(0, len(pairs), chunk):
-                    part = pairs[i:i + chunk]
-                    seq = self._next_seq
-                    self._next_seq += self.nranks
-                    self.srv_comm.send(
-                        msg.ReplicaSyncMsg(part, seq, epoch, dead),
-                        target, tag=0,
-                    )
-                    try:
-                        reply = self.rsp_comm.recv(
-                            source=target, tag=seq, timeout=grace
-                        )
-                    except TimeoutError:
-                        # a second death mid-push: declare it and let the
-                        # next tick re-replicate around it
-                        self._declare_dead(target)
+                for i in range(0, len(pairs), 256):
+                    part = pairs[i:i + 256]
+                    self._send_pairs({target: part}, sync=True)
+                    if mv.is_dead(target):
+                        # a second death mid-push: the stalled send
+                        # declared it, the next tick re-replicates
+                        # around it
                         break
-                    assert isinstance(reply, msg.ReplicaAckMsg)
-                    mv.merge(reply.epoch, reply.dead)
                     self.stats.rereplicated_pairs += len(part)
         finally:
             self._in_rerepl = False
@@ -2145,14 +2128,14 @@ class Database:
 
     # --------------------------------------------------------- remote lookup
     def _search_memory_remote(self, key: bytes) -> Tuple[Optional[Entry], str]:
-        """Remote MemTable, then unacked migrated chunks newest-first."""
+        """Remote MemTable, then sent-but-unacked pairs newest-first."""
         entry = self.remote_mt.get(key)
         if entry is not None:
             return entry, "remote_mt"
-        for _seq, _owner, chunk in reversed(self.inflight):
-            if key in chunk:
-                value, tomb = chunk[key]
-                return Entry(value, tomb), "inflight"
+        for unacked in reversed(self._unacked.values()):
+            pair = unacked.pairs.get(key)
+            if pair is not None:
+                return Entry(pair[1], pair[2]), "inflight"
         return None, ""
 
     def _remote_get(self, groups: Dict[int, List[bytes]]
@@ -2260,14 +2243,19 @@ class Database:
 
     def _request_get(self, groups: Dict[int, List[bytes]], force: bool
                      ) -> Dict[int, msg.GetReply]:
-        """Ask each owner's handler for its share of ``groups``."""
-        replies = self._round_trip(
-            lambda keys, seq: msg.GetMsg(keys, self.group, seq,
-                                         force_data=force),
-            groups,
-        )
-        assert all(isinstance(r, msg.GetReply) for r in replies.values())
-        return replies
+        """Ask each owner's handler for its share of ``groups``: one
+        GetMsg per owner, all scattered before any reply is awaited, so
+        the owners' handlers service them in parallel."""
+        payloads = {}
+        for owner in sorted(groups):
+            payloads[owner] = msg.GetMsg(groups[owner], self.group,
+                                         self._next_seq, force_data=force)
+            self._next_seq += self.nranks
+        self.srv_comm.fanout(payloads, tag=0)
+        return {
+            owner: self._await_reply(owner, payload, payload.seq)
+            for owner, payload in payloads.items()
+        }
 
     # ===================================================== THE PEER-READ PLANE
     def _owner_dir(self, owner: int) -> str:
@@ -2620,7 +2608,7 @@ class Database:
         if imm is not None:
             self._migrate(imm)
         self._drain_acks(blocking=True)
-        self._quorum_due = []  # drained above: no pending acks remain
+        self._quorum_due = []  # drained above: the ledger is empty
         # visibility boundary: pairs I just migrated live in their
         # owners' MemTables, which a one-sided read cannot see — every
         # cached index view must stop claiming the owner's memory is

@@ -10,13 +10,11 @@ The handler dispatches every request class in
 :data:`repro.core.messages.WIRE_TAGS` (the checked-in spec is
 :mod:`repro.core.protocol`), in four families:
 
-* **pair carriers** — ``MigrateMsg`` (relaxed-mode migration chunk,
-  acked on the ack comm), ``PutSyncMsg`` (sequential-mode puts, acked
-  on the rsp comm), ``ReplicaPutBatchMsg`` (replica fan-out,
-  epoch-checked) and ``ReplicaSyncMsg`` (re-replication push).  All
-  four apply their ``pairs`` to the local MemTable through
-  :func:`_apply_pairs`; they differ only in stamp handling and in where
-  the ack travels;
+* **writes** — ``PairsMsg``: a relaxed-mode migration chunk, a
+  sequential-mode put, a replica fan-out or a re-replication push.  Its
+  ``pairs`` go into the local MemTable (:func:`_serve_pairs`) and one
+  ``AckMsg`` goes back — on the rsp comm to a sender that is blocked
+  on it (``sync``), on the ack comm otherwise;
 * **reads** — ``GetMsg``: the owner's own get procedure
   (``Database._local_get``'s memory and SSTable phases) run on behalf
   of a remote rank, one ``GetReply`` for the whole key list, honouring
@@ -84,13 +82,9 @@ def handler_main(db: Database) -> None:
                 return
             hclock.advance(cpu.kv_op_s)  # request decode
             t_service = hclock.now
-            if isinstance(m, msg.MigrateMsg):
-                _serve_migrate(db, m, source, hclock, cpu)
-                db._trace(f"serve migrate({len(m.pairs)})", "handler",
-                          t_service, hclock.now)
-            elif isinstance(m, msg.PutSyncMsg):
-                _serve_put_sync(db, m, source, hclock, cpu)
-                db._trace(f"serve put_sync({len(m.pairs)})", "handler",
+            if isinstance(m, msg.PairsMsg):
+                _serve_pairs(db, m, source, hclock, cpu)
+                db._trace(f"serve pairs({len(m.pairs)})", "handler",
                           t_service, hclock.now)
             elif isinstance(m, msg.GetMsg):
                 _serve_get(db, m, source, hclock, cpu)
@@ -100,18 +94,10 @@ def handler_main(db: Database) -> None:
                 _serve_fetch_table(db, m, source, hclock, cpu)
                 db._trace(f"serve fetch_table({m.ssid})", "handler",
                           t_service, hclock.now)
-            elif isinstance(m, msg.ReplicaPutBatchMsg):
-                _serve_replica_put(db, m, source, hclock, cpu)
-                db._trace(f"serve replica_put({len(m.pairs)})", "handler",
-                          t_service, hclock.now)
             elif isinstance(m, msg.HeartbeatMsg):
                 _serve_heartbeat(db, m, source, hclock, cpu)
                 db._trace("serve heartbeat", "handler", t_service,
                           hclock.now)
-            elif isinstance(m, msg.ReplicaSyncMsg):
-                _serve_replica_sync(db, m, source, hclock, cpu)
-                db._trace(f"serve replica_sync({len(m.pairs)})",
-                          "handler", t_service, hclock.now)
             elif isinstance(m, msg.IndexPullMsg):
                 _serve_index_pull(db, m, source, hclock, cpu)
                 db._trace("serve index_pull", "handler", t_service,
@@ -147,57 +133,41 @@ def handler_main(db: Database) -> None:
 def _apply_pairs(db: Database, pairs: List[msg.Pair],
                  hclock: VirtualClock, cpu) -> None:
     """Insert carried pairs into the local MemTable (§2.4), charging the
-    handler's timeline one op plus the payload memcpy per pair.  Callers
-    gate on ``db._already_applied`` first."""
+    handler's timeline one op plus the payload memcpy per pair.  The
+    caller gates on ``db._already_applied`` first."""
     for key, value, tombstone in pairs:
         hclock.advance(cpu.kv_op_s + len(key + value) / cpu.memcpy_Bps)
         db._local_insert(key, value, tombstone, hclock)
 
 
-def _serve_migrate(db: Database, m: msg.MigrateMsg, source: int,
-                   hclock: VirtualClock, cpu) -> None:
-    """A relaxed-mode migration chunk, acked to the source's dispatcher."""
-    if not db._already_applied(source, m.seq):
-        _apply_pairs(db, m.pairs, hclock, cpu)
-    db.ack_comm.send(msg.AckMsg(m.seq), source, tag=ACK_TAG)
+def _serve_pairs(db: Database, m: msg.PairsMsg, source: int,
+                 hclock: VirtualClock, cpu) -> None:
+    """Apply a carrier's pairs and acknowledge them.
 
-
-def _serve_put_sync(db: Database, m: msg.PutSyncMsg, source: int,
-                    hclock: VirtualClock, cpu) -> None:
-    """One call's synchronous puts for this owner, one ack for all."""
-    if not db._already_applied(source, m.seq):
-        _apply_pairs(db, m.pairs, hclock, cpu)
-    db.rsp_comm.send(msg.AckMsg(m.seq), source, tag=m.seq)
-
-
-def _serve_replica_put(db: Database, m: msg.ReplicaPutBatchMsg,
-                       source: int, hclock: VirtualClock, cpu) -> None:
-    """Apply a replicated put fan-out, or reject it deterministically.
-
-    A batch stamped with an older epoch than this view's — or sent by a
-    rank this view holds dead — is **rejected** (``applied=False``) so
-    the writer re-routes against the current group; otherwise the pairs
-    are applied under the usual seq-dedup and acknowledged.
+    Under replication a message stamped with an older epoch than this
+    view's — or sent by a rank this view holds dead — is **rejected**
+    (``applied=False``) so the writer re-routes against the current
+    group.  A ``sync`` one is a re-replication push, valid data whatever
+    its epoch, and never rejected.  Everything else is applied once:
+    the seq-dedup gate makes a retransmit a plain re-ack.
     """
     mv = db.membership
-    if mv is not None and mv.is_stale(m.epoch, source):
+    stale = mv is not None and not m.sync and mv.is_stale(m.epoch, source)
+    if stale:
         db.stats.epoch_rejections += 1
-        epoch, dead = mv.wire()
-        db.ack_comm.send(
-            msg.ReplicaAckMsg(m.seq, epoch, dead, applied=False),
-            source, tag=ACK_TAG,
-        )
-        return
-    if mv is not None:
-        mv.merge(m.epoch, m.dead)
-    if not db._already_applied(source, m.seq):
-        _apply_pairs(db, m.pairs, hclock, cpu)
-        db.stats.replica_pairs_applied += len(m.pairs)
+    else:
+        if mv is not None:
+            mv.merge(m.epoch, m.dead)
+        if not db._already_applied(source, m.seq):
+            _apply_pairs(db, m.pairs, hclock, cpu)
+            if mv is not None:
+                db.stats.replica_pairs_applied += len(m.pairs)
     epoch, dead = mv.wire() if mv is not None else (0, ())
-    db.ack_comm.send(
-        msg.ReplicaAckMsg(m.seq, epoch, dead, applied=True),
-        source, tag=ACK_TAG,
-    )
+    ack = msg.AckMsg(m.seq, epoch, dead, applied=not stale)
+    if m.sync:
+        db.rsp_comm.send(ack, source, tag=m.seq)
+    else:
+        db.ack_comm.send(ack, source, tag=ACK_TAG)
 
 
 def _serve_heartbeat(db: Database, m: msg.HeartbeatMsg, source: int,
@@ -210,29 +180,8 @@ def _serve_heartbeat(db: Database, m: msg.HeartbeatMsg, source: int,
     if m.ping:
         epoch, dead = mv.wire()
         db.ack_comm.send(
-            msg.ReplicaAckMsg(0, epoch, dead, applied=True),
-            source, tag=HB_TAG,
+            msg.AckMsg(0, epoch, dead), source, tag=HB_TAG,
         )
-
-
-def _serve_replica_sync(db: Database, m: msg.ReplicaSyncMsg, source: int,
-                        hclock: VirtualClock, cpu) -> None:
-    """Install a re-replication push from the new acting primary.
-
-    Never epoch-rejected: a sync carries the post-death epoch by
-    construction, and its pairs are valid data regardless — apply under
-    seq-dedup and ack on the rsp comm.
-    """
-    mv = db.membership
-    if mv is not None:
-        mv.merge(m.epoch, m.dead)
-    if not db._already_applied(source, m.seq):
-        _apply_pairs(db, m.pairs, hclock, cpu)
-    epoch, dead = mv.wire() if mv is not None else (0, ())
-    db.rsp_comm.send(
-        msg.ReplicaAckMsg(m.seq, epoch, dead, applied=True),
-        source, tag=m.seq,
-    )
 
 
 def _serve_fetch_table(db: Database, m: msg.FetchTableMsg, source: int,

@@ -4,16 +4,21 @@ Three private communicators per database keep runtime traffic invisible
 to the application (paper §2.4):
 
 * ``srv``  — requests to the owner rank's message handler;
-* ``rsp``  — synchronous responses (remote get results, PUT_SYNC acks,
-  table fetches, index pulls, re-replication acks);
-* ``ack``  — asynchronous acknowledgements on two tags: migration and
-  replica-put acks (``ACK_TAG``, drained at fence/barrier/close time)
-  and failure-detector heartbeat pongs (``HB_TAG``, drained by the
-  membership tick so they never interleave with the ack stream).
+* ``rsp``  — synchronous responses (remote get results, table fetches,
+  index pulls, and the ack of a ``sync`` :class:`PairsMsg`, whose
+  sender is blocked on it);
+* ``ack``  — asynchronous acknowledgements on two tags: the acks of
+  every other :class:`PairsMsg` (``ACK_TAG``, drained at
+  fence/barrier/close time) and failure-detector heartbeat pongs
+  (``HB_TAG``, drained by the membership tick so they never interleave
+  with the ack stream).
 
 The unit of remote work is a batch: puts travel as ``pairs``, gets as
 ``keys`` answered by parallel ``results``.  A point put/get is a batch
-of one — there is no per-key message family.
+of one — there is no per-key message family, and there is one pair
+carrier: migration, synchronous puts, replica fan-out and
+re-replication all ship a :class:`PairsMsg` and are acknowledged by an
+:class:`AckMsg`.
 """
 
 from __future__ import annotations
@@ -21,19 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-# message types on the srv comm.  Tags 5 (a never-used checkpoint
-# marker), 6 and 7 (the per-batch twins of GET / PUT_SYNC, folded into
-# them) are retired: a tag number is never reused
-MIGRATE = 1       # bulk key-value chunk from a remote MemTable
-PUT_SYNC = 2      # per-owner synchronous puts/deletes (sequential consistency)
+# message types on the srv comm.  Retired, never reused: 5 (a never-used
+# checkpoint marker), 6 and 7 (the per-batch twins of GET / PUT_SYNC,
+# folded into them), and 1, 2, 9, 11 (MIGRATE, PUT_SYNC, REPLICA_PUT,
+# REPLICA_SYNC — the four pair carriers PAIRS replaced)
 GET = 3           # per-owner remote get request
 STOP = 4          # handler shutdown
 FETCH_TABLE = 8   # ship a whole SSTable's files (peer rebuild)
-REPLICA_PUT = 9   # replicated put/delete fan-out to a group member
 HEARTBEAT = 10    # failure-detector ping (pong travels on the ack comm)
-REPLICA_SYNC = 11  # re-replication push after a rank death
 INDEX_PULL = 12   # fetch replicated SSTable metadata bundles from an owner
 INDEX_PUBLISH = 13  # owner's eager push of fresh bundles to its replica group
+PAIRS = 14        # key-value pairs for the receiver's MemTable
 
 # GET reply status
 FOUND = 0
@@ -49,30 +52,34 @@ KeyResult = Tuple[int, Optional[bytes], bool]
 
 
 @dataclass
-class MigrateMsg:
-    """A chunk of key-value pairs for one owner rank."""
+class PairsMsg:
+    """Key-value pairs for the receiver's local MemTable — the one way a
+    pair reaches another rank (§2.4): a relaxed-mode migration chunk, a
+    sequential-mode put, a replica fan-out, a re-replication push.
+
+    Applied under the seq-dedup gate, so a retransmit is idempotent,
+    and acknowledged by one :class:`AckMsg`.  ``sync`` says the sender is
+    blocked on that ack: it travels on the rsp comm under ``tag=seq``
+    instead of joining the ack comm's stream.  ``(epoch, dead)`` is the
+    sender's membership stamp (``(0, ())`` without replication); a
+    receiver whose view is newer — or that holds the sender dead —
+    rejects a non-``sync`` message with ``applied=False`` so the writer
+    re-routes against the current group.  A ``sync`` message under
+    replication is a re-replication push: valid data whatever its epoch,
+    never rejected.
+    """
 
     pairs: List[Pair]
-    #: sequence number used to ack back to the source
     seq: int
+    epoch: int = 0
+    dead: Tuple[int, ...] = ()
+    sync: bool = False
 
     def wire_nbytes(self) -> int:
-        """Wire size: header plus every pair's key/value/flags."""
-        return 16 + sum(len(k) + len(v) + 9 for k, v, _ in self.pairs)
-
-
-@dataclass
-class PutSyncMsg:
-    """Every put/delete one call routes to one owner, migrated
-    synchronously (sequential consistency) and acknowledged by a single
-    :class:`AckMsg`."""
-
-    pairs: List[Pair]
-    seq: int
-
-    def wire_nbytes(self) -> int:
-        """Wire size: header plus every pair's key/value/flags."""
-        return 16 + sum(len(k) + len(v) + 9 for k, v, _ in self.pairs)
+        """Wire size: header + membership stamp + every pair."""
+        return 24 + 4 * len(self.dead) + sum(
+            len(k) + len(v) + 9 for k, v, _ in self.pairs
+        )
 
 
 @dataclass
@@ -143,44 +150,11 @@ class FetchTableReply:
 
 
 @dataclass
-class AckMsg:
-    """Migration acknowledgement (ack comm)."""
-
-    seq: int
-
-    def wire_nbytes(self) -> int:
-        """Wire size of an acknowledgement."""
-        return 16
-
-
-@dataclass
-class ReplicaPutBatchMsg:
-    """Replicated put/delete fan-out to one replica-group member.
-
-    Carries the writer's ``(epoch, dead)`` membership stamp; a receiver
-    whose view is newer — or that holds the sender dead — rejects the
-    batch deterministically with ``applied=False`` so the writer can
-    re-route against the current group.
-    """
-
-    pairs: List[Pair]
-    seq: int
-    epoch: int
-    dead: Tuple[int, ...] = ()
-
-    def wire_nbytes(self) -> int:
-        """Wire size: header + membership stamp + every pair."""
-        return 24 + 4 * len(self.dead) + sum(
-            len(k) + len(v) + 9 for k, v, _ in self.pairs
-        )
-
-
-@dataclass
 class HeartbeatMsg:
     """Failure-detector ping, also the carrier of membership gossip.
 
-    ``ping=True`` requests a pong (a :class:`ReplicaAckMsg` on the ack
-    comm's heartbeat tag); ``ping=False`` is pure gossip.
+    ``ping=True`` requests a pong (an :class:`AckMsg` on the ack comm's
+    heartbeat tag); ``ping=False`` is pure gossip.
     """
 
     epoch: int
@@ -193,39 +167,20 @@ class HeartbeatMsg:
 
 
 @dataclass
-class ReplicaSyncMsg:
-    """Re-replication push: part of a dead rank's key range, shipped by
-    the new acting primary to a group member that lacks it.  Applied
-    under the same seq-dedup as every other mutation and acknowledged
-    with a :class:`ReplicaAckMsg` on the rsp comm."""
-
-    pairs: List[Pair]
-    seq: int
-    epoch: int
-    dead: Tuple[int, ...] = ()
-
-    def wire_nbytes(self) -> int:
-        """Wire size: header + membership stamp + every pair."""
-        return 24 + 4 * len(self.dead) + sum(
-            len(k) + len(v) + 9 for k, v, _ in self.pairs
-        )
-
-
-@dataclass
-class ReplicaAckMsg:
-    """Replication acknowledgement: replica puts (ack comm), heartbeat
-    pongs (ack comm, heartbeat tag), and re-replication pushes (rsp
-    comm).  Always carries the replier's membership stamp so liveness
-    and epoch news piggyback on every exchange; ``applied=False`` means
-    the message was rejected as stale and must be re-routed."""
+class AckMsg:
+    """The acknowledgement of a :class:`PairsMsg` (ack comm, or rsp comm
+    for a ``sync`` one) and the heartbeat pong (ack comm, heartbeat tag,
+    ``seq=0``).  Carries the replier's membership stamp so liveness and
+    epoch news piggyback on every exchange; ``applied=False`` means the
+    pairs were rejected as stale and must be re-routed."""
 
     seq: int
-    epoch: int
+    epoch: int = 0
     dead: Tuple[int, ...] = ()
     applied: bool = True
 
     def wire_nbytes(self) -> int:
-        """Wire size of a replication acknowledgement."""
+        """Wire size of an acknowledgement."""
         return 24 + 4 * len(self.dead)
 
 
@@ -320,21 +275,17 @@ class StopMsg:
 #: reuse their dispatch constants; replies get the 100+ block.  A tag,
 #: once assigned, must never change or be reused: checkpoint manifests
 #: and fault plans written by old runs identify messages by these
-#: (retired: 5, 6, 7 and reply 101).
+#: (retired: 1, 2, 5, 6, 7, 9, 11 and replies 101, 104).
 WIRE_TAGS: Dict[str, int] = {
-    "MigrateMsg": MIGRATE,
-    "PutSyncMsg": PUT_SYNC,
     "GetMsg": GET,
     "FetchTableMsg": FETCH_TABLE,
     "StopMsg": STOP,
-    "ReplicaPutBatchMsg": REPLICA_PUT,
     "HeartbeatMsg": HEARTBEAT,
-    "ReplicaSyncMsg": REPLICA_SYNC,
     "IndexPullMsg": INDEX_PULL,
     "IndexPublishMsg": INDEX_PUBLISH,
+    "PairsMsg": PAIRS,
     "GetReply": 100,
     "FetchTableReply": 102,
     "AckMsg": 103,
-    "ReplicaAckMsg": 104,
     "IndexPullReply": 105,
 }

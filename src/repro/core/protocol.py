@@ -39,13 +39,10 @@ REQUEST_COMM = "srv_comm"
 
 #: per-message invariants, one entry per WIRE_TAGS class
 MESSAGE_SPECS = {
-    # migration chunks and synchronous puts: retried mutations, seq-dedup
-    "MigrateMsg": {
-        "kind": "request", "retryable": True, "epoch_stamped": False,
-        "reply": "AckMsg",
-    },
-    "PutSyncMsg": {
-        "kind": "request", "retryable": True, "epoch_stamped": False,
+    # the one pair carrier (migration, sync puts, replica fan-out,
+    # re-replication): a retried mutation, seq-dedup, always stamped
+    "PairsMsg": {
+        "kind": "request", "retryable": True, "epoch_stamped": True,
         "reply": "AckMsg",
     },
     # reads are idempotent: no dedup needed, always answered
@@ -62,18 +59,10 @@ MESSAGE_SPECS = {
         "kind": "request", "retryable": False, "epoch_stamped": False,
         "reply": None,
     },
-    # replication plane: every message epoch-stamped, mutations deduped
-    "ReplicaPutBatchMsg": {
-        "kind": "request", "retryable": True, "epoch_stamped": True,
-        "reply": "ReplicaAckMsg",
-    },
+    # failure detector: the ping carries gossip, the pong is an AckMsg
     "HeartbeatMsg": {
         "kind": "request", "retryable": False, "epoch_stamped": True,
-        "reply": "ReplicaAckMsg",
-    },
-    "ReplicaSyncMsg": {
-        "kind": "request", "retryable": True, "epoch_stamped": True,
-        "reply": "ReplicaAckMsg",
+        "reply": "AckMsg",
     },
     # index replication: pulls answered, publishes fire-and-forget
     "IndexPullMsg": {
@@ -87,7 +76,6 @@ MESSAGE_SPECS = {
     # replies (rsp/ack comms)
     "GetReply": {"kind": "reply"},
     "FetchTableReply": {"kind": "reply"},
-    "AckMsg": {"kind": "reply"},
-    "ReplicaAckMsg": {"kind": "reply", "epoch_stamped": True},
+    "AckMsg": {"kind": "reply", "epoch_stamped": True},
     "IndexPullReply": {"kind": "reply", "epoch_stamped": True},
 }

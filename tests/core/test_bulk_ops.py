@@ -194,7 +194,7 @@ class TestMixedOwners:
                         db.owner_of(k) for k, _ in pairs
                     } - {0}
                     _put_many(db, pairs)
-                    # one PutSyncMsg per distinct remote owner
+                    # one sync PairsMsg per distinct remote owner
                     assert db.stats.bulk_owner_msgs == len(remote_owners)
                     # and the data is already visible everywhere
                     assert db.get_bulk([k for k, _ in pairs]) == [

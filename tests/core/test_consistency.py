@@ -92,7 +92,7 @@ class TestRelaxed:
                         db.put(f"k{i}".encode(), b"v")
                     db.fence()
                     assert len(db.remote_mt) == 0
-                    assert not db._pending_acks
+                    assert not db._unacked
                 db.barrier()
                 db.close()
 

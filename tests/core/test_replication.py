@@ -123,6 +123,48 @@ class TestReplicatedOperation:
 
         run4(app)
 
+    @pytest.mark.parametrize("nranks", [2, 4])
+    def test_batch_fans_one_message_per_target(self, nranks):
+        """A batch is one call: its pairs travel grouped by target, one
+        PairsMsg per target for the whole call — not one per key — and
+        every member of every key's group ends up holding it."""
+        items = {f"bulk{i:03d}".encode(): f"v{i}".encode() * 4
+                 for i in range(100)}
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("repl", _repl_options(replicas=2,
+                                                    write_quorum=2))
+                sent = None
+                if ctx.world_rank == 0:
+                    targets = {r for key in items
+                               for r in db._replica_group(key)} - {0}
+                    msgs, pairs = (db.stats.replica_msgs,
+                                   db.stats.replica_pairs)
+                    with db.batch() as b:
+                        for key, value in items.items():
+                            b.put(key, value)
+                    # R=2: one copy of each key leaves this rank, or two
+                    # when it is no member of the key's group
+                    outside = sum(0 not in db._replica_group(key)
+                                  for key in items)
+                    sent = (db.stats.replica_msgs - msgs, len(targets),
+                            db.stats.replica_pairs - pairs,
+                            len(items) + outside)
+                db.fence()
+                db.barrier()
+                held = dict(db.scan_local(include_replicas=True))
+                for key, value in items.items():
+                    if ctx.world_rank in db._replica_group(key):
+                        assert held[key] == value
+                db.close()
+                return sent
+
+        msgs, ntargets, pairs, copies = run4(app, nranks=nranks)[0]
+        assert ntargets == nranks - 1  # 100 keys reach every other rank
+        assert msgs == ntargets
+        assert pairs == copies  # 100 exactly on two ranks
+
     @pytest.mark.parametrize("opener", ["put", "batch"])
     def test_window_opener_settles_rider_quorum_debts(self, opener):
         """A group-commit rider defers its quorum wait to the window
@@ -360,7 +402,7 @@ class TestRereplicationWalk:
         send = db.srv_comm.send
 
         def spy(payload, dest, tag=0):
-            if isinstance(payload, msg.ReplicaSyncMsg):
+            if isinstance(payload, msg.PairsMsg):
                 pushed.extend((dest, *pair) for pair in payload.pairs)
             return send(payload, dest, tag=tag)
 

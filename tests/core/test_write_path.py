@@ -360,7 +360,7 @@ class TestWriteBatch:
                 with db.batch(durability="fence") as b:
                     for i in range(40):
                         b.put(f"f{me}:{i}".encode(), b"v" * 16)
-                assert not db._pending_acks  # fence drained them
+                assert not db._unacked  # fence drained them
                 db.barrier()
                 other = (me + 1) % ctx.nranks
                 for i in range(40):

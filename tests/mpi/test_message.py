@@ -50,13 +50,17 @@ class TestPayloadNbytes:
 
 class TestKvMessageSizes:
     def test_migrate_msg_counts_pairs(self):
-        m = msg.MigrateMsg([(b"key", b"value", False)], seq=1)
-        assert m.wire_nbytes() == 16 + 3 + 5 + 9
+        m = msg.PairsMsg([(b"key", b"value", False)], seq=1)
+        assert m.wire_nbytes() == 24 + 3 + 5 + 9
+        # the membership stamp travels on every carrier: 4 B per dead rank
+        stamped = msg.PairsMsg([(b"key", b"value", False)], 1, 3, (2, 5))
+        assert stamped.wire_nbytes() == m.wire_nbytes() + 8
 
     def test_put_sync_msg(self):
-        m = msg.PutSyncMsg([(b"k", b"vv", False)], seq=1)
-        assert m.wire_nbytes() == 16 + 1 + 2 + 9
-        two = msg.PutSyncMsg([(b"k", b"vv", False), (b"d", b"", True)], 2)
+        m = msg.PairsMsg([(b"k", b"vv", False)], seq=1, sync=True)
+        assert m.wire_nbytes() == 24 + 1 + 2 + 9
+        two = msg.PairsMsg([(b"k", b"vv", False), (b"d", b"", True)], 2,
+                           sync=True)
         assert two.wire_nbytes() == m.wire_nbytes() + 1 + 9
 
     def test_get_msg(self):
@@ -74,7 +78,8 @@ class TestKvMessageSizes:
         assert miss.wire_nbytes() == small.wire_nbytes()
 
     def test_ack_and_stop_tiny(self):
-        assert msg.AckMsg(1).wire_nbytes() <= 16
+        assert msg.AckMsg(1).wire_nbytes() == 24
+        assert msg.AckMsg(1, 2, (0, 3), applied=False).wire_nbytes() == 32
         assert msg.StopMsg().wire_nbytes() <= 16
 
 

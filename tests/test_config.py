@@ -114,16 +114,20 @@ class TestOptionsValidation:
                 Options(**{name: 1})
 
     def test_wire_family_size(self):
-        """One batch-shaped message family: the per-batch twins of
-        PutSyncMsg / GetMsg / GetReply are gone, their tags retired."""
+        """One batch-shaped message family with one pair carrier and one
+        ack: the per-batch twins of the put / GetMsg / GetReply and the
+        four carriers PairsMsg replaced are gone, their tags retired."""
         from repro.core import messages as msg
 
-        assert len(msg.WIRE_TAGS) == 15
-        for name in ("PutSyncBatchMsg", "MGetMsg", "MGetReply"):
+        assert len(msg.WIRE_TAGS) == 11
+        for name in ("PutSyncBatchMsg", "MGetMsg", "MGetReply",
+                     "MigrateMsg", "PutSyncMsg", "ReplicaPutBatchMsg",
+                     "ReplicaSyncMsg", "ReplicaAckMsg"):
             assert name not in msg.WIRE_TAGS
             assert not hasattr(msg, name)
         # retired tag numbers are never reused
-        assert not {5, 6, 7, 101} & set(msg.WIRE_TAGS.values())
+        assert not {1, 2, 5, 6, 7, 9, 11, 101, 104} \
+            & set(msg.WIRE_TAGS.values())
 
     def test_removed_env_vars_are_ignored(self):
         env = {

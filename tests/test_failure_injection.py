@@ -8,10 +8,13 @@ and assert the failure surfaces as the right exception.
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 
-from repro import FaultPlan, Papyrus, SSTABLE, spmd_run
+from repro import FaultPlan, Papyrus, SEQUENTIAL, SSTABLE, spmd_run
+from repro.core import handler
+from repro.core import messages as msg
 from repro.errors import CorruptionError, RemoteTimeoutError, StorageError
 from repro.faults import RankCrashError
 from repro.mpi.launcher import RankFailure
@@ -22,6 +25,7 @@ from repro.sstable.reader import SSTableReader
 from repro.sstable.format import Record, parse_index
 from repro.simtime.resources import TimedResource
 from tests.conftest import small_options, write_table
+from tests.core.test_replication import _survivor_close
 
 #: CI's fault matrix re-runs this module under several seeds
 FAULT_SEED = int(os.environ.get("PKV_FAULT_SEED", "7"))
@@ -504,7 +508,7 @@ class TestFaultPlanMessages:
         assert sum(res) >= 1
 
     def test_duplicate_migrate_applied_once(self):
-        plan = FaultPlan(seed=FAULT_SEED).duplicate("MigrateMsg", nth=1)
+        plan = FaultPlan(seed=FAULT_SEED).duplicate("PairsMsg", nth=1)
 
         def app(ctx):
             with Papyrus(ctx) as env:
@@ -526,7 +530,7 @@ class TestFaultPlanMessages:
         assert any("duplicate" in f for f in plan.fired)
 
     def test_delayed_message_still_delivered(self):
-        plan = FaultPlan(seed=FAULT_SEED).delay("MigrateMsg", 0.005, nth=1)
+        plan = FaultPlan(seed=FAULT_SEED).delay("PairsMsg", 0.005, nth=1)
 
         def app(ctx):
             with Papyrus(ctx) as env:
@@ -540,6 +544,193 @@ class TestFaultPlanMessages:
                 db.close()
 
         spmd_run(2, app, faults=plan, timeout=120)
+
+
+class _RouteFaults(FaultPlan):
+    """Message rules that see one route's traffic only: the PairsMsgs
+    sent after :meth:`arm` and the acks that answer them.
+
+    By class name alone "the first ack" is not a schedule: under
+    replication a heartbeat pong is an AckMsg and a load phase's
+    fan-outs are PairsMsgs, and which comes first is thread timing.
+    ``applied`` is the handlers' apply log (the ``applied`` fixture);
+    ``mark`` is its length at arming time.
+    """
+
+    def __init__(self, applied):
+        super().__init__(seed=FAULT_SEED)
+        self.applied = applied
+        self.mark = None
+        self._seqs = set()
+
+    def arm(self):
+        self.mark = len(self.applied)
+
+    def on_message(self, obj, src, dst):
+        if not isinstance(obj, (msg.PairsMsg, msg.AckMsg)):
+            return None
+        if isinstance(obj, msg.PairsMsg) and self.mark is not None:
+            self._seqs.add(obj.seq)
+        if obj.seq not in self._seqs:
+            return None
+        return super().on_message(obj, src, dst)
+
+
+class TestMutationPlane:
+    """One carrier, one ack, one ledger: every route a pair takes to
+    another rank survives a lost carrier, a lost ack and a duplicated
+    carrier the same way — applied exactly once, caller completes,
+    nothing left in the ledger."""
+
+    KEYS = [f"mp{i:02d}".encode() for i in range(16)]
+
+    #: route -> (ranks, options); rank 0 acts, the others only serve
+    ROUTES = {
+        "migrate": (2, dict()),
+        "put_sync": (2, dict(consistency=SEQUENTIAL)),
+        "fanout": (3, dict(replicas=2, write_quorum=2)),
+        "rereplicate": (3, dict(replicas=2, write_quorum=1,
+                                compaction_interval=0)),
+    }
+
+    @pytest.fixture()
+    def applied(self, monkeypatch):
+        """Every ``(rank, key)`` a handler applies, in order."""
+        log = []
+        apply_pairs = handler._apply_pairs
+
+        def recording(db, pairs, hclock, cpu):
+            log.extend((db.rank, key) for key, _value, _tomb in pairs)
+            apply_pairs(db, pairs, hclock, cpu)
+
+        monkeypatch.setattr(handler, "_apply_pairs", recording)
+        return log
+
+    def _run(self, route, plan, body):
+        """``body(db)`` on rank 0; checks what it says it delivered —
+        ``(target, key)`` pairs — against the apply log since arming."""
+        nranks, opts = self.ROUTES[route]
+        options = small_options(remote_timeout=0.2, remote_retries=2, **opts)
+        done = threading.Barrier(nranks)
+
+        def app(ctx):
+            env = Papyrus(ctx)
+            db = env.open("plane", options)
+            try:
+                if ctx.world_rank == 0:
+                    delivered = body(db)
+                    db.fence()
+                    assert not db._unacked and not db._quorum_due
+                    return delivered, db.stats.remote_retries
+            finally:
+                done.wait(60)
+                _survivor_close(db)
+
+        delivered, retries = spmd_run(nranks, app, faults=plan,
+                                      timeout=120)[0]
+        assert delivered
+        assert sorted(plan.applied[plan.mark:]) == sorted(delivered)
+        return retries
+
+    def _drive(self, route, db, plan):
+        """Send pairs down one route; returns the deliveries it owes."""
+        keys = self.KEYS
+        if route == "migrate":
+            remote = [k for k in keys if db.owner_of(k) == 1]
+            plan.arm()
+            for k in remote:
+                db.put(k, b"v")  # staged; the fence ships one chunk
+            return [(1, k) for k in remote]
+        if route == "put_sync":
+            remote = [k for k in keys if db.owner_of(k) == 1]
+            plan.arm()
+            with db.batch() as b:
+                for k in remote:
+                    b.put(k, b"v")
+            return [(1, k) for k in remote]
+        if route == "fanout":
+            plan.arm()
+            for k in keys[:4]:
+                db.put(k, b"v")
+            return [(r, k) for k in keys[:4]
+                    for r in db._replica_group(k) if r != 0]
+        for k in keys:
+            db.put(k, b"v")
+        db.fence()
+        plan.arm()
+        db.membership.declare_dead(2)  # in this view only: nobody dies
+        db._rereplicate()
+        pushed = [
+            (r, k) for k in keys
+            for group in [db._replica_group(k, check=False)]
+            if group[0] == 0 for r in group[1:]
+        ]
+        assert db.stats.rereplicated_pairs == len(pushed)
+        return pushed
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    @pytest.mark.parametrize("fault", ["drop_carrier", "drop_ack",
+                                       "duplicate_carrier"])
+    def test_applied_exactly_once(self, route, fault, applied):
+        plan = _RouteFaults(applied)
+        if fault == "drop_carrier":
+            plan.drop("PairsMsg", nth=1)
+        elif fault == "drop_ack":
+            plan.drop("AckMsg", nth=1)
+        else:
+            plan.duplicate("PairsMsg", nth=1)
+        retries = self._run(route, plan,
+                            lambda db: self._drive(route, db, plan))
+        assert len(plan.fired) == 1
+        if fault.startswith("drop"):
+            assert retries >= 1  # resent from the ledger
+
+    def test_retransmit_carries_the_stamp_current_at_resend(self, applied):
+        plan = _RouteFaults(applied).drop("PairsMsg", nth=1)
+
+        def body(db):
+            key = next(k for k in self.KEYS
+                       if db._replica_group(k) == [0, 1])
+            plan.arm()
+            db._put_replicated([(key, b"v", False)])  # dropped on the way
+            (seq,) = db._unacked
+            db.membership.declare_dead(2)  # the view moves on: epoch 1
+            sent, send = [], db.srv_comm.send
+
+            def spy(payload, dest, tag=0):
+                sent.append((payload, dest))
+                return send(payload, dest, tag=tag)
+
+            db.srv_comm.send = spy
+            db.fence()
+            db.srv_comm.send = send
+            (resent, dest), = [(m, d) for m, d in sent
+                               if isinstance(m, msg.PairsMsg)]
+            assert (resent.seq, dest) == (seq, 1)
+            assert (resent.epoch, resent.dead) == (1, (2,))
+            assert (resent.epoch, resent.dead) == db.membership.wire()
+            return [(1, key)]
+
+        assert self._run("fanout", plan, body) == 1
+
+    def test_unacked_pairs_serve_gets_and_die_with_their_target(
+            self, applied):
+        plan = _RouteFaults(applied).drop("PairsMsg", nth=1, count=2)
+
+        def body(db):
+            key = next(k for k in self.KEYS
+                       if db._replica_group(k) == [1, 2])
+            plan.arm()
+            db._put_replicated([(key, b"v", False)])  # both copies dropped
+            assert sorted(e.target for e in db._unacked.values()) == [1, 2]
+            # no ack can arrive: the ledger is all this rank has of it
+            got = db.get_ex(key)
+            assert (got.value, got.tier) == (b"v", "inflight")
+            db._forget_dead_rank(2)
+            assert [e.target for e in db._unacked.values()] == [1]
+            return [(1, key)]  # the fence resends what is left
+
+        self._run("fanout", plan, body)
 
 
 class TestCrashPointProperty:
