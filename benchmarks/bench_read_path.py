@@ -4,8 +4,10 @@ round-trips, same storage group and across.
 4 ranks on SUMMITDEV split into two storage groups (group_size=2 →
 {0,1} and {2,3}).  Each rank loads its own shard in key-prefixed phases
 — one SSTable per phase with a disjoint key range, so the footer fences
-actually prune — drops every cached reader and block, then runs a
-Zipfian read phase twice against *peer-owned* keys:
+actually prune — then runs a Zipfian read phase twice against
+*peer-owned* keys, each from a cold device (every rank drops its own
+tables' readers and blocks first; the read cache is the node's, so what
+the first phase fetched would otherwise still be there for the second):
 
 * **same-group** — the peer is rank^1 (shared NVM): without
   `index_replication` the §2.7 direct SSTable read, which pays a
@@ -99,10 +101,15 @@ def _xgroup_app_factory(index_repl: bool):
                 db.put(k, value)
             db.barrier(SSTABLE)  # one SSTable per prefix range
 
-        db._invalidate_readers()
+        def cold_start():
+            """Every table on the node leaves its device's read cache."""
+            db._invalidate_readers()
+            db.barrier()
+
         same_keys = _shard_keys(r ^ 1, ctx.nranks)
         cross_keys = _shard_keys((r + 2) % ctx.nranks, ctx.nranks)
 
+        cold_start()
         zipf = ZipfianGenerator(len(same_keys), ZIPF_THETA, seed=23 + r)
         t0 = ctx.clock.now
         for _ in range(XG_ITERS):
@@ -111,6 +118,7 @@ def _xgroup_app_factory(index_repl: bool):
         same_hits = db.stats.index_repl_hits
         db.barrier()
 
+        cold_start()
         tiers0 = dict(db.stats.get_tiers)
         zipf = ZipfianGenerator(len(cross_keys), ZIPF_THETA, seed=31 + r)
         t0 = ctx.clock.now

@@ -33,10 +33,6 @@ class LockGraph:
         if key not in self.edges:
             self.edges[key] = (held_site, acquired_site)
 
-    def successors(self, node: str) -> List[str]:
-        """Labels acquired at least once while ``node`` was held."""
-        return [b for (a, b) in self.edges if a == node]
-
     def find_cycles(self) -> List[List[str]]:
         """Every elementary cycle, canonicalized and deduplicated."""
         adj: Dict[str, List[str]] = {}

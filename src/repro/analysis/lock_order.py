@@ -65,20 +65,13 @@ LOCK_ORDER: Tuple[LockClass, ...] = (
                "times, suspicion, pending re-replication work",
     ),
     LockClass(
-        name="db.readers",
-        level=20,
-        attrs=("_readers_lock",),
-        holder="core.db.Database",
-        guards="the per-SSID SSTableReader cache (main + handler threads)",
-    ),
-    LockClass(
         name="db.index_cache",
         level=25,
         attrs=("_index_lock",),
         holder="core.db.Database",
         guards="the peer-read plane: per-owner views of other ranks' "
-               "table sets and the byte-budgeted LRU of readers over "
-               "their tables (main + handler threads)",
+               "table sets and the byte-budgeted LRU of bundle-built "
+               "readers over their tables (main + handler threads)",
     ),
     LockClass(
         name="world.comm",
@@ -109,12 +102,21 @@ LOCK_ORDER: Tuple[LockClass, ...] = (
         guards="the bounded FIFO's item list and conditions",
     ),
     LockClass(
+        name="sstable.reader",
+        level=65,
+        attrs=("_io_lock",),
+        holder="sstable.reader.SSTableReader",
+        guards="one table's device reads (lazy sidecar loads, block "
+               "fetch-and-fill), so ranks sharing the reader read each once",
+    ),
+    LockClass(
         name="sstable.block_cache",
         level=70,
         attrs=("_blocks_lock",),
-        holder="sstable.block_cache.BlockCache",
-        guards="the shared SSData block cache: LRU order, byte budget, "
-               "per-table index, counters (leaf lock, never nested under)",
+        holder="sstable.block_cache.BlockCache (one per storage device)",
+        guards="the device's read cache, shared by every rank on it: "
+               "block LRU order, byte budget, per-table index, file-built "
+               "reader registry, counters (leaf lock, never nested under)",
     ),
 )
 
@@ -139,11 +141,6 @@ def level_of_attr(attr: str) -> Optional[int]:
     """Level of a lock by source attribute name; None if unregistered."""
     lc = _BY_ATTR.get(attr)
     return None if lc is None else lc.level
-
-
-def class_of_attr(attr: str) -> Optional[LockClass]:
-    """The registered lock class for a source attribute name."""
-    return _BY_ATTR.get(attr)
 
 
 def render_lock_table() -> str:
@@ -171,19 +168,20 @@ def render_threads_map() -> str:
         "releasing it at iterator close), "
         "`db.membership` (replica-group routing and failure "
         "declarations when `replicas > 1`), "
-        "`db.readers` (SSTable lookups), `db.index_cache` (views and "
+        "`db.index_cache` (views and "
         "readers of other ranks' tables, on every get that walks them), "
         "`world.comm`/`world.mailboxes` "
         "(comm management), `comm.collective` (collectives), `queue.fifo`, "
-        "`sstable.block_cache` (block-cached SSData probes).",
+        "`sstable.reader` (a table's sidecar loads and block fetches), "
+        "`sstable.block_cache` (reader lookups, block-cached SSData "
+        "probes, invalidation).",
         "* **message handler** (per rank × database) — `db.state` "
         "(serving migrations and remote gets), `db.membership` "
         "(heartbeats, piggybacked liveness, epoch checks), "
-        "`db.readers` (SSTable "
-        "lookups on behalf of remote ranks), `db.index_cache` "
+        "`db.index_cache` "
         "(installing eagerly published index bundles), "
-        "`sstable.block_cache` "
-        "(those lookups' SSData probes), `world.mailboxes` (its "
+        "`sstable.reader` and `sstable.block_cache` (SSTable lookups "
+        "on behalf of remote ranks), `world.mailboxes` (its "
         "blocking receive).",
         "* **virtual background workers** (compaction, dispatcher) are "
         "*not* real threads: their jobs run eagerly on whichever real "

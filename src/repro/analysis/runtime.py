@@ -403,13 +403,6 @@ class RaceDetector:
         """Race + lock-order findings plus current deadlock cycles."""
         return list(self._findings) + self.graph.deadlock_findings()
 
-    def clear_findings(self) -> None:
-        """Drop accumulated findings and the deadlock graph."""
-        with self._mu:
-            self._findings.clear()
-            self._seen.clear()
-            self.graph = LockGraph()
-
     def run_start(self) -> None:
         """Prune per-run state (called at every ``spmd_run`` start).
 

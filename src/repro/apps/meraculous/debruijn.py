@@ -16,7 +16,7 @@ extension).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.apps.meraculous.kmer import ALPHABET, FORK, TERM
 
@@ -27,14 +27,6 @@ _BASES = frozenset(ALPHABET)
 def is_uu(code: bytes) -> bool:
     """Neither extension is a fork (terminators count as unique)."""
     return code[0] != FORK and code[1] != FORK
-
-
-def _chains_from(pred_code: Optional[bytes], pred_last: int,
-                 kmer_first: int) -> bool:
-    """Does the predecessor k-mer chain into this one?"""
-    if pred_code is None or not is_uu(pred_code):
-        return False
-    return pred_code[1] == pred_last
 
 
 def is_contig_start(kmer: bytes, code: bytes, lookup) -> bool:

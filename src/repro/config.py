@@ -97,8 +97,8 @@ class Options:
     #: consult bloom filters on gets (ablation knob; the files are
     #: always written so the setting can change on reopen)
     bloom_enabled: bool = True
-    #: byte budget of the shared SSData block cache (charged bytes,
-    #: not entries; see :mod:`repro.sstable.block_cache`)
+    #: this rank's contribution to the byte budget of its storage
+    #: device's read cache (see :mod:`repro.sstable.block_cache`)
     block_cache_capacity: int = 16 * MB
     #: repository selector: "nvm" or "lustre"; None inherits the
     #: environment's repository (``papyruskv_init`` argument)

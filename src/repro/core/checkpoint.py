@@ -388,11 +388,7 @@ def destroy(db) -> Event:
     db._check_open()
     db.fence()
     db.coll_comm.barrier()
-    from repro.core import messages as msg
-
-    db.srv_comm.send(msg.StopMsg(), db.rank, tag=0)
-    if db._handler_thread is not None:
-        db._handler_thread.join(30.0)
+    db._stop_handler()
     rank_dir = db.rank_dir
 
     def job(start: float) -> float:
@@ -402,7 +398,5 @@ def destroy(db) -> Event:
     db.coll_comm.barrier()
     if db.rank == 0:
         end = max(end, db.store.delete(f"{db.dbdir}/meta.json", end))
-    db._closed = True
-    db.coll_comm.barrier()
-    db.env._forget(db.name)
+    db._leave()
     return Event(f"destroy:{db.name}").complete_at(end)

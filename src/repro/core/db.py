@@ -84,6 +84,7 @@ from repro.sstable.format import (
     encode_meta_bundle,
     parse_index,
     sstable_filenames,
+    sstable_paths,
 )
 from repro.util.checksum import crc32c
 from repro.sstable.reader import SSTableReader, list_ssids
@@ -491,10 +492,6 @@ class Database:
 
         self.ssids: List[int] = []
         self._next_ssid = 1
-        self._readers: Dict[int, SSTableReader] = {}
-        #: guards _readers alone: taken by main and handler threads on
-        #: SSTable lookups, nested inside db.state when both are needed
-        self._readers_lock = make_lock("db.readers")
         #: damaged tables pulled from the search order (poisoned ranges)
         self._quarantined: List[QuarantinedTable] = []
         #: scan snapshot pins: ssid -> count of open iterators reading
@@ -514,15 +511,15 @@ class Database:
         #: guards the two structures below: the rank-main thread reads
         #: them on every get that walks a peer's tables, the handler
         #: thread installs eagerly pushed publishes.  Level 25 in the
-        #: canonical order (between db.readers and world.comm); never
+        #: canonical order (between db.membership and world.comm); never
         #: held across a send or an SSTable search
         self._index_lock = make_lock("db.index_cache")
         #: per-owner view of a peer's table set
         self._peer_views: Dict[int, _PeerView] = {}
-        #: readers of peers' tables keyed (owner_dir, ssid) — built from
-        #: a shipped metadata bundle, or from the sidecar files by a
-        #: rank that shares the owner's storage — charged at the byte
-        #: size of the index + bloom they hold
+        #: readers of tables of owners outside my storage group, keyed
+        #: (owner_dir, ssid): built from a shipped metadata bundle and
+        #: charged at its byte size (a same-group owner's tables are
+        #: read through the device's own file-built readers)
         self._peer_reader_lru = ObjectLRU(options.index_cache_capacity)
         #: ssids flushed/compacted since the last eager publish drain
         #: (guarded by db.state; drained by the main-thread _tick)
@@ -533,9 +530,12 @@ class Database:
             if options.cache_local_enabled else None
         )
         self.remote_cache = LRUCache(options.cache_remote_capacity)
-        #: shared SSData block cache: one per database, used by own and
-        #: peer readers alike (main + handler threads; it has its own lock)
-        self.block_cache = BlockCache(options.block_cache_capacity)
+        #: my storage device's read cache (blocks and file-built readers,
+        #: its own lock), shared by every rank on it; my capacity joins
+        #: its budget until close and it counts my share of the traffic
+        self.block_cache: BlockCache = store.read_cache
+        self.cache_counts = self.block_cache.attach(
+            self.rank_dir, options.block_cache_capacity)
 
         self.compaction_worker = BackgroundWorker(f"compactor-r{self.rank}")
         self.dispatcher_worker = BackgroundWorker(f"dispatcher-r{self.rank}")
@@ -589,10 +589,7 @@ class Database:
 
     def _admit_sstable(self, ssid: int) -> bool:
         """Validate/repair one retained table; False means quarantined."""
-        data_name, index_name, bloom_name = sstable_filenames(ssid)
-        data_p = f"{self.rank_dir}/{data_name}"
-        index_p = f"{self.rank_dir}/{index_name}"
-        bloom_p = f"{self.rank_dir}/{bloom_name}"
+        data_p, index_p, bloom_p = sstable_paths(self.rank_dir, ssid)
         missing = [p for p in (index_p, bloom_p) if not self.store.exists(p)]
         if missing:
             # writer order is data -> index -> bloom, each atomic: an
@@ -630,9 +627,9 @@ class Database:
             raise CorruptionError(
                 f"sstable {ssid}: SSData does not round-trip; refusing rebuild"
             )
-        _, index_name, bloom_name = sstable_filenames(ssid)
-        t = self.store.write(f"{self.rank_dir}/{index_name}", blobs["index"], t)
-        t = self.store.write(f"{self.rank_dir}/{bloom_name}", blobs["bloom"], t)
+        _, index_p, bloom_p = sstable_paths(self.rank_dir, ssid)
+        t = self.store.write(index_p, blobs["index"], t)
+        t = self.store.write(bloom_p, blobs["bloom"], t)
         self.clock.advance_to(t)
 
     def _poison_range(
@@ -647,12 +644,12 @@ class Database:
         a stale value because a damaged key escaped the range is not).
         ``(None, None)`` means the whole keyspace is poisoned.
         """
-        data_name, index_name, _ = sstable_filenames(ssid)
+        data_p, index_p, _ = sstable_paths(self.rank_dir, ssid)
         t = self.clock.now
         try:
-            idx_blob, t = self.store.read(f"{self.rank_dir}/{index_name}", t)
+            idx_blob, t = self.store.read(index_p, t)
             entries, footer = parse_index(idx_blob)
-            data, t = self.store.read(f"{self.rank_dir}/{data_name}", t)
+            data, t = self.store.read(data_p, t)
             self.clock.advance_to(t)
         except (StorageError, ValueError):
             return None, None  # no trustworthy metadata at all
@@ -698,11 +695,8 @@ class Database:
         """Move a damaged table out of the SSID namespace and poison
         the key range it may have covered."""
         min_key, max_key = self._poison_range(ssid)
-        data_name, index_name, bloom_name = sstable_filenames(ssid)
-        data_p = f"{self.rank_dir}/{data_name}"
         t = self.clock.now
-        for rel in (data_p, f"{self.rank_dir}/{index_name}",
-                    f"{self.rank_dir}/{bloom_name}"):
+        for rel in sstable_paths(self.rank_dir, ssid):
             if self.store.exists(rel):
                 t = self.store.rename(rel, rel + QUARANTINE_SUFFIX, t)
         self.clock.advance_to(t)
@@ -1068,6 +1062,7 @@ class Database:
             merged, readers, end = read_and_merge(
                 self.store, self.rank_dir, inputs, start,
                 drop_tombstones=major, block_cache=self.block_cache,
+                sink=self.cache_counts,
             )
             holder["parts"] = partition_records(merged, COMPACTION_PARTITIONS)
             holder["readers"] = readers
@@ -1962,91 +1957,57 @@ class Database:
                 self.local_cache.put(key, value)
 
     def _reader(self, ssid: int) -> SSTableReader:
-        """Cached reader for one of my SSTables.
-
-        Called by both the rank-main thread (gets/scans after dropping
-        ``db.state``) and the message handler, so the cache has its own
-        lock — the readers dict was this codebase's one genuine data
-        race before the detector existed.
-        """
-        with self._readers_lock:
-            rd = self._readers.get(ssid)
-            annotate_read(self, "db.readers")
-            if rd is None:
-                rd = SSTableReader(self.store, self.rank_dir, ssid,
-                                   block_cache=self.block_cache)
-                annotate_write(self, "db.readers")
-                self._readers[ssid] = rd
-            return rd
+        """The device's reader of one of my SSTables: the very object a
+        storage-group peer's :meth:`_peer_reader` resolves to."""
+        return self.block_cache.reader(self.store, self.rank_dir, ssid)
 
     def _peer_reader(self, owner: int, owner_dir: str,
                      ssid: int) -> SSTableReader:
-        """Cached reader of one of ``owner``'s tables (call under
+        """Reader of one of ``owner``'s tables (call under
         ``db.index_cache``).
 
-        A pull or publish put it there, built from a shipped bundle; a
-        rank sharing the owner's storage builds it from the sidecar
-        files instead and charges the LRU the same way — by the
-        metadata bytes it will hold.  Anyone else missing it raises
-        :class:`MetadataStaleError`: the re-pull ships what ``have``
+        An owner whose storage I share: the device's file-built reader,
+        the one the owner itself searches with.  Anyone else: what a
+        pull or publish built from a shipped bundle; missing it raises
+        :class:`MetadataStaleError` and the re-pull ships what ``have``
         no longer lists.  Peer tables are immutable and compaction
-        never reuses an input SSID, so a cached reader stays valid
-        until the file disappears — which surfaces as StorageError and
-        drops everything cached from that owner.  Data blocks go
-        through the shared block cache either way.
+        never reuses an input SSID, so a reader stays valid until the
+        file disappears — which surfaces as StorageError.  Data blocks
+        go through the device's block cache either way.
         """
+        if self.shares_storage_with(owner):
+            return self.block_cache.reader(self.store, owner_dir, ssid)
         rd = self._peer_reader_lru.get((owner_dir, ssid))
         if rd is None:
-            if not self.shares_storage_with(owner):
-                raise MetadataStaleError(
-                    f"no replicated metadata for {owner_dir}/{ssid}"
-                )
-            rd = SSTableReader(self.store, owner_dir, ssid,
-                               block_cache=self.block_cache)
-            _, index_path, bloom_path = rd.file_paths()
-            cost = self.store.size(index_path) + self.store.size(bloom_path)
-            # a table whose sidecars outgrow the whole budget is cached
-            # alone rather than refused: nobody re-ships it, so a miss
-            # here is two whole-file reads on the owner's device per get
-            self._peer_reader_lru.put(
-                (owner_dir, ssid), rd,
-                min(cost, self._peer_reader_lru.capacity),
+            raise MetadataStaleError(
+                f"no replicated metadata for {owner_dir}/{ssid}"
             )
         return rd
 
     def _drop_peer_cache(self, owner: int, owner_dir: str) -> None:
-        """Forget everything cached from one owner's tables (compaction
-        race, rank death; either thread): the view, the readers, and —
-        in the same call — any cached data blocks under the owner's
-        directory, so no stale ``(dir, ssid, block)`` span survives to
-        age out.  :meth:`_drop_index_view` keeps the readers."""
+        """Forget what I cached from one owner's tables (compaction
+        race, rank death; either thread): the view, my bundle-built
+        readers and — for an owner outside my storage group — the data
+        blocks under its directory.  A same-group owner's readers and
+        blocks are the device's: hot for the whole node, the owner's to
+        invalidate.  :meth:`_drop_index_view` keeps the readers."""
         with self._index_lock:
             annotate_write(self, "db.index_cache")
             self._peer_views.pop(owner, None)
             self._peer_reader_lru.invalidate_where(lambda k: k[0] == owner_dir)
-        self.block_cache.invalidate_dir(owner_dir)
+        if not self.shares_storage_with(owner):
+            self.block_cache.invalidate_dir(owner_dir, self.cache_counts)
 
     def _invalidate_readers(self, ssid: Optional[int] = None) -> None:
-        """Drop one cached reader (or all) under the readers lock, and
-        the block-cache entries of the affected table(s) — quarantine,
-        compaction, scrub repair and checkpoint restore all pass through
-        here, so a replaced table can never serve stale cached blocks."""
-        with self._readers_lock:
-            annotate_write(self, "db.readers")
-            if ssid is None:
-                self._readers.clear()
-            else:
-                self._readers.pop(ssid, None)
-        # the peer-facing cache funnels through here too: a table
-        # replaced in place (quarantine repair, checkpoint restore)
-        # must not survive under any cache keyed by its old bytes
+        """Drop one of my tables (or all) from the device's read cache
+        — reader and blocks, for every rank on it, in one call.
+        Quarantine, compaction, scrub repair and checkpoint restore all
+        pass here, so a replaced table never serves stale cached bytes."""
         if ssid is None:
-            self._drop_peer_cache(self.rank, self.rank_dir)
+            self.block_cache.invalidate_dir(self.rank_dir, self.cache_counts)
         else:
-            with self._index_lock:
-                annotate_write(self, "db.index_cache")
-                self._peer_reader_lru.invalidate((self.rank_dir, ssid))
-            self.block_cache.invalidate_table(self.rank_dir, ssid)
+            self.block_cache.invalidate_table(
+                self.rank_dir, ssid, self.cache_counts)
 
     def _ssids_snapshot(self) -> List[int]:
         """A consistent copy of my SSID list (for unlocked walks)."""
@@ -2121,6 +2082,7 @@ class Database:
                     continue
             rec, t = reader.get(
                 key, t, binary_search=self.binary_search, use_bloom=False,
+                sink=self.cache_counts,
             )
             if rec is not None:
                 return rec, t
@@ -2269,16 +2231,16 @@ class Database:
         way the view arrived.
 
         Peer lookups get the same fence pruning, bloom gating and
-        cached readers (sharing the block cache) as local ones; the
+        cached readers (on the device's block cache) as local ones; the
         view's readers are resolved once, in one ``db.index_cache``
         acquisition, for the whole batch.  The requester cannot see the
         owner's quarantine list — both ways in are closed while it is
         non-empty.  Returns the records in key order (``None``: no
         table holds the key) — fewer than ``keys`` after dropping what
         the walk could not trust: the view alone for a reader the LRU
-        evicted (the refresh re-ships just that bundle), everything
-        cached from the owner for a file its compaction deleted under
-        the walk or a block that failed its CRC — then the owner judges.
+        evicted (the refresh re-ships just that bundle), what I cached
+        from the owner (:meth:`_drop_peer_cache`) for a file compaction
+        deleted under the walk or a bad block CRC — then the owner judges.
         """
         owner_dir = view.owner_dir
         recs: List[Optional[Record]] = []
@@ -2504,11 +2466,11 @@ class Database:
         The table set and the two flags are one ``db.state`` snapshot;
         with ``ship``, the sidecars of the tables ``wanted`` picks are
         read outside it, on ``clock``, and framed as bundles.  Nothing
-        is shipped to a rank that shares my storage — it reads the
-        sidecars itself (:meth:`_peer_reader`) — so callers pass
-        ``ship=False`` for one.  A compaction retiring a table between
-        snapshot and read surfaces as StorageError: snapshot again,
-        once; ``None`` after a second race.
+        is shipped to a rank that shares my storage — it reads through
+        the device's reader of the table (:meth:`_peer_reader`) — so
+        callers pass ``ship=False`` for one.  A compaction retiring a
+        table between snapshot and read surfaces as StorageError:
+        snapshot again, once; ``None`` after a second race.
         """
         t = clock.now
         for _attempt in range(2):
@@ -2521,13 +2483,9 @@ class Database:
             bundles: Dict[int, bytes] = {}
             try:
                 for ssid in filter(wanted, ssids if ship else ()):
-                    _, index_name, bloom_name = sstable_filenames(ssid)
-                    index_blob, t = self.store.read(
-                        f"{self.rank_dir}/{index_name}", t
-                    )
-                    bloom_blob, t = self.store.read(
-                        f"{self.rank_dir}/{bloom_name}", t
-                    )
+                    _, index_p, bloom_p = sstable_paths(self.rank_dir, ssid)
+                    index_blob, t = self.store.read(index_p, t)
+                    bloom_blob, t = self.store.read(bloom_p, t)
                     bundles[ssid] = encode_meta_bundle(
                         ssid, index_blob, bloom_blob
                     )
@@ -2838,15 +2796,6 @@ class Database:
         """
         return count_live(self)
 
-    # ============================================================ PERSISTENCE
-    def snapshot_file_list(self) -> List[str]:
-        """Relative paths of this rank's SSTable files (post-flush)."""
-        out: List[str] = []
-        for ssid in self._ssids_snapshot():
-            reader = SSTableReader(self.store, self.rank_dir, ssid)
-            out.extend(reader.file_paths())
-        return out
-
     # ============================================================== SCRUBBING
     def verify(self, checkpoint_path: Optional[str] = None,
                repair: bool = True) -> Dict[str, List[int]]:
@@ -2979,15 +2928,24 @@ class Database:
         # compaction is not part of flush's contract; close drains it too
         self.clock.advance_to(self.compaction_worker.available)
         self.coll_comm.barrier()  # nobody issues remote ops past this point
-        # stop my handler (self-send so it wakes from its recv)
+        self._stop_handler()
+        self._leave()
+
+    def _stop_handler(self) -> None:
+        """Stop my handler (a self-send wakes it from its recv)."""
         self.srv_comm.send(msg.StopMsg(), self.rank, tag=0)
         if self._handler_thread is not None:
             self._handler_thread.join(30.0)
             det = get_detector()
             if det is not None and not self._handler_thread.is_alive():
                 det.absorb_thread(self._handler_thread)  # join HB edge
+
+    def _leave(self) -> None:
+        """The collective tail of close and destroy; past the barrier
+        nobody reads my tables, so my share of the device's cache goes."""
         self._closed = True
         self.coll_comm.barrier()
+        self.block_cache.detach(self.rank_dir)
         self.env._forget(self.name)
 
     def __enter__(self) -> "Database":

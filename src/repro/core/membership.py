@@ -11,7 +11,7 @@ in-flight messages from a superseded epoch can be rejected
 deterministically.
 
 All state is guarded by the ``db.membership`` lock (level 15 in the
-canonical order, between ``db.state`` and ``db.readers``): both the rank
+canonical order, between ``db.state`` and ``db.index_cache``): both the rank
 main thread (routing, failure declaration) and the handler thread
 (heartbeats, piggybacked liveness) read and write it.
 """
@@ -81,12 +81,6 @@ class MembershipView:
             if rank not in self._dead:
                 self._suspect.add(rank)
 
-    def suspects(self) -> Tuple[int, ...]:
-        """Ranks currently under suspicion, sorted."""
-        with self._mv_lock:
-            annotate_read(self, "membership.state")
-            return tuple(sorted(self._suspect))
-
     # -- the view itself ----------------------------------------------
 
     @property
@@ -110,12 +104,6 @@ class MembershipView:
         with self._mv_lock:
             annotate_read(self, "membership.state")
             return [r for r in range(self.nranks) if r not in self._dead]
-
-    def dead_ranks(self) -> Tuple[int, ...]:
-        """All ranks this view has declared dead, sorted."""
-        with self._mv_lock:
-            annotate_read(self, "membership.state")
-            return tuple(sorted(self._dead))
 
     def wire(self) -> Tuple[int, Tuple[int, ...]]:
         """The ``(epoch, dead)`` pair stamped onto outgoing messages."""

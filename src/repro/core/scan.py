@@ -72,11 +72,11 @@ def _sstable_cursor(db, reader, start: Optional[bytes],
     moves only when a block was fetched.  ``keys_only`` skips the
     value bytes entirely (:func:`count_live`).
     """
-    clock = db.clock
-    lo, t = reader.find_ge(start, clock.now)
+    clock, sink = db.clock, db.cache_counts
+    lo, t = reader.find_ge(start, clock.now, sink)
     clock.advance_to(t)
     for key, value, tombstone, fetched, t in reader.scan_from(
-            lo, lambda: clock.now, keys_only):
+            lo, lambda: clock.now, keys_only, sink):
         if fetched:
             db.stats.scan_blocks_read += fetched
             clock.advance_to(t)

@@ -65,7 +65,8 @@ def database_metrics(db) -> Dict[str, Any]:
         "hits": db.remote_cache.hits,
         "misses": db.remote_cache.misses,
     }
-    out["block_cache"] = db.block_cache.counters()
+    # the device's occupancy and budget, this database's traffic counts
+    out["block_cache"] = db.block_cache.counters(db.cache_counts)
     out["latency"] = db.latency.summary()
     from repro.analysis.runtime import get_detector
 

@@ -209,13 +209,6 @@ class World:
                     box._dead = True
             return box
 
-    def transfer_cost(self, src: int, dst: int, nbytes: int) -> float:
-        """Uncontended latency + transfer time between world ranks."""
-        if self.node_of_rank(src) == self.node_of_rank(dst):
-            return _SHM_LATENCY_S + nbytes / _SHM_BANDWIDTH_BPS
-        net = self.network
-        return net.latency_s + nbytes / net.bandwidth_Bps
-
     def transfer_complete(self, src: int, dst: int, t_send: float,
                           nbytes: int) -> float:
         """Arrival time of one message, queueing on the shared fabric.
@@ -308,10 +301,6 @@ class Comm:
         from repro.mpi.launcher import current_rank_context
 
         return current_rank_context().clock
-
-    def world_rank_of(self, comm_rank: int) -> int:
-        """Translate a communicator rank to its world rank."""
-        return self._group[comm_rank]
 
     def _deliver(self, src_w: int, dst_w: int, env: Envelope) -> None:
         """Deposit an envelope, consulting the fault plan if one is armed.

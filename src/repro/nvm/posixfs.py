@@ -65,6 +65,7 @@ class PosixStore:
         self.read_device = read_device if read_device is not None else device
         self.extra_latency_s = extra_latency_s
         self.faults = None  # Optional[repro.faults.FaultPlan]
+        self.read_cache = None  # the device's BlockCache; Machine sets it
         os.makedirs(root, exist_ok=True)
         self._lock = threading.Lock()
 

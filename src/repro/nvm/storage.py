@@ -21,7 +21,7 @@ import tempfile
 import threading
 from typing import Dict, List, Optional
 
-from repro.nvm.posixfs import PosixStore
+from repro.nvm.posixfs import Device, PosixStore
 from repro.simtime.profiles import DeviceProfile, SystemProfile
 from repro.simtime.resources import StripedResource, TimedResource
 
@@ -71,7 +71,8 @@ class Machine:
     parallel file system via :meth:`lustre_store`.  Ranks that share an
     NVM device receive :class:`PosixStore` objects rooted at the same
     directory, so storage-group reads of a peer's SSTables are real file
-    reads.
+    reads — and, like ranks under one kernel page cache, they share the
+    store's one read cache (``store.read_cache``).
     """
 
     def __init__(self, system: SystemProfile, nranks: int,
@@ -82,7 +83,8 @@ class Machine:
         self.base_dir = base_dir or tempfile.mkdtemp(prefix="papyruskv-")
         os.makedirs(self.base_dir, exist_ok=True)
         self._lock = threading.Lock()
-        self._nvm_stores: Dict[int, PosixStore] = {}
+        #: the stores handed out, by directory: "nvm<domain>", "lustre"
+        self._stores: Dict[str, PosixStore] = {}
         self._faults = None  # Optional[repro.faults.FaultPlan]
 
         nnodes = system.nodes_for(nranks)
@@ -119,44 +121,41 @@ class Machine:
             return self.system.node_of_rank(rank)
         return 0
 
-    def nvm_store(self, rank: int) -> PosixStore:
-        """The NVM-backed store visible to ``rank``."""
-        domain = self.nvm_domain_of_rank(rank)
+    def _store(self, name: str, write: Device, read: Device,
+               extra_latency_s: float) -> PosixStore:
+        """The store rooted at ``name``, made once, with its device's one
+        read cache (:mod:`repro.sstable.block_cache`) for all who open it."""
+        from repro.sstable.block_cache import BlockCache  # sits above nvm
+
         with self._lock:
-            store = self._nvm_stores.get(domain)
+            store = self._stores.get(name)
             if store is None:
-                store = PosixStore(
-                    os.path.join(self.base_dir, f"nvm{domain}"),
-                    self._nvm_write[domain],
-                    extra_latency_s=self._nvm_extra_latency,
-                    read_device=self._nvm_read[domain],
+                store = self._stores[name] = PosixStore(
+                    os.path.join(self.base_dir, name), write,
+                    extra_latency_s=extra_latency_s, read_device=read,
                 )
                 store.faults = self._faults
-                self._nvm_stores[domain] = store
+                store.read_cache = BlockCache()
             return store
+
+    def nvm_store(self, rank: int) -> PosixStore:
+        """The NVM-backed store visible to ``rank``."""
+        d = self.nvm_domain_of_rank(rank)
+        return self._store(f"nvm{d}", self._nvm_write[d], self._nvm_read[d],
+                           self._nvm_extra_latency)
 
     def lustre_store(self) -> PosixStore:
         """The global parallel file system (checkpoint target)."""
-        with self._lock:
-            if not hasattr(self, "_lustre"):
-                self._lustre = PosixStore(
-                    os.path.join(self.base_dir, "lustre"),
-                    self._lustre_write,
-                    extra_latency_s=self._lustre_extra,
-                    read_device=self._lustre_read,
-                )
-                self._lustre.faults = self._faults
-            return self._lustre
+        return self._store("lustre", self._lustre_write, self._lustre_read,
+                           self._lustre_extra)
 
     def set_faults(self, plan) -> None:
         """Attach a :class:`repro.faults.FaultPlan` (or ``None``) to every
         store this machine has created or will create."""
         with self._lock:
             self._faults = plan
-            for store in self._nvm_stores.values():
+            for store in self._stores.values():
                 store.faults = plan
-            if hasattr(self, "_lustre"):
-                self._lustre.faults = plan
 
     def layout(self, group_size: Optional[int] = None) -> StorageLayout:
         """Storage-group layout; defaults to the architecture's natural one."""
@@ -170,10 +169,12 @@ class Machine:
     def trim_nvm(self) -> None:
         """Simulate end-of-job NVM trim: all SSTables on NVM disappear."""
         with self._lock:
-            stores = list(self._nvm_stores.values())
+            stores = [store for name, store in self._stores.items()
+                      if name != "lustre"]
         for store in stores:
             shutil.rmtree(store.root, ignore_errors=True)
             os.makedirs(store.root, exist_ok=True)
+            store.read_cache.clear(readers=True)  # outlives the databases
 
     def reset_timing(self) -> None:
         """Zero all device availability horizons (fresh benchmark phase)."""

@@ -27,7 +27,7 @@ import heapq
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.nvm.posixfs import PosixStore
-from repro.sstable.block_cache import BlockCache
+from repro.sstable.block_cache import BlockCache, CacheCounters
 from repro.sstable.format import Record
 from repro.sstable.reader import SSTableReader
 
@@ -81,15 +81,17 @@ def read_and_merge(
     t: float,
     drop_tombstones: bool = False,
     block_cache: Optional[BlockCache] = None,
+    sink: Optional[CacheCounters] = None,
 ) -> Tuple[List[Record], List[SSTableReader], float]:
     """Stream every input table once and k-way merge the runs.
 
     Returns ``(merged_records, readers, virtual_completion_time)``; the
     readers are handed back so the caller can delete the inputs once
-    its outputs are durable.  ``read_all`` fills a shared block cache
-    at the cold end only: compaction's streaming reads use free budget
-    but never evict the point-get working set, and the caller is
-    expected to invalidate the input tables afterwards.
+    its outputs are durable.  ``read_all`` fills the device's block
+    cache at the cold end only (counted to ``sink``): compaction's
+    streaming reads use free budget but never evict the point-get
+    working set, and the caller is expected to invalidate the input
+    tables afterwards.
     """
     readers = [
         SSTableReader(store, directory, s, block_cache=block_cache)
@@ -97,7 +99,7 @@ def read_and_merge(
     ]
     runs: List[List[Record]] = []
     for rd in readers:  # oldest → newest
-        recs, t = rd.read_all(t)
+        recs, t = rd.read_all(t, sink)
         runs.append(recs)
     merged = list(merge_newest(reversed(runs), not drop_tombstones))
     return merged, readers, t

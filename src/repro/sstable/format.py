@@ -412,3 +412,9 @@ def sstable_filenames(ssid: int) -> Tuple[str, str, str]:
     """(SSData, SSIndex, bloom) filenames for one SSID."""
     base = f"{ssid:010d}"
     return base + DATA_SUFFIX, base + INDEX_SUFFIX, base + BLOOM_SUFFIX
+
+
+def sstable_paths(directory: str, ssid: int) -> Tuple[str, str, str]:
+    """Store-relative (SSData, SSIndex, bloom) paths of one table."""
+    d, i, b = sstable_filenames(ssid)
+    return f"{directory}/{d}", f"{directory}/{i}", f"{directory}/{b}"

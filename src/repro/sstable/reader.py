@@ -9,7 +9,7 @@ lookup.  With it disabled the reader scans SSData from the front, one
 small read per record (the ``Default`` configuration in Figure 8).
 
 SSData reaches a lookup one way: :meth:`SSTableReader._block` — one
-verified 64KB block, through the shared block cache when there is one —
+verified 64KB block, through the device's block cache when there is one —
 and :meth:`SSTableReader._span` slicing over the block the caller
 holds.  The binary search (:meth:`SSTableReader._seek`: a point get, a
 scan's ``find_ge``) fetches the one block its key can be in;
@@ -23,6 +23,11 @@ touches them, against the footer committed in the SSIndex.  A mismatch
 raises :class:`repro.errors.CorruptionError` (or
 :class:`repro.errors.TornWriteError` when the file is short) — the
 reader never returns bytes that failed their checksum.
+
+A file-built reader is shared by every rank on the device
+(:meth:`repro.sstable.block_cache.BlockCache.reader`), so its device
+reads are serialised by a lock (``sstable.reader``): a sidecar or block
+two ranks miss at once is read once, like a page already faulting in.
 """
 
 from __future__ import annotations
@@ -31,11 +36,13 @@ import re
 import struct
 from bisect import bisect_right
 from itertools import islice
-from typing import Callable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Iterator, List, Optional, Set, Tuple,
+)
 
+from repro.analysis.runtime import make_lock
 from repro.errors import CorruptionError, StorageError, TornWriteError
 from repro.nvm.posixfs import PosixStore
-from repro.sstable.block_cache import BlockCache
 from repro.sstable.format import (
     DATA_SUFFIX,
     RECORD_HEADER_LEN,
@@ -46,10 +53,13 @@ from repro.sstable.format import (
     decode_bloom_file,
     decode_records,
     parse_index,
-    sstable_filenames,
+    sstable_paths,
 )
 from repro.util.bloom import BloomFilter
 from repro.util.checksum import crc32c
+
+if TYPE_CHECKING:  # block_cache imports this module for its registry
+    from repro.sstable.block_cache import BlockCache, CacheCounters
 
 _SSID_RE = re.compile(r"^(\d{10})" + re.escape(DATA_SUFFIX) + "$")
 
@@ -70,19 +80,20 @@ def list_ssids(store: PosixStore, directory: str) -> List[int]:
 class SSTableReader:
     """Handle to one immutable SSTable.
 
-    The parsed bloom filter and index are cached after first use (the OS
-    page cache analogue); the device is still charged for the initial
-    loads and for every SSData probe.
+    The parsed bloom filter and index are cached after first use (the
+    node's page cache, when the reader is the device's shared one); the
+    device is still charged for the initial loads and every SSData probe.
 
-    With a shared :class:`~repro.sstable.block_cache.BlockCache`
+    With the device's :class:`~repro.sstable.block_cache.BlockCache`
     attached, SSData probes read through 64KB block spans: a cached
     block costs no device time and needs no re-verification (its CRC
     was checked at fill), a miss reads and verifies the block once and
-    caches it for every other reader of the same directory.  Cache
-    priority belongs to the *call*, not the reader: a point get
+    caches it for every other reader on the device.  Cache priority
+    and accounting belong to the *call*, not the reader: a point get
     promotes on a hit and fills at the hot end, a stream (scan cursor,
     sequential get, ``read_all``) leaves recency alone and fills at the
-    cold end, so streaming reads cannot evict the point-get working set.
+    cold end, so streaming reads cannot evict the point-get working
+    set; ``sink`` names the calling database's counters.
     """
 
     def __init__(self, store: PosixStore, directory: str, ssid: int,
@@ -90,10 +101,8 @@ class SSTableReader:
         self.store = store
         self.directory = directory
         self.ssid = ssid
-        d, i, b = sstable_filenames(ssid)
-        self._data_path = f"{directory}/{d}"
-        self._index_path = f"{directory}/{i}"
-        self._bloom_path = f"{directory}/{b}"
+        self._data_path, self._index_path, self._bloom_path = (
+            sstable_paths(directory, ssid))
         self._bloom: Optional[BloomFilter] = None
         self._index: Optional[List[IndexEntry]] = None
         self._footer: Optional[TableFooter] = None
@@ -102,6 +111,9 @@ class SSTableReader:
         self._verified_blocks: Set[int] = set()
         self._size_checked = False
         self._cache = block_cache
+        #: one device read of this table at a time; held across the
+        #: read, only the block cache's leaf lock is taken under it
+        self._io_lock = make_lock("sstable.reader")
 
     @classmethod
     def from_bundle(cls, store: PosixStore, directory: str, ssid: int,
@@ -139,21 +151,27 @@ class SSTableReader:
     def load_bloom(self, t: float) -> Tuple[BloomFilter, float]:
         """Load (once), verify, and return the bloom filter."""
         if self._bloom is None:
-            blob, t = self.store.read(self._bloom_path, t)
-            try:
-                self._bloom = decode_bloom_file(blob)
-            except CorruptionError as exc:
-                raise self._corrupt(str(exc)) from exc
+            with self._io_lock:
+                if self._bloom is None:  # else: loaded while I waited
+                    blob, t = self.store.read(self._bloom_path, t)
+                    try:
+                        self._bloom = decode_bloom_file(blob)
+                    except CorruptionError as exc:
+                        raise self._corrupt(str(exc)) from exc
         return self._bloom, t
 
     def load_index(self, t: float) -> Tuple[List[IndexEntry], float]:
         """Load (once), verify, and return the SSIndex entries."""
         if self._index is None:
-            blob, t = self.store.read(self._index_path, t)
-            try:
-                self._index, self._footer = parse_index(blob)
-            except CorruptionError as exc:
-                raise self._corrupt(str(exc)) from exc
+            with self._io_lock:
+                if self._index is None:  # else: loaded while I waited
+                    blob, t = self.store.read(self._index_path, t)
+                    try:
+                        # the footer first: lock-free callers test the index
+                        index, self._footer = parse_index(blob)
+                    except CorruptionError as exc:
+                        raise self._corrupt(str(exc)) from exc
+                    self._index = index
         return self._index, t
 
     def footer(self, t: float) -> Tuple[TableFooter, float]:
@@ -193,7 +211,8 @@ class SSTableReader:
         return entry
 
     # ------------------------------------------------------------ cached I/O
-    def _block(self, blk: int, t: float, hot: bool) -> Tuple[bytes, float]:
+    def _block(self, blk: int, t: float, hot: bool,
+               sink: Optional[CacheCounters]) -> Tuple[bytes, float]:
         """One whole verified SSData block — the only SSData fetch a
         lookup makes.
 
@@ -203,28 +222,29 @@ class SSTableReader:
         call's cache priority: a point probe promotes on a hit and
         fills at the hot end; a stream leaves recency alone and fills
         at the cold end — which a full cache drops again at once, so
-        the *caller* holds the bytes.
+        the *caller* holds the bytes.  Lookup and fill are one step
+        under the reader's lock: a second rank missing finds it cached.
         """
         footer, cache = self._footer, self._cache
         assert footer is not None
         self._check_data_size(footer)
         if blk >= len(footer.block_crcs):
             raise self._corrupt(f"index entry points past block {blk}")
-        if cache is not None:
-            data = cache.get(self.directory, self.ssid, blk, promote=hot)
-            if data is not None:
-                return data, t
-        bs = footer.block_size
-        data, t = self.store.read(self._data_path, t, blk * bs, bs)
-        if crc32c(data) != footer.block_crcs[blk]:
-            raise self._corrupt(f"SSData block {blk} checksum mismatch")
-        if cache is not None:
-            cache.put(self.directory, self.ssid, blk, data,
-                      low_priority=not hot)
+        with self._io_lock:
+            if cache is not None:
+                data = cache.get(self.directory, self.ssid, blk, hot, sink)
+                if data is not None:
+                    return data, t
+            bs = footer.block_size
+            data, t = self.store.read(self._data_path, t, blk * bs, bs)
+            if crc32c(data) != footer.block_crcs[blk]:
+                raise self._corrupt(f"SSData block {blk} checksum mismatch")
+            if cache is not None:
+                cache.put(self.directory, self.ssid, blk, data, not hot, sink)
         return data, t
 
     def _span(self, offset: int, length: int, blk: int, data: bytes,
-              t: float, hot: bool,
+              t: float, hot: bool, sink: Optional[CacheCounters],
               ) -> Tuple[bytes, int, bytes, int, float]:
         """``[offset, offset+length)`` of SSData, given the held block
         ``data`` = block ``blk`` (``-1``: none).  A block is fetched only
@@ -238,13 +258,14 @@ class SSTableReader:
         while offset < end:
             if offset // bs != blk:
                 blk = offset // bs
-                data, t = self._block(blk, t, hot)
+                data, t = self._block(blk, t, hot, sink)
                 fetched += 1
             pieces.append(data[offset - blk * bs:end - blk * bs])
             offset = (blk + 1) * bs
         return b"".join(pieces), blk, data, fetched, t
 
     def _seek(self, key: bytes, t: float, hot: bool,
+              sink: Optional[CacheCounters],
               ) -> Tuple[int, bool, int, bytes, float]:
         """The one binary search: index position of the first entry with
         ``entry.key >= key``, and whether that key *is* ``key``.
@@ -266,13 +287,13 @@ class SSTableReader:
         lo = first[j]
         hi = first[j + 1] if j + 1 < len(first) else len(index)
         blk = index[lo].offset // footer.block_size
-        data, t = self._block(blk, t, hot)
+        data, t = self._block(blk, t, hot, sink)
         found = footer.block_keys[j] == key
         while lo + 1 < hi and not found:  # index[lo].key <= key < index[hi].key
             mid = (lo + hi) // 2
             entry = self._entry(mid)
             probe, nblk, ndata, _, t = self._span(
-                entry.key_offset, entry.keylen, blk, data, t, hot)
+                entry.key_offset, entry.keylen, blk, data, t, hot, sink)
             if probe <= key:
                 lo, found, blk, data = mid, probe == key, nblk, ndata
             else:
@@ -280,7 +301,8 @@ class SSTableReader:
         return lo if found else lo + 1, found, blk, data, t
 
     # ------------------------------------------------------------ scan support
-    def find_ge(self, key: Optional[bytes], t: float) -> Tuple[int, float]:
+    def find_ge(self, key: Optional[bytes], t: float,
+                sink: Optional[CacheCounters] = None) -> Tuple[int, float]:
         """Index position of the first entry with ``entry.key >= key`` —
         the scan cursor's bracketing step, one block at stream priority.
         ``key=None`` (open start) returns 0 for free; a result of
@@ -288,11 +310,12 @@ class SSTableReader:
         """
         if key is None:
             return 0, self.load_index(t)[1]
-        pos, _, _, _, t = self._seek(key, t, hot=False)
+        pos, _, _, _, t = self._seek(key, t, False, sink)
         return pos, t
 
     def scan_from(self, lo: int, now: Callable[[], float],
                   keys_only: bool = False,
+                  sink: Optional[CacheCounters] = None,
                   ) -> Iterator[Tuple[bytes, bytes, bool, int, float]]:
         """Stream the records of index entries ``lo…``, a block at a time.
 
@@ -319,14 +342,15 @@ class SSTableReader:
                 yield data[start:mid], data[mid:end], entry.tombstone, 0, t
                 continue
             buf, blk, data, fetched, t = self._span(
-                start + base, end - start, blk, data, now(), hot=False)
+                start + base, end - start, blk, data, now(), False, sink)
             base, size = blk * bs, len(data)
             yield buf[:klen], buf[klen:], entry.tombstone, fetched, t
 
     # ---------------------------------------------------------------- lookup
     def get(self, key: bytes, t: float,
-            binary_search: bool = True,
-            use_bloom: bool = True) -> Tuple[Optional[Record], float]:
+            binary_search: bool = True, use_bloom: bool = True,
+            sink: Optional[CacheCounters] = None,
+            ) -> Tuple[Optional[Record], float]:
         """Look up ``key``; returns (record-or-None, completion time).
 
         A returned tombstone record means "definitely deleted at this
@@ -339,16 +363,18 @@ class SSTableReader:
             if not hit:
                 return None, t
         if not binary_search:
-            return self._sequential_get(key, t)
-        pos, found, blk, data, t = self._seek(key, t, hot=True)
+            return self._sequential_get(key, t, sink)
+        pos, found, blk, data, t = self._seek(key, t, True, sink)
         if not found:
             return None, t
         entry = self._entry(pos)
         value, _, _, _, t = self._span(
-            entry.value_offset, entry.vallen, blk, data, t, hot=True)
+            entry.value_offset, entry.vallen, blk, data, t, True, sink)
         return Record(key, value, entry.tombstone), t
 
-    def _sequential_get(self, key: bytes, t: float) -> Tuple[Optional[Record], float]:
+    def _sequential_get(self, key: bytes, t: float,
+                        sink: Optional[CacheCounters],
+                        ) -> Tuple[Optional[Record], float]:
         """Record-by-record scan of SSData front to back.
 
         This is the "Default" configuration of Figure 8: each record
@@ -382,7 +408,7 @@ class SSTableReader:
                 for blk in range(offset // bs,
                                  (offset + kend + vallen - 1) // bs + 1):
                     if blk not in self._verified_blocks:
-                        _, t = self._block(blk, t, hot=False)
+                        _, t = self._block(blk, t, False, sink)
                         self._verified_blocks.add(blk)
             if keylen <= _SPEC_KEY:
                 rkey = probe[RECORD_HEADER_LEN:kend]
@@ -401,7 +427,8 @@ class SSTableReader:
         return None, t
 
     # --------------------------------------------------------------- full I/O
-    def read_all(self, t: float) -> Tuple[List[Record], float]:
+    def read_all(self, t: float, sink: Optional[CacheCounters] = None,
+                 ) -> Tuple[List[Record], float]:
         """Sequential read of the whole table (compaction, redistribution).
 
         The whole buffer is verified against the footer's block CRCs
@@ -428,7 +455,7 @@ class SSTableReader:
                     # streaming reads fill free budget only (cold end):
                     # a compaction or scan must not evict the hot set
                     self._cache.put(self.directory, self.ssid, blk,
-                                    blob[lo:hi], low_priority=True)
+                                    blob[lo:hi], True, sink)
             self._size_checked = True
         try:
             return list(decode_records(blob)), t

@@ -24,7 +24,7 @@ from repro.sstable.format import (
     encode_index,
     encode_record,
     make_footer,
-    sstable_filenames,
+    sstable_paths,
 )
 from repro.util.bloom import BloomFilter
 
@@ -73,6 +73,13 @@ def encode_table(
     return {"data": data_blob, "index": index_blob, "bloom": bloom_blob}
 
 
+def _files_of(directory: str, ssid: int,
+              blobs: Dict[str, bytes]) -> List[Tuple[str, bytes]]:
+    """One table's ``(path, bytes)`` in commit order: data, index, bloom."""
+    return list(zip(sstable_paths(directory, ssid),
+                    (blobs["data"], blobs["index"], blobs["bloom"])))
+
+
 def write_sstable_blobs(
     store: PosixStore,
     directory: str,
@@ -89,15 +96,7 @@ def write_sstable_blobs(
     latency plus the aggregate bytes (``PosixStore.write_ordered``).
     Returns ``(bytes_written, virtual_completion_time)``.
     """
-    data_name, index_name, bloom_name = sstable_filenames(ssid)
-    end = store.write_ordered(
-        [
-            (f"{directory}/{data_name}", blobs["data"]),
-            (f"{directory}/{index_name}", blobs["index"]),
-            (f"{directory}/{bloom_name}", blobs["bloom"]),
-        ],
-        t,
-    )
+    end = store.write_ordered(_files_of(directory, ssid, blobs), t)
     return sum(len(b) for b in blobs.values()), end
 
 
@@ -121,10 +120,7 @@ def write_tables_ordered(
     items: List[Tuple[str, bytes]] = []
     total = 0
     for ssid, blobs in tables:
-        data_name, index_name, bloom_name = sstable_filenames(ssid)
-        items.append((f"{directory}/{data_name}", blobs["data"]))
-        items.append((f"{directory}/{index_name}", blobs["index"]))
-        items.append((f"{directory}/{bloom_name}", blobs["bloom"]))
+        items.extend(_files_of(directory, ssid, blobs))
         total += sum(len(b) for b in blobs.values())
     if not items:
         return 0, t

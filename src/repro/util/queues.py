@@ -57,10 +57,6 @@ class BoundedFIFO(Generic[T]):
         with self._lock:
             return len(self._items)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def put(self, item: T, timeout: Optional[float] = None) -> None:
         """Enqueue, blocking while the queue is full."""
         with self._not_full:

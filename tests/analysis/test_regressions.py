@@ -10,24 +10,25 @@ from __future__ import annotations
 
 from repro.analysis.runtime import annotate_read, annotate_write
 from repro.analysis.stress import run_stress
-from repro.core.db import Database
+from repro.sstable.block_cache import BlockCache
 from repro.sstable.reader import SSTableReader
 
 
-def _old_unlocked_reader(self, ssid):
-    """``Database._reader`` as it was before `db.readers` existed:
-    handler and rank-main threads mutate the dict with no common lock."""
-    annotate_read(self, "db.readers")
-    rd = self._readers.get(ssid)
+def _old_unlocked_reader(self, store, directory, ssid):
+    """The reader registry as it was when it was ``Database._readers``
+    and no lock guarded it: handler and rank-main threads (now of every
+    rank on the device) mutate the dict with no common lock."""
+    annotate_read(self, "readers")
+    rd = self._readers.get((directory, ssid))
     if rd is None:
-        rd = SSTableReader(self.store, self.rank_dir, ssid)
-        annotate_write(self, "db.readers")
-        self._readers[ssid] = rd
+        rd = SSTableReader(store, directory, ssid, block_cache=self)
+        annotate_write(self, "readers")
+        self._readers[(directory, ssid)] = rd
     return rd
 
 
 def test_unlocked_reader_cache_is_flagged(monkeypatch):
-    monkeypatch.setattr(Database, "_reader", _old_unlocked_reader)
+    monkeypatch.setattr(BlockCache, "reader", _old_unlocked_reader)
     # FastTrack keeps last-access epochs, not full history, so one
     # scheduling-lucky interleaving can mask the race; a few attempts
     # make the verdict about the code, not the scheduler (three still
@@ -36,7 +37,7 @@ def test_unlocked_reader_cache_is_flagged(monkeypatch):
     for _attempt in range(6):
         report = run_stress()
         races = [f for f in report["findings"]
-                 if f["rule"] == "RACE" and "db.readers" in f["message"]]
+                 if f["rule"] == "RACE" and "on readers" in f["message"]]
         if races:
             return
     raise AssertionError(f"unlocked reader cache never flagged: {report}")

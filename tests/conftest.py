@@ -93,7 +93,7 @@ def cursor_window(reader, start=None, end=None, keys_only=False):
 
     Returns ``(triples, blocks_read, clock_delta)``.
     """
-    db = SimpleNamespace(clock=VirtualClock(),
+    db = SimpleNamespace(clock=VirtualClock(), cache_counts=None,
                          stats=SimpleNamespace(scan_blocks_read=0))
     triples = list(_sstable_cursor(db, reader, start, end, keys_only))
     return triples, db.stats.scan_blocks_read, db.clock.now

@@ -439,21 +439,26 @@ class TestStalenessSameGroup(TestStaleness):
 
 
 def _cached_of(db, owner_dir: str):
-    """``(readers, blocks)`` this rank caches under ``owner_dir``."""
+    """``(readers, blocks)`` cached under ``owner_dir``: this rank's
+    bundle-built readers and the device's file-built ones, and the
+    device's blocks."""
     ssids = [s for d, s in db._peer_reader_lru.keys() if d == owner_dir]
+    ssids += [s for d, s in list(db.block_cache._readers) if d == owner_dir]
     blocks = sum(db.block_cache.cached_blocks(owner_dir, s)
                  for s in list_ssids(db.store, owner_dir))
     return ssids, blocks
 
 
 class TestOnePlane:
-    """One view map, one reader LRU, one walk, one ladder — whether the
-    reader's metadata came as a bundle or off the shared directory."""
+    """One view map, one walk, one ladder — whether the reader's
+    metadata came as a bundle (this rank's LRU) or off the shared
+    directory (the device's reader)."""
 
     @pytest.mark.parametrize("group_size", [1, 2], ids=["bundle", "files"])
     def test_one_cache_one_purge(self, group_size):
-        """Every purge leaves no reader, no cached block and (where it
-        names an owner) no view under the directory it purges."""
+        """A requester's purge leaves no view of the owner and, for an
+        owner outside its group, no reader and no cached block; the
+        owner's own invalidation empties the device's one copy."""
 
         def app(ctx):
             with Papyrus(ctx) as env:
@@ -478,21 +483,29 @@ class TestOnePlane:
                     lambda: db._forget_dead_rank(other),
                 ):
                     warm()
+                    kept = _cached_of(db, other_dir)
                     purge()
                     assert other not in db._peer_views
-                    assert _cached_of(db, other_dir) == ([], 0)
-                # my own tables, cached the way this placement caches a
-                # peer's: a table replaced in place (repair, restore)
-                # must not survive under its old bytes
+                    # a same-group owner's readers and blocks are the
+                    # device's — hot for the whole node, the owner's to
+                    # drop; of any other owner nothing survives
+                    assert _cached_of(db, other_dir) == (
+                        kept if group_size == 2 else ([], 0))
+                db.barrier()  # the peer is done reading my directory
+                # my own tables, read the way a same-group peer reads
+                # them: a table replaced in place (repair, restore) must
+                # not survive under its old bytes for anyone on the device
                 ssids, _, _, bundles = db._index_snapshot(
                     lambda ssid: True, not db.shares_storage_with(other),
                     db.clock)
                 assert bool(bundles) == (group_size == 1)
                 assert db._install_index_view(
-                    r, db.rank_dir, ssids, bundles, True, True)
+                    r, db.rank_dir, ssids, {}, True, True)
                 mine = _keys_of(db, r, n=40)
                 recs = db._peer_walk(r, db._peer_views[r], mine)
                 assert [rec.value for rec in recs] == [b"p" * 64] * 40
+                assert all(db._peer_reader(r, db.rank_dir, s)
+                           is db._reader(s) for s in ssids)
                 readers, blocks = _cached_of(db, db.rank_dir)
                 assert sorted(readers) == list(ssids) and blocks
                 db._invalidate_readers(ssids[0])
@@ -501,7 +514,6 @@ class TestOnePlane:
                 assert db.block_cache.cached_blocks(
                     db.rank_dir, ssids[0]) == 0
                 db._invalidate_readers()
-                assert r not in db._peer_views
                 assert _cached_of(db, db.rank_dir) == ([], 0)
                 db.barrier()
                 db.close()
@@ -527,9 +539,13 @@ class TestOnePlane:
             return key_range(reader, t)
 
         def logging_drop(db, owner, owner_dir):
+            kept = _cached_of(db, owner_dir)
             drop(db, owner, owner_dir)
             assert owner not in db._peer_views
-            assert _cached_of(db, owner_dir) == ([], 0)
+            # what the device caches of a same-group owner is not the
+            # requester's to drop
+            assert _cached_of(db, owner_dir) == (
+                kept if db.shares_storage_with(owner) else ([], 0))
             events.setdefault(db.rank, []).append("drop")
 
         def logging_ask(db, groups, force):
@@ -644,15 +660,18 @@ class TestOnePlane:
 
     def test_option_off_reads_what_the_owner_would(self, monkeypatch):
         """With the option off a 64-key same-group ``get_bulk`` is one
-        ``GetMsg``, one reply, and the device reads the owner's own cold
-        lookup of those keys would make."""
+        ``GetMsg``, one reply — and when the owner looks the same keys
+        up at the same time, the peer's and the owner's device reads
+        *together* are the ones a single cold reader makes: every block
+        and sidecar comes off the node's device once, for whichever of
+        the two got there first."""
         log = _watch(monkeypatch)
-        reads: list = []
+        reads: list = []  # (thread ident, path, offset) per device read
         read = PosixStore.read  # _watch's logger: chain onto it
 
-        def counting_read(store, relpath, *args, **kw):
-            reads.append(threading.get_ident())
-            return read(store, relpath, *args, **kw)
+        def counting_read(store, relpath, t, offset=0, *args, **kw):
+            reads.append((threading.get_ident(), relpath, offset))
+            return read(store, relpath, t, offset, *args, **kw)
 
         monkeypatch.setattr(PosixStore, "read", counting_read)
 
@@ -665,22 +684,35 @@ class TestOnePlane:
                 for key in _keys_of(db, r, n=64):
                     db.put(key, b"o" * 64)
                 db.barrier(SSTABLE)
-                db._invalidate_readers()
+                keys = _keys_of(db, 1, n=64)
                 me = threading.get_ident()
-                n0, msgs0 = reads.count(me), db.stats.bulk_owner_msgs
+                if r == 1:  # the baseline: one cold reader, alone
+                    db._invalidate_readers()
+                    n0 = len(reads)
+                    assert db.get_bulk(keys) == [b"o" * 64] * 64
+                    assert {tid for tid, _, _ in reads[n0:]} == {me}
+                    alone = sorted(rd[1:] for rd in reads[n0:])
+                    db._invalidate_readers()
+                else:
+                    alone = None
+                db.barrier()  # nobody reads from here ...
+                n0, msgs0 = len(reads), db.stats.bulk_owner_msgs
+                db.barrier()  # ... to here
                 # rank 0 reads them as a peer, rank 1 as their owner
-                assert db.get_bulk(_keys_of(db, 1, n=64)) == [b"o" * 64] * 64
-                made = reads.count(me) - n0
+                assert db.get_bulk(keys) == [b"o" * 64] * 64
                 sent = db.stats.bulk_owner_msgs - msgs0
                 tiers = dict(db.stats.get_tiers)
                 db.barrier()
+                made = [rd[1:] for rd in reads[n0:] if rd[0] == me]
                 db.close()
-                return made, sent, tiers
+                return made, sent, tiers, alone
 
-        (peer, sent, tiers), (own, _, _) = spmd_run(2, app)
+        (peer, sent, tiers, _), (own, _, _, alone) = spmd_run(2, app)
         assert sent == 1 and log.gets == [1] and log.shipped == []
         assert tiers == {"shared_sstable": 64}
-        assert peer == own > 0
+        # neither re-read a block or sidecar the other had fetched
+        assert len(alone) == len(set(alone)) > 0
+        assert sorted(peer + own) == alone
 
 
 class TestCacheBounds:
@@ -759,9 +791,10 @@ class TestCacheBounds:
     def test_an_oversized_file_built_reader_is_cached_alone(self,
                                                             monkeypatch):
         """Option off, same group: a table whose sidecar files outgrow
-        ``index_cache_capacity`` is still cached — nobody re-ships a
-        file-built reader, so refusing it would reload both sidecars
-        from the owner's device on every get."""
+        ``index_cache_capacity`` is still cached — by the device, whose
+        file-built readers that budget (for shipped bundles) does not
+        govern — so both sidecars come off the owner's device once,
+        whoever and however many ask."""
         log = _watch(monkeypatch)
 
         def app(ctx):
@@ -780,15 +813,14 @@ class TestCacheBounds:
                     res = db.get_ex(key)
                     assert (res.value, res.tier) == (b"b" * 32,
                                                      "shared_sstable")
-                rd = db._peer_reader_lru[(owner_dir, ssid)]
+                rd = db.block_cache.reader(db.store, owner_dir, ssid)
                 _, index_path, bloom_path = rd.file_paths()
                 assert db.store.size(index_path) > 64
-                assert db._peer_reader_lru.cost <= 64
-                me = threading.get_ident()
-                mine = Counter(p for t, p in log.sidecars
-                               if t == me and p.startswith(owner_dir + "/"))
-                assert mine == {index_path: 1, bloom_path: 1}
-                db.barrier()
+                assert not db._peer_reader_lru.keys()
+                db.barrier()  # the owner has read its peer's tables too
+                loads = Counter(p for _, p in log.sidecars
+                                if p.startswith(owner_dir + "/"))
+                assert loads == {index_path: 1, bloom_path: 1}
                 db.close()
 
         spmd_run(2, app)

@@ -391,8 +391,9 @@ class TestHandlerEqualsRankMain:
 
 class TestPeerReaderCache:
     def test_peer_readers_are_cached_and_hit_the_block_cache(self):
-        """Storage-group gets reuse one reader per (directory, ssid) and
-        read SSData through the shared block cache."""
+        """Storage-group gets reuse the device's one reader per
+        (directory, ssid) — the owner's own — and read SSData through
+        the device's block cache."""
 
         def app(ctx):
             with Papyrus(ctx) as env:
@@ -406,12 +407,16 @@ class TestPeerReaderCache:
                     if db.owner_of(f"k-{other}-{i:03d}".encode()) == other
                 ]
                 tiers = {db.get_ex(k).tier for k in peer_keys}
-                readers1 = dict(db._peer_reader_lru)
-                hits0 = db.block_cache.counters()["hits"]
+                peer_dir = f"{db.dbdir}/rank{other}"
+                readers1 = {k: rd for k, rd in
+                            dict(db.block_cache._readers).items()
+                            if k[0] == peer_dir}
+                hits0 = db.metrics()["block_cache"]["hits"]
                 for k in peer_keys:
                     assert db.get(k) == b"V" * 64
-                readers2 = dict(db._peer_reader_lru)
-                hits1 = db.block_cache.counters()["hits"]
+                readers2 = dict(db.block_cache._readers)
+                hits1 = db.metrics()["block_cache"]["hits"]
+                db.barrier()  # the peer reads my readers until here
                 db.close()
                 return {
                     "tiers": tiers,

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+import threading
+from itertools import islice
+
 import pytest
 
 from repro import Options, Papyrus, SSTABLE
+from repro.analysis import runtime as rt
 from repro.mpi.launcher import spmd_run
+from repro.nvm.posixfs import PosixStore
+from repro.nvm.storage import Machine
 from repro.simtime.profiles import CORI, SUMMITDEV
+from repro.sstable.block_cache import BlockCache
 from tests.conftest import small_options
 
 
@@ -165,3 +174,361 @@ class TestGroupMetadata:
                 db.close()
 
         spmd_run(4, app, system=SUMMITDEV)
+
+
+def _keys_of(db, owner: int, n: int, prefix: str = "k"):
+    """The first ``n`` keys (by index) that hash to ``owner``."""
+    keys = (f"{prefix}{i:05d}".encode() for i in range(100_000))
+    return list(islice((k for k in keys if db.owner_of(k) == owner), n))
+
+
+def _watch_reads(monkeypatch):
+    """Log ``(thread ident, path, offset)`` of every device read."""
+    log: list = []
+    read = PosixStore.read
+
+    def logging_read(store, relpath, t, offset=0, length=None):
+        log.append((threading.get_ident(), relpath, offset))
+        return read(store, relpath, t, offset, length)
+
+    monkeypatch.setattr(PosixStore, "read", logging_read)
+    return log
+
+
+def _entries_under(cache, directory: str):
+    """``(tables with a reader, tables with blocks)`` under ``directory``."""
+    return ({s for d, s in list(cache._readers) if d == directory},
+            {s for d, s in list(cache._by_table) if d == directory})
+
+
+_ONE_NODE = dict(cache_local_enabled=False, compaction_interval=0)
+
+
+class TestOneCachePerDevice:
+    """The SSData block cache and the file-built readers belong to the
+    storage device, like the kernel page cache the ranks of a node
+    share: a block or sidecar is read off the device once."""
+
+    def test_two_ranks_one_block_one_device_read(self, monkeypatch):
+        """The owner and a same-group peer getting keys of one block
+        cost one block read and one index + one bloom load together —
+        through the same reader and the same cache object."""
+        log = _watch_reads(monkeypatch)
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("one", small_options(**_ONE_NODE))
+                r = ctx.world_rank
+                for key in _keys_of(db, r, 8):
+                    db.put(key, b"v" * 32)  # 8 small records: one block
+                db.barrier(SSTABLE)
+                theirs = _keys_of(db, 1, 8)
+                (ssid,) = db.ssids
+                n0 = len(log)
+                db.barrier()
+                if r == 1:  # the owner goes first ...
+                    assert db.get_ex(theirs[0]).tier == "sstable"
+                db.barrier()
+                if r == 0:  # ... then the peer, for another key of the block
+                    res = db.get_ex(theirs[5])
+                    assert (res.value, res.tier) == (b"v" * 32,
+                                                     "shared_sstable")
+                db.barrier()
+                made = sorted(p for _, p, _ in log[n0:])
+                reader = db._peer_reader(1, f"{db.dbdir}/rank1", ssid)
+                out = (made, id(reader), id(db.block_cache),
+                       db.metrics()["block_cache"])
+                db.barrier()
+                db.close()
+                return out
+
+        (made, rd0, bc0, m0), (_, rd1, bc1, m1) = spmd_run(
+            2, app, system=SUMMITDEV)
+        d = "db_one/rank1/0000000001"
+        assert made == [d + ".bf", d + ".ssd", d + ".ssi"]
+        assert rd0 == rd1 and bc0 == bc1
+        # each rank counted its own lookup: the owner missed, the peer hit
+        assert (m1["misses"], m1["hits"]) == (1, 0)
+        assert (m0["misses"], m0["hits"]) == (0, 1)
+        # occupancy and budget are the device's: both ranks report them
+        assert m0["entries"] == m1["entries"] == 1
+        assert m0["capacity_bytes"] == m1["capacity_bytes"] == 2 * (16 << 20)
+
+    def test_ranks_on_different_nodes_share_nothing(self):
+        two_nodes = dataclasses.replace(SUMMITDEV, ranks_per_node=1)
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("far", small_options(**_ONE_NODE))
+                r = ctx.world_rank
+                for key in _keys_of(db, r, 8):
+                    db.put(key, b"v" * 32)
+                db.barrier(SSTABLE)
+                for owner in (r, 1 - r):
+                    for key in _keys_of(db, owner, 8):
+                        assert db.get(key) == b"v" * 32
+                db.barrier()
+                cache = db.block_cache
+                out = (id(cache), cache.capacity_bytes,
+                       sorted({d for d, _ in cache._readers}),
+                       sorted({d for d, _ in cache._by_table}))
+                db.barrier()
+                db.close()
+                return out
+
+        (c0, cap0, rd0, blk0), (c1, cap1, rd1, blk1) = spmd_run(
+            2, app, system=two_nodes)
+        assert c0 != c1
+        assert cap0 == cap1 == 16 << 20  # its own capacity, nobody else's
+        assert rd0 == blk0 == ["db_far/rank0"]
+        assert rd1 == blk1 == ["db_far/rank1"]
+
+    @pytest.mark.parametrize("retire", ["compaction", "quarantine"])
+    def test_owners_invalidation_reaches_a_peer_that_cached_the_table(
+            self, retire):
+        """A peer holding the owner's table — reader and blocks — loses
+        both when the owner retires it; its next get re-reads and never
+        serves the retired bytes."""
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("inv", small_options(**_ONE_NODE))
+                r, cache = ctx.world_rank, db.block_cache
+                theirs = _keys_of(db, 1, 8)
+                owner_dir = f"{db.dbdir}/rank1"
+                if r == 1:
+                    for key in theirs:
+                        db.put(key, b"old" * 16)
+                db.barrier(SSTABLE)
+                if r == 0:  # the peer caches table 1 of the owner
+                    assert db.get(theirs[0]) == b"old" * 16
+                    assert _entries_under(cache, owner_dir) == ({1}, {1})
+                db.barrier()
+                if r == 1:
+                    for key in theirs:
+                        db.put(key, b"new" * 16)
+                    db.flush()
+                    if retire == "compaction":
+                        db._schedule_compaction(ctx.clock.now)
+                        assert 1 not in db.ssids
+                    else:
+                        db._quarantine_table(1, "test")
+                db.barrier()
+                # one call by the owner emptied the device's copy ...
+                readers, blocks = _entries_under(cache, owner_dir)
+                assert 1 not in readers and 1 not in blocks
+                if r == 0:  # ... so the peer's next get goes to the device
+                    ops = db.store.read_device.ops
+                    if retire == "compaction":
+                        res = db.get_ex(theirs[0])
+                        assert (res.value, res.tier) == (b"new" * 16,
+                                                         "shared_sstable")
+                        assert db.store.read_device.ops > ops
+                    else:  # newer table answers; the hole is not consulted
+                        assert db.get(theirs[0]) == b"new" * 16
+                db.barrier()
+                db.close()
+
+        spmd_run(2, app, system=SUMMITDEV)
+
+    def test_budget_is_the_open_databases_and_close_trims(self):
+        """Budget = sum of ``block_cache_capacity`` over the databases
+        open on the device; closing one drops its directory, trims to
+        the remainder and leaves the other's working set readable."""
+        KB = 1 << 10
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                a = env.open("a", small_options(
+                    block_cache_capacity=256 * KB, **_ONE_NODE))
+                b = env.open("b", small_options(
+                    block_cache_capacity=128 * KB, **_ONE_NODE))
+                r, cache = ctx.world_rank, a.block_cache
+                assert b.block_cache is cache
+                for db in (a, b):
+                    for key in _keys_of(db, r, 8):
+                        db.put(key, b"w" * 32)
+                    db.barrier(SSTABLE)
+                    assert db.get(_keys_of(db, r, 8)[0]) == b"w" * 32
+                a.barrier()
+                both = cache.capacity_bytes
+                a.close()  # collective: both ranks' shares of "a" go
+                ctx.comm.barrier()  # ... once each is past its close
+                ops = b.store.read_device.ops
+                assert b.get(_keys_of(b, r, 8)[3]) == b"w" * 32
+                out = (both, cache.capacity_bytes,
+                       b.store.read_device.ops - ops,
+                       _entries_under(cache, a.rank_dir),
+                       _entries_under(cache, b.rank_dir))
+                b.barrier()
+                b.close()
+                return out, cache
+
+        results = spmd_run(2, app, system=SUMMITDEV)
+        for (both, after, reads, of_a, of_b), cache in results:
+            assert both == 2 * (256 + 128) * KB
+            assert after == 2 * 128 * KB
+            assert reads == 0  # still cached: the block and the reader
+            assert of_a == (set(), set()) and of_b == ({1}, {1})
+        assert cache.capacity_bytes == 0 and len(cache) == 0
+
+    def test_trim_then_recreate_serves_no_pre_trim_block(self, tmp_path):
+        """Same name, same SSIDs, new bytes: nothing cached before the
+        trim may answer after it — even if the first job never closed."""
+        machine = Machine(SUMMITDEV, 2, base_dir=str(tmp_path))
+
+        def job(value, close):
+            def app(ctx):
+                env = Papyrus(ctx)
+                db = env.open("trim", small_options(**_ONE_NODE))
+                for owner in (0, 1):
+                    for key in _keys_of(db, owner, 8):
+                        if owner == ctx.world_rank:
+                            db.put(key, value)
+                db.barrier(SSTABLE)
+                got = [db.get(k) for o in (0, 1) for k in _keys_of(db, o, 8)]
+                db.barrier()
+                if close:
+                    db.close()
+                    env.finalize()
+                return got
+            return app
+
+        cache = machine.nvm_store(0).read_cache
+        assert spmd_run(2, job(b"old" * 16, close=False), system=SUMMITDEV,
+                        machine=machine) == [[b"old" * 16] * 16] * 2
+        assert len(cache) > 0 and cache._readers  # the job just died
+        machine.trim_nvm()
+        assert len(cache) == 0 and not cache._readers
+        assert spmd_run(2, job(b"new" * 16, close=True), system=SUMMITDEV,
+                        machine=machine) == [[b"new" * 16] * 16] * 2
+        machine.close()
+
+    def test_destroy_leaves_no_entry_under_the_directory(self):
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("gone", small_options(**_ONE_NODE))
+                for owner in (0, 1):
+                    for key in _keys_of(db, owner, 8):
+                        if owner == ctx.world_rank:
+                            db.put(key, b"d" * 32)
+                db.barrier(SSTABLE)
+                for owner in (0, 1):
+                    assert db.get(_keys_of(db, owner, 8)[0]) == b"d" * 32
+                cache, dirs = db.block_cache, [
+                    f"{db.dbdir}/rank{r}" for r in (0, 1)]
+                assert all(_entries_under(cache, d) == ({1}, {1})
+                           for d in dirs)
+                db.barrier()
+                db.destroy().wait(ctx.clock)
+                ctx.comm.barrier()  # every rank is past its destroy
+                assert all(_entries_under(cache, d) == (set(), set())
+                           for d in dirs)
+                assert cache.capacity_bytes == 0
+
+        spmd_run(2, app, system=SUMMITDEV)
+
+    def test_concurrent_first_touch_loads_each_sidecar_once(self,
+                                                            monkeypatch):
+        """Rank 3's table, cold, hit at once by its own main thread, its
+        handler (serving the other group) and its group peer's main
+        thread: one index load, one bloom load, each block once — and
+        no race or lock-order finding."""
+        log = _watch_reads(monkeypatch)
+        prev = rt.get_detector()
+        det = rt.enable(reset=True)
+        try:
+            def app(ctx):
+                with Papyrus(ctx) as env:
+                    db = env.open("cold", small_options(
+                        group_size=2, **_ONE_NODE))
+                    theirs = _keys_of(db, 3, 64)
+                    if ctx.world_rank == 3:
+                        for key in theirs:
+                            db.put(key, b"c" * 2048)  # 128 KB: a few blocks
+                    db.barrier(SSTABLE)
+                    assert db.get_bulk(theirs) == [b"c" * 2048] * 64
+                    assert all(db.get(k) == b"c" * 2048 for k in theirs[::7])
+                    db.barrier()
+                    db.close()
+
+            spmd_run(4, app, system=SUMMITDEV)
+            findings = det.findings()
+        finally:
+            rt.restore(prev)
+        assert findings == [], [f.render() for f in findings]
+        reads = [(p, off) for _, p, off in log
+                 if p.startswith("db_cold/rank3/")]
+        assert len(reads) == len(set(reads))  # nothing read twice
+        assert {p.rsplit(".", 1)[1] for p, _ in reads} == {"ssi", "bf", "ssd"}
+
+    def test_per_rank_counters_sum_to_the_devices(self, monkeypatch):
+        """``db.metrics()`` reports each rank's own lookups: over the
+        ranks, hits + misses are the ``BlockCache.get`` calls made and
+        misses are the device's SSData reads."""
+        log = _watch_reads(monkeypatch)
+        calls: list = []
+        get = BlockCache.get
+
+        def counting_get(cache, *args, **kw):
+            calls.append(1)
+            return get(cache, *args, **kw)
+
+        monkeypatch.setattr(BlockCache, "get", counting_get)
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("cnt", small_options(
+                    block_cache_capacity=128 << 10, **_ONE_NODE))
+                r = ctx.world_rank
+                for key in _keys_of(db, r, 200):
+                    db.put(key, b"n" * 1024)
+                db.barrier(SSTABLE)
+                rng = random.Random(r)
+                keys = _keys_of(db, 0, 200) + _keys_of(db, 1, 200)
+                for key in rng.choices(keys, k=300):
+                    assert db.get(key) == b"n" * 1024
+                assert sum(1 for _ in db.scan()) == 200
+                db.barrier()
+                m = db.metrics()["block_cache"]
+                db.barrier()
+                db.close()
+                return m
+
+        m0, m1 = spmd_run(2, app, system=SUMMITDEV)
+        ssd_reads = sum(p.endswith(".ssd") for _, p, _ in log)
+        assert m0["hits"] + m0["misses"] + m1["hits"] + m1["misses"] == len(
+            calls)
+        assert m0["misses"] + m1["misses"] == ssd_reads
+        assert m0["evictions"] + m1["evictions"] > 0  # the budget bit
+        assert min(m0["hits"], m1["hits"], m0["misses"], m1["misses"]) > 0
+
+    def test_zero_copy_reopen_verifies_every_key(self, tmp_path):
+        """What the runner's ``load`` does: fill, close, reopen the same
+        name on the same machine and read every key back — from the
+        retained files, through a cache the close left empty."""
+        machine = Machine(SUMMITDEV, 2, base_dir=str(tmp_path))
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("again", small_options())
+                r, cache = ctx.world_rank, db.block_cache
+                mine = _keys_of(db, r, 300)
+                for i, key in enumerate(mine):
+                    db.put(key, b"%06d" % i * 8)
+                db.barrier(SSTABLE)
+                assert db.get(mine[0]) == b"000000" * 8
+                db.close()
+                ctx.comm.barrier()
+                assert len(cache) == 0 and not cache._readers
+                assert cache.capacity_bytes == 0
+                db = env.open("again", small_options())
+                assert db.block_cache is cache
+                for owner in (r, 1 - r):
+                    for i, key in enumerate(_keys_of(db, owner, 300)):
+                        assert db.get(key) == b"%06d" % i * 8
+                db.barrier()
+                db.close()
+
+        spmd_run(2, app, system=SUMMITDEV, machine=machine)
+        machine.close()

@@ -283,13 +283,11 @@ class TestPartitionedCompaction:
                 db.flush()
                 # touch every table so readers get cached
                 _check(db, 400)
-                with db._readers_lock:
-                    cached_before = set(db._readers)
+                cached_before = {s for _, s in db.block_cache._readers}
                 survivors = [s for s in db.ssids if s not in db._l0][:0]
                 inputs = list(db._l0)
                 db._schedule_compaction(ctx.clock.now)
-                with db._readers_lock:
-                    cached_after = set(db._readers)
+                cached_after = {s for _, s in db.block_cache._readers}
                 # inputs' readers are gone; nothing else was touched
                 assert not (cached_after & set(inputs))
                 assert cached_after <= cached_before

@@ -8,6 +8,9 @@ import pytest
 
 from repro.nvm.storage import Machine, StorageLayout
 from repro.simtime.profiles import CORI, STAMPEDE, SUMMITDEV
+from repro.sstable.block_cache import BlockCache
+from repro.sstable.format import Record
+from tests.conftest import write_table
 
 
 class TestStorageLayout:
@@ -115,3 +118,50 @@ class TestMachineCommon:
         with Machine(SUMMITDEV, 40, base_dir=str(tmp_path)) as m:
             assert m.layout().group_size == 20
             assert m.layout(group_size=1).group_size == 1
+
+
+class TestReadCache:
+    """One read cache per device: ranks that share a store share it."""
+
+    def test_one_cache_per_nvm_domain(self, tmp_path):
+        with Machine(SUMMITDEV, 40, base_dir=str(tmp_path)) as m:
+            node0, node1 = m.nvm_store(0), m.nvm_store(20)
+            assert isinstance(node0.read_cache, BlockCache)
+            assert m.nvm_store(19).read_cache is node0.read_cache
+            assert node1.read_cache is not node0.read_cache
+            assert m.lustre_store().read_cache not in (
+                node0.read_cache, node1.read_cache)
+            # budgeted by the databases that open on it, not here
+            assert node0.read_cache.capacity_bytes == 0
+
+    def test_dedicated_arch_has_one_cache_for_all(self, tmp_path):
+        with Machine(CORI, 64, base_dir=str(tmp_path)) as m:
+            assert m.nvm_store(0).read_cache is m.nvm_store(63).read_cache
+
+    def test_faults_and_cache_survive_repeated_lookups(self, tmp_path):
+        with Machine(SUMMITDEV, 4, base_dir=str(tmp_path)) as m:
+            cache = m.nvm_store(0).read_cache
+            plan = object()
+            m.set_faults(plan)
+            assert m.nvm_store(1).faults is plan
+            assert m.lustre_store().faults is plan  # created after set_faults
+            assert m.nvm_store(1).read_cache is cache
+
+    def test_trim_nvm_empties_the_nvm_caches_in_place(self, tmp_path):
+        """The cache outlives the databases, so a trim must empty it:
+        blocks and readers of files that no longer exist."""
+        with Machine(SUMMITDEV, 4, base_dir=str(tmp_path)) as m:
+            nvm, lustre = m.nvm_store(0), m.lustre_store()
+            for store in (nvm, lustre):
+                write_table(store, "db_x/rank0", 1,
+                            [Record(b"k", b"v" * 10)])
+                store.read_cache.attach("db_x/rank0", 1 << 20)
+                rd = store.read_cache.reader(store, "db_x/rank0", 1)
+                assert rd.get(b"k", 0.0)[0].value == b"v" * 10
+                assert len(store.read_cache) == 1
+            cache, nvm_rd = nvm.read_cache, nvm.read_cache.reader(
+                nvm, "db_x/rank0", 1)
+            m.trim_nvm()
+            assert nvm.read_cache is cache and len(cache) == 0
+            assert cache.reader(nvm, "db_x/rank0", 1) is not nvm_rd
+            assert len(lustre.read_cache) == 1  # the parallel FS is not NVM

@@ -1,12 +1,18 @@
-"""The shared SSData block cache: LRU accounting and verified-once fills.
+"""The device's read cache: LRU accounting, verified-once fills, and
+what makes one cache serve every rank on the device.
 
 Unit tests of :class:`repro.sstable.block_cache.BlockCache` itself plus
 the reader integration that makes it safe: blocks enter the cache only
 through a CRC-checked fill, so a cache hit never re-reads (or re-trusts)
-the device.
+the device.  ``TestDeviceCache`` covers the per-device half: the budget
+the open databases make up, the one file-built reader per table, the
+per-database counters, and concurrent cold starts.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 
@@ -211,3 +217,174 @@ class TestReaderIntegration:
             b, _ = plain.get(r.key, 0.0)
             assert a == b
         assert cache.evictions > 0  # the budget actually bit
+
+
+def _sidecar_and_block_reads(store, monkeypatch):
+    """Log ``(path, offset)`` of every device read the store serves."""
+    log = []
+    read = PosixStore.read
+
+    def logging_read(self, relpath, t, offset=0, length=None):
+        log.append((relpath, offset))
+        return read(self, relpath, t, offset, length)
+
+    monkeypatch.setattr(PosixStore, "read", logging_read)
+    return log
+
+
+class TestDeviceCache:
+    """One cache per storage device: a budget the open databases make
+    up, one file-built reader per table, per-database counters."""
+
+    def test_budget_is_the_sum_of_attached_capacities(self):
+        c = BlockCache()  # a device's cache: no budget of its own
+        assert c.capacity_bytes == 0
+        c.put("r0", 1, 0, b"x" * 10)
+        assert len(c) == 0  # nobody attached: nothing can be cached
+        c.attach("r0", 100)
+        c.attach("r1", 60)
+        assert c.capacity_bytes == 160
+        c.attach("r0", 100)  # a re-open replaces, never double-counts
+        assert c.capacity_bytes == 160
+        c.detach("r1")
+        c.detach("r1")  # idempotent
+        assert c.capacity_bytes == 100
+
+    def test_detach_drops_its_directory_and_spares_the_survivor(self):
+        c = BlockCache()
+        c.attach("r0", 100)
+        c.attach("r1", 100)
+        for blk in range(4):
+            c.put("r0", 1, blk, b"a" * 40)
+        c.put("r1", 1, 0, b"b" * 40)  # 200 bytes: the budget is full
+        c.get("r0", 1, 0)  # hotter than r1's block: LRU alone would keep it
+        c.detach("r0")
+        assert c.capacity_bytes == 100
+        assert c.cached_blocks("r0", 1) == 0
+        assert c.get("r1", 1, 0) == b"b" * 40  # working set still readable
+        assert c.size_bytes == 40
+
+    def test_detach_trims_the_rest_to_the_remaining_budget(self):
+        c = BlockCache()
+        c.attach("r0", 100)
+        c.attach("r1", 100)
+        for blk in range(4):
+            c.put("r1", 1, blk, b"b" * 40)  # r1 borrowed r0's share
+        evicted = c.evictions
+        c.detach("r0")
+        assert c.size_bytes <= c.capacity_bytes == 100
+        assert c.evictions == evicted + 2  # coldest first
+        assert [c.get("r1", 1, blk) is not None for blk in range(4)] == [
+            False, False, True, True]
+
+    def test_one_reader_per_table_loads_each_sidecar_once(self, store,
+                                                          monkeypatch):
+        write_table(store, "t", 1, RECORDS)
+        write_table(store, "t", 2, RECORDS)
+        log = _sidecar_and_block_reads(store, monkeypatch)
+        c = BlockCache(1 << 20)
+        rd = c.reader(store, "t", 1)
+        assert c.reader(store, "t", 1) is rd and rd._cache is c
+        assert c.reader(store, "t", 2) is not rd
+        for _ in range(3):  # three "ranks" asking for keys of one block
+            rec, _ = c.reader(store, "t", 1).get(b"key0007", 0.0)
+            assert rec.value == b"val0007" * 40
+        assert sorted(log) == [("t/0000000001.bf", 0), ("t/0000000001.ssd", 0),
+                               ("t/0000000001.ssi", 0)]
+
+    def test_invalidation_drops_the_reader_with_the_blocks(self, store):
+        for ssid in (1, 2):
+            write_table(store, "r0", ssid, RECORDS)
+        write_table(store, "r1", 1, RECORDS)
+        c = BlockCache(1 << 20)
+        readers = {k: c.reader(store, *k)
+                   for k in (("r0", 1), ("r0", 2), ("r1", 1))}
+        for rd in readers.values():
+            rd.get(b"key0100", 0.0)
+        assert c.invalidate_table("r0", 1) == 1
+        assert c.reader(store, "r0", 1) is not readers["r0", 1]
+        assert c.reader(store, "r0", 2) is readers["r0", 2]
+        assert c.invalidate_dir("r0") == 1  # table 2's block; 1's is gone
+        assert c.reader(store, "r0", 2) is not readers["r0", 2]
+        assert c.cached_blocks("r0", 2) == 0
+        # another rank's directory is untouched
+        assert c.reader(store, "r1", 1) is readers["r1", 1]
+        assert c.cached_blocks("r1", 1) == 1
+
+    def test_attach_forgets_an_earlier_life_of_the_directory(self, store):
+        """The cache outlives a database: what a crashed job left under
+        a rank directory must not be served to the job that reopens it."""
+        write_table(store, "r0", 1, RECORDS)
+        c = BlockCache()
+        c.attach("r0", 1 << 20)
+        rd = c.reader(store, "r0", 1)
+        rd.get(b"key0001", 0.0)
+        assert c.cached_blocks("r0", 1) == 1
+        c.attach("r0", 1 << 20)  # reopened without a clean close
+        assert c.cached_blocks("r0", 1) == 0
+        assert c.reader(store, "r0", 1) is not rd
+
+    def test_clear_keeps_readers_unless_the_device_was_trimmed(self, store):
+        write_table(store, "t", 1, RECORDS)
+        c = BlockCache(1 << 20)
+        rd = c.reader(store, "t", 1)
+        rd.get(b"key0001", 0.0)
+        c.clear()
+        assert len(c) == 0 and c.reader(store, "t", 1) is rd
+        c.clear(readers=True)
+        assert c.reader(store, "t", 1) is not rd
+
+    def test_sinks_split_the_devices_counters(self):
+        c = BlockCache()
+        a, b = c.attach("r0", 50), c.attach("r1", 50)
+        assert c.get("r0", 1, 0, sink=a) is None
+        c.put("r0", 1, 0, b"x" * 40, sink=a)
+        assert c.get("r0", 1, 0, sink=b) == b"x" * 40
+        assert c.get("r0", 1, 9) is None  # nobody's: the device's only
+        c.put("r1", 1, 0, b"y" * 40, sink=b)
+        c.put("r1", 1, 1, b"z" * 40, low_priority=True, sink=b)  # evicts itself
+        assert c.invalidate_table("r0", 1, sink=b) == 1
+        assert vars(a) == dict(hits=0, misses=1, evictions=0, inserts=1,
+                               low_priority_inserts=0, invalidations=0)
+        assert vars(b) == dict(hits=1, misses=0, evictions=1, inserts=1,
+                               low_priority_inserts=1, invalidations=1)
+        assert (c.hits, c.misses, c.evictions, c.invalidations) == (1, 2, 1, 1)
+        snap = c.counters(a)
+        assert (snap["entries"], snap["bytes"], snap["capacity_bytes"]) == (
+            1, 40, 100)  # the device's
+        assert (snap["hits"], snap["misses"]) == (0, 1)  # a's own
+        assert c.counters()["misses"] == 2
+
+    def test_concurrent_first_touch_reads_everything_once(self, store,
+                                                          monkeypatch):
+        """Many threads cold-starting on one table: each sidecar and
+        each block still comes off the device once."""
+        write_table(store, "t", 1, RECORDS)
+        log = _sidecar_and_block_reads(store, monkeypatch)
+        c = BlockCache(1 << 22)
+        go = threading.Barrier(8, timeout=60.0)
+        wrong = []
+
+        def rank(i):
+            sink = c.attach(f"r{i}", 1 << 19)
+            go.wait()
+            for r in RECORDS[i::8]:
+                rec, _ = c.reader(store, "t", 1).get(r.key, 0.0, sink=sink)
+                if rec != r:
+                    wrong.append(r.key)
+
+        threads = [threading.Thread(target=rank, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand over mid-lookup, all the time
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not wrong
+        assert len(log) == len(set(log))
+        assert {p for p, _ in log} == {
+            "t/0000000001.bf", "t/0000000001.ssd", "t/0000000001.ssi"}
+        assert c.misses == sum(p.endswith(".ssd") for p, _ in log)

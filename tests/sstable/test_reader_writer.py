@@ -352,14 +352,15 @@ class TestOneBlockPerLookup:
         reads = data_reads(store)
         bundle = SSTableReader.from_bundle(
             store, "owner", 1, blobs["index"], blobs["bloom"])
-        db = SimpleNamespace(store=store, block_cache=None,
+        db = SimpleNamespace(store=store, block_cache=BlockCache(),
                              _peer_reader_lru=ObjectLRU(1 << 20),
                              shares_storage_with=lambda rank: True)
         peer = Database._peer_reader(db, 0, "owner", 1)
         assert Database._peer_reader(db, 0, "owner", 1) is peer
-        # charged like the bundle: by the metadata bytes it will hold
-        assert db._peer_reader_lru.cost == (
-            len(blobs["index"]) + len(blobs["bloom"]))
+        # the device's one file-built reader of the table — what the
+        # owner searches with — not an entry of this rank's bundle LRU
+        assert db.block_cache.reader(store, "owner", 1) is peer
+        assert db._peer_reader_lru.cost == 0
         sidecars = store.read_device.ops
         assert bundle.get(recs[99].key, 0.0)[0] == recs[99]
         assert (reads, store.read_device.ops - sidecars) == (
