@@ -117,8 +117,8 @@ class Options:
     #: replica group — the owner plus the next R-1 live ranks on the hash
     #: ring — and rank failure no longer takes a key range offline
     replicas: int = 1
-    #: how many durable copies a put waits for before returning (counts
-    #: the writer's own copy when it is a group member); must satisfy
+    #: how many durable copies a put waits for before it is acknowledged
+    #: (counts the writer's own copy when it is a group member); must satisfy
     #: ``1 <= write_quorum <= replicas``
     write_quorum: int = 1
     #: one-sided index replication: keep a view of each peer's table

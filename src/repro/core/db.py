@@ -32,7 +32,8 @@ import threading
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import (
-    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+    Set, Tuple,
 )
 
 from repro import config
@@ -476,9 +477,17 @@ class Database:
             MembershipView(self.rank, self.nranks)
             if options.replicas > 1 else None
         )
-        #: quorum debts deferred by group-commit riders: (seqs, need),
-        #: drained by the next window opener and by fence.  Main-thread
-        #: only, like the _gc_* window state below — no lock needed.
+        #: the open commit window's replica riders, key -> pair in put
+        #: order: not on the wire yet, so not in the ledger — placed and
+        #: shipped by whatever closes the window, served to this rank's
+        #: gets meanwhile (``inflight``) — and the membership epoch they
+        #: were inserted locally under
+        self._staged: Dict[bytes, msg.Pair] = {}
+        self._staged_epoch = 0
+        #: quorum debts of the last shipped window, (seqs, need) per
+        #: distinct replica group: settled by the next window to ship
+        #: and by fence.  Main-thread only, like _staged and the _gc_*
+        #: window state below — no lock needed.
         self._quorum_due: List[Tuple[List[int], int]] = []
         #: failure-detector ping state — main-thread only: virtual time
         #: of the last ping per peer, and of the first unanswered ping
@@ -801,7 +810,7 @@ class Database:
             self.stats.group_commit_coalesced += n
         else:
             self._drain_acks(blocking=False)
-            self._quorum_drain()  # settle the previous window's debts
+            self._close_window()  # no-op without replication
             self._gc_open = True
             self._gc_t0 = t_start
             self._gc_bytes = nbytes
@@ -809,16 +818,14 @@ class Database:
             self.stats.group_commit_coalesced += n - 1
         owner_msgs = 0
         if self._replication_on:
-            # replicated write: fan every pair to its group first
-            # (scatter), then gather the quorums — the members' handlers
-            # apply while this rank is still collecting acks.  Riders in
-            # an open window defer their quorum wait to the window
-            # boundary (next opener / fence), exactly like they defer
-            # their ack drain; sequential mode always waits here.
-            self._tick()
-            self._quorum_due.extend(self._put_replicated(pairs))
-            if not rider or self.consistency == config.SEQUENTIAL:
-                self._quorum_drain()
+            # replicated write: insert locally and stage the pairs in
+            # the open window; the boundary that closes the window ships
+            # them, one message per target.  Sequential mode is a window
+            # of one call, acknowledged on return.
+            self._stage(pairs)
+            if self.consistency == config.SEQUENTIAL:
+                self._close_window()
+            self._tick()  # after staging: an aged window ships whole
         else:
             local: List[msg.Pair] = []
             remote: Dict[int, List[msg.Pair]] = {}
@@ -837,8 +844,7 @@ class Database:
             # ranks (cross-rank deadlock).
             imm: Optional[MemTable] = None
             with self._lock:  # one acquisition for every local/staged insert
-                for key, value, tomb in local:
-                    self._local_insert(key, value, tomb, self.clock)
+                self._local_insert(local, self.clock)
                 if remote and self.consistency == config.RELAXED:
                     for owner, staged in remote.items():
                         for key, value, tomb in staged:
@@ -865,16 +871,19 @@ class Database:
         self.latency.observe(kind, self.clock.now - t_start)
         self._trace(label, "main", t_start, self.clock.now)
 
-    def _local_insert(self, key: bytes, value: bytes, tombstone: bool,
-                      clock) -> None:
-        """Insert into the local MemTable (caller may be the handler)."""
+    def _local_insert(self, pairs: Iterable[msg.Pair], clock) -> None:
+        """Insert into the local MemTable under one acquisition of
+        ``db.state`` (caller may be the handler)."""
         with self._lock:
-            self.local_mt.put(key, value, tombstone)
-            # a stale cache entry with the same key is evicted (Fig. 2)
-            if self.local_cache is not None and self.protection != config.WRONLY:
-                self.local_cache.invalidate(key)
-            if self.local_mt.full:
-                self._rotate_local(clock)
+            evict = (self.local_cache is not None
+                     and self.protection != config.WRONLY)
+            for key, value, tombstone in pairs:
+                self.local_mt.put(key, value, tombstone)
+                # a stale cache entry with the same key is evicted (Fig. 2)
+                if evict:
+                    self.local_cache.invalidate(key)
+                if self.local_mt.full:
+                    self._rotate_local(clock)
 
     def _rotate_local(self, clock) -> None:
         """Freeze the full local MemTable and enqueue it for flushing."""
@@ -1445,43 +1454,70 @@ class Database:
         """Whether this rank is the key's current acting primary."""
         return self._acting_owner(key) == self.rank
 
-    def _put_replicated(self, pairs: List[msg.Pair]
-                        ) -> List[Tuple[List[int], int]]:
-        """Fan one call's pairs to their replica groups; returns one
-        quorum debt ``(seqs, need)`` per pair.
+    def _stage(self, pairs: List[msg.Pair]) -> None:
+        """Place replicated pairs in the open commit window: inserted
+        locally where this rank is a member of the key's group, staged
+        for the other members until the window closes.
 
-        A pair is inserted locally when this rank is a member of its
-        key's group and shipped to every other member — one message per
-        target for the whole call (:meth:`_send_pairs`).  ``seqs`` are
-        the sends that carry the pair and ``need`` is how many of their
-        acks the quorum still requires after counting a local insert.
         Every group is resolved before anything is written, so a lost
-        quorum raises with no pair half-placed.
+        quorum raises with no pair half-placed.  A key rewritten inside
+        the window travels once, with its last value.
         """
-        placed = [(self._replica_group(pair[0]), pair) for pair in pairs]
+        mine = [pair for pair in pairs
+                if self.rank in self._replica_group(pair[0])]
+        if not self._staged:
+            self._staged_epoch = self.membership.epoch
+        self.stats.local_puts += len(mine)
+        self.stats.remote_puts += len(pairs) - len(mine)
+        self._local_insert(mine, self.clock)
+        self._staged.update((pair[0], pair) for pair in pairs)
+
+    def _ship_window(self) -> None:
+        """Put the staged window on the wire: one ``PairsMsg`` per
+        target (:meth:`_send_pairs`), one quorum debt per distinct
+        group.
+
+        Groups are resolved here, against the view current *now* — a
+        death that landed while the window was open re-places the pairs
+        instead of shipping them to a stale group (and inserts them
+        locally where the ring shift made this rank a member).  ``seqs``
+        of a debt are the sends that carry the group's pairs, ``need``
+        how many of their acks the quorum still requires after counting
+        a local insert.
+        """
+        if not self._staged:
+            return
+        staged, self._staged = self._staged, {}
+        moved = self.membership.epoch != self._staged_epoch
         fan: Dict[int, List[msg.Pair]] = {}
-        for group, pair in placed:
-            if self.rank in group:
-                self.stats.local_puts += 1
-                self._local_insert(*pair, self.clock)
-            else:
-                self.stats.remote_puts += 1
+        groups: Set[Tuple[int, ...]] = set()
+        joined: List[msg.Pair] = []
+        for pair in staged.values():
+            group = self._replica_group(pair[0], check=False)
+            groups.add(tuple(group))
             for r in group:
                 if r != self.rank:
                     fan.setdefault(r, []).append(pair)
+                elif moved:
+                    joined.append(pair)
+        self._local_insert(joined, self.clock)
         seq_of = self._send_pairs(fan)
         self.stats.replica_msgs += len(fan)
         self.stats.replica_pairs += sum(map(len, fan.values()))
         quorum = self.options.write_quorum
-        return [
-            ([seq_of[r] for r in group if r != self.rank],
-             max(0, quorum - (self.rank in group)))
-            for group, _pair in placed
-        ]
+        for group in groups:
+            seqs = [seq_of[r] for r in group if r != self.rank]
+            need = quorum - (self.rank in group)
+            self._quorum_due.append((seqs, min(need, len(seqs))))
 
-    def _quorum_drain(self) -> None:
-        """Settle every quorum debt in ``_quorum_due``: block until
-        ``need`` of each debt's ``seqs`` have settled.
+    def _close_window(self) -> None:
+        """A commit-window boundary: ship the window that just closed,
+        then settle the quorum debts of the one shipped before it — its
+        members applied that batch while this rank filled the next, so
+        the wait is short.  Sequential mode, where a window is one call
+        and acknowledged on return, also settles the debts just booked.
+        With nothing staged there is no boundary: the debts wait for
+        the next one.
 
         A seq settles when its ack arrives, when a rejected batch was
         re-fanned under fresh seqs (the fence drains those), or when its
@@ -1489,7 +1525,12 @@ class Database:
         re-replication restore the copy count) — the latter two release
         the waiter so a death can never wedge an acknowledged put.
         """
+        if not self._staged:
+            return
         due, self._quorum_due = self._quorum_due, []
+        self._ship_window()
+        if self.consistency == config.SEQUENTIAL:
+            due, self._quorum_due = due + self._quorum_due, []
         for seqs, need in due:
             while sum(s not in self._unacked for s in seqs) < need:
                 self._drain_acks(blocking=True, at_most=1)
@@ -1511,7 +1552,10 @@ class Database:
             return
         mv.merge(ack.epoch, ack.dead)
         if entry is not None and not ack.applied:
-            self._put_replicated(list(entry.pairs.values()))
+            # what a later put staged is newer than what comes back
+            self._stage([pair for key, pair in entry.pairs.items()
+                         if key not in self._staged])
+            self._ship_window()
 
     def _declare_dead(self, rank: int) -> None:
         """Declare a silent rank dead; release everything waiting on it.
@@ -1589,6 +1633,8 @@ class Database:
         if mv is None or self._in_rerepl or self._killed:
             return
         now = self.clock.now
+        if now - self._gc_t0 >= GROUP_COMMIT_INTERVAL:
+            self._close_window()  # this rank stopped writing mid-window
         while self.ack_comm.iprobe(ANY_SOURCE, HB_TAG):
             status: dict = {}
             pong = self.ack_comm.recv(ANY_SOURCE, HB_TAG, status=status)
@@ -2094,10 +2140,14 @@ class Database:
         entry = self.remote_mt.get(key)
         if entry is not None:
             return entry, "remote_mt"
-        for unacked in reversed(self._unacked.values()):
-            pair = unacked.pairs.get(key)
-            if pair is not None:
-                return Entry(pair[1], pair[2]), "inflight"
+        pair = self._staged.get(key)
+        if pair is None:
+            for unacked in reversed(self._unacked.values()):
+                pair = unacked.pairs.get(key)
+                if pair is not None:
+                    break
+        if pair is not None:
+            return Entry(pair[1], pair[2]), "inflight"
         return None, ""
 
     def _remote_get(self, groups: Dict[int, List[bytes]]
@@ -2565,6 +2615,7 @@ class Database:
             imm = self._swap_remote_mt() if len(self.remote_mt) else None
         if imm is not None:
             self._migrate(imm)
+        self._ship_window()
         self._drain_acks(blocking=True)
         self._quorum_due = []  # drained above: the ledger is empty
         # visibility boundary: pairs I just migrated live in their

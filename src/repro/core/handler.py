@@ -132,12 +132,17 @@ def handler_main(db: Database) -> None:
 
 def _apply_pairs(db: Database, pairs: List[msg.Pair],
                  hclock: VirtualClock, cpu) -> None:
-    """Insert carried pairs into the local MemTable (§2.4), charging the
-    handler's timeline one op plus the payload memcpy per pair.  The
-    caller gates on ``db._already_applied`` first."""
-    for key, value, tombstone in pairs:
-        hclock.advance(cpu.kv_op_s + len(key + value) / cpu.memcpy_Bps)
-        db._local_insert(key, value, tombstone, hclock)
+    """Insert carried pairs into the local MemTable (§2.4) under one
+    acquisition of ``db.state``, charging the handler's timeline one op
+    plus the payload memcpy per pair as each goes in.  The caller gates
+    on ``db._already_applied`` first."""
+    def charged():
+        for pair in pairs:
+            hclock.advance(
+                cpu.kv_op_s + len(pair[0] + pair[1]) / cpu.memcpy_Bps)
+            yield pair
+
+    db._local_insert(charged(), hclock)
 
 
 def _serve_pairs(db: Database, m: msg.PairsMsg, source: int,

@@ -192,7 +192,7 @@ class TestCacheInvalidation:
                 def racing_walk(ssids, key, t):
                     found = walk(ssids, key, t)
                     db._search_own_sstables = walk
-                    db._local_insert(b"k", b"new", False, ctx.clock)
+                    db._local_insert([(b"k", b"new", False)], ctx.clock)
                     if flushed:
                         db.flush()
                     return found

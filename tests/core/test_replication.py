@@ -18,11 +18,12 @@ from __future__ import annotations
 import os
 import random
 import threading
+import time
 
 import pytest
 
 from repro import Papyrus
-from repro.config import Options
+from repro.config import SEQUENTIAL, Options
 from repro.core import messages as msg
 from repro.core.db import GROUP_COMMIT_INTERVAL
 from repro.errors import InvalidOptionError, QuorumLostError
@@ -49,6 +50,54 @@ def _repl_options(**kw) -> Options:
     )
     base.update(kw)
     return Options(**base)
+
+
+def _keys(stem: str, n: int):
+    return [f"{stem}{i:03d}".encode() for i in range(n)]
+
+
+def _spy_on_pairs(db):
+    """Every ``(dest, key, value, tombstone)`` this rank puts on the
+    wire in a PairsMsg from now on."""
+    pushed = []
+    send = db.srv_comm.send
+
+    def spy(payload, dest, tag=0):
+        if isinstance(payload, msg.PairsMsg):
+            pushed.extend((dest, *pair) for pair in payload.pairs)
+        return send(payload, dest, tag=tag)
+
+    db.srv_comm.send = spy
+    return pushed
+
+
+#: the relaxed-mode kill tests fence — a public acknowledgement
+#: boundary — after every this many puts
+FENCE_EVERY = 8
+
+
+def _acked_puts(db, acked: set):
+    """``(put, fence)`` that record in ``acked`` what the store has
+    acknowledged: in sequential mode every put that returned, in
+    relaxed mode every put a ``fence()`` has returned after — ``put``
+    issues one every FENCE_EVERY puts."""
+    unfenced = []
+
+    def fence():
+        db.fence()
+        acked.update(unfenced)
+        unfenced.clear()
+
+    def put(key, value):
+        db.put(key, value)
+        if db.consistency == SEQUENTIAL:
+            acked.add(key)
+            return
+        unfenced.append(key)
+        if len(unfenced) == FENCE_EVERY:
+            fence()
+
+    return put, fence
 
 
 def _survivor_close(db) -> None:
@@ -125,9 +174,10 @@ class TestReplicatedOperation:
 
     @pytest.mark.parametrize("nranks", [2, 4])
     def test_batch_fans_one_message_per_target(self, nranks):
-        """A batch is one call: its pairs travel grouped by target, one
-        PairsMsg per target for the whole call — not one per key — and
-        every member of every key's group ends up holding it."""
+        """A batch rides the commit window like any put: nothing leaves
+        before the window closes, and the fence that closes it ships its
+        pairs grouped by target, one PairsMsg per target — not one per
+        key — so every member of every key's group ends up holding it."""
         items = {f"bulk{i:03d}".encode(): f"v{i}".encode() * 4
                  for i in range(100)}
 
@@ -144,6 +194,8 @@ class TestReplicatedOperation:
                     with db.batch() as b:
                         for key, value in items.items():
                             b.put(key, value)
+                    assert db.stats.replica_msgs == msgs  # still staged
+                    db.fence()
                     # R=2: one copy of each key leaves this rank, or two
                     # when it is no member of the key's group
                     outside = sum(0 not in db._replica_group(key)
@@ -167,10 +219,11 @@ class TestReplicatedOperation:
 
     @pytest.mark.parametrize("opener", ["put", "batch"])
     def test_window_opener_settles_rider_quorum_debts(self, opener):
-        """A group-commit rider defers its quorum wait to the window
-        boundary; whatever opens the next window — a point put or a
-        batch, it is one pipeline — settles the debt and resets the
-        window."""
+        """The commit window carries its riders: their pairs leave when
+        the window closes, one message per target, and book one quorum
+        debt per distinct group; whatever opens the next window — a
+        point put or a batch, it is one pipeline — ships the window and
+        settles the debts of the one shipped before it."""
 
         def app(ctx):
             with Papyrus(ctx) as env:
@@ -179,20 +232,119 @@ class TestReplicatedOperation:
                     db.put(b"opens", b"v")
                     db.put(b"rides", b"v")
                     assert db.stats.group_commit_coalesced == 1
-                    assert len(db._quorum_due) == 1
+                    # nothing is on the wire, so nothing is owed yet
+                    assert list(db._staged) == [b"opens", b"rides"]
+                    assert not db._unacked and db._quorum_due == []
+                    assert db.stats.replica_msgs == 0
+                    groups = {tuple(db._replica_group(k))
+                              for k in (b"opens", b"rides")}
+                    targets = {r for g in groups for r in g} - {0}
                     ctx.clock.advance(GROUP_COMMIT_INTERVAL)  # window over
                     if opener == "put":
                         db.put(b"next", b"v")
+                        staged = [b"next"]
                     else:
                         with db.batch() as b:
                             b.put(b"next", b"v")
                             b.put(b"next2", b"v")
-                    assert db._quorum_due == []
+                        staged = [b"next", b"next2"]
+                    # the opener shipped the window it closed...
+                    assert db.stats.replica_msgs == len(targets)
+                    assert db.stats.replica_pairs == sum(
+                        len(set(g) - {0}) for g in map(
+                            db._replica_group, (b"opens", b"rides")))
+                    assert len(db._quorum_due) == len(groups)
+                    first = list(db._quorum_due)
                     assert db.stats.group_commits == 2
                     # ...and the new window is open: the next call rides
+                    assert list(db._staged) == staged
                     db.delete(b"rides")
                     assert db.stats.group_commits == 2
-                    assert len(db._quorum_due) == 1
+                    assert db._staged[b"rides"] == (b"rides", b"", True)
+                    assert db.stats.replica_msgs == len(targets)
+                    # the boundary after that settles the first window
+                    ctx.clock.advance(GROUP_COMMIT_INTERVAL)
+                    db.put(b"third", b"v")
+                    assert first and all(
+                        sum(s not in db._unacked for s in seqs) >= need > 0
+                        for seqs, need in first)
+                    assert not any(debt in db._quorum_due for debt in first)
+                db.barrier()
+                db.close()
+
+        run4(app)
+
+    def test_writer_outside_the_group_reads_its_staged_put(self):
+        """A staged pair is visible to its writer before the window
+        closes (the ``inflight`` tier) even when the writer holds no
+        local copy of it."""
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("repl", _repl_options(replicas=2))
+                if ctx.world_rank == 0:
+                    key = next(k for k in _keys("out", 64)
+                               if 0 not in db._replica_group(k))
+                    db.put(key, b"mine")
+                    assert key in db._staged and not db._unacked
+                    got = db.get_ex(key)
+                    assert (got.value, got.tier) == (b"mine", "inflight")
+                    db.delete(key)
+                    assert db.get_or_none(key) is None
+                    assert db.stats.replica_msgs == 0  # never left
+                db.barrier()
+                db.close()
+
+        run4(app)
+
+    def test_key_rewritten_inside_a_window_travels_once(self):
+        """Two puts of one key inside a window put one pair on the wire
+        and the later value on every member."""
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("repl", _repl_options())
+                key = b"twice"
+                if ctx.world_rank == 0:
+                    pushed = _spy_on_pairs(db)
+                    db.put(key, b"first")
+                    db.put(key, b"second")
+                    db.fence()
+                    others = [r for r in db._replica_group(key) if r != 0]
+                    assert sorted(pushed) == [
+                        (r, key, b"second", False) for r in sorted(others)]
+                db.barrier()
+                if ctx.world_rank in db._replica_group(key):
+                    held = dict(db.scan_local(include_replicas=True))
+                    assert held[key] == b"second"
+                db.close()
+
+        run4(app)
+
+    @pytest.mark.parametrize("poll", ["get", "tick"])
+    def test_quiet_rank_ships_its_aged_window(self, poll):
+        """A rank that stops writing but keeps polling ships its window
+        once it is older than GROUP_COMMIT_INTERVAL — its riders do not
+        wait for a put that never comes."""
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("repl", _repl_options())
+                if ctx.world_rank == 0:
+                    keys = _keys("quiet", 5)
+                    for key in keys:
+                        db.put(key, b"v")
+                    db.get(keys[0])  # a young window stays open
+                    assert list(db._staged) == keys
+                    assert db.stats.replica_msgs == 0
+                    ctx.clock.advance(GROUP_COMMIT_INTERVAL)
+                    if poll == "get":
+                        assert db.get(keys[1]) == b"v"
+                    else:
+                        db.tick()
+                    assert not db._staged
+                    assert db.stats.replica_pairs == sum(
+                        len(set(db._replica_group(k)) - {0}) for k in keys)
                 db.barrier()
                 db.close()
 
@@ -216,24 +368,36 @@ class TestKillRank:
     """The headline fault test: seeded mid-run kill, zero acked loss."""
 
     def test_kill_loses_no_acked_writes(self):
+        """Relaxed mode: a put is acknowledged at the boundary that
+        closes its commit window — here a ``fence()`` every few puts."""
+        self._kill_loses_no_acked_writes(_repl_options())
+
+    def test_kill_loses_no_returned_write_in_sequential_mode(self):
+        """Sequential mode acknowledges on return: every put that
+        returned counts."""
+        self._kill_loses_no_acked_writes(
+            _repl_options(consistency=SEQUENTIAL))
+
+    @staticmethod
+    def _kill_loses_no_acked_writes(options):
         shared = {"acked": {}, "held": {}}
         survivors = threading.Barrier(NRANKS - 1)
 
         def app(ctx):
             env = Papyrus(ctx)
-            db = env.open("kill", _repl_options())
+            db = env.open("kill", options)
             rank = ctx.world_rank
             acked: set = set()
             shared["acked"][rank] = acked
+            put, fence = _acked_puts(db, acked)
             for i in range(120):
                 key = f"k{rank}-{i:04d}".encode()
-                db.put(key, f"v{i}".encode())
-                acked.add(key)
+                put(key, f"v{i}".encode())
                 if i % 3 == 0:
                     db.get(key)
             if rank == VICTIM:
                 raise AssertionError("victim survived its kill schedule")
-            db.fence()
+            fence()
             survivors.wait()
             # recovery: spin the failure detector until the victim is
             # declared dead and re-replication has drained — gets must
@@ -318,6 +482,116 @@ class TestKillRank:
         assert res[1] is None
 
 
+class TestOpenWindowAcrossADeath:
+    """What the staged window owes when a rank dies while it is open."""
+
+    def test_dead_target_is_dropped_from_the_open_window(self):
+        """Rank 2 dies while rank 0 holds an open window with pairs for
+        it: the window is placed when it ships, against the view of that
+        moment, so the fence sends nothing to the dead rank, waits out
+        no retransmit round, and re-replication leaves every staged key
+        on both survivors."""
+        keys = _keys("dt", 48)
+        staged, died = threading.Event(), threading.Event()
+        done = threading.Barrier(2)
+
+        def app(ctx):
+            env = Papyrus(ctx)
+            db = env.open("deadtarget", _repl_options(replicas=2))
+            rank = ctx.world_rank
+            if rank == 2:
+                assert staged.wait(60)
+                try:
+                    db.tick()  # its first op: the plan kills it here
+                finally:
+                    died.set()
+                raise AssertionError("victim survived its kill schedule")
+            if rank == 0:
+                for key in keys:
+                    db.put(key, b"v")
+                assert any(2 in db._replica_group(k) for k in keys)
+                assert list(db._staged) == keys and not db._unacked
+                staged.set()
+                assert died.wait(60)
+                db._declare_dead(2)  # the detector's verdict
+                pushed = _spy_on_pairs(db)
+                timeouts = db.stats.remote_timeouts
+                db.fence()
+                assert {dest for dest, *_ in pushed} == {1}
+                assert sorted(key for _d, key, *_ in pushed) == keys
+                assert db.stats.remote_timeouts == timeouts
+                assert db.stats.remote_retries == 0
+                db.tick()  # pushes the pending re-replication pass
+                assert not db.membership.pending_rereplication
+                assert db.stats.remote_timeouts == timeouts
+            done.wait(60)
+            held = {k for k, _ in db.scan_local(include_replicas=True)}
+            done.wait(60)
+            _survivor_close(db)
+            return held
+
+        faults = FaultPlan(seed=FAULT_SEED).kill_rank(2, nth=1)
+        res = spmd_run(3, app, faults=faults, timeout=120)
+        assert res[2] is None  # the kill fired
+        assert set(keys) <= res[0] and set(keys) <= res[1]
+
+    #: the sweep's victim spaces its puts so that a commit window holds
+    #: this many of them
+    WINDOW = 6
+
+    @pytest.mark.parametrize("offset", range(WINDOW + 2))
+    def test_dead_writer_loses_at_most_its_open_window(self, offset):
+        """Kill the writer at every op index across one full window:
+        nothing it fenced is lost, and what is lost is a suffix of its
+        put order no longer than one window — the riders that had not
+        shipped."""
+        victim = FAULT_SEED % 3
+        nth = 20 + FAULT_SEED % 5 + offset
+        order, fenced = [], set()
+        died = threading.Event()
+        dbs = {}
+
+        def app(ctx):
+            env = Papyrus(ctx)
+            db = dbs[ctx.world_rank] = env.open(
+                "deadwriter", _repl_options(replicas=2))
+            if ctx.world_rank == victim:
+                try:
+                    for i, key in enumerate(_keys("dw", 40)):
+                        db.put(key, b"v")
+                        order.append(key)
+                        ctx.clock.advance(
+                            GROUP_COMMIT_INTERVAL / self.WINDOW)
+                        if (i + 1) % 13 == 0:
+                            db.fence()
+                            fenced.update(order)
+                finally:
+                    died.set()
+                raise AssertionError("victim survived its kill schedule")
+            assert died.wait(60)
+            # the victim's last sends sit in the survivors' mailboxes:
+            # let the handlers apply them before looking
+            sent = dbs[victim].stats.replica_pairs
+            for _ in range(2000):
+                if sum(d.stats.replica_pairs_applied
+                       for r, d in dbs.items() if r != victim) == sent:
+                    break
+                time.sleep(0.005)
+            held = {k for k, _ in db.scan_local(include_replicas=True)}
+            _survivor_close(db)
+            return held
+
+        faults = FaultPlan(seed=FAULT_SEED).kill_rank(victim, nth=nth)
+        res = spmd_run(3, app, faults=faults, timeout=120)
+        assert res[victim] is None and len(order) == nth - 1
+        held = set().union(*(h for h in res if h is not None))
+        missing = [key for key in order if key not in held]
+        assert missing == order[len(order) - len(missing):]
+        assert len(missing) <= self.WINDOW + 1
+        assert not fenced & set(missing)
+        assert fenced  # the schedule fenced before it killed
+
+
 class TestKillRecoverUnderRaceDetector:
     """The kill/recover stress loop runs clean under the detector."""
 
@@ -336,15 +610,15 @@ class TestKillRecoverUnderRaceDetector:
                 rank = ctx.world_rank
                 acked = set()
                 shared["acked"][rank] = acked
+                put, fence = _acked_puts(db, acked)
                 for i in range(80):
                     key = f"s{rank}-{i:03d}".encode()
-                    db.put(key, b"z")
-                    acked.add(key)
+                    put(key, b"z")
                     if i % 5 == 0:
                         db.get(key)
                 if rank == VICTIM:
                     raise AssertionError("victim survived")
-                db.fence()
+                fence()
                 survivors.wait()
                 mv = db.membership
                 for _ in range(10000):
@@ -396,19 +670,6 @@ class TestRereplicationWalk:
         assert len(db.ssids) >= 3 and len(db.local_mt) > 0
         return model
 
-    @staticmethod
-    def _spy_on_pushes(db):
-        pushed = []
-        send = db.srv_comm.send
-
-        def spy(payload, dest, tag=0):
-            if isinstance(payload, msg.PairsMsg):
-                pushed.extend((dest, *pair) for pair in payload.pairs)
-            return send(payload, dest, tag=tag)
-
-        db.srv_comm.send = spy
-        return pushed
-
     def _run(self, body):
         """``body(db)`` on rank 0 while ranks 1 and 2 only serve."""
         done = threading.Barrier(3)
@@ -431,7 +692,7 @@ class TestRereplicationWalk:
         def body(db):
             model = self._load(db, random.Random(FAULT_SEED))
             walked = list(db.ssids)
-            pushed = self._spy_on_pushes(db)
+            pushed = _spy_on_pairs(db)
             reader_of, calls = db._reader, []
 
             def compacting_reader(ssid):
@@ -474,7 +735,7 @@ class TestRereplicationWalk:
 
         def body(db):
             self._load(db, random.Random(FAULT_SEED))
-            pushed = self._spy_on_pushes(db)
+            pushed = _spy_on_pairs(db)
             db._quarantine_table(db.ssids[1], "test: damaged")
             db.membership.declare_dead(2)
             for _ in range(2):  # and again on the next tick

@@ -692,7 +692,8 @@ class TestMutationPlane:
             key = next(k for k in self.KEYS
                        if db._replica_group(k) == [0, 1])
             plan.arm()
-            db._put_replicated([(key, b"v", False)])  # dropped on the way
+            db.put(key, b"v")
+            db._ship_window()  # the window closes; dropped on the way
             (seq,) = db._unacked
             db.membership.declare_dead(2)  # the view moves on: epoch 1
             sent, send = [], db.srv_comm.send
@@ -721,7 +722,9 @@ class TestMutationPlane:
             key = next(k for k in self.KEYS
                        if db._replica_group(k) == [1, 2])
             plan.arm()
-            db._put_replicated([(key, b"v", False)])  # both copies dropped
+            db.put(key, b"v")
+            assert db.get_ex(key).tier == "inflight" and not db._unacked
+            db._ship_window()  # the window closes; both copies dropped
             assert sorted(e.target for e in db._unacked.values()) == [1, 2]
             # no ack can arrive: the ledger is all this rank has of it
             got = db.get_ex(key)
