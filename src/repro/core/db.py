@@ -69,7 +69,7 @@ from repro.core.membership import (
     MembershipView,
 )
 from repro.core.memtable import Entry, MemTable
-from repro.core.scan import ScanIterator, count_live
+from repro.core.scan import ScanIterator
 from repro.faults import RankKilledError
 from repro.mpi.comm import ANY_SOURCE, Comm
 from repro.nvm.posixfs import PosixStore
@@ -1070,8 +1070,7 @@ class Database:
         def read_job(start: float) -> float:
             merged, readers, end = read_and_merge(
                 self.store, self.rank_dir, inputs, start,
-                drop_tombstones=major, block_cache=self.block_cache,
-                sink=self.cache_counts,
+                drop_tombstones=major,
             )
             holder["parts"] = partition_records(merged, COMPACTION_PARTITIONS)
             holder["readers"] = readers
@@ -2845,7 +2844,8 @@ class Database:
         Streams a keys-only scan: tombstones are resolved without
         copying a single value byte or materializing the merge.
         """
-        return count_live(self)
+        with ScanIterator(self, keys_only=True) as it:
+            return sum(1 for _ in it)
 
     # ============================================================== SCRUBBING
     def verify(self, checkpoint_path: Optional[str] = None,

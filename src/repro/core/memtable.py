@@ -9,11 +9,12 @@ carry the owner rank number (§2.4).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
 from repro.analysis.runtime import annotate_read, annotate_write
-from repro.sstable.format import Record
+from repro.sstable.format import Record, slices
 from repro.util.rbtree import RedBlackTree
 
 
@@ -41,7 +42,7 @@ class MemTable:
     """
 
     __slots__ = ("capacity", "_tree", "_bytes", "_frozen", "kind",
-                 "_race_tag")
+                 "_snapshot", "_race_tag")
 
     def __init__(self, capacity: int, kind: str = "local") -> None:
         if capacity <= 0:
@@ -51,6 +52,7 @@ class MemTable:
         self._tree = RedBlackTree()
         self._bytes = 0
         self._frozen = False
+        self._snapshot: Optional[List[Record]] = None
 
     # ------------------------------------------------------------ properties
     def __len__(self) -> int:
@@ -82,6 +84,7 @@ class MemTable:
             self._bytes -= len(key) + old.nbytes
         self._tree.insert(key, Entry(value, tombstone, owner))
         self._bytes += len(key) + len(value)
+        self._snapshot = None
 
     def delete_entry(self, key: bytes) -> bool:
         """Physically remove an entry (used by redistribution plumbing)."""
@@ -92,6 +95,7 @@ class MemTable:
             return False
         self._tree.delete(key)
         self._bytes -= len(key) + old.nbytes
+        self._snapshot = None
         return True
 
     def freeze(self) -> "MemTable":
@@ -110,16 +114,29 @@ class MemTable:
         return key in self._tree
 
     # -------------------------------------------------------------- iteration
-    def items(self, start: Optional[bytes] = None) -> Iterator[tuple]:
-        """(key, Entry) pairs in ascending key order, from the first
-        key ``>= start`` when one is given."""
-        return self._tree.items(start)
+    def items(self) -> Iterator[tuple]:
+        """(key, Entry) pairs in ascending key order."""
+        return self._tree.items()
 
     def to_records(self) -> List[Record]:
-        """Sorted records for an SSTable flush (tombstones included)."""
-        return [
-            Record(k, e.value, e.tombstone) for k, e in self._tree.items()
-        ]
+        """Sorted records, tombstones included: the one snapshot list a
+        flush encodes and scans read, built on the first call after a
+        write and shared, unmutated, until the next.  Call it under the
+        lock that orders writes."""
+        if self._snapshot is None:
+            annotate_write(self, "memtable")
+            self._snapshot = [Record(k, e.value, e.tombstone)
+                              for k, e in self._tree.items()]
+        return self._snapshot
+
+    def runs(self, start: Optional[bytes] = None,
+             end: Optional[bytes] = None) -> Iterator[List[Record]]:
+        """``[start, end)`` of the snapshot of *this call* as sorted runs
+        (:func:`~repro.sstable.format.slices`)."""
+        recs = self.to_records()
+        lo = 0 if start is None else bisect_left(recs, (start,))
+        hi = len(recs) if end is None else bisect_left(recs, (end,), lo)
+        return slices(recs, lo, hi)
 
     def by_owner(self) -> dict:
         """Group entries per owner rank (migration batching, §2.4)."""

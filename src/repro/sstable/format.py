@@ -103,6 +103,21 @@ class Record(NamedTuple):
         return RECORD_HEADER_LEN + len(self.key) + len(self.value)
 
 
+#: one item of a sorted run, indexed ``(key, value, tombstone)`` — a
+#: plain triple or a :class:`Record`
+Triple = Tuple[bytes, bytes, bool]
+
+
+def slices(items: List[Triple], lo: int, hi: int) -> Iterator[List[Triple]]:
+    """``items[lo:hi]`` as runs of 8 records doubling up to 128: a scan
+    that stops after n records has copied O(n) of them."""
+    n = 8
+    while lo < hi:
+        yield items[lo:min(lo + n, hi)]
+        lo += n
+        n = min(2 * n, 128)
+
+
 class IndexEntry(NamedTuple):
     """Location of one record inside SSData."""
 

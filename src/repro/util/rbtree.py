@@ -281,20 +281,11 @@ class RedBlackTree:
         x.color = BLACK
 
     # -------------------------------------------------------------- iteration
-    def items(self, start: Any = None) -> Iterator[Tuple[Any, Any]]:
-        """Yield (key, value) pairs in ascending key order, from the
-        first key ``>= start`` when given: one O(log n) descent keeps the
-        ancestors still to visit and skips every subtree below it."""
+    def items(self) -> Iterator[Tuple[Any, Any]]:
+        """Yield (key, value) pairs in ascending key order."""
         nil = self._nil
         stack: list[_Node] = []
         node = self._root
-        if start is not None:
-            while node is not nil:
-                if node.key < start:
-                    node = node.right
-                else:
-                    stack.append(node)
-                    node = node.left
         while stack or node is not nil:
             while node is not nil:
                 stack.append(node)

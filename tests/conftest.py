@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from types import SimpleNamespace
 
 import pytest
 
 from repro.config import Options
 from repro.core.memtable import MemTable
-from repro.core.scan import _memtable_cursor, _sstable_cursor
 from repro.mpi.launcher import spmd_run
 from repro.simtime.clock import VirtualClock
 from repro.simtime.profiles import CORI, STAMPEDE, SUMMITDEV
@@ -76,27 +76,32 @@ def write_table(store, directory, ssid, records, block_size=DATA_BLOCK_SIZE):
 def merge_scan(tiers, start=None, end=None):
     """What a scan of ``[start, end)`` yields over newest-first tiers of
     ``(key, value, tombstone)``: each tier through the real MemTable
-    cursor (which seeks to ``start`` and stops at ``end``), the cursors
-    through ``merge_newest`` — the way ``ScanIterator`` wires them."""
-    cursors = []
+    runs (bisected to ``start`` and ``end``), the runs through
+    ``merge_newest`` — the way ``ScanIterator`` wires them."""
+    tables = []
     for tier in tiers:
         mt = MemTable(1 << 30)
         for key, value, tombstone in tier:
             mt.put(key, value, tombstone)
-        cursors.append(_memtable_cursor(mt, start, end))
-    return [(key, value) for key, value, _ in merge_newest(cursors)]
+        tables.append(mt.runs(start, end))
+    return [(key, value) for key, value, _
+            in chain.from_iterable(merge_newest(tables))]
 
 
 def cursor_window(reader, start=None, end=None, keys_only=False):
     """One table's share of a scan window, pulled through the real
-    cursor (``core.scan._sstable_cursor``) against a stand-in database.
+    tier (``SSTableReader.runs``) on a fresh clock; a keys-only scan's
+    values are dropped, as ``ScanIterator`` drops them.
 
     Returns ``(triples, blocks_read, clock_delta)``.
     """
-    db = SimpleNamespace(clock=VirtualClock(), cache_counts=None,
-                         stats=SimpleNamespace(scan_blocks_read=0))
-    triples = list(_sstable_cursor(db, reader, start, end, keys_only))
-    return triples, db.stats.scan_blocks_read, db.clock.now
+    clock, stats = VirtualClock(), SimpleNamespace(scan_blocks_read=0)
+    triples = [
+        (key, b"" if keys_only else value, tombstone)
+        for run in reader.runs(start, end, clock, stats, keys_only)
+        for key, value, tombstone in run
+    ]
+    return triples, stats.scan_blocks_read, clock.now
 
 
 def window_triples(records, start=None, end=None, keys_only=False):

@@ -108,6 +108,40 @@ class TestExport:
             mt.put(str(i).encode(), b"")
         assert [k for k, _ in mt.items()] == [b"1", b"3", b"5"]
 
+    def test_one_snapshot_between_writes(self):
+        """Readers between two writes share one list; a write (or a
+        physical delete) leaves it as it was and starts the next."""
+        mt = MemTable(1024)
+        for k in (b"b", b"d"):
+            mt.put(k, k)
+        first = mt.to_records()
+        assert mt.to_records() is first
+        mt.put(b"c", b"c")
+        second = mt.to_records()
+        assert second is not first and [r.key for r in first] == [b"b", b"d"]
+        mt.delete_entry(b"b")
+        assert mt.to_records() is not second
+        assert mt.freeze().to_records() is mt.to_records()
+
+    @pytest.mark.parametrize("start,end,want", [
+        (None, None, b"abcde"), (b"b", b"d", b"bc"), (b"bb", None, b"cde"),
+        (None, b"a", b""), (b"d", b"b", b""), (b"z", None, b""),
+    ])
+    def test_runs_are_the_window_of_this_snapshot(self, start, end, want):
+        mt = MemTable(1 << 20)
+        for k in b"edcba":
+            mt.put(bytes([k]), b"v")
+        runs = mt.runs(start, end)
+        mt.put(b"bc", b"later")  # after the call: not in its runs
+        assert b"".join(r.key for run in runs for r in run) == want
+
+    def test_runs_grow_from_8_to_128(self):
+        mt = MemTable(1 << 20)
+        for i in range(500):
+            mt.put(b"%03d" % i, b"")
+        assert [len(run) for run in mt.runs()] == [8, 16, 32, 64, 128, 128,
+                                                   124]
+
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(

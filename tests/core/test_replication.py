@@ -693,22 +693,21 @@ class TestRereplicationWalk:
             model = self._load(db, random.Random(FAULT_SEED))
             walked = list(db.ssids)
             pushed = _spy_on_pairs(db)
-            reader_of, calls = db._reader, []
+            readers_of = db.block_cache.readers
 
-            def compacting_reader(ssid):
-                # between the walk's first and second table: a replica
+            def compacting_readers(*args):
+                # once the walk holds its tables' readers: a replica
                 # batch on the handler filled the MemTable, flushed and
                 # compacted — BackgroundWorker.schedule runs it at once
-                calls.append(ssid)
-                if len(calls) == 2:
-                    with db._lock:
-                        db._schedule_compaction(db.clock.now)
-                return reader_of(ssid)
+                readers = readers_of(*args)
+                with db._lock:
+                    db._schedule_compaction(db.clock.now)
+                return readers
 
-            db._reader = compacting_reader
+            db.block_cache.readers = compacting_readers
             db.membership.declare_dead(2)
             db._rereplicate()
-            db._reader = reader_of
+            del db.block_cache.readers
             assert db.stats.compactions == 1
             assert not set(walked) & set(db.ssids)  # every input retired
             # the pre-compaction newest-wins view, deletes included, for

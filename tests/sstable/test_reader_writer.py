@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from types import SimpleNamespace
 
 import pytest
@@ -15,7 +15,7 @@ from repro.errors import CorruptionError
 from repro.nvm.posixfs import PosixStore
 from repro.simtime.resources import TimedResource
 from repro.sstable.block_cache import BlockCache
-from repro.sstable.format import DATA_BLOCK_SIZE, Record
+from repro.sstable.format import DATA_BLOCK_SIZE, RECORD_HEADER_LEN, Record
 from repro.sstable.reader import SSTableReader, list_ssids
 from repro.sstable.writer import encode_table
 from repro.util.lru import ObjectLRU
@@ -474,3 +474,149 @@ def test_block_key_search_equals_the_oracles(tmp_path_factory, table, cached):
     assert rd.find_ge(None, 0.0)[0] == 0
     if cached:  # every block was read at most once, whatever was asked
         assert len(reads) <= len(rd._footer.block_crcs)
+
+
+def _blocks(start, length, bs):
+    """The blocks SSData ``[start, start + length)`` touches."""
+    return set(range(start // bs, (start + length - 1) // bs + 1)) if length else set()
+
+
+def _probe_blocks(index, keys, footer, key, value):
+    """The blocks the record-at-a-time binary search over SSData slices
+    (format 4's first reader) touched for ``key``: the block its block
+    key picks, each probe's key bytes and — for a get of a present key
+    (``value``) — the record's value bytes.  With an ample cache that is
+    every device read a cold lookup made; the decoded blocks must make
+    the same ones."""
+    bs = footer.block_size
+    j = bisect_right(footer.block_keys, key) - 1
+    if j < 0:
+        return set()
+    lo = footer.block_first[j]
+    hi = footer.block_first[j + 1] if j + 1 < len(footer.block_first) \
+        else len(index)
+    touched, found = {index[lo].offset // bs}, footer.block_keys[j] == key
+    while lo + 1 < hi and not found:
+        mid = (lo + hi) // 2
+        touched |= _blocks(index[mid].key_offset, index[mid].keylen, bs)
+        if keys[mid] <= key:
+            lo, found = mid, keys[mid] == key
+        else:
+            hi = mid
+    if found and value:
+        touched |= _blocks(index[lo].value_offset, index[lo].vallen, bs)
+    return touched
+
+
+def _check_against_read_all(store, recs, bs, windows):
+    """``get``, ``find_ge`` and the run stream of a table cut by ``bs``
+    byte blocks equal a filtered ``read_all`` — each from a cold cache,
+    reading exactly the blocks the slice-at-a-time reader read."""
+    write_table(store, "t", 1, recs, block_size=bs)
+    assert SSTableReader(store, "t", 1).read_all(0.0)[0] == recs
+    cache = BlockCache(1 << 24)
+    rd = SSTableReader(store, "t", 1, block_cache=cache)
+    index, _ = rd.load_index(0.0)
+    footer, keys = rd._footer, [r.key for r in recs]
+    reads = data_reads(store)
+
+    def cold(fn):
+        cache.clear()
+        before = len(reads)
+        return fn(), len(reads) - before
+
+    probes = {k for r in recs for k in (r.key, r.key + b"\0", r.key[:-1])}
+    for k in sorted(probes - {b""}):
+        i = bisect_left(keys, k)
+        want = recs[i] if i < len(keys) and keys[i] == k else None
+        got, n = cold(lambda: rd.get(k, 0.0, use_bloom=False)[0])
+        assert (got, n) == (want, len(_probe_blocks(index, keys, footer, k, True)))
+        pos, n = cold(lambda: rd.find_ge(k, 0.0)[0])
+        assert (pos, n) == (i, len(_probe_blocks(index, keys, footer, k, False)))
+    for start, end, keys_only in windows:
+        (got, _, _), n = cold(lambda: cursor_window(rd, start, end, keys_only))
+        assert got == window_triples(recs, start, end, keys_only)
+        lo = 0 if start is None else bisect_left(keys, start)
+        touched = set() if start is None else _probe_blocks(
+            index, keys, footer, start, False)
+        for e, k in zip(index[lo:], keys[lo:]):
+            touched |= _blocks(e.key_offset,
+                               e.keylen + (0 if keys_only else e.vallen), bs)
+            if end is not None and k >= end:
+                break
+        assert n == len(touched)
+    return index
+
+
+def _edge_table(bs):
+    """Every cut a ``bs``-byte block boundary can make: a key, a header,
+    a value over 4 blocks and one over 2, beside a tombstone and an
+    empty value, and the key of a block's only record start."""
+    recs, off = [], 0
+
+    def add(key, value=b"", tombstone=False):
+        nonlocal off
+        recs.append(Record(key, value, tombstone))
+        off += RECORD_HEADER_LEN + len(key) + len(value)
+
+    def pad(key, to):  # a record ending at ``to``
+        add(key, b"p" * (to - off - RECORD_HEADER_LEN - len(key)))
+
+    pad(b"a", bs - 12)
+    add(b"b" * 8, b"v-b")  # its key starts 3 bytes before the boundary
+    add(b"c", tombstone=True)
+    add(b"d")
+    add(b"e", b"y" * (3 * bs + 5))
+    pad(b"f", (off // bs + 2) * bs - 4)
+    add(b"g", b"v-g")  # its header starts 4 bytes before a boundary
+    add(b"h", b"z" * bs)
+    add(b"i", b"v-i")
+    pad(b"j", (off // bs + 2) * bs - 12)
+    add(b"k" * 8, tombstone=True)  # a block's first record, key cut
+    return recs
+
+
+@pytest.mark.parametrize("bs", [64, 100, 4096])
+def test_decoded_blocks_cover_every_cut(tmp_path, bs):
+    recs = _edge_table(bs)
+    store = PosixStore(str(tmp_path), TimedResource("d", 0.0, 1e9))
+    windows = [(None, None, False), (None, None, True), (b"b", b"g", False),
+               (b"bb", b"h", True), (b"e", b"e\0", False), (b"g", None, False)]
+    index = _check_against_read_all(store, recs, bs, windows)
+    cut = [e.key_offset // bs != (e.key_offset + e.keylen - 1) // bs
+           for e in index]
+    header = [e.offset // bs != e.key_offset // bs for e in index]
+    long = [(e.value_offset + e.vallen - 1) // bs - e.value_offset // bs
+            for e in index]
+    assert cut[1] and header[6] and long[4] >= 3 and long[7] >= 1
+    assert cut[10] and index[10].offset // bs not in {
+        e.offset // bs for e in index[:10]}
+    assert recs[2].tombstone and recs[3] == (b"d", b"", False)
+
+
+@st.composite
+def _decoded_tables(draw):
+    """Records and a 64, 100 or 4096-byte block: keys across block ends,
+    empty values, tombstones and values of 3 blocks and more."""
+    bs = draw(st.sampled_from([64, 100, 4096]))
+    big = st.integers(3 * bs, 3 * bs + 300).map(lambda n: b"V" * n)
+    kv = draw(st.dictionaries(
+        st.binary(min_size=1, max_size=40),
+        st.one_of(st.none(), st.just(b""), st.binary(max_size=150), big),
+        min_size=1, max_size=30,
+    ))
+    recs = [Record(k, v or b"", v is None) for k, v in sorted(kv.items())]
+    window = st.one_of(st.none(), st.sampled_from(sorted(kv)))
+    windows = draw(st.lists(st.tuples(window, window, st.booleans()),
+                            min_size=1, max_size=3))
+    return recs, bs, windows
+
+
+@seed(int(os.environ.get("PKV_FAULT_SEED", "7")))
+@settings(max_examples=60, deadline=None)
+@given(_decoded_tables())
+def test_decoded_blocks_equal_read_all(tmp_path_factory, table):
+    recs, bs, windows = table
+    store = PosixStore(str(tmp_path_factory.mktemp("dec")),
+                       TimedResource("d", 0.0, 1e9))
+    _check_against_read_all(store, recs, bs, windows)

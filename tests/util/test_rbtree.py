@@ -203,31 +203,3 @@ def test_rbtree_invariants_hold(keys):
     for k in sorted(keys)[::2]:
         t.delete(k)
     t.check_invariants()
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.tuples(st.sampled_from("IID"),
-                       st.binary(min_size=1, max_size=3))),
-    st.binary(max_size=3),
-)
-def test_items_from_start_is_the_filtered_walk(ops, probe):
-    """``items(start)`` seeks: for a start that is absent, present, the
-    minimum, the maximum or past it, on trees shaped by random inserts
-    and deletes, it yields exactly the full walk's tail."""
-    t = RedBlackTree()
-    for op, key in ops:
-        if op == "I":
-            t.insert(key, key)
-        else:
-            t.pop(key, None)
-    full = list(t.items())
-    starts = [probe, b"", b"\xff" * 4]
-    if full:
-        starts += [full[0][0], full[-1][0], full[len(full) // 2][0],
-                   full[-1][0] + b"\x00"]
-    for start in starts:
-        assert list(t.items(start)) == [kv for kv in full if kv[0] >= start]
-    assert list(t.items(None)) == full
-    t.check_invariants()
-    assert list(t.items()) == full  # seeking changes nothing
