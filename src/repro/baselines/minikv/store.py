@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.minikv.table import Item, Table, write_table
 from repro.nvm.posixfs import PosixStore
-from repro.util.rbtree import RedBlackTree
 
 
 class MiniKV:
@@ -38,7 +37,7 @@ class MiniKV:
         self.memtable_capacity = memtable_capacity
         self.l0_limit = l0_limit
         self.cpu = cpu
-        self._mem = RedBlackTree()
+        self._mem: Dict[bytes, Tuple[bytes, bool]] = {}
         self._mem_bytes = 0
         self._next_file = 1
         self._l0: List[Table] = []  # oldest first
@@ -69,7 +68,7 @@ class MiniKV:
             old = self._mem.get(key)
             if old is not None:
                 self._mem_bytes -= len(key) + len(old[0])
-            self._mem.insert(key, (bytes(value), tombstone))
+            self._mem[key] = (bytes(value), tombstone)
             self._mem_bytes += len(key) + len(value)
             if self._mem_bytes >= self.memtable_capacity:
                 t = self._flush(t)
@@ -87,7 +86,7 @@ class MiniKV:
         synchronous model reproduces that back-pressure at full strength.
         """
         items: List[Item] = [
-            (k, v, tomb) for k, (v, tomb) in self._mem.items()
+            (k, v, tomb) for k, (v, tomb) in sorted(self._mem.items())
         ]
         if not items:
             return t
@@ -95,7 +94,7 @@ class MiniKV:
         self._next_file += 1
         _, t = write_table(self.store, path, items, t)
         self._l0.append(Table(self.store, path))
-        self._mem = RedBlackTree()
+        self._mem = {}
         self._mem_bytes = 0
         self.stats["flushes"] += 1
         if len(self._l0) > self.l0_limit:

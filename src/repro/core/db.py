@@ -451,8 +451,8 @@ class Database:
         if options.race_detect:
             enable_race_detector()
         self._lock = make_rlock("db.state")
-        self.local_mt = MemTable(options.memtable_capacity, "local")
-        self.remote_mt = MemTable(options.remote_memtable_capacity, "remote")
+        self.local_mt = MemTable(options.memtable_capacity)
+        self.remote_mt = MemTable(options.remote_memtable_capacity)
         #: flushing queue: (immutable MemTable, virtual flush-completion time)
         self.flushing: List[Tuple[MemTable, float]] = []
         #: the outstanding-send ledger: every PairsMsg sent and not yet
@@ -888,7 +888,7 @@ class Database:
     def _rotate_local(self, clock) -> None:
         """Freeze the full local MemTable and enqueue it for flushing."""
         imm = self.local_mt.freeze()
-        self.local_mt = MemTable(self.options.memtable_capacity, "local")
+        self.local_mt = MemTable(self.options.memtable_capacity)
         self._enqueue_flush(imm, clock)
 
     def _crash_site(self, site: str) -> None:
@@ -1176,9 +1176,7 @@ class Database:
     def _swap_remote_mt(self) -> MemTable:
         """Freeze and replace the remote MemTable (call under the lock)."""
         imm = self.remote_mt.freeze()
-        self.remote_mt = MemTable(
-            self.options.remote_memtable_capacity, "remote"
-        )
+        self.remote_mt = MemTable(self.options.remote_memtable_capacity)
         return imm
 
     def _send_pairs(

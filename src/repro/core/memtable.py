@@ -2,20 +2,22 @@
 
 "A database consists of four types of MemTables (local MemTable,
 immutable local MemTable, remote MemTable, and immutable remote
-MemTable)" (paper §2.3).  A MemTable is a red-black tree indexed by key;
-entries carry a tombstone flag, and remote-MemTable entries additionally
-carry the owner rank number (§2.4).
+MemTable)" (paper §2.3).  The paper builds each as a red-black tree;
+what the design relies on is point access plus sorted order at flush,
+migration and scan, so a MemTable here is a dict indexed by key whose
+sorted view is built once per write generation (``to_records``).
+Entries carry a tombstone flag, and remote-MemTable entries
+additionally carry the owner rank number (§2.4).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.analysis.runtime import annotate_read, annotate_write
 from repro.sstable.format import Record, slices
-from repro.util.rbtree import RedBlackTree
 
 
 @dataclass(frozen=True)
@@ -27,13 +29,9 @@ class Entry:
     #: owner rank (only meaningful in remote MemTables)
     owner: int = -1
 
-    @property
-    def nbytes(self) -> int:
-        return len(self.value)
-
 
 class MemTable:
-    """A size-bounded sorted write buffer.
+    """A size-bounded write buffer with a sorted view.
 
     ``put`` replaces any existing entry with the same key ("PapyrusKV
     deletes the old one before it inserts the new one").  When
@@ -41,22 +39,21 @@ class MemTable:
     table and rotates in a fresh one.
     """
 
-    __slots__ = ("capacity", "_tree", "_bytes", "_frozen", "kind",
-                 "_snapshot", "_race_tag")
+    __slots__ = ("capacity", "_entries", "_bytes", "_frozen", "_snapshot",
+                 "_race_tag")
 
-    def __init__(self, capacity: int, kind: str = "local") -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.kind = kind
-        self._tree = RedBlackTree()
+        self._entries: Dict[bytes, Entry] = {}
         self._bytes = 0
         self._frozen = False
         self._snapshot: Optional[List[Record]] = None
 
     # ------------------------------------------------------------ properties
     def __len__(self) -> int:
-        return len(self._tree)
+        return len(self._entries)
 
     @property
     def size_bytes(self) -> int:
@@ -79,24 +76,12 @@ class MemTable:
             raise RuntimeError("cannot write a frozen (immutable) MemTable")
         if tombstone:
             value = b""
-        old: Optional[Entry] = self._tree.get(key)
+        old = self._entries.get(key)
         if old is not None:
-            self._bytes -= len(key) + old.nbytes
-        self._tree.insert(key, Entry(value, tombstone, owner))
+            self._bytes -= len(key) + len(old.value)
+        self._entries[key] = Entry(value, tombstone, owner)
         self._bytes += len(key) + len(value)
         self._snapshot = None
-
-    def delete_entry(self, key: bytes) -> bool:
-        """Physically remove an entry (used by redistribution plumbing)."""
-        if self._frozen:
-            raise RuntimeError("cannot write a frozen (immutable) MemTable")
-        old: Optional[Entry] = self._tree.get(key)
-        if old is None:
-            return False
-        self._tree.delete(key)
-        self._bytes -= len(key) + old.nbytes
-        self._snapshot = None
-        return True
 
     def freeze(self) -> "MemTable":
         """Mark immutable (local MemTable -> immutable local MemTable)."""
@@ -108,16 +93,9 @@ class MemTable:
     def get(self, key: bytes) -> Optional[Entry]:
         """The entry for ``key`` (tombstones included), or None."""
         annotate_read(self, "memtable")
-        return self._tree.get(key)
-
-    def __contains__(self, key: bytes) -> bool:
-        return key in self._tree
+        return self._entries.get(key)
 
     # -------------------------------------------------------------- iteration
-    def items(self) -> Iterator[tuple]:
-        """(key, Entry) pairs in ascending key order."""
-        return self._tree.items()
-
     def to_records(self) -> List[Record]:
         """Sorted records, tombstones included: the one snapshot list a
         flush encodes and scans read, built on the first call after a
@@ -125,8 +103,14 @@ class MemTable:
         lock that orders writes."""
         if self._snapshot is None:
             annotate_write(self, "memtable")
-            self._snapshot = [Record(k, e.value, e.tombstone)
-                              for k, e in self._tree.items()]
+            entries = self._entries
+            # sorting the keys alone and looking each entry up is
+            # cheaper at flush size than sorting the (key, entry) items
+            keys = sorted(entries)
+            self._snapshot = [
+                Record(k, e.value, e.tombstone)
+                for k, e in zip(keys, map(entries.__getitem__, keys))
+            ]
         return self._snapshot
 
     def runs(self, start: Optional[bytes] = None,
@@ -139,9 +123,12 @@ class MemTable:
         return slices(recs, lo, hi)
 
     def by_owner(self) -> dict:
-        """Group entries per owner rank (migration batching, §2.4)."""
+        """Group entries per owner rank, each group in ascending key
+        order (migration batching, §2.4)."""
+        entries = self._entries
         groups: dict = {}
-        for key, entry in self._tree.items():
+        for key in sorted(entries):
+            entry = entries[key]
             groups.setdefault(entry.owner, []).append(
                 (key, entry.value, entry.tombstone)
             )

@@ -4,14 +4,12 @@ from repro.util.bloom import BloomFilter
 from repro.util.hashing import fnv1a_64, builtin_key_hash
 from repro.util.lru import LRUCache
 from repro.util.queues import BoundedFIFO, QueueClosed
-from repro.util.rbtree import RedBlackTree
 
 __all__ = [
     "BloomFilter",
     "BoundedFIFO",
     "LRUCache",
     "QueueClosed",
-    "RedBlackTree",
     "builtin_key_hash",
     "fnv1a_64",
 ]

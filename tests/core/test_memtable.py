@@ -1,12 +1,22 @@
-"""MemTable tests: replacement, tombstones, freezing, owner grouping."""
+"""MemTable tests: replacement, tombstones, freezing, owner grouping,
+and the sorted views a dict must build on its own."""
 
 from __future__ import annotations
 
+import os
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.core.memtable import Entry, MemTable
+
+
+def _sorted_model(model):
+    """``to_records()`` of a MemTable holding ``model``: key ->
+    (value, tombstone, ...), in ascending key order."""
+    return [(k, v[0], v[1]) for k, v in sorted(model.items())]
 
 
 class TestPutGet:
@@ -15,7 +25,6 @@ class TestPutGet:
         mt.put(b"k", b"v")
         e = mt.get(b"k")
         assert e == Entry(b"v", False, -1)
-        assert b"k" in mt
         assert len(mt) == 1
 
     def test_replace_updates_size(self):
@@ -38,7 +47,7 @@ class TestPutGet:
         assert mt.get(b"missing") is None
 
     def test_owner_recorded(self):
-        mt = MemTable(1024, kind="remote")
+        mt = MemTable(1024)
         mt.put(b"k", b"v", owner=3)
         assert mt.get(b"k").owner == 3
 
@@ -62,20 +71,13 @@ class TestCapacityAndFreeze:
         with pytest.raises(RuntimeError):
             mt.put(b"x", b"y")
         with pytest.raises(RuntimeError):
-            mt.delete_entry(b"k")
+            mt.put(b"k", b"", tombstone=True)
 
     def test_frozen_still_readable(self):
         mt = MemTable(100)
         mt.put(b"k", b"v")
         mt.freeze()
         assert mt.get(b"k").value == b"v"
-
-    def test_delete_entry(self):
-        mt = MemTable(100)
-        mt.put(b"k", b"vvv")
-        assert mt.delete_entry(b"k") is True
-        assert mt.delete_entry(b"k") is False
-        assert mt.size_bytes == 0
 
 
 class TestExport:
@@ -94,23 +96,41 @@ class TestExport:
         assert recs[0].tombstone
 
     def test_by_owner_grouping(self):
-        mt = MemTable(1024, kind="remote")
-        mt.put(b"a", b"1", owner=2)
-        mt.put(b"b", b"2", owner=1)
+        mt = MemTable(1024)
         mt.put(b"c", b"3", owner=2)
+        mt.put(b"b", b"2", owner=1)
+        mt.put(b"a", b"1", owner=2)
         groups = mt.by_owner()
         assert set(groups) == {1, 2}
         assert [k for k, _, _ in groups[2]] == [b"a", b"c"]
 
-    def test_items_sorted(self):
-        mt = MemTable(1024)
-        for i in (5, 1, 3):
-            mt.put(str(i).encode(), b"")
-        assert [k for k, _ in mt.items()] == [b"1", b"3", b"5"]
+    def test_shuffled_writes_come_out_sorted(self):
+        """Keys inserted in shuffled order, then overwritten (some with
+        a new owner) and deleted in another shuffled order: every view
+        is in ascending key order, as a flush, a migration carrier and
+        a scan need it."""
+        rng = random.Random(int(os.environ.get("PKV_FAULT_SEED", "7")))
+        keys = [b"k%03d" % i for i in range(200)]
+        rng.shuffle(keys)
+        mt, model = MemTable(1 << 20), {}
+        for i, key in enumerate(keys):
+            mt.put(key, b"v%d" % i, owner=i % 3)
+            model[key] = (b"v%d" % i, False, i % 3)
+        rng.shuffle(keys)
+        for i, key in enumerate(keys[:120]):
+            tomb, owner = i % 2 == 0, rng.randrange(3)
+            mt.put(key, b"w%d" % i, tombstone=tomb, owner=owner)
+            model[key] = (b"" if tomb else b"w%d" % i, tomb, owner)
+        assert mt.to_records() == _sorted_model(model)
+        groups = mt.by_owner()
+        assert set(groups) == {0, 1, 2}
+        for owner, pairs in groups.items():
+            assert pairs == [(k, v, t) for k, (v, t, o)
+                             in sorted(model.items()) if o == owner]
 
     def test_one_snapshot_between_writes(self):
-        """Readers between two writes share one list; a write (or a
-        physical delete) leaves it as it was and starts the next."""
+        """Readers between two writes share one list; a write (a
+        tombstone too) leaves it as it was and starts the next."""
         mt = MemTable(1024)
         for k in (b"b", b"d"):
             mt.put(k, k)
@@ -119,8 +139,9 @@ class TestExport:
         mt.put(b"c", b"c")
         second = mt.to_records()
         assert second is not first and [r.key for r in first] == [b"b", b"d"]
-        mt.delete_entry(b"b")
+        mt.put(b"b", b"", tombstone=True)
         assert mt.to_records() is not second
+        assert not second[0].tombstone
         assert mt.freeze().to_records() is mt.to_records()
 
     @pytest.mark.parametrize("start,end,want", [
@@ -143,19 +164,23 @@ class TestExport:
                                                    124]
 
 
+@seed(int(os.environ.get("PKV_FAULT_SEED", "7")))
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(
+@given(st.lists(st.lists(st.tuples(
     st.binary(min_size=1, max_size=8),
     st.binary(max_size=24),
     st.booleans(),
-)))
-def test_memtable_matches_dict_model(ops):
-    """put/tombstone sequences track a reference dict exactly."""
+))))
+def test_memtable_matches_dict_model(batches):
+    """put/tombstone sequences track a reference dict exactly, and after
+    every batch the snapshot is the model in key order."""
     mt = MemTable(1 << 30)
     model: dict = {}
-    for key, value, tomb in ops:
-        mt.put(key, value, tombstone=tomb)
-        model[key] = (b"" if tomb else value, tomb)
+    for ops in batches:
+        for key, value, tomb in ops:
+            mt.put(key, value, tombstone=tomb)
+            model[key] = (b"" if tomb else value, tomb)
+        assert mt.to_records() == _sorted_model(model)
     assert len(mt) == len(model)
     for key, (value, tomb) in model.items():
         e = mt.get(key)

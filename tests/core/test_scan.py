@@ -33,14 +33,11 @@ def reference_scan(db, start=None, end=None, include_replicas=False):
     with db._lock:
         db._retire_flushed(db.clock.now)
         tiers: list = []
-        tiers.append([
-            (k, e.value, e.tombstone) for k, e in db.local_mt.items()
-            if _in_range(k, start, end)
-        ])
-        for imm, _end_t in reversed(db.flushing):  # newest first
+        mts = [db.local_mt] + [imm for imm, _end_t in reversed(db.flushing)]
+        for mt in mts:  # newest first
             tiers.append([
-                (k, e.value, e.tombstone) for k, e in imm.items()
-                if _in_range(k, start, end)
+                (r.key, r.value, r.tombstone) for r in mt.to_records()
+                if _in_range(r.key, start, end)
             ])
         ssids = list(db.ssids)
     t = db.clock.now
