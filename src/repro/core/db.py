@@ -76,7 +76,7 @@ from repro.nvm.posixfs import PosixStore
 from repro.nvm.storage import StorageLayout
 from repro.simtime.resources import BackgroundWorker
 from repro.sstable.block_cache import BlockCache
-from repro.sstable.compaction import partition_records, read_and_merge
+from repro.sstable.compaction import read_and_merge
 from repro.sstable.format import (
     QUARANTINE_SUFFIX,
     Record,
@@ -89,11 +89,7 @@ from repro.sstable.format import (
 )
 from repro.util.checksum import crc32c
 from repro.sstable.reader import SSTableReader, list_ssids
-from repro.sstable.writer import (
-    encode_table,
-    write_sstable_blobs,
-    write_tables_ordered,
-)
+from repro.sstable.writer import encode_table, write_sstable_blobs
 from repro.util.hashing import owner_rank
 from repro.util.lru import LRUCache, ObjectLRU
 
@@ -109,8 +105,6 @@ HB_TAG = 8
 #: once it has coalesced this many payload bytes
 GROUP_COMMIT_INTERVAL = 200e-6
 GROUP_COMMIT_BYTES = 64 * config.KB
-#: key-range partition jobs each compaction round is split into
-COMPACTION_PARTITIONS = 4
 #: every this-many-th compaction round is a major (full,
 #: tombstone-dropping) merge instead of a minor delta merge
 COMPACTION_MAJOR_EVERY = 8
@@ -231,12 +225,10 @@ class DbStats:
     migrations: int = 0
     #: write-path overhaul counters: commit windows opened, puts that
     #: rode an open window (sharing its durability charge + ack drain),
-    #: partition jobs run by partitioned compaction, full-merge
-    #: (tombstone-dropping) compactions, and time puts spent blocked on
-    #: flush back-pressure
+    #: full-merge (tombstone-dropping) compactions, and time puts spent
+    #: blocked on flush back-pressure
     group_commits: int = 0
     group_commit_coalesced: int = 0
-    compaction_partition_jobs: int = 0
     compaction_majors: int = 0
     flush_stalls: int = 0
     flush_stall_s: float = 0.0
@@ -942,16 +934,11 @@ class Database:
                                   clock) -> float:
         """Chain the build and sync stages of one flush; returns the
         virtual time the table is durable."""
-        cpu = self.ctx.system.cpu
         holder: Dict[str, Dict[str, bytes]] = {}
 
         def build_job(start: float) -> float:
             self._crash_site(f"flush.build:{self.rank_dir}/{ssid}")
-            holder["blobs"] = encode_table(records)
-            nbytes = sum(len(b) for b in holder["blobs"].values())
-            end = start + cpu.kv_op_s * max(1, len(records)) + (
-                nbytes / self._memcpy_Bps
-            )
+            holder["blobs"], end = self._build_table(records, start)
             self._trace(f"flush-build ssid={ssid}", "flush-build", start, end)
             return end
 
@@ -967,6 +954,19 @@ class Database:
             return end
 
         return self.flush_sync_worker.schedule(t_built, sync_job)
+
+    def _build_table(self, records: List[Record],
+                     start: float) -> Tuple[Dict[str, bytes], float]:
+        """Encode one table's blobs as a CPU job starting at ``start``:
+        ``kv_op`` per record plus the blobs' bytes at memcpy speed.
+        Returns ``(blobs, virtual_end)``; flush and compaction build
+        here."""
+        blobs = encode_table(records)
+        nbytes = sum(len(b) for b in blobs.values())
+        cpu = self.ctx.system.cpu
+        return blobs, start + cpu.kv_op_s * max(1, len(records)) + (
+            nbytes / self._memcpy_Bps
+        )
 
     def _retire_flushed(self, now: float) -> None:
         """Drop flushing-queue entries whose flush completed by ``now``."""
@@ -1025,25 +1025,24 @@ class Database:
         return self.store.delete_many(paths, start)
 
     def _schedule_compaction(self, t_enqueue: float) -> None:
-        """Compact this rank's SSTable set (§2.5, partitioned here).
+        """Compact this rank's SSTable set into one table (§2.5).
 
-        Every output table takes a *fresh* SSID (never reuses an
-        input's): group peers cache readers keyed by SSID, and a
-        rewritten file under an old SSID would pair their cached index
-        with new data silently.  A fresh SSID makes staleness detectable
-        — deleted inputs raise StorageError and the changed newest-SSID
+        The output table takes a *fresh* SSID (never reuses an input's):
+        group peers cache readers keyed by SSID, and a rewritten file
+        under an old SSID would pair their cached index with new data
+        silently.  A fresh SSID makes staleness detectable — deleted
+        inputs raise StorageError and the changed newest-SSID
         invalidates peer caches.
 
-        The merge is incremental and partitioned: a *minor* pass merges
-        only the L0 delta tables flushed since the last trigger into
-        ``COMPACTION_PARTITIONS`` contiguous key-range partitions (old
-        data stays put — tombstones kept), and every
-        ``COMPACTION_MAJOR_EVERY``-th pass is a *major* merge of the
-        whole set that drops tombstones.  Each partition is built by an
-        independent CPU job and the round's outputs land with a single
-        ordered device commit under a duty-cycle rate limit, so
-        compaction never monopolizes the device while foreground puts
-        are stalled on the flush queue.
+        The merge is incremental: a *minor* pass merges only the L0
+        delta tables flushed since the last trigger (old data stays put
+        — tombstones kept), and every ``COMPACTION_MAJOR_EVERY``-th pass
+        is a *major* merge of the whole set that drops tombstones; a
+        major whose merge comes out empty writes no table.  The round is
+        one job on the compaction worker — read and merge, build, one
+        device commit, one batched unlink — under a duty-cycle rate
+        limit, so compaction never monopolizes the device while
+        foreground puts are stalled on the flush queue.
         """
         major = (
             self._minor_gens + 1 >= COMPACTION_MAJOR_EVERY
@@ -1065,82 +1064,38 @@ class Database:
         # timeline: gate the read behind it
         t_read = max(t_enqueue, self.flush_sync_worker.available)
         t_round0 = max(t_read, self.compaction_worker.available)
-        holder: Dict[str, object] = {}
+        new_ssids: List[int] = []
 
-        def read_job(start: float) -> float:
-            merged, readers, end = read_and_merge(
+        def round_job(start: float) -> float:
+            merged, readers, t = read_and_merge(
                 self.store, self.rank_dir, inputs, start,
                 drop_tombstones=major,
             )
-            holder["parts"] = partition_records(merged, COMPACTION_PARTITIONS)
-            holder["readers"] = readers
             self._trace(
-                f"compact-read {len(inputs)} tables", "compaction",
-                start, end,
+                f"compact-read {len(inputs)} tables", "compaction", start, t
             )
-            return end
-
-        self.compaction_worker.schedule(t_read, read_job)
-
-        # each partition is an independent CPU build job; the round then
-        # lands with ONE ordered device access (write_tables_ordered) so
-        # a flush sync queued behind it waits for a bounded transfer —
-        # per-table device round-trips here were the source of
-        # compaction-induced put stalls
-        cpu = self.ctx.system.cpu
-        parts: List[List] = holder["parts"]  # type: ignore[assignment]
-        built: List[Tuple[int, Dict[str, bytes]]] = []
-        new_ssids: List[int] = []
-        for part in parts:
-            new_ssid = self._next_ssid
-            self._next_ssid += 1
-            new_ssids.append(new_ssid)
-
-            def build_job(start: float, _ssid=new_ssid, _part=part) -> float:
-                blobs = encode_table(_part)
-                built.append((_ssid, blobs))
-                nbytes = sum(len(b) for b in blobs.values())
-                end = start + cpu.kv_op_s * max(1, len(_part)) + (
-                    nbytes / self._memcpy_Bps
+            if merged:
+                ssid = self._next_ssid
+                self._next_ssid += 1
+                new_ssids.append(ssid)
+                blobs, built = self._build_table(merged, t)
+                self._trace(
+                    f"compact-build ssid={ssid}", "compaction", t, built
+                )
+                _, t = write_sstable_blobs(
+                    self.store, self.rank_dir, ssid, blobs, built
                 )
                 self._trace(
-                    f"compact-build ssid={_ssid}", "compaction", start, end
+                    f"compact-sync ssid={ssid}", "compaction", built, t
                 )
-                return end
-
-            self.compaction_worker.schedule(
-                self.compaction_worker.available, build_job
+            # retire the inputs with one batched unlink commit; inputs an
+            # open scan has pinned defer their unlink to its close instead
+            return self._retire_table_files(
+                {rd.ssid: list(rd.file_paths()) for rd in readers}, t
             )
-            self.stats.compaction_partition_jobs += 1
 
-        def sync_job(start: float) -> float:
-            _, end = write_tables_ordered(
-                self.store, self.rank_dir, built, start
-            )
-            self._trace(
-                f"compact-sync {len(built)} tables", "compaction", start, end
-            )
-            return end
-
-        self.compaction_worker.schedule(
-            self.compaction_worker.available, sync_job
-        )
-
-        def delete_job(start: float) -> float:
-            # retire the round's inputs with one batched unlink commit;
-            # inputs an open scan has pinned defer their unlink to the
-            # iterator's close instead
-            keep = set(new_ssids)
-            by_ssid: Dict[int, List[str]] = {}
-            for rd in holder["readers"]:  # type: ignore[union-attr]
-                if rd.ssid not in keep:
-                    by_ssid[rd.ssid] = list(rd.file_paths())
-            return self._retire_table_files(by_ssid, start)
-
-        self.compaction_worker.schedule(
-            self.compaction_worker.available, delete_job
-        )
-        self._pace_compaction(t_round0, self.compaction_worker.available)
+        end = self.compaction_worker.schedule(t_read, round_job)
+        self._pace_compaction(t_round0, end)
 
         annotate_write(self, "db.ssids")
         consumed = set(inputs)

@@ -107,14 +107,13 @@ def format_report(db_metrics: Dict[str, Any]) -> str:
         f"sync {m.get('flush_sync_busy_s', 0.0) * 1e3:.3f} ms (virtual)",
     ]
     if m.get("group_commits") or m.get("flush_stalls") \
-            or m.get("compaction_partition_jobs"):
+            or m.get("compaction_majors"):
         lines.append(
             f"  write path: {m.get('group_commits', 0)} commit windows "
             f"({m.get('group_commit_coalesced', 0)} coalesced puts), "
             f"{m.get('flush_stalls', 0)} flush stalls "
             f"({m.get('flush_stall_s', 0.0) * 1e3:.3f} ms), "
-            f"{m.get('compaction_partition_jobs', 0)} partition jobs "
-            f"({m.get('compaction_majors', 0)} majors)"
+            f"{m.get('compaction_majors', 0)} major compactions"
         )
     if m.get("bulk_batches"):
         lines.append(

@@ -9,10 +9,10 @@ deletes the inputs once its outputs are durable.  That merge is
 range scan and the re-replication walk run the same one over lazy
 tiers of runs.
 
-:func:`read_and_merge` + :func:`partition_records` split the merged
-stream into contiguous key-range partitions that the database schedules
-as independent, rate-limited jobs, each producing one fresh-SSID table
-with disjoint footer fences.  Minor (delta-only) merges keep old data in
+:func:`read_and_merge` is the read half of a round: the database
+encodes its merged list into one fresh-SSID table, lands it with one
+device commit and retires the inputs, all as one rate-limited job on
+its compaction worker.  Minor (delta-only) merges keep old data in
 place, so a run of flushes rewrites each byte once instead of rewriting
 the whole rank shard every trigger.
 
@@ -105,26 +105,3 @@ def read_and_merge(
         tiers.append([recs])
     merged = merge_newest(reversed(tiers), not drop_tombstones)
     return list(chain.from_iterable(merged)), readers, t
-
-
-def partition_records(
-    records: List[Record], nparts: int
-) -> List[List[Record]]:
-    """Split sorted ``records`` into ≤ ``nparts`` contiguous key ranges.
-
-    Slices are balanced by record count; empty slices are never
-    produced, so every partition's output table has meaningful footer
-    fences and the ranges are pairwise disjoint (fence pruning stays
-    decisive on the read path).
-    """
-    if nparts <= 1 or len(records) <= 1:
-        return [records] if records else []
-    nparts = min(nparts, len(records))
-    base, extra = divmod(len(records), nparts)
-    parts: List[List[Record]] = []
-    lo = 0
-    for p in range(nparts):
-        hi = lo + base + (1 if p < extra else 0)
-        parts.append(records[lo:hi])
-        lo = hi
-    return parts

@@ -38,7 +38,9 @@ def encode_table(
 
     Returns ``{"data": ..., "index": ..., "bloom": ...}``; ``block_size``
     cuts the SSData blocks the footer's CRCs and block keys are for
-    (the reader takes it from the footer).  Separate from the device
+    (the reader takes it from the footer).  ``data`` is the
+    ``bytearray`` the records were encoded into, not a ``bytes`` copy
+    of it: a compaction round builds its whole merge at once.  Separate from the device
     commit (:func:`write_sstable_blobs`) so the flush pipeline can build
     on its CPU stage, and recovery paths (sidecar rebuild from an intact
     SSData file) can re-derive blobs without rewriting the data.
@@ -60,24 +62,16 @@ def encode_table(
         data += encode_record(rec)
         bloom.add(rec.key)
 
-    data_blob = bytes(data)
     bloom_blob = encode_bloom_file(bloom)
     first = block_starts([e.offset for e in entries], block_size)
     footer = make_footer(
-        data_blob, bloom_blob, block_size,
+        data, bloom_blob, block_size,
         min_key=recs[0].key if recs else b"",
         max_key=recs[-1].key if recs else b"",
         block_keys=tuple(recs[i].key for i in first), block_first=first,
     )
     index_blob = encode_index(entries, footer)
-    return {"data": data_blob, "index": index_blob, "bloom": bloom_blob}
-
-
-def _files_of(directory: str, ssid: int,
-              blobs: Dict[str, bytes]) -> List[Tuple[str, bytes]]:
-    """One table's ``(path, bytes)`` in commit order: data, index, bloom."""
-    return list(zip(sstable_paths(directory, ssid),
-                    (blobs["data"], blobs["index"], blobs["bloom"])))
+    return {"data": data, "index": index_blob, "bloom": bloom_blob}
 
 
 def write_sstable_blobs(
@@ -90,39 +84,14 @@ def write_sstable_blobs(
     """Land pre-encoded table blobs as one batched durable commit.
 
     The pipelined flush builds the blobs on the CPU stage
-    (:func:`encode_table`) and hands them here on the sync stage: the
-    three files keep the SSData -> SSIndex -> bloom order and their
-    per-file atomicity/crash sites, but the device pays one access
-    latency plus the aggregate bytes (``PosixStore.write_ordered``).
-    Returns ``(bytes_written, virtual_completion_time)``.
-    """
-    end = store.write_ordered(_files_of(directory, ssid, blobs), t)
-    return sum(len(b) for b in blobs.values()), end
-
-
-def write_tables_ordered(
-    store: PosixStore,
-    directory: str,
-    tables: Iterable[Tuple[int, Dict[str, bytes]]],
-    t: float,
-) -> Tuple[int, float]:
-    """Land several pre-encoded tables as one batched durable commit.
-
-    ``tables`` is ``[(ssid, blobs), ...]`` with blobs from
-    :func:`encode_table`.  Partitioned compaction syncs a whole round of
-    partition outputs this way: every table keeps the SSData -> SSIndex
-    -> bloom file order and per-file atomicity, but the device pays a
-    single access latency plus the round's aggregate bytes — so a
-    foreground flush queued behind the round waits for one bounded
-    transfer, not ``3 x partitions`` separate accesses.  Returns
+    (:func:`encode_table`) and hands them here on the sync stage, and a
+    compaction round lands its one output table here: the three files
+    keep the SSData -> SSIndex -> bloom order and their per-file
+    atomicity/crash sites, but the device pays one access latency plus
+    the aggregate bytes (``PosixStore.write_ordered``).  Returns
     ``(bytes_written, virtual_completion_time)``.
     """
-    items: List[Tuple[str, bytes]] = []
-    total = 0
-    for ssid, blobs in tables:
-        items.extend(_files_of(directory, ssid, blobs))
-        total += sum(len(b) for b in blobs.values())
-    if not items:
-        return 0, t
-    end = store.write_ordered(items, t)
-    return total, end
+    files = zip(sstable_paths(directory, ssid),
+                (blobs["data"], blobs["index"], blobs["bloom"]))
+    end = store.write_ordered(list(files), t)
+    return sum(len(b) for b in blobs.values()), end

@@ -1,12 +1,13 @@
-"""Write-path overhaul: group commit, pipelined flush, partitioned
-compaction, and the WriteBatch surface.
+"""Write-path overhaul: group commit, pipelined flush, compaction, and
+the WriteBatch surface.
 
 Covers the write API's contract: commit-window coalescing and its cost
 model, the two-stage flush pipeline (persistence across reopen, stage
 overlap, non-blocking flush, worker accounting), incremental
-partitioned compaction (correctness, precise invalidation, major
-merges dropping tombstones, duty-cycle pacing), batch durability levels
-and auto-flush, and the streaming scan_collect merge.
+compaction (one fresh-SSID table per round, correctness, precise
+invalidation, major merges dropping tombstones, duty-cycle pacing),
+batch durability levels and auto-flush, and the streaming scan_collect
+merge.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.core import api
 from repro.core.db import (
     COMPACTION_DUTY_CYCLE,
     COMPACTION_MAJOR_EVERY,
-    COMPACTION_PARTITIONS,
     GROUP_COMMIT_BYTES,
     GROUP_COMMIT_INTERVAL,
 )
@@ -26,11 +26,28 @@ from repro.errors import InvalidOptionError
 from repro.mpi.launcher import RankFailure
 from repro.nvm.storage import Machine
 from repro.simtime.profiles import SUMMITDEV
+from repro.sstable.reader import list_ssids
 from tests.conftest import small_options
 
 
 def run1(fn, **kw):
     return spmd_run(1, fn, **kw)[0]
+
+
+def _record_rounds(db):
+    """Spy on ``db``'s compaction rounds: each call appends the SSIDs it
+    took out of the table set and the ones it put in."""
+    rounds = []
+    inner = db._schedule_compaction
+
+    def spy(t_enqueue):
+        before = set(db.ssids)
+        inner(t_enqueue)
+        after = set(db.ssids)
+        rounds.append((before - after, after - before))
+
+    db._schedule_compaction = spy
+    return rounds
 
 
 def _fill(db, n, tag="w", vlen=48):
@@ -209,17 +226,22 @@ class TestPipelinedFlush:
         run1(app)
 
 
-class TestPartitionedCompaction:
-    def test_partition_jobs_and_correctness(self):
+class TestCompaction:
+    def test_one_table_per_round_and_correctness(self):
+        """Every round that merged two or more inputs left exactly one
+        new table, under an SSID above every input's."""
+
         def app(ctx):
             with Papyrus(ctx) as env:
                 db = env.open("pc", small_options(compaction_interval=2))
+                rounds = _record_rounds(db)
                 _fill(db, 400)
                 db.flush()
-                s = db.stats
-                assert s.compactions >= 1
-                assert s.compaction_partition_jobs == \
-                    s.compactions * COMPACTION_PARTITIONS
+                merged = [(i, o) for i, o in rounds if len(i) >= 2]
+                assert len(merged) == db.stats.compactions >= 1
+                for inputs, outputs in merged:
+                    assert len(outputs) == 1
+                    assert min(outputs) > max(inputs)
                 _check(db, 400)
                 db.close()
 
@@ -233,13 +255,43 @@ class TestPartitionedCompaction:
             with Papyrus(ctx) as env:
                 db = env.open("pcminor", small_options(
                     compaction_interval=2))
+                rounds = _record_rounds(db)
                 _fill(db, 500)
                 db.flush()
                 assert 2 <= db.stats.compactions < COMPACTION_MAJOR_EVERY
                 assert db.stats.compaction_majors == 0
-                # several generations of partition outputs accumulate
-                assert len(db.ssids) > COMPACTION_PARTITIONS
+                # several generations of round outputs stay live
+                outputs = set().union(*(o for _, o in rounds))
+                assert len(outputs & set(db.ssids)) >= 2
                 _check(db, 500)
+                db.close()
+
+        run1(app)
+
+    def test_empty_major_installs_no_table(self):
+        """A major round whose merge drops every record writes no table
+        and takes no SSID; the inputs are gone all the same."""
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("pcempty", small_options(
+                    compaction_interval=0))
+                _fill(db, 50)
+                db.flush()
+                for i in range(50):
+                    db.delete(f"w{i:04d}".encode())
+                db.flush()
+                assert len(db.ssids) == 2
+                next_ssid = db._next_ssid
+                db._minor_gens = COMPACTION_MAJOR_EVERY - 1  # major due
+                db._schedule_compaction(ctx.clock.now)
+                assert db.stats.compaction_majors == 1
+                assert db.ssids == []
+                assert db._next_ssid == next_ssid
+                assert list_ssids(db.store, db.rank_dir) == []
+                assert all(db.get_or_none(f"w{i:04d}".encode()) is None
+                           for i in range(50))
+                assert db.scan_local() == []
                 db.close()
 
         run1(app)
@@ -284,14 +336,12 @@ class TestPartitionedCompaction:
                 # touch every table so readers get cached
                 _check(db, 400)
                 cached_before = {s for _, s in db.block_cache._readers}
-                survivors = [s for s in db.ssids if s not in db._l0][:0]
                 inputs = list(db._l0)
                 db._schedule_compaction(ctx.clock.now)
                 cached_after = {s for _, s in db.block_cache._readers}
                 # inputs' readers are gone; nothing else was touched
                 assert not (cached_after & set(inputs))
                 assert cached_after <= cached_before
-                del survivors
                 _check(db, 400)
                 db.close()
 
@@ -316,7 +366,7 @@ class TestPartitionedCompaction:
         run1(app)
 
     def test_multirank_compaction_visibility(self):
-        """Peers still resolve keys after partitioned compactions churn
+        """Peers still resolve keys after compactions churn
         the owner's table set (fresh-SSID invariant)."""
 
         def app(ctx):

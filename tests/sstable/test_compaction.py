@@ -15,10 +15,7 @@ from repro.simtime.resources import TimedResource
 from repro.sstable.compaction import merge_newest, read_and_merge
 from repro.sstable.format import Record
 from repro.sstable.reader import SSTableReader, list_ssids
-from repro.sstable.writer import (
-    encode_table,
-    write_tables_ordered,
-)
+from repro.sstable.writer import encode_table, write_sstable_blobs
 from tests.conftest import write_table
 
 
@@ -186,7 +183,7 @@ class TestMergeNewest:
 
 class TestReadMergeWrite:
     """The round the database runs: read_and_merge the inputs, land the
-    outputs with one write_tables_ordered commit."""
+    one output table with one write_sstable_blobs commit."""
 
     def _write(self, store, ssid, pairs):
         recs = [
@@ -198,8 +195,8 @@ class TestReadMergeWrite:
         merged, readers, t = read_and_merge(
             store, "t", ssids, t, drop_tombstones=drop_tombstones
         )
-        _, t = write_tables_ordered(
-            store, "t", [(new_ssid, encode_table(merged))], t
+        _, t = write_sstable_blobs(
+            store, "t", new_ssid, encode_table(merged), t
         )
         return merged, readers, t
 
@@ -225,7 +222,6 @@ class TestReadMergeWrite:
     def test_empty_input(self, store):
         merged, readers, t = read_and_merge(store, "t", [], 5.0)
         assert merged == [] and readers == [] and t == 5.0
-        assert write_tables_ordered(store, "t", [], t) == (0, 5.0)
 
     def test_charges_time(self, store):
         slow = PosixStore(

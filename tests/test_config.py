@@ -133,7 +133,6 @@ class TestOptionsValidation:
         env = {
             "PAPYRUSKV_GROUP_COMMIT": "0",
             "PAPYRUSKV_FLUSH_PIPELINE": "0",
-            "PAPYRUSKV_COMPACTION_PARTITIONS": "1",
             "PAPYRUSKV_FENCE_PRUNING": "0",
             "PAPYRUSKV_SCAN_CHUNK": "7",
         }

@@ -88,7 +88,7 @@ class TestDatabaseMetrics:
                   "compaction_busy_s dispatcher_busy_s flush_build_busy_s "
                   "flush_sync_busy_s latency".split())
         )
-        assert len(dataclasses.fields(DbStats)) == 46
+        assert len(dataclasses.fields(DbStats)) == 45
 
     def test_get_tiers_sum(self):
         (dbm, _), _ = _run_and_collect()
