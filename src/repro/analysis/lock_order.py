@@ -85,7 +85,7 @@ LOCK_ORDER: Tuple[LockClass, ...] = (
         level=40,
         attrs=("_mbx_lock",),
         holder="mpi.comm.World",
-        guards="the (comm, rank) -> mailbox map",
+        guards="creating an entry of the (comm, rank) -> mailbox map",
     ),
     LockClass(
         name="comm.collective",
@@ -181,8 +181,9 @@ def render_threads_map() -> str:
         "`db.index_cache` "
         "(installing eagerly published index bundles), "
         "`sstable.reader` and `sstable.block_cache` (SSTable lookups "
-        "on behalf of remote ranks), `world.mailboxes` (its "
-        "blocking receive).",
+        "on behalf of remote ranks); its blocking receive takes no "
+        "registered lock — it sleeps on a wake lock of its own that "
+        "the matching sender releases.",
         "* **virtual background workers** (compaction, dispatcher) are "
         "*not* real threads: their jobs run eagerly on whichever real "
         "thread schedules them and inherit that thread's held locks — "

@@ -21,6 +21,7 @@ from typing import (
 
 from repro.analysis.runtime import get_detector, make_lock
 from repro.faults import RankKilledError
+from repro.mpi.launcher import current_rank_context
 from repro.mpi.message import Envelope, payload_nbytes
 from repro.simtime.clock import VirtualClock
 from repro.simtime.profiles import NetworkProfile
@@ -40,62 +41,112 @@ class AbortedError(RuntimeError):
     """The SPMD run was aborted because another rank failed."""
 
 
+class _Waiter:
+    """A blocked receiver: its match, its wake lock, the handed envelope."""
+
+    __slots__ = ("source", "tag", "wake", "env")
+
+    def __init__(self, source: int, tag: int) -> None:
+        self.source = source
+        self.tag = tag
+        self.wake = threading.Lock()
+        self.wake.acquire()
+        self.env: Optional[Envelope] = None
+
+
+def _matches(env: Envelope, source: int, tag: int) -> bool:
+    return (source == ANY_SOURCE or env.source == source) and (
+        tag == ANY_TAG or env.tag == tag
+    )
+
+
 class _Mailbox:
-    """Incoming-message store for one (comm, rank)."""
+    """Incoming-message store for one (comm, rank).
+
+    A receiver that finds no queued match registers a :class:`_Waiter`
+    and sleeps on its own lock; :meth:`deliver` hands an envelope
+    straight to the first waiter it matches and wakes that one only.  No
+    queued envelope ever matches a registered waiter, so a receiver gets
+    its matches in delivery order (non-overtaking per source and tag).
+    """
 
     def __init__(self, abort_event: threading.Event) -> None:
         self._items: List[Envelope] = []
-        self._cond = threading.Condition()
+        self._waiters: List[_Waiter] = []
+        self._lock = threading.Lock()
         self._abort = abort_event
         self._dead = False
 
     def wake_all(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
+        """Wake every blocked receiver empty-handed (abort or kill)."""
+        with self._lock:
+            waiters, self._waiters = self._waiters, []
+            for waiter in waiters:
+                waiter.wake.release()
 
     def mark_dead(self) -> None:
         """The owning rank was killed: every blocked or future receive
         on this inbox raises :class:`~repro.faults.RankKilledError`, so
         the rank's handler thread unwinds without aborting the world."""
-        with self._cond:
-            self._dead = True
-            self._cond.notify_all()
+        self._dead = True  # take reads it under the lock wake_all takes
+        self.wake_all()
 
     def deliver(self, env: Envelope) -> None:
-        with self._cond:
+        with self._lock:
+            for i, waiter in enumerate(self._waiters):
+                if _matches(env, waiter.source, waiter.tag):
+                    del self._waiters[i]
+                    waiter.env = env
+                    waiter.wake.release()
+                    return
             self._items.append(env)
-            self._cond.notify_all()
 
     def _match_index(self, source: int, tag: int) -> Optional[int]:
         for i, env in enumerate(self._items):
-            if (source == ANY_SOURCE or env.source == source) and (
-                tag == ANY_TAG or env.tag == tag
-            ):
+            if _matches(env, source, tag):
                 return i
         return None
 
+    def _raise_if_closed(self) -> None:
+        if self._dead:
+            raise RankKilledError("rank killed by fault plan")
+        if self._abort.is_set():
+            raise AbortedError("SPMD run aborted")
+
     def take(self, source: int, tag: int, timeout: Optional[float]) -> Envelope:
-        with self._cond:
-            while True:
-                if self._dead:
-                    raise RankKilledError("rank killed by fault plan")
-                if self._abort.is_set():
-                    raise AbortedError("SPMD run aborted")
-                idx = self._match_index(source, tag)
-                if idx is not None:
-                    return self._items.pop(idx)
-                if not self._cond.wait(timeout):
-                    raise TimeoutError(
-                        f"recv timed out waiting for source={source} tag={tag}"
-                    )
+        """Remove the first match, blocking once for up to ``timeout``
+        seconds from the call (None: forever)."""
+        with self._lock:
+            self._raise_if_closed()
+            idx = self._match_index(source, tag)
+            if idx is not None:
+                return self._items.pop(idx)
+            waiter = _Waiter(source, tag)
+            self._waiters.append(waiter)
+        wait = -1 if timeout is None else timeout
+        if waiter.wake.acquire(True, wait) and waiter.env is not None:
+            return waiter.env
+        with self._lock:
+            if waiter.env is not None:  # handed over as the wait ran out
+                return waiter.env
+            if waiter in self._waiters:  # timed out, nothing handed over
+                self._waiters.remove(waiter)
+            self._raise_if_closed()
+        raise TimeoutError(
+            f"recv timed out waiting for source={source} tag={tag}"
+        )
 
     def poll(self, source: int, tag: int) -> Optional[Envelope]:
-        with self._cond:
+        if not self._items:
+            return None
+        with self._lock:
             idx = self._match_index(source, tag)
             return self._items.pop(idx) if idx is not None else None
 
     def peek(self, source: int, tag: int) -> bool:
-        with self._cond:
+        if not self._items:  # an atomic read: an empty inbox takes no lock
+            return False
+        with self._lock:
             return self._match_index(source, tag) is not None
 
 
@@ -133,7 +184,8 @@ class World:
         self.clocks: List[VirtualClock] = [
             VirtualClock(label=f"rank{r}") for r in range(size)
         ]
-        nnodes = max(node_of_rank(r) for r in range(size)) + 1
+        self._node_of = [node_of_rank(r) for r in range(size)]
+        nnodes = max(self._node_of) + 1
         self._nics = [
             TimedResource(f"nic{n}", 0.0, network.bandwidth_Bps)
             for n in range(nnodes)
@@ -199,8 +251,12 @@ class World:
             return world_rank in self._dead_ranks
 
     def mailbox(self, comm_id: int, world_rank: int) -> _Mailbox:
-        """The (lazily created) inbox of one rank on one communicator."""
+        """The (lazily created) inbox of one rank on one communicator:
+        a dict read is atomic, so the lock is taken only to create one."""
         key = (comm_id, world_rank)
+        box = self._mailboxes.get(key)
+        if box is not None:
+            return box
         with self._mbx_lock:
             box = self._mailboxes.get(key)
             if box is None:
@@ -219,8 +275,8 @@ class World:
         the congestion effect the paper observes for relaxed-mode
         migration bursts (§5.2, Figure 7).
         """
-        src_node = self.node_of_rank(src)
-        if src_node == self.node_of_rank(dst):
+        src_node = self._node_of[src]
+        if src_node == self._node_of[dst]:
             end = self._shm_buses[src_node].access(t_send, nbytes)
             return end + _SHM_LATENCY_S
         end = self._nics[src_node].access(t_send, nbytes)
@@ -285,25 +341,12 @@ class Comm:
 
     @property
     def rank(self) -> int:
-        return self._rank_of_world[self._my_world_rank()]
+        return self._rank_of_world[current_rank_context().world_rank]
 
-    def _my_world_rank(self) -> int:
-        from repro.mpi.launcher import current_rank_context
-
-        return current_rank_context().world_rank
-
-    def _my_clock(self) -> VirtualClock:
-        """The calling *thread's* clock.
-
-        PapyrusKV's handler threads share their rank's mailboxes but run
-        on their own timelines, exactly like the paper's service threads.
-        """
-        from repro.mpi.launcher import current_rank_context
-
-        return current_rank_context().clock
-
-    def _deliver(self, src_w: int, dst_w: int, env: Envelope) -> None:
-        """Deposit an envelope, consulting the fault plan if one is armed.
+    def _post(self, obj: Any, src_w: int, dest: int, tag: int,
+              t_send: float) -> float:
+        """Size, time and deposit one message leaving at ``t_send``,
+        consulting the fault plan if one is armed; returns its arrival.
 
         A dropped message still paid its clock/fabric charges on the
         sender side — the bytes left the NIC and vanished.  A duplicate
@@ -311,44 +354,43 @@ class Comm:
         dedupe); a delay shifts only the virtual arrival time.
         """
         world = self._world
+        dst_w = self._group[dest]
+        nbytes = payload_nbytes(obj)
+        arrival = world.transfer_complete(src_w, dst_w, t_send, nbytes)
         if world._dead_ranks and (
             world.is_dead(dst_w) or world.is_dead(src_w)
         ):
             # a dead rank neither sends nor receives: traffic to it
             # vanishes, traffic from its dying threads is suppressed
-            return
-        plan = self._world.faults
-        box = self._world.mailbox(self._comm_id, dst_w)
-        duplicate = False
+            return arrival
+        env = Envelope(self._rank_of_world[src_w], dest, tag, obj, arrival,
+                       nbytes)
+        copies = 1
+        plan = world.faults
         if plan is not None:
-            action = plan.on_message(env.payload, src_w, dst_w)
+            action = plan.on_message(obj, src_w, dst_w)
             if action == "drop":
-                return
+                return arrival
             if action == "duplicate":
-                duplicate = True
+                copies = 2
             elif isinstance(action, tuple) and action[0] == "delay":
-                env = Envelope(env.source, env.dest, env.tag, env.payload,
-                               env.arrival + action[1], env.nbytes)
+                env.arrival += action[1]
         det = get_detector()
         if det is not None:
             det.on_send(env)  # attach the sender's clock (HB edge)
-        if duplicate:
+        box = world.mailbox(self._comm_id, dst_w)
+        for _ in range(copies):
             box.deliver(env)
-        box.deliver(env)
+        return arrival
 
     # ------------------------------------------------------------------- p2p
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Buffered send: deposits the message and returns immediately."""
         if not 0 <= dest < self.size:
             raise ValueError(f"invalid destination rank {dest}")
-        clock = self._my_clock()
-        clock.advance(self._world.network.sw_overhead_s)
-        src_w = self._my_world_rank()
-        dst_w = self._group[dest]
-        nbytes = payload_nbytes(obj)
-        arrival = self._world.transfer_complete(src_w, dst_w, clock.now, nbytes)
-        env = Envelope(self.rank, dest, tag, obj, arrival, nbytes)
-        self._deliver(src_w, dst_w, env)
+        ctx = current_rank_context()
+        t_send = ctx.clock.advance(self._world.network.sw_overhead_s)
+        self._post(obj, ctx.world_rank, dest, tag, t_send)
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         """Nonblocking send (buffered: completes immediately)."""
@@ -364,15 +406,8 @@ class Comm:
         """
         if not 0 <= dest < self.size:
             raise ValueError(f"invalid destination rank {dest}")
-        src_w = self._my_world_rank()
-        dst_w = self._group[dest]
-        nbytes = payload_nbytes(obj)
-        arrival = self._world.transfer_complete(
-            src_w, dst_w, t_send + self._world.network.sw_overhead_s, nbytes
-        )
-        env = Envelope(self.rank, dest, tag, obj, arrival, nbytes)
-        self._deliver(src_w, dst_w, env)
-        return arrival
+        return self._post(obj, current_rank_context().world_rank, dest, tag,
+                          t_send + self._world.network.sw_overhead_s)
 
     def fanout(self, payloads: Mapping[int, Any], tag: int = 0
                ) -> Dict[int, float]:
@@ -385,22 +420,14 @@ class Comm:
         time and NIC contention are modelled exactly as with
         :meth:`send`.  Returns ``{dest: arrival time}``.
         """
-        clock = self._my_clock()
-        clock.advance(self._world.network.sw_overhead_s)
-        src_w = self._my_world_rank()
+        ctx = current_rank_context()
+        t_send = ctx.clock.advance(self._world.network.sw_overhead_s)
         arrivals: Dict[int, float] = {}
         for dest in sorted(payloads):
             if not 0 <= dest < self.size:
                 raise ValueError(f"invalid destination rank {dest}")
-            obj = payloads[dest]
-            dst_w = self._group[dest]
-            nbytes = payload_nbytes(obj)
-            arrival = self._world.transfer_complete(
-                src_w, dst_w, clock.now, nbytes
-            )
-            env = Envelope(self.rank, dest, tag, obj, arrival, nbytes)
-            self._deliver(src_w, dst_w, env)
-            arrivals[dest] = arrival
+            arrivals[dest] = self._post(payloads[dest], ctx.world_rank, dest,
+                                        tag, t_send)
         return arrivals
 
     def recv(
@@ -411,12 +438,13 @@ class Comm:
         status: Optional[Dict[str, Any]] = None,
     ) -> Any:
         """Blocking receive; advances the clock to the message arrival."""
-        clock = self._my_clock()
-        box = self._world.mailbox(self._comm_id, self._my_world_rank())
+        ctx = current_rank_context()
+        box = self._world.mailbox(self._comm_id, ctx.world_rank)
         env = box.take(source, tag, timeout)
         det = get_detector()
         if det is not None:
             det.on_recv(env)
+        clock = ctx.clock
         clock.advance(self._world.network.sw_overhead_s)
         clock.advance_to(env.arrival)
         if status is not None:
@@ -428,8 +456,9 @@ class Comm:
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Nonblocking receive; complete with ``Request.wait``/``test``."""
-        box = self._world.mailbox(self._comm_id, self._my_world_rank())
-        clock = self._my_clock()
+        ctx = current_rank_context()
+        box = self._world.mailbox(self._comm_id, ctx.world_rank)
+        clock = ctx.clock
 
         def blocking() -> Any:
             env = box.take(source, tag, None)
@@ -454,7 +483,8 @@ class Comm:
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """True if a matching message is already deliverable."""
-        box = self._world.mailbox(self._comm_id, self._my_world_rank())
+        box = self._world.mailbox(self._comm_id,
+                                  current_rank_context().world_rank)
         return box.peek(source, tag)
 
     def sendrecv(self, obj: Any, dest: int, source: int,
@@ -474,8 +504,9 @@ class Comm:
     def _sync_clocks(self, extra: float) -> float:
         """Align all group clocks to max + extra; returns the new time."""
         coll = self._coll
-        me = self.rank
-        clock = self._my_clock()
+        ctx = current_rank_context()
+        me = self._rank_of_world[ctx.world_rank]
+        clock = ctx.clock
         det = get_detector()
         if det is not None:
             det.on_barrier_arrive(coll)

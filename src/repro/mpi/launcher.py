@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults import RankKilledError
-from repro.mpi.comm import Comm, World
 from repro.simtime.clock import VirtualClock, set_current_clock
 from repro.simtime.profiles import SUMMITDEV, SystemProfile
+
+if TYPE_CHECKING:  # comm reads the bound context through this module
+    from repro.mpi.comm import Comm
 
 _tls = threading.local()
 
@@ -99,6 +101,7 @@ def spmd_run(
     if nranks <= 0:
         raise ValueError("nranks must be positive")
     from repro.analysis.runtime import get_detector, maybe_enable_from_env
+    from repro.mpi.comm import Comm, World
 
     det = maybe_enable_from_env()
     if det is not None:

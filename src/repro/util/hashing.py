@@ -9,6 +9,7 @@ the paper's load-balancing hook allows (§2.4, Figure 12).
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional
 
 _MASK64 = (1 << 64) - 1
@@ -28,8 +29,10 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
+@functools.lru_cache(maxsize=4096)
 def builtin_key_hash(key: bytes) -> int:
-    """The PapyrusKV runtime's default key hash."""
+    """The runtime's default key hash, memoised: FNV-1a is a Python loop
+    and every put and get routes its key (a replicated put 2-3 times)."""
     return fnv1a_64(key)
 
 
@@ -37,5 +40,6 @@ def owner_rank(key: bytes, nranks: int, hash_fn: Optional[HashFunction] = None) 
     """Map ``key`` to its owner rank: ``hash(key) % nranks``."""
     if nranks <= 0:
         raise ValueError("nranks must be positive")
-    fn = hash_fn or builtin_key_hash
-    return fn(key) % nranks
+    if hash_fn is None:  # the cache needs a hashable key
+        return builtin_key_hash(bytes(key)) % nranks
+    return hash_fn(key) % nranks

@@ -156,8 +156,8 @@ def edge_reader(request, store):
 
 
 class TestBlockCursor:
-    """``find_ge`` + ``scan_from``: a block is fetched once and every
-    record is sliced out of it, whatever a boundary cuts."""
+    """``find_ge`` + ``SSTableReader.runs``: a block is fetched once and
+    every record is sliced out of it, whatever a boundary cuts."""
 
     def test_layout_is_what_the_cases_need(self, edge_reader):
         index, _ = edge_reader.load_index(0.0)

@@ -45,6 +45,18 @@ class TestOwnerRank:
     def test_builtin_is_fnv(self):
         assert builtin_key_hash(b"k") == fnv1a_64(b"k")
 
+    def test_builtin_hash_is_paid_once_per_key(self):
+        """The builtin hash is memoised (a bytearray key shares the
+        bytes key's entry); a custom hash runs on every call."""
+        builtin_key_hash.cache_clear()
+        owner_rank(b"once", 4)
+        assert owner_rank(bytearray(b"once"), 4) == fnv1a_64(b"once") % 4
+        assert builtin_key_hash.cache_info()[:2] == (1, 1)  # hits, misses
+        calls = []
+        for _ in range(2):
+            owner_rank(b"once", 4, lambda k: calls.append(k) or 3)
+        assert calls == [b"once", b"once"]
+
     def test_distribution_roughly_uniform(self):
         n = 8
         counts = [0] * n
