@@ -61,8 +61,9 @@ LOCK_ORDER: Tuple[LockClass, ...] = (
         level=15,
         attrs=("_mv_lock",),
         holder="core.membership.MembershipView",
-        guards="replica-group membership: epoch, dead set, last-heard "
-               "times, suspicion, pending re-replication work",
+        guards="changes to replica-group membership (a death, a merged "
+               "view, proof of life, suspicion, the re-replication "
+               "queue); readers take the published snapshot unlocked",
     ),
     LockClass(
         name="db.index_cache",
@@ -166,8 +167,9 @@ def render_threads_map() -> str:
         "* **rank main** — `db.state` (every put/get/scan/fence), "
         "`db.scan_pins` (pinning a scan's SSID horizon at open, "
         "releasing it at iterator close), "
-        "`db.membership` (replica-group routing and failure "
-        "declarations when `replicas > 1`), "
+        "`db.membership` (failure declarations and the "
+        "re-replication queue when `replicas > 1`; routing reads the "
+        "published snapshot unlocked), "
         "`db.index_cache` (views and "
         "readers of other ranks' tables, on every get that walks them), "
         "`world.comm`/`world.mailboxes` "
@@ -177,7 +179,8 @@ def render_threads_map() -> str:
         "probes, invalidation).",
         "* **message handler** (per rank × database) — `db.state` "
         "(serving migrations and remote gets), `db.membership` "
-        "(heartbeats, piggybacked liveness, epoch checks), "
+        "(merging piggybacked views, proof of life; epoch checks read "
+        "the snapshot unlocked), "
         "`db.index_cache` "
         "(installing eagerly published index bundles), "
         "`sstable.reader` and `sstable.block_cache` (SSTable lookups "

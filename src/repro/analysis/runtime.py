@@ -15,7 +15,10 @@ checks over the threaded SPMD runtime:
   lock graph whose cycles are reported with both acquisition stacks.
 
 When the detector is disabled (the default) every hook is one global
-``None`` check, so instrumented code paths stay effectively free.
+``None`` check, but a tracked lock still keeps its owner and count in
+Python: a round trip costs 0.88 µs against 0.34 µs for a raw
+``threading.Lock`` (CPython 3.11, one Intel Xeon core), so a hot path
+should not take one it does not need.
 
 Detection is schedule-insensitive where it matters: two accesses race
 iff no happens-before chain orders them, so a race is reported even

@@ -466,7 +466,7 @@ class Database:
         #: membership view of the replica plane; None ⇔ replicas == 1
         #: (the unreplicated paths never touch it)
         self.membership: Optional[MembershipView] = (
-            MembershipView(self.rank, self.nranks)
+            MembershipView(self.rank, self.nranks, options.replicas)
             if options.replicas > 1 else None
         )
         #: the open commit window's replica riders, key -> pair in put
@@ -1367,27 +1367,23 @@ class Database:
         raise RankKilledError(f"rank {self.rank} killed by fault plan")
 
     def _replica_group(self, key: bytes, check: bool = True) -> List[int]:
-        """The key's replica group: a ring walk from the hash owner.
+        """The key's replica group: the hash owner's row of the
+        membership view's group table.
 
-        Walks rank ``owner_of(key)`` and its successors, skipping dead
-        ranks, until ``replicas`` live members are collected; the first
-        member is the **acting primary** (after any single death this is
-        always a pre-death group member, since the ring only shifts).
-        With ``check`` the group must still satisfy the write quorum, or
-        :class:`QuorumLostError` is raised.
+        The view walks rank ``owner_of(key)`` and its successors once
+        per epoch, skipping dead ranks, until ``replicas`` live members
+        are collected; the first member is the **acting primary** (after
+        any single death this is always a pre-death group member, since
+        the ring only shifts).  The list is shared by every caller until
+        the next epoch: never mutate it.  With ``check`` the group must
+        still satisfy the write quorum, or :class:`QuorumLostError` is
+        raised.
         """
         mv = self.membership
         home = self.owner_of(key)
         if mv is None:
             return [home]
-        group: List[int] = []
-        for i in range(self.nranks):
-            r = (home + i) % self.nranks
-            if mv.is_dead(r):
-                continue
-            group.append(r)
-            if len(group) == self.options.replicas:
-                break
+        group = mv.snapshot.groups[home]
         if check and len(group) < self.options.write_quorum:
             raise QuorumLostError(
                 f"only {len(group)} live replica(s) for key {key!r}; "
@@ -2418,9 +2414,9 @@ class Database:
         # the main thread may have declared the owner dead — and run its
         # _drop_peer_cache purge — between the caller's staleness check
         # and the install above.  Re-check after the locked install
-        # (db.membership ranks below db.index_cache in the canonical
-        # order, so it cannot be read under it): whichever of purge and
-        # install ran second, no view from a dead epoch survives
+        # (a death publishes under db.membership, which the install does
+        # not hold): whichever of purge and install ran second, no view
+        # from a dead epoch survives
         if mv is not None and (mv.is_dead(owner) or mv.epoch > epoch):
             self._drop_peer_cache(owner, owner_dir)
             return False
@@ -2512,18 +2508,15 @@ class Database:
         never sends while a lock is held and never runs on the handler
         thread.
         """
+        if not self._index_pub_due:
+            return  # an unlocked length read: a late append waits a tick
         with self._lock:
             due, self._index_pub_due = set(self._index_pub_due), []
         mv = self.membership
-        if not due or mv is None:
+        if mv is None:
             return
-        targets = [
-            r for r in (
-                (self.rank + i) % self.nranks
-                for i in range(1, self.options.replicas)
-            )
-            if r != self.rank and not mv.is_dead(r)
-        ]
+        # my group minus me (its head: a view never holds me dead)
+        targets = mv.snapshot.groups[self.rank][1:]
         if not targets:
             return
         far = [r for r in targets if not self.shares_storage_with(r)]

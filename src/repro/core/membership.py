@@ -10,17 +10,22 @@ advances, so two views can always be merged by taking the union/max and
 in-flight messages from a superseded epoch can be rejected
 deterministically.
 
-All state is guarded by the ``db.membership`` lock (level 15 in the
-canonical order, between ``db.state`` and ``db.index_cache``): both the rank
-main thread (routing, failure declaration) and the handler thread
-(heartbeats, piggybacked liveness) read and write it.
+Writers lock, readers read the published snapshot.  Both the rank main
+thread (failure declaration) and the handler thread (heartbeats,
+piggybacked liveness) change the view under the ``db.membership`` lock
+(level 15 in the canonical order, between ``db.state`` and
+``db.index_cache``); a change of the dead set or the epoch publishes a
+new immutable :class:`Snapshot`, built whole before one attribute
+store makes it visible.  Every reader — routing on each put and get,
+epoch checks on each message — takes the snapshot with one attribute
+read and no lock: an immutable object has nothing to race on.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Set, Tuple
 
-from repro.analysis.runtime import annotate_read, annotate_write, make_lock
+from repro.analysis.runtime import annotate_write, make_lock
 from repro.errors import MembershipEpochError
 
 #: failure-detector timing in virtual seconds (read by ``Database._tick``):
@@ -32,6 +37,22 @@ SUSPECT_TIMEOUT = 2e-3
 DEAD_TIMEOUT = 5e-3
 
 
+class Snapshot(NamedTuple):
+    """One published view, replaced whole on a change and never mutated.
+
+    ``groups[home]`` is the replica group of every key hashed to rank
+    ``home``: the ring walk from ``home`` over the live ranks, at most
+    ``replicas`` members, the **acting primary** first.  Every reader
+    of one epoch shares these lists: never mutate one.
+    """
+
+    epoch: int
+    dead: FrozenSet[int]
+    alive: Tuple[int, ...]
+    wire: Tuple[int, Tuple[int, ...]]
+    groups: Tuple[List[int], ...]
+
+
 class MembershipView:
     """One rank's monotone view of group membership.
 
@@ -41,17 +62,31 @@ class MembershipView:
     newer view so the sender can re-route.
     """
 
-    def __init__(self, rank: int, nranks: int) -> None:
+    def __init__(self, rank: int, nranks: int, replicas: int) -> None:
         self.rank = rank
         self.nranks = nranks
+        self.replicas = replicas
         self._mv_lock = make_lock("db.membership")
-        self._epoch = 0
-        self._dead: Set[int] = set()
+        self._publish(0, frozenset())
         self._suspect: Set[int] = set()
+        #: per peer, a float that only grows (popped at death); written
+        #: under the lock, read without it — a dict read is atomic
         self._last_heard: Dict[int, float] = {}
         #: ranks declared dead whose key ranges still need re-replication
         #: (drained by Database._rereplicate on the main thread)
         self._pending_rerepl: List[int] = []
+
+    def _publish(self, epoch: int, dead: FrozenSet[int]) -> None:
+        """Build the view of ``(epoch, dead)`` whole, then install it
+        with one store (under the lock, or before the view is shared):
+        readers take :attr:`snapshot` without the lock."""
+        n = self.nranks
+        self.snapshot = Snapshot(
+            epoch, dead, tuple(r for r in range(n) if r not in dead),
+            (epoch, tuple(sorted(dead))),
+            tuple([r for r in ((home + i) % n for i in range(n))
+                   if r not in dead][:self.replicas] for home in range(n)),
+        )
 
     # -- liveness bookkeeping -----------------------------------------
 
@@ -61,7 +96,7 @@ class MembershipView:
             return
         with self._mv_lock:
             annotate_write(self, "membership.state")
-            if rank in self._dead:
+            if rank in self.snapshot.dead:
                 return  # death is permanent; a zombie stays dead
             prev = self._last_heard.get(rank, 0.0)
             if t > prev:
@@ -70,48 +105,46 @@ class MembershipView:
 
     def last_heard(self, rank: int) -> float:
         """Virtual time of the most recent message from ``rank`` (0.0 if never)."""
-        with self._mv_lock:
-            annotate_read(self, "membership.state")
-            return self._last_heard.get(rank, 0.0)
+        return self._last_heard.get(rank, 0.0)
 
     def suspect(self, rank: int) -> None:
         """Mark a silent peer suspected (diagnostic; not yet dead)."""
         with self._mv_lock:
             annotate_write(self, "membership.state")
-            if rank not in self._dead:
+            if rank not in self.snapshot.dead:
                 self._suspect.add(rank)
 
     # -- the view itself ----------------------------------------------
 
     @property
     def epoch(self) -> int:
-        with self._mv_lock:
-            annotate_read(self, "membership.state")
-            return self._epoch
+        return self.snapshot.epoch
 
     def is_dead(self, rank: int) -> bool:
         """True once this view has declared ``rank`` dead (permanent)."""
-        with self._mv_lock:
-            annotate_read(self, "membership.state")
-            return rank in self._dead
+        return rank in self.snapshot.dead
 
     def is_alive(self, rank: int) -> bool:
         """Negation of :meth:`is_dead`."""
         return not self.is_dead(rank)
 
-    def alive_ranks(self) -> List[int]:
+    def alive_ranks(self) -> Tuple[int, ...]:
         """All ranks this view holds alive, in rank order."""
-        with self._mv_lock:
-            annotate_read(self, "membership.state")
-            return [r for r in range(self.nranks) if r not in self._dead]
+        return self.snapshot.alive
 
     def wire(self) -> Tuple[int, Tuple[int, ...]]:
         """The ``(epoch, dead)`` pair stamped onto outgoing messages."""
-        with self._mv_lock:
-            annotate_read(self, "membership.state")
-            return self._epoch, tuple(sorted(self._dead))
+        return self.snapshot.wire
 
     # -- membership changes -------------------------------------------
+
+    def _bury(self, ranks: Iterable[int]) -> None:
+        """Forget the newly dead ``ranks`` and queue their re-replication
+        (under the lock; the caller publishes)."""
+        for r in ranks:
+            self._suspect.discard(r)
+            self._last_heard.pop(r, None)
+            self._pending_rerepl.append(r)
 
     def declare_dead(self, rank: int) -> bool:
         """Declare ``rank`` dead; True if this is news to the view.
@@ -125,13 +158,11 @@ class MembershipView:
             )
         with self._mv_lock:
             annotate_write(self, "membership.state")
-            if rank in self._dead:
+            snap = self.snapshot
+            if rank in snap.dead:
                 return False
-            self._dead.add(rank)
-            self._suspect.discard(rank)
-            self._last_heard.pop(rank, None)
-            self._epoch += 1
-            self._pending_rerepl.append(rank)
+            self._bury([rank])
+            self._publish(snap.epoch + 1, snap.dead | {rank})
             return True
 
     def merge(self, epoch: int, dead) -> bool:
@@ -148,35 +179,28 @@ class MembershipView:
             )
         with self._mv_lock:
             annotate_write(self, "membership.state")
-            changed = False
-            for r in dead - self._dead:
-                self._dead.add(r)
-                self._suspect.discard(r)
-                self._last_heard.pop(r, None)
-                self._pending_rerepl.append(r)
-                changed = True
-            if epoch > self._epoch:
-                self._epoch = epoch
-                changed = True
-            elif changed:
-                # learned new deaths under an equal/older epoch stamp:
-                # still advance past both views
-                self._epoch = max(self._epoch + 1, epoch)
-            return changed
+            snap = self.snapshot
+            news = dead - snap.dead
+            self._bury(news)
+            if epoch <= snap.epoch and not news:
+                return False
+            # new deaths under an equal/older epoch stamp still advance
+            # past both views
+            self._publish(max(epoch, snap.epoch + bool(news)),
+                          snap.dead | news)
+            return True
 
     def is_stale(self, epoch: int, source: int) -> bool:
         """Deterministic staleness test for an incoming message."""
-        with self._mv_lock:
-            annotate_read(self, "membership.state")
-            return source in self._dead or epoch < self._epoch
+        snap = self.snapshot
+        return source in snap.dead or epoch < snap.epoch
 
     # -- re-replication queue -----------------------------------------
 
     @property
     def pending_rereplication(self) -> bool:
-        with self._mv_lock:
-            annotate_read(self, "membership.state")
-            return bool(self._pending_rerepl)
+        # an unlocked length read: a rank queued meanwhile waits a tick
+        return bool(self._pending_rerepl)
 
     def take_pending_rereplication(self) -> List[int]:
         """Drain the newly dead ranks awaiting re-replication."""

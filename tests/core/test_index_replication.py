@@ -876,6 +876,43 @@ class TestEagerPublish:
 
         spmd_run(2, app)
 
+    def test_publish_follows_the_ring_past_a_dead_successor(self):
+        """Three ranks, ``replicas=2``: with rank 1 dead in rank 0's
+        view, rank 0's group is ``[0, 2]`` and its eager publish goes to
+        rank 2 — the ring-shifted member — not to nobody."""
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("ixr", _ix_options(
+                    replicas=2, write_quorum=1, remote_timeout=0.2,
+                ))
+                r = ctx.world_rank
+                for i in range(40):
+                    db.put(f"r-{r}-{i:02d}".encode(), b"g" * 24)
+                db.barrier(SSTABLE)
+                db.tick()  # drain the publishes the flush queued
+                db.barrier()
+                if r == 0:
+                    db.membership.declare_dead(1)  # this view only
+                    (home,) = _keys_of(db, 0, n=1)
+                    assert db._replica_group(home) == [0, 2]
+                    with db._lock:
+                        db._index_pub_due.extend(db.ssids)
+                    sent, send = [], db.srv_comm.send
+                    # captured, not delivered: the other views stay put
+                    db.srv_comm.send = (
+                        lambda payload, dest, tag=0:
+                        sent.append((type(payload), dest)))
+                    try:
+                        db._drain_index_publishes()
+                    finally:
+                        db.srv_comm.send = send
+                    assert sent == [(msg.IndexPublishMsg, 2)]
+                db.barrier()
+                db.close()
+
+        spmd_run(3, app)
+
 
     def test_a_twice_raced_snapshot_publishes_nothing(self, monkeypatch):
         """A publish whose snapshot raced the owner's own compaction

@@ -19,10 +19,12 @@ import os
 import random
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 from repro import Papyrus
+from repro.analysis import runtime
 from repro.config import SEQUENTIAL, Options
 from repro.core import messages as msg
 from repro.core.db import GROUP_COMMIT_INTERVAL
@@ -362,6 +364,46 @@ class TestReplicatedOperation:
                     env.open("repl", _repl_options(replicas=5))
 
         run4(app)
+
+
+class TestLockTraffic:
+    """A put reads the membership view; only a change to it locks."""
+
+    def test_replicated_put_takes_no_membership_lock(self, monkeypatch):
+        """2 ranks, R=2/Q=2, relaxed mode, 1,000 puts per rank: routing,
+        the failure detector's tick and the eager-publish check read the
+        published snapshot, so a put takes ``db.membership`` (almost)
+        never and ``db.state`` about once — its MemTable insert."""
+        counts: Counter = Counter()
+        counting = threading.Event()
+        acquire = runtime._TrackedBase.acquire
+
+        def spy(lock, *args, **kw):
+            if counting.is_set():
+                counts[lock.name] += 1
+            return acquire(lock, *args, **kw)
+
+        monkeypatch.setattr(runtime._TrackedBase, "acquire", spy)
+        both = threading.Barrier(2)
+        puts = 1000
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("locks", _repl_options(replicas=2))
+                rank = ctx.world_rank
+                both.wait()
+                counting.set()
+                for i in range(puts):
+                    db.put(f"l{rank}-{i:04d}".encode(), b"v" * 16)
+                db.fence()
+                both.wait()
+                counting.clear()
+                db.close()
+
+        spmd_run(2, app)
+        per_put = {name: n / (2 * puts) for name, n in counts.items()}
+        assert per_put.get("db.membership", 0) <= 0.1, per_put
+        assert per_put["db.state"] <= 1.3, per_put
 
 
 class TestKillRank:
