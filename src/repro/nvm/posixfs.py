@@ -89,7 +89,6 @@ class PosixStore:
         """tmp file + fsync + atomic rename + dir fsync, with crash sites."""
         plan = self.faults
         p = self.path(relpath)
-        os.makedirs(os.path.dirname(p), exist_ok=True)
         if plan is not None:
             plan.at_site(f"posix.write:{relpath}")
             data = plan.filter_write(relpath, data)
@@ -103,20 +102,21 @@ class PosixStore:
                 plan.at_site(f"posix.rename:{relpath}")
             os.replace(tmp, p)
             _fsync_dir(os.path.dirname(p))
-        except OSError as exc:
-            raise StorageError(str(exc)) from exc
-        finally:
-            if os.path.exists(tmp):
-                try:
-                    os.remove(tmp)
-                except OSError:
-                    pass
+        except BaseException as exc:  # a crash site too: drop the tmp file
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+            if isinstance(exc, OSError):
+                raise StorageError(str(exc)) from exc
+            raise
         if plan is not None:
             plan.at_site(f"posix.synced:{relpath}")
 
     def write(self, relpath: str, data: bytes, t: float) -> float:
         """Create/overwrite a file atomically and durably; returns the
         virtual completion time."""
+        self.makedirs(os.path.dirname(relpath))
         self._atomic_write(relpath, data)
         return self._charge_write(t, len(data))
 
@@ -277,6 +277,8 @@ class PosixStore:
         device is charged once, like a vectored ``pwritev`` burst, so a
         pipelined sync pays one access latency plus the aggregate bytes.
         """
+        for directory in {os.path.dirname(rel) for rel, _ in items}:
+            self.makedirs(directory)
         total = 0
         for rel, data in items:
             self._atomic_write(rel, data)

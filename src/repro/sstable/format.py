@@ -50,6 +50,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain, compress, count, repeat, starmap
+from operator import floordiv, ne
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import CorruptionError
@@ -194,25 +196,27 @@ def decode_records(buf: bytes) -> Iterator[Record]:
         yield rec
 
 
-def encode_index(entries: List[IndexEntry], footer: TableFooter) -> bytes:
-    """Serialize an SSIndex file (entries + footer + trailing CRC)."""
-    out = bytearray(_HDR.pack(MAGIC, len(entries)))
-    for e in entries:
-        out += _ENTRY.pack(
-            e.offset, e.keylen, e.vallen, TOMBSTONE_FLAG if e.tombstone else 0
-        )
-    out += _FOOTER_FIXED.pack(footer.data_len, footer.block_size,
-                              len(footer.block_crcs))
-    for c in footer.block_crcs:
-        out += _U32.pack(c)
-    out += _FOOTER_TAIL.pack(footer.bloom_crc, footer.bloom_len)
-    out += _U32.pack(len(footer.min_key)) + footer.min_key
-    out += _U32.pack(len(footer.max_key)) + footer.max_key
-    out += _U32.pack(len(footer.block_keys))
-    for key in footer.block_keys:
-        out += _U32.pack(len(key)) + key
-    out += _U32.pack(crc32c(out))
-    return bytes(out)
+def _keys_blob(keys: Tuple[bytes, ...]) -> bytes:
+    """``keys`` each behind its ``u32`` length."""
+    return b"".join(chain.from_iterable(zip(map(_U32.pack, map(len, keys)),
+                                            keys)))
+
+
+def encode_index(entries: Iterable[Tuple[int, int, int, bool]],
+                 footer: TableFooter) -> bytes:
+    """Serialize an SSIndex file (entries + footer + trailing CRC);
+    ``entries`` are ``(offset, keylen, vallen, tombstone)`` rows."""
+    body = b"".join(starmap(_ENTRY.pack, entries))
+    crcs = footer.block_crcs
+    out = b"".join((
+        _HDR.pack(MAGIC, len(body) // INDEX_ENTRY_LEN), body,
+        _FOOTER_FIXED.pack(footer.data_len, footer.block_size, len(crcs)),
+        struct.pack(f"<{len(crcs)}I", *crcs),
+        _FOOTER_TAIL.pack(footer.bloom_crc, footer.bloom_len),
+        _keys_blob((footer.min_key, footer.max_key)),
+        _U32.pack(len(footer.block_keys)), _keys_blob(footer.block_keys),
+    ))
+    return out + _U32.pack(crc32c(out))
 
 
 def _decode_entries(buf: bytes, count: int, pos: int) -> Tuple[List[IndexEntry], int]:
@@ -229,12 +233,8 @@ def _decode_entries(buf: bytes, count: int, pos: int) -> Tuple[List[IndexEntry],
 def block_starts(offsets: Iterable[int], block_size: int) -> Tuple[int, ...]:
     """Ordinals of the record ``offsets`` that are the first inside their
     ``block_size`` block: the records whose keys the footer carries."""
-    first, blk = [], -1
-    for i, offset in enumerate(offsets):
-        if offset // block_size != blk:
-            blk = offset // block_size
-            first.append(i)
-    return tuple(first)
+    blocks = list(map(floordiv, offsets, repeat(block_size)))
+    return tuple(compress(count(), map(ne, blocks, [-1, *blocks])))
 
 
 def _read_key(buf: bytes, pos: int) -> Tuple[bytes, int]:

@@ -34,6 +34,8 @@ import re
 import struct
 import sys
 from bisect import bisect_left, bisect_right
+from itertools import accumulate, repeat
+from operator import add
 from typing import (
     TYPE_CHECKING, Any, Iterator, List, NamedTuple, Optional, Set, Tuple,
 )
@@ -472,14 +474,9 @@ class SSTableReader:
         return None, t
 
     # --------------------------------------------------------------- full I/O
-    def read_all(self, t: float) -> Tuple[List[Record], float]:
-        """Sequential read of the whole table (compaction, redistribution).
-
-        The whole buffer is verified against the footer's block CRCs
-        before decoding; compaction therefore never launders corrupt
-        bytes into a fresh table.  The block cache is neither read nor
-        filled: every caller reads a table whole, once.
-        """
+    def _read_data(self, t: float) -> Tuple[bytes, float]:
+        """All of SSData, checked against the footer's block CRCs (unless
+        the index is missing: ``self._footer`` is then ``None``)."""
         blob, t = self.store.read(self._data_path, t)
         try:
             _, t = self.load_index(t)
@@ -497,20 +494,50 @@ class SSTableReader:
                 if crc32c(view[lo:hi]) != want:
                     raise self._corrupt(f"SSData block {blk} checksum mismatch")
             self._size_checked = True
+        return blob, t
+
+    def _decode_records(self, blob: bytes) -> List[Record]:
+        """All of SSData, decoded by its own record headers."""
         try:
-            return list(decode_records(blob)), t
+            return list(decode_records(blob))
         except CorruptionError as exc:
             raise self._corrupt(str(exc)) from exc
+
+    def _decode_by_index(self, blob: bytes) -> List[Record]:
+        """All of SSData, in one pass over the index entries tiling it."""
+        index = self._index
+        offsets, klens, vlens, _ = tuple(zip(*index)) or ((), (), (), ())
+        ends = list(accumulate(map(add, map(add, klens, vlens),
+                                   repeat(RECORD_HEADER_LEN)), initial=0))
+        if ends.pop() != len(blob) or ends != list(offsets):
+            raise self._corrupt("index entries do not tile SSData")
+        return [Record(blob[(k := off + RECORD_HEADER_LEN):(v := k + klen)],
+                       blob[v:v + vlen], tomb)
+                for off, klen, vlen, tomb in index]
+
+    def read_all(self, t: float) -> Tuple[List[Record], float]:
+        """Sequential read of the whole table (compaction, redistribution).
+
+        The whole buffer is verified against the footer's block CRCs
+        and decoded through the index; compaction therefore never
+        launders corrupt bytes into a fresh table.  A table whose
+        sidecars are missing is decoded by its record headers alone.
+        The block cache is neither read nor filled: every caller reads
+        a table whole, once.
+        """
+        blob, t = self._read_data(t)
+        if self._footer is None:
+            return self._decode_records(blob), t
+        return self._decode_by_index(blob), t
 
     def verify(self, t: float) -> float:
         """Full integrity check of all three files; returns completion time.
 
         Raises :class:`CorruptionError` / :class:`TornWriteError` on the
         first problem found: the index CRC, the bloom file CRC against
-        the footer, every SSData block CRC, and that the decoded records
-        agree with the index entries and the footer's block keys.
+        the footer, every SSData block CRC, and that SSData's own record
+        headers decode to the index's records and the footer's block keys.
         """
-        index, t = self.load_index(t)
         footer, t = self.footer(t)
         bloom_blob, t = self.store.read(self._bloom_path, t)
         self._check_len("bloom", len(bloom_blob), footer.bloom_len)
@@ -520,16 +547,10 @@ class SSTableReader:
             self._bloom = decode_bloom_file(bloom_blob)
         except CorruptionError as exc:
             raise self._corrupt(str(exc)) from exc
-        records, t = self.read_all(t)
-        if len(records) != len(index):
-            raise self._corrupt(
-                f"SSData holds {len(records)} records, index claims {len(index)}"
-            )
-        offset = 0
-        for rec, entry in zip(records, index):
-            if entry != (offset, len(rec.key), len(rec.value), rec.tombstone):
-                raise self._corrupt("index entry disagrees with SSData record")
-            offset += rec.encoded_len()
+        blob, t = self._read_data(t)
+        records = self._decode_records(blob)
+        if records != self._decode_by_index(blob):
+            raise self._corrupt("index entries disagree with SSData records")
         for key, i in zip(footer.block_keys, footer.block_first):
             if records[i].key != key:  # i: derived from the offsets above
                 raise self._corrupt(f"block key {key!r} is not record {i}'s")

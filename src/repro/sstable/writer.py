@@ -12,17 +12,19 @@ complete table — never a torn one.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from itertools import accumulate, chain, repeat
+from operator import add, ge
+from typing import Dict, Iterable, Tuple
 
 from repro.nvm.posixfs import PosixStore
 from repro.sstable.format import (
+    _REC_HDR,
     DATA_BLOCK_SIZE,
-    IndexEntry,
+    RECORD_HEADER_LEN,
     Record,
     block_starts,
     encode_bloom_file,
     encode_index,
-    encode_record,
     make_footer,
     sstable_paths,
 )
@@ -36,41 +38,35 @@ def encode_table(
 ) -> Dict[str, bytes]:
     """Encode sorted ``records`` into the three file blobs.
 
-    Returns ``{"data": ..., "index": ..., "bloom": ...}``; ``block_size``
-    cuts the SSData blocks the footer's CRCs and block keys are for
-    (the reader takes it from the footer).  ``data`` is the
-    ``bytearray`` the records were encoded into, not a ``bytes`` copy
-    of it: a compaction round builds its whole merge at once.  Separate from the device
-    commit (:func:`write_sstable_blobs`) so the flush pipeline can build
-    on its CPU stage, and recovery paths (sidecar rebuild from an intact
-    SSData file) can re-derive blobs without rewriting the data.
+    Returns ``{"data": ..., "index": ..., "bloom": ...}``, all ``bytes``;
+    ``block_size`` cuts the SSData blocks the footer's CRCs and block
+    keys are for (the reader takes it from the footer).  Built a column
+    at a time: one join each for SSData and the index entries, one bloom
+    :meth:`~repro.util.bloom.BloomFilter.update`.  Separate from the
+    device commit (:func:`write_sstable_blobs`) so the flush pipeline can
+    build on its CPU stage, and recovery paths (sidecar rebuild from an
+    intact SSData file) can re-derive blobs without rewriting the data.
     """
-    recs: List[Record] = list(records)
-    prev_key = None
-    for r in recs:
-        if prev_key is not None and r.key <= prev_key:
-            raise ValueError("records must be strictly sorted by key")
-        prev_key = r.key
-
-    data = bytearray()
-    entries: List[IndexEntry] = []
-    bloom = BloomFilter.for_capacity(len(recs), fp_rate)
-    for rec in recs:
-        entries.append(
-            IndexEntry(len(data), len(rec.key), len(rec.value), rec.tombstone)
-        )
-        data += encode_record(rec)
-        bloom.add(rec.key)
-
+    keys, values, tombs = tuple(zip(*records)) or ((), (), ())
+    if any(map(ge, keys, keys[1:])):
+        raise ValueError("records must be strictly sorted by key")
+    klens, vlens = list(map(len, keys)), list(map(len, values))
+    data = b"".join(chain.from_iterable(
+        zip(map(_REC_HDR.pack, klens, vlens, tombs), keys, values)))
+    offsets = list(accumulate(map(add, map(add, klens, vlens),
+                                  repeat(RECORD_HEADER_LEN)), initial=0))
+    offsets.pop()  # the end of the last record: len(data)
+    bloom = BloomFilter.for_capacity(len(keys), fp_rate)
+    bloom.update(keys)
     bloom_blob = encode_bloom_file(bloom)
-    first = block_starts([e.offset for e in entries], block_size)
+    first = block_starts(offsets, block_size)
     footer = make_footer(
         data, bloom_blob, block_size,
-        min_key=recs[0].key if recs else b"",
-        max_key=recs[-1].key if recs else b"",
-        block_keys=tuple(recs[i].key for i in first), block_first=first,
+        min_key=keys[0] if keys else b"",
+        max_key=keys[-1] if keys else b"",
+        block_keys=tuple(map(keys.__getitem__, first)), block_first=first,
     )
-    index_blob = encode_index(entries, footer)
+    index_blob = encode_index(zip(offsets, klens, vlens, tombs), footer)
     return {"data": data, "index": index_blob, "bloom": bloom_blob}
 
 

@@ -9,12 +9,20 @@ The implementation uses the standard Kirsch-Mitzenmacher double-hashing
 scheme, the approach LevelDB takes: k probe positions stepped from the
 two 64-bit halves of one 128-bit BLAKE2b digest (the stdlib's C routine;
 two independent hashes, which two seeds of one CRC would not be).
+
+A table's filter is built by one :meth:`BloomFilter.update` over its
+keys: one ``struct`` unpack splits each digest into its halves, the
+probes step ``h1 += h2`` mod 2**64 (= ``h1 + i * h2``), and the probed
+bits, marked one ASCII ``"1"`` each, are packed by one
+``int(flags[::-1], 2)``: bit ``p`` of the vector read little-endian,
+the bit ``add`` (``update((key,))``) sets for ``p``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+import struct
+from typing import Iterable, Sequence
 
 try:  # the C routine hashlib.blake2b is bound to, taken the way the
     # stdlib's ``random`` takes its digest: ``hashlib`` itself loads
@@ -24,6 +32,7 @@ except ImportError:  # pragma: no cover - not CPython
     from hashlib import blake2b
 
 _MASK64 = (1 << 64) - 1
+_HALVES = struct.Struct("<QQ")  # a digest's two 64-bit halves
 
 
 class BloomFilter:
@@ -54,19 +63,31 @@ class BloomFilter:
 
     # ------------------------------------------------------------- operations
     def _positions(self, key: bytes) -> Iterable[int]:
-        h = int.from_bytes(blake2b(key, digest_size=16).digest(), "little")
-        h1 = h & _MASK64
-        h2 = h >> 64 | 1  # odd => full-period stepping
+        h1, h2 = _HALVES.unpack(blake2b(key, digest_size=16).digest())
+        h2 |= 1  # odd => full-period stepping
         nbits = self.nbits
-        for i in range(self.nhashes):
-            yield ((h1 + i * h2) & _MASK64) % nbits
+        for _ in range(self.nhashes):
+            yield h1 % nbits
+            h1 = (h1 + h2) & _MASK64
+
+    def update(self, keys: Sequence[bytes]) -> None:
+        """Insert every key of ``keys``, duplicates counted (a table's
+        whole key list in one call)."""
+        nbits, nhashes = self.nbits, self.nhashes
+        flags = bytearray(b"0") * nbits  # one ASCII digit per bit
+        for key in keys:
+            h1, h2 = _HALVES.unpack(blake2b(key, digest_size=16).digest())
+            h2 |= 1
+            for _ in range(nhashes):
+                flags[h1 % nbits] = 49  # ord("1")
+                h1 = (h1 + h2) & _MASK64
+        bits = int(flags[::-1], 2) | int.from_bytes(self._bits, "little")
+        self._bits = bytearray(bits.to_bytes(len(self._bits), "little"))
+        self.count += len(keys)
 
     def add(self, key: bytes) -> None:
-        """Insert ``key`` into the filter."""
-        bits = self._bits
-        for pos in self._positions(key):
-            bits[pos >> 3] |= 1 << (pos & 7)
-        self.count += 1
+        """Insert ``key``; a whole table's keys go to :meth:`update`."""
+        self.update((key,))
 
     def __contains__(self, key: bytes) -> bool:
         bits = self._bits

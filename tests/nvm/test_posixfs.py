@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.errors import StorageError
+from repro.faults import FaultPlan, RankCrashError
 from repro.nvm.posixfs import PosixStore
 from repro.simtime.resources import StripedResource, TimedResource
 
@@ -119,3 +122,45 @@ class TestCosting:
         s.read("f", 0.0)
         assert w.bytes_moved == 1000
         assert r.bytes_moved == 1000
+
+
+class TestAtomicWrite:
+    """tmp file + fsync + rename: nothing but the published file is left
+    behind, whether the write lands, fails or crashes at a site."""
+
+    def _files(self, store):
+        return sorted(os.path.relpath(os.path.join(d, f), store.root)
+                      for d, _, fs in os.walk(store.root) for f in fs)
+
+    def test_a_landed_write_leaves_only_the_file(self, store):
+        store.write_ordered([("t/a", b"1"), ("t/b", b"22")], 0.0)
+        assert self._files(store) == ["t/a", "t/b"]
+
+    @pytest.mark.parametrize("site", ["posix.rename:t/b", "posix.write:t/b"])
+    def test_a_crash_site_drops_the_tmp_file(self, store, site):
+        store.faults = FaultPlan().crash(site)
+        with pytest.raises(RankCrashError):
+            store.write_ordered([("t/a", b"1"), ("t/b", b"22")], 0.0)
+        assert self._files(store) == ["t/a"]
+
+    def test_an_io_error_is_a_storage_error_and_drops_the_tmp_file(
+            self, store, monkeypatch):
+        def fail(src, dst):
+            raise OSError("injected rename failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(StorageError, match="injected rename"):
+            store.write("t/a", b"1", 0.0)
+        monkeypatch.undo()
+        assert self._files(store) == []
+
+    def test_write_ordered_creates_each_directory_once(self, store,
+                                                       monkeypatch):
+        made = []
+        real = os.makedirs
+        monkeypatch.setattr(os, "makedirs", lambda p, **kw: (
+            made.append(os.path.relpath(p, store.root)), real(p, **kw)))
+        store.write_ordered([("x/a", b"1"), ("x/b", b"2"), ("y/c", b"3")],
+                            0.0)
+        assert sorted(made) == ["x", "y"]
+        assert self._files(store) == ["x/a", "x/b", "y/c"]

@@ -62,8 +62,7 @@ class TestMembership:
         that the measured rate stays within 2x of the one asked for
         (structured keys, the kind the workloads write)."""
         bf = BloomFilter.for_capacity(10_000, 0.01)
-        for i in range(10_000):
-            bf.add(f"user{i:012d}".encode())
+        bf.update([f"user{i:012d}".encode() for i in range(10_000)])
         assert all(f"user{i:012d}".encode() in bf for i in range(10_000))
         fps = sum(f"user{i:012d}".encode() in bf
                   for i in range(10_000, 20_000))
