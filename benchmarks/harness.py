@@ -88,7 +88,7 @@ class Report:
 def write_json(name: str, payload: Dict) -> str:
     """Persist a machine-readable benchmark result at the repo root.
 
-    Regression harnesses (``bench_read_path.py``) check their JSON in so
+    Regression harnesses (``bench_replication.py``) check their JSON in so
     a reviewer can diff before/after numbers; CI's quick mode overwrites
     the working copy but never commits it.  Returns the path written.
     """

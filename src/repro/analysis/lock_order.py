@@ -70,9 +70,9 @@ LOCK_ORDER: Tuple[LockClass, ...] = (
         level=25,
         attrs=("_index_lock",),
         holder="core.db.Database",
-        guards="the peer-read plane: per-owner views of other ranks' "
-               "table sets and the byte-budgeted LRU of bundle-built "
-               "readers over their tables (main + handler threads)",
+        guards="views only: per-owner views of storage-group peers' "
+               "table sets, read and replaced by the storage-group "
+               "read (rank main)",
     ),
     LockClass(
         name="world.comm",
@@ -170,8 +170,8 @@ def render_threads_map() -> str:
         "`db.membership` (failure declarations and the "
         "re-replication queue when `replicas > 1`; routing reads the "
         "published snapshot unlocked), "
-        "`db.index_cache` (views and "
-        "readers of other ranks' tables, on every get that walks them), "
+        "`db.index_cache` (views of storage-group peers' table sets, "
+        "on every get that walks them), "
         "`world.comm`/`world.mailboxes` "
         "(comm management), `comm.collective` (collectives), `queue.fifo`, "
         "`sstable.reader` (a table's sidecar loads and block fetches), "
@@ -181,8 +181,6 @@ def render_threads_map() -> str:
         "(serving migrations and remote gets), `db.membership` "
         "(merging piggybacked views, proof of life; epoch checks read "
         "the snapshot unlocked), "
-        "`db.index_cache` "
-        "(installing eagerly published index bundles), "
         "`sstable.reader` and `sstable.block_cache` (SSTable lookups "
         "on behalf of remote ranks); its blocking receive takes no "
         "registered lock — it sleeps on a wake lock of its own that "

@@ -67,6 +67,11 @@ class Options:
     misconfigured database (negative MemTable size, unknown consistency
     or protection constant, fields swapped positionally) fails fast at
     the ``Options(...)`` call instead of deep in the put path.
+
+    Reading another rank's keys has no knob of its own: a get asks the
+    owner's handler (§2.4), and a requester in the owner's storage
+    group (``group_size``) reads the owner's SSTables itself after a
+    ``NOT_IN_MEMORY`` reply (§2.7).
     """
 
     #: MemTable capacity in bytes (paper evaluation: 1 GB; tests use small
@@ -121,20 +126,6 @@ class Options:
     #: (counts the writer's own copy when it is a group member); must satisfy
     #: ``1 <= write_quorum <= replicas``
     write_quorum: int = 1
-    #: one-sided index replication: keep a view of each peer's table
-    #: set and resolve remote gets with direct data reads against the
-    #: owner's NVM — its metadata (bloom + index + footer fences) read
-    #: off the shared directory, or shipped as a bundle to a rank that
-    #: cannot — falling back to the handler on staleness.  Opt-in: gets
-    #: bypass the owner's handler, so only enable under the relaxed
-    #: consistency contract (or RDONLY) the direct path requires
-    index_replication: bool = False
-    #: byte budget (per rank) of the cache of readers over other ranks'
-    #: tables, charged by the index + bloom bytes each holds — with or
-    #: without ``index_replication``: the §2.7 storage-group read keeps
-    #: its readers here too (a table larger than the whole budget is
-    #: cached alone)
-    index_cache_capacity: int = 8 * MB
     #: enable the dynamic race / lock-order / deadlock detector
     #: (:mod:`repro.analysis.runtime`); also switched on process-wide by
     #: the ``PKV_RACE_DETECT=1`` environment variable
@@ -172,8 +163,6 @@ class Options:
                 f"write_quorum must satisfy 1 <= Q <= replicas, got "
                 f"Q={self.write_quorum} R={self.replicas}"
             )
-        if self.index_cache_capacity <= 0:
-            raise InvalidOptionError("index_cache_capacity must be positive")
 
     def with_(self, **kw) -> "Options":
         """Return a copy with the given fields replaced."""
@@ -191,10 +180,7 @@ def options_from_env(env: Optional[Mapping[str, str]] = None,
     (bytes), ``PAPYRUSKV_REPOSITORY`` (containing "lustre" selects the
     parallel file system), ``PAPYRUSKV_BLOCK_CACHE`` (byte budget of the
     shared SSData block cache), ``PAPYRUSKV_REPLICAS`` (copies per key),
-    ``PAPYRUSKV_WRITE_QUORUM`` (durable copies a put waits for),
-    ``PAPYRUSKV_INDEX_REPLICATION`` (1 enables one-sided index
-    replication) and ``PAPYRUSKV_INDEX_CACHE`` (0 disables index
-    replication, any other value is the peer-reader cache's byte budget).
+    and ``PAPYRUSKV_WRITE_QUORUM`` (durable copies a put waits for).
     """
     env = os.environ if env is None else env
     opt = base or Options()
@@ -221,15 +207,4 @@ def options_from_env(env: Optional[Mapping[str, str]] = None,
                         write_quorum=min(opt.write_quorum, replicas))
     if "PAPYRUSKV_WRITE_QUORUM" in env:
         opt = opt.with_(write_quorum=int(env["PAPYRUSKV_WRITE_QUORUM"]))
-    if "PAPYRUSKV_INDEX_REPLICATION" in env:
-        opt = opt.with_(
-            index_replication=int(env["PAPYRUSKV_INDEX_REPLICATION"]) != 0
-        )
-    if "PAPYRUSKV_INDEX_CACHE" in env:
-        # 0 disables the whole plane; any other value is the byte budget
-        val = int(env["PAPYRUSKV_INDEX_CACHE"])
-        if val == 0:
-            opt = opt.with_(index_replication=False)
-        else:
-            opt = opt.with_(index_cache_capacity=val)
     return opt

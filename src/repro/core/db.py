@@ -14,10 +14,10 @@ moving parts mirror Figure 2/3 of the paper:
   bloom-filter skipping and (optionally) binary search;
 * a **message handler** thread serving migrations, synchronous puts and
   remote gets for this rank's shard;
-* one **peer-read plane** for every read of another rank's SSTables:
-  a view per owner, one reader cache, one walk, and one stale-view
-  ladder — entered after the owner's ``NOT_IN_MEMORY`` (§2.7) or, with
-  ``index_replication``, with no message at all.
+* one way into another rank's SSTables: after the owner's handler
+  answers ``NOT_IN_MEMORY`` (§2.7), a storage-group peer walks the
+  owner's tables itself through the device's readers, under a view per
+  owner and one stale-view ladder.
 
 Every put, delete and get — point call or batch — runs one write
 pipeline (:meth:`Database._write`) and one tiered get resolver
@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import json
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
@@ -55,7 +55,6 @@ from repro.errors import (
     KeyNotFoundError,
     InvalidKeyError,
     InvalidValueError,
-    MetadataStaleError,
     ProtectionError,
     QuorumLostError,
     RemoteTimeoutError,
@@ -80,9 +79,7 @@ from repro.sstable.compaction import read_and_merge
 from repro.sstable.format import (
     QUARANTINE_SUFFIX,
     Record,
-    decode_meta_bundle,
     decode_records,
-    encode_meta_bundle,
     parse_index,
     sstable_filenames,
     sstable_paths,
@@ -91,7 +88,7 @@ from repro.util.checksum import crc32c
 from repro.sstable.reader import SSTableReader, list_ssids
 from repro.sstable.writer import encode_table, write_sstable_blobs
 from repro.util.hashing import owner_rank
-from repro.util.lru import LRUCache, ObjectLRU
+from repro.util.lru import LRUCache
 
 #: tag used on the ack comm for the acks of non-``sync`` PairsMsgs
 ACK_TAG = 7
@@ -176,27 +173,16 @@ class _Unacked(NamedTuple):
 
 @dataclass(frozen=True)
 class _PeerView:
-    """What a non-owner knows of one owner's tables.
+    """What a storage-group peer knows of one owner's tables.
 
-    ``ssids`` is the owner's table set when the view was taken
-    (ascending; the newest is ``ssids[-1]``).  A get that follows a
-    ``NOT_IN_MEMORY`` reply trusts it while the reply names the same
-    newest table; a one-sided get revalidates it against a (free)
-    directory listing first.  ``mem_clean`` records whether the owner's
-    local MemTable was empty when a pull or publish took the view (a
-    direct read cannot see memtable state) and is ``None`` on a view
-    taken off a directory listing, where nobody vouched either way — a
-    one-sided get pulls before it gives up on such a view;
-    ``quarantine_free`` whether none of its range was quarantined.
-    ``epoch`` is the membership epoch at install time: any later epoch
-    bump invalidates the view wholesale.
+    ``ssids`` is the owner's table set when the view was taken off a
+    directory listing (ascending; the newest is ``ssids[-1]``).  A get
+    that follows a ``NOT_IN_MEMORY`` reply trusts it while the reply
+    names the same newest table.
     """
 
     owner_dir: str
     ssids: Tuple[int, ...]
-    mem_clean: Optional[bool]
-    quarantine_free: bool
-    epoch: int = 0
 
 
 @dataclass
@@ -205,8 +191,7 @@ class GetResult:
 
     value: bytes
     tier: str  # local_mt | flushing | local_cache | sstable | remote_mt |
-    #          inflight | remote_cache | remote | shared_sstable |
-    #          index_sstable (one-sided read via replicated metadata)
+    #          inflight | remote_cache | remote | shared_sstable
 
 
 @dataclass
@@ -262,17 +247,6 @@ class DbStats:
     rank_deaths: int = 0
     rereplicated_pairs: int = 0
     failover_gets: int = 0
-    #: one-sided index-replication counters: gets resolved entirely from
-    #: replicated metadata (plus a direct data read), gets that found no
-    #: usable view and pulled one, views invalidated by the newest-ssid
-    #: handshake (or a dead epoch), gets that fell back to the owner's
-    #: handler, and pull/publish messages exchanged
-    index_repl_hits: int = 0
-    index_repl_misses: int = 0
-    index_repl_stale: int = 0
-    index_repl_fallbacks: int = 0
-    index_pulls: int = 0
-    index_publishes: int = 0
     #: scan-path counters: iterators opened, tables pruned at scan open
     #: (fences outside the window, or empty), distinct SSData blocks the
     #: scan cursors actually read, non-empty chunks this rank shipped
@@ -508,23 +482,14 @@ class Database:
         #: newest checkpoint target (recovery ladder's last rung)
         self._last_checkpoint_path: Optional[str] = None
 
-        # -- the peer-read plane: every read of another rank's SSTables --
-        #: guards the two structures below: the rank-main thread reads
-        #: them on every get that walks a peer's tables, the handler
-        #: thread installs eagerly pushed publishes.  Level 25 in the
-        #: canonical order (between db.membership and world.comm); never
-        #: held across a send or an SSTable search
+        # -- the one way into another rank's SSTables (§2.7) --
+        #: guards the view map below, which the rank-main thread reads
+        #: and replaces on every get that walks a peer's tables.  Level
+        #: 25 in the canonical order (between db.membership and
+        #: world.comm); never held across a send or an SSTable search
         self._index_lock = make_lock("db.index_cache")
-        #: per-owner view of a peer's table set
+        #: per-owner view of a storage-group peer's table set
         self._peer_views: Dict[int, _PeerView] = {}
-        #: readers of tables of owners outside my storage group, keyed
-        #: (owner_dir, ssid): built from a shipped metadata bundle and
-        #: charged at its byte size (a same-group owner's tables are
-        #: read through the device's own file-built readers)
-        self._peer_reader_lru = ObjectLRU(options.index_cache_capacity)
-        #: ssids flushed/compacted since the last eager publish drain
-        #: (guarded by db.state; drained by the main-thread _tick)
-        self._index_pub_due: List[int] = []
 
         self.local_cache: Optional[LRUCache] = (
             LRUCache(options.cache_local_capacity)
@@ -923,7 +888,6 @@ class Database:
         self.ssids.append(ssid)
         self._l0.append(ssid)
         self.flushing.append((imm, end))
-        self._index_publish_due([ssid])
         self.stats.flushes += 1
         self._retire_flushed(clock.now)
         interval = self.options.compaction_interval
@@ -1103,7 +1067,6 @@ class Database:
         for s in inputs:
             self._invalidate_readers(s)
         self._l0 = []
-        self._index_publish_due(new_ssids)
         self._minor_gens = 0 if major else self._minor_gens + 1
         self.stats.compactions += 1
         if major:
@@ -1537,7 +1500,7 @@ class Database:
             for seq in [s for s, entry in self._unacked.items()
                         if entry.target == rank]:
                 self._settle(seq)
-        self._drop_peer_cache(rank, self._owner_dir(rank))
+        self._drop_peer_cache(rank)
 
     def _absorb_pong(self, pong: msg.AckMsg, source: int) -> None:
         """One heartbeat pong: proof of life plus membership gossip."""
@@ -1609,7 +1572,6 @@ class Database:
                 self._grace_then_declare(r)
         if mv.pending_rereplication:
             self._rereplicate()
-        self._drain_index_publishes()
 
     def _grace_then_declare(self, rank: int) -> None:
         """Last chance before a death declaration: wall-clock grace.
@@ -1955,42 +1917,21 @@ class Database:
         storage-group peer's :meth:`_peer_reader` resolves to."""
         return self.block_cache.reader(self.store, self.rank_dir, ssid)
 
-    def _peer_reader(self, owner: int, owner_dir: str,
-                     ssid: int) -> SSTableReader:
-        """Reader of one of ``owner``'s tables (call under
-        ``db.index_cache``).
+    def _peer_reader(self, owner_dir: str, ssid: int) -> SSTableReader:
+        """The device's reader of one of a storage-group peer's tables:
+        the one the owner itself searches with.  Peer tables are
+        immutable and compaction never reuses an input SSID, so a reader
+        stays valid until the file disappears — which surfaces as
+        StorageError."""
+        return self.block_cache.reader(self.store, owner_dir, ssid)
 
-        An owner whose storage I share: the device's file-built reader,
-        the one the owner itself searches with.  Anyone else: what a
-        pull or publish built from a shipped bundle; missing it raises
-        :class:`MetadataStaleError` and the re-pull ships what ``have``
-        no longer lists.  Peer tables are immutable and compaction
-        never reuses an input SSID, so a reader stays valid until the
-        file disappears — which surfaces as StorageError.  Data blocks
-        go through the device's block cache either way.
-        """
-        if self.shares_storage_with(owner):
-            return self.block_cache.reader(self.store, owner_dir, ssid)
-        rd = self._peer_reader_lru.get((owner_dir, ssid))
-        if rd is None:
-            raise MetadataStaleError(
-                f"no replicated metadata for {owner_dir}/{ssid}"
-            )
-        return rd
-
-    def _drop_peer_cache(self, owner: int, owner_dir: str) -> None:
-        """Forget what I cached from one owner's tables (compaction
-        race, rank death; either thread): the view, my bundle-built
-        readers and — for an owner outside my storage group — the data
-        blocks under its directory.  A same-group owner's readers and
-        blocks are the device's: hot for the whole node, the owner's to
-        invalidate.  :meth:`_drop_index_view` keeps the readers."""
+    def _drop_peer_cache(self, owner: int) -> None:
+        """Forget my view of one owner's tables (a walk that raced its
+        compaction, its death).  The readers and blocks are the
+        device's: hot for the whole node, the owner's to invalidate."""
         with self._index_lock:
             annotate_write(self, "db.index_cache")
             self._peer_views.pop(owner, None)
-            self._peer_reader_lru.invalidate_where(lambda k: k[0] == owner_dir)
-        if not self.shares_storage_with(owner):
-            self.block_cache.invalidate_dir(owner_dir, self.cache_counts)
 
     def _invalidate_readers(self, ssid: Optional[int] = None) -> None:
         """Drop one of my tables (or all) from the device's read cache
@@ -2103,16 +2044,14 @@ class Database:
         """Remote tier walk for ``{owner: keys}``.
 
         Staged/unacked tiers and the remote cache first.  What is left
-        reads the owner's tables itself where it may — under a view it
-        can trust with no message (:meth:`_one_sided_view`), or after
-        the owner's handler answered ``NOT_IN_MEMORY`` to the one
-        ``GetMsg`` per owner (§2.7) — and takes value bytes off the
-        wire where it may not.  The loop is the stale-view ladder,
-        spelled once: a walk that races the owner's compaction drops
-        what was cached from that owner, the next round refreshes the
-        view (a pull, or the re-asked ``GetMsg``) and retries once, the
-        third forces value bytes over the network.  Returns the results
-        (absent keys may be missing) and the messages sent.
+        goes to the owner's handler, one ``GetMsg`` per owner (§2.4); a
+        storage-group peer told ``NOT_IN_MEMORY`` reads the owner's
+        tables itself (§2.7) and takes no value bytes off the wire.  The
+        loop is the stale-view ladder, spelled once: a walk that races
+        the owner's compaction drops the view, the re-asked ``GetMsg``
+        refreshes it and the walk retries once, the third round forces
+        value bytes over the network.  Returns the results (absent keys
+        may be missing) and the messages sent.
         """
         out: Dict[bytes, Optional[GetResult]] = {}
         need: Dict[int, List[bytes]] = {}
@@ -2123,17 +2062,6 @@ class Database:
             out[key] = GetResult(value, tier)
             if cache is not None:
                 cache.put(key, value)
-
-        def walk(owner: int, view: _PeerView, keys: List[bytes],
-                 tier: str) -> List[bytes]:
-            """Settle what the walk answered; return what it could not."""
-            recs = self._peer_walk(owner, view, keys)
-            for key, rec in zip(keys, recs):
-                if rec is None or rec.tombstone:
-                    out[key] = None
-                else:
-                    resolve(key, rec.value, tier)
-            return keys[len(recs):]
 
         with self._lock:  # staged/unacked tiers under one acquisition
             for owner, keys in groups.items():
@@ -2149,35 +2077,16 @@ class Database:
                     else:
                         need.setdefault(owner, []).append(key)
         msgs = 0
-        fell_back = set()  # owners index_repl_fallbacks already counted
         for attempt in range(3):
             if not need:
                 break
-            force = attempt == 2
-            ask: Dict[int, List[bytes]] = {}
-            retry: Dict[int, List[bytes]] = {}
-            for owner in sorted(need):
-                keys = need[owner]
-                direct = self._index_direct_eligible(owner)
-                view = (self._one_sided_view(owner)
-                        if direct and not force else None)
-                if view is None:
-                    if direct and owner not in fell_back:
-                        fell_back.add(owner)
-                        self.stats.index_repl_fallbacks += len(keys)
-                    ask[owner] = keys
-                    continue
-                left = walk(owner, view, keys, "index_sstable")
-                self.stats.index_repl_hits += len(keys) - len(left)
-                if left:
-                    self.stats.index_repl_stale += 1
-                    retry[owner] = left
-            replies = self._request_get(ask, force) if ask else {}
+            replies = self._request_get(need, force=attempt == 2)
             msgs += len(replies)
+            retry: Dict[int, List[bytes]] = {}
             for owner, reply in replies.items():
                 unread: List[bytes] = []
                 for key, (status, value, tombstone) in zip(
-                    ask[owner], reply.results
+                    need[owner], reply.results
                 ):
                     if status == msg.FOUND:
                         if tombstone:
@@ -2193,11 +2102,17 @@ class Database:
                         )
                     else:  # NOT_IN_MEMORY: read the shared SSTables myself
                         unread.append(key)
-                if unread:
-                    left = walk(owner, self._handshake_view(owner, reply),
-                                unread, "shared_sstable")
-                    if left:
-                        retry[owner] = left
+                if not unread:
+                    continue
+                recs = self._peer_walk(
+                    owner, self._handshake_view(owner, reply), unread)
+                for key, rec in zip(unread, recs):
+                    if rec is None or rec.tombstone:
+                        out[key] = None
+                    else:
+                        resolve(key, rec.value, "shared_sstable")
+                if len(recs) < len(unread):
+                    retry[owner] = unread[len(recs):]
             need = retry
         return out, msgs
 
@@ -2217,36 +2132,26 @@ class Database:
             for owner, payload in payloads.items()
         }
 
-    # ===================================================== THE PEER-READ PLANE
-    def _owner_dir(self, owner: int) -> str:
-        """Shared-NVM directory of another rank's SSTables."""
-        return f"{self.dbdir}/rank{owner}"
-
+    # ================================================ STORAGE-GROUP READS
     def _peer_walk(self, owner: int, view: _PeerView,
                    keys: List[bytes]) -> List[Optional[Record]]:
         """Gate-walk ``owner``'s tables under ``view`` for each of
-        ``keys`` — the one read of another rank's SSTables, whichever
-        way the view arrived.
+        ``keys`` — the one read of another rank's SSTables.
 
         Peer lookups get the same fence pruning, bloom gating and
-        cached readers (on the device's block cache) as local ones; the
-        view's readers are resolved once, in one ``db.index_cache``
-        acquisition, for the whole batch.  The requester cannot see the
-        owner's quarantine list — both ways in are closed while it is
-        non-empty.  Returns the records in key order (``None``: no
-        table holds the key) — fewer than ``keys`` after dropping what
-        the walk could not trust: the view alone for a reader the LRU
-        evicted (the refresh re-ships just that bundle), what I cached
-        from the owner (:meth:`_drop_peer_cache`) for a file compaction
-        deleted under the walk or a bad block CRC — then the owner judges.
+        readers (the device's, on its block cache) as the owner's own;
+        the view's readers are resolved once for the whole batch.  The
+        owner answers ``NOT_IN_MEMORY`` only while its quarantine list
+        is empty, so the walk has no holes to honour.  Returns the
+        records in key order (``None``: no table holds the key) — fewer
+        than ``keys`` after a file compaction deleted under the walk or
+        a bad block CRC: the view is dropped (:meth:`_drop_peer_cache`)
+        and the owner judges.
         """
-        owner_dir = view.owner_dir
         recs: List[Optional[Record]] = []
         try:
-            with self._index_lock:
-                annotate_write(self, "db.index_cache")
-                readers = {ssid: self._peer_reader(owner, owner_dir, ssid)
-                           for ssid in view.ssids}
+            readers = {ssid: self._peer_reader(view.owner_dir, ssid)
+                       for ssid in view.ssids}
             for key in keys:
                 rec, t_end = self._search_sstables(
                     view.ssids[::-1], readers.__getitem__, (), key,
@@ -2254,10 +2159,8 @@ class Database:
                 )
                 self.clock.advance_to(t_end)
                 recs.append(rec)
-        except MetadataStaleError:
-            self._drop_index_view(owner)
         except StorageError:
-            self._drop_peer_cache(owner, owner_dir)
+            self._drop_peer_cache(owner)
         return recs
 
     def _handshake_view(self, owner: int,
@@ -2266,276 +2169,20 @@ class Database:
 
         The reply names the owner's newest table; a cached view with
         another one (or none) is replaced by a fresh directory listing —
-        readers of tables still live stay cached, the files are
-        immutable.  A listing says nothing about the owner's MemTable,
-        so a view installed here leaves ``mem_clean`` unstamped.
+        the device's readers of tables still live stay cached, the files
+        are immutable.
         """
-        view = self._index_view_of(owner)
+        with self._index_lock:
+            annotate_read(self, "db.index_cache")
+            view = self._peer_views.get(owner)
         if view is None or (
                 view.ssids[-1] if view.ssids else 0) != reply.newest_ssid:
-            owner_dir = reply.owner_dir or self._owner_dir(owner)
-            mv = self.membership
-            view = _PeerView(
-                owner_dir, tuple(list_ssids(self.store, owner_dir)),
-                None, True, mv.epoch if mv is not None else 0,
-            )
-            self._set_index_view(owner, view, {})
+            view = _PeerView(reply.owner_dir,
+                             tuple(list_ssids(self.store, reply.owner_dir)))
+            with self._index_lock:
+                annotate_write(self, "db.index_cache")
+                self._peer_views[owner] = view
         return view
-
-    def _index_direct_eligible(self, owner: int) -> bool:
-        """May this get try ``owner``'s tables with no message?
-
-        Requires the option, a consistency regime whose visibility
-        contract a direct read can honour (relaxed — remote puts are
-        only promised visible after a barrier — or RDONLY, where no
-        writes exist), and an owner not held dead.
-        """
-        if not self.options.index_replication:
-            return False
-        if (self.consistency != config.RELAXED
-                and self.protection != config.RDONLY):
-            return False
-        mv = self.membership
-        if mv is not None and mv.is_dead(owner):
-            return False
-        return True
-
-    def _one_sided_view(self, owner: int) -> Optional[_PeerView]:
-        """A view of ``owner``'s tables this get may read under without
-        asking its handler, or ``None``.
-
-        The cached view is validated by the newest-ssid handshake — a
-        free directory listing must match its table set, the epoch must
-        be current; an absent or stale one — or one a handshake took
-        off a listing, which vouches for nothing — is pulled, once, and
-        validated again.  A fresh view that does not vouch for the
-        owner's memory and quarantine list is state only the handler
-        can see.
-        """
-        mv = self.membership
-        for pulled in (False, True):
-            view = self._index_view_of(owner)
-            if view is not None:
-                if (mv is not None and view.epoch < mv.epoch) or tuple(
-                        list_ssids(self.store, view.owner_dir)) != view.ssids:
-                    self.stats.index_repl_stale += 1
-                    self._drop_index_view(owner)
-                elif view.mem_clean is not None:
-                    usable = view.mem_clean and view.quarantine_free
-                    return view if usable else None
-            if pulled:
-                break
-            self.stats.index_repl_misses += 1
-            if not self._index_pull(owner):
-                break
-        return None
-
-    def _index_view_of(self, owner: int) -> Optional[_PeerView]:
-        with self._index_lock:
-            annotate_read(self, "db.index_cache")
-            return self._peer_views.get(owner)
-
-    def _drop_index_view(self, owner: int) -> None:
-        """Forget one owner's view; its readers stay cached — a re-pull
-        re-validates them via ``have`` without re-shipping bytes."""
-        with self._index_lock:
-            annotate_write(self, "db.index_cache")
-            self._peer_views.pop(owner, None)
-
-    def _index_mark_all_dirty(self) -> None:
-        """Drop every ``mem_clean`` stamp (fence = visibility boundary).
-
-        After my fence, pairs I migrated live in their owners'
-        MemTables — state a direct read cannot see — so every cached
-        view must stop claiming the owner's memory is clean.  The next
-        get falls back to the handler until a re-pull (post-flush)
-        restores a clean stamp.  Barrier calls fence on every rank, so
-        barrier-visibility for *other* ranks' puts follows too.
-        """
-        with self._index_lock:
-            annotate_write(self, "db.index_cache")
-            for owner, view in list(self._peer_views.items()):
-                if view.mem_clean:
-                    self._peer_views[owner] = replace(view, mem_clean=False)
-
-    def _set_index_view(self, owner: int, view: _PeerView,
-                        readers: Dict[int, Tuple[SSTableReader, int]]
-                        ) -> None:
-        """Install ``view`` with the ``{ssid: (reader, cost)}`` that
-        came with it; readers of tables it no longer names die with the
-        view that named them."""
-        live = set(view.ssids)
-        with self._index_lock:
-            annotate_write(self, "db.index_cache")
-            self._peer_views[owner] = view
-            self._peer_reader_lru.invalidate_where(
-                lambda k: k[0] == view.owner_dir and k[1] not in live
-            )
-            for ssid, (rd, cost) in readers.items():
-                self._peer_reader_lru.put((view.owner_dir, ssid), rd, cost)
-
-    def _install_index_view(self, owner: int, owner_dir: str,
-                            ssids: Tuple[int, ...],
-                            bundles: Dict[int, bytes], mem_clean: bool,
-                            quarantine_free: bool) -> bool:
-        """Decode shipped bundles and install the owner's view.
-
-        Called by the main thread (pull replies) and the handler thread
-        (eager publishes); reader construction happens outside the lock.
-        Returns False — installing nothing — if any bundle fails its
-        CRC or structural checks: a half-trusted view is worse than a
-        handler round trip — or if the owner was declared dead (or the
-        epoch moved) while the install was in flight.
-        """
-        readers: Dict[int, Tuple[SSTableReader, int]] = {}
-        for ssid, blob in bundles.items():
-            try:
-                b_ssid, index_blob, bloom_blob = decode_meta_bundle(blob)
-                if b_ssid != ssid:
-                    raise CorruptionError(
-                        f"bundle labelled ssid {b_ssid}, shipped as {ssid}"
-                    )
-                rd = SSTableReader.from_bundle(
-                    self.store, owner_dir, ssid, index_blob, bloom_blob,
-                    block_cache=self.block_cache,
-                )
-            except CorruptionError:
-                self.stats.corruptions_detected += 1
-                return False
-            readers[ssid] = (rd, len(blob))
-        mv = self.membership
-        epoch = mv.epoch if mv is not None else 0
-        self._set_index_view(
-            owner,
-            _PeerView(owner_dir, tuple(ssids), mem_clean, quarantine_free,
-                      epoch),
-            readers,
-        )
-        # the main thread may have declared the owner dead — and run its
-        # _drop_peer_cache purge — between the caller's staleness check
-        # and the install above.  Re-check after the locked install
-        # (a death publishes under db.membership, which the install does
-        # not hold): whichever of purge and install ran second, no view
-        # from a dead epoch survives
-        if mv is not None and (mv.is_dead(owner) or mv.epoch > epoch):
-            self._drop_peer_cache(owner, owner_dir)
-            return False
-        return True
-
-    def _index_pull(self, owner: int) -> bool:
-        """Pull the owner's view + the bundles I miss (lazy path).
-
-        Returns True when a view was installed.  A timeout is absorbed
-        (False): the caller's handler fallback owns the retry/failover
-        machinery.
-        """
-        owner_dir = self._owner_dir(owner)
-        with self._index_lock:
-            annotate_read(self, "db.index_cache")
-            have = tuple(sorted(
-                s for d, s in self._peer_reader_lru.keys() if d == owner_dir
-            ))
-        seq = self._next_seq
-        self._next_seq += self.nranks
-        mv = self.membership
-        epoch, dead = mv.wire() if mv is not None else (0, ())
-        payload = msg.IndexPullMsg(have, seq, epoch, dead)
-        self.srv_comm.send(payload, owner, tag=0)
-        try:
-            reply = self._await_reply(owner, payload, seq)
-        except RemoteTimeoutError:
-            return False
-        assert isinstance(reply, msg.IndexPullReply)
-        self.stats.index_pulls += 1
-        if mv is not None:
-            mv.merge(reply.epoch, reply.dead)
-            mv.heard_from(owner, self.clock.now)
-        return self._install_index_view(
-            owner, reply.owner_dir, reply.ssids, reply.bundles,
-            reply.mem_clean, reply.quarantine_free,
-        )
-
-    def _index_snapshot(self, wanted: Callable[[int], bool], ship: bool,
-                        clock) -> Optional[Tuple[Tuple[int, ...], bool, bool,
-                                                 Dict[int, bytes]]]:
-        """Owner side of pull and publish (either thread): ``(ssids,
-        mem_clean, quarantine_free, bundles)``.
-
-        The table set and the two flags are one ``db.state`` snapshot;
-        with ``ship``, the sidecars of the tables ``wanted`` picks are
-        read outside it, on ``clock``, and framed as bundles.  Nothing
-        is shipped to a rank that shares my storage — it reads through
-        the device's reader of the table (:meth:`_peer_reader`) — so
-        callers pass ``ship=False`` for one.  A compaction retiring a
-        table between snapshot and read surfaces as StorageError:
-        snapshot again, once; ``None`` after a second race.
-        """
-        t = clock.now
-        for _attempt in range(2):
-            with self._lock:
-                self._retire_flushed(clock.now)
-                ssids = tuple(self.ssids)
-                mem_clean = len(self.local_mt) == 0
-                annotate_read(self, "db.quarantined")
-                quarantine_free = not self._quarantined
-            bundles: Dict[int, bytes] = {}
-            try:
-                for ssid in filter(wanted, ssids if ship else ()):
-                    _, index_p, bloom_p = sstable_paths(self.rank_dir, ssid)
-                    index_blob, t = self.store.read(index_p, t)
-                    bloom_blob, t = self.store.read(bloom_p, t)
-                    bundles[ssid] = encode_meta_bundle(
-                        ssid, index_blob, bloom_blob
-                    )
-            except StorageError:
-                continue
-            clock.advance_to(t)
-            return ssids, mem_clean, quarantine_free, bundles
-        clock.advance_to(t)
-        return None
-
-    def _index_publish_due(self, ssids: List[int]) -> None:
-        """Record freshly retired tables for the next eager publish
-        (call under db.state; flush may run on the handler thread)."""
-        if self.options.index_replication and self.membership is not None:
-            self._index_pub_due.extend(ssids)
-
-    def _drain_index_publishes(self) -> None:
-        """Eagerly push fresh bundles to my replica group (main thread).
-
-        Fire-and-forget: installation is idempotent and a lost publish
-        only costs the receiver a lazy pull.  Runs from ``_tick`` so it
-        never sends while a lock is held and never runs on the handler
-        thread.
-        """
-        if not self._index_pub_due:
-            return  # an unlocked length read: a late append waits a tick
-        with self._lock:
-            due, self._index_pub_due = set(self._index_pub_due), []
-        mv = self.membership
-        if mv is None:
-            return
-        # my group minus me (its head: a view never holds me dead)
-        targets = mv.snapshot.groups[self.rank][1:]
-        if not targets:
-            return
-        far = [r for r in targets if not self.shares_storage_with(r)]
-        snap = self._index_snapshot(due.__contains__, bool(far), self.clock)
-        if snap is None:
-            return  # raced my own compaction twice; the next pull catches up
-        ssids, mem_clean, quarantine_free, bundles = snap
-        epoch, dead = mv.wire()
-        for target in targets:
-            seq = self._next_seq
-            self._next_seq += self.nranks
-            self.srv_comm.send(
-                msg.IndexPublishMsg(
-                    self.rank_dir, ssids, bundles if target in far else {},
-                    mem_clean, quarantine_free, seq, epoch, dead,
-                ),
-                target, tag=0,
-            )
-            self.stats.index_publishes += 1
 
     def shares_storage_with(self, other_rank: int) -> bool:
         """True when ``other_rank`` can read this rank's SSTable files."""
@@ -2563,12 +2210,6 @@ class Database:
         self._ship_window()
         self._drain_acks(blocking=True)
         self._quorum_due = []  # drained above: the ledger is empty
-        # visibility boundary: pairs I just migrated live in their
-        # owners' MemTables, which a one-sided read cannot see — every
-        # cached index view must stop claiming the owner's memory is
-        # clean until a re-pull proves it again
-        if self.options.index_replication:
-            self._index_mark_all_dirty()
 
     def barrier(self, level: int = config.MEMTABLE) -> None:
         """Collective fence (+ SSTable flush at ``SSTABLE`` level)."""

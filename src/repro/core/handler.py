@@ -8,7 +8,7 @@ handler queueing exactly the server semantics the real thread has.
 
 The handler dispatches every request class in
 :data:`repro.core.messages.WIRE_TAGS` (the checked-in spec is
-:mod:`repro.core.protocol`), in four families:
+:mod:`repro.core.protocol`), in three families:
 
 * **writes** — ``PairsMsg``: a relaxed-mode migration chunk, a
   sequential-mode put, a replica fan-out or a re-replication push.  Its
@@ -20,11 +20,8 @@ The handler dispatches every request class in
   of a remote rank, one ``GetReply`` for the whole key list, honouring
   the storage-group shortcut (§2.7): if the requester shares this
   rank's NVM and a pair is not in memory, answer NOT_IN_MEMORY so the
-  requester reads the SSTables itself;
-* **index replication** — ``IndexPullMsg`` (answered with this rank's
-  view, and the bundles a requester that cannot read this rank's
-  sidecar files is missing) and ``IndexPublishMsg`` (fire-and-forget
-  install);
+  requester reads the SSTables itself — the one way a rank reads
+  another rank's tables;
 * **maintenance** — ``HeartbeatMsg`` (pong on the ack comm's heartbeat
   tag), ``FetchTableMsg`` (ship an SSTable's files to a storage-group
   peer climbing its recovery ladder) and ``StopMsg``.
@@ -98,14 +95,6 @@ def handler_main(db: Database) -> None:
                 _serve_heartbeat(db, m, source, hclock, cpu)
                 db._trace("serve heartbeat", "handler", t_service,
                           hclock.now)
-            elif isinstance(m, msg.IndexPullMsg):
-                _serve_index_pull(db, m, source, hclock, cpu)
-                db._trace("serve index_pull", "handler", t_service,
-                          hclock.now)
-            elif isinstance(m, msg.IndexPublishMsg):
-                _serve_index_publish(db, m, source, hclock, cpu)
-                db._trace(f"serve index_publish({len(m.bundles)})",
-                          "handler", t_service, hclock.now)
             else:  # pragma: no cover - protocol error
                 raise TypeError(f"handler got unexpected message {m!r}")
     except (RankKilledError, AbortedError):  # killed / torn down mid-service
@@ -210,57 +199,6 @@ def _serve_fetch_table(db: Database, m: msg.FetchTableMsg, source: int,
         blobs = None
     hclock.advance_to(t)
     db.rsp_comm.send(msg.FetchTableReply(blobs, m.seq), source, tag=m.seq)
-
-
-def _serve_index_pull(db: Database, m: msg.IndexPullMsg, source: int,
-                      hclock: VirtualClock, cpu) -> None:
-    """Answer a pull with this rank's index view and the bundles the
-    requester did not report in ``have`` (``Database._index_snapshot``;
-    none at all to a requester that shares this rank's storage)."""
-    mv = db.membership
-    if mv is not None:
-        # the pull carries the requester's membership stamp: merge it so
-        # epoch news travels on every index exchange, not just puts
-        mv.merge(m.epoch, m.dead)
-    have = set(m.have)
-    # after a second raced compaction: a view nobody can use, which
-    # sends the requester to this handler
-    ssids, mem_clean, quarantine_free, bundles = db._index_snapshot(
-        lambda ssid: ssid not in have,
-        not db.shares_storage_with(source), hclock,
-    ) or ((), False, True, {})
-    epoch, dead = mv.wire() if mv is not None else (0, ())
-    db.rsp_comm.send(
-        msg.IndexPullReply(
-            db.rank_dir, ssids, bundles, mem_clean, quarantine_free,
-            m.seq, epoch, dead,
-        ),
-        source, tag=m.seq,
-    )
-
-
-def _serve_index_publish(db: Database, m: msg.IndexPublishMsg, source: int,
-                         hclock: VirtualClock, cpu) -> None:
-    """Install an owner's eagerly pushed index view (fire-and-forget).
-
-    A publish stamped with an older epoch than this view's — or sent by
-    a rank this view holds dead — is dropped: bundles from a dead epoch
-    must never revive a retired view.  Installation is idempotent, so
-    no ack travels back.
-    """
-    mv = db.membership
-    if mv is not None and mv.is_stale(m.epoch, source):
-        db.stats.epoch_rejections += 1
-        return
-    if mv is not None:
-        mv.merge(m.epoch, m.dead)
-    if not db.options.index_replication:
-        return
-    hclock.advance(cpu.kv_op_s * max(1, len(m.bundles)))
-    db._install_index_view(
-        source, m.owner_dir, tuple(m.ssids), m.bundles, m.mem_clean,
-        m.quarantine_free,
-    )
 
 
 def _serve_get(db: Database, m: msg.GetMsg, source: int,

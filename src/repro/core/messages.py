@@ -5,8 +5,8 @@ to the application (paper §2.4):
 
 * ``srv``  — requests to the owner rank's message handler;
 * ``rsp``  — synchronous responses (remote get results, table fetches,
-  index pulls, and the ack of a ``sync`` :class:`PairsMsg`, whose
-  sender is blocked on it);
+  and the ack of a ``sync`` :class:`PairsMsg`, whose sender is blocked
+  on it);
 * ``ack``  — asynchronous acknowledgements on two tags: the acks of
   every other :class:`PairsMsg` (``ACK_TAG``, drained at
   fence/barrier/close time) and failure-detector heartbeat pongs
@@ -28,14 +28,13 @@ from typing import Dict, List, Optional, Tuple
 
 # message types on the srv comm.  Retired, never reused: 5 (a never-used
 # checkpoint marker), 6 and 7 (the per-batch twins of GET / PUT_SYNC,
-# folded into them), and 1, 2, 9, 11 (MIGRATE, PUT_SYNC, REPLICA_PUT,
-# REPLICA_SYNC — the four pair carriers PAIRS replaced)
+# folded into them), 1, 2, 9, 11 (MIGRATE, PUT_SYNC, REPLICA_PUT,
+# REPLICA_SYNC — the four pair carriers PAIRS replaced), and 12, 13
+# (INDEX_PULL, INDEX_PUBLISH — the deleted index-replication plane)
 GET = 3           # per-owner remote get request
 STOP = 4          # handler shutdown
 FETCH_TABLE = 8   # ship a whole SSTable's files (peer rebuild)
 HEARTBEAT = 10    # failure-detector ping (pong travels on the ack comm)
-INDEX_PULL = 12   # fetch replicated SSTable metadata bundles from an owner
-INDEX_PUBLISH = 13  # owner's eager push of fresh bundles to its replica group
 PAIRS = 14        # key-value pairs for the receiver's MemTable
 
 # GET reply status
@@ -185,84 +184,6 @@ class AckMsg:
 
 
 @dataclass
-class IndexPullMsg:
-    """Ask an owner for its current index view and metadata bundles.
-
-    ``have`` lists the ssids whose bundles the requester already caches
-    for this owner, so an unchanged bundle is never re-shipped — after a
-    flush only the new table's metadata travels.  Carries the puller's
-    ``(epoch, dead)`` membership stamp like every other index-plane
-    message, so epoch news reaches the owner on every pull.
-    """
-
-    have: Tuple[int, ...]
-    seq: int
-    epoch: int = 0
-    dead: Tuple[int, ...] = ()
-
-    def wire_nbytes(self) -> int:
-        """Wire size of a pull request (ssid list + stamp + header)."""
-        return 24 + 4 * len(self.have) + 4 * len(self.dead)
-
-
-@dataclass
-class IndexPullReply:
-    """The owner's index view: table set, flags, and missing bundles.
-
-    ``ssids`` is the authoritative table set at reply time (the value a
-    requester's one-sided directory listings must match before trusting
-    the view); ``mem_clean`` is False when the owner's local MemTable
-    holds unflushed pairs a direct read could not see;
-    ``quarantine_free`` is False while any of the owner's key range is
-    quarantined.  ``bundles`` maps ssid → encoded metadata bundle for
-    every table the requester reported missing — none for a requester
-    that shares the owner's storage.  Carries the owner's
-    ``(epoch, dead)`` membership stamp like every replication reply.
-    """
-
-    owner_dir: str
-    ssids: Tuple[int, ...]
-    bundles: Dict[int, bytes]
-    mem_clean: bool
-    quarantine_free: bool
-    seq: int
-    epoch: int = 0
-    dead: Tuple[int, ...] = ()
-
-    def wire_nbytes(self) -> int:
-        """Wire size: the shipped bundles dominate."""
-        return (32 + len(self.owner_dir) + 4 * len(self.ssids)
-                + 4 * len(self.dead)
-                + sum(8 + len(b) for b in self.bundles.values()))
-
-
-@dataclass
-class IndexPublishMsg:
-    """Owner's eager push of its index view to a replica-group member.
-
-    Same payload as :class:`IndexPullReply` but unsolicited and
-    unacknowledged: installation is idempotent and a dropped publish
-    only costs the receiver a lazy re-pull.  The receiver rejects a
-    publish whose membership stamp is stale (dead sender or old epoch).
-    """
-
-    owner_dir: str
-    ssids: Tuple[int, ...]
-    bundles: Dict[int, bytes]
-    mem_clean: bool
-    quarantine_free: bool
-    seq: int
-    epoch: int = 0
-    dead: Tuple[int, ...] = ()
-
-    def wire_nbytes(self) -> int:
-        """Wire size: the shipped bundles dominate."""
-        return (32 + len(self.owner_dir) + 4 * len(self.ssids)
-                + 4 * len(self.dead)
-                + sum(8 + len(b) for b in self.bundles.values()))
-
-
-@dataclass
 class StopMsg:
     """Shut the handler thread down (database close)."""
 
@@ -275,17 +196,14 @@ class StopMsg:
 #: reuse their dispatch constants; replies get the 100+ block.  A tag,
 #: once assigned, must never change or be reused: checkpoint manifests
 #: and fault plans written by old runs identify messages by these
-#: (retired: 1, 2, 5, 6, 7, 9, 11 and replies 101, 104).
+#: (retired: 1, 2, 5, 6, 7, 9, 11, 12, 13 and replies 101, 104, 105).
 WIRE_TAGS: Dict[str, int] = {
     "GetMsg": GET,
     "FetchTableMsg": FETCH_TABLE,
     "StopMsg": STOP,
     "HeartbeatMsg": HEARTBEAT,
-    "IndexPullMsg": INDEX_PULL,
-    "IndexPublishMsg": INDEX_PUBLISH,
     "PairsMsg": PAIRS,
     "GetReply": 100,
     "FetchTableReply": 102,
     "AckMsg": 103,
-    "IndexPullReply": 105,
 }

@@ -64,18 +64,8 @@ MESSAGE_SPECS = {
         "kind": "request", "retryable": False, "epoch_stamped": True,
         "reply": "AckMsg",
     },
-    # index replication: pulls answered, publishes fire-and-forget
-    "IndexPullMsg": {
-        "kind": "request", "retryable": False, "epoch_stamped": True,
-        "reply": "IndexPullReply",
-    },
-    "IndexPublishMsg": {
-        "kind": "request", "retryable": False, "epoch_stamped": True,
-        "reply": None,
-    },
     # replies (rsp/ack comms)
     "GetReply": {"kind": "reply"},
     "FetchTableReply": {"kind": "reply"},
     "AckMsg": {"kind": "reply", "epoch_stamped": True},
-    "IndexPullReply": {"kind": "reply", "epoch_stamped": True},
 }

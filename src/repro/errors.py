@@ -34,7 +34,7 @@ class ErrorCode(enum.IntEnum):
     REPLICA_STALE = 17
     MEMBERSHIP_EPOCH = 18
     QUORUM_LOST = 19
-    METADATA_STALE = 20
+    # 20 (METADATA_STALE, the deleted index-replication plane) stays unused
 
 
 #: Aliases matching the paper's spelling.
@@ -173,19 +173,6 @@ class MembershipEpochError(ReplicationError):
     a self-death notice is unrecoverable and surfaces as this error."""
 
     code = ErrorCode.MEMBERSHIP_EPOCH
-
-
-class MetadataStaleError(PapyrusError):
-    """Replicated SSTable metadata no longer matches the owner's tables.
-
-    Raised on the one-sided read path when the newest-ssid handshake
-    fails — the owner's directory listing disagrees with the cached
-    index view (a flush, compaction, or quarantine retired the tables
-    the bundle describes), or a bundle the view references is missing
-    from the cache.  Callers re-pull the view and retry once before
-    falling back to the owner's handler."""
-
-    code = ErrorCode.METADATA_STALE
 
 
 class QuorumLostError(ReplicationError):

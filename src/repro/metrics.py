@@ -141,16 +141,6 @@ def format_report(db_metrics: Dict[str, Any]) -> str:
             f"{m.get('rereplicated_pairs', 0)} pairs re-replicated, "
             f"{m.get('failover_gets', 0)} failover gets"
         )
-    if (m.get("index_repl_hits") or m.get("index_pulls")
-            or m.get("index_publishes")):
-        lines.append(
-            f"  index repl: {m.get('index_repl_hits', 0)} one-sided hits, "
-            f"{m.get('index_repl_misses', 0)} misses, "
-            f"{m.get('index_repl_stale', 0)} stale, "
-            f"{m.get('index_repl_fallbacks', 0)} fallbacks, "
-            f"{m.get('index_pulls', 0)} pulls, "
-            f"{m.get('index_publishes', 0)} publishes"
-        )
     if m.get("get_tiers"):
         tiers = ", ".join(f"{k}={v}" for k, v in sorted(m["get_tiers"].items()))
         lines.append(f"  get tiers: {tiers}")

@@ -8,8 +8,7 @@ hands out **one** :class:`BlockCache` and every database on the store
 reads through it: 64KB-aligned SSData blocks keyed ``(directory, ssid,
 block)`` and each table's *file-built* reader (its parsed index and
 bloom) keyed ``(directory, ssid)`` — a block or sidecar is read off the
-device once, for owner and storage-group peers alike.  Readers built
-from a shipped bundle are not here: only what this device serves is.
+device once, for owner and storage-group peers alike.
 
 Design points:
 

@@ -373,56 +373,6 @@ def decode_bloom_file(blob: bytes) -> BloomFilter:
         raise CorruptionError(f"bloom filter malformed: {exc}") from exc
 
 
-#: Metadata-bundle magic ("PKVR" — replicated metadata).
-BUNDLE_MAGIC = 0x52564B50
-BUNDLE_VERSION = 1
-_BUNDLE_HDR = struct.Struct("<IIQII")  # magic, version, ssid, index_len, bloom_len
-
-
-def encode_meta_bundle(ssid: int, index_blob: bytes, bloom_blob: bytes) -> bytes:
-    """Serialize one table's replicated metadata bundle.
-
-    The bundle is the unit an owner ships to non-owners so they can run
-    the read-path gate order (fences → bloom → index) without touching
-    the owner's sidecar files: the raw SSIndex file bytes (entries,
-    footer fences, block CRCs) and the raw bloom file bytes, framed with
-    the table's ssid and a trailing CRC-32 over the whole frame.
-    """
-    out = bytearray(_BUNDLE_HDR.pack(BUNDLE_MAGIC, BUNDLE_VERSION, ssid,
-                                     len(index_blob), len(bloom_blob)))
-    out += index_blob
-    out += bloom_blob
-    out += _U32.pack(crc32c(out))
-    return bytes(out)
-
-
-def decode_meta_bundle(blob: bytes) -> Tuple[int, bytes, bytes]:
-    """Parse a metadata bundle; returns ``(ssid, index_blob, bloom_blob)``.
-
-    Verifies the trailing CRC before trusting any field.  The inner
-    blobs are *not* parsed here — callers hand them to
-    :func:`parse_index` / :func:`decode_bloom_file`, which carry their
-    own checksums.  Raises :class:`CorruptionError` on any mismatch.
-    """
-    if len(blob) < _BUNDLE_HDR.size + _U32.size:
-        raise CorruptionError("metadata bundle truncated")
-    (stored_crc,) = _U32.unpack_from(blob, len(blob) - _U32.size)
-    if crc32c(memoryview(blob)[:-_U32.size]) != stored_crc:
-        raise CorruptionError("metadata bundle checksum mismatch")
-    magic, version, ssid, index_len, bloom_len = _BUNDLE_HDR.unpack_from(blob, 0)
-    if magic != BUNDLE_MAGIC:
-        raise CorruptionError(f"bad metadata bundle magic {magic:#x}")
-    if version != BUNDLE_VERSION:
-        raise CorruptionError(f"unknown metadata bundle version {version}")
-    pos = _BUNDLE_HDR.size
-    end = pos + index_len + bloom_len
-    if end != len(blob) - _U32.size:
-        raise CorruptionError("metadata bundle length fields disagree with frame")
-    index_blob = bytes(blob[pos:pos + index_len])
-    bloom_blob = bytes(blob[pos + index_len:end])
-    return ssid, index_blob, bloom_blob
-
-
 def sstable_filenames(ssid: int) -> Tuple[str, str, str]:
     """(SSData, SSIndex, bloom) filenames for one SSID."""
     base = f"{ssid:010d}"

@@ -143,28 +143,6 @@ class SSTableReader:
         #: read, only the block cache's leaf lock is taken under it
         self._io_lock = make_lock("sstable.reader")
 
-    @classmethod
-    def from_bundle(cls, store: PosixStore, directory: str, ssid: int,
-                    index_blob: bytes, bloom_blob: bytes,
-                    block_cache: Optional[BlockCache] = None,
-                    ) -> "SSTableReader":
-        """Build a reader from a replicated metadata bundle.
-
-        The bloom filter, index entries, and footer are parsed from
-        the shipped blobs instead of the sidecar files, so the metadata
-        side of the gate order (fences → bloom → index) costs no device
-        time on the owner's NVM — only data-block probes touch
-        ``directory``.  Raises :class:`CorruptionError` if either blob
-        fails its checksum.
-        """
-        reader = cls(store, directory, ssid, block_cache=block_cache)
-        try:
-            reader._bloom = decode_bloom_file(bloom_blob)
-            reader._index, reader._footer = parse_index(index_blob)
-        except CorruptionError as exc:
-            raise reader._corrupt(f"metadata bundle: {exc}") from exc
-        return reader
-
     def _corrupt(self, detail: str) -> CorruptionError:
         return CorruptionError(f"sstable {self.ssid} ({self.directory}): {detail}")
 

@@ -1,7 +1,7 @@
 """The one checksum of the on-disk format (since SSTable format 3).
 
-The format protects every SSData block, sidecar file, metadata bundle and
-checkpoint file with CRC-32/ISO-HDLC — the zlib/PNG/Ethernet CRC,
+The format protects every SSData block, sidecar file and checkpoint
+file with CRC-32/ISO-HDLC — the zlib/PNG/Ethernet CRC,
 reflected polynomial 0xEDB88320, check value ``0xCBF43926`` for
 ``b"123456789"`` — computed by the stdlib's C routine ``zlib.crc32``.
 It gives the same 32-bit guarantees as the Castagnoli CRC of format 2

@@ -17,10 +17,8 @@ from repro.analysis.runtime import annotate_read, annotate_write
 class ObjectLRU:
     """Cost-budgeted LRU map from hashable keys to arbitrary values.
 
-    The one LRU implementation: readers over other ranks' tables
-    (:class:`~repro.sstable.reader.SSTableReader` keyed ``(owner_dir,
-    ssid)``, charged by metadata bytes) and — through
-    :class:`LRUCache` — the byte-keyed pair caches.  Each ``put``
+    The one LRU implementation, under the byte-keyed pair caches of
+    :class:`LRUCache`.  Each ``put``
     carries an explicit ``cost`` (bytes, or 1 for a pure entry-count
     bound); LRU entries are evicted until the total cost fits the
     budget.  Callers provide their own locking; the race annotations

@@ -259,41 +259,41 @@ class TestR003WireTags:
         """, handler_src="x = (GetMsg, GetReply)\n")
         assert lint_file(path) == []
 
-    def test_index_replication_message_family_is_clean(self, tmp_path):
-        """The one-sided index-replication wire family lints clean: both
-        request classes are dispatched by the handler, the pull reply is
-        awaited by db.py, and every tag resolves through a constant."""
+    def test_pull_and_push_message_family_is_clean(self, tmp_path):
+        """A pull/push wire family lints clean: both request classes
+        are dispatched by the handler, the pull reply is awaited by
+        db.py, and every tag resolves through a constant."""
         path = self._write(tmp_path, """
-            INDEX_PULL = 12
-            INDEX_PUBLISH = 13
-            class IndexPullMsg:
+            VIEW_PULL = 12
+            VIEW_PUSH = 13
+            class ViewPullMsg:
                 pass
-            class IndexPublishMsg:
+            class ViewPushMsg:
                 pass
-            class IndexPullReply:
+            class ViewPullReply:
                 pass
             WIRE_TAGS = {
-                "IndexPullMsg": INDEX_PULL,
-                "IndexPublishMsg": INDEX_PUBLISH,
-                "IndexPullReply": 105,
+                "ViewPullMsg": VIEW_PULL,
+                "ViewPushMsg": VIEW_PUSH,
+                "ViewPullReply": 105,
             }
-        """, handler_src="x = (IndexPullMsg, IndexPublishMsg)\n")
-        (tmp_path / "db.py").write_text("x = IndexPullReply\n")
+        """, handler_src="x = (ViewPullMsg, ViewPushMsg)\n")
+        (tmp_path / "db.py").write_text("x = ViewPullReply\n")
         assert lint_file(path) == []
 
-    def test_index_publish_without_handler_arm_flags(self, tmp_path):
-        """A fire-and-forget publish class that the handler never
+    def test_push_without_handler_arm_flags(self, tmp_path):
+        """A fire-and-forget push class that the handler never
         dispatches is dead wire surface and gets flagged."""
         path = self._write(tmp_path, """
-            class IndexPullMsg:
+            class ViewPullMsg:
                 pass
-            class IndexPublishMsg:
+            class ViewPushMsg:
                 pass
-            WIRE_TAGS = {"IndexPullMsg": 12, "IndexPublishMsg": 13}
-        """, handler_src="x = IndexPullMsg\n")
+            WIRE_TAGS = {"ViewPullMsg": 12, "ViewPushMsg": 13}
+        """, handler_src="x = ViewPullMsg\n")
         fs = lint_file(path)
         assert any(
-            f.rule == "R003" and "IndexPublishMsg" in f.message for f in fs
+            f.rule == "R003" and "ViewPushMsg" in f.message for f in fs
         )
 
 

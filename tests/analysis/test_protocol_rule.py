@@ -16,7 +16,7 @@ from repro.analysis.protocol import check_protocol
 
 MESSAGES_OK = """
     WIRE_TAGS = {"PutSyncMsg": 1, "AckMsg": 2, "ReplicaPutBatchMsg": 3,
-                 "ReplicaAckMsg": 4, "IndexPublishMsg": 5}
+                 "ReplicaAckMsg": 4, "ReplicaPublishMsg": 5}
 
     class PutSyncMsg:
         pairs: list
@@ -35,7 +35,7 @@ MESSAGES_OK = """
         epoch: int
         dead: tuple
 
-    class IndexPublishMsg:
+    class ReplicaPublishMsg:
         entries: tuple
         epoch: int
         dead: tuple
@@ -55,7 +55,7 @@ HANDLER_OK = """
             if db._already_applied(m.seq):
                 return
             db.ack_comm.send(ReplicaAckMsg(0, ()))
-        elif isinstance(m, IndexPublishMsg):
+        elif isinstance(m, ReplicaPublishMsg):
             db.index.merge(m.entries)
 """
 
@@ -69,7 +69,7 @@ SPEC_OK = """
                                "epoch_stamped": True,
                                "reply": "ReplicaAckMsg"},
         "ReplicaAckMsg": {"kind": "reply", "epoch_stamped": True},
-        "IndexPublishMsg": {"kind": "request", "epoch_stamped": True,
+        "ReplicaPublishMsg": {"kind": "request", "epoch_stamped": True,
                             "reply": None},
     }
 """
@@ -161,16 +161,16 @@ class TestEpochStamping:
                    for f in fs)
 
     def test_stamped_class_missing_fields(self, tmp_path):
-        # the PR-8 IndexPublishMsg surface: declared stamped, fields gone
+        # a publish surface declared stamped, its fields gone
         messages = MESSAGES_OK.replace(
-            "    class IndexPublishMsg:\n"
+            "    class ReplicaPublishMsg:\n"
             "        entries: tuple\n"
             "        epoch: int\n"
             "        dead: tuple",
-            "    class IndexPublishMsg:\n        entries: tuple")
+            "    class ReplicaPublishMsg:\n        entries: tuple")
         fs = _run(tmp_path, messages=messages)
         assert any("lacks field(s) ['dead', 'epoch']" in f.message
-                   and f.function == "IndexPublishMsg" for f in fs)
+                   and f.function == "ReplicaPublishMsg" for f in fs)
 
     def test_replica_batch_missing_epoch_only(self, tmp_path):
         # the PR-6/7 ReplicaPutBatchMsg surface
@@ -192,11 +192,11 @@ class TestEpochStamping:
 class TestRequestReply:
     def test_missing_dispatch_arm(self, tmp_path):
         handler = HANDLER_OK.replace(
-            "        elif isinstance(m, IndexPublishMsg):\n"
+            "        elif isinstance(m, ReplicaPublishMsg):\n"
             "            db.index.merge(m.entries)\n", "")
         fs = _run(tmp_path, handler=handler)
         assert any("no isinstance dispatch arm" in f.message
-                   and f.function == "IndexPublishMsg" for f in fs)
+                   and f.function == "ReplicaPublishMsg" for f in fs)
 
     def test_reply_never_constructed(self, tmp_path):
         handler = HANDLER_OK.replace(

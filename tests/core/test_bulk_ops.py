@@ -323,23 +323,19 @@ class TestRandomizedEquivalence:
 
         spmd_run(4, app)
 
-    @pytest.mark.parametrize(
-        "layout", ["memory", "shared_sstable", "index_sstable"])
+    @pytest.mark.parametrize("layout", ["memory", "shared_sstable"])
     def test_bulk_equals_per_key_same_op_stream(self, layout):
         """With a single writer the point and batch calls agree
         key-for-key — and, being one engine, tier-for-tier: the same
         data read by a ``get_ex`` loop and by one ``get_bulk`` resolves
         through the same tiers, whether it sits in the owners'
-        MemTables, in same-group SSTables (§2.7 shared read) or in
-        cross-group SSTables behind a replicated index."""
-        opts = (dict(group_size=1, index_replication=True)
-                if layout == "index_sstable" else {})
+        MemTables or in same-group SSTables (§2.7 shared read)."""
         level = MEMTABLE if layout == "memory" else SSTABLE
 
         def app(ctx):
             with Papyrus(ctx) as env:
-                per = env.open("perkey", small_options(**opts))
-                blk = env.open("bulk", small_options(**opts))
+                per = env.open("perkey", small_options())
+                blk = env.open("bulk", small_options())
                 rng = random.Random(99)
                 if ctx.world_rank == 0:
                     ops = []

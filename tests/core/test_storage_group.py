@@ -1,22 +1,38 @@
-"""Storage groups (§2.7): shared-SSTable reads, group sizing, fallbacks."""
+"""Storage groups (§2.7): shared-SSTable reads, group sizing, fallbacks.
+
+The §2.7 handshake is the one way a rank reads another rank's tables:
+``GetMsg`` → ``NOT_IN_MEMORY`` → ``_handshake_view`` → ``_peer_walk``
+through the device's readers, with one stale-view ladder (ask → re-ask
+after a drop → ``force_data``).
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
 import threading
+from collections import Counter
 from itertools import islice
 
 import pytest
 
 from repro import Options, Papyrus, SSTABLE
 from repro.analysis import runtime as rt
+from repro.core import handler
+from repro.core import messages as msg
+from repro.core.db import Database, _PeerView
+from repro.errors import StorageError
+from repro.faults import FaultPlan
 from repro.mpi.launcher import spmd_run
 from repro.nvm.posixfs import PosixStore
 from repro.nvm.storage import Machine
 from repro.simtime.profiles import CORI, SUMMITDEV
 from repro.sstable.block_cache import BlockCache
+from repro.sstable.reader import SSTableReader, list_ssids
 from tests.conftest import small_options
+
+FAULT_SEED = int(os.environ.get("PKV_FAULT_SEED", "7"))
 
 
 def _fill_and_flush(db, rank, n=80, vlen=64):
@@ -235,7 +251,7 @@ class TestOneCachePerDevice:
                                                      "shared_sstable")
                 db.barrier()
                 made = sorted(p for _, p, _ in log[n0:])
-                reader = db._peer_reader(1, f"{db.dbdir}/rank1", ssid)
+                reader = db._peer_reader(f"{db.dbdir}/rank1", ssid)
                 out = (made, id(reader), id(db.block_cache),
                        db.metrics()["block_cache"])
                 db.barrier()
@@ -532,3 +548,340 @@ class TestOneCachePerDevice:
 
         spmd_run(2, app, system=SUMMITDEV, machine=machine)
         machine.close()
+
+
+class TestOneWayIn:
+    """Every read of another rank's tables: one ``GetMsg`` per owner, a
+    ``NOT_IN_MEMORY`` reply, and a walk through the device's readers."""
+
+    def test_the_ladder_once(self, monkeypatch):
+        """A walk that keeps failing goes ask → drop → re-ask → drop →
+        ``force_data``, and a drop leaves the device's readers and
+        blocks of the owner alone: they are the owner's to drop."""
+        planted: dict = {}  # requester thread ident -> owner directory
+        events: dict = {}   # requester rank -> what its get did, in order
+        key_range, drop = SSTableReader.key_range, Database._drop_peer_cache
+        ask = Database._request_get
+
+        def failing_key_range(reader, t):
+            if planted.get(threading.get_ident()) == reader.directory:
+                raise StorageError("planted: file vanished under the walk")
+            return key_range(reader, t)
+
+        def logging_drop(db, owner):
+            owner_dir = f"{db.dbdir}/rank{owner}"
+            kept = _entries_under(db.block_cache, owner_dir)
+            drop(db, owner)
+            assert owner not in db._peer_views
+            assert _entries_under(db.block_cache, owner_dir) == kept
+            events.setdefault(db.rank, []).append("drop")
+
+        def logging_ask(db, groups, force):
+            events.setdefault(db.rank, []).append(
+                "force_data" if force else "ask")
+            return ask(db, groups, force)
+
+        monkeypatch.setattr(SSTableReader, "key_range", failing_key_range)
+        monkeypatch.setattr(Database, "_drop_peer_cache", logging_drop)
+        monkeypatch.setattr(Database, "_request_get", logging_ask)
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("lad", small_options(
+                    group_size=2, cache_local_enabled=False))
+                r = ctx.world_rank
+                other = 1 - r
+                for key in _keys_of(db, r, 40):
+                    db.put(key, b"l" * 64)
+                db.barrier(SSTABLE)
+                theirs = _keys_of(db, other, 40)
+                res = db.get_ex(theirs[0])  # warm every cache
+                assert (res.value, res.tier) == (b"l" * 64, "shared_sstable")
+                assert all(_entries_under(db.block_cache,
+                                          f"{db.dbdir}/rank{other}"))
+                events[r] = []
+                planted[threading.get_ident()] = f"{db.dbdir}/rank{other}"
+                res = db.get_ex(theirs[1])
+                del planted[threading.get_ident()]
+                assert (res.value, res.tier) == (b"l" * 64, "remote")
+                assert events[r] == [
+                    "ask", "drop", "ask", "drop", "force_data"]
+                assert db.get(theirs[1]) == b"l" * 64  # and it recovers
+                db.barrier()
+                db.close()
+
+        spmd_run(2, app)
+
+    def test_a_warm_view_never_masks_a_newer_tombstone(self):
+        """The requester holds a warm view and warm blocks of keys the
+        owner has since deleted and flushed into a newer table: the
+        reply names that table, so the walk re-lists and finds the
+        tombstone instead of the cached older version."""
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("tomb", small_options(group_size=2))
+                r = ctx.world_rank
+                other = 1 - r
+                for key in _keys_of(db, r, 40):
+                    db.put(key, b"old" * 8)
+                db.barrier(SSTABLE)
+                victims = _keys_of(db, other, 5)
+                for key in victims:  # warm the view and the blocks
+                    res = db.get_ex(key)
+                    assert (res.value, res.tier) == (b"old" * 8,
+                                                     "shared_sstable")
+                warm = db._peer_views[other].ssids
+                db.barrier()
+                for key in _keys_of(db, r, 40):
+                    db.delete(key)
+                db.barrier(SSTABLE)
+                for key in victims:
+                    assert db.get_or_none(key) is None
+                assert db._peer_views[other].ssids[-1] > warm[-1]
+                db.barrier()
+                db.close()
+
+        spmd_run(2, app)
+
+    def test_a_purge_drops_the_view_and_keeps_the_devices_copy(self):
+        """``_drop_peer_cache`` and ``_forget_dead_rank`` leave no view
+        of the owner and keep the device's readers and blocks; the
+        owner's own invalidation empties the device's one copy."""
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("one", small_options(
+                    group_size=2, cache_local_enabled=False))
+                r = ctx.world_rank
+                other = 1 - r
+                for key in _keys_of(db, r, 40):
+                    db.put(key, b"p" * 64)
+                db.barrier(SSTABLE)
+                other_dir = f"{db.dbdir}/rank{other}"
+                theirs = _keys_of(db, other, 40)
+                for purge in (
+                    lambda: db._drop_peer_cache(other),
+                    lambda: db._forget_dead_rank(other),
+                ):
+                    for key in theirs[:8]:
+                        assert db.get_ex(key).tier == "shared_sstable"
+                    kept = _entries_under(db.block_cache, other_dir)
+                    assert other in db._peer_views and all(kept)
+                    purge()
+                    assert other not in db._peer_views
+                    assert _entries_under(db.block_cache, other_dir) == kept
+                db.barrier()  # the peer is done reading my directory
+                # my own tables, read the way a same-group peer reads
+                # them: a table replaced in place (repair, restore) must
+                # not survive under its old bytes for anyone on the device
+                ssids = tuple(sorted(db.ssids))
+                mine = _keys_of(db, r, 40)
+                recs = db._peer_walk(r, _PeerView(db.rank_dir, ssids), mine)
+                assert [rec.value for rec in recs] == [b"p" * 64] * 40
+                assert all(db._peer_reader(db.rank_dir, s) is db._reader(s)
+                           for s in ssids)
+                readers, blocks = _entries_under(db.block_cache, db.rank_dir)
+                assert readers == set(ssids) and blocks
+                db._invalidate_readers(ssids[0])
+                readers, blocks = _entries_under(db.block_cache, db.rank_dir)
+                assert readers == set(ssids[1:]) and ssids[0] not in blocks
+                db._invalidate_readers()
+                assert _entries_under(db.block_cache, db.rank_dir) == (
+                    set(), set())
+                db.barrier()
+                db.close()
+
+        spmd_run(2, app)
+
+    def test_a_bulk_get_reads_what_the_owner_would(self, monkeypatch):
+        """A 64-key same-group ``get_bulk`` is one ``GetMsg``, one reply
+        — and when the owner looks the same keys up at the same time,
+        the peer's and the owner's device reads *together* are the ones
+        a single cold reader makes: every block and sidecar comes off
+        the node's device once, for whichever of the two got there
+        first."""
+        reads = _watch_reads(monkeypatch)
+        served: list = []  # the owner rank of every GetMsg served
+        serve_get = handler._serve_get
+
+        def counting_serve_get(db, *args):
+            served.append(db.rank)
+            return serve_get(db, *args)
+
+        monkeypatch.setattr(handler, "_serve_get", counting_serve_get)
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("off", small_options(
+                    group_size=2, cache_local_enabled=False))
+                r = ctx.world_rank
+                for key in _keys_of(db, r, 64):
+                    db.put(key, b"o" * 64)
+                db.barrier(SSTABLE)
+                keys = _keys_of(db, 1, 64)
+                me = threading.get_ident()
+                if r == 1:  # the baseline: one cold reader, alone
+                    db._invalidate_readers()
+                    n0 = len(reads)
+                    assert db.get_bulk(keys) == [b"o" * 64] * 64
+                    assert {tid for tid, _, _ in reads[n0:]} == {me}
+                    alone = sorted(rd[1:] for rd in reads[n0:])
+                    db._invalidate_readers()
+                else:
+                    alone = None
+                db.barrier()  # nobody reads from here ...
+                n0, msgs0 = len(reads), db.stats.bulk_owner_msgs
+                db.barrier()  # ... to here
+                # rank 0 reads them as a peer, rank 1 as their owner
+                assert db.get_bulk(keys) == [b"o" * 64] * 64
+                sent = db.stats.bulk_owner_msgs - msgs0
+                tiers = dict(db.stats.get_tiers)
+                db.barrier()
+                made = [rd[1:] for rd in reads[n0:] if rd[0] == me]
+                db.close()
+                return made, sent, tiers, alone
+
+        (peer, sent, tiers, _), (own, _, _, alone) = spmd_run(2, app)
+        assert sent == 1 and served == [1]
+        assert tiers == {"shared_sstable": 64}
+        # neither re-read a block or sidecar the other had fetched
+        assert len(alone) == len(set(alone)) > 0
+        assert sorted(peer + own) == alone
+
+    def test_each_sidecar_is_read_once_per_device(self, monkeypatch):
+        """Owner and peer both search through the device's file-built
+        reader, so a table's index and bloom come off the owner's device
+        once, whoever and however many ask."""
+        reads = _watch_reads(monkeypatch)
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("big", small_options(group_size=2))
+                r = ctx.world_rank
+                other = 1 - r
+                for key in _keys_of(db, r, 40):
+                    db.put(key, b"b" * 32)
+                db.barrier(SSTABLE)
+                owner_dir = f"{db.dbdir}/rank{other}"
+                (ssid,) = list_ssids(db.store, owner_dir)
+                for key in _keys_of(db, other, 40):
+                    res = db.get_ex(key)
+                    assert (res.value, res.tier) == (b"b" * 32,
+                                                     "shared_sstable")
+                _, index_path, bloom_path = db._peer_reader(
+                    owner_dir, ssid).file_paths()
+                db.barrier()  # the owner has read its peer's tables too
+                loads = Counter(p for _, p, _ in reads
+                                if p.startswith(owner_dir + "/")
+                                and p.endswith((".ssi", ".bf")))
+                assert loads == {index_path: 1, bloom_path: 1}
+                db.close()
+
+        spmd_run(2, app)
+
+
+class TestRankDeath:
+    #: the owner's kill op, drawn from the fault seed: past the puts and
+    #: the barrier that warm the reader, inside its burn loop
+    KILL_NTH = 40 + FAULT_SEED % 50
+
+    def test_dead_owner_view_is_purged_and_gets_fail_over(self):
+        """After a rank death the survivor's view of the dead owner is
+        purged while the device keeps its readers, and gets fail over to
+        the replica instead of walking the dead owner's tables.
+
+        Three ranks in one storage group, replicas=2: rank 2 is outside
+        rank 0's replica group, so its warm gets of rank 0's keys take
+        the §2.7 handshake — against rank 0, the rank the fault plan
+        kills."""
+        sync_all = threading.Barrier(3)
+        survivors = threading.Barrier(2)
+        shared: dict = {}
+
+        def app(ctx):
+            env = Papyrus(ctx)
+            db = env.open("kill", small_options(
+                group_size=3, replicas=2, write_quorum=1,
+                remote_timeout=0.5,
+            ))
+            r = ctx.world_rank
+            own = _keys_of(db, r, 30, prefix="x")
+            for key in own:
+                db.put(key, b"s" * 24)
+            # fence-then-flush settles the replica fan-out before the
+            # flush (nobody is dead yet, so the collective is safe)
+            db.barrier(SSTABLE)
+            dead_dir = f"{db.dbdir}/rank0"
+            if r == 2:
+                warm = _keys_of(db, 0, 3, prefix="x")
+                shared["warm"] = warm
+                for key in warm:
+                    res = db.get_ex(key)
+                    assert (res.value, res.tier) == (b"s" * 24,
+                                                     "shared_sstable")
+                assert 0 in db._peer_views
+                readers = _entries_under(db.block_cache, dead_dir)[0]
+                assert readers
+            sync_all.wait()  # rank 2's view is warm; rank 0 may die now
+            if r == 0:
+                for _ in range(200):  # burn ops into the kill schedule
+                    db.put(own[0], b"t" * 8)
+                raise AssertionError("victim survived its kill schedule")
+            mv = db.membership
+            for _ in range(30000):
+                db.tick()
+                if mv.is_dead(0) and not mv.pending_rereplication:
+                    break
+            assert mv.is_dead(0)
+            if r == 2:
+                # the death purged the view; the device keeps its readers
+                assert 0 not in db._peer_views
+                assert _entries_under(db.block_cache, dead_dir)[0] >= readers
+                for key in shared["warm"]:
+                    assert db.get_or_none(key) == b"s" * 24  # failover
+                assert 0 not in db._peer_views  # nobody walked rank 0
+            survivors.wait()
+            db.srv_comm.send(msg.StopMsg(), db.rank, tag=0)
+            db._handler_thread.join(10)
+            db._closed = True
+            return "survivor-ok"
+
+        faults = FaultPlan(seed=FAULT_SEED).kill_rank(0, nth=self.KILL_NTH)
+        res = spmd_run(3, app, faults=faults, timeout=240)
+        assert res[0] is None  # the kill fired
+        assert res[1] == "survivor-ok" and res[2] == "survivor-ok"
+
+
+class TestRaceDetector:
+    def test_the_handshake_path_is_race_clean(self):
+        """Peers walking each other's tables (rank main) while each
+        owner's handler serves their ``GetMsg`` and compaction retires
+        the tables a view named run clean under the dynamic detector,
+        with ``db.index_cache`` in the canonical order."""
+        prev = rt.get_detector()
+        det = rt.enable(reset=True)
+        try:
+            def app(ctx):
+                with Papyrus(ctx) as env:
+                    db = env.open("race", small_options(
+                        group_size=2, compaction_interval=2))
+                    r = ctx.world_rank
+                    mine = _keys_of(db, r, 30, prefix="z")
+                    theirs = _keys_of(db, 1 - r, 30, prefix="z")
+                    for gen in range(3):
+                        for key in mine:
+                            db.put(key, b"y%d" % gen * 8)
+                        db.barrier(SSTABLE)
+                        for key in theirs:
+                            res = db.get_ex(key)
+                            assert (res.value, res.tier) == (
+                                b"y%d" % gen * 8, "shared_sstable")
+                        db.barrier()
+                    db.close()
+
+            spmd_run(2, app)
+            findings = det.findings()
+        finally:
+            rt.restore(prev)
+        assert findings == [], [f.render() for f in findings]

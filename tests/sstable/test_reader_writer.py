@@ -17,8 +17,6 @@ from repro.simtime.resources import TimedResource
 from repro.sstable.block_cache import BlockCache
 from repro.sstable.format import DATA_BLOCK_SIZE, RECORD_HEADER_LEN, Record
 from repro.sstable.reader import SSTableReader, list_ssids
-from repro.sstable.writer import encode_table
-from repro.util.lru import ObjectLRU
 from tests.conftest import (
     cursor_window, flip_byte, window_triples, write_table,
 )
@@ -346,27 +344,23 @@ class TestOneBlockPerLookup:
         assert reader.find_ge(b"zzz", self.t0)[0] == len(index)
         assert len(self.reads) == 1
 
-    def test_a_peer_and_a_bundle_reader_read_the_owner_once(self, store):
+    def test_a_peer_reader_reads_the_owner_once(
+            self, store):
         recs = four_blocks(store, "owner")
-        blobs = encode_table(recs)
         reads = data_reads(store)
-        bundle = SSTableReader.from_bundle(
-            store, "owner", 1, blobs["index"], blobs["bloom"])
-        db = SimpleNamespace(store=store, block_cache=BlockCache(),
-                             _peer_reader_lru=ObjectLRU(1 << 20),
-                             shares_storage_with=lambda rank: True)
-        peer = Database._peer_reader(db, 0, "owner", 1)
-        assert Database._peer_reader(db, 0, "owner", 1) is peer
+        db = SimpleNamespace(store=store, block_cache=BlockCache(1 << 22))
+        peer = Database._peer_reader(db, "owner", 1)
         # the device's one file-built reader of the table — what the
-        # owner searches with — not an entry of this rank's bundle LRU
+        # owner searches with
+        assert Database._peer_reader(db, "owner", 1) is peer
         assert db.block_cache.reader(store, "owner", 1) is peer
-        assert db._peer_reader_lru.cost == 0
-        sidecars = store.read_device.ops
-        assert bundle.get(recs[99].key, 0.0)[0] == recs[99]
-        assert (reads, store.read_device.ops - sidecars) == (
-            ["owner/0000000001.ssd"], 1)  # no sidecar read either
-        assert peer.get(recs[99].key, 0.0)[0] == recs[99]
-        assert reads == ["owner/0000000001.ssd"] * 2
+        ops = store.read_device.ops
+        for _ in range(2):
+            assert peer.get(recs[99].key, 0.0)[0] == recs[99]
+        # one block, one index and one bloom load: the second get is
+        # served from the reader and the device's block cache
+        assert (reads, store.read_device.ops - ops) == (
+            ["owner/0000000001.ssd"], 3)
 
     def test_a_corrupt_target_block_raises_and_is_never_cached(
             self, reader, store):

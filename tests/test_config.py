@@ -108,25 +108,26 @@ class TestOptionsValidation:
     )
 
     def test_options_field_count(self):
-        assert len(dataclasses.fields(Options)) == 24
+        assert len(dataclasses.fields(Options)) == 22
         for name in self.REMOVED:
             with pytest.raises(TypeError):
                 Options(**{name: 1})
 
     def test_wire_family_size(self):
         """One batch-shaped message family with one pair carrier and one
-        ack: the per-batch twins of the put / GetMsg / GetReply and the
-        four carriers PairsMsg replaced are gone, their tags retired."""
+        ack: the per-batch twins of the put / GetMsg / GetReply, the
+        four carriers PairsMsg replaced and the metadata pull/push pair
+        are gone, their tags retired."""
         from repro.core import messages as msg
 
-        assert len(msg.WIRE_TAGS) == 11
+        assert len(msg.WIRE_TAGS) == 8
         for name in ("PutSyncBatchMsg", "MGetMsg", "MGetReply",
                      "MigrateMsg", "PutSyncMsg", "ReplicaPutBatchMsg",
                      "ReplicaSyncMsg", "ReplicaAckMsg"):
             assert name not in msg.WIRE_TAGS
             assert not hasattr(msg, name)
         # retired tag numbers are never reused
-        assert not {1, 2, 5, 6, 7, 9, 11, 101, 104} \
+        assert not {1, 2, 5, 6, 7, 9, 11, 12, 13, 101, 104, 105} \
             & set(msg.WIRE_TAGS.values())
 
     def test_removed_env_vars_are_ignored(self):
@@ -135,6 +136,8 @@ class TestOptionsValidation:
             "PAPYRUSKV_FLUSH_PIPELINE": "0",
             "PAPYRUSKV_FENCE_PRUNING": "0",
             "PAPYRUSKV_SCAN_CHUNK": "7",
+            "PAPYRUSKV_INDEX_REPLICATION": "1",
+            "PAPYRUSKV_INDEX_CACHE": "0",
         }
         assert options_from_env(env) == Options()
 
@@ -147,20 +150,6 @@ class TestOptionsValidation:
     def test_with_rejects_invalid_combination(self):
         with pytest.raises(InvalidModeError):
             Options().with_(consistency=7)
-
-    def test_index_replication_knobs(self):
-        opt = Options()
-        assert opt.index_replication is False  # opt-in
-        assert opt.index_cache_capacity == 8 << 20
-        opt = Options(index_replication=True,
-                      index_cache_capacity=1 << 16)
-        assert opt.index_replication is True
-        assert opt.index_cache_capacity == 1 << 16
-
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_index_cache_capacity_must_be_positive(self, value):
-        with pytest.raises(InvalidOptionError):
-            Options(index_cache_capacity=value)
 
 
 class TestEnvParsing:
@@ -201,27 +190,3 @@ class TestEnvParsing:
     def test_invalid_env_value_raises(self):
         with pytest.raises(InvalidModeError):
             options_from_env({"PAPYRUSKV_CONSISTENCY": "9"})
-
-    def test_index_replication_var(self):
-        assert options_from_env(
-            {"PAPYRUSKV_INDEX_REPLICATION": "1"}
-        ).index_replication is True
-        assert options_from_env(
-            {"PAPYRUSKV_INDEX_REPLICATION": "0"}
-        ).index_replication is False
-
-    def test_index_cache_var(self):
-        opt = options_from_env({
-            "PAPYRUSKV_INDEX_REPLICATION": "1",
-            "PAPYRUSKV_INDEX_CACHE": "65536",
-        })
-        assert opt.index_replication is True
-        assert opt.index_cache_capacity == 1 << 16
-        # 0 is not a budget: it switches the whole plane off
-        opt = options_from_env({
-            "PAPYRUSKV_INDEX_REPLICATION": "1",
-            "PAPYRUSKV_INDEX_CACHE": "0",
-        })
-        assert opt.index_replication is False
-        assert opt.index_cache_capacity == Options().index_cache_capacity
-

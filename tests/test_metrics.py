@@ -88,18 +88,11 @@ class TestDatabaseMetrics:
                   "compaction_busy_s dispatcher_busy_s flush_build_busy_s "
                   "flush_sync_busy_s latency".split())
         )
-        assert len(dataclasses.fields(DbStats)) == 45
+        assert len(dataclasses.fields(DbStats)) == 39
 
     def test_get_tiers_sum(self):
         (dbm, _), _ = _run_and_collect()
         assert sum(dbm["get_tiers"].values()) == dbm["gets"]
-
-    def test_index_replication_counters_present(self):
-        (dbm, _), _ = _run_and_collect()
-        for key in ("index_repl_hits", "index_repl_misses",
-                    "index_repl_stale", "index_repl_fallbacks",
-                    "index_pulls", "index_publishes"):
-            assert dbm[key] == 0  # feature is opt-in and off here
 
 
 class TestMachineMetrics:
@@ -121,10 +114,10 @@ class TestReport:
         assert "database 'met'" in text
         assert "flushes" in text
         assert "get tiers" in text
-        # the index-repl line only renders when the plane saw traffic
-        assert "index repl" not in text
-        dbm["index_repl_hits"] = 9
-        dbm["index_pulls"] = 2
+        # the replication line only renders when the plane saw traffic
+        assert "replication:" not in text
+        dbm["replica_msgs"] = 9
+        dbm["rank_deaths"] = 2
         text = format_report(dbm)
-        assert "index repl: 9 one-sided hits" in text
-        assert "2 pulls" in text
+        assert "replication: 9 fan-out msgs" in text
+        assert "2 deaths declared" in text
