@@ -3,12 +3,13 @@
 Three cooperating layers (see ``docs/analysis.md``):
 
 * :mod:`repro.analysis.pkvlint` — an AST-based static analyzer with
-  project-specific rules R001–R007 (no blocking ``Comm`` calls under a
-  lock, crash-ordering durability, message/handler/wire-tag
-  completeness, canonical lock order, no swallowed corruption errors,
-  wire-protocol spec conformance, wall-clock taint) — since v2 run
-  *whole-program* over a call graph (:mod:`repro.analysis.callgraph`)
-  with a flow-sensitive interpreter (:mod:`repro.analysis.flow`);
+  project-specific rules R001, R002 and R004–R007 (no blocking ``Comm``
+  calls under a lock, crash-ordering durability, canonical lock order,
+  no swallowed corruption errors, no handler send on the request comm,
+  wall-clock taint) — since v2 run *whole-program* over a call graph
+  (:mod:`repro.analysis.callgraph`) with a flow-sensitive interpreter
+  (:mod:`repro.analysis.flow`).  The wire protocol itself is a table
+  checked at import (:data:`repro.core.messages.PROTOCOL`);
 * :mod:`repro.analysis.runtime` — an opt-in vector-clock happens-before
   race detector plus a lock-order/deadlock checker, driven by
   instrumented locks and read/write annotations on the shared hot

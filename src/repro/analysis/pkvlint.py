@@ -1,12 +1,12 @@
 """pkvlint — the project's AST-based static analyzer (v2).
 
-Seven rules, each encoding an invariant of the PapyrusKV runtime that
-an ordinary linter cannot know.  Since v2 the lock/persistence rules
-are **whole-program**: a call graph over every linted file
-(:mod:`repro.analysis.callgraph`) and a flow-sensitive abstract
-interpreter (:mod:`repro.analysis.flow`) propagate effects through
-helper calls, so invariants split across functions by PRs 5–8 are
-still enforced.
+Six rules (R003's number is retired, never reused), each encoding an
+invariant of the PapyrusKV runtime that an ordinary linter cannot know.
+Since v2 the lock/persistence rules are **whole-program**: a call graph
+over every linted file (:mod:`repro.analysis.callgraph`) and a
+flow-sensitive abstract interpreter (:mod:`repro.analysis.flow`)
+propagate effects through helper calls, so an invariant split across
+functions is still enforced.
 
 ``R001``
     No blocking ``Comm`` call (``send``/``recv``/``barrier``/
@@ -18,21 +18,16 @@ still enforced.
     earlier fsync (a helper that fsyncs counts), and in persistence
     modules a file opened for writing must reach an
     fsync/``write_ordered`` on every path out of the call-graph root.
-``R003``
-    ``core/messages.py`` must carry a ``WIRE_TAGS`` literal mapping
-    with a unique integer tag per message class, and every ``*Msg``
-    class must be referenced by ``core/handler.py``.
 ``R004``
     Registered locks must be acquired in the canonical order
     (:mod:`repro.analysis.lock_order`) — also through helper calls.
 ``R005``
     No bare ``except:`` and no silently swallowed ``CorruptionError``.
 ``R006``
-    The wire-protocol state machine extracted from ``WIRE_TAGS`` and
-    the handler dispatch must satisfy the checked-in spec
-    (``protocol.py`` next to ``messages.py``): retryable messages
-    dedup-keyed, ``Replica*``/``Index*`` messages epoch-stamped, every
-    request with a reply path, no handler send on the request comm.
+    ``handler.py`` never sends on the request comm (``srv_comm``).
+    The rest of the wire protocol — tags, replies, retryable and
+    stamped messages, the handler's dispatch — is one table,
+    :data:`repro.core.messages.PROTOCOL`, checked when it is imported.
 ``R007``
     Wall-clock values (``time.time``/``monotonic``) must not flow into
     simtime-governed scheduling — through helpers included.
@@ -59,7 +54,6 @@ from repro.analysis.flow import (
     check_module,
     compute_summaries,
 )
-from repro.analysis.protocol import check_protocol
 
 __all__ = ["lint_file", "lint_paths", "COMM_BLOCKING_CALLS"]
 
@@ -147,151 +141,40 @@ class _HygieneChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-# --------------------------------------------------------------- R003
-_MSG_CLASS_RE = re.compile(r"(Msg|Reply)$")
+# --------------------------------------------------------------- R006
+#: the handler's receive comm: requests only, never a handler send
+REQUEST_COMM = "srv_comm"
+
+#: comm methods that put a message on the wire
+_SEND_CALLS = frozenset({
+    "send", "send_at", "fanout", "bcast", "scatter", "sendrecv",
+    "alltoall",
+})
 
 
-def _check_wire_tags(path: str, tree: ast.Module,
-                     findings: List[Finding]) -> None:
-    """R003: WIRE_TAGS covers every message class; handler covers Msgs.
+def _check_request_comm(path: str, tree: ast.Module,
+                        findings: List[Finding]) -> None:
+    """R006: no call in ``handler.py`` sends on the request comm.
 
-    Requests (``*Msg``) must be referenced by the sibling ``handler.py``
-    — a request without a handler arm hangs its sender.  Replies
-    (``*Reply``) must be referenced by ``handler.py`` *or* the sibling
-    ``db.py``: the handler constructs them and the client side consumes
-    them, so a reply class neither file mentions is dead wire format.
+    Two handlers sending to each other on the comm they both receive
+    requests on can rendezvous-deadlock; the handler answers on the
+    response and ack comms only.
     """
-    classes: Dict[str, int] = {}
-    consts: Dict[str, int] = {}
-    wire_tags: Optional[Dict[str, object]] = None
-    wire_line = 0
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and _MSG_CLASS_RE.search(node.name):
-            classes[node.name] = node.lineno
-        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-            tgt = node.targets[0]
-            if not isinstance(tgt, ast.Name):
-                continue
-            if (isinstance(node.value, ast.Constant)
-                    and isinstance(node.value.value, int)):
-                consts[tgt.id] = node.value.value
-            elif tgt.id == "WIRE_TAGS" and isinstance(node.value, ast.Dict):
-                wire_line = node.lineno
-                wire_tags = _parse_wire_dict(node.value)
-        elif (isinstance(node, ast.AnnAssign)
-                and isinstance(node.target, ast.Name)
-                and node.target.id == "WIRE_TAGS"
-                and isinstance(node.value, ast.Dict)):
-            wire_line = node.lineno
-            wire_tags = _parse_wire_dict(node.value)
-    if not classes:
-        return
-    if wire_tags is None:
-        findings.append(Finding(
-            tool="pkvlint", rule="R003",
-            message="messages module defines message classes but no"
-                    " WIRE_TAGS literal mapping",
-            path=path, line=1, function="<module>",
-        ))
-        return
-    # resolve Name references against earlier module-level int constants
-    resolved: Dict[str, Optional[int]] = {}
-    for cls, val in wire_tags.items():
-        if isinstance(val, int):
-            resolved[cls] = val
-        elif isinstance(val, tuple) and val[0] == "name":
-            resolved[cls] = consts.get(str(val[1]))
-        else:
-            resolved[cls] = None
-    for cls, line in sorted(classes.items(), key=lambda kv: kv[1]):
-        if cls not in resolved:
-            findings.append(Finding(
-                tool="pkvlint", rule="R003",
-                message=f"message class `{cls}` has no WIRE_TAGS entry"
-                        " — its wire tag is not pinned",
-                path=path, line=line, function=cls,
-            ))
-        elif resolved[cls] is None:
-            findings.append(Finding(
-                tool="pkvlint", rule="R003",
-                message=f"WIRE_TAGS entry for `{cls}` is not a resolvable"
-                        " integer constant",
-                path=path, line=wire_line, function="WIRE_TAGS",
-            ))
-    tags_seen: Dict[int, str] = {}
-    for cls, tag in sorted(resolved.items()):
-        if tag is None:
-            continue
-        if tag in tags_seen:
-            findings.append(Finding(
-                tool="pkvlint", rule="R003",
-                message=f"WIRE_TAGS value {tag} assigned to both"
-                        f" `{tags_seen[tag]}` and `{cls}` — wire tags"
-                        " must be unique",
-                path=path, line=wire_line, function="WIRE_TAGS",
-            ))
-        else:
-            tags_seen[tag] = cls
-    # every request (*Msg) class must appear in the sibling handler
-    handler_path = os.path.join(os.path.dirname(path), "handler.py")
-    if not os.path.exists(handler_path):
-        return
-    handler_names = _referenced_names(handler_path)
-    for cls, line in sorted(classes.items(), key=lambda kv: kv[1]):
-        if cls.endswith("Msg") and cls not in handler_names:
-            findings.append(Finding(
-                tool="pkvlint", rule="R003",
-                message=f"message class `{cls}` is never referenced by"
-                        " the handler — requests without a handler arm"
-                        " hang their sender",
-                path=path, line=line, function=cls,
-            ))
-    # every response (*Reply) class must be consumed by the handler or
-    # the client side (sibling db.py)
-    db_path = os.path.join(os.path.dirname(path), "db.py")
-    db_names: Set[str] = set()
-    if os.path.exists(db_path):
-        db_names = _referenced_names(db_path)
-    for cls, line in sorted(classes.items(), key=lambda kv: kv[1]):
-        if (cls.endswith("Reply") and cls not in handler_names
-                and cls not in db_names):
-            findings.append(Finding(
-                tool="pkvlint", rule="R003",
-                message=f"reply class `{cls}` is referenced by neither"
-                        " handler.py nor db.py — a reply nobody builds"
-                        " or reads is dead wire format",
-                path=path, line=line, function=cls,
-            ))
-
-
-def _parse_wire_dict(node: ast.Dict) -> Dict[str, object]:
-    out: Dict[str, object] = {}
-    for k, v in zip(node.keys, node.values):
-        if not (isinstance(k, ast.Constant) and isinstance(k.value, str)):
-            continue
-        if isinstance(v, ast.Constant) and isinstance(v.value, int):
-            out[k.value] = v.value
-        elif isinstance(v, ast.Name):
-            out[k.value] = ("name", v.id)
-        else:
-            out[k.value] = ("opaque", ast.dump(v))
-    return out
-
-
-def _referenced_names(path: str) -> Set[str]:
-    with open(path, encoding="utf-8") as f:
-        src = f.read()
-    names: Set[str] = set()
-    try:
-        tree = ast.parse(src)
-    except SyntaxError:
-        return names
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _SEND_CALLS):
+            continue
+        chain = _attr_chain(node.func.value)
+        if REQUEST_COMM in chain.split("."):
+            findings.append(Finding(
+                tool="pkvlint", rule="R006",
+                message=f"handler sends on the request comm"
+                        f" (`{chain}.{node.func.attr}`) — the request"
+                        " comm must stay one-directional or two"
+                        " handlers can rendezvous-deadlock",
+                path=path, line=node.lineno, function="<handler>",
+            ))
 
 
 # ---------------------------------------------------------- entry points
@@ -314,9 +197,8 @@ def _lint_tree(path: str, src: str, tree: ast.Module,
     """All rules over one parsed module, inline suppressions applied."""
     findings = check_module(path, tree, graph, summaries, called)
     _HygieneChecker(path, findings).visit(tree)
-    if os.path.basename(path) == "messages.py":
-        _check_wire_tags(path, tree, findings)
-        findings.extend(check_protocol(path, tree))
+    if os.path.basename(path) == "handler.py":
+        _check_request_comm(path, tree, findings)
     sup = _suppressions(src)
     if sup:
         findings = [

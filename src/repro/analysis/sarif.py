@@ -29,13 +29,10 @@ _RULE_DESCRIPTIONS: Dict[str, str] = {
             " (interprocedural).",
     "R002": "Every persistent write/rename must be ordered behind an"
             " fsync (crash-ordering reachability).",
-    "R003": "WIRE_TAGS covers every message class with a unique tag and"
-            " a handler arm.",
     "R004": "Registered locks are acquired in the canonical order"
             " (interprocedural).",
     "R005": "No bare except and no silently swallowed CorruptionError.",
-    "R006": "The wire-protocol state machine satisfies the checked-in"
-            " protocol spec.",
+    "R006": "The message handler never sends on the request comm.",
     "R007": "Wall-clock values never flow into simtime-governed"
             " scheduling.",
     "SYNTAX": "The file could not be parsed.",

@@ -6,9 +6,10 @@ per open database, on its own virtual timeline: a request arriving at
 time *a* begins service at ``max(a, handler-busy-until)``, which gives
 handler queueing exactly the server semantics the real thread has.
 
-The handler dispatches every request class in
-:data:`repro.core.messages.WIRE_TAGS` (the checked-in spec is
-:mod:`repro.core.protocol`), in three families:
+The handler serves every request of :data:`repro.core.messages.PROTOCOL`
+with one dict lookup, class → ``_serve_*`` (:func:`_dispatch`, checked
+against :data:`~repro.core.messages.SERVED` at import), in three
+families:
 
 * **writes** — ``PairsMsg``: a relaxed-mode migration chunk, a
   sequential-mode put, a replica fan-out or a re-replication push.  Its
@@ -34,7 +35,7 @@ retries are idempotent.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, Dict, List
 
 from repro.core import messages as msg
 from repro.core.db import ACK_TAG, HB_TAG, Database
@@ -62,6 +63,7 @@ def handler_main(db: Database) -> None:
     )
     bind_context(hctx)
     cpu = main_ctx.system.cpu
+    serve = _dispatch()
     try:
         while True:
             status: dict = {}
@@ -75,28 +77,17 @@ def handler_main(db: Database) -> None:
             if db.membership is not None:
                 # every message is proof of life (piggybacked detection)
                 db.membership.heard_from(source, hclock.now)
-            if isinstance(m, msg.StopMsg):
+            if type(m) is msg.StopMsg:
                 return
+            try:
+                fn = serve[type(m)]
+            except KeyError:
+                raise TypeError(
+                    f"handler got unexpected message {m!r}") from None
             hclock.advance(cpu.kv_op_s)  # request decode
             t_service = hclock.now
-            if isinstance(m, msg.PairsMsg):
-                _serve_pairs(db, m, source, hclock, cpu)
-                db._trace(f"serve pairs({len(m.pairs)})", "handler",
-                          t_service, hclock.now)
-            elif isinstance(m, msg.GetMsg):
-                _serve_get(db, m, source, hclock, cpu)
-                db._trace(f"serve get({len(m.keys)})", "handler",
-                          t_service, hclock.now)
-            elif isinstance(m, msg.FetchTableMsg):
-                _serve_fetch_table(db, m, source, hclock, cpu)
-                db._trace(f"serve fetch_table({m.ssid})", "handler",
-                          t_service, hclock.now)
-            elif isinstance(m, msg.HeartbeatMsg):
-                _serve_heartbeat(db, m, source, hclock, cpu)
-                db._trace("serve heartbeat", "handler", t_service,
-                          hclock.now)
-            else:  # pragma: no cover - protocol error
-                raise TypeError(f"handler got unexpected message {m!r}")
+            span = fn(db, m, source, hclock, cpu)
+            db._trace(span, "handler", t_service, hclock.now)
     except (RankKilledError, AbortedError):  # killed / torn down mid-service
         return
     except BaseException:
@@ -135,7 +126,7 @@ def _apply_pairs(db: Database, pairs: List[msg.Pair],
 
 
 def _serve_pairs(db: Database, m: msg.PairsMsg, source: int,
-                 hclock: VirtualClock, cpu) -> None:
+                 hclock: VirtualClock, cpu) -> str:
     """Apply a carrier's pairs and acknowledge them.
 
     Under replication a message stamped with an older epoch than this
@@ -162,24 +153,26 @@ def _serve_pairs(db: Database, m: msg.PairsMsg, source: int,
         db.rsp_comm.send(ack, source, tag=m.seq)
     else:
         db.ack_comm.send(ack, source, tag=ACK_TAG)
+    return f"serve pairs({len(m.pairs)})"
 
 
 def _serve_heartbeat(db: Database, m: msg.HeartbeatMsg, source: int,
-                     hclock: VirtualClock, cpu) -> None:
+                     hclock: VirtualClock, cpu) -> str:
     """Merge the sender's membership gossip; pong if it was a ping."""
     mv = db.membership
-    if mv is None or mv.is_dead(source):
-        return  # no membership plane, or a zombie ping: stay silent
-    mv.merge(m.epoch, m.dead)
-    if m.ping:
-        epoch, dead = mv.wire()
-        db.ack_comm.send(
-            msg.AckMsg(0, epoch, dead), source, tag=HB_TAG,
-        )
+    # no membership plane, or a zombie ping: stay silent
+    if mv is not None and not mv.is_dead(source):
+        mv.merge(m.epoch, m.dead)
+        if m.ping:
+            epoch, dead = mv.wire()
+            db.ack_comm.send(
+                msg.AckMsg(0, epoch, dead), source, tag=HB_TAG,
+            )
+    return "serve heartbeat"
 
 
 def _serve_fetch_table(db: Database, m: msg.FetchTableMsg, source: int,
-                       hclock: VirtualClock, cpu) -> None:
+                       hclock: VirtualClock, cpu) -> str:
     """Ship an SSTable's files to a peer rebuilding its copy.
 
     The peer validates (and re-verifies after install), so this side
@@ -199,10 +192,11 @@ def _serve_fetch_table(db: Database, m: msg.FetchTableMsg, source: int,
         blobs = None
     hclock.advance_to(t)
     db.rsp_comm.send(msg.FetchTableReply(blobs, m.seq), source, tag=m.seq)
+    return f"serve fetch_table({m.ssid})"
 
 
 def _serve_get(db: Database, m: msg.GetMsg, source: int,
-               hclock: VirtualClock, cpu) -> None:
+               hclock: VirtualClock, cpu) -> str:
     """One requester's key list through ``Database._local_get``'s two
     phases, one reply for the lot.
 
@@ -249,3 +243,31 @@ def _serve_get(db: Database, m: msg.GetMsg, source: int,
         ),
         source, tag=m.seq,
     )
+    return f"serve get({len(m.keys)})"
+
+
+def _dispatch() -> Dict[type, Callable[..., str]]:
+    """Request class → the ``_serve_*`` that serves it and returns its
+    trace span's name; read from the module when a handler starts."""
+    return {
+        msg.PairsMsg: _serve_pairs,
+        msg.GetMsg: _serve_get,
+        msg.FetchTableMsg: _serve_fetch_table,
+        msg.HeartbeatMsg: _serve_heartbeat,
+    }
+
+
+def _check_dispatch(serve: Dict[type, Callable[..., str]]) -> None:
+    """Raise ``TypeError`` unless ``serve`` covers exactly the requests
+    the protocol table says the handler serves: a request without an
+    arm hangs its sender, an arm without a tag cannot be on the wire."""
+    if set(serve) != msg.SERVED:
+        missing = msg.SERVED - set(serve)
+        extra = set(serve) - msg.SERVED
+        raise TypeError(
+            f"handler dispatch does not match the protocol table:"
+            f" unserved {sorted(c.__name__ for c in missing)},"
+            f" untagged {sorted(c.__name__ for c in extra)}")
+
+
+_check_dispatch(_dispatch())

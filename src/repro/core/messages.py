@@ -19,12 +19,20 @@ of one — there is no per-key message family, and there is one pair
 carrier: migration, synchronous puts, replica fan-out and
 re-replication all ship a :class:`PairsMsg` and are acknowledged by an
 :class:`AckMsg`.
+
+The protocol is declared once, in :data:`PROTOCOL`: one :class:`Wire`
+entry per message class with its tag, its reply and its retryable and
+epoch-stamped flags.  :data:`WIRE_TAGS` is derived from it,
+:func:`validate` rejects a table that contradicts itself at import, and
+the handler's dispatch is checked against :data:`SERVED`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import (
+    Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 # message types on the srv comm.  Retired, never reused: 5 (a never-used
 # checkpoint marker), 6 and 7 (the per-batch twins of GET / PUT_SYNC,
@@ -192,18 +200,88 @@ class StopMsg:
         return 8
 
 
-#: Stable wire tag per message class (pkvlint R003).  Request classes
-#: reuse their dispatch constants; replies get the 100+ block.  A tag,
-#: once assigned, must never change or be reused: checkpoint manifests
-#: and fault plans written by old runs identify messages by these
-#: (retired: 1, 2, 5, 6, 7, 9, 11, 12, 13 and replies 101, 104, 105).
-WIRE_TAGS: Dict[str, int] = {
-    "GetMsg": GET,
-    "FetchTableMsg": FETCH_TABLE,
-    "StopMsg": STOP,
-    "HeartbeatMsg": HEARTBEAT,
-    "PairsMsg": PAIRS,
-    "GetReply": 100,
-    "FetchTableReply": 102,
-    "AckMsg": 103,
-}
+class Wire(NamedTuple):
+    """One message class on the wire.
+
+    ``reply`` is the class whose arrival completes the sender's wait
+    (``None``: fire-and-forget).  A ``retryable`` message is
+    retransmitted on timeout, so it carries ``seq`` and is applied
+    under the handler's seq-dedup gate (``Database._already_applied``,
+    paper §2.4).  A ``stamped`` one carries the sender's ``(epoch,
+    dead)`` membership stamp, so stale-epoch traffic is rejected.
+    """
+
+    cls: type
+    tag: int
+    reply: Optional[type] = None
+    retryable: bool = False
+    stamped: bool = False
+
+
+#: Tags from here up are replies (rsp/ack comms); below are requests
+#: (srv comm), which reuse their dispatch constants.
+REPLY_BASE = 100
+
+#: The wire protocol.  A tag, once assigned, must never change or be
+#: reused: checkpoint manifests and fault plans written by old runs
+#: identify messages by these (retired: 1, 2, 5, 6, 7, 9, 11, 12, 13
+#: and replies 101, 104, 105).
+PROTOCOL: Tuple[Wire, ...] = (
+    # reads are idempotent: no dedup needed, always answered
+    Wire(GetMsg, GET, GetReply),
+    Wire(FetchTableMsg, FETCH_TABLE, FetchTableReply),
+    # shutdown sentinel: consumed by the handler loop itself
+    Wire(StopMsg, STOP),
+    # failure detector: the ping carries gossip, the pong is an AckMsg
+    Wire(HeartbeatMsg, HEARTBEAT, AckMsg, stamped=True),
+    # the one pair carrier (migration, sync puts, replica fan-out,
+    # re-replication): a retried mutation, seq-dedup, always stamped
+    Wire(PairsMsg, PAIRS, AckMsg, retryable=True, stamped=True),
+    Wire(GetReply, 100),
+    Wire(FetchTableReply, 102),
+    Wire(AckMsg, 103, stamped=True),
+)
+
+
+def validate(protocol: Sequence[Wire]) -> None:
+    """Raise ``TypeError`` where ``protocol`` contradicts itself: a
+    duplicate tag, a retryable class without ``seq``, a stamped class
+    without ``epoch``/``dead``, a declared reply that is not a reply
+    entry, or a reply entry no request declares."""
+    seen: Dict[int, str] = {}
+    for w in protocol:
+        name = w.cls.__name__
+        if w.tag in seen:
+            raise TypeError(f"wire tag {w.tag} assigned to both"
+                            f" {seen[w.tag]} and {name}")
+        seen[w.tag] = name
+        fields = set(getattr(w.cls, "__dataclass_fields__", ()))
+        if w.retryable and "seq" not in fields:
+            raise TypeError(f"{name} is retryable but carries no seq:"
+                            " a retransmit cannot be deduplicated")
+        if w.stamped and not {"epoch", "dead"} <= fields:
+            raise TypeError(f"{name} is stamped but lacks epoch/dead:"
+                            " stale-epoch traffic cannot be rejected")
+    replies = {w.cls for w in protocol if w.tag >= REPLY_BASE}
+    declared = {w.reply for w in protocol if w.reply is not None}
+    if declared - replies:
+        raise TypeError(f"{_names(declared - replies)} declared as"
+                        " replies but not on the wire as replies")
+    if replies - declared:
+        raise TypeError(f"replies {_names(replies - declared)} are"
+                        " declared by no request")
+
+
+def _names(classes: Set[type]) -> List[str]:
+    return sorted(cls.__name__ for cls in classes)
+
+
+validate(PROTOCOL)
+
+#: class name -> wire tag, derived from :data:`PROTOCOL`
+WIRE_TAGS: Dict[str, int] = {w.cls.__name__: w.tag for w in PROTOCOL}
+
+#: the requests the handler serves (its loop consumes ``StopMsg``)
+SERVED: FrozenSet[type] = frozenset(
+    w.cls for w in PROTOCOL if w.tag < REPLY_BASE and w.cls is not StopMsg
+)

@@ -1,4 +1,4 @@
-"""The docs, the allowlist, and the wire-tag table cannot drift."""
+"""The docs, the allowlist, and the wire protocol table cannot drift."""
 
 from __future__ import annotations
 
@@ -20,6 +20,25 @@ def test_architecture_lock_order_section_is_generated():
     assert BEGIN in text and END in text
     embedded = text.split(BEGIN, 1)[1].split(END, 1)[0].strip()
     assert embedded == render_markdown().strip()
+
+
+def _protocol_table() -> str:
+    rows = ["| message | tag | reply | retryable | stamped |",
+            "|---|---|---|---|---|"]
+    for w in messages.PROTOCOL:
+        reply = f"`{w.reply.__name__}`" if w.reply else "—"
+        rows.append(f"| `{w.cls.__name__}` | {w.tag} | {reply} |"
+                    f" {'yes' if w.retryable else ''} |"
+                    f" {'yes' if w.stamped else ''} |")
+    return "\n".join(rows)
+
+
+def test_architecture_protocol_section_is_generated():
+    text = (REPO / "docs" / "architecture.md").read_text()
+    begin, end = "<!-- protocol:begin -->", "<!-- protocol:end -->"
+    assert begin in text and end in text
+    embedded = text.split(begin, 1)[1].split(end, 1)[0].strip()
+    assert embedded == _protocol_table()
 
 
 def test_lock_order_levels_strictly_increase():

@@ -172,131 +172,6 @@ class TestR005ExceptionHygiene:
         assert _rules(fs) == ["R005"]
 
 
-class TestR003WireTags:
-    def _write(self, tmp_path, messages_src, handler_src="x = GetMsg\n"):
-        (tmp_path / "messages.py").write_text(textwrap.dedent(messages_src))
-        (tmp_path / "handler.py").write_text(textwrap.dedent(handler_src))
-        return str(tmp_path / "messages.py")
-
-    def test_missing_wire_tags_flags(self, tmp_path):
-        path = self._write(tmp_path, """
-            class GetMsg:
-                pass
-        """)
-        assert "R003" in _rules(lint_file(path))
-
-    def test_missing_entry_flags(self, tmp_path):
-        path = self._write(tmp_path, """
-            class GetMsg:
-                pass
-            class PutMsg:
-                pass
-            WIRE_TAGS = {"GetMsg": 1}
-        """, handler_src="x = (GetMsg, PutMsg)\n")
-        fs = lint_file(path)
-        assert any(f.rule == "R003" and "PutMsg" in f.message for f in fs)
-
-    def test_duplicate_tag_flags(self, tmp_path):
-        path = self._write(tmp_path, """
-            class GetMsg:
-                pass
-            class PutMsg:
-                pass
-            WIRE_TAGS = {"GetMsg": 1, "PutMsg": 1}
-        """, handler_src="x = (GetMsg, PutMsg)\n")
-        fs = lint_file(path)
-        assert any(f.rule == "R003" and "unique" in f.message for f in fs)
-
-    def test_unreferenced_msg_class_flags(self, tmp_path):
-        path = self._write(tmp_path, """
-            class GetMsg:
-                pass
-            class LostMsg:
-                pass
-            WIRE_TAGS = {"GetMsg": 1, "LostMsg": 2}
-        """)
-        fs = lint_file(path)
-        assert any(f.rule == "R003" and "LostMsg" in f.message for f in fs)
-
-    def test_constant_references_resolve(self, tmp_path):
-        path = self._write(tmp_path, """
-            GET = 3
-            class GetMsg:
-                pass
-            WIRE_TAGS = {"GetMsg": GET}
-        """)
-        assert lint_file(path) == []
-
-    def test_orphan_reply_class_flags(self, tmp_path):
-        path = self._write(tmp_path, """
-            class GetMsg:
-                pass
-            class GhostReply:
-                pass
-            WIRE_TAGS = {"GetMsg": 1, "GhostReply": 2}
-        """)
-        fs = lint_file(path)
-        assert any(f.rule == "R003" and "GhostReply" in f.message for f in fs)
-
-    def test_reply_referenced_by_db_is_clean(self, tmp_path):
-        path = self._write(tmp_path, """
-            class GetMsg:
-                pass
-            class GetReply:
-                pass
-            WIRE_TAGS = {"GetMsg": 1, "GetReply": 2}
-        """)
-        (tmp_path / "db.py").write_text("x = GetReply\n")
-        assert lint_file(path) == []
-
-    def test_reply_referenced_by_handler_is_clean(self, tmp_path):
-        path = self._write(tmp_path, """
-            class GetMsg:
-                pass
-            class GetReply:
-                pass
-            WIRE_TAGS = {"GetMsg": 1, "GetReply": 2}
-        """, handler_src="x = (GetMsg, GetReply)\n")
-        assert lint_file(path) == []
-
-    def test_pull_and_push_message_family_is_clean(self, tmp_path):
-        """A pull/push wire family lints clean: both request classes
-        are dispatched by the handler, the pull reply is awaited by
-        db.py, and every tag resolves through a constant."""
-        path = self._write(tmp_path, """
-            VIEW_PULL = 12
-            VIEW_PUSH = 13
-            class ViewPullMsg:
-                pass
-            class ViewPushMsg:
-                pass
-            class ViewPullReply:
-                pass
-            WIRE_TAGS = {
-                "ViewPullMsg": VIEW_PULL,
-                "ViewPushMsg": VIEW_PUSH,
-                "ViewPullReply": 105,
-            }
-        """, handler_src="x = (ViewPullMsg, ViewPushMsg)\n")
-        (tmp_path / "db.py").write_text("x = ViewPullReply\n")
-        assert lint_file(path) == []
-
-    def test_push_without_handler_arm_flags(self, tmp_path):
-        """A fire-and-forget push class that the handler never
-        dispatches is dead wire surface and gets flagged."""
-        path = self._write(tmp_path, """
-            class ViewPullMsg:
-                pass
-            class ViewPushMsg:
-                pass
-            WIRE_TAGS = {"ViewPullMsg": 12, "ViewPushMsg": 13}
-        """, handler_src="x = ViewPullMsg\n")
-        fs = lint_file(path)
-        assert any(
-            f.rule == "R003" and "ViewPushMsg" in f.message for f in fs
-        )
-
-
 class TestInterproceduralR001:
     """What a per-function checker cannot see: a helper that does the
     blocking comm while its *caller* holds the registered lock."""

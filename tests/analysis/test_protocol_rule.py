@@ -1,238 +1,256 @@
-"""R006 — wire-protocol state-machine verification fixtures.
+"""The wire protocol is one table, :data:`repro.core.messages.PROTOCOL`.
 
-Each fixture writes a ``messages.py`` / ``handler.py`` /
-``protocol.py`` triple into a tmp directory and runs
-:func:`check_protocol` over it, mirroring how ``lint_paths`` invokes
-the rule on ``src/repro/core``.
+:func:`~repro.core.messages.validate` rejects a table that contradicts
+itself, ``handler._check_dispatch`` rejects a dispatch that does not
+serve exactly the table's requests, each served request builds its
+declared reply, and pkvlint R006 keeps the one clause no table can
+express: the handler never sends on the request comm.
 """
 
 from __future__ import annotations
 
-import ast
-import os
-import textwrap
+from dataclasses import dataclass
+from typing import List, Tuple
 
-from repro.analysis.protocol import check_protocol
+import pytest
 
-MESSAGES_OK = """
-    WIRE_TAGS = {"PutSyncMsg": 1, "AckMsg": 2, "ReplicaPutBatchMsg": 3,
-                 "ReplicaAckMsg": 4, "ReplicaPublishMsg": 5}
-
-    class PutSyncMsg:
-        pairs: list
-        seq: int
-
-    class AckMsg:
-        status: int
-
-    class ReplicaPutBatchMsg:
-        items: tuple
-        seq: int
-        epoch: int
-        dead: tuple
-
-    class ReplicaAckMsg:
-        epoch: int
-        dead: tuple
-
-    class ReplicaPublishMsg:
-        entries: tuple
-        epoch: int
-        dead: tuple
-"""
-
-HANDLER_OK = """
-    def _serve_put(db, m):
-        if db._already_applied(m.seq):
-            db.rsp_comm.send(AckMsg(0))
-            return
-        db.rsp_comm.send(AckMsg(0))
-
-    def handle(db, m):
-        if isinstance(m, PutSyncMsg):
-            _serve_put(db, m)
-        elif isinstance(m, ReplicaPutBatchMsg):
-            if db._already_applied(m.seq):
-                return
-            db.ack_comm.send(ReplicaAckMsg(0, ()))
-        elif isinstance(m, ReplicaPublishMsg):
-            db.index.merge(m.entries)
-"""
-
-SPEC_OK = """
-    REQUEST_COMM = "srv_comm"
-    MESSAGE_SPECS = {
-        "PutSyncMsg": {"kind": "request", "retryable": True,
-                       "reply": "AckMsg"},
-        "AckMsg": {"kind": "reply"},
-        "ReplicaPutBatchMsg": {"kind": "request", "retryable": True,
-                               "epoch_stamped": True,
-                               "reply": "ReplicaAckMsg"},
-        "ReplicaAckMsg": {"kind": "reply", "epoch_stamped": True},
-        "ReplicaPublishMsg": {"kind": "request", "epoch_stamped": True,
-                            "reply": None},
-    }
-"""
+from repro import Options, Papyrus
+from repro.analysis.pkvlint import lint_file
+from repro.config import SSTABLE
+from repro.core import handler
+from repro.core import messages as msg
+from repro.core.db import ACK_TAG, HB_TAG
+from repro.core.messages import Wire, validate
+from repro.mpi.comm import AbortedError
+from repro.mpi.launcher import spmd_run
+from repro.simtime.clock import VirtualClock
 
 
-def _run(tmp_path, messages=MESSAGES_OK, handler=HANDLER_OK, spec=SPEC_OK):
-    mpath = str(tmp_path / "messages.py")
-    src = textwrap.dedent(messages)
-    with open(mpath, "w") as f:
-        f.write(src)
-    if handler is not None:
-        with open(tmp_path / "handler.py", "w") as f:
-            f.write(textwrap.dedent(handler))
-    if spec is not None:
-        with open(tmp_path / "protocol.py", "w") as f:
-            f.write(textwrap.dedent(spec))
-    return check_protocol(mpath, ast.parse(src, filename=mpath))
+@dataclass
+class PutMsg:
+    pairs: list
+    seq: int
+    epoch: int = 0
+    dead: Tuple[int, ...] = ()
 
 
-class TestGating:
-    def test_no_spec_file_no_findings(self, tmp_path):
-        # protocol verification is opt-in via a checked-in spec
-        assert _run(tmp_path, spec=None) == []
+@dataclass
+class PutAck:
+    seq: int
+    epoch: int = 0
+    dead: Tuple[int, ...] = ()
 
-    def test_clean_triple(self, tmp_path):
-        assert _run(tmp_path) == []
 
-    def test_malformed_spec_is_a_finding(self, tmp_path):
-        fs = _run(tmp_path, spec="MESSAGE_SPECS = build_specs()\n")
-        assert any("MESSAGE_SPECS" in f.message for f in fs)
+@dataclass
+class ReadMsg:
+    keys: list
+    seq: int
+
+
+@dataclass
+class ReadReply:
+    results: list
+    seq: int
+
+
+@dataclass
+class PublishMsg:
+    entries: tuple
+    epoch: int = 0
+    dead: Tuple[int, ...] = ()
+
+
+TABLE: List[Wire] = [
+    Wire(PutMsg, 1, PutAck, retryable=True, stamped=True),
+    Wire(ReadMsg, 2, ReadReply),
+    Wire(PublishMsg, 3, stamped=True),
+    Wire(ReadReply, 100),
+    Wire(PutAck, 101, stamped=True),
+]
+
+
+def _with(entry, **changes) -> List[Wire]:
+    """TABLE with the entry for class ``entry`` changed."""
+    return [w._replace(**changes) if w.cls is entry else w for w in TABLE]
+
+
+def _without_field(cls, name):
+    """A dataclass like ``cls`` without field ``name``."""
+    fields = {k: v for k, v in cls.__annotations__.items() if k != name}
+    return dataclass(type(cls.__name__, (), {"__annotations__": fields}))
+
+
+class TestTable:
+    def test_fixture_table_is_valid(self):
+        validate(TABLE)
+
+    def test_constant_references_resolve(self):
+        # the same 8 names and numbers as before the table; requests
+        # reuse their dispatch constants
+        assert msg.WIRE_TAGS == {
+            "GetMsg": 3, "FetchTableMsg": 8, "StopMsg": 4,
+            "HeartbeatMsg": 10, "PairsMsg": 14,
+            "GetReply": 100, "FetchTableReply": 102, "AckMsg": 103,
+        }
+        assert [msg.WIRE_TAGS[n] for n in (
+            "GetMsg", "FetchTableMsg", "StopMsg", "HeartbeatMsg",
+            "PairsMsg")] == [msg.GET, msg.FETCH_TABLE, msg.STOP,
+                             msg.HEARTBEAT, msg.PAIRS]
+
+    def test_duplicate_tag_flags(self):
+        with pytest.raises(TypeError, match="wire tag 2 assigned to both"):
+            validate(_with(PublishMsg, tag=2))
+
+    def test_orphan_reply_class_flags(self):
+        with pytest.raises(TypeError, match="ReadReply.*declared by no"):
+            validate(_with(ReadMsg, reply=None))
 
 
 class TestCoverage:
-    def test_wire_tag_without_spec_entry(self, tmp_path):
-        spec = SPEC_OK.replace(
-            '"AckMsg": {"kind": "reply"},\n', "")
-        fs = _run(tmp_path, spec=spec)
-        assert any("`AckMsg` has no protocol spec entry" in f.message
-                   for f in fs)
-
-    def test_spec_entry_without_wire_tag(self, tmp_path):
-        spec = SPEC_OK.replace(
-            '"AckMsg": {"kind": "reply"},',
-            '"AckMsg": {"kind": "reply"},\n'
-            '        "GhostMsg": {"kind": "request", "reply": None},')
-        fs = _run(tmp_path, spec=spec)
-        assert any("`GhostMsg` has no WIRE_TAGS entry" in f.message
-                   for f in fs)
-
     def test_real_tree_covers_every_wire_tag(self):
-        # acceptance: R006 covers 100% of WIRE_TAGS with no allowlisting
-        path = "src/repro/core/messages.py"
-        with open(path) as f:
-            tree = ast.parse(f.read(), filename=path)
-        assert os.path.exists("src/repro/core/protocol.py")
-        assert check_protocol(path, tree) == []
+        # every request on the wire has exactly one arm, but StopMsg,
+        # which the handler loop consumes
+        serve = handler._dispatch()
+        handler._check_dispatch(serve)
+        requests = {w.cls for w in msg.PROTOCOL if w.tag < msg.REPLY_BASE}
+        assert set(serve) | {msg.StopMsg} == requests
+        assert set(msg.WIRE_TAGS) == {w.cls.__name__ for w in msg.PROTOCOL}
+
+    def test_unknown_message_aborts_the_world(self):
+        # an object no arm serves aborts the run at once: the rank
+        # blocked on a reply sees AbortedError, not the launcher's timeout
+        def app(ctx):
+            db = Papyrus(ctx).open("d", Options())
+            db.srv_comm.send(object(), db.rank, tag=0)
+            try:
+                db.rsp_comm.recv(source=db.rank, tag=990_001)
+            except AbortedError:
+                return "aborted"
+
+        assert spmd_run(1, app, timeout=30) == ["aborted"]
 
 
 class TestRetryable:
-    def test_retryable_without_seq_field(self, tmp_path):
-        messages = MESSAGES_OK.replace(
-            "    class PutSyncMsg:\n        pairs: list\n        seq: int",
-            "    class PutSyncMsg:\n        pairs: list")
-        fs = _run(tmp_path, messages=messages)
-        assert any("no `seq` field" in f.message and f.function == "PutSyncMsg"
-                   for f in fs)
+    def test_retryable_without_seq_field(self):
+        bare = _without_field(PutMsg, "seq")
+        with pytest.raises(TypeError, match="PutMsg is retryable"):
+            validate(_with(PutMsg, cls=bare))
 
-    def test_retryable_arm_without_dedup_gate(self, tmp_path):
-        handler = HANDLER_OK.replace(
-            "        if db._already_applied(m.seq):\n"
-            "            db.rsp_comm.send(AckMsg(0))\n"
-            "            return\n", "")
-        fs = _run(tmp_path, handler=handler)
-        assert any("_already_applied" in f.message
-                   and f.function == "PutSyncMsg" for f in fs)
+    def test_retryable_arm_without_dedup_gate(self):
+        # a retransmit (same source, same seq) is re-acked, not re-applied
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("d", Options())
+                for value in (b"first", b"retransmit"):
+                    m = msg.PairsMsg([(b"k", value, False)], seq=990_001)
+                    handler._serve_pairs(
+                        db, m, db.rank, VirtualClock(start=db.clock.now),
+                        db.ctx.system.cpu)
+                    ack = db.ack_comm.recv(source=db.rank, tag=ACK_TAG)
+                    assert ack.seq == m.seq and ack.applied
+                value = db.get(b"k")
+                db.close()
+                return value
 
-    def test_dedup_gate_via_serve_helper_counts(self, tmp_path):
-        # the gate lives in _serve_put, reached through the arm's call
-        assert _run(tmp_path) == []
+        assert spmd_run(1, app) == [b"first"]
 
 
 class TestEpochStamping:
-    def test_replica_class_must_be_declared_stamped(self, tmp_path):
-        spec = SPEC_OK.replace(
-            '"ReplicaAckMsg": {"kind": "reply", "epoch_stamped": True},',
-            '"ReplicaAckMsg": {"kind": "reply"},')
-        fs = _run(tmp_path, spec=spec)
-        assert any("does not declare it epoch_stamped" in f.message
-                   for f in fs)
+    def test_stamped_class_missing_fields(self):
+        bare = _without_field(_without_field(PublishMsg, "epoch"), "dead")
+        with pytest.raises(TypeError, match="PublishMsg is stamped"):
+            validate(_with(PublishMsg, cls=bare))
 
-    def test_stamped_class_missing_fields(self, tmp_path):
-        # a publish surface declared stamped, its fields gone
-        messages = MESSAGES_OK.replace(
-            "    class ReplicaPublishMsg:\n"
-            "        entries: tuple\n"
-            "        epoch: int\n"
-            "        dead: tuple",
-            "    class ReplicaPublishMsg:\n        entries: tuple")
-        fs = _run(tmp_path, messages=messages)
-        assert any("lacks field(s) ['dead', 'epoch']" in f.message
-                   and f.function == "ReplicaPublishMsg" for f in fs)
-
-    def test_replica_batch_missing_epoch_only(self, tmp_path):
-        # the PR-6/7 ReplicaPutBatchMsg surface
-        messages = MESSAGES_OK.replace(
-            "    class ReplicaPutBatchMsg:\n"
-            "        items: tuple\n"
-            "        seq: int\n"
-            "        epoch: int\n"
-            "        dead: tuple",
-            "    class ReplicaPutBatchMsg:\n"
-            "        items: tuple\n"
-            "        seq: int\n"
-            "        dead: tuple")
-        fs = _run(tmp_path, messages=messages)
-        assert any("lacks field(s) ['epoch']" in f.message
-                   and f.function == "ReplicaPutBatchMsg" for f in fs)
+    def test_replica_batch_missing_epoch_only(self):
+        # the pair carrier's shape: seq and dead kept, epoch gone
+        bare = _without_field(PutMsg, "epoch")
+        with pytest.raises(TypeError, match="PutMsg is stamped"):
+            validate(_with(PutMsg, cls=bare))
 
 
 class TestRequestReply:
-    def test_missing_dispatch_arm(self, tmp_path):
-        handler = HANDLER_OK.replace(
-            "        elif isinstance(m, ReplicaPublishMsg):\n"
-            "            db.index.merge(m.entries)\n", "")
-        fs = _run(tmp_path, handler=handler)
-        assert any("no isinstance dispatch arm" in f.message
-                   and f.function == "ReplicaPublishMsg" for f in fs)
+    def test_declared_reply_not_on_wire(self):
+        # PublishMsg names a request, not a reply, as its answer
+        with pytest.raises(TypeError, match="PublishMsg.*not on the wire"):
+            validate(_with(ReadMsg, reply=PublishMsg))
 
-    def test_reply_never_constructed(self, tmp_path):
-        handler = HANDLER_OK.replace(
-            "            db.ack_comm.send(ReplicaAckMsg(0, ()))",
-            "            pass")
-        fs = _run(tmp_path, handler=handler)
-        assert any("never constructs its declared reply `ReplicaAckMsg`"
-                   in f.message for f in fs)
+    def test_missing_dispatch_arm(self):
+        serve = handler._dispatch()
+        del serve[msg.FetchTableMsg]
+        with pytest.raises(TypeError, match="unserved.*FetchTableMsg"):
+            handler._check_dispatch(serve)
 
-    def test_declared_reply_not_on_wire(self, tmp_path):
-        spec = SPEC_OK.replace('"reply": "AckMsg"', '"reply": "NackMsg"')
-        fs = _run(tmp_path, spec=spec)
-        assert any("declares reply `NackMsg`" in f.message for f in fs)
+    def test_handler_arm_for_untagged_class(self):
+        serve = handler._dispatch()
+        serve[PutMsg] = handler._serve_pairs
+        with pytest.raises(TypeError, match="untagged.*PutMsg"):
+            handler._check_dispatch(serve)
 
-    def test_handler_arm_for_untagged_class(self, tmp_path):
-        handler = HANDLER_OK + (
-            "\n    def extra(db, m):\n"
-            "        if isinstance(m, PhantomMsg):\n"
-            "            pass\n")
-        fs = _run(tmp_path, handler=handler)
-        assert any("dispatches `PhantomMsg`" in f.message for f in fs)
+    def test_reply_never_constructed(self):
+        # every served request, run through its arm, answers with the
+        # reply class the table declares for it
+        def app(ctx):
+            opts = Options(replicas=2, write_quorum=1)
+            with Papyrus(ctx) as env:
+                db = env.open("d", opts)
+                db.put(b"k", b"v")
+                db.barrier(SSTABLE)
+                got = {}
+                if ctx.world_rank == 0:
+                    epoch, dead = db.membership.wire()
+                    requests = [
+                        (msg.PairsMsg([(b"k", b"w", False)], 990_001,
+                                      epoch, dead, sync=True),
+                         db.rsp_comm, 990_001),
+                        (msg.GetMsg([b"k"], -1, 990_002), db.rsp_comm,
+                         990_002),
+                        (msg.FetchTableMsg(db.rank_dir, db.ssids[-1],
+                                           990_003), db.rsp_comm, 990_003),
+                        (msg.HeartbeatMsg(epoch, dead), db.ack_comm,
+                         HB_TAG),
+                    ]
+                    serve = handler._dispatch()
+                    for m, comm, tag in requests:
+                        serve[type(m)](db, m, db.rank,
+                                       VirtualClock(start=db.clock.now),
+                                       db.ctx.system.cpu)
+                        got[type(m)] = type(comm.recv(source=db.rank,
+                                                      tag=tag))
+                db.barrier()
+                db.close()
+                return got
+
+        got = spmd_run(2, app)[0]
+        assert set(got) == msg.SERVED
+        for w in msg.PROTOCOL:
+            if w.cls in got:
+                assert got[w.cls] is w.reply, w.cls
+
+
+HANDLER = """\
+def _serve(db, m, source):
+    db.ack_comm.send(Ack(m.seq), source)
+
+
+def pump(db):
+    return db.srv_comm.recv()
+"""
+
+
+def _lint_handler(tmp_path, src):
+    path = tmp_path / "handler.py"
+    path.write_text(src)
+    return [f for f in lint_file(str(path)) if f.rule == "R006"]
 
 
 class TestRequestCommDirection:
     def test_handler_send_on_request_comm_flags(self, tmp_path):
-        # the synthetic satellite fixture: a handler answering on the
-        # request comm can rendezvous-deadlock two peers
-        handler = HANDLER_OK.replace(
-            "            db.ack_comm.send(ReplicaAckMsg(0, ()))",
-            "            db.srv_comm.send(ReplicaAckMsg(0, ()))")
-        fs = _run(tmp_path, handler=handler)
+        # a handler answering on the request comm can rendezvous-deadlock
+        # two peers
+        fs = _lint_handler(tmp_path, HANDLER.replace(
+            "db.ack_comm.send", "db.srv_comm.send"))
         assert any("sends on the request comm" in f.message
                    and "srv_comm.send" in f.message for f in fs)
 
     def test_recv_on_request_comm_is_fine(self, tmp_path):
-        handler = HANDLER_OK + (
-            "\n    def pump(db):\n"
-            "        return db.srv_comm.recv()\n")
-        assert _run(tmp_path, handler=handler) == []
+        assert _lint_handler(tmp_path, HANDLER) == []

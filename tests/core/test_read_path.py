@@ -10,6 +10,9 @@ serve stale cached blocks.
 
 from __future__ import annotations
 
+import os
+import random
+
 import pytest
 
 from repro import Options, Papyrus
@@ -18,6 +21,7 @@ from repro.config import MB, SSTABLE, options_from_env
 from repro.core import messages as msg
 from repro.core.handler import _serve_get
 from repro.errors import CorruptionError, InvalidOptionError
+from repro.faults import FaultPlan
 from repro.metrics import database_metrics, format_report
 from repro.mpi.launcher import spmd_run
 from repro.nvm.posixfs import PosixStore
@@ -27,6 +31,8 @@ from repro.simtime.resources import TimedResource
 from repro.sstable.format import Record
 from repro.sstable.reader import SSTableReader
 from tests.conftest import flip_byte, small_options, write_table
+
+FAULT_SEED = int(os.environ.get("PKV_FAULT_SEED", "7"))
 
 
 def run1(fn, **kw):
@@ -387,6 +393,53 @@ class TestHandlerEqualsRankMain:
                 db.close()
 
         run1(app)
+
+
+class TestRepairLadderPeerCopy:
+    """Rung 2 of the recovery ladder: a storage-group peer re-reads the
+    owner's own files through *its* read path and ships them back
+    (``FetchTableMsg`` → ``_serve_fetch_table``).  It heals a fault in
+    the owner's read path, which is all it can heal: the peer reads the
+    same bytes."""
+
+    def test_peer_copy_heals_a_fault_in_the_owners_read_path(self):
+        # which of the owner's three tables goes bad is drawn from the
+        # seed; verify reads each table's SSData once, in order, so the
+        # victim's read is the (victim+1)-th. Two failures: verification
+        # and rung 1's re-read; the peer's read and the re-verify after
+        # the install succeed. No checkpoint exists, so rung 3 cannot.
+        victim = random.Random(FAULT_SEED).randrange(3)
+        plan = FaultPlan(seed=FAULT_SEED).io_error(
+            ".ssd", op="read", rank=0, nth=victim + 1, count=2)
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("d", _opts(group_size=2))
+                assert db.shares_storage_with(1 - ctx.world_rank)
+                model = {}
+                for phase in "amz":
+                    if ctx.world_rank == 0:
+                        for i in range(200):
+                            key = f"{phase}{i:03d}".encode()
+                            if db.owner_of(key) == 0:
+                                model[key] = key * 4
+                                db.put(key, model[key])
+                    db.barrier(SSTABLE)
+                report = None
+                if ctx.world_rank == 0:
+                    assert len(db.ssids) == 3
+                    report = db.verify()
+                    assert db._last_checkpoint_path is None
+                    assert all(db.get(k) == v for k, v in model.items())
+                db.barrier()  # rank 1's handler serves the fetch till here
+                db.close()
+                return report, db.ssids
+
+        (report, ssids), _ = spmd_run(2, app, faults=plan)
+        assert report == {"ok": [s for i, s in enumerate(ssids)
+                                 if i != victim],
+                          "rebuilt": [ssids[victim]], "quarantined": []}
+        assert len(plan.fired) == 2, plan.fired
 
 
 class TestPeerReaderCache:
