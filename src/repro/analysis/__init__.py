@@ -45,6 +45,8 @@ from repro.analysis.pkvlint import lint_file, lint_paths
 from repro.analysis.sarif import findings_to_sarif
 from repro.analysis.runtime import (
     RaceDetector,
+    annotate_observe,
+    annotate_publish,
     annotate_read,
     annotate_write,
     disable,
@@ -84,4 +86,6 @@ __all__ = [
     "make_rlock",
     "annotate_read",
     "annotate_write",
+    "annotate_publish",
+    "annotate_observe",
 ]

@@ -46,7 +46,17 @@ LOCK_ORDER: Tuple[LockClass, ...] = (
         level=10,
         attrs=("_lock",),
         holder="core.db.Database (RLock)",
-        guards="MemTables, caches, ssids, unacked sends, quarantine list",
+        guards="writes to the MemTables, ssids and quarantine list and "
+               "the publication of the read view gets take unlocked; "
+               "unacked sends; a cache fill's check",
+    ),
+    LockClass(
+        name="db.local_cache",
+        level=11,
+        attrs=("_cache_lock",),
+        holder="core.db.Database",
+        guards="the local (SSTable-hit) cache: looked up alone by gets, "
+               "filled and evicted nested inside db.state (leaf lock)",
     ),
     LockClass(
         name="db.scan_pins",
@@ -164,9 +174,12 @@ def render_threads_map() -> str:
     return "\n".join([
         "Threads and the locks they take, in acquisition order:",
         "",
-        "* **rank main** — `db.state` (every put/get/scan/fence), "
-        "`db.scan_pins` (pinning a scan's SSID horizon at open, "
-        "releasing it at iterator close), "
+        "* **rank main** — `db.state` (every local put; a get or scan "
+        "open only to retire a finished flush, a get to fill the local "
+        "cache; both read the published view unlocked), "
+        "`db.local_cache` (a get's cache lookup), "
+        "`db.scan_pins` (pinning a scan's view's tables at open, "
+        "releasing them at iterator close), "
         "`db.membership` (failure declarations and the "
         "re-replication queue when `replicas > 1`; routing reads the "
         "published snapshot unlocked), "
@@ -175,10 +188,11 @@ def render_threads_map() -> str:
         "`world.comm`/`world.mailboxes` "
         "(comm management), `comm.collective` (collectives), `queue.fifo`, "
         "`sstable.reader` (a table's sidecar loads and block fetches), "
-        "`sstable.block_cache` (reader lookups, block-cached SSData "
-        "probes, invalidation).",
+        "`sstable.block_cache` (resolving a view's readers, "
+        "block-cached SSData probes, invalidation).",
         "* **message handler** (per rank × database) — `db.state` "
-        "(serving migrations and remote gets), `db.membership` "
+        "(applying migrations; a remote get reads the published view "
+        "like a local one), `db.local_cache`, `db.membership` "
         "(merging piggybacked views, proof of life; epoch checks read "
         "the snapshot unlocked), "
         "`sstable.reader` and `sstable.block_cache` (SSTable lookups "

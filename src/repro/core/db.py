@@ -31,6 +31,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import itemgetter
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
     Set, Tuple,
@@ -38,6 +39,8 @@ from typing import (
 
 from repro import config
 from repro.analysis.runtime import (
+    annotate_observe,
+    annotate_publish,
     annotate_read,
     annotate_write,
     enable as enable_race_detector,
@@ -87,7 +90,7 @@ from repro.sstable.format import (
 from repro.util.checksum import crc32c
 from repro.sstable.reader import SSTableReader, list_ssids
 from repro.sstable.writer import encode_table, write_sstable_blobs
-from repro.util.hashing import owner_rank
+from repro.util.hashing import builtin_key_hash, owner_rank
 from repro.util.lru import LRUCache
 
 #: tag used on the ack comm for the acks of non-``sync`` PairsMsgs
@@ -171,18 +174,55 @@ class _Unacked(NamedTuple):
     sync: bool
 
 
-@dataclass(frozen=True)
-class _PeerView:
+#: the ``retire_at`` of a view with no flush in flight
+_NEVER = float("inf")
+
+#: ``(ssid, reader)`` newest first; a quarantined table's reader is None
+Tables = Tuple[Tuple[int, Optional[SSTableReader]], ...]
+
+
+class _ReadView(NamedTuple):
+    """The read state as one writer published it under ``db.state``.
+
+    A get, the handler's get service and a scan open take the view with
+    one attribute load and no lock.  Nothing in it changes after
+    publication but the live MemTable's dict, which takes puts; a point
+    read of it is one GIL-atomic lookup.  Every change to the rest —
+    rotate and flush enqueue, flush retire, compaction install,
+    quarantine, open and checkpoint restore, a reader invalidation —
+    publishes a new view (:meth:`Database._publish`).
+    """
+
+    live: MemTable
+    #: the flushing MemTables, newest first
+    flushing: Tuple[MemTable, ...]
+    #: virtual time the oldest flushing MemTable's table is durable: a
+    #: reader whose clock reached it retires the MemTable first
+    retire_at: float
+    #: my tables newest first with their readers (quarantined: holes)
+    tables: Tables
+    quarantined: Tuple[QuarantinedTable, ...]
+    #: ``_next_ssid`` at publication — a cache fill's version check
+    horizon: int
+
+
+class _PeerView(NamedTuple):
     """What a storage-group peer knows of one owner's tables.
 
     ``ssids`` is the owner's table set when the view was taken off a
-    directory listing (ascending; the newest is ``ssids[-1]``).  A get
-    that follows a ``NOT_IN_MEMORY`` reply trusts it while the reply
-    names the same newest table.
+    directory listing (ascending; the newest is ``ssids[-1]``), and
+    ``tables`` their readers, newest first, resolved once.  A get that
+    follows a ``NOT_IN_MEMORY`` reply trusts the view while the reply
+    names the same newest table and the device has invalidated no
+    reader since ``generation`` — the owner may rebuild a table in place
+    under its SSID (scrub repair), and a reader resolved before that
+    would serve the old table's index.
     """
 
     owner_dir: str
     ssids: Tuple[int, ...]
+    tables: Tables
+    generation: int
 
 
 @dataclass
@@ -394,6 +434,9 @@ class Database:
         self.protection = options.protection
         self.binary_search = options.binary_search
         self.hash_fn = options.hash_fn
+        #: the key hash behind :meth:`owner_of` (owner = hash % nranks)
+        self._key_hash = (builtin_key_hash if options.hash_fn is None
+                          else options.hash_fn)
 
         self.store = store
         self.dbdir = f"db_{name}"
@@ -405,6 +448,13 @@ class Database:
             group_size = min(group_size, self.nranks)
         self.layout = StorageLayout(self.nranks, group_size)
         self.group = self.layout.group_of(self.rank)
+        #: the ranks that can read my SSTable files: my storage group, on
+        #: my NVM domain (or anywhere on the parallel file system)
+        self._storage_peers = frozenset(
+            r for r in range(self.nranks)
+            if self.layout.group_of(r) == self.group and (
+                options.repository == "lustre"
+                or self.ctx.machine.shares_nvm(self.rank, r)))
 
         self.srv_comm = srv_comm
         self.rsp_comm = rsp_comm
@@ -495,6 +545,9 @@ class Database:
             LRUCache(options.cache_local_capacity)
             if options.cache_local_enabled else None
         )
+        #: the local cache's own leaf lock: gets read the cache without
+        #: db.state, fills and evictions take it nested inside
+        self._cache_lock = make_lock("db.local_cache")
         self.remote_cache = LRUCache(options.cache_remote_capacity)
         #: my storage device's read cache (blocks and file-built readers,
         #: its own lock), shared by every rank on it; my capacity joins
@@ -532,6 +585,8 @@ class Database:
         self._handler_thread: Optional[threading.Thread] = None
 
         self.store.makedirs(self.rank_dir)
+        #: the published read view (see _ReadView); replaced whole
+        self._view: _ReadView
         self._load_existing_sstables()
 
     # ------------------------------------------------------------ lifecycle
@@ -552,6 +607,7 @@ class Database:
         if existing:
             self._next_ssid = existing[-1] + 1
         self.ssids = admitted
+        self._publish()
 
     def _admit_sstable(self, ssid: int) -> bool:
         """Validate/repair one retained table; False means quarantined."""
@@ -667,7 +723,6 @@ class Database:
                 t = self.store.rename(rel, rel + QUARANTINE_SUFFIX, t)
         self.clock.advance_to(t)
         with self._lock:
-            self._invalidate_readers(ssid)
             if ssid in self.ssids:
                 annotate_write(self, "db.ssids")
                 self.ssids.remove(ssid)
@@ -675,6 +730,7 @@ class Database:
             self._quarantined = [
                 q for q in self._quarantined if q.ssid != ssid
             ] + [QuarantinedTable(ssid, min_key, max_key, reason)]
+            self._invalidate_readers(ssid)
         self.stats.tables_quarantined += 1
 
     def _start_handler(self) -> None:
@@ -718,8 +774,10 @@ class Database:
     # ============================================================ PUT / DELETE
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or update a key-value pair (``papyruskv_put``)."""
-        self._validate_kv(key, value)
-        self._write([(bytes(key), bytes(value), False)], "put")
+        if type(key) is not bytes or not key or type(value) is not bytes:
+            self._validate_kv(key, value)
+            key, value = bytes(key), bytes(value)
+        self._write([(key, value, False)], "put")
 
     def delete(self, key: bytes) -> None:
         """Delete a key: a put with a tombstone bit (``papyruskv_delete``)."""
@@ -734,14 +792,18 @@ class Database:
         key's final op lands (last-write-wins).  Returns the number of
         distinct keys written; ``kind`` labels the latency sample.
         """
-        self._check_open()
-        self._maybe_kill()
+        if self._closed or self._killed or self.ctx.faults is not None:
+            self._check_open()
+            self._maybe_kill()
         if self.protection == config.RDONLY:
             raise ProtectionError("database is read-only (PAPYRUSKV_RDONLY)")
         if not ops:
             return 0
-        t_start = self.clock.now
-        pairs = list({op[0]: op for op in ops}.values())
+        clock = self.ctx.clock
+        t_start = clock.now
+        # last write wins within the call
+        pairs = ops if len(ops) == 1 else list(
+            {op[0]: op for op in ops}.values())
         n = len(pairs)
         nbytes = 0
         for key, value, tomb in pairs:
@@ -758,7 +820,7 @@ class Database:
             and self._gc_bytes < GROUP_COMMIT_BYTES
         )
         cpu = self.ctx.system.cpu
-        self.clock.advance(
+        clock.advance(
             cpu.kv_op_s * n + (0.0 if rider else cpu.dram_latency_s)
             + nbytes / self._memcpy_Bps
         )
@@ -766,7 +828,8 @@ class Database:
             self._gc_bytes += nbytes
             self.stats.group_commit_coalesced += n
         else:
-            self._drain_acks(blocking=False)
+            if self._unacked:
+                self._drain_acks(blocking=False)
             self._close_window()  # no-op without replication
             self._gc_open = True
             self._gc_t0 = t_start
@@ -774,7 +837,7 @@ class Database:
             self.stats.group_commits += 1
             self.stats.group_commit_coalesced += n - 1
         owner_msgs = 0
-        if self._replication_on:
+        if self.membership is not None:
             # replicated write: insert locally and stage the pairs in
             # the open window; the boundary that closes the window ships
             # them, one message per target.  Sequential mode is a window
@@ -786,30 +849,28 @@ class Database:
         else:
             local: List[msg.Pair] = []
             remote: Dict[int, List[msg.Pair]] = {}
+            key_hash, nranks, me = self._key_hash, self.nranks, self.rank
             for pair in pairs:
-                owner = self.owner_of(pair[0])
-                if owner == self.rank:
+                owner = key_hash(pair[0]) % nranks
+                if owner == me:
                     local.append(pair)
                 else:
                     remote.setdefault(owner, []).append(pair)
             self.stats.local_puts += len(local)
             self.stats.remote_puts += n - len(local)
+            if local:
+                self._local_insert(local, clock)
             # relaxed mode stages remote pairs in the remote MemTable
-            # (memory only).  Migration happens *outside* the state
-            # lock: the dispatcher's blocking back-pressure must never
-            # hold the lock this rank's handler needs to serve other
-            # ranks (cross-rank deadlock).
-            imm: Optional[MemTable] = None
-            with self._lock:  # one acquisition for every local/staged insert
-                self._local_insert(local, self.clock)
-                if remote and self.consistency == config.RELAXED:
-                    for owner, staged in remote.items():
-                        for key, value, tomb in staged:
-                            self.remote_mt.put(key, value, tomb, owner)
-                    if self.remote_mt.full:
-                        imm = self._swap_remote_mt()
-            if imm is not None:
-                self._migrate(imm)
+            # (memory only, main-thread state: no lock).  Migration
+            # happens outside db.state: the dispatcher's blocking
+            # back-pressure must never hold the lock this rank's handler
+            # needs to serve other ranks (cross-rank deadlock).
+            if remote and self.consistency == config.RELAXED:
+                for owner, staged in remote.items():
+                    for key, value, tomb in staged:
+                        self.remote_mt.put(key, value, tomb, owner)
+                if self.remote_mt.full:
+                    self._migrate(self._swap_remote_mt())
             if remote and self.consistency == config.SEQUENTIAL:
                 owner_msgs = self._put_sync(remote)
         self._account(kind, t_start, n, owner_msgs)
@@ -825,28 +886,36 @@ class Database:
             self.stats.bulk_keys += nkeys
             self.stats.bulk_owner_msgs += owner_msgs
             label = f"{kind}({nkeys})"
-        self.latency.observe(kind, self.clock.now - t_start)
-        self._trace(label, "main", t_start, self.clock.now)
+        now = self.ctx.clock.now
+        self.latency.observe(kind, now - t_start)
+        if self._tracer is not None:
+            self._tracer.record(label, self.rank, "main", t_start, now)
 
     def _local_insert(self, pairs: Iterable[msg.Pair], clock) -> None:
         """Insert into the local MemTable under one acquisition of
-        ``db.state`` (caller may be the handler)."""
+        ``db.state`` (caller may be the handler).  The pairs' stale
+        local-cache entries are evicted (Fig. 2) before the lock goes:
+        a get that misses the MemTable meanwhile may still read one,
+        but a fill never resurrects one (:meth:`_fill_local_cache`)."""
+        cache = self.local_cache
+        keys: List[bytes] = []
         with self._lock:
-            evict = (self.local_cache is not None
-                     and self.protection != config.WRONLY)
             for key, value, tombstone in pairs:
                 self.local_mt.put(key, value, tombstone)
-                # a stale cache entry with the same key is evicted (Fig. 2)
-                if evict:
-                    self.local_cache.invalidate(key)
+                keys.append(key)
                 if self.local_mt.full:
                     self._rotate_local(clock)
+            if cache is not None and self.protection != config.WRONLY:
+                with self._cache_lock:
+                    for key in keys:
+                        cache.invalidate(key)
 
     def _rotate_local(self, clock) -> None:
         """Freeze the full local MemTable and enqueue it for flushing."""
         imm = self.local_mt.freeze()
         self.local_mt = MemTable(self.options.memtable_capacity)
         self._enqueue_flush(imm, clock)
+        self._publish()
 
     def _crash_site(self, site: str) -> None:
         """Visit a named flush-pipeline fault site (no-op without a plan)."""
@@ -873,7 +942,7 @@ class Database:
         while len(self.flushing) >= self.options.flush_queue_capacity:
             _, end = self.flushing[0]
             clock.advance_to(end)
-            self._retire_flushed(clock.now)
+            self._retire_flushed(clock.now, publish=False)
             if self.flushing and self.flushing[0][1] > clock.now:
                 break  # defensive; should not happen
         if clock.now > stall_t0:
@@ -889,7 +958,7 @@ class Database:
         self._l0.append(ssid)
         self.flushing.append((imm, end))
         self.stats.flushes += 1
-        self._retire_flushed(clock.now)
+        self._retire_flushed(clock.now, publish=False)
         interval = self.options.compaction_interval
         if interval and len(self._l0) >= interval:
             self._schedule_compaction(clock.now)
@@ -932,14 +1001,69 @@ class Database:
             nbytes / self._memcpy_Bps
         )
 
-    def _retire_flushed(self, now: float) -> None:
-        """Drop flushing-queue entries whose flush completed by ``now``."""
+    def _retire_flushed(self, now: float, publish: bool = True) -> None:
+        """Drop flushing-queue entries whose flush completed by ``now``
+        (under db.state); ``publish=False`` leaves the new view to the
+        caller, which changes more."""
+        retired = False
         while self.flushing and self.flushing[0][1] <= now:
             self.flushing.pop(0)
+            retired = True
+        if retired and publish:
+            self._publish()
+
+    def _publish(self) -> None:
+        """Install a read view of the current state (under db.state, or
+        before the database is shared).  My tables' readers are
+        resolved here, through the device's cache, once per view."""
+        ssids = sorted(self.ssids, reverse=True)
+        readers = self.block_cache.readers(self.store, self.rank_dir, ssids)
+        quarantined = tuple(self._quarantined)
+        tables: Tables = tuple(zip(ssids, readers))
+        if quarantined:
+            tables = tuple(sorted(
+                [*tables, *((q.ssid, None) for q in quarantined)],
+                key=itemgetter(0), reverse=True))
+        flushing = self.flushing
+        annotate_publish(self, "db.view")
+        self._view = _ReadView(
+            self.local_mt, tuple(imm for imm, _ in reversed(flushing)),
+            flushing[0][1] if flushing else _NEVER, tables, quarantined,
+            self._next_ssid)
+
+    def _current_view(self, now: float) -> _ReadView:
+        """The published view, first retiring the flushes complete by
+        ``now`` (the one db.state a reader takes, once per flush)."""
+        annotate_observe(self, "db.view")
+        view = self._view
+        if view.retire_at <= now:
+            with self._lock:
+                self._retire_flushed(now)
+                view = self._view
+        return view
 
     # -------------------------------------------------- scan snapshot pins
+    def _pin_view(self, now: float) -> Tuple[_ReadView, List[int]]:
+        """The read view current at ``now`` with its tables pinned for a
+        scan, and their SSIDs — no db.state, no device lock.
+
+        Pinned, then checked still current: a compaction publishes the
+        view without its inputs *before* its retire looks at the pins,
+        so a view that held across the pin had its tables pinned before
+        any unlink of theirs was decided; one that did not is unpinned
+        and the next is tried.
+        """
+        while True:
+            view = self._current_view(now)
+            ssids = [ssid for ssid, reader in view.tables
+                     if reader is not None]
+            self._pin_scan_tables(ssids)
+            if self._view is view:
+                return view, ssids
+            self._unpin_scan_tables(ssids)
+
     def _pin_scan_tables(self, ssids: List[int]) -> None:
-        """Pin a scan's SSID horizon (called under db.state at open).
+        """Pin a scan's tables (:meth:`_pin_view`).
 
         While pinned, compaction may retire a table from the search
         order but must not unlink its files — the open iterator still
@@ -1052,6 +1176,14 @@ class Database:
                 self._trace(
                     f"compact-sync ssid={ssid}", "compaction", built, t
                 )
+            # install the output before the inputs' unlink: a scan that
+            # pinned them under the old view has its pins seen by the
+            # retire, and one pinning later finds the view changed
+            annotate_write(self, "db.ssids")
+            consumed = set(inputs)
+            self.ssids = [s for s in self.ssids
+                          if s not in consumed] + new_ssids
+            self._invalidate_readers(*inputs)
             # retire the inputs with one batched unlink commit; inputs an
             # open scan has pinned defer their unlink to its close instead
             return self._retire_table_files(
@@ -1060,12 +1192,6 @@ class Database:
 
         end = self.compaction_worker.schedule(t_read, round_job)
         self._pace_compaction(t_round0, end)
-
-        annotate_write(self, "db.ssids")
-        consumed = set(inputs)
-        self.ssids = [s for s in self.ssids if s not in consumed] + new_ssids
-        for s in inputs:
-            self._invalidate_readers(s)
         self._l0 = []
         self._minor_gens = 0 if major else self._minor_gens + 1
         self.stats.compactions += 1
@@ -1668,8 +1794,7 @@ class Database:
         """
         mv = self.membership
         assert mv is not None
-        with self._lock:
-            entry, tier = self._search_memory_remote(key)
+        entry, tier = self._search_memory_remote(key)  # main-thread state
         if entry is not None:
             if entry.tombstone:
                 return None
@@ -1752,13 +1877,15 @@ class Database:
         in caller order, ``None`` for absent or deleted keys; ``kind``
         labels the latency sample.
         """
-        self._check_open()
-        self._maybe_kill()
+        if self._closed or self._killed or self.ctx.faults is not None:
+            self._check_open()
+            self._maybe_kill()
         index_of: Dict[bytes, List[int]] = {}
         total = nbytes = 0
         for key in keys:
-            self._validate_kv(key, None)
-            key = bytes(key)
+            if type(key) is not bytes or not key:
+                self._validate_kv(key, None)
+                key = bytes(key)
             slots = index_of.get(key)
             if slots is None:
                 index_of[key] = [total]
@@ -1770,19 +1897,21 @@ class Database:
             raise ProtectionError("database is write-only (PAPYRUSKV_WRONLY)")
         if not index_of:
             return []
-        t_start = self.clock.now
+        clock = self.ctx.clock
+        t_start = clock.now
         n = len(index_of)
         # per-key CPU work; the per-call dispatch overhead (DRAM round
         # trip) is paid once however many keys the call carries
         cpu = self.ctx.system.cpu
-        self.clock.advance(
+        clock.advance(
             cpu.kv_op_s * n + cpu.dram_latency_s + nbytes / self._memcpy_Bps
         )
-        self._drain_acks(blocking=False)
+        if self._unacked:
+            self._drain_acks(blocking=False)
         self.stats.gets += n
         owner_msgs = 0
         found: Dict[bytes, Optional[GetResult]] = {}
-        if self._replication_on:
+        if self.membership is not None:
             # group routing (and its paranoia read after a death) is
             # per key: it cannot be expressed as one GetMsg per hash owner
             self._tick()
@@ -1791,9 +1920,10 @@ class Database:
         else:
             local: List[bytes] = []
             remote: Dict[int, List[bytes]] = {}
+            key_hash, nranks, me = self._key_hash, self.nranks, self.rank
             for key in index_of:
-                owner = self.owner_of(key)
-                if owner == self.rank:
+                owner = key_hash(key) % nranks
+                if owner == me:
                     local.append(key)
                 else:
                     remote.setdefault(owner, []).append(key)
@@ -1814,12 +1944,16 @@ class Database:
         return results
 
     # ---------------------------------------------------------- local lookup
-    def _search_memory_local(self, key: bytes) -> Tuple[Optional[Entry], str]:
-        """Local MemTable, then immutable ones newest-first (Fig. 3)."""
-        entry = self.local_mt.get(key)
+    @staticmethod
+    def _in_memory(view: _ReadView,
+                   key: bytes) -> Tuple[Optional[Entry], str]:
+        """The live MemTable, then the flushing ones newest-first
+        (Fig. 3), of ``view``: ``(entry, tier)``, ``(None, "")`` if no
+        MemTable holds ``key``."""
+        entry = view.live.get(key)
         if entry is not None:
             return entry, "local_mt"
-        for imm, _end in reversed(self.flushing):
+        for imm in view.flushing:
             entry = imm.get(key)
             if entry is not None:
                 return entry, "flushing"
@@ -1830,87 +1964,87 @@ class Database:
         """Local tier walk (§2.6, Fig. 3): the memory phase once for the
         call, the SSTable phase per key it left over.  The handler runs
         the same two phases on a remote rank's behalf (§2.4)."""
-        hits, misses, ssids, horizon, _ = self._memory_phase(
-            keys, self.clock.now
-        )
+        clock = self.clock
+        hits, misses, view = self._memory_phase(keys, clock.now)
         out: Dict[bytes, Optional[GetResult]] = {
             key: None if tomb else GetResult(value, tier)
             for key, (value, tomb, tier) in hits.items()
         }
         for key in misses:
-            rec = self._sstable_phase(key, ssids, horizon, self.clock)
+            rec = self._sstable_phase(key, view, clock)
             out[key] = (None if rec is None or rec.tombstone
                         else GetResult(rec.value, "sstable"))
         return out
 
     def _memory_phase(self, keys: List[bytes], now: float) -> Tuple[
-            Dict[bytes, Tuple[bytes, bool, str]], List[bytes], List[int],
-            int, bool]:
-        """Memory tiers, then the local cache, under one ``db.state``
-        acquisition per call.  Returns ``(hits, misses, ssids, horizon,
-        quarantine_free)``: ``hits[key] = (value, tombstone, tier)``,
-        the rest the same acquisition's snapshot for the SSTable phase
-        (``horizon`` = ``_next_ssid``) or a §2.7 requester."""
+            Dict[bytes, Tuple[bytes, bool, str]], List[bytes], _ReadView]:
+        """Memory tiers, then the local cache, in the view current at
+        ``now`` — no db.state unless a flush is due to retire.  Returns
+        ``(hits, misses, view)``: ``hits[key] = (value, tombstone,
+        tier)``, and the view for the SSTable phase or a §2.7
+        requester."""
+        view = self._current_view(now)
+        cache = self.local_cache  # gets never run under WRONLY
         hits: Dict[bytes, Tuple[bytes, bool, str]] = {}
         misses: List[bytes] = []
-        with self._lock:
-            self._retire_flushed(now)
-            cache = self.local_cache  # gets never run under WRONLY
-            for key in keys:
-                entry, tier = self._search_memory_local(key)
-                if entry is not None:
-                    hits[key] = (entry.value, entry.tombstone, tier)
-                    continue
-                if cache is not None:
+        for key in keys:
+            entry, tier = self._in_memory(view, key)
+            if entry is not None:
+                hits[key] = (entry.value, entry.tombstone, tier)
+                continue
+            if cache is not None:
+                with self._cache_lock:
                     cached = cache.get(key)
-                    if cached is not None:
-                        hits[key] = (cached, False, "local_cache")
-                        continue
-                misses.append(key)
-            annotate_read(self, "db.quarantined")
-            return (hits, misses, list(self.ssids), self._next_ssid,
-                    not self._quarantined)
+                if cached is not None:
+                    hits[key] = (cached, False, "local_cache")
+                    continue
+            misses.append(key)
+        return hits, misses, view
 
-    def _sstable_phase(self, key: bytes, ssids: List[int], horizon: int,
+    def _sstable_phase(self, key: bytes, view: _ReadView,
                        clock) -> Optional[Record]:
         """Search my own SSTables on the caller's clock, retrying once
         across a compaction race; a live hit fills the local cache.
 
         A concurrent compaction (a flush triggered on the other thread)
-        may delete input tables mid-search; the retry re-reads the
-        authoritative SSID list under the lock.  Damage is not a race:
+        may delete input tables mid-search; the retry drops my readers
+        and walks the view that publishes.  Damage is not a race:
         :class:`CorruptionError` goes straight to the caller.
         """
         try:
-            rec, t_end = self._search_own_sstables(ssids, key, clock.now)
+            rec, t_end = self._search_own_sstables(view, key, clock.now)
         except CorruptionError:
             raise
         except StorageError:
-            with self._lock:
-                self._invalidate_readers()
-                ssids = list(self.ssids)
-            rec, t_end = self._search_own_sstables(ssids, key, clock.now)
+            self._invalidate_readers()
+            rec, t_end = self._search_own_sstables(
+                self._view, key, clock.now)
         clock.advance_to(t_end)
         if rec is not None and not rec.tombstone:
-            self._fill_local_cache(key, rec.value, horizon)
+            self._fill_local_cache(key, rec.value, view.horizon)
         return rec
 
     def _fill_local_cache(self, key: bytes, value: bytes,
                           horizon: int) -> None:
         """Cache an SSTable hit — unless the key may have been rewritten
-        since the lookup's snapshot (``horizon`` = ``_next_ssid`` then).
+        since the lookup's view (``horizon`` = its ``_next_ssid``).
 
         The walk ran outside db.state, so the other thread (handler
         applying a migration / rank-main put) may have inserted a newer
         version, whose insert already evicted the cache entry this fill
         would resurrect.  A newer version is either still in a memory
-        tier or went out in a table allocated after the snapshot.
+        tier or went out in a table allocated after the view — checked
+        in the view current under db.state, which is the state itself.
         """
+        cache = self.local_cache
+        if cache is None:
+            return
         with self._lock:
-            if (self.local_cache is not None
-                    and self._next_ssid == horizon
-                    and self._search_memory_local(key)[0] is None):
-                self.local_cache.put(key, value)
+            view = self._view
+            if (view.horizon == horizon
+                    and self._in_memory(view, key)[0] is None):
+                with self._cache_lock:
+                    cache.put(key, value)
 
     def _reader(self, ssid: int) -> SSTableReader:
         """The device's reader of one of my SSTables: the very object a
@@ -1922,7 +2056,8 @@ class Database:
         the one the owner itself searches with.  Peer tables are
         immutable and compaction never reuses an input SSID, so a reader
         stays valid until the file disappears — which surfaces as
-        StorageError."""
+        StorageError — or the owner rebuilds the table in place, which
+        bumps the device's invalidation generation."""
         return self.block_cache.reader(self.store, owner_dir, ssid)
 
     def _drop_peer_cache(self, owner: int) -> None:
@@ -1933,16 +2068,21 @@ class Database:
             annotate_write(self, "db.index_cache")
             self._peer_views.pop(owner, None)
 
-    def _invalidate_readers(self, ssid: Optional[int] = None) -> None:
-        """Drop one of my tables (or all) from the device's read cache
-        — reader and blocks, for every rank on it, in one call.
+    def _invalidate_readers(self, *ssids: int) -> None:
+        """Drop the named tables of mine (none named: all) from the
+        device's read cache — reader and blocks, for every rank on it,
+        in one call — and publish a view with fresh readers.
         Quarantine, compaction, scrub repair and checkpoint restore all
-        pass here, so a replaced table never serves stale cached bytes."""
-        if ssid is None:
-            self.block_cache.invalidate_dir(self.rank_dir, self.cache_counts)
-        else:
-            self.block_cache.invalidate_table(
-                self.rank_dir, ssid, self.cache_counts)
+        pass here, so a replaced table never serves stale cached
+        bytes."""
+        with self._lock:
+            if not ssids:
+                self.block_cache.invalidate_dir(
+                    self.rank_dir, self.cache_counts)
+            for ssid in ssids:
+                self.block_cache.invalidate_table(
+                    self.rank_dir, ssid, self.cache_counts)
+            self._publish()
 
     def _ssids_snapshot(self) -> List[int]:
         """A consistent copy of my SSID list (for unlocked walks)."""
@@ -1951,34 +2091,23 @@ class Database:
             return list(self.ssids)
 
     def _search_own_sstables(
-        self, ssids: List[int], key: bytes, t: float
+        self, view: _ReadView, key: bytes, t: float
     ) -> Tuple[Optional[Record], float]:
-        """Gate-walk my own tables (rank-main gets and the handler).
-
-        The quarantine list is snapshotted under the lock: the other
-        thread may be quarantining concurrently (db.state is re-entrant,
-        so holders are fine).
-        """
-        with self._lock:
-            annotate_read(self, "db.quarantined")
-            quarantined = tuple(self._quarantined)
-        return self._search_sstables(
-            sorted(ssids, reverse=True), self._reader, quarantined, key, t
-        )
+        """Gate-walk my own tables in ``view`` (rank-main gets and the
+        handler), its quarantined tables as poisoned holes."""
+        return self._search_sstables(view.tables, view.quarantined, key, t)
 
     def _search_sstables(
         self,
-        ssids: List[int],
-        reader_of: Callable[[int], SSTableReader],
+        tables: Tables,
         quarantined: Tuple[QuarantinedTable, ...],
         key: bytes,
         t: float,
     ) -> Tuple[Optional[Record], float]:
         """The point-get gate walk (§2.6 + the footer fences).
 
-        ``ssids`` is newest-first and ``reader_of`` resolves each to a
-        reader: own tables through :meth:`_reader`, a peer's through
-        the readers :meth:`_peer_walk` resolved.
+        ``tables`` is ``(ssid, reader)`` newest first: my own view's, or
+        the ones :meth:`_handshake_view` resolved for a peer's walk.
 
         Per table the gate order is: quarantine poison-range check,
         footer ``[min_key, max_key]`` fences (free after the first index
@@ -1986,34 +2115,33 @@ class Database:
         — a pruned or bloom-skipped walk must never mask the fact that
         the newest version of the key may have lived in a damaged table.
 
-        Quarantined tables participate in the walk as *poisoned holes*:
-        if no newer table answered by the time the walk reaches one
-        whose range may cover the key, the true newest version might
-        have lived there — raising beats silently serving older data.
+        Quarantined tables participate in the walk as *poisoned holes*
+        (a ``None`` reader): if no newer table answered by the time the
+        walk reaches one whose range may cover the key, the true newest
+        version might have lived there — raising beats silently serving
+        older data.
         """
-        holes = {q.ssid: q for q in quarantined}
-        if holes:
-            ssids = sorted([*ssids, *holes], reverse=True)
-        for ssid in ssids:
-            quar = holes.get(ssid)
-            if quar is not None:
+        stats = self.stats
+        bloom = self.options.bloom_enabled
+        for ssid, reader in tables:
+            if reader is None:
+                quar = next(q for q in quarantined if q.ssid == ssid)
                 if quar.may_cover(key):
                     raise CorruptionError(
                         f"key range degraded: sstable {ssid} is quarantined "
                         f"({quar.reason})"
                     )
                 continue
-            reader = reader_of(ssid)
             (mn, mx), t = reader.key_range(t)
             # an empty table has fences (b"", b"") and valid keys are
             # non-empty, so `not mx` prunes it for any key
             if not mx or key < mn or key > mx:
-                self.stats.fence_skips += 1
+                stats.fence_skips += 1
                 continue
-            if self.options.bloom_enabled:
+            if bloom:
                 hit, t = reader.may_contain(key, t)
                 if not hit:
-                    self.stats.bloom_skips += 1
+                    stats.bloom_skips += 1
                     continue
             rec, t = reader.get(
                 key, t, binary_search=self.binary_search, use_bloom=False,
@@ -2063,19 +2191,20 @@ class Database:
             if cache is not None:
                 cache.put(key, value)
 
-        with self._lock:  # staged/unacked tiers under one acquisition
-            for owner, keys in groups.items():
-                for key in keys:
-                    entry, tier = self._search_memory_remote(key)
-                    if entry is not None:
-                        out[key] = (None if entry.tombstone
-                                    else GetResult(entry.value, tier))
-                        continue
-                    cached = cache.get(key) if cache is not None else None
-                    if cached is not None:
-                        out[key] = GetResult(cached, "remote_cache")
-                    else:
-                        need.setdefault(owner, []).append(key)
+        # the staged/unacked tiers and the remote cache are main-thread
+        # state: read without a lock
+        for owner, keys in groups.items():
+            for key in keys:
+                entry, tier = self._search_memory_remote(key)
+                if entry is not None:
+                    out[key] = (None if entry.tombstone
+                                else GetResult(entry.value, tier))
+                    continue
+                cached = cache.get(key) if cache is not None else None
+                if cached is not None:
+                    out[key] = GetResult(cached, "remote_cache")
+                else:
+                    need.setdefault(owner, []).append(key)
         msgs = 0
         for attempt in range(3):
             if not need:
@@ -2120,13 +2249,18 @@ class Database:
                      ) -> Dict[int, msg.GetReply]:
         """Ask each owner's handler for its share of ``groups``: one
         GetMsg per owner, all scattered before any reply is awaited, so
-        the owners' handlers service them in parallel."""
+        the owners' handlers service them in parallel.  One owner is
+        one ``send`` — the fan-out of one, at the same charge."""
         payloads = {}
         for owner in sorted(groups):
             payloads[owner] = msg.GetMsg(groups[owner], self.group,
                                          self._next_seq, force_data=force)
             self._next_seq += self.nranks
-        self.srv_comm.fanout(payloads, tag=0)
+        if len(payloads) == 1:
+            ((owner, payload),) = payloads.items()
+            self.srv_comm.send(payload, owner, tag=0)
+        else:
+            self.srv_comm.fanout(payloads, tag=0)
         return {
             owner: self._await_reply(owner, payload, payload.seq)
             for owner, payload in payloads.items()
@@ -2139,9 +2273,9 @@ class Database:
         ``keys`` — the one read of another rank's SSTables.
 
         Peer lookups get the same fence pruning, bloom gating and
-        readers (the device's, on its block cache) as the owner's own;
-        the view's readers are resolved once for the whole batch.  The
-        owner answers ``NOT_IN_MEMORY`` only while its quarantine list
+        readers (the device's, on its block cache) as the owner's own,
+        resolved once per view (:meth:`_handshake_view`).  The owner
+        answers ``NOT_IN_MEMORY`` only while its quarantine list
         is empty, so the walk has no holes to honour.  Returns the
         records in key order (``None``: no table holds the key) — fewer
         than ``keys`` after a file compaction deleted under the walk or
@@ -2149,15 +2283,12 @@ class Database:
         and the owner judges.
         """
         recs: List[Optional[Record]] = []
+        clock = self.clock
         try:
-            readers = {ssid: self._peer_reader(view.owner_dir, ssid)
-                       for ssid in view.ssids}
             for key in keys:
                 rec, t_end = self._search_sstables(
-                    view.ssids[::-1], readers.__getitem__, (), key,
-                    self.clock.now,
-                )
-                self.clock.advance_to(t_end)
+                    view.tables, (), key, clock.now)
+                clock.advance_to(t_end)
                 recs.append(rec)
         except StorageError:
             self._drop_peer_cache(owner)
@@ -2170,29 +2301,38 @@ class Database:
         The reply names the owner's newest table; a cached view with
         another one (or none) is replaced by a fresh directory listing —
         the device's readers of tables still live stay cached, the files
-        are immutable.
+        are immutable.  A view the device has invalidated a reader under
+        since keeps its listing and resolves its readers again.
         """
         with self._index_lock:
             annotate_read(self, "db.index_cache")
             view = self._peer_views.get(owner)
-        if view is None or (
-                view.ssids[-1] if view.ssids else 0) != reply.newest_ssid:
-            view = _PeerView(reply.owner_dir,
-                             tuple(list_ssids(self.store, reply.owner_dir)))
-            with self._index_lock:
-                annotate_write(self, "db.index_cache")
-                self._peer_views[owner] = view
+        listed = view is not None and (
+            view.ssids[-1] if view.ssids else 0) == reply.newest_ssid
+        if listed and view.generation == self.block_cache.generation:
+            return view
+        view = self._peer_view(
+            reply.owner_dir, view.ssids if listed else
+            tuple(list_ssids(self.store, reply.owner_dir)))
+        with self._index_lock:
+            annotate_write(self, "db.index_cache")
+            self._peer_views[owner] = view
         return view
+
+    def _peer_view(self, owner_dir: str,
+                   ssids: Tuple[int, ...]) -> _PeerView:
+        """A view of a peer's tables ``ssids`` (ascending) with their
+        readers resolved once, under the device's current generation."""
+        generation = self.block_cache.generation
+        newest_first = ssids[::-1]
+        readers = self.block_cache.readers(
+            self.store, owner_dir, list(newest_first))
+        return _PeerView(owner_dir, ssids,
+                         tuple(zip(newest_first, readers)), generation)
 
     def shares_storage_with(self, other_rank: int) -> bool:
         """True when ``other_rank`` can read this rank's SSTable files."""
-        return (
-            self.layout.group_of(other_rank) == self.group
-            and (
-                self.options.repository == "lustre"
-                or self.ctx.machine.shares_nvm(self.rank, other_rank)
-            )
-        )
+        return other_rank in self._storage_peers
 
     # ==================================================== CONSISTENCY CONTROL
     def fence(self) -> None:
@@ -2261,7 +2401,8 @@ class Database:
         with self._lock:
             if prot == config.WRONLY and self.local_cache is not None:
                 # invalidate all entries and disable the cache (§3.2)
-                self.local_cache.clear()
+                with self._cache_lock:
+                    self.local_cache.clear()
             if prot != config.RDONLY:
                 # leaving read-only: remote cache contents become unsafe
                 self.remote_cache.clear()

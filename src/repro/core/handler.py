@@ -8,8 +8,9 @@ handler queueing exactly the server semantics the real thread has.
 
 The handler serves every request of :data:`repro.core.messages.PROTOCOL`
 with one dict lookup, class → ``_serve_*`` (:func:`_dispatch`, checked
-against :data:`~repro.core.messages.SERVED` at import), in three
-families:
+against :data:`~repro.core.messages.SERVED` at import); a served
+request's trace span is named (:func:`_span`) only while a tracer is
+attached.  The requests come in three families:
 
 * **writes** — ``PairsMsg``: a relaxed-mode migration chunk, a
   sequential-mode put, a replica fan-out or a re-replication push.  Its
@@ -64,19 +65,20 @@ def handler_main(db: Database) -> None:
     bind_context(hctx)
     cpu = main_ctx.system.cpu
     serve = _dispatch()
+    recv, mv = db.srv_comm.recv, db.membership
     try:
         while True:
             status: dict = {}
             try:
-                m = db.srv_comm.recv(ANY_SOURCE, ANY_TAG, status=status)
+                m = recv(ANY_SOURCE, ANY_TAG, status=status)
             except (RankKilledError, AbortedError, QueueClosed):
                 # RankKilledError: this rank was killed by the fault
                 # plane — its handler dies with it, quietly
                 return
             source = status["source"]
-            if db.membership is not None:
+            if mv is not None:
                 # every message is proof of life (piggybacked detection)
-                db.membership.heard_from(source, hclock.now)
+                mv.heard_from(source, hclock.now)
             if type(m) is msg.StopMsg:
                 return
             try:
@@ -84,10 +86,10 @@ def handler_main(db: Database) -> None:
             except KeyError:
                 raise TypeError(
                     f"handler got unexpected message {m!r}") from None
-            hclock.advance(cpu.kv_op_s)  # request decode
-            t_service = hclock.now
-            span = fn(db, m, source, hclock, cpu)
-            db._trace(span, "handler", t_service, hclock.now)
+            t_service = hclock.advance(cpu.kv_op_s)  # request decode
+            fn(db, m, source, hclock, cpu)
+            if db._tracer is not None:
+                db._trace(_span(m), "handler", t_service, hclock.now)
     except (RankKilledError, AbortedError):  # killed / torn down mid-service
         return
     except BaseException:
@@ -126,7 +128,7 @@ def _apply_pairs(db: Database, pairs: List[msg.Pair],
 
 
 def _serve_pairs(db: Database, m: msg.PairsMsg, source: int,
-                 hclock: VirtualClock, cpu) -> str:
+                 hclock: VirtualClock, cpu) -> None:
     """Apply a carrier's pairs and acknowledge them.
 
     Under replication a message stamped with an older epoch than this
@@ -153,11 +155,10 @@ def _serve_pairs(db: Database, m: msg.PairsMsg, source: int,
         db.rsp_comm.send(ack, source, tag=m.seq)
     else:
         db.ack_comm.send(ack, source, tag=ACK_TAG)
-    return f"serve pairs({len(m.pairs)})"
 
 
 def _serve_heartbeat(db: Database, m: msg.HeartbeatMsg, source: int,
-                     hclock: VirtualClock, cpu) -> str:
+                     hclock: VirtualClock, cpu) -> None:
     """Merge the sender's membership gossip; pong if it was a ping."""
     mv = db.membership
     # no membership plane, or a zombie ping: stay silent
@@ -168,11 +169,10 @@ def _serve_heartbeat(db: Database, m: msg.HeartbeatMsg, source: int,
             db.ack_comm.send(
                 msg.AckMsg(0, epoch, dead), source, tag=HB_TAG,
             )
-    return "serve heartbeat"
 
 
 def _serve_fetch_table(db: Database, m: msg.FetchTableMsg, source: int,
-                       hclock: VirtualClock, cpu) -> str:
+                       hclock: VirtualClock, cpu) -> None:
     """Ship an SSTable's files to a peer rebuilding its copy.
 
     The peer validates (and re-verifies after install), so this side
@@ -192,11 +192,10 @@ def _serve_fetch_table(db: Database, m: msg.FetchTableMsg, source: int,
         blobs = None
     hclock.advance_to(t)
     db.rsp_comm.send(msg.FetchTableReply(blobs, m.seq), source, tag=m.seq)
-    return f"serve fetch_table({m.ssid})"
 
 
 def _serve_get(db: Database, m: msg.GetMsg, source: int,
-               hclock: VirtualClock, cpu) -> str:
+               hclock: VirtualClock, cpu) -> None:
     """One requester's key list through ``Database._local_get``'s two
     phases, one reply for the lot.
 
@@ -208,47 +207,60 @@ def _serve_get(db: Database, m: msg.GetMsg, source: int,
     so the owner must answer (or degrade) itself.
     """
     hclock.advance(cpu.kv_op_s * len(m.keys))
-    hits, misses, ssids, horizon, quarantine_free = db._memory_phase(
-        m.keys, hclock.now
-    )
+    hits, misses, view = db._memory_phase(m.keys, hclock.now)
     shortcut = bool(
         misses
         and not m.force_data
         and m.requester_group == db.group
+        and not view.quarantined
         and db.shares_storage_with(source)
-        and quarantine_free
     )
-    found = {key: (msg.FOUND, value, tomb)
-             for key, (value, tomb, _tier) in hits.items()}
-    for key in misses:
+    results: List[msg.KeyResult] = []
+    for key in m.keys:
+        hit = hits.get(key)
+        if hit is not None:
+            results.append((msg.FOUND, hit[0], hit[1]))
+            continue
         if shortcut:
-            found[key] = (msg.NOT_IN_MEMORY, None, False)
+            results.append((msg.NOT_IN_MEMORY, None, False))
             continue
         # different group (or forced): finish the local get and ship the
         # value back over the network
         try:
-            rec = db._sstable_phase(key, ssids, horizon, hclock)
+            rec = db._sstable_phase(key, view, hclock)
         except CorruptionError:
             # this key's range is quarantined (or the table is corrupt):
             # never ship a possibly-stale older version — degrade loudly
-            found[key] = (msg.DEGRADED, None, False)
+            results.append((msg.DEGRADED, None, False))
             continue
-        found[key] = ((msg.NOT_FOUND, None, False) if rec is None
-                      else (msg.FOUND, rec.value, rec.tombstone))
+        results.append((msg.NOT_FOUND, None, False) if rec is None
+                       else (msg.FOUND, rec.value, rec.tombstone))
     db.rsp_comm.send(
         msg.GetReply(
-            [found[key] for key in m.keys], m.seq,
+            results, m.seq,
             owner_dir=db.rank_dir if shortcut else None,
-            newest_ssid=ssids[-1] if shortcut and ssids else 0,
+            newest_ssid=view.tables[0][0] if shortcut and view.tables else 0,
         ),
         source, tag=m.seq,
     )
-    return f"serve get({len(m.keys)})"
 
 
-def _dispatch() -> Dict[type, Callable[..., str]]:
-    """Request class → the ``_serve_*`` that serves it and returns its
-    trace span's name; read from the module when a handler starts."""
+def _span(m: object) -> str:
+    """The trace span's name of serving request ``m``."""
+    if type(m) is msg.PairsMsg:
+        return f"serve pairs({len(m.pairs)})"
+    if type(m) is msg.GetMsg:
+        return f"serve get({len(m.keys)})"
+    if type(m) is msg.FetchTableMsg:
+        return f"serve fetch_table({m.ssid})"
+    if type(m) is msg.HeartbeatMsg:
+        return "serve heartbeat"
+    return f"serve {type(m).__name__}"
+
+
+def _dispatch() -> Dict[type, Callable[..., None]]:
+    """Request class → the ``_serve_*`` that serves it; read from the
+    module when a handler starts."""
     return {
         msg.PairsMsg: _serve_pairs,
         msg.GetMsg: _serve_get,
@@ -257,7 +269,7 @@ def _dispatch() -> Dict[type, Callable[..., str]]:
     }
 
 
-def _check_dispatch(serve: Dict[type, Callable[..., str]]) -> None:
+def _check_dispatch(serve: Dict[type, Callable[..., None]]) -> None:
     """Raise ``TypeError`` unless ``serve`` covers exactly the requests
     the protocol table says the handler serves: a request without an
     arm hangs its sender, an arm without a tag cannot be on the wire."""

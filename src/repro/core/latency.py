@@ -37,8 +37,9 @@ class LatencyReservoir:
         if len(self._samples) < self.capacity:
             self._samples.append(latency_s)
         else:
-            # Vitter's algorithm R
-            j = self._rng.randrange(self.count)
+            # Vitter's algorithm R; _randbelow(n) is what randrange(n)
+            # returns for n > 0, without its argument checks
+            j = self._rng._randbelow(self.count)
             if j < self.capacity:
                 self._samples[j] = latency_s
 

@@ -13,21 +13,28 @@ additionally carry the owner rank number (§2.4).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
-from repro.analysis.runtime import annotate_read, annotate_write
+from repro.analysis.runtime import annotate_write
 from repro.sstable.format import Record, slices
 
 
-@dataclass(frozen=True)
-class Entry:
-    """One MemTable entry."""
+class Entry(NamedTuple):
+    """One MemTable entry (a tuple: cheap to make, immutable)."""
 
     value: bytes
     tombstone: bool = False
     #: owner rank (only meaningful in remote MemTables)
     owner: int = -1
+
+
+def window(recs: List[Record], start: Optional[bytes] = None,
+           end: Optional[bytes] = None) -> Iterator[List[Record]]:
+    """``[start, end)`` of a sorted record list as sorted runs
+    (:func:`~repro.sstable.format.slices`)."""
+    lo = 0 if start is None else bisect_left(recs, (start,))
+    hi = len(recs) if end is None else bisect_left(recs, (end,), lo)
+    return slices(recs, lo, hi)
 
 
 class MemTable:
@@ -91,8 +98,11 @@ class MemTable:
 
     # --------------------------------------------------------------- lookups
     def get(self, key: bytes) -> Optional[Entry]:
-        """The entry for ``key`` (tombstones included), or None."""
-        annotate_read(self, "memtable")
+        """The entry for ``key`` (tombstones included), or None.
+
+        One dict lookup, atomic under the interpreter lock: a reader
+        needs no lock against the one writer at a time (writes are
+        ordered by ``db.state`` and annotated; reads are not)."""
         return self._entries.get(key)
 
     # -------------------------------------------------------------- iteration
@@ -100,7 +110,8 @@ class MemTable:
         """Sorted records, tombstones included: the one snapshot list a
         flush encodes and scans read, built on the first call after a
         write and shared, unmutated, until the next.  Call it under the
-        lock that orders writes."""
+        lock that orders writes, unless the table is frozen or
+        :attr:`records` is already set."""
         if self._snapshot is None:
             annotate_write(self, "memtable")
             entries = self._entries
@@ -113,14 +124,17 @@ class MemTable:
             ]
         return self._snapshot
 
+    @property
+    def records(self) -> Optional[List[Record]]:
+        """The snapshot list :meth:`to_records` built since the last
+        write, or None: one attribute read, safe without any lock."""
+        return self._snapshot
+
     def runs(self, start: Optional[bytes] = None,
              end: Optional[bytes] = None) -> Iterator[List[Record]]:
         """``[start, end)`` of the snapshot of *this call* as sorted runs
-        (:func:`~repro.sstable.format.slices`)."""
-        recs = self.to_records()
-        lo = 0 if start is None else bisect_left(recs, (start,))
-        hi = len(recs) if end is None else bisect_left(recs, (end,), lo)
-        return slices(recs, lo, hi)
+        (:func:`window`)."""
+        return window(self.to_records(), start, end)
 
     def by_owner(self) -> dict:
         """Group entries per owner rank, each group in ascending key

@@ -30,6 +30,7 @@ the handler's dispatch is checked against :data:`SERVED`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
     Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
@@ -57,8 +58,10 @@ Pair = Tuple[bytes, bytes, bool]
 #: one key's get outcome: (status, value-or-None, tombstone)
 KeyResult = Tuple[int, Optional[bytes], bool]
 
+_VALUE = itemgetter(1)
 
-@dataclass
+
+@dataclass(slots=True)
 class PairsMsg:
     """Key-value pairs for the receiver's local MemTable — the one way a
     pair reaches another rank (§2.4): a relaxed-mode migration chunk, a
@@ -89,7 +92,7 @@ class PairsMsg:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class GetMsg:
     """Remote get request: every key one call needs from one owner,
     answered by a single :class:`GetReply`."""
@@ -103,10 +106,10 @@ class GetMsg:
 
     def wire_nbytes(self) -> int:
         """Wire size: routing metadata plus every key."""
-        return 24 + sum(len(k) + 4 for k in self.keys)
+        return 24 + 4 * len(self.keys) + sum(map(len, self.keys))
 
 
-@dataclass
+@dataclass(slots=True)
 class GetReply:
     """Remote get response, parallel to the request's key list."""
 
@@ -120,12 +123,11 @@ class GetReply:
 
     def wire_nbytes(self) -> int:
         """Wire size: per-key status bytes plus the value payloads."""
-        return 24 + sum(
-            9 + (len(v) if v else 0) for _status, v, _tomb in self.results
-        )
+        values = filter(None, map(_VALUE, self.results))
+        return 24 + 9 * len(self.results) + sum(map(len, values))
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchTableMsg:
     """Ask a storage-group peer to ship an SSTable's three files.
 
@@ -143,7 +145,7 @@ class FetchTableMsg:
         return 24 + len(self.directory)
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchTableReply:
     """The shipped SSTable files, or ``None`` if the peer failed too."""
 
@@ -156,7 +158,7 @@ class FetchTableReply:
         return 16 + sum(len(b) for b in blobs.values())
 
 
-@dataclass
+@dataclass(slots=True)
 class HeartbeatMsg:
     """Failure-detector ping, also the carrier of membership gossip.
 
@@ -173,7 +175,7 @@ class HeartbeatMsg:
         return 24 + 4 * len(self.dead)
 
 
-@dataclass
+@dataclass(slots=True)
 class AckMsg:
     """The acknowledgement of a :class:`PairsMsg` (ack comm, or rsp comm
     for a ``sync`` one) and the heartbeat pong (ack comm, heartbeat tag,
@@ -191,7 +193,7 @@ class AckMsg:
         return 24 + 4 * len(self.dead)
 
 
-@dataclass
+@dataclass(slots=True)
 class StopMsg:
     """Shut the handler thread down (database close)."""
 

@@ -17,11 +17,13 @@ quarantine → footer key fences → SSIndex bracketing — slices each
 decoded 64KB block, fetched once through the shared block cache at low
 priority.
 
-Snapshot consistency: the iterator pins its SSID horizon at open
-(:meth:`Database._pin_scan_tables`), so a flush or compaction that
-retires a pinned table defers the file unlink until the scan closes.
-The MemTables' snapshot lists are taken under the state lock; a write
-after that builds a new list and leaves the scan's alone.
+Snapshot consistency: the iterator opens on the database's published
+read view and pins its tables (:meth:`Database._pin_view`), so a flush
+or compaction that retires a pinned table defers the file unlink until
+the scan closes.  The MemTables' snapshot lists are the views' own; only
+a live MemTable written since its last snapshot needs the state lock to
+build one.  A write after that builds a new list and leaves the scan's
+alone.
 
 Tombstones shadow older tiers and are skipped in the output — unless
 the caller asks for them (re-replication must propagate deletes).
@@ -33,6 +35,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Tuple
 
+from repro.core.memtable import window
 from repro.errors import CorruptionError
 from repro.sstable.compaction import merge_newest
 from repro.sstable.format import Triple
@@ -79,10 +82,10 @@ class ScanIterator:
     """A lazy, snapshot-pinned merged scan of one rank's shard.
 
     Yields sorted live ``(key, value)`` pairs with ``start <= key <
-    end``.  Construction, under the state lock, snapshots the MemTable
-    tiers, pins the current SSID set — so a flush or compaction retiring
-    mid-iteration cannot invalidate the scan: retired files' unlinks are
-    deferred until :meth:`close` — and takes the tables' readers.
+    end``.  Construction takes the published read view with its tables
+    pinned — so a flush or compaction retiring mid-iteration cannot
+    invalidate the scan: retired files' unlinks are deferred until
+    :meth:`close` — and the view's MemTable snapshots and readers.
 
     ``iter()`` is a C ``chain`` over the merged runs (``next(it)`` steps
     it too).  The iterator closes itself on exhaustion and on an error;
@@ -105,28 +108,29 @@ class ScanIterator:
                  keys_only: bool = False,
                  tombstones: bool = False) -> None:
         db.stats.scans += 1
-        with db._lock:
-            db._retire_flushed(db.clock.now)
-            for q in db._quarantined:
-                if _window_overlaps(q.min_key, q.max_key, start, end):
-                    raise CorruptionError(
-                        f"scan window overlaps quarantined sstable "
-                        f"{q.ssid}: {q.reason}"
-                    )
-            # newest first: the live MemTable, the flushing ones, SSIDs
-            mts = [db.local_mt, *(imm for imm, _ in reversed(db.flushing))]
-            tiers: List[Iterable[List[Triple]]] = [
-                mt.runs(start, end) for mt in mts]
-            ssids = sorted(db.ssids, reverse=True)
-            db._pin_scan_tables(ssids)
-            # compaction (which also runs under db.state) cannot have
-            # invalidated them yet, and the pin keeps their files after
-            readers = db.block_cache.readers(db.store, db.rank_dir, ssids)
+        view, ssids = db._pin_view(db.clock.now)
+        for q in view.quarantined:
+            if _window_overlaps(q.min_key, q.max_key, start, end):
+                db._unpin_scan_tables(ssids)
+                raise CorruptionError(
+                    f"scan window overlaps quarantined sstable "
+                    f"{q.ssid}: {q.reason}"
+                )
+        live = view.live.records
+        if live is None:  # written since its last snapshot
+            with db._lock:
+                live = view.live.to_records()
+        # newest first: the live MemTable, the flushing ones, the tables
+        tiers: List[Iterable[List[Triple]]] = [
+            window(live, start, end),
+            *(imm.runs(start, end) for imm in view.flushing)]
 
         # fence gate: prune tables whose [min,max] cannot intersect the
         # window (empty tables have fences (b"", b"") and always prune)
         t = db.clock.now
-        for reader in readers:
+        for _ssid, reader in view.tables:
+            if reader is None:
+                continue
             (mn, mx), t = reader.key_range(t)
             if not mx or not _window_overlaps(mn, mx, start, end):
                 db.stats.scan_tables_pruned += 1

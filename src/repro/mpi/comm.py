@@ -92,9 +92,11 @@ class _Mailbox:
         self.wake_all()
 
     def deliver(self, env: Envelope) -> None:
+        source, tag = env.source, env.tag
         with self._lock:
             for i, waiter in enumerate(self._waiters):
-                if _matches(env, waiter.source, waiter.tag):
+                if (waiter.source in (ANY_SOURCE, source)
+                        and waiter.tag in (ANY_TAG, tag)):
                     del self._waiters[i]
                     waiter.env = env
                     waiter.wake.release()
@@ -118,7 +120,7 @@ class _Mailbox:
         seconds from the call (None: forever)."""
         with self._lock:
             self._raise_if_closed()
-            idx = self._match_index(source, tag)
+            idx = self._match_index(source, tag) if self._items else None
             if idx is not None:
                 return self._items.pop(idx)
             waiter = _Waiter(source, tag)
@@ -324,6 +326,16 @@ class Comm:
         self._comm_id = comm_id
         self._coll = coll
         self._rank_of_world = {wr: i for i, wr in enumerate(self._group)}
+        #: world rank -> its inbox on this communicator (boxes are never
+        #: replaced: a dict read here saves the world's lookup)
+        self._boxes: Dict[int, _Mailbox] = {}
+
+    def _box(self, world_rank: int) -> _Mailbox:
+        box = self._boxes.get(world_rank)
+        if box is None:
+            box = self._boxes[world_rank] = self._world.mailbox(
+                self._comm_id, world_rank)
+        return box
 
     # ----------------------------------------------------------- construction
     @classmethod
@@ -378,15 +390,16 @@ class Comm:
         det = get_detector()
         if det is not None:
             det.on_send(env)  # attach the sender's clock (HB edge)
-        box = world.mailbox(self._comm_id, dst_w)
-        for _ in range(copies):
+        box = self._box(dst_w)
+        box.deliver(env)
+        if copies == 2:
             box.deliver(env)
         return arrival
 
     # ------------------------------------------------------------------- p2p
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Buffered send: deposits the message and returns immediately."""
-        if not 0 <= dest < self.size:
+        if not 0 <= dest < len(self._group):
             raise ValueError(f"invalid destination rank {dest}")
         ctx = current_rank_context()
         t_send = ctx.clock.advance(self._world.network.sw_overhead_s)
@@ -439,8 +452,7 @@ class Comm:
     ) -> Any:
         """Blocking receive; advances the clock to the message arrival."""
         ctx = current_rank_context()
-        box = self._world.mailbox(self._comm_id, ctx.world_rank)
-        env = box.take(source, tag, timeout)
+        env = self._box(ctx.world_rank).take(source, tag, timeout)
         det = get_detector()
         if det is not None:
             det.on_recv(env)

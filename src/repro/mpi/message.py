@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Dict, Optional
 
 
 def payload_nbytes(obj: Any) -> int:
     """Estimate the wire size of a message payload.
 
-    Byte strings dominate PapyrusKV traffic (keys/values); container
-    overheads get a small fixed charge per element, standing in for
-    (de)serialization framing.
+    The one sizing entry point of a send.  A protocol message states its
+    own size (``wire_nbytes``), taken first.  Otherwise byte strings
+    dominate PapyrusKV traffic (keys/values); container overheads get a
+    small fixed charge per element, standing in for (de)serialization
+    framing.
     """
+    wire_nbytes = getattr(obj, "wire_nbytes", None)
+    if wire_nbytes is not None:
+        return int(wire_nbytes())
     if obj is None:
         return 0
     if isinstance(obj, (bytes, bytearray, memoryview)):
@@ -27,12 +32,10 @@ def payload_nbytes(obj: Any) -> int:
         return 8 + sum(
             payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items()
         )
-    if hasattr(obj, "wire_nbytes"):
-        return int(obj.wire_nbytes())
     return 64  # opaque object: flat charge
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """A message in flight on the simulated interconnect."""
 
@@ -43,6 +46,8 @@ class Envelope:
     #: virtual time at which the message reaches the destination NIC
     arrival: float
     nbytes: int
+    #: the sender's vector clock, attached while the race detector is on
+    _race_vc: Optional[Dict[int, int]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

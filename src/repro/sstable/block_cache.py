@@ -32,7 +32,9 @@ Design points:
 * **Precise invalidation, by the owner.**  A per-table index lets
   flush/compaction/quarantine and checkpoint-restore repair drop
   exactly the affected table (or a whole rank directory) — reader and
-  blocks, for every rank on the device, in one call.
+  blocks, for every rank on the device, in one call.  Each bumps
+  :attr:`BlockCache.generation`, so a rank holding readers it resolved
+  earlier (a storage-group peer's view) knows to resolve them again.
 * **Thread safety.**  One tracked lock (``sstable.block_cache`` in the
   canonical lock order) guards all state, for every rank's main and
   handler threads; nothing is acquired while holding it.  Accesses are
@@ -90,6 +92,9 @@ class BlockCache(CacheCounters):
         self._readers: Dict[Tuple[str, int], SSTableReader] = {}
         #: rank directory of each open database -> its contribution
         self._attached: Dict[str, int] = {}
+        #: bumped by every table invalidation: a reader resolved under
+        #: an older generation may have been rebuilt since
+        self.generation = 0
 
     # -------------------------------------------------------------- accessors
     def __len__(self) -> int:
@@ -223,6 +228,7 @@ class BlockCache(CacheCounters):
     def _drop_table(self, directory: str, ssid: int,
                     sink: CacheCounters) -> int:
         """Remove one table's reader and blocks (caller holds the lock)."""
+        self.generation += 1
         self._readers.pop((directory, ssid), None)
         blks = self._by_table.pop((directory, ssid), ())
         for b in blks:
@@ -241,6 +247,7 @@ class BlockCache(CacheCounters):
             self._by_table.clear()
             self._bytes = 0
             if readers:
+                self.generation += 1
                 self._readers.clear()
 
     # ---------------------------------------------------------------- metrics

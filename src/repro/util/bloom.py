@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Iterable, Sequence
+from typing import Sequence
 
 try:  # the C routine hashlib.blake2b is bound to, taken the way the
     # stdlib's ``random`` takes its digest: ``hashlib`` itself loads
@@ -62,14 +62,6 @@ class BloomFilter:
         return cls(nbits, nhashes)
 
     # ------------------------------------------------------------- operations
-    def _positions(self, key: bytes) -> Iterable[int]:
-        h1, h2 = _HALVES.unpack(blake2b(key, digest_size=16).digest())
-        h2 |= 1  # odd => full-period stepping
-        nbits = self.nbits
-        for _ in range(self.nhashes):
-            yield h1 % nbits
-            h1 = (h1 + h2) & _MASK64
-
     def update(self, keys: Sequence[bytes]) -> None:
         """Insert every key of ``keys``, duplicates counted (a table's
         whole key list in one call)."""
@@ -90,10 +82,16 @@ class BloomFilter:
         self.update((key,))
 
     def __contains__(self, key: bytes) -> bool:
-        bits = self._bits
-        for pos in self._positions(key):
+        """Probe the ``nhashes`` positions :meth:`update` sets for
+        ``key``, stopping at the first clear bit."""
+        h1, h2 = _HALVES.unpack(blake2b(key, digest_size=16).digest())
+        h2 |= 1  # odd => full-period stepping
+        nbits, bits = self.nbits, self._bits
+        for _ in range(self.nhashes):
+            pos = h1 % nbits
             if not bits[pos >> 3] & (1 << (pos & 7)):
                 return False
+            h1 = (h1 + h2) & _MASK64
         return True
 
     def may_contain(self, key: bytes) -> bool:

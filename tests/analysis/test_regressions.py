@@ -14,21 +14,25 @@ from repro.sstable.block_cache import BlockCache
 from repro.sstable.reader import SSTableReader
 
 
-def _old_unlocked_reader(self, store, directory, ssid):
+def _old_unlocked_readers(self, store, directory, ssids):
     """The reader registry as it was when it was ``Database._readers``
     and no lock guarded it: handler and rank-main threads (now of every
-    rank on the device) mutate the dict with no common lock."""
-    annotate_read(self, "readers")
-    rd = self._readers.get((directory, ssid))
-    if rd is None:
-        rd = SSTableReader(store, directory, ssid, block_cache=self)
-        annotate_write(self, "readers")
-        self._readers[(directory, ssid)] = rd
-    return rd
+    rank on the device, publishing their views and resolving their
+    peers') mutate the dict with no common lock."""
+    out = []
+    for ssid in ssids:
+        annotate_read(self, "readers")
+        rd = self._readers.get((directory, ssid))
+        if rd is None:
+            rd = SSTableReader(store, directory, ssid, block_cache=self)
+            annotate_write(self, "readers")
+            self._readers[(directory, ssid)] = rd
+        out.append(rd)
+    return out
 
 
 def test_unlocked_reader_cache_is_flagged(monkeypatch):
-    monkeypatch.setattr(BlockCache, "reader", _old_unlocked_reader)
+    monkeypatch.setattr(BlockCache, "readers", _old_unlocked_readers)
     # FastTrack keeps last-access epochs, not full history, so one
     # scheduling-lucky interleaving can mask the race; a few attempts
     # make the verdict about the code, not the scheduler (three still

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from collections import Counter
 from itertools import chain
 from types import SimpleNamespace
 
 import pytest
 
+from repro.analysis import runtime
 from repro.config import Options
 from repro.core.memtable import MemTable
 from repro.mpi.launcher import spmd_run
@@ -46,6 +50,48 @@ def assert_free_windows_sorted_disjoint(dev):
         assert prev_end <= lo < hi
         prev_end = hi
     assert prev_end <= dev.available
+
+
+class LockSpy:
+    """Acquisitions per canonical lock name of every lock the store made
+    through :func:`lock_spy`'s factory — tracked ones, whether or not
+    the detector is on — counted while ``active()`` holds on the
+    acquiring thread (by default: while ``counting`` is set)."""
+
+    def __init__(self) -> None:
+        self.counts: Counter = Counter()
+        self.counting = threading.Event()
+        self.active = self.counting.is_set
+        self._mu = threading.Lock()
+
+    def factory(self, base):
+        spy = self
+
+        class Counted(base):
+            def acquire(self, *args, **kw):
+                if spy.active():
+                    with spy._mu:
+                        spy.counts[self.name] += 1
+                return super().acquire(*args, **kw)
+
+        return Counted
+
+
+@pytest.fixture
+def lock_spy(monkeypatch) -> LockSpy:
+    """Make every ``make_lock``/``make_rlock`` of the store return a
+    counting tracked lock for the test (a plain lock counts nothing)."""
+    spy = LockSpy()
+    factories = {runtime.make_lock: spy.factory(runtime.TrackedLock),
+                 runtime.make_rlock: spy.factory(runtime.TrackedRLock)}
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("repro"):
+            continue
+        for attr in ("make_lock", "make_rlock"):
+            made = factories.get(getattr(module, attr, None))
+            if made is not None:
+                monkeypatch.setattr(module, attr, made)
+    return spy
 
 
 @pytest.fixture(params=["summitdev", "stampede", "cori"])

@@ -19,7 +19,6 @@ import os
 import random
 import threading
 import time
-from collections import Counter
 
 import pytest
 
@@ -369,21 +368,12 @@ class TestReplicatedOperation:
 class TestLockTraffic:
     """A put reads the membership view; only a change to it locks."""
 
-    def test_replicated_put_takes_no_membership_lock(self, monkeypatch):
+    def test_replicated_put_takes_no_membership_lock(self, lock_spy):
         """2 ranks, R=2/Q=2, relaxed mode, 1,000 puts per rank: routing,
         the failure detector's tick and the eager-publish check read the
         published snapshot, so a put takes ``db.membership`` (almost)
         never and ``db.state`` about once — its MemTable insert."""
-        counts: Counter = Counter()
-        counting = threading.Event()
-        acquire = runtime._TrackedBase.acquire
-
-        def spy(lock, *args, **kw):
-            if counting.is_set():
-                counts[lock.name] += 1
-            return acquire(lock, *args, **kw)
-
-        monkeypatch.setattr(runtime._TrackedBase, "acquire", spy)
+        counts, counting = lock_spy.counts, lock_spy.counting
         both = threading.Barrier(2)
         puts = 1000
 
@@ -735,21 +725,21 @@ class TestRereplicationWalk:
             model = self._load(db, random.Random(FAULT_SEED))
             walked = list(db.ssids)
             pushed = _spy_on_pairs(db)
-            readers_of = db.block_cache.readers
+            pin_view = db._pin_view
 
-            def compacting_readers(*args):
-                # once the walk holds its tables' readers: a replica
-                # batch on the handler filled the MemTable, flushed and
+            def compacting_pin(now):
+                # once the walk holds its view's tables: a replica batch
+                # on the handler filled the MemTable, flushed and
                 # compacted — BackgroundWorker.schedule runs it at once
-                readers = readers_of(*args)
+                pinned = pin_view(now)
                 with db._lock:
                     db._schedule_compaction(db.clock.now)
-                return readers
+                return pinned
 
-            db.block_cache.readers = compacting_readers
+            db._pin_view = compacting_pin
             db.membership.declare_dead(2)
             db._rereplicate()
-            del db.block_cache.readers
+            del db._pin_view
             assert db.stats.compactions == 1
             assert not set(walked) & set(db.ssids)  # every input retired
             # the pre-compaction newest-wins view, deletes included, for

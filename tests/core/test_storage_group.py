@@ -21,7 +21,7 @@ from repro import Options, Papyrus, SSTABLE
 from repro.analysis import runtime as rt
 from repro.core import handler
 from repro.core import messages as msg
-from repro.core.db import Database, _PeerView
+from repro.core.db import Database
 from repro.errors import StorageError
 from repro.faults import FaultPlan
 from repro.mpi.launcher import spmd_run
@@ -29,7 +29,9 @@ from repro.nvm.posixfs import PosixStore
 from repro.nvm.storage import Machine
 from repro.simtime.profiles import CORI, SUMMITDEV
 from repro.sstable.block_cache import BlockCache
+from repro.sstable.format import Record, sstable_filenames
 from repro.sstable.reader import SSTableReader, list_ssids
+from repro.sstable.writer import encode_table
 from tests.conftest import small_options
 
 FAULT_SEED = int(os.environ.get("PKV_FAULT_SEED", "7"))
@@ -644,6 +646,56 @@ class TestOneWayIn:
 
         spmd_run(2, app)
 
+    def test_a_peer_walk_after_an_in_place_repair_reads_the_new_table(
+            self):
+        """The owner rebuilds a table under its own SSID (the scrub
+        repair's install): the newest SSID a reply names is unchanged,
+        but the device's invalidation generation moved, so the peer's
+        view resolves its readers again and reads the rebuilt table
+        through them — no walk on the old readers, no stale-view
+        ladder."""
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("repair", small_options(
+                    group_size=2, cache_local_enabled=False,
+                    memtable_capacity=1 << 20, compaction_interval=0))
+                r = ctx.world_rank
+                theirs = _keys_of(db, 1, 40)
+                if r == 1:
+                    for key in theirs:
+                        db.put(key, b"old" * 20)
+                    db.flush()
+                db.barrier()
+                if r == 0:
+                    for key in theirs:
+                        res = db.get_ex(key)
+                        assert (res.value, res.tier) == (
+                            b"old" * 20, "shared_sstable")
+                db.barrier()
+                if r == 1:
+                    (ssid,) = db.ssids
+                    blobs = encode_table([Record(key, b"new" * 30, False)
+                                          for key in sorted(theirs)])
+                    assert db._install_table_blobs(ssid, dict(zip(
+                        sstable_filenames(ssid),
+                        (blobs["data"], blobs["index"], blobs["bloom"]))))
+                db.barrier()
+                if r == 0:
+                    dropped = []
+                    db._drop_peer_cache = dropped.append
+                    for key in theirs:
+                        res = db.get_ex(key)
+                        assert (res.value, res.tier) == (
+                            b"new" * 30, "shared_sstable")
+                    # read under the re-resolved view at once, not after
+                    # a walk on the old readers failed its CRC check
+                    assert dropped == []
+                db.barrier()
+                db.close()
+
+        spmd_run(2, app)
+
     def test_a_purge_drops_the_view_and_keeps_the_devices_copy(self):
         """``_drop_peer_cache`` and ``_forget_dead_rank`` leave no view
         of the owner and keep the device's readers and blocks; the
@@ -677,18 +729,25 @@ class TestOneWayIn:
                 # not survive under its old bytes for anyone on the device
                 ssids = tuple(sorted(db.ssids))
                 mine = _keys_of(db, r, 40)
-                recs = db._peer_walk(r, _PeerView(db.rank_dir, ssids), mine)
+                recs = db._peer_walk(
+                    r, db._peer_view(db.rank_dir, ssids), mine)
                 assert [rec.value for rec in recs] == [b"p" * 64] * 40
-                assert all(db._peer_reader(db.rank_dir, s) is db._reader(s)
+                old = {s: db._reader(s) for s in ssids}
+                assert all(db._peer_reader(db.rank_dir, s) is old[s]
                            for s in ssids)
                 readers, blocks = _entries_under(db.block_cache, db.rank_dir)
                 assert readers == set(ssids) and blocks
+                # the owner's view holds a fresh, unloaded reader of a
+                # table it invalidated: nothing of the old one survives
                 db._invalidate_readers(ssids[0])
                 readers, blocks = _entries_under(db.block_cache, db.rank_dir)
-                assert readers == set(ssids[1:]) and ssids[0] not in blocks
+                assert ssids[0] not in blocks
+                assert [db._reader(s) is old[s] for s in ssids] == [
+                    s != ssids[0] for s in ssids]
                 db._invalidate_readers()
-                assert _entries_under(db.block_cache, db.rank_dir) == (
-                    set(), set())
+                readers, blocks = _entries_under(db.block_cache, db.rank_dir)
+                assert blocks == set()
+                assert not any(db._reader(s) is old[s] for s in ssids)
                 db.barrier()
                 db.close()
 

@@ -335,13 +335,18 @@ class TestCompaction:
                 db.flush()
                 # touch every table so readers get cached
                 _check(db, 400)
-                cached_before = {s for _, s in db.block_cache._readers}
-                inputs = list(db._l0)
+                cached_before = dict(db.block_cache._readers)
+                inputs, tables = list(db._l0), set(db.ssids)
                 db._schedule_compaction(ctx.clock.now)
-                cached_after = {s for _, s in db.block_cache._readers}
-                # inputs' readers are gone; nothing else was touched
-                assert not (cached_after & set(inputs))
-                assert cached_after <= cached_before
+                cached_after = dict(db.block_cache._readers)
+                # inputs' readers are gone; the survivors keep theirs, and
+                # the only new one is the output's, resolved at install
+                assert not ({s for _, s in cached_after} & set(inputs))
+                assert {s for _, s in cached_after.keys() - cached_before
+                        } == set(db.ssids) - tables
+                assert all(cached_after[k] is rd
+                           for k, rd in cached_before.items()
+                           if k in cached_after)
                 _check(db, 400)
                 db.close()
 

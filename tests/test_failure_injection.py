@@ -139,9 +139,12 @@ class TestRankFailures:
 
 
 class TestHandlerCrash:
-    def test_handler_crash_aborts_run_loudly(self):
+    def test_handler_crash_aborts_run_loudly(self, capfd):
         """A poisoned request that kills a handler must fail the whole
-        run instead of hanging the requesters."""
+        run instead of hanging the requesters — by the handler's own
+        abort, with its traceback on stderr, not by the launcher's
+        watchdog (which raises the same RankFailure after the timeout
+        when a handler skips the message and the requester hangs)."""
         from repro.core import messages as msg
 
         def app(ctx):
@@ -163,7 +166,9 @@ class TestHandlerCrash:
                 db.close()
 
         with pytest.raises(RankFailure):
-            spmd_run(2, app, timeout=60)
+            spmd_run(2, app, timeout=20)
+        err = capfd.readouterr().err
+        assert "TypeError: handler got unexpected message" in err, err
 
 
 class TestPersistentReservation:
