@@ -46,7 +46,7 @@ def _run(nranks, backend):
 
     res = spmd_run(nranks, app, system=CORI, timeout=600)
     assert res[0].verified is True, f"{backend} assembly failed to verify"
-    total = max(r.total_time for r in res)
+    total = max(r.construction_time + r.traversal_time for r in res)
     constr = max(r.construction_time for r in res)
     trav = max(r.traversal_time for r in res)
     return total, constr, trav

@@ -76,15 +76,6 @@ LOCK_ORDER: Tuple[LockClass, ...] = (
                "queue); readers take the published snapshot unlocked",
     ),
     LockClass(
-        name="db.index_cache",
-        level=25,
-        attrs=("_index_lock",),
-        holder="core.db.Database",
-        guards="views only: per-owner views of storage-group peers' "
-               "table sets, read and replaced by the storage-group "
-               "read (rank main)",
-    ),
-    LockClass(
         name="world.comm",
         level=30,
         attrs=("_comm_lock",),
@@ -104,13 +95,6 @@ LOCK_ORDER: Tuple[LockClass, ...] = (
         attrs=("lock",),
         holder="mpi.comm._CollectiveState",
         guards="collective slots/scratch around the rendezvous barrier",
-    ),
-    LockClass(
-        name="queue.fifo",
-        level=60,
-        attrs=("_not_full", "_not_empty"),
-        holder="util.queues.BoundedFIFO",
-        guards="the bounded FIFO's item list and conditions",
     ),
     LockClass(
         name="sstable.reader",
@@ -183,10 +167,8 @@ def render_threads_map() -> str:
         "`db.membership` (failure declarations and the "
         "re-replication queue when `replicas > 1`; routing reads the "
         "published snapshot unlocked), "
-        "`db.index_cache` (views of storage-group peers' table sets, "
-        "on every get that walks them), "
         "`world.comm`/`world.mailboxes` "
-        "(comm management), `comm.collective` (collectives), `queue.fifo`, "
+        "(comm management), `comm.collective` (collectives), "
         "`sstable.reader` (a table's sidecar loads and block fetches), "
         "`sstable.block_cache` (resolving a view's readers, "
         "block-cached SSData probes, invalidation).",

@@ -8,7 +8,7 @@ checks over the threaded SPMD runtime:
   detector over explicitly annotated shared locations (MemTables, LRU
   caches, the SSTable-reader cache, ...).  Happens-before edges come
   from tracked lock release→acquire, ``Comm`` send→receive, collective
-  barriers, bounded-queue hand-off, thread join, and the publication of
+  barriers, thread join, and the publication of
   a value readers take without a lock (``annotate_publish`` →
   ``annotate_observe``: a database's read view);
 * **lock-order violations** — every tracked acquisition is checked
@@ -151,10 +151,6 @@ class _TrackedBase:
     def __exit__(self, *exc: Any) -> None:
         self.release()
 
-    # -- Condition compatibility ----------------------------------------
-    def _is_owned(self) -> bool:
-        return self._owner == threading.get_ident()
-
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         ok = bool(self._inner.acquire(blocking, timeout))
         if ok:
@@ -174,9 +170,6 @@ class _TrackedBase:
             self._owner = None
         self._count -= 1
         self._inner.release()
-
-    def locked(self) -> bool:
-        return self._count > 0
 
 
 class TrackedLock(_TrackedBase):
@@ -214,7 +207,7 @@ class RaceDetector:
         #: counters for metrics/reporting
         self.counts: Dict[str, int] = {
             "reads": 0, "writes": 0, "acquires": 0, "sends": 0,
-            "recvs": 0, "barriers": 0, "handoffs": 0,
+            "recvs": 0, "barriers": 0,
         }
 
     # ------------------------------------------------------------ threads
@@ -408,24 +401,6 @@ class RaceDetector:
             if acc is not None:
                 merge_into(st.clock, acc)
             self._tick(st)
-
-    # ------------------------------------------------------ queue handoff
-    def on_handoff_send(self) -> Clock:
-        """Snapshot the producer's clock for a queued item."""
-        st = self._state()
-        with self._mu:
-            self.counts["handoffs"] += 1
-            vc = dict(st.clock)
-            self._tick(st)
-            return vc
-
-    def on_handoff_recv(self, vc: Optional[Clock]) -> None:
-        """Join the producer's clock at the consumer."""
-        if not vc:
-            return
-        st = self._state()
-        with self._mu:
-            merge_into(st.clock, vc)
 
     # ------------------------------------------------------------ results
     def _report(self, finding: Finding, key: Tuple[str, ...]) -> None:

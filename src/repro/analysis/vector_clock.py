@@ -4,7 +4,7 @@ The detector (:mod:`repro.analysis.runtime`) is FastTrack-flavoured
 (Flanagan & Freund, PLDI '09): each thread carries a vector clock; each
 shared location remembers its last-writer *epoch* ``(tid, tick)`` and a
 map of reader epochs.  Synchronization edges — lock release→acquire,
-message send→receive, barrier, queue hand-off, thread join — merge
+message send→receive, barrier, publication, thread join — merge
 clocks; an access races when the prior access's epoch is not ordered
 before the accessing thread's clock.
 

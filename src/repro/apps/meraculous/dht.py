@@ -38,10 +38,6 @@ class PapyrusDHT:
         self._env = Papyrus(ctx)
         self._db = self._env.open(name, options)
 
-    def put(self, key: bytes, value: bytes) -> None:
-        """Insert a k-mer record (relaxed staging + batched migration)."""
-        self._db.put(key, value)
-
     def put_bulk(self, items) -> None:
         """Insert many k-mer records through the bulk pipeline.
 
@@ -58,10 +54,6 @@ class PapyrusDHT:
     def get(self, key: bytes) -> Optional[bytes]:
         """Fetch a k-mer record; None when absent."""
         return self._db.get_or_none(key)
-
-    def get_bulk(self, keys) -> List[Optional[bytes]]:
-        """Fetch many k-mer records; values align with ``keys``."""
-        return self._db.get_bulk(keys)
 
     def barrier(self) -> None:
         """Collective: migrate staged puts and synchronize all ranks."""
@@ -85,10 +77,6 @@ class PapyrusDHT:
         construction barrier has migrated everything to its owner.
         """
         return self._db.scan(start, end)
-
-    @property
-    def stats(self):
-        return self._db.stats
 
     def close(self) -> None:
         """Collective teardown of the database and environment."""

@@ -34,10 +34,6 @@ class MeraculousResult:
     traversal_time: float
     verified: Optional[bool]  # rank 0 only; None elsewhere
 
-    @property
-    def total_time(self) -> float:
-        return self.construction_time + self.traversal_time
-
 
 def run_meraculous(
     ctx: RankContext,

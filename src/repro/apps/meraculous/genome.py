@@ -84,16 +84,3 @@ def ufx_partition(ufx: UFX, rank: int, nranks: int) -> List[Tuple[bytes, bytes]]
     items = sorted(ufx.items())
     return items[rank::nranks]
 
-
-def expected_contigs(genome: bytes, k: int) -> List[bytes]:
-    """Reference contigs for verification.
-
-    A contig is a maximal chain of k-mers each having unique left and
-    right extensions; it starts after a boundary or a fork.  Computed
-    directly from the genome, independent of any KVS, so the distributed
-    traversal can be checked against it.
-    """
-    ufx = ufx_from_genome(genome, k)
-    from repro.apps.meraculous.debruijn import contigs_from_ufx
-
-    return contigs_from_ufx(ufx, k)

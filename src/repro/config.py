@@ -47,14 +47,6 @@ def consistency_name(mode: int) -> str:
         raise InvalidModeError(f"unknown consistency mode {mode}") from None
 
 
-def protection_name(prot: int) -> str:
-    """Human-readable name of a protection attribute constant."""
-    try:
-        return _PROTECTION_NAMES[prot]
-    except KeyError:
-        raise InvalidProtectionError(f"unknown protection {prot}") from None
-
-
 @dataclass(frozen=True, kw_only=True)
 class Options:
     """Per-database configuration (``papyruskv_option_t``).
@@ -94,8 +86,6 @@ class Options:
     binary_search: bool = True
     #: flushing-queue capacity (immutable local MemTables in flight)
     flush_queue_capacity: int = 4
-    #: migration-queue capacity (immutable remote MemTables in flight)
-    migration_queue_capacity: int = 4
     #: compact once this many SSTables have been flushed since the last
     #: compaction round (0 disables)
     compaction_interval: int = 8
@@ -140,8 +130,8 @@ class Options:
             raise InvalidProtectionError(f"unknown protection {self.protection}")
         if self.cache_local_capacity <= 0 or self.cache_remote_capacity <= 0:
             raise InvalidOptionError("cache capacities must be positive")
-        if self.flush_queue_capacity <= 0 or self.migration_queue_capacity <= 0:
-            raise InvalidOptionError("queue capacities must be positive")
+        if self.flush_queue_capacity <= 0:
+            raise InvalidOptionError("flush_queue_capacity must be positive")
         if self.compaction_interval < 0:
             raise InvalidOptionError("compaction_interval must be >= 0")
         if self.block_cache_capacity <= 0:

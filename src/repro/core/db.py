@@ -115,6 +115,9 @@ COMPACTION_DUTY_CYCLE = 0.5
 #: pairs per broadcast chunk in scan_global's windowed merge: the
 #: in-flight buffer is bounded by ``nranks * SCAN_CHUNK`` pairs
 SCAN_CHUNK = 1024
+#: migration-queue capacity: unacked migration chunks in flight per
+#: owner before a migration blocks on an ack (§2.4)
+MIGRATION_QUEUE_CAPACITY = 4
 
 
 @dataclass(frozen=True)
@@ -533,12 +536,9 @@ class Database:
         self._last_checkpoint_path: Optional[str] = None
 
         # -- the one way into another rank's SSTables (§2.7) --
-        #: guards the view map below, which the rank-main thread reads
-        #: and replaces on every get that walks a peer's tables.  Level
-        #: 25 in the canonical order (between db.membership and
-        #: world.comm); never held across a send or an SSTable search
-        self._index_lock = make_lock("db.index_cache")
-        #: per-owner view of a storage-group peer's table set
+        #: per-owner view of a storage-group peer's table set; read and
+        #: replaced only on rank main (the storage-group read, a death),
+        #: so it takes no lock
         self._peer_views: Dict[int, _PeerView] = {}
 
         self.local_cache: Optional[LRUCache] = (
@@ -1294,7 +1294,7 @@ class Database:
             return
         groups = imm.by_owner()
         # migration-queue back-pressure: bound unacked chunks in flight
-        cap = self.options.migration_queue_capacity * max(1, len(groups))
+        cap = MIGRATION_QUEUE_CAPACITY * max(1, len(groups))
         while len(self._unacked) >= cap:
             self._drain_acks(blocking=True, at_most=1)
         cpu = self.ctx.system.cpu
@@ -2064,9 +2064,7 @@ class Database:
         """Forget my view of one owner's tables (a walk that raced its
         compaction, its death).  The readers and blocks are the
         device's: hot for the whole node, the owner's to invalidate."""
-        with self._index_lock:
-            annotate_write(self, "db.index_cache")
-            self._peer_views.pop(owner, None)
+        self._peer_views.pop(owner, None)
 
     def _invalidate_readers(self, *ssids: int) -> None:
         """Drop the named tables of mine (none named: all) from the
@@ -2304,9 +2302,7 @@ class Database:
         are immutable.  A view the device has invalidated a reader under
         since keeps its listing and resolves its readers again.
         """
-        with self._index_lock:
-            annotate_read(self, "db.index_cache")
-            view = self._peer_views.get(owner)
+        view = self._peer_views.get(owner)
         listed = view is not None and (
             view.ssids[-1] if view.ssids else 0) == reply.newest_ssid
         if listed and view.generation == self.block_cache.generation:
@@ -2314,9 +2310,7 @@ class Database:
         view = self._peer_view(
             reply.owner_dir, view.ssids if listed else
             tuple(list_ssids(self.store, reply.owner_dir)))
-        with self._index_lock:
-            annotate_write(self, "db.index_cache")
-            self._peer_views[owner] = view
+        self._peer_views[owner] = view
         return view
 
     def _peer_view(self, owner_dir: str,

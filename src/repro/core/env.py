@@ -95,10 +95,6 @@ class Papyrus:
     def _forget(self, name: str) -> None:
         self._dbs.pop(name, None)
 
-    @property
-    def open_databases(self) -> Sequence[str]:
-        return tuple(self._dbs)
-
     # --------------------------------------------------------------- signals
     def signal_notify(self, signum: int, ranks: Sequence[int]) -> None:
         """Send signal ``signum`` to ``ranks`` (``papyruskv_signal_notify``)."""

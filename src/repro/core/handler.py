@@ -45,7 +45,6 @@ from repro.faults import RankKilledError
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG, AbortedError
 from repro.mpi.launcher import RankContext, bind_context
 from repro.simtime.clock import VirtualClock
-from repro.util.queues import QueueClosed
 
 
 def handler_main(db: Database) -> None:
@@ -71,7 +70,7 @@ def handler_main(db: Database) -> None:
             status: dict = {}
             try:
                 m = recv(ANY_SOURCE, ANY_TAG, status=status)
-            except (RankKilledError, AbortedError, QueueClosed):
+            except (RankKilledError, AbortedError):
                 # RankKilledError: this rank was killed by the fault
                 # plane — its handler dies with it, quietly
                 return

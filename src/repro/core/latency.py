@@ -8,7 +8,7 @@ operator actually tunes MemTable sizes and consistency modes against.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class LatencyReservoir:
@@ -83,13 +83,6 @@ class LatencyTracker:
             res = self._by_op[op] = LatencyReservoir(self.capacity)
         res.observe(latency_s)
 
-    def get(self, op: str) -> Optional[LatencyReservoir]:
-        """The reservoir for ``op``, or None if never observed."""
-        return self._by_op.get(op)
-
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-operation summaries, sorted by operation name."""
         return {op: r.summary() for op, r in sorted(self._by_op.items())}
-
-    def __contains__(self, op: str) -> bool:
-        return op in self._by_op

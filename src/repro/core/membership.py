@@ -13,8 +13,8 @@ deterministically.
 Writers lock, readers read the published snapshot.  Both the rank main
 thread (failure declaration) and the handler thread (heartbeats,
 piggybacked liveness) change the view under the ``db.membership`` lock
-(level 15 in the canonical order, between ``db.state`` and
-``db.index_cache``); a change of the dead set or the epoch publishes a
+(level 15 in the canonical order, between ``db.scan_pins`` and
+``world.comm``); a change of the dead set or the epoch publishes a
 new immutable :class:`Snapshot`, built whole before one attribute
 store makes it visible.  Every reader — routing on each put and get,
 epoch checks on each message — takes the snapshot with one attribute
@@ -123,10 +123,6 @@ class MembershipView:
     def is_dead(self, rank: int) -> bool:
         """True once this view has declared ``rank`` dead (permanent)."""
         return rank in self.snapshot.dead
-
-    def is_alive(self, rank: int) -> bool:
-        """Negation of :meth:`is_dead`."""
-        return not self.is_dead(rank)
 
     def alive_ranks(self) -> Tuple[int, ...]:
         """All ranks this view holds alive, in rank order."""

@@ -67,10 +67,6 @@ class MemTable:
         return self._bytes
 
     @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    @property
     def full(self) -> bool:
         return self._bytes >= self.capacity
 

@@ -31,7 +31,7 @@ class ErrorCode(enum.IntEnum):
     INTERNAL = 14
     CORRUPTED = 15
     TIMEOUT = 16
-    REPLICA_STALE = 17
+    # 17 (REPLICA_STALE, an error nothing raised) stays unused
     MEMBERSHIP_EPOCH = 18
     QUORUM_LOST = 19
     # 20 (METADATA_STALE, the deleted index-replication plane) stays unused
@@ -154,15 +154,6 @@ class ReplicationError(PapyrusError):
     """
 
     code = ErrorCode.INTERNAL
-
-
-class ReplicaStaleError(ReplicationError):
-    """A replica served (or was asked to serve) state it is known to be
-    behind on — e.g. a read routed to a group member that has not yet
-    caught up through re-replication.  Callers should retry against the
-    acting primary or another live group member."""
-
-    code = ErrorCode.REPLICA_STALE
 
 
 class MembershipEpochError(ReplicationError):

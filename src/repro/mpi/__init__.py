@@ -4,11 +4,11 @@ The real PapyrusKV is a user-level MPI library; since mpi4py and a
 cluster are unavailable offline, this package provides an in-process
 substitute with the MPI semantics the runtime relies on:
 
-* blocking tagged point-to-point ``send``/``recv`` (plus nonblocking
-  ``isend``/``irecv``);
-* collectives: ``barrier``, ``bcast``, ``gather``, ``allgather``,
-  ``scatter``, ``alltoall``, ``allreduce``;
-* communicator ``dup``/``split`` — the PapyrusKV runtime "creates new
+* tagged point-to-point ``send``/``recv`` (plus ``send_at`` for
+  background timelines, the ``fanout`` of one message per destination
+  and ``iprobe``);
+* collectives: ``barrier``, ``bcast``, ``gather``, ``allgather``;
+* communicator ``dup`` — the PapyrusKV runtime "creates new
   independent MPI communicators and uses them in the message dispatcher
   and message handler" (paper §2.4) for interoperability;
 * an SPMD launcher that runs one Python thread per rank.
@@ -18,7 +18,7 @@ per-rank :class:`~repro.simtime.clock.VirtualClock` according to the
 system's network profile.
 """
 
-from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Comm, Request
+from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Comm
 from repro.mpi.launcher import RankContext, RankFailure, spmd_run
 
 __all__ = [
@@ -27,6 +27,5 @@ __all__ = [
     "Comm",
     "RankContext",
     "RankFailure",
-    "Request",
     "spmd_run",
 ]

@@ -138,13 +138,6 @@ class _Mailbox:
             f"recv timed out waiting for source={source} tag={tag}"
         )
 
-    def poll(self, source: int, tag: int) -> Optional[Envelope]:
-        if not self._items:
-            return None
-        with self._lock:
-            idx = self._match_index(source, tag)
-            return self._items.pop(idx) if idx is not None else None
-
     def peek(self, source: int, tag: int) -> bool:
         if not self._items:  # an atomic read: an empty inbox takes no lock
             return False
@@ -285,37 +278,6 @@ class World:
         return end + self.network.latency_s
 
 
-class Request:
-    """Handle for a nonblocking operation."""
-
-    def __init__(self, fn: Callable[[], Any]) -> None:
-        self._fn = fn
-        self._done = False
-        self._result: Any = None
-
-    def wait(self, timeout: Optional[float] = None) -> Any:
-        """Complete the operation, blocking if necessary."""
-        if not self._done:
-            self._result = self._fn()
-            self._done = True
-        return self._result
-
-    def test(self) -> Tuple[bool, Any]:
-        """Nonblocking completion check (only meaningful for irecv)."""
-        if self._done:
-            return True, self._result
-        probe = getattr(self._fn, "poll", None)
-        if probe is not None:
-            result = probe()
-            if result is not None:
-                self._result = result
-                self._done = True
-                return True, result
-            return False, None
-        # isend: completes immediately (buffered send)
-        return True, self.wait()
-
-
 class Comm:
     """A communicator over a subset of world ranks."""
 
@@ -405,11 +367,6 @@ class Comm:
         t_send = ctx.clock.advance(self._world.network.sw_overhead_s)
         self._post(obj, ctx.world_rank, dest, tag, t_send)
 
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking send (buffered: completes immediately)."""
-        self.send(obj, dest, tag)
-        return Request(lambda: None)
-
     def send_at(self, obj: Any, dest: int, tag: int, t_send: float) -> float:
         """Send with an explicit virtual send time (background timelines).
 
@@ -466,44 +423,11 @@ class Comm:
             status["arrival"] = env.arrival
         return env.payload
 
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Nonblocking receive; complete with ``Request.wait``/``test``."""
-        ctx = current_rank_context()
-        box = self._world.mailbox(self._comm_id, ctx.world_rank)
-        clock = ctx.clock
-
-        def blocking() -> Any:
-            env = box.take(source, tag, None)
-            det = get_detector()
-            if det is not None:
-                det.on_recv(env)
-            clock.advance_to(env.arrival)
-            return env.payload
-
-        def poll() -> Optional[Any]:
-            env = box.poll(source, tag)
-            if env is None:
-                return None
-            det = get_detector()
-            if det is not None:
-                det.on_recv(env)
-            clock.advance_to(env.arrival)
-            return env.payload
-
-        blocking.poll = poll  # type: ignore[attr-defined]
-        return Request(blocking)
-
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """True if a matching message is already deliverable."""
         box = self._world.mailbox(self._comm_id,
                                   current_rank_context().world_rank)
         return box.peek(source, tag)
-
-    def sendrecv(self, obj: Any, dest: int, source: int,
-                 sendtag: int = 0, recvtag: int = ANY_TAG) -> Any:
-        """Combined send+receive (deadlock-free exchange)."""
-        self.send(obj, dest, sendtag)
-        return self.recv(source, recvtag)
 
     # ------------------------------------------------------------ collectives
     def _tree_cost(self, nbytes: int) -> float:
@@ -592,57 +516,6 @@ class Comm:
         coll.barrier.wait()
         return result
 
-    def scatter(self, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
-        """Distribute one element of ``objs`` (at root) to each rank."""
-        coll = self._coll
-        me = self.rank
-        if me == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError("scatter requires size elements at root")
-            with coll.lock:
-                for r in range(self.size):
-                    coll.slots[("s", r)] = objs[r]
-        coll.barrier.wait()
-        mine = coll.slots[("s", me)]
-        self._sync_clocks(self._tree_cost(payload_nbytes(mine)))
-        coll.barrier.wait()
-        if me == root:
-            with coll.lock:
-                for r in range(self.size):
-                    coll.slots.pop(("s", r), None)
-        coll.barrier.wait()
-        return mine
-
-    def alltoall(self, objs: Sequence[Any]) -> List[Any]:
-        """Personalized exchange: rank i receives objs[i] from everyone."""
-        if len(objs) != self.size:
-            raise ValueError("alltoall requires size elements")
-        coll = self._coll
-        me = self.rank
-        with coll.lock:
-            for r in range(self.size):
-                coll.slots[("a2a", me, r)] = objs[r]
-        coll.barrier.wait()
-        result = [coll.slots[("a2a", r, me)] for r in range(self.size)]
-        recv_bytes = sum(payload_nbytes(x) for x in result)
-        send_bytes = sum(payload_nbytes(x) for x in objs)
-        self._sync_clocks(self._tree_cost(max(recv_bytes, send_bytes)))
-        coll.barrier.wait()
-        if me == 0:
-            with coll.lock:
-                for key in [k for k in coll.slots if k[0] == "a2a"]:
-                    coll.slots.pop(key, None)
-        coll.barrier.wait()
-        return result
-
-    def allreduce(self, obj: Any, op: Callable[[Any, Any], Any]) -> Any:
-        """Reduce one value per rank with ``op``; all ranks get the result."""
-        values = self.allgather(obj)
-        acc = values[0]
-        for v in values[1:]:
-            acc = op(acc, v)
-        return acc
-
     def abort_world(self) -> None:
         """Abort the whole SPMD run (service-thread crash escalation)."""
         self._world.abort()
@@ -671,37 +544,3 @@ class Comm:
         cid, new_coll = coll.scratch
         coll.barrier.wait()
         return Comm(self._world, self._group, cid, new_coll)
-
-    def split(self, color: int, key: int = 0) -> "Comm":
-        """Collective split into disjoint sub-communicators by color."""
-        coll = self._coll
-        me = self.rank
-        with coll.lock:
-            coll.slots[("sp", me)] = (color, key, self._group[me])
-        coll.barrier.wait()
-        triples = [coll.slots[("sp", r)] for r in range(self.size)]
-        mine = [
-            (k, wr) for (c, k, wr) in triples if c == color
-        ]
-        mine.sort()
-        group = [wr for _, wr in mine]
-        if me == 0:
-            colors = sorted({c for c, _, _ in triples})
-            comm_ids = {c: self._world.new_comm_id() for c in colors}
-            colls = {
-                c: self._world.register_coll(
-                    _CollectiveState(sum(1 for cc, _, _ in triples if cc == c))
-                )
-                for c in colors
-            }
-            with coll.lock:
-                coll.scratch = (comm_ids, colls)
-        coll.barrier.wait()
-        comm_ids, colls = coll.scratch
-        coll.barrier.wait()
-        if me == 0:
-            with coll.lock:
-                for r in range(self.size):
-                    coll.slots.pop(("sp", r), None)
-        coll.barrier.wait()
-        return Comm(self._world, group, comm_ids[color], colls[color])

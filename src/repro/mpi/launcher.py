@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults import RankKilledError
-from repro.simtime.clock import VirtualClock, set_current_clock
+from repro.simtime.clock import VirtualClock
 from repro.simtime.profiles import SUMMITDEV, SystemProfile
 
 if TYPE_CHECKING:  # comm reads the bound context through this module
@@ -57,9 +57,8 @@ def current_rank_context() -> RankContext:
 
 
 def bind_context(ctx: Optional[RankContext]) -> None:
-    """Bind (or unbind) a RankContext and its clock to the calling thread."""
+    """Bind (or unbind) a RankContext to the calling thread."""
     _tls.ctx = ctx
-    set_current_clock(ctx.clock if ctx is not None else None)
 
 
 class RankFailure(RuntimeError):

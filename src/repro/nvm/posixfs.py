@@ -120,25 +120,6 @@ class PosixStore:
         self._atomic_write(relpath, data)
         return self._charge_write(t, len(data))
 
-    def append(self, relpath: str, data: bytes, t: float) -> float:
-        """Append to a file durably; returns the virtual completion time.
-
-        Appends cannot go through the tmp+rename path (the old bytes
-        must stay in place), so durability comes from fsyncing the file
-        itself: a crash can truncate the tail to the last synced
-        length, never publish bytes the caller was told are durable.
-        """
-        p = self.path(relpath)
-        os.makedirs(os.path.dirname(p), exist_ok=True)
-        try:
-            with open(p, "ab") as f:
-                f.write(data)
-                f.flush()
-                os.fsync(f.fileno())
-        except OSError as exc:
-            raise StorageError(str(exc)) from exc
-        return self._charge_write(t, len(data))
-
     # ------------------------------------------------------------------- read
     def read(self, relpath: str, t: float, offset: int = 0,
              length: Optional[int] = None) -> Tuple[bytes, float]:

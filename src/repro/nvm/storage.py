@@ -19,7 +19,7 @@ import os
 import shutil
 import tempfile
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.nvm.posixfs import Device, PosixStore
 from repro.simtime.profiles import DeviceProfile, SystemProfile
@@ -52,16 +52,6 @@ class StorageLayout:
     def group_of(self, rank: int) -> int:
         """Storage group id of ``rank``."""
         return rank // self.group_size
-
-    def ranks_in_group(self, group: int) -> List[int]:
-        """All ranks belonging to ``group``."""
-        lo = group * self.group_size
-        hi = min(lo + self.group_size, self.nranks)
-        return list(range(lo, hi))
-
-    @property
-    def ngroups(self) -> int:
-        return -(-self.nranks // self.group_size)
 
 
 class Machine:
@@ -157,10 +147,6 @@ class Machine:
             for store in self._stores.values():
                 store.faults = plan
 
-    def layout(self, group_size: Optional[int] = None) -> StorageLayout:
-        """Storage-group layout; defaults to the architecture's natural one."""
-        return StorageLayout(self.nranks, group_size or self.default_group_size)
-
     def shares_nvm(self, rank_a: int, rank_b: int) -> bool:
         """Whether two ranks can read each other's SSTable files at all."""
         return self.nvm_domain_of_rank(rank_a) == self.nvm_domain_of_rank(rank_b)
@@ -176,19 +162,7 @@ class Machine:
             os.makedirs(store.root, exist_ok=True)
             store.read_cache.clear(readers=True)  # outlives the databases
 
-    def reset_timing(self) -> None:
-        """Zero all device availability horizons (fresh benchmark phase)."""
-        for dev in (*self._nvm_write, *self._nvm_read,
-                    self._lustre_write, self._lustre_read):
-            dev.reset()
-
     def close(self) -> None:
         """Remove the backing directory if this Machine created it."""
         if self._own_dir:
             shutil.rmtree(self.base_dir, ignore_errors=True)
-
-    def __enter__(self) -> "Machine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -7,7 +7,7 @@ and all storage/network operations charge costs taken from calibrated
 device and network profiles.  See DESIGN.md §5.
 """
 
-from repro.simtime.clock import VirtualClock, current_clock, set_current_clock
+from repro.simtime.clock import VirtualClock
 from repro.simtime.resources import StripedResource, TimedResource
 from repro.simtime.profiles import (
     CORI,
@@ -29,7 +29,5 @@ __all__ = [
     "SystemProfile",
     "TimedResource",
     "VirtualClock",
-    "current_clock",
-    "set_current_clock",
     "system_by_name",
 ]

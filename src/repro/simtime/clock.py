@@ -3,26 +3,24 @@
 Each simulated MPI rank thread owns a :class:`VirtualClock`.  Compute,
 memory, storage, and network costs advance it; communication events merge
 clocks (receive time is the max of local readiness and message arrival).
-A thread-local registry lets deep library code find "its" clock without
-threading it through every call.
+Code finds its clock through
+:func:`repro.mpi.launcher.current_rank_context`.
+
+Only the owning thread advances a clock (a rank's main thread, its
+handler's own clock), so it takes no lock;
+``tests/simtime/test_clock.py::TestOneWriterPerClock`` checks that.
 """
 
 from __future__ import annotations
-
-import threading
-from typing import Optional
-
-_tls = threading.local()
 
 
 class VirtualClock:
     """A monotonically advancing virtual timestamp in seconds."""
 
-    __slots__ = ("_now", "_lock", "label")
+    __slots__ = ("_now", "label")
 
     def __init__(self, start: float = 0.0, label: str = "") -> None:
         self._now = float(start)
-        self._lock = threading.Lock()
         self.label = label
 
     @property
@@ -33,39 +31,14 @@ class VirtualClock:
         """Advance by ``dt`` seconds (must be non-negative); return new time."""
         if dt < 0:
             raise ValueError(f"negative time advance: {dt}")
-        with self._lock:
-            self._now += dt
-            return self._now
+        self._now += dt
+        return self._now
 
     def advance_to(self, t: float) -> float:
         """Move the clock forward to at least ``t``; never backwards."""
-        with self._lock:
-            if t > self._now:
-                self._now = t
-            return self._now
-
-    def reset(self, t: float = 0.0) -> None:
-        """Rewind to ``t`` (test/benchmark setup only)."""
-        with self._lock:
-            self._now = float(t)
+        if t > self._now:
+            self._now = t
+        return self._now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<VirtualClock {self.label or id(self):} t={self._now:.6f}>"
-
-
-def set_current_clock(clock: Optional[VirtualClock]) -> None:
-    """Bind ``clock`` to the calling thread (None unbinds)."""
-    _tls.clock = clock
-
-
-def current_clock() -> VirtualClock:
-    """Return the calling thread's clock, creating a detached one if unbound.
-
-    Library code outside an SPMD run (unit tests poking at a component)
-    still works: it gets a private free-running clock.
-    """
-    clock = getattr(_tls, "clock", None)
-    if clock is None:
-        clock = VirtualClock(label="detached")
-        _tls.clock = clock
-    return clock

@@ -130,15 +130,6 @@ class TimedResource:
             self.bytes_moved += nbytes
             return start + duration
 
-    def reset(self) -> None:
-        """Zero the horizon and counters (benchmark phase boundaries)."""
-        with self._lock:
-            self.available = 0.0
-            self.busy_time = 0.0
-            self.ops = 0
-            self.bytes_moved = 0
-            self._free.clear()
-
 
 class StripedResource:
     """A file-system striped across ``nstripes`` member resources.
@@ -196,11 +187,6 @@ class StripedResource:
     def bytes_moved(self) -> int:
         return sum(s.bytes_moved for s in self.stripes)
 
-    def reset(self) -> None:
-        """Reset every member stripe."""
-        for s in self.stripes:
-            s.reset()
-
 
 class BackgroundWorker:
     """A virtual background thread timeline (compaction thread, dispatcher).
@@ -235,27 +221,8 @@ class BackgroundWorker:
             self.jobs += 1
             return end
 
-    def submit(self, t_enqueue: float, duration: float) -> float:
-        """Schedule a job of ``duration``; return its completion time."""
-        if duration < 0:
-            raise ValueError("negative duration")
-        with self._lock:
-            start = max(t_enqueue, self.available)
-            end = start + duration
-            self.available = end
-            self.busy_time += duration
-            self.jobs += 1
-            return end
-
     def idle_until(self, t: float) -> None:
         """Force the worker idle until ``t`` (e.g. after a barrier)."""
         with self._lock:
             if t > self.available:
                 self.available = t
-
-    def reset(self) -> None:
-        """Zero the worker timeline (benchmark phase boundaries)."""
-        with self._lock:
-            self.available = 0.0
-            self.busy_time = 0.0
-            self.jobs = 0

@@ -16,7 +16,6 @@ from repro.sstable.format import (
     Record,
     decode_records,
     encode_index,
-    encode_record,
 )
 from repro.sstable.reader import SSTableReader, list_ssids
 
@@ -30,6 +29,5 @@ __all__ = [
     "SSTableReader",
     "decode_records",
     "encode_index",
-    "encode_record",
     "list_ssids",
 ]

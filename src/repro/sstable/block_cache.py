@@ -100,10 +100,6 @@ class BlockCache(CacheCounters):
     def __len__(self) -> int:
         return len(self._data)
 
-    @property
-    def size_bytes(self) -> int:
-        return self._bytes
-
     def get(self, directory: str, ssid: int, blk: int, promote: bool = True,
             sink: Optional[CacheCounters] = None) -> Optional[Block]:
         """Return the cached block or None; counts a hit or miss.

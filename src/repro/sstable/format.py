@@ -133,10 +133,6 @@ class IndexEntry(NamedTuple):
         return self.offset + RECORD_HEADER_LEN
 
     @property
-    def value_offset(self) -> int:
-        return self.offset + RECORD_HEADER_LEN + self.keylen
-
-    @property
     def record_len(self) -> int:
         return RECORD_HEADER_LEN + self.keylen + self.vallen
 
@@ -161,12 +157,6 @@ class TableFooter:
     max_key: bytes = b""
     block_keys: Tuple[bytes, ...] = ()
     block_first: Tuple[int, ...] = ()
-
-
-def encode_record(rec: Record) -> bytes:
-    """Serialize one record in SSData layout."""
-    flags = TOMBSTONE_FLAG if rec.tombstone else 0
-    return _REC_HDR.pack(len(rec.key), len(rec.value), flags) + rec.key + rec.value
 
 
 def decode_record_at(buf: bytes, offset: int) -> Tuple[Record, int]:

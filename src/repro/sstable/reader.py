@@ -534,22 +534,6 @@ class SSTableReader:
                 raise self._corrupt(f"block key {key!r} is not record {i}'s")
         return t
 
-    def nbytes(self) -> int:
-        """Total on-disk size of the three files."""
-        total = 0
-        for p in (self._data_path, self._index_path, self._bloom_path):
-            try:
-                total += self.store.size(p)
-            except StorageError:
-                pass
-        return total
-
     def file_paths(self) -> Tuple[str, str, str]:
         """Store-relative paths of (SSData, SSIndex, bloom)."""
         return self._data_path, self._index_path, self._bloom_path
-
-    def delete(self, t: float) -> float:
-        """Remove all three files; returns the completion time."""
-        for p in self.file_paths():
-            t = self.store.delete(p, t)
-        return t

@@ -94,10 +94,6 @@ class BloomFilter:
             h1 = (h1 + h2) & _MASK64
         return True
 
-    def may_contain(self, key: bytes) -> bool:
-        """Alias of ``key in filter``; False means definitely absent."""
-        return key in self
-
     # ------------------------------------------------------------- serialize
     def to_bytes(self) -> bytes:
         """Serialize as ``nbits(8) nhashes(4) count(8) bitvector``."""
@@ -120,11 +116,3 @@ class BloomFilter:
         bf._bits = bytearray(body)
         bf.count = count
         return bf
-
-    def __len__(self) -> int:
-        return self.count
-
-    def fill_ratio(self) -> float:
-        """Fraction of set bits (diagnostic for FP-rate estimation)."""
-        set_bits = sum(bin(b).count("1") for b in self._bits)
-        return set_bits / self.nbits

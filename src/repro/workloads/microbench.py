@@ -107,13 +107,6 @@ class WorkloadResult:
     reads: int
     updates: int
 
-    def krps(self) -> float:
-        """Mixed-phase kilo-requests/second on this rank."""
-        return (
-            self.iters / self.mixed_time / 1e3
-            if self.mixed_time > 0 else float("inf")
-        )
-
 
 def workload_app(
     ctx: RankContext,

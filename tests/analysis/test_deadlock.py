@@ -13,17 +13,17 @@ def _rules(det):
 class TestLockOrderCheck:
     def test_inverted_acquisition_flags(self, detector):
         low = rt.make_rlock("db.state")      # level 10
-        high = rt.make_lock("queue.fifo")    # level 60
+        high = rt.make_lock("sstable.reader")  # level 65
         with high:
             with low:
                 pass
         fs = [f for f in detector.findings() if f.rule == "LOCK_ORDER"]
         (f,) = fs
-        assert "db.state" in f.message and "queue.fifo" in f.message
+        assert "db.state" in f.message and "sstable.reader" in f.message
 
     def test_canonical_acquisition_clean(self, detector):
         low = rt.make_rlock("db.state")
-        high = rt.make_lock("queue.fifo")
+        high = rt.make_lock("sstable.reader")
         with low:
             with high:
                 pass
@@ -40,10 +40,10 @@ class TestLockOrderCheck:
 
 class TestDeadlockCycles:
     def test_abba_same_class_flags(self, detector):
-        # two queue.fifo instances: equal level, so no LOCK_ORDER noise,
+        # two sstable.reader instances: equal level, so no LOCK_ORDER noise,
         # but the per-instance graph still sees the ABBA cycle
-        a = rt.make_lock("queue.fifo")
-        b = rt.make_lock("queue.fifo")
+        a = rt.make_lock("sstable.reader")
+        b = rt.make_lock("sstable.reader")
         with a:
             with b:
                 pass
@@ -57,8 +57,8 @@ class TestDeadlockCycles:
         assert len(fs[0].details) >= 2
 
     def test_consistent_order_clean(self, detector):
-        a = rt.make_lock("queue.fifo")
-        b = rt.make_lock("queue.fifo")
+        a = rt.make_lock("sstable.reader")
+        b = rt.make_lock("sstable.reader")
         for _ in range(2):
             with a:
                 with b:

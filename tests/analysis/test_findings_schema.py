@@ -33,6 +33,23 @@ class TestSerialization:
         assert doc["findings"][0]["call_path"] == list(F_CHAIN.call_path)
 
 
+class TestRender:
+    """The text form ``lint --format text`` prints, one finding a line
+    (plus its call chain)."""
+
+    def test_local_finding(self):
+        assert F_LOCAL.render() == \
+            "src/repro/core/db.py:42: R005 [flush] bare except"
+
+    def test_call_chain_on_a_second_line(self):
+        assert F_CHAIN.render().splitlines() == [
+            "src/repro/core/db.py:7: R001 [flush_window] blocking comm "
+            "under _lock",
+            "    via repro.core.db:Database._fan_out -> "
+            "self.srv_comm.fanout",
+        ]
+
+
 class TestRoundTrip:
     def test_round_trip_preserves_findings(self):
         text = findings_to_json([F_LOCAL, F_CHAIN])

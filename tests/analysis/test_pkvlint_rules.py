@@ -28,10 +28,10 @@ class TestR001CommUnderLock:
         assert fs[0].line == 4
         assert "migrate" in fs[0].function
 
-    def test_recv_under_queue_condition_flags(self):
+    def test_recv_under_reader_lock_flags(self):
         fs = _lint("""
             def drain(self):
-                with self._not_empty:
+                with self._io_lock:
                     self.comm.recv()
         """)
         assert _rules(fs) == ["R001"]
@@ -105,7 +105,7 @@ class TestR004LockOrder:
     def test_inverted_nesting_flags(self):
         fs = _lint("""
             def f(self):
-                with self._not_full:
+                with self._io_lock:
                     with self._lock:
                         pass
         """)
@@ -123,7 +123,7 @@ class TestR004LockOrder:
     def test_unregistered_attr_ignored(self):
         fs = _lint("""
             def f(self):
-                with self._not_full:
+                with self._io_lock:
                     with self._my_private_lock:
                         pass
         """)
@@ -256,7 +256,7 @@ class TestInterproceduralR004:
         fs = _lint("""
             class D:
                 def outer(self):
-                    with self._not_full:
+                    with self._io_lock:
                         self.helper()
                 def helper(self):
                     with self._lock:

@@ -6,7 +6,6 @@ import threading
 from types import SimpleNamespace
 
 from repro.analysis import runtime as rt
-from repro.util.queues import BoundedFIFO
 
 
 class Shared:
@@ -184,39 +183,3 @@ class TestBarrierEdge:
 
         _run(writer, reader)
         assert len(_races(detector)) == 1
-
-
-class TestHandoffEdge:
-    def test_handoff_clock_orders_item_state(self, detector):
-        obj = Shared()
-        box = {}
-        handed = threading.Event()
-
-        def producer():
-            rt.annotate_write(obj, "x")
-            box["vc"] = detector.on_handoff_send()
-            handed.set()
-
-        def consumer():
-            handed.wait(5)
-            detector.on_handoff_recv(box["vc"])
-            rt.annotate_read(obj, "x")
-
-        _run(producer, consumer)
-        assert _races(detector) == []
-
-    def test_bounded_fifo_hand_off_clean(self, detector):
-        obj = Shared()
-        q = BoundedFIFO(4)
-
-        def producer():
-            rt.annotate_write(obj, "x")
-            q.put(obj)
-
-        def consumer():
-            item = q.get(timeout=5)
-            rt.annotate_read(item, "x")
-
-        _run(producer, consumer)
-        assert _races(detector) == []
-        assert detector.counts["handoffs"] == 1

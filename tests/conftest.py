@@ -30,7 +30,6 @@ def small_options(**kw) -> Options:
         cache_remote_capacity=1 << 14,
         compaction_interval=4,
         flush_queue_capacity=2,
-        migration_queue_capacity=2,
     )
     base.update(kw)
     return Options(**base)

@@ -104,7 +104,6 @@ def _check(mv: MembershipView, model: _Model, nranks: int,
             r for r in range(nranks) if r not in dead]
         for r in range(nranks):
             assert mv.is_dead(r) == (r in dead)
-            assert mv.is_alive(r) == (r not in dead)
             assert mv.last_heard(r) == model.heard.get(r, 0.0)
             for epoch in (model.epoch - 1, model.epoch, model.epoch + 1):
                 assert mv.is_stale(epoch, r) == (

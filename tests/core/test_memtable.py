@@ -67,7 +67,6 @@ class TestCapacityAndFreeze:
         mt = MemTable(100)
         mt.put(b"k", b"v")
         mt.freeze()
-        assert mt.frozen
         with pytest.raises(RuntimeError):
             mt.put(b"x", b"y")
         with pytest.raises(RuntimeError):

@@ -294,7 +294,7 @@ class TestHandlerEqualsRankMain:
         db.put(b"a000", b"fresh")
         db.delete(b"a001")
         assert db.get(b"a002") == b"a" * 64
-        assert b"a002" in db.local_cache
+        assert b"a002" in db.local_cache._data  # recency untouched
         return db
 
     @staticmethod
@@ -322,9 +322,9 @@ class TestHandlerEqualsRankMain:
                 assert by_key[b"m005"] == (msg.FOUND, b"", True)
                 assert by_key[b"q404"] == (msg.NOT_FOUND, None, False)
                 # the same entries, in the same recency order
-                assert list(served.local_cache.items()) == list(
-                    main.local_cache.items())
-                assert set(dict(main.local_cache.items())) == {
+                assert list(served.local_cache._data.items()) == list(
+                    main.local_cache._data.items())
+                assert set(main.local_cache._data) == {
                     b"a002", b"a003", b"m004"}
                 assert (served.local_cache.hits, served.local_cache.misses
                         ) == (main.local_cache.hits, main.local_cache.misses)

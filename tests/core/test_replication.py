@@ -27,7 +27,9 @@ from repro.analysis import runtime
 from repro.config import SEQUENTIAL, Options
 from repro.core import messages as msg
 from repro.core.db import GROUP_COMMIT_INTERVAL
-from repro.errors import InvalidOptionError, QuorumLostError
+from repro.errors import (
+    InvalidOptionError, QuorumLostError, RemoteTimeoutError,
+)
 from repro.faults import FaultPlan
 from repro.mpi.launcher import spmd_run
 from repro.sstable.reader import list_ssids
@@ -512,6 +514,95 @@ class TestKillRank:
         faults = FaultPlan(seed=FAULT_SEED).kill_rank(1, nth=40)
         res = spmd_run(2, app, faults=faults, timeout=240)
         assert res[1] is None
+
+
+class TestStaleEpochAndFailover:
+    """The replication plane's two recovery paths, driven on purpose:
+    a carrier stamped with a superseded epoch is rejected and re-fanned,
+    and a get whose primary is gone fails over to the next member."""
+
+    def test_stale_carrier_is_rejected_then_re_fanned(self):
+        keys = _keys("st", 48)
+
+        def app(ctx):
+            env = Papyrus(ctx)
+            db = env.open("stale", _repl_options(replicas=2))
+            rank = ctx.world_rank
+            if rank == 1:
+                # rank 1 alone moves to epoch 3 (no death); rank 0's
+                # first carriers to it are stamped epoch 0
+                assert db.membership.merge(3, ())
+            db.coll_comm.barrier()
+            pushed = _spy_on_pairs(db) if rank == 0 else []
+            if rank == 0:
+                for k in keys:
+                    db.put(k, b"v-" + k)
+                db.fence()
+                assert db.membership.epoch == 3  # learned from the ack
+            db.coll_comm.barrier()
+            got = [db.get(k) for k in keys]
+            held = {k for k, _ in db.scan_local(include_replicas=True)}
+            to_1 = [key for dest, key, *_ in pushed if dest == 1]
+            out = (got, db.stats.epoch_rejections, held, to_1,
+                   [k for k in keys if 1 in db._replica_group(k)])
+            db.close()
+            return out
+
+        res = spmd_run(3, app, timeout=120)
+        assert all(r[0] == [b"v-" + k for k in keys] for r in res)
+        assert res[1][1] >= 1             # rank 1 rejected a carrier
+        on_1, to_1 = res[0][4], res[0][3]
+        assert on_1 and set(on_1) <= res[1][2]  # ... and holds them now
+        # every pair bound for rank 1 went out twice: the rejected carrier
+        # and the re-fan under the epoch the rejection taught rank 0
+        assert all(to_1.count(k) >= 2 for k in on_1)
+
+    def test_get_fails_over_when_the_primary_times_out(self):
+        killed, survivors = threading.Barrier(3), threading.Barrier(2)
+
+        def app(ctx):
+            env = Papyrus(ctx)
+            db = env.open("failover", _repl_options(
+                replicas=2, remote_timeout=0.05, remote_retries=0))
+            rank = ctx.world_rank
+            # keys whose group is [0, 1]: rank 2 reads them remotely
+            keys = [k for k in _keys("fo", 60)
+                    if db._replica_group(k) == [0, 1]]
+            if rank == 0:
+                for k in keys:
+                    db.put(k, b"v-" + k)
+                db.fence()
+            db.coll_comm.barrier()
+            if rank == 0:
+                ctx.comm.kill_world_rank(0)  # gone before rank 2 asks
+            killed.wait()
+            if rank == 0:
+                return None
+            timeouts = []
+            remote_get = db._remote_get
+
+            def spy(groups, *args, **kw):
+                try:
+                    return remote_get(groups, *args, **kw)
+                except RemoteTimeoutError:
+                    timeouts.append(sorted(groups))
+                    raise
+
+            db._remote_get = spy
+            got = [db.get(k) for k in keys] if rank == 2 else []
+            out = (keys, got, timeouts, db.stats.failover_gets,
+                   db.membership.is_dead(0))
+            survivors.wait()
+            _survivor_close(db)
+            return out
+
+        res = spmd_run(3, app, timeout=120)
+        keys, got, timeouts, failovers, dead = res[2]
+        assert keys and got == [b"v-" + k for k in keys]
+        # the first get timed out on rank 0, declared it dead and read
+        # the key from rank 1; every later get went to rank 1 directly
+        assert timeouts == [[0]] and dead
+        assert failovers >= 1
 
 
 class TestOpenWindowAcrossADeath:

@@ -916,8 +916,7 @@ class TestRaceDetector:
     def test_the_handshake_path_is_race_clean(self):
         """Peers walking each other's tables (rank main) while each
         owner's handler serves their ``GetMsg`` and compaction retires
-        the tables a view named run clean under the dynamic detector,
-        with ``db.index_cache`` in the canonical order."""
+        the tables a view named run clean under the dynamic detector."""
         prev = rt.get_detector()
         det = rt.enable(reset=True)
         try:

@@ -63,52 +63,6 @@ def test_allgather():
     assert spmd_run(3, app) == [["a", "b", "c"]] * 3
 
 
-def test_scatter():
-    def app(ctx):
-        data = [i * i for i in range(ctx.nranks)] if ctx.world_rank == 0 else None
-        return ctx.comm.scatter(data, root=0)
-
-    assert spmd_run(4, app) == [0, 1, 4, 9]
-
-
-def test_scatter_wrong_length_raises():
-    def app(ctx):
-        if ctx.world_rank == 0:
-            try:
-                ctx.comm.scatter([1], root=0)
-            except ValueError:
-                # still participate so peers do not hang
-                ctx.comm.scatter([0] * ctx.nranks, root=0)
-                return "raised"
-        else:
-            return ctx.comm.scatter(None, root=0)
-
-    assert spmd_run(2, app)[0] == "raised"
-
-
-def test_alltoall():
-    def app(ctx):
-        sendbuf = [f"{ctx.world_rank}->{d}" for d in range(ctx.nranks)]
-        return ctx.comm.alltoall(sendbuf)
-
-    res = spmd_run(3, app)
-    assert res[1] == ["0->1", "1->1", "2->1"]
-
-
-def test_allreduce_sum():
-    def app(ctx):
-        return ctx.comm.allreduce(ctx.world_rank + 1, op=lambda a, b: a + b)
-
-    assert spmd_run(4, app) == [10] * 4
-
-
-def test_allreduce_max():
-    def app(ctx):
-        return ctx.comm.allreduce(ctx.clock.now, op=max)
-
-    assert len(set(spmd_run(3, app))) == 1
-
-
 def test_collectives_cost_grows_with_size():
     def app(ctx):
         t0 = ctx.clock.now

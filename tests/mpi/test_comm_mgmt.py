@@ -41,48 +41,6 @@ class TestDup:
         assert all(spmd_run(2, app))
 
 
-class TestSplit:
-    def test_split_disjoint_groups(self):
-        def app(ctx):
-            color = ctx.world_rank % 2
-            sub = ctx.comm.split(color)
-            return (color, sub.rank, sub.size)
-
-        res = spmd_run(4, app)
-        assert res[0] == (0, 0, 2)
-        assert res[1] == (1, 0, 2)
-        assert res[2] == (0, 1, 2)
-        assert res[3] == (1, 1, 2)
-
-    def test_split_key_orders_ranks(self):
-        def app(ctx):
-            sub = ctx.comm.split(0, key=-ctx.world_rank)  # reversed order
-            return sub.rank
-
-        assert spmd_run(3, app) == [2, 1, 0]
-
-    def test_split_subgroup_collectives(self):
-        def app(ctx):
-            sub = ctx.comm.split(ctx.world_rank // 2)
-            return sub.allgather(ctx.world_rank)
-
-        res = spmd_run(4, app)
-        assert res[0] == [0, 1]
-        assert res[3] == [2, 3]
-
-    def test_split_p2p_uses_group_ranks(self):
-        def app(ctx):
-            sub = ctx.comm.split(ctx.world_rank % 2)
-            if sub.rank == 0:
-                sub.send(ctx.world_rank, 1)
-                return None
-            return sub.recv(source=0)
-
-        res = spmd_run(4, app)
-        assert res[2] == 0  # world rank 2 is rank 1 of color 0: got from wr 0
-        assert res[3] == 1
-
-
 class TestLauncher:
     def test_results_in_rank_order(self):
         assert spmd_run(5, lambda ctx: ctx.world_rank) == [0, 1, 2, 3, 4]
@@ -123,9 +81,9 @@ class TestLauncher:
 
     def test_clock_bound_per_rank(self):
         def app(ctx):
-            from repro.simtime.clock import current_clock
+            from repro.mpi.launcher import current_rank_context
 
-            assert current_clock() is ctx.clock
+            assert current_rank_context().clock is ctx.clock
             ctx.clock.advance(ctx.world_rank + 1.0)
             return ctx.clock.now
 

@@ -102,33 +102,6 @@ def test_recv_advances_clock_past_arrival():
     assert t_after >= res[0]  # at least the sender's send time
 
 
-def test_isend_irecv():
-    def app(ctx):
-        if ctx.world_rank == 0:
-            req = ctx.comm.isend("hello", 1)
-            req.wait()
-        else:
-            req = ctx.comm.irecv(source=0)
-            return req.wait()
-
-    assert spmd_run(2, app)[1] == "hello"
-
-
-def test_irecv_test_polls():
-    def app(ctx):
-        if ctx.world_rank == 0:
-            ctx.comm.recv(source=1, tag=5)  # rendezvous first
-            ctx.comm.send("data", 1)
-        else:
-            req = ctx.comm.irecv(source=0)
-            done, val = req.test()
-            assert not done  # nothing sent yet
-            ctx.comm.send("go", 0, tag=5)
-            return req.wait()
-
-    assert spmd_run(2, app)[1] == "data"
-
-
 def test_iprobe():
     def app(ctx):
         if ctx.world_rank == 0:
@@ -140,14 +113,6 @@ def test_iprobe():
             ctx.comm.send("pong", 0)
 
     spmd_run(2, app)
-
-
-def test_sendrecv():
-    def app(ctx):
-        other = 1 - ctx.world_rank
-        return ctx.comm.sendrecv(ctx.world_rank, dest=other, source=other)
-
-    assert spmd_run(2, app) == [1, 0]
 
 
 def test_invalid_dest_raises():

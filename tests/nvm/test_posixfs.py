@@ -40,11 +40,6 @@ class TestReadWrite:
         store.write("f", b"new!", 0.0)
         assert store.read("f", 0.0)[0] == b"new!"
 
-    def test_append(self, store):
-        store.append("f", b"abc", 0.0)
-        store.append("f", b"def", 0.0)
-        assert store.read("f", 0.0)[0] == b"abcdef"
-
     def test_size_and_exists(self, store):
         assert not store.exists("f")
         store.write("f", b"12345", 0.0)

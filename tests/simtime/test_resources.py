@@ -62,12 +62,6 @@ class TestTimedResource:
         assert r.bytes_moved == 1000
         assert r.busy_time == pytest.approx(1.0)
 
-    def test_reset(self):
-        r = TimedResource("d", 0.0, 1000.0)
-        r.access(0.0, 1000)
-        r.reset()
-        assert r.available == 0.0 and r.ops == 0 and r.bytes_moved == 0
-
     def test_concurrent_access_shares_bandwidth(self):
         r = TimedResource("d", 0.1, 1000.0)
         end1 = r.access_concurrent(0.0, 1000)
@@ -165,8 +159,6 @@ class TestStripedResource:
         s.access(0.0, 2000)
         assert s.ops == 2
         assert s.bytes_moved == 2000
-        s.reset()
-        assert s.ops == 0
 
     def test_striping_beats_single_device_at_size(self):
         """Large transfers: the striped store wins (Figure 6's crossover)."""
@@ -181,19 +173,14 @@ class TestStripedResource:
 class TestBackgroundWorker:
     def test_submit_serializes(self):
         w = BackgroundWorker("bg")
-        assert w.submit(0.0, 1.0) == pytest.approx(1.0)
-        assert w.submit(0.0, 1.0) == pytest.approx(2.0)
+        assert w.schedule(0.0, lambda t: t + 1.0) == pytest.approx(1.0)
+        assert w.schedule(0.0, lambda t: t + 1.0) == pytest.approx(2.0)
         assert w.jobs == 2
 
     def test_submit_after_idle(self):
         w = BackgroundWorker("bg")
-        w.submit(0.0, 1.0)
-        assert w.submit(10.0, 1.0) == pytest.approx(11.0)
-
-    def test_negative_duration_rejected(self):
-        w = BackgroundWorker("bg")
-        with pytest.raises(ValueError):
-            w.submit(0.0, -1.0)
+        w.schedule(0.0, lambda t: t + 1.0)
+        assert w.schedule(10.0, lambda t: t + 1.0) == pytest.approx(11.0)
 
     def test_schedule_runs_job_with_start(self):
         w = BackgroundWorker("bg")
@@ -215,13 +202,13 @@ class TestBackgroundWorker:
     def test_idle_until(self):
         w = BackgroundWorker("bg")
         w.idle_until(4.0)
-        assert w.submit(0.0, 1.0) == pytest.approx(5.0)
+        assert w.schedule(0.0, lambda t: t + 1.0) == pytest.approx(5.0)
 
     def test_overlap_with_main_timeline(self):
         """Background work does not consume the enqueuer's time."""
         w = BackgroundWorker("bg")
         main_time = 0.5
-        end = w.submit(main_time, 10.0)
+        end = w.schedule(main_time, lambda t: t + 10.0)
         assert end == pytest.approx(10.5)
         # the main timeline stays where it was; only a full-drain wait
         # (e.g. barrier(SSTABLE)) would advance it to w.available

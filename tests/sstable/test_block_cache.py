@@ -50,13 +50,13 @@ class TestAccounting:
         c.put("d", 1, 0, b"x" * 10)
         assert c.get("d", 1, 0) == b"x" * 10
         assert (c.hits, c.inserts) == (1, 1)
-        assert len(c) == 1 and c.size_bytes == 10
+        assert len(c) == 1 and c.counters()["bytes"] == 10
 
     def test_replacement_recharges_bytes(self):
         c = BlockCache(1024)
         c.put("d", 1, 0, b"x" * 100)
         c.put("d", 1, 0, b"y" * 30)
-        assert c.size_bytes == 30 and len(c) == 1
+        assert c.counters()["bytes"] == 30 and len(c) == 1
         assert c.get("d", 1, 0) == b"y" * 30
 
     def test_byte_budget_evicts_lru_first(self):
@@ -67,7 +67,7 @@ class TestAccounting:
         assert c.evictions == 1
         assert c.get("d", 1, 0) is None
         assert c.get("d", 1, 1) is not None
-        assert c.size_bytes <= 100
+        assert c.counters()["bytes"] <= 100
 
     def test_get_promotes_against_eviction(self):
         c = BlockCache(100)
@@ -106,7 +106,7 @@ class TestAccounting:
     def test_oversized_block_refused(self):
         c = BlockCache(16)
         c.put("d", 1, 0, b"x" * 17)
-        assert len(c) == 0 and c.size_bytes == 0
+        assert len(c) == 0 and c.counters()["bytes"] == 0
         assert c.get("d", 1, 0) is None
 
 
@@ -127,12 +127,12 @@ class TestInvalidation:
         # unrelated tables untouched
         assert c.get("r0", 2, 0) is not None
         assert c.get("r1", 1, 0) is not None
-        assert c.size_bytes == 20
+        assert c.counters()["bytes"] == 20
 
     def test_invalidate_missing_table_is_noop(self):
         c = self._fill()
         assert c.invalidate_table("r0", 99) == 0
-        assert c.size_bytes == 50
+        assert c.counters()["bytes"] == 50
 
     def test_invalidate_dir_drops_whole_rank(self):
         c = self._fill()
@@ -143,7 +143,7 @@ class TestInvalidation:
     def test_clear(self):
         c = self._fill()
         c.clear()
-        assert len(c) == 0 and c.size_bytes == 0
+        assert len(c) == 0 and c.counters()["bytes"] == 0
         assert c.invalidations == 5
 
     def test_counters_snapshot(self):
@@ -256,8 +256,9 @@ class TestReaderIntegration:
                 sys.getsizeof(r) + sys.getsizeof(r[0]) + sys.getsizeof(r[1])
                 + 8 for r in block.recs)
         assert len(cache) == 2
-        assert cache.size_bytes > 3 * store.size("t/0000000001.ssd")
-        assert abs(cache.size_bytes - held) < 0.01 * held
+        cached = cache.counters()["bytes"]
+        assert cached > 3 * store.size("t/0000000001.ssd")
+        assert abs(cached - held) < 0.01 * held
 
     def test_cache_consistent_across_all_keys(self, store):
         """Every key read through a tiny (thrashing) cache still
@@ -316,7 +317,7 @@ class TestDeviceCache:
         assert c.capacity_bytes == 100
         assert c.cached_blocks("r0", 1) == 0
         assert c.get("r1", 1, 0) == b"b" * 40  # working set still readable
-        assert c.size_bytes == 40
+        assert c.counters()["bytes"] == 40
 
     def test_detach_trims_the_rest_to_the_remaining_budget(self):
         c = BlockCache()
@@ -326,7 +327,7 @@ class TestDeviceCache:
             c.put("r1", 1, blk, b"b" * 40)  # r1 borrowed r0's share
         evicted = c.evictions
         c.detach("r0")
-        assert c.size_bytes <= c.capacity_bytes == 100
+        assert c.counters()["bytes"] <= c.capacity_bytes == 100
         assert c.evictions == evicted + 2  # coldest first
         assert [c.get("r1", 1, blk) is not None for blk in range(4)] == [
             False, False, True, True]

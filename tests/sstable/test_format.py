@@ -39,7 +39,6 @@ from repro.sstable.format import (
     decode_records,
     encode_bloom_file,
     encode_index,
-    encode_record,
     make_footer,
     parse_index,
     sstable_filenames,
@@ -53,6 +52,11 @@ from tests.conftest import flip_byte, write_table
 
 #: a footer for index-only round trips (no data/bloom behind it)
 FOOTER = make_footer(b"", b"")
+
+
+def encode_record(rec):
+    """One record in SSData layout: a one-record table's SSData."""
+    return encode_table([rec])["data"]
 
 
 class TestRecord:
@@ -117,7 +121,6 @@ class TestIndex:
     def test_entry_geometry(self):
         e = IndexEntry(100, 4, 8, False)
         assert e.key_offset == 100 + RECORD_HEADER_LEN
-        assert e.value_offset == e.key_offset + 4
         assert e.record_len == RECORD_HEADER_LEN + 12
         assert INDEX_ENTRY_LEN == 17
 

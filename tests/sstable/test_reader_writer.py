@@ -29,6 +29,11 @@ def store(tmp_path):
     )
 
 
+def _value_offset(e):
+    """Where an index entry's value starts in SSData."""
+    return e.key_offset + e.keylen
+
+
 def make_table(store, ssid=1, n=50, directory="t"):
     recs = [
         Record(f"key-{i:04d}".encode(), f"value-{i:04d}".encode() * 2)
@@ -123,13 +128,6 @@ class TestReaderLookup:
         out, _ = rd.read_all(0.0)
         assert out == recs
 
-    def test_nbytes_and_delete(self, store):
-        make_table(store)
-        rd = SSTableReader(store, "t", 1)
-        assert rd.nbytes() > 0
-        rd.delete(0.0)
-        assert store.listdir("t") == []
-        assert rd.nbytes() == 0
 
 
 #: real 64KB blocks, every edge the block-unit cursor has: a key cut by
@@ -163,10 +161,10 @@ class TestBlockCursor:
         key_cut, big, val_cut = index[1], index[3], index[5]
         assert key_cut.key_offset < bs < key_cut.key_offset + key_cut.keylen
         assert index[2].tombstone and index[2].offset // bs == 1
-        assert (big.value_offset // bs,
-                (big.value_offset + big.vallen - 1) // bs) == (1, 4)
-        assert (val_cut.value_offset // bs
-                != (val_cut.value_offset + val_cut.vallen - 1) // bs)
+        assert (_value_offset(big) // bs,
+                (_value_offset(big) + big.vallen - 1) // bs) == (1, 4)
+        assert (_value_offset(val_cut) // bs
+                != (_value_offset(val_cut) + val_cut.vallen - 1) // bs)
 
     def test_full_walk_reads_each_block_once(self, edge_reader):
         got, blocks, _ = cursor_window(edge_reader)
@@ -498,7 +496,7 @@ def _probe_blocks(index, keys, footer, key, value):
         else:
             hi = mid
     if found and value:
-        touched |= _blocks(index[lo].value_offset, index[lo].vallen, bs)
+        touched |= _blocks(_value_offset(index[lo]), index[lo].vallen, bs)
     return touched
 
 
@@ -580,7 +578,7 @@ def test_decoded_blocks_cover_every_cut(tmp_path, bs):
     cut = [e.key_offset // bs != (e.key_offset + e.keylen - 1) // bs
            for e in index]
     header = [e.offset // bs != e.key_offset // bs for e in index]
-    long = [(e.value_offset + e.vallen - 1) // bs - e.value_offset // bs
+    long = [(_value_offset(e) + e.vallen - 1) // bs - _value_offset(e) // bs
             for e in index]
     assert cut[1] and header[6] and long[4] >= 3 and long[7] >= 1
     assert cut[10] and index[10].offset // bs not in {

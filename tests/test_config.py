@@ -18,7 +18,6 @@ from repro.config import (
     WRONLY,
     consistency_name,
     options_from_env,
-    protection_name,
 )
 from repro.errors import (
     InvalidModeError,
@@ -42,13 +41,10 @@ class TestConstants:
     def test_names(self):
         assert consistency_name(RELAXED) == "relaxed"
         assert consistency_name(SEQUENTIAL) == "sequential"
-        assert protection_name(RDONLY) == "rdonly"
 
     def test_bad_names_raise(self):
         with pytest.raises(InvalidModeError):
             consistency_name(99)
-        with pytest.raises(InvalidProtectionError):
-            protection_name(99)
 
 
 class TestOptionsValidation:
@@ -71,7 +67,6 @@ class TestOptionsValidation:
         ("consistency", 9, InvalidModeError),
         ("protection", 9, InvalidProtectionError),
         ("flush_queue_capacity", 0, InvalidOptionError),
-        ("migration_queue_capacity", 0, InvalidOptionError),
         ("compaction_interval", -1, InvalidOptionError),
         ("block_cache_capacity", 0, InvalidOptionError),
         ("repository", "tape", InvalidOptionError),
@@ -105,10 +100,11 @@ class TestOptionsValidation:
         "compaction_rate_limit", "bloom_fp_rate", "scan_chunk",
         "heartbeat_interval", "suspect_timeout", "dead_timeout",
         "fence_pruning", "block_cache_enabled", "index_push_eager",
+        "migration_queue_capacity",
     )
 
     def test_options_field_count(self):
-        assert len(dataclasses.fields(Options)) == 22
+        assert len(dataclasses.fields(Options)) == 21
         for name in self.REMOVED:
             with pytest.raises(TypeError):
                 Options(**{name: 1})

@@ -24,7 +24,7 @@ from repro.simtime.profiles import SUMMITDEV
 from repro.sstable.reader import SSTableReader
 from repro.sstable.format import Record, parse_index
 from repro.simtime.resources import TimedResource
-from tests.conftest import small_options, write_table
+from tests.conftest import flip_byte, small_options, write_table
 from tests.core.test_replication import _survivor_close
 
 #: CI's fault matrix re-runs this module under several seeds
@@ -414,6 +414,99 @@ class TestFaultPlanStorage:
                 db.close()
 
         spmd_run(1, app, machine=machine, timeout=120)
+        machine.close()
+
+    @pytest.mark.parametrize("suffix", [".ssd", ".ssi"])
+    def test_torn_flush_write_never_serves_an_older_value(self, tmp_path,
+                                                          suffix):
+        """A flush whose SSData or index write tears (the write returns,
+        half the bytes persist), then a restart: a get of one of the
+        table's keys raises — never returns the value the table
+        overwrote — and a scrub quarantines it (one rank, no checkpoint:
+        no rung can rebuild it), after which its whole range raises."""
+        machine = Machine(SUMMITDEV, 1, base_dir=str(tmp_path))
+        keys = [f"tk{i:02d}".encode() for i in range(30)]
+        # the second flush tears: table 2 overwrites every key of table 1
+        plan = FaultPlan(seed=FAULT_SEED).torn_write(suffix, nth=2)
+
+        def write(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("torn", small_options())
+                for gen in (b"old", b"new"):
+                    for k in keys:
+                        db.put(k, gen + k * 8)
+                    db.barrier(SSTABLE)
+                assert db.ssids == [1, 2]
+                db.close()
+
+        spmd_run(1, write, machine=machine, faults=plan, timeout=120)
+        assert any(f.startswith("torn_write ") and suffix in f
+                   for f in plan.fired), plan.fired
+
+        def read(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("torn", small_options())
+
+                def newest_or_raise():
+                    served = 0
+                    for k in keys:
+                        try:
+                            got = db.get_or_none(k)
+                        except CorruptionError:  # TornWriteError included
+                            continue
+                        assert got == b"new" + k * 8, (k, got)
+                        served += 1
+                    return served
+
+                before = newest_or_raise()
+                report = db.verify()  # no peer, no checkpoint
+                after = newest_or_raise()
+                db._closed = True
+                return before, report, after
+
+        before, report, after = spmd_run(1, read, machine=machine)[0]
+        assert before < len(keys)  # the torn table was detected
+        assert report == {"ok": [1], "rebuilt": [], "quarantined": [2]}
+        assert after == 0          # its whole range degrades loudly
+        machine.close()
+
+    def test_verify_on_open_quarantines_a_flipped_table(self, tmp_path):
+        """``Options(verify_on_open=True)`` checks every retained table
+        at open: a bit flipped on disk since the last run is found
+        before any get, the table is quarantined and its range raises."""
+        machine = Machine(SUMMITDEV, 1, base_dir=str(tmp_path))
+        model = self._write_db(machine)
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("flt", small_options())
+                victim = sorted(
+                    f for f in db.store.listdir(db.rank_dir)
+                    if f.endswith(".ssd")
+                )[-1]
+                db.close()
+                flip_byte(db.store, f"{db.rank_dir}/{victim}",
+                          offset=1000 + FAULT_SEED)
+                db = env.open("flt", small_options(verify_on_open=True))
+                opened = (db.stats.corruptions_detected,
+                          db.stats.tables_quarantined,
+                          db.store.exists(f"{db.rank_dir}/{victim}.quar"))
+                served = raised = 0
+                for k, v in model.items():
+                    try:
+                        got = db.get_or_none(k)
+                    except CorruptionError:
+                        raised += 1
+                        continue
+                    assert got == v, k
+                    served += 1
+                db._closed = True
+                return opened, served, raised
+
+        (detected, quarantined, moved), served, raised = spmd_run(
+            1, app, machine=machine)[0]
+        assert (detected, quarantined, moved) == (1, 1, True)
+        assert raised > 0 and served > 0
         machine.close()
 
     def test_transient_read_error_heals_on_retry(self, tmp_path):

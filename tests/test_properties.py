@@ -89,7 +89,7 @@ def test_background_worker_serializes(jobs):
     prev = 0.0
     total = 0.0
     for t_enq, dur in jobs:
-        end = w.submit(t_enq, dur)
+        end = w.schedule(t_enq, lambda t: t + dur)
         assert end >= prev
         assert end >= t_enq + dur
         prev = end

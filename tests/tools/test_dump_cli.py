@@ -165,3 +165,45 @@ class TestCli:
         assert rc in (0, 1)
         if rc == 0:
             assert "==" in out
+
+
+class TestFsck:
+    """``papyruskv fsck``: exit 0 on a clean repository, 1 and one line
+    per problem when a table is damaged or quarantined."""
+
+    def _table(self, machine):
+        root = _nvm_root(machine)
+        rank, tables = next(
+            (r, ts) for r, ts in inspect_repository(root)[0].ranks.items()
+            if ts
+        )
+        return root, f"insp/rank{rank}", os.path.join(
+            root, "db_insp", f"rank{rank}", f"{tables[0].ssid:010d}")
+
+    def test_clean_repository(self, populated_machine, capsys):
+        root, _, _ = self._table(populated_machine)
+        assert cli_main(["fsck", root]) == 0
+        assert "all tables verify clean" in capsys.readouterr().out
+
+    def test_damaged_table(self, populated_machine, capsys):
+        root, where, base = self._table(populated_machine)
+        with open(base + ".ssd", "r+b") as f:  # the last value byte
+            f.seek(-1, os.SEEK_END)
+            byte = f.read(1)
+            f.seek(-1, os.SEEK_END)
+            f.write(bytes([byte[0] ^ 0x04]))
+        assert cli_main(["fsck", root]) == 1
+        out = capsys.readouterr().out.splitlines()
+        ssid = int(os.path.basename(base))
+        assert f"{where}/{ssid}: SSData block checksum mismatch " \
+            "(corruption)" in out
+        assert out[-1] == "1 damaged table(s)"
+
+    def test_quarantined_file(self, populated_machine, capsys):
+        root, where, base = self._table(populated_machine)
+        os.rename(base + ".ssd", base + ".ssd.quar")
+        assert cli_main(["fsck", root]) == 1
+        out = capsys.readouterr().out
+        name = os.path.basename(base) + ".ssd.quar"
+        assert f"{where}/{name}: quarantined (moved out of the search " \
+            "order)" in out
