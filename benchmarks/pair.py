@@ -1,4 +1,4 @@
-"""Alternating pairs: one workload, a revision against the working tree.
+"""Alternating pairs: workloads, a revision against the working tree.
 
 ``python -m benchmarks.pair --rev HEAD~1 --workload ycsb_a --runs 10``
 exports ``--rev`` into a temporary directory (``git archive``, so the
@@ -8,11 +8,12 @@ repository gains no worktree or ref) and runs
 
 ``--runs`` times on each side, alternating — the revision first in even
 pairs, the working tree first in odd ones — so drift of the machine
-lands on both sides alike.  For every end-to-end metric of
+lands on both sides alike.  ``--workload`` takes a comma-separated list
+or ``all``.  For every workload and every end-to-end metric of
 ``BENCHMARK.json`` it prints each side's median [q1, q3], the pairs the
-working tree won (strictly better in that pair) and the ratio of the
-medians (working tree / revision), plus each side's failed operations;
-then every run's value.
+working tree won (strictly better in that pair), the ratio of the
+medians (working tree / revision) and a verdict (:func:`verdict`), plus
+each side's failed operations; then every run's value.
 Both sides run under the same launcher, ``python3`` from ``PATH``, as
 the benchmark's own command does (``peak_rss_mb`` depends on it).
 """
@@ -62,6 +63,35 @@ def quartiles(xs: Sequence[float]) -> Tuple[float, float, float]:
     return q1, med, q3
 
 
+def verdict(base: Sequence[float], head: Sequence[float], lower: bool,
+            bound: float) -> str:
+    """What the pairs ``zip(base, head)`` say about one metric.
+
+    ``gain``: the working tree is strictly better in at least nine
+    tenths of the pairs, and the medians differ by more than the
+    revision's q3 - q1.  ``loss``: the same test the other way, or the
+    working tree's median is worse than the revision's by more than
+    ``bound`` (a fraction of the revision's median).  ``unresolved``:
+    the revision's q3 - q1 is wider than ``bound`` of its median, so no
+    change within the bound can be told from noise.  ``same``:
+    anything else.
+    """
+    pairs = list(zip(base, head))
+    wins = sum((h < b) if lower else (h > b) for b, h in pairs)
+    losses = sum((h > b) if lower else (h < b) for b, h in pairs)
+    (bq1, bm, bq3), (_, hm, _) = quartiles(base), quartiles(head)
+    spread = bq3 - bq1
+    better = (bm - hm) if lower else (hm - bm)
+    if wins * 10 >= 9 * len(pairs) and better > spread:
+        return "gain"
+    if (losses * 10 >= 9 * len(pairs) and -better > spread) or (
+            -better > bound * abs(bm)):
+        return "loss"
+    if spread > bound * abs(bm):
+        return "unresolved"
+    return "same"
+
+
 def _fmt(x: float) -> str:
     return f"{x:,.0f}" if abs(x) >= 1000 else f"{x:.4g}"
 
@@ -69,7 +99,8 @@ def _fmt(x: float) -> str:
 def table(metrics: List[Dict], base: List[Dict], head: List[Dict]) -> str:
     """The pair table: one row per end-to-end metric."""
     rows = ["| metric | revision median [q1, q3] | working tree median"
-            " [q1, q3] | wins | ratio |", "|---|---|---|---|---|"]
+            " [q1, q3] | wins | ratio | verdict |",
+            "|---|---|---|---|---|---|"]
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
         b = [r["metrics"][name]["value"] for r in base]
@@ -79,9 +110,10 @@ def table(metrics: List[Dict], base: List[Dict], head: List[Dict]) -> str:
         ratio = hm / bm if bm else float("nan")
         rows.append(f"| `{name}` | {_fmt(bm)} [{_fmt(bq1)}, {_fmt(bq3)}] |"
                     f" {_fmt(hm)} [{_fmt(hq1)}, {_fmt(hq3)}] |"
-                    f" {wins}/{len(b)} | {ratio:.3f}x |")
+                    f" {wins}/{len(b)} | {ratio:.3f}x |"
+                    f" {verdict(b, h, lower, spec['bound'])} |")
     rows.append(f"| failed ops | {sum(r['failed'] for r in base)} |"
-                f" {sum(r['failed'] for r in head)} | | |")
+                f" {sum(r['failed'] for r in head)} | | | |")
     return "\n".join(rows)
 
 
@@ -100,27 +132,34 @@ def runs(metrics: List[Dict], base: List[Dict], head: List[Dict]) -> str:
 def main(argv: Sequence[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rev", required=True, help="revision to compare with")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True,
+                    help="a workload, a comma-separated list, or all")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--runs", type=int, default=10, help="pairs to run")
     ap.add_argument("--seconds", type=float, default=10)
     args = ap.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    base: List[Dict] = []
-    head: List[Dict] = []
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = bench["end_to_end"]
+    workloads = ([w["name"] for w in bench["workloads"]]
+                 if args.workload == "all" else args.workload.split(","))
     with tempfile.TemporaryDirectory(prefix="pkv-pair-") as tmp:
         tree = Path(tmp)
         export(args.rev, tree)
-        for i in range(args.runs):
-            order = [(tree, base), (ROOT, head)]
-            for side, out in (order if i % 2 == 0 else order[::-1]):
-                out.append(run_once(side, args.workload, args.seed,
-                                    args.seconds))
-            print(f"pair {i + 1}/{args.runs} done", file=sys.stderr)
-    print(f"{args.workload}, seed {args.seed}, {args.runs} pairs,"
-          f" {args.rev} vs the working tree")
-    print(table(metrics, base, head))
-    print(runs(metrics, base, head))
+        for workload in workloads:
+            base: List[Dict] = []
+            head: List[Dict] = []
+            for i in range(args.runs):
+                order = [(tree, base), (ROOT, head)]
+                for side, out in (order if i % 2 == 0 else order[::-1]):
+                    out.append(run_once(side, workload, args.seed,
+                                        args.seconds))
+                print(f"{workload}: pair {i + 1}/{args.runs} done",
+                      file=sys.stderr)
+            print(f"{workload}, seed {args.seed}, {args.runs} pairs,"
+                  f" {args.rev} vs the working tree")
+            print(table(metrics, base, head))
+            print(runs(metrics, base, head))
+            sys.stdout.flush()
     return 0
 
 

@@ -53,8 +53,8 @@ def decode_kmer(v: int, k: int) -> bytes:
 
 
 def kmer_hash(kmer: bytes) -> int:
-    """The hash shared between the UPC code and PapyrusKV (FNV over the
-    2-bit encoding, mixed).  Deterministic and platform-independent."""
+    """The hash shared between the UPC code and PapyrusKV (FNV-1a over
+    the k-mer's bytes, mixed).  Deterministic and platform-independent."""
     h = 0xCBF29CE484222325
     for b in kmer:
         h ^= b

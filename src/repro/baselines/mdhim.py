@@ -31,7 +31,6 @@ from repro.util.hashing import owner_rank
 
 _PUT = 1
 _GET = 2
-_DEL = 3
 _STOP = 4
 
 
@@ -146,21 +145,6 @@ class MDHIM:
             self._marshal_charge(len(value))
         return value
 
-    def delete(self, key: bytes) -> None:
-        """Synchronous delete through the distribution layer."""
-        self._check_open()
-        key = bytes(key)
-        self._marshal_charge(len(key))
-        owner = self._owner(key)
-        if owner == self.rank:
-            end = self.local.delete(key, self.ctx.clock.now)
-            self.ctx.clock.advance_to(end)
-            return
-        seq = self._take_seq()
-        self._srv.send(_Req(_DEL, key, b"", seq), owner, tag=0)
-        rsp = self._rsp.recv(source=owner, tag=seq)
-        assert rsp.seq == seq
-
     def barrier(self) -> None:
         """Collective barrier (MDHIM piggybacks on MPI_Barrier)."""
         self._coll.barrier()
@@ -203,10 +187,6 @@ class MDHIM:
                 )
                 if req.kind == _PUT:
                     end = self.local.put(req.key, req.value, sclock.now)
-                    sclock.advance_to(end)
-                    self._rsp.send(_Rsp(req.seq, True), source, tag=req.seq)
-                elif req.kind == _DEL:
-                    end = self.local.delete(req.key, sclock.now)
                     sclock.advance_to(end)
                     self._rsp.send(_Rsp(req.seq, True), source, tag=req.seq)
                 elif req.kind == _GET:

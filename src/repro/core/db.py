@@ -177,6 +177,17 @@ class _Unacked(NamedTuple):
     sync: bool
 
 
+class _Flush(NamedTuple):
+    """One immutable local MemTable in the flush pipeline."""
+
+    imm: MemTable
+    #: virtual time the flush was enqueued (by a rank's main thread or
+    #: its handler, on that thread's clock)
+    enqueued: float
+    #: virtual time its table is durable
+    durable: float
+
+
 #: the ``retire_at`` of a view with no flush in flight
 _NEVER = float("inf")
 
@@ -200,7 +211,8 @@ class _ReadView(NamedTuple):
     #: the flushing MemTables, newest first
     flushing: Tuple[MemTable, ...]
     #: virtual time the oldest flushing MemTable's table is durable: a
-    #: reader whose clock reached it retires the MemTable first
+    #: reader whose clock reached it drops the MemTables whose tables
+    #: are durable by then (:meth:`Database._retire_flushed`)
     retire_at: float
     #: my tables newest first with their readers (quarantined: holes)
     tables: Tables
@@ -472,8 +484,8 @@ class Database:
         self._lock = make_rlock("db.state")
         self.local_mt = MemTable(options.memtable_capacity)
         self.remote_mt = MemTable(options.remote_memtable_capacity)
-        #: flushing queue: (immutable MemTable, virtual flush-completion time)
-        self.flushing: List[Tuple[MemTable, float]] = []
+        #: flushing queue, oldest first (the order of the data in them)
+        self.flushing: List[_Flush] = []
         #: the outstanding-send ledger: every PairsMsg sent and not yet
         #: acked, seq -> entry, oldest first.  Gets search it newest-first
         #: (the ``inflight`` tier), a timed-out drain resends from it, an
@@ -558,10 +570,11 @@ class Database:
 
         self.compaction_worker = BackgroundWorker(f"compactor-r{self.rank}")
         self.dispatcher_worker = BackgroundWorker(f"dispatcher-r{self.rank}")
-        #: pipelined-flush stages: CPU encode on the build worker, device
-        #: commit on the sync worker
+        #: pipelined-flush stages: CPU encode on the build worker, then
+        #: the device commit, queued on the device itself; the commits'
+        #: virtual time (queueing included) adds up here, under db.state
         self.flush_build_worker = BackgroundWorker(f"flush-build-r{self.rank}")
-        self.flush_sync_worker = BackgroundWorker(f"flush-sync-r{self.rank}")
+        self.flush_sync_busy_s = 0.0
 
         #: group-commit window state — main-thread-only (mutated solely
         #: under the application thread inside _write), so it needs no
@@ -571,8 +584,9 @@ class Database:
         self._gc_bytes = 0
 
         #: L0 delta tables flushed since the last compaction (the
-        #: minor-merge inputs); guarded by db.state like ssids
-        self._l0: List[int] = []
+        #: minor-merge inputs), ssid -> virtual time it is durable;
+        #: guarded by db.state like ssids
+        self._l0: Dict[int, float] = {}
         #: minor generations since the last major (tombstone-dropping) merge
         self._minor_gens = 0
 
@@ -641,6 +655,11 @@ class Database:
 
         Both sidecars are rewritten even if one survived, so the index
         footer's bloom checksum always matches the bloom file on disk.
+        A truncated SSData can still decode and round-trip — a table of
+        fewer records — so an index whose own checksum holds must be the
+        one the data re-derives: it records the committed data's length
+        and block checksums, and a mismatch means the data is what is
+        damaged.  A damaged index vouches for nothing.
         """
         blob, t = self.store.read(data_p, self.clock.now)
         records = list(decode_records(blob))  # raises CorruptionError if torn
@@ -650,6 +669,14 @@ class Database:
                 f"sstable {ssid}: SSData does not round-trip; refusing rebuild"
             )
         _, index_p, bloom_p = sstable_paths(self.rank_dir, ssid)
+        if self.store.exists(index_p):
+            old, t = self.store.read(index_p, t)
+            intact = len(old) > 4 and crc32c(memoryview(old)[:-4]) == (
+                int.from_bytes(old[-4:], "little"))
+            if intact and old != blobs["index"]:
+                raise CorruptionError(
+                    f"sstable {ssid}: SSData disagrees with its intact "
+                    f"index; refusing rebuild")
         t = self.store.write(index_p, blobs["index"], t)
         t = self.store.write(bloom_p, blobs["bloom"], t)
         self.clock.advance_to(t)
@@ -928,23 +955,31 @@ class Database:
 
         The flush runs as two overlapped stages: *build* (CPU: sort
         snapshot -> encode the three blobs) on the build worker, then
-        *sync* (device: one batched durable commit) chained onto the
-        sync worker.  Each stage only gates on its own worker, so while
+        *sync* (device: one batched durable commit) queued on the
+        device.  Each stage only gates on its own resource, so while
         table N syncs to the device table N+1 is already encoding —
-        foreground puts stall only when the whole queue is full.  Crash sites ``flush.freeze/build/sync/retire``
-        bracket every stage transition.
+        foreground puts stall only when the whole queue is full.  Crash
+        sites ``flush.freeze/build/sync/retire`` bracket every stage
+        transition.
+
+        The queue is full when ``flush_queue_capacity`` flushes are in
+        flight at the caller's virtual now (:meth:`_in_flight`).  A
+        flush the other thread of this rank enqueued at a later virtual
+        time is in the list already — work runs in call order — but it
+        does not exist yet on this clock, and waiting for it would be a
+        stall the modelled store never has.
         """
         if len(imm) == 0:
             return
         self._crash_site(f"flush.freeze:rank{self.rank}")
-        # back-pressure: block (virtually) until the oldest flush finishes
+        # back-pressure: block (virtually) until a flush in flight ends
+        cap = self.options.flush_queue_capacity
         stall_t0 = clock.now
-        while len(self.flushing) >= self.options.flush_queue_capacity:
-            _, end = self.flushing[0]
-            clock.advance_to(end)
-            self._retire_flushed(clock.now, publish=False)
-            if self.flushing and self.flushing[0][1] > clock.now:
-                break  # defensive; should not happen
+        while True:
+            busy = sorted(f.durable for f in self._in_flight(clock.now))
+            if len(busy) < cap:
+                break
+            clock.advance_to(busy[len(busy) - cap])
         if clock.now > stall_t0:
             self.stats.flush_stalls += 1
             self.stats.flush_stall_s += clock.now - stall_t0
@@ -952,65 +987,76 @@ class Database:
         self._next_ssid += 1
         records = imm.to_records()
 
-        end = self._schedule_pipelined_flush(ssid, records, imm, clock)
+        durable = self._schedule_pipelined_flush(ssid, records, clock)
         annotate_write(self, "db.ssids")
         self.ssids.append(ssid)
-        self._l0.append(ssid)
-        self.flushing.append((imm, end))
+        self._l0[ssid] = durable
+        self.flushing.append(_Flush(imm, clock.now, durable))
         self.stats.flushes += 1
         self._retire_flushed(clock.now, publish=False)
         interval = self.options.compaction_interval
         if interval and len(self._l0) >= interval:
             self._schedule_compaction(clock.now)
 
-    def _schedule_pipelined_flush(self, ssid: int, records, imm: MemTable,
+    def _schedule_pipelined_flush(self, ssid: int, records,
                                   clock) -> float:
         """Chain the build and sync stages of one flush; returns the
-        virtual time the table is durable."""
-        holder: Dict[str, Dict[str, bytes]] = {}
+        virtual time the table is durable.
 
-        def build_job(start: float) -> float:
-            self._crash_site(f"flush.build:{self.rank_dir}/{ssid}")
-            holder["blobs"], end = self._build_table(records, start)
-            self._trace(f"flush-build ssid={ssid}", "flush-build", start, end)
-            return end
+        The build is encoded first and then booked on the build worker
+        for the CPU time it declares, so it is served in virtual arrival
+        order.  The sync's length only the device knows: it is queued
+        on the device at the build's end, and the device orders it by
+        that virtual arrival."""
+        self._crash_site(f"flush.build:{self.rank_dir}/{ssid}")
+        blobs, cpu_s = self._build_table(records)
+        start = self.flush_build_worker.book(clock.now, cpu_s)
+        t_built = start + cpu_s
+        self._trace(f"flush-build ssid={ssid}", "flush-build", start, t_built)
+        self._crash_site(f"flush.sync:{self.rank_dir}/{ssid}")
+        _, end = write_sstable_blobs(
+            self.store, self.rank_dir, ssid, blobs, t_built)
+        self._crash_site(f"flush.retire:{self.rank_dir}/{ssid}")
+        self._trace(f"flush-sync ssid={ssid}", "flush-sync", t_built, end)
+        self.flush_sync_busy_s += end - t_built
+        return end
 
-        t_built = self.flush_build_worker.schedule(clock.now, build_job)
-
-        def sync_job(start: float) -> float:
-            self._crash_site(f"flush.sync:{self.rank_dir}/{ssid}")
-            _, end = write_sstable_blobs(
-                self.store, self.rank_dir, ssid, holder["blobs"], start
-            )
-            self._crash_site(f"flush.retire:{self.rank_dir}/{ssid}")
-            self._trace(f"flush-sync ssid={ssid}", "flush-sync", start, end)
-            return end
-
-        return self.flush_sync_worker.schedule(t_built, sync_job)
-
-    def _build_table(self, records: List[Record],
-                     start: float) -> Tuple[Dict[str, bytes], float]:
-        """Encode one table's blobs as a CPU job starting at ``start``:
+    def _build_table(self, records: List[Record]
+                     ) -> Tuple[Dict[str, bytes], float]:
+        """Encode one table's blobs; returns ``(blobs, cpu_seconds)``:
         ``kv_op`` per record plus the blobs' bytes at memcpy speed.
-        Returns ``(blobs, virtual_end)``; flush and compaction build
-        here."""
+        Flush and compaction build here."""
         blobs = encode_table(records)
         nbytes = sum(len(b) for b in blobs.values())
         cpu = self.ctx.system.cpu
-        return blobs, start + cpu.kv_op_s * max(1, len(records)) + (
+        return blobs, cpu.kv_op_s * max(1, len(records)) + (
             nbytes / self._memcpy_Bps
         )
 
+    def _in_flight(self, now: float) -> List[_Flush]:
+        """The flushes in flight at virtual time ``now``: enqueued by
+        then, not durable yet (under db.state)."""
+        return [f for f in self.flushing if f.enqueued <= now < f.durable]
+
     def _retire_flushed(self, now: float, publish: bool = True) -> None:
-        """Drop flushing-queue entries whose flush completed by ``now``
-        (under db.state); ``publish=False`` leaves the new view to the
-        caller, which changes more."""
-        retired = False
-        while self.flushing and self.flushing[0][1] <= now:
-            self.flushing.pop(0)
-            retired = True
-        if retired and publish:
-            self._publish()
+        """Drop the flushing MemTables whose tables are durable by
+        ``now`` (under db.state); ``publish=False`` leaves the new view
+        to the caller, which changes more.
+
+        A flush leaves the back-pressure count at its own durable time,
+        whatever its place in the queue (:meth:`_in_flight`).  Its
+        MemTable leaves the read view once every older one is durable
+        too: gets search the flushing MemTables newest first and only
+        then the tables, so an older MemTable still flushing would
+        otherwise shadow a newer write already in a table."""
+        flushing = self.flushing
+        n = 0
+        while n < len(flushing) and flushing[n].durable <= now:
+            n += 1
+        if n:
+            del flushing[:n]
+            if publish:
+                self._publish()
 
     def _publish(self) -> None:
         """Install a read view of the current state (under db.state, or
@@ -1027,9 +1073,9 @@ class Database:
         flushing = self.flushing
         annotate_publish(self, "db.view")
         self._view = _ReadView(
-            self.local_mt, tuple(imm for imm, _ in reversed(flushing)),
-            flushing[0][1] if flushing else _NEVER, tables, quarantined,
-            self._next_ssid)
+            self.local_mt, tuple(f.imm for f in reversed(flushing)),
+            flushing[0].durable if flushing else _NEVER, tables,
+            quarantined, self._next_ssid)
 
     def _current_view(self, now: float) -> _ReadView:
         """The published view, first retiring the flushes complete by
@@ -1144,13 +1190,15 @@ class Database:
         if len(inputs) <= 1:
             # nothing worth merging this round; count the generation so
             # a future major still comes due
-            self._l0 = [s for s in self._l0 if s in live and s not in inputs]
+            self._l0 = {s: t for s, t in self._l0.items()
+                        if s in live and s not in inputs}
             self._minor_gens = 0 if major else self._minor_gens + 1
             return
 
         # an input's sync stage may still be in flight on the virtual
-        # timeline: gate the read behind it
-        t_read = max(t_enqueue, self.flush_sync_worker.available)
+        # timeline: gate the read behind the inputs' durable times
+        l0 = self._l0
+        t_read = max([t_enqueue, *(l0[s] for s in inputs if s in l0)])
         t_round0 = max(t_read, self.compaction_worker.available)
         new_ssids: List[int] = []
 
@@ -1166,7 +1214,8 @@ class Database:
                 ssid = self._next_ssid
                 self._next_ssid += 1
                 new_ssids.append(ssid)
-                blobs, built = self._build_table(merged, t)
+                blobs, cpu_s = self._build_table(merged)
+                built = t + cpu_s
                 self._trace(
                     f"compact-build ssid={ssid}", "compaction", t, built
                 )
@@ -1192,7 +1241,7 @@ class Database:
 
         end = self.compaction_worker.schedule(t_read, round_job)
         self._pace_compaction(t_round0, end)
-        self._l0 = []
+        self._l0 = {}
         self._minor_gens = 0 if major else self._minor_gens + 1
         self.stats.compactions += 1
         if major:
@@ -1301,17 +1350,17 @@ class Database:
         sort_cost = cpu.kv_op_s * max(1, len(imm))
 
         def post(payloads: Dict[int, msg.PairsMsg]) -> None:
-            def job(start: float) -> float:
-                t = start + sort_cost
-                for owner, payload in payloads.items():
-                    self.srv_comm.send_at(payload, owner, tag=0, t_send=t)
-                    t += self.ctx.system.network.sw_overhead_s
-                self._trace(
-                    f"migrate {len(payloads)} chunks", "dispatcher", start, t
-                )
-                return t
-
-            self.dispatcher_worker.schedule(self.clock.now, job)
+            # the sort, then one send overhead per owner
+            sw = self.ctx.system.network.sw_overhead_s
+            start = self.dispatcher_worker.book(
+                self.clock.now, sort_cost + sw * len(payloads))
+            t = start + sort_cost
+            for owner, payload in payloads.items():
+                self.srv_comm.send_at(payload, owner, tag=0, t_send=t)
+                t += sw
+            self._trace(
+                f"migrate {len(payloads)} chunks", "dispatcher", start, t
+            )
 
         self.stats.migrations += len(self._send_pairs(groups, post=post))
 
@@ -2359,8 +2408,8 @@ class Database:
 
         Rotates a non-empty local MemTable into the flush pipeline.
         With ``wait=True`` (the default) the call blocks — virtually —
-        until the pipeline tail is durable: every enqueued table has
-        passed its build *and* sync stages.  ``wait=False`` just
+        until every table enqueued by the caller's now has passed its
+        build *and* sync stages.  ``wait=False`` just
         enqueues and returns, letting the pipeline drain in the
         background.  Neither form waits for compaction; :meth:`close`
         does.
@@ -2369,10 +2418,10 @@ class Database:
             if len(self.local_mt):
                 self._rotate_local(self.clock)
             if wait:
+                now = self.clock.now
                 self.clock.advance_to(max(
-                    self.flush_build_worker.available,
-                    self.flush_sync_worker.available,
-                ))
+                    (f.durable for f in self.flushing if f.enqueued <= now),
+                    default=now))
                 self._retire_flushed(self.clock.now)
 
     def set_consistency(self, mode: int) -> None:
@@ -2625,10 +2674,19 @@ class Database:
         # rung 1: one local re-read — transient device faults heal here
         if self._table_verifies(ssid):
             return True
-        # rung 2: a storage-group peer ships the files through its own path
+        # rung 2: the index and bloom are pure functions of the data: an
+        # SSData that decodes and round-trips re-derives them, as at open
+        try:
+            self._rebuild_sidecars(ssid, sstable_paths(self.rank_dir, ssid)[0])
+        except (StorageError, ValueError):
+            pass  # the SSData itself is damaged: the next rungs bring copies
+        else:
+            if self._table_verifies(ssid):
+                return True
+        # rung 3: a storage-group peer ships the files through its own path
         if self._fetch_table_from_peer(ssid):
             return True
-        # rung 3: restore from the newest complete checkpoint generation
+        # rung 4: restore from the newest complete checkpoint generation
         path = checkpoint_path or self._last_checkpoint_path
         if path is not None:
             from repro.core.checkpoint import restore_table_blobs

@@ -45,7 +45,7 @@ def database_metrics(db) -> Dict[str, Any]:
         "compaction_busy_s": db.compaction_worker.busy_time,
         "dispatcher_busy_s": db.dispatcher_worker.busy_time,
         "flush_build_busy_s": db.flush_build_worker.busy_time,
-        "flush_sync_busy_s": db.flush_sync_worker.busy_time,
+        "flush_sync_busy_s": db.flush_sync_busy_s,
     }
     # every DbStats counter under its field name: declared once, there
     for f in fields(stats):

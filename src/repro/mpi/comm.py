@@ -138,11 +138,15 @@ class _Mailbox:
             f"recv timed out waiting for source={source} tag={tag}"
         )
 
-    def peek(self, source: int, tag: int) -> bool:
+    def peek(self, source: int, tag: int, now: float) -> bool:
+        """True if the envelope :meth:`take` would remove has arrived by
+        virtual time ``now``.  A later match that arrived earlier stays
+        hidden behind a future first one: non-overtaking."""
         if not self._items:  # an atomic read: an empty inbox takes no lock
             return False
         with self._lock:
-            return self._match_index(source, tag) is not None
+            idx = self._match_index(source, tag)
+            return idx is not None and self._items[idx].arrival <= now
 
 
 class _CollectiveState:
@@ -424,10 +428,16 @@ class Comm:
         return env.payload
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """True if a matching message is already deliverable."""
-        box = self._world.mailbox(self._comm_id,
-                                  current_rank_context().world_rank)
-        return box.peek(source, tag)
+        """True if the message :meth:`recv` would return has arrived by
+        the caller's virtual clock.
+
+        The sender's thread may have run ahead in virtual time and
+        posted a message stamped in the prober's future; it is in the
+        mailbox, but not deliverable yet.  A probe never moves a clock,
+        so a True answer lets a non-blocking poll take the message
+        without jumping to its arrival."""
+        ctx = current_rank_context()
+        return self._box(ctx.world_rank).peek(source, tag, ctx.clock.now)
 
     # ------------------------------------------------------------ collectives
     def _tree_cost(self, nbytes: int) -> float:

@@ -9,7 +9,8 @@ paper's Figure 6 measures.  Because work executes eagerly while being
 *charged* at virtual request times, the device also remembers idle
 windows left behind its horizon by far-future requests, and serves a
 later call inside one when its request time fits — service order
-follows virtual arrival time, not Python call order.
+follows virtual arrival time, not Python call order.  A
+:class:`BackgroundWorker` keeps its timeline by the same rule.
 
 A :class:`StripedResource` models Lustre OSTs and Cori burst-buffer
 nodes: a transfer is split across ``nstripes`` member resources and
@@ -28,45 +29,28 @@ from typing import List
 _END = itemgetter(1)  # an idle window is ``[start, end]``
 
 
-@dataclass
-class TimedResource:
-    """A bandwidth/latency resource with an availability horizon.
-
-    Parameters
-    ----------
-    name: diagnostic label.
-    latency_s: fixed per-operation latency in seconds.
-    bandwidth_Bps: sustained bandwidth in bytes/second.
+class _Timeline:
+    """A virtual timeline that remembers the idle windows behind its
+    horizon: the one reservation rule devices and background workers
+    share.  A subclass provides ``available`` (the horizon) and
+    ``_free`` (the windows) and calls :meth:`_reserve` under its lock.
     """
 
-    name: str
-    latency_s: float
-    bandwidth_Bps: float
-    available: float = 0.0
-    busy_time: float = 0.0
-    ops: int = 0
-    bytes_moved: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    #: idle windows left behind the horizon by operations that were
-    #: requested beyond it; later requests may be served inside one
-    _free: List[List[float]] = field(default_factory=list, repr=False)
+    available: float
+    _free: List[List[float]]
 
     #: once this many idle windows are remembered, each new one drops
     #: the one furthest in the virtual past (splitting a window to serve
     #: a request inside it may still take the list past this)
     MAX_FREE_WINDOWS = 64
 
-    def service_time(self, nbytes: int) -> float:
-        """Duration of one operation of ``nbytes`` (no queueing)."""
-        return self.latency_s + (nbytes / self.bandwidth_Bps if nbytes else 0.0)
-
     def _reserve(self, t_request: float, duration: float) -> float:
-        """Pick a start time for ``duration`` of device time (lock held).
+        """Pick a start time for ``duration`` of exclusive time (lock held).
 
-        Work executes eagerly here, so operations arrive in *call*
+        Work executes eagerly here, so requests arrive in *call*
         order, not virtual-time order: a background job scheduled for
         the far future, or a rank thread that ran a scheduler slice
-        ahead, must not make the device look busy in between.  When a
+        ahead, must not make the timeline look busy in between.  When a
         request lands beyond the horizon the idle window behind it is
         remembered, and a later call whose request time falls inside
         such a window is served there — like a real device, which
@@ -99,6 +83,34 @@ class TimedResource:
         start = self.available
         self.available = start + duration
         return start
+
+
+@dataclass
+class TimedResource(_Timeline):
+    """A bandwidth/latency resource with an availability horizon.
+
+    Parameters
+    ----------
+    name: diagnostic label.
+    latency_s: fixed per-operation latency in seconds.
+    bandwidth_Bps: sustained bandwidth in bytes/second.
+    """
+
+    name: str
+    latency_s: float
+    bandwidth_Bps: float
+    available: float = 0.0
+    busy_time: float = 0.0
+    ops: int = 0
+    bytes_moved: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    #: idle windows left behind the horizon by operations that were
+    #: requested beyond it; later requests may be served inside one
+    _free: List[List[float]] = field(default_factory=list, repr=False)
+
+    def service_time(self, nbytes: int) -> float:
+        """Duration of one operation of ``nbytes`` (no queueing)."""
+        return self.latency_s + (nbytes / self.bandwidth_Bps if nbytes else 0.0)
 
     def access(self, t_request: float, nbytes: int) -> float:
         """Reserve the resource for an operation; return completion time."""
@@ -188,31 +200,52 @@ class StripedResource:
         return sum(s.bytes_moved for s in self.stripes)
 
 
-class BackgroundWorker:
-    """A virtual background thread timeline (compaction thread, dispatcher).
+class BackgroundWorker(_Timeline):
+    """A virtual background thread timeline (flush builder, compaction
+    thread, dispatcher).
 
     The paper overlaps flushing/migration with the application by running
     them on background threads.  We execute the *work* eagerly on the
     caller (keeping data structures simple) but charge its *time* here, so
     the main timeline only blocks when the queue back-pressures.
+
+    Jobs reach the worker in Python call order, and a rank's handler
+    thread runs ahead of its main thread in virtual time; so, like a
+    device, the worker keeps the idle windows behind its horizon.  A job
+    that declares its length before it is placed (:meth:`book`) is
+    served in virtual arrival order, in the first window it fits.  A job
+    whose length only its own run finds out (:meth:`schedule`) starts at
+    the horizon.  No two jobs overlap, and none starts before it was
+    enqueued.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.available = 0.0
+        self._free: List[List[float]] = []
         self.busy_time = 0.0
         self.jobs = 0
         self._lock = threading.Lock()
 
+    def book(self, t_enqueue: float, duration: float) -> float:
+        """Reserve ``duration`` of this worker for a job enqueued at
+        ``t_enqueue``; returns its start (the job ends ``duration``
+        later)."""
+        with self._lock:
+            start = self._reserve(t_enqueue, duration)
+            self.busy_time += duration
+            self.jobs += 1
+            return start
+
     def schedule(self, t_enqueue: float, job) -> float:
-        """Run ``job(start_time) -> end_time`` serialized on this worker.
+        """Run ``job(start_time) -> end_time`` at the worker's horizon.
 
         The job executes eagerly (real work, e.g. writing SSTable files)
         but its virtual time occupies this background timeline, so it
         overlaps the caller's main timeline.
         """
         with self._lock:
-            start = max(t_enqueue, self.available)
+            start = self._reserve(max(t_enqueue, self.available), 0.0)
             end = job(start)
             if end < start:
                 raise ValueError("job returned end < start")

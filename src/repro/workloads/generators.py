@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import string
-from typing import Iterator, List
+from typing import List
 
 _ALPHABET = string.ascii_letters + string.digits
 
@@ -33,10 +33,6 @@ class KeyGenerator:
     def keys(self, count: int) -> List[bytes]:
         """Draw ``count`` keys."""
         return [self.next_key() for _ in range(count)]
-
-    def __iter__(self) -> Iterator[bytes]:
-        while True:
-            yield self.next_key()
 
 
 def value_of_size(nbytes: int, fill: int = 0x5A) -> bytes:

@@ -33,19 +33,6 @@ class TestBasics:
 
         spmd_run(2, app)
 
-    def test_delete(self):
-        def app(ctx):
-            with MDHIM(ctx, "t") as kv:
-                if ctx.world_rank == 0:
-                    kv.put(b"k", b"v")
-                kv.barrier()
-                if ctx.world_rank == 1:
-                    kv.delete(b"k")
-                kv.barrier()
-                assert kv.get(b"k") is None
-
-        spmd_run(2, app)
-
     def test_puts_synchronous(self):
         """MDHIM has no relaxed mode: a put is visible immediately."""
 

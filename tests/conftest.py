@@ -41,7 +41,7 @@ def run4(fn, *, nranks: int = 4, system=SUMMITDEV, timeout: float = 120.0):
 
 
 def assert_free_windows_sorted_disjoint(dev):
-    """A ``TimedResource``'s idle windows are sorted and disjoint below
+    """A timeline's (device or worker) idle windows are sorted and disjoint below
     the horizon: ``_reserve`` bisects ``_free`` and evicts index 0 as
     the oldest window, and both are right only while this holds."""
     prev_end = 0.0

@@ -400,7 +400,7 @@ class TestHandlerEqualsRankMain:
 
 
 class TestRepairLadderPeerCopy:
-    """Rung 2 of the recovery ladder: a storage-group peer re-reads the
+    """Rung 3 of the recovery ladder: a storage-group peer re-reads the
     owner's own files through *its* read path and ships them back
     (``FetchTableMsg`` → ``_serve_fetch_table``).  It heals a fault in
     the owner's read path, which is all it can heal: the peer reads the
@@ -409,12 +409,14 @@ class TestRepairLadderPeerCopy:
     def test_peer_copy_heals_a_fault_in_the_owners_read_path(self):
         # which of the owner's three tables goes bad is drawn from the
         # seed; verify reads each table's SSData once, in order, so the
-        # victim's read is the (victim+1)-th. Two failures: verification
-        # and rung 1's re-read; the peer's read and the re-verify after
-        # the install succeed. No checkpoint exists, so rung 3 cannot.
+        # victim's read is the (victim+1)-th. Three failures:
+        # verification, rung 1's re-read and rung 2's read of the SSData
+        # it would re-derive the sidecars from; the peer's read and the
+        # re-verify after the install succeed. No checkpoint exists, so
+        # rung 4 cannot.
         victim = random.Random(FAULT_SEED).randrange(3)
         plan = FaultPlan(seed=FAULT_SEED).io_error(
-            ".ssd", op="read", rank=0, nth=victim + 1, count=2)
+            ".ssd", op="read", rank=0, nth=victim + 1, count=3)
 
         def app(ctx):
             with Papyrus(ctx) as env:
@@ -443,7 +445,7 @@ class TestRepairLadderPeerCopy:
         assert report == {"ok": [s for i, s in enumerate(ssids)
                                  if i != victim],
                           "rebuilt": [ssids[victim]], "quarantined": []}
-        assert len(plan.fired) == 2, plan.fired
+        assert len(plan.fired) == 3, plan.fired
 
 
 class TestPeerReaderCache:

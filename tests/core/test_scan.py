@@ -33,7 +33,7 @@ def reference_scan(db, start=None, end=None, include_replicas=False):
     with db._lock:
         db._retire_flushed(db.clock.now)
         tiers: list = []
-        mts = [db.local_mt] + [imm for imm, _end_t in reversed(db.flushing)]
+        mts = [db.local_mt] + [f.imm for f in reversed(db.flushing)]
         for mt in mts:  # newest first
             tiers.append([
                 (r.key, r.value, r.tombstone) for r in mt.to_records()

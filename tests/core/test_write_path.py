@@ -3,14 +3,17 @@ the WriteBatch surface.
 
 Covers the write API's contract: commit-window coalescing and its cost
 model, the two-stage flush pipeline (persistence across reopen, stage
-overlap, non-blocking flush, worker accounting), incremental
-compaction (one fresh-SSID table per round, correctness, precise
+overlap, non-blocking flush, worker accounting), the virtual-time
+order of back-pressure, flush retirement and the non-blocking ack drain
+against a handler that runs ahead, incremental compaction (one fresh-SSID table per round, correctness, precise
 invalidation, major merges dropping tombstones, duty-cycle pacing),
 batch durability levels and auto-flush, and the streaming scan_collect
 merge.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -25,6 +28,7 @@ from repro.core.db import (
 from repro.errors import InvalidOptionError
 from repro.mpi.launcher import RankFailure
 from repro.nvm.storage import Machine
+from repro.simtime.clock import VirtualClock
 from repro.simtime.profiles import SUMMITDEV
 from repro.sstable.reader import list_ssids
 from tests.conftest import small_options
@@ -170,15 +174,15 @@ class TestPipelinedFlush:
                 _fill(db, 300)
                 db.flush()
                 assert db.flush_build_worker.busy_time > 0
-                assert db.flush_sync_worker.busy_time > 0
+                assert db.flush_sync_busy_s > 0
                 db.close()
 
         run1(app)
 
     def test_build_and_sync_stages_overlap(self):
-        """Every flush runs one build and one sync job (none on the
-        compaction worker), and the train finishes sooner than the two
-        stages' busy times laid end to end."""
+        """Every flush runs one build job (none on the compaction
+        worker), and the train finishes sooner than the two stages' busy
+        times laid end to end."""
 
         def app(ctx):
             with Papyrus(ctx) as env:
@@ -187,11 +191,11 @@ class TestPipelinedFlush:
                 _fill(db, 400)
                 db.flush()
                 elapsed = ctx.clock.now - t0
-                build, sync = db.flush_build_worker, db.flush_sync_worker
+                build = db.flush_build_worker
                 assert db.stats.flushes >= 2
-                assert build.jobs == sync.jobs == db.stats.flushes
+                assert build.jobs == db.stats.flushes
                 assert db.compaction_worker.jobs == 0
-                assert elapsed < build.busy_time + sync.busy_time
+                assert elapsed < build.busy_time + db.flush_sync_busy_s
                 db.close()
 
         run1(app)
@@ -221,6 +225,105 @@ class TestPipelinedFlush:
                 db.put(b"k", b"v")
                 assert api.papyruskv_flush(db) == 0
                 assert db.ssids
+                db.close()
+
+        run1(app)
+
+
+class TestVirtualOrder:
+    """A rank's handler runs ahead of its main thread in virtual time
+    and leaves work in the flush queue and the mailboxes in call order;
+    the rank must not wait for what its own clock has not reached."""
+
+    @staticmethod
+    def _rotate_ahead(db, ctx, dt=0.01):
+        """Rotate the local MemTable the way the handler would, on a
+        clock ``dt`` ahead of the rank's."""
+        with db._lock:
+            db._rotate_local(VirtualClock(ctx.clock.now + dt))
+
+    def test_a_future_rotation_does_not_stall_the_rank(self):
+        """With room for one flush in flight, a handler-side flush
+        dated after the rank's now is queued but not in flight on the
+        rank's clock, so a rank-main rotation goes through at once; the
+        next one stalls exactly until the rank's own flush is durable."""
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("vostall", small_options(
+                    memtable_capacity=1 << 20, flush_queue_capacity=1,
+                    compaction_interval=0))
+                db.put(b"h", b"x" * 64)
+                self._rotate_ahead(db, ctx)
+                db.put(b"m", b"y" * 64)
+                t0 = ctx.clock.now
+                db.flush(wait=False)
+                assert ctx.clock.now == t0
+                assert db.stats.flush_stalls == 0
+                ahead, mine = db.flushing
+                assert mine.enqueued == t0 < mine.durable < ahead.enqueued
+                db.put(b"n", b"z" * 64)
+                db.flush(wait=False)
+                assert ctx.clock.now == mine.durable
+                assert db.stats.flush_stalls == 1
+                db.close()
+
+        run1(app)
+
+    def test_flushes_retire_by_durable_time_reads_stay_newest_first(self):
+        """The rank's flush of the newer write is built in the idle
+        window before the handler's older, future-dated one, so it is
+        durable first and leaves the in-flight count while the older one
+        is still queued ahead of it.  A get of the key both hold reads
+        the newer value at every point of that timeline."""
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("voretire", small_options(
+                    memtable_capacity=1 << 20, compaction_interval=0))
+                db.put(b"k", b"old")
+                self._rotate_ahead(db, ctx)
+                db.put(b"k", b"new")
+                db.flush(wait=False)
+                older, newer = db.flushing
+                assert newer.durable < older.enqueued
+                assert db._in_flight(newer.enqueued) == [newer]
+                assert db._in_flight(older.enqueued) == [older]
+                for t in (ctx.clock.now, newer.durable, older.enqueued,
+                          older.durable):
+                    ctx.clock.advance_to(t)
+                    assert db.get(b"k") == b"new", t
+                    assert db.stats.get_tiers.get("sstable", 0) == (
+                        t == older.durable)
+                assert db.flushing == []
+                db.close()
+
+        run1(app)
+
+    def test_a_non_blocking_drain_takes_only_arrived_acks(self):
+        """An ack already in the mailbox but stamped after the rank's
+        clock stays there; once the clock has passed its arrival a
+        non-blocking drain takes it for the software overhead alone."""
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("vodrain", small_options())
+                db._send_pairs({ctx.world_rank: [(b"k", b"v", False)]})
+                box = db.ack_comm._box(ctx.world_rank)
+                deadline = time.monotonic() + 10
+                while not box._items:  # the handler acks on its thread
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                arrival = box._items[0].arrival
+                t0 = ctx.clock.now
+                assert arrival > t0
+                db._drain_acks(blocking=False)
+                assert ctx.clock.now == t0 and db._unacked
+                ctx.clock.advance_to(arrival)
+                db._drain_acks(blocking=False)
+                assert not db._unacked
+                assert ctx.clock.now - arrival == pytest.approx(
+                    ctx.system.network.sw_overhead_s, rel=1e-9)
                 db.close()
 
         run1(app)

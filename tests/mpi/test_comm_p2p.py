@@ -115,6 +115,69 @@ def test_iprobe():
     spmd_run(2, app)
 
 
+def test_iprobe_does_not_see_a_future_arrival():
+    """A message stamped after the prober's clock is in the mailbox but
+    not deliverable: ``iprobe`` says False and leaves the clock alone,
+    while ``recv`` returns it and advances the clock to its arrival."""
+    posted = threading.Event()
+
+    def app(ctx):
+        if ctx.world_rank == 0:
+            ctx.clock.advance(1.0)  # this thread ran ahead in virtual time
+            ctx.comm.send("later", 1, tag=3)
+            posted.set()
+            return None
+        assert posted.wait(10)
+        t0 = ctx.clock.now
+        assert t0 < 1.0
+        assert not ctx.comm.iprobe(source=0, tag=3)
+        assert not ctx.comm.iprobe()
+        assert ctx.clock.now == t0  # a probe never moves a clock
+        status = {}
+        assert ctx.comm.recv(source=0, tag=3, status=status) == "later"
+        assert status["arrival"] > 1.0
+        assert ctx.clock.now == status["arrival"]
+        return None
+
+    spmd_run(2, app)
+
+
+def test_iprobe_any_source_keeps_non_overtaking():
+    """With ``ANY_SOURCE`` the probe answers for the envelope ``recv``
+    would take — the first match — so a future-stamped first match
+    hides a later one that has already arrived."""
+    first = threading.Event()
+    second = threading.Event()
+
+    def app(ctx):
+        me = ctx.world_rank
+        if me == 0:
+            ctx.clock.advance(1.0)
+            ctx.comm.send("future", 2, tag=5)
+            first.set()
+        elif me == 1:
+            assert first.wait(10)  # queued behind rank 0's message
+            ctx.comm.send("now", 2, tag=5)
+            second.set()
+        else:
+            assert second.wait(10)
+            ctx.clock.advance(0.01)  # rank 1's message has arrived
+            t0 = ctx.clock.now
+            assert ctx.comm.iprobe(source=1, tag=5)
+            assert not ctx.comm.iprobe(ANY_SOURCE, 5)
+            assert ctx.clock.now == t0
+            status = {}
+            got = ctx.comm.recv(ANY_SOURCE, 5, status=status)
+            assert (got, status["source"]) == ("future", 0)
+            assert ctx.clock.now == status["arrival"] > 1.0
+            # the earlier-stamped one is deliverable now, and a probe says so
+            assert ctx.comm.iprobe(ANY_SOURCE, 5)
+            assert ctx.comm.recv(ANY_SOURCE, 5) == "now"
+        return None
+
+    spmd_run(3, app)
+
+
 def test_invalid_dest_raises():
     def app(ctx):
         with pytest.raises(ValueError):

@@ -204,6 +204,31 @@ class TestBackgroundWorker:
         w.idle_until(4.0)
         assert w.schedule(0.0, lambda t: t + 1.0) == pytest.approx(5.0)
 
+    def test_booked_job_runs_in_an_earlier_idle_window(self):
+        """Jobs reach the worker in call order: one enqueued at t=1 after
+        a job booked at [10, 12] is served at its own arrival, in the
+        idle window before that job, not behind it."""
+        w = BackgroundWorker("bg")
+        assert w.book(10.0, 2.0) == pytest.approx(10.0)
+        assert w.book(1.0, 3.0) == pytest.approx(1.0)
+        assert w.available == pytest.approx(12.0)
+        assert w.busy_time == pytest.approx(5.0) and w.jobs == 2
+        assert_free_windows_sorted_disjoint(w)
+
+    def test_booked_job_that_fits_no_window_goes_to_the_horizon(self):
+        w = BackgroundWorker("bg")
+        w.book(10.0, 2.0)
+        assert w.book(1.0, 20.0) == pytest.approx(12.0)  # [0, 10] too short
+        assert w.available == pytest.approx(32.0)
+
+    def test_horizon_job_leaves_its_idle_window_to_booked_ones(self):
+        """A job whose length only its run finds out starts at the
+        horizon; the gap it leaves behind takes a later booking."""
+        w = BackgroundWorker("bg")
+        assert w.schedule(5.0, lambda t: t + 1.0) == pytest.approx(6.0)
+        assert w.book(0.0, 4.0) == pytest.approx(0.0)
+        assert w.schedule(0.0, lambda t: t + 1.0) == pytest.approx(7.0)
+
     def test_overlap_with_main_timeline(self):
         """Background work does not consume the enqueuer's time."""
         w = BackgroundWorker("bg")

@@ -422,8 +422,11 @@ class TestFaultPlanStorage:
         """A flush whose SSData or index write tears (the write returns,
         half the bytes persist), then a restart: a get of one of the
         table's keys raises — never returns the value the table
-        overwrote — and a scrub quarantines it (one rank, no checkpoint:
-        no rung can rebuild it), after which its whole range raises."""
+        overwrote.  A torn index heals at the scrub's sidecar rung (the
+        SSData is intact, and the index is a function of it): every new
+        value is served again.  A torn SSData has no rung that can
+        rebuild it (one rank, no checkpoint): the scrub quarantines it,
+        after which its whole range raises."""
         machine = Machine(SUMMITDEV, 1, base_dir=str(tmp_path))
         keys = [f"tk{i:02d}".encode() for i in range(30)]
         # the second flush tears: table 2 overwrites every key of table 1
@@ -466,8 +469,12 @@ class TestFaultPlanStorage:
 
         before, report, after = spmd_run(1, read, machine=machine)[0]
         assert before < len(keys)  # the torn table was detected
-        assert report == {"ok": [1], "rebuilt": [], "quarantined": [2]}
-        assert after == 0          # its whole range degrades loudly
+        if suffix == ".ssi":
+            assert report == {"ok": [1], "rebuilt": [2], "quarantined": []}
+            assert after == len(keys)  # every new value served again
+        else:
+            assert report == {"ok": [1], "rebuilt": [], "quarantined": [2]}
+            assert after == 0          # its whole range degrades loudly
         machine.close()
 
     def test_verify_on_open_quarantines_a_flipped_table(self, tmp_path):

@@ -31,11 +31,6 @@ class TestKeyGenerator:
         with pytest.raises(ValueError):
             KeyGenerator(0, 1)
 
-    def test_iterator(self):
-        gen = KeyGenerator(8, 5)
-        it = iter(gen)
-        assert len(next(it)) == 8
-
     def test_mostly_unique(self):
         keys = KeyGenerator(16, 7).keys(5000)
         assert len(set(keys)) == 5000
