@@ -65,14 +65,3 @@ def kmer_hash(kmer: bytes) -> int:
     h ^= h >> 27
     return h
 
-
-def extension_code(left: int, right: int) -> bytes:
-    """The two-letter [ACGT|F|X][ACGT|F|X] UFX value."""
-    return bytes([left, right])
-
-
-def split_extension(code: bytes) -> tuple:
-    """Unpack a two-letter UFX code into (left, right) byte values."""
-    if len(code) != 2:
-        raise ValueError(f"bad extension code {code!r}")
-    return code[0], code[1]

@@ -104,9 +104,6 @@ class Options:
     #: how many times a timed-out remote request is retried (with
     #: exponential backoff) before raising RemoteTimeoutError
     remote_retries: int = 3
-    #: verify SSTable checksums when (re)opening a database; incomplete
-    #: tables are always detected regardless of this knob
-    verify_on_open: bool = False
     #: number of ranks holding each key (1 = the paper's unreplicated
     #: placement: owner only).  With R > 1 every put fans out to the key's
     #: replica group — the owner plus the next R-1 live ranks on the hash

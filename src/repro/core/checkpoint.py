@@ -207,21 +207,23 @@ def read_manifest(machine, path: str, name: str) -> dict:
     raise StorageError(f"no usable snapshot generation under {snap}")
 
 
-def restore_table_blobs(db, path: str, ssid: int) -> Optional[dict]:
+def restore_table_blobs(db, path: str, ssid: int, t: float
+                        ) -> Tuple[Optional[dict], float]:
     """Fetch one SSTable's checksum-verified files from a checkpoint.
 
-    The recovery ladder's last rung: returns ``{filename: bytes}`` for
-    this rank's copy of ``ssid`` in the newest complete generation, or
-    ``None`` when the snapshot does not hold a clean copy.
+    The damage ladder's restore rung, starting at ``t``: returns
+    ``({filename: bytes}, end)`` for this rank's copy of ``ssid`` in the
+    newest complete generation, or ``(None, end)`` when the snapshot
+    does not hold a clean copy.
     """
     from repro.sstable.format import sstable_filenames
 
     try:
         manifest = read_manifest(db.ctx.machine, path, db.name)
     except StorageError:
-        return None
+        return None, t
     if int(manifest.get("nranks", -1)) != db.nranks:
-        return None  # different layout: this rank's shard moved
+        return None, t  # different layout: this rank's shard moved
     lustre = db.ctx.machine.lustre_store()
     rank_dir = posixpath.join(
         _gen_dir(_snapshot_dir(path, db.name), manifest["generation"]),
@@ -229,22 +231,20 @@ def restore_table_blobs(db, path: str, ssid: int) -> Optional[dict]:
     )
     rman = _rank_manifest(lustre, rank_dir)
     if rman is None:
-        return None
+        return None, t
     blobs = {}
-    t = db.clock.now
     for name in sstable_filenames(ssid):
         info = rman.get("files", {}).get(name)
         if info is None:
-            return None
+            return None, t
         try:
             data, t = lustre.read(posixpath.join(rank_dir, name), t)
         except StorageError:
-            return None
+            return None, t
         if len(data) != info["len"] or crc32c(data) != info["crc32"]:
-            return None  # the snapshot copy is itself damaged
+            return None, t  # the snapshot copy is itself damaged
         blobs[name] = data
-    db.clock.advance_to(t)
-    return blobs
+    return blobs, t
 
 
 def restart(env, path: str, name: str,
@@ -308,7 +308,7 @@ def _restart_copy(env, db, path: str, name: str, gen: int) -> float:
 
     Every file is checksum-verified against the rank manifest during the
     copy; a mismatched or missing file is skipped and counted, leaving
-    the admission logic at reopen to rebuild sidecars or quarantine.
+    the damage ladder to rebuild sidecars or quarantine.
     """
     lustre = env.ctx.machine.lustre_store()
     snap = _snapshot_dir(path, name)

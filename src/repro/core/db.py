@@ -80,6 +80,7 @@ from repro.simtime.resources import BackgroundWorker
 from repro.sstable.block_cache import BlockCache
 from repro.sstable.compaction import read_and_merge
 from repro.sstable.format import (
+    DATA_SUFFIX,
     QUARANTINE_SUFFIX,
     Record,
     decode_records,
@@ -534,6 +535,8 @@ class Database:
         self._next_ssid = 1
         #: damaged tables pulled from the search order (poisoned ranges)
         self._quarantined: List[QuarantinedTable] = []
+        #: tables a thread is taking through the damage ladder; db.state
+        self._claimed: Set[int] = set()
         #: scan snapshot pins: ssid -> count of open iterators reading
         #: it.  A pinned table's files survive flush/compaction retire
         #: (the unlink is deferred to _deferred_unlinks) so in-progress
@@ -607,51 +610,99 @@ class Database:
     def _load_existing_sstables(self) -> None:
         """Zero-copy workflow: compose the DB from retained SSTables.
 
-        Each retained table is *admitted*: all three files must exist
-        (a crash between the writer's atomic renames can leave a
-        complete SSData without its sidecars — those are rebuilt from
-        the data), and with ``verify_on_open`` the checksums are
-        verified too.  Tables that fail admission are quarantined.
+        A crash between the writer's atomic renames can leave a complete
+        SSData without its sidecars: such a table meets the damage
+        ladder (:meth:`_heal_or_fence`).  Checksums are checked by the
+        first read that touches a block, or all at once by :meth:`verify`.
+        A quarantine outlives the process: each ``*.quar`` table is a
+        hole again, fenced by its index's key range.
         """
-        existing = list_ssids(self.store, self.rank_dir)
-        admitted: List[int] = []
-        for ssid in existing:
-            if self._admit_sstable(ssid):
-                admitted.append(ssid)
-        if existing:
-            self._next_ssid = existing[-1] + 1
-        self.ssids = admitted
+        self.ssids = list_ssids(self.store, self.rank_dir)
+        holes = list_ssids(self.store, self.rank_dir,
+                           DATA_SUFFIX + QUARANTINE_SUFFIX)
+        self._next_ssid = max([0, *self.ssids, *holes]) + 1
+        t = self.clock.now
+        self._quarantined = []
+        for ssid in holes:
+            index_p = sstable_paths(self.rank_dir, ssid)[1]
+            min_key, max_key, t = self._fence_range(
+                index_p + QUARANTINE_SUFFIX, t)
+            self._quarantined.append(QuarantinedTable(
+                ssid, min_key, max_key, "quarantined before this open"))
         self._publish()
+        for ssid in list(self.ssids):
+            if not all(map(self.store.exists,
+                           sstable_paths(self.rank_dir, ssid)[1:])):
+                t = self._heal_or_fence(ssid, t, "missing sidecars")[1]
+        self.clock.advance_to(t)
 
-    def _admit_sstable(self, ssid: int) -> bool:
-        """Validate/repair one retained table; False means quarantined."""
-        data_p, index_p, bloom_p = sstable_paths(self.rank_dir, ssid)
-        missing = [p for p in (index_p, bloom_p) if not self.store.exists(p)]
-        if missing:
-            # writer order is data -> index -> bloom, each atomic: an
-            # intact SSData with missing sidecars is a mid-flush crash,
-            # and the sidecars are pure functions of the data
-            try:
-                self._rebuild_sidecars(ssid, data_p)
-                self.stats.tables_rebuilt += 1
-                return True
-            except (StorageError, ValueError) as exc:
-                self._quarantine_table(ssid, f"sidecar rebuild failed: {exc}")
-                return False
-        if self.options.verify_on_open:
-            try:
-                t = SSTableReader(self.store, self.rank_dir, ssid).verify(
-                    self.clock.now
-                )
+    # ---------------------------------------------------------------- damage
+    def _heal_or_fence(self, ssid: int, t: float, reason: str,
+                       checkpoint_path: Optional[str] = None,
+                       peer: bool = False) -> Tuple[Optional[str], float]:
+        """Heal a damaged table of mine or fence it: the one ladder that
+        open, :meth:`verify`, a get on either thread and a compaction
+        round call, each on its own timeline from ``t``.
+
+        Rungs: re-read, sidecar rebuild, checkpoint restore, the peer
+        copy (``peer``: :meth:`verify` on rank main alone — it sends on
+        the request comm), quarantine.  Returns ``(outcome, end)``,
+        ``outcome`` ``"rebuilt"`` or ``"quarantined"``, or None if
+        another thread has the table claimed or it left the set
+        (docs/durability.md).
+        """
+        if not self._claim(ssid):
+            return None, t
+        try:
+            self.stats.corruptions_detected += 1
+            end = self._table_verifies(ssid, t)
+            if end is None:
+                end = self._rebuild_sidecars(ssid, t)
+            path = checkpoint_path or self._last_checkpoint_path
+            if end is None and path is not None:
+                from repro.core.checkpoint import restore_table_blobs
+
+                blobs, t_ck = restore_table_blobs(self, path, ssid, t)
+                if blobs is not None:
+                    end = self._install_table_blobs(ssid, blobs, t_ck)
+            if end is None and peer:  # rank main: the comm's clock
                 self.clock.advance_to(t)
-            except StorageError as exc:
-                self.stats.corruptions_detected += 1
-                self._quarantine_table(ssid, str(exc))
-                return False
-        return True
+                end = self._fetch_table_from_peer(ssid)
+                t = self.clock.now
+            if end is not None:
+                self.stats.tables_rebuilt += 1
+                return "rebuilt", end
+            return "quarantined", self._quarantine_table(ssid, reason, t)
+        finally:
+            self._release(ssid)
 
-    def _rebuild_sidecars(self, ssid: int, data_p: str) -> None:
-        """Recompute the index and bloom files from an intact SSData.
+    def _claim(self, ssid: int) -> bool:
+        """Take a table of mine for the damage ladder: False if another
+        thread holds it or it left the set."""
+        with self._lock:
+            if ssid in self._claimed or ssid not in self.ssids:
+                return False
+            self._claimed.add(ssid)
+            return True
+
+    def _release(self, ssid: int) -> None:
+        with self._lock:
+            self._claimed.discard(ssid)
+
+    def _table_verifies(self, ssid: int, t: float) -> Optional[float]:
+        """Full check of one table with a fresh reader (no cached
+        state): its end time, or None if it fails."""
+        try:
+            t = SSTableReader(self.store, self.rank_dir, ssid).verify(t)
+        except StorageError:
+            return None
+        self._invalidate_readers(ssid)  # drop any poisoned cached view
+        return t
+
+    def _rebuild_sidecars(self, ssid: int, t: float) -> Optional[float]:
+        """Recompute the index and bloom files from an intact SSData,
+        then verify the table: its end time, or None if the SSData is
+        what is damaged.
 
         Both sidecars are rewritten even if one survived, so the index
         footer's bloom checksum always matches the bloom file on disk.
@@ -661,94 +712,51 @@ class Database:
         and block checksums, and a mismatch means the data is what is
         damaged.  A damaged index vouches for nothing.
         """
-        blob, t = self.store.read(data_p, self.clock.now)
-        records = list(decode_records(blob))  # raises CorruptionError if torn
-        blobs = encode_table(records)
+        data_p, index_p, bloom_p = sstable_paths(self.rank_dir, ssid)
+        try:
+            blob, t = self.store.read(data_p, t)
+            blobs = encode_table(list(decode_records(blob)))
+            if self.store.exists(index_p):
+                old, t = self.store.read(index_p, t)
+                intact = len(old) > 4 and crc32c(memoryview(old)[:-4]) == (
+                    int.from_bytes(old[-4:], "little"))
+                if intact and old != blobs["index"]:
+                    return None
+        except (StorageError, ValueError):
+            return None  # torn or rotted SSData
         if blobs["data"] != blob:
-            raise CorruptionError(
-                f"sstable {ssid}: SSData does not round-trip; refusing rebuild"
-            )
-        _, index_p, bloom_p = sstable_paths(self.rank_dir, ssid)
-        if self.store.exists(index_p):
-            old, t = self.store.read(index_p, t)
-            intact = len(old) > 4 and crc32c(memoryview(old)[:-4]) == (
-                int.from_bytes(old[-4:], "little"))
-            if intact and old != blobs["index"]:
-                raise CorruptionError(
-                    f"sstable {ssid}: SSData disagrees with its intact "
-                    f"index; refusing rebuild")
+            return None  # SSData does not round-trip
         t = self.store.write(index_p, blobs["index"], t)
         t = self.store.write(bloom_p, blobs["bloom"], t)
-        self.clock.advance_to(t)
+        return self._table_verifies(ssid, t)
 
-    def _poison_range(
-        self, ssid: int
-    ) -> Tuple[Optional[bytes], Optional[bytes]]:
-        """Tightest trustworthy [min, max] bound on the keys a damaged
-        table may cover.
+    def _fence_range(
+        self, index_p: str, t: float
+    ) -> Tuple[Optional[bytes], Optional[bytes], float]:
+        """The key range a damaged table may cover, and the end time of
+        reading it: its index footer's CRC-protected ``[min_key,
+        max_key]`` fences, or ``(None, None)`` — the whole keyspace —
+        when the index cannot vouch for them.
 
-        Only bytes in data blocks whose footer CRC still verifies are
-        trusted; the suspect region is bracketed by the nearest verified
-        keys on either side (over-poisoning by one key is safe, serving
-        a stale value because a damaged key escaped the range is not).
-        ``(None, None)`` means the whole keyspace is poisoned.
+        The whole range, not just the keys around the bad blocks: a
+        fenced table leaves the search order, so a key in one of its
+        intact blocks would otherwise be answered by an older table.
         """
-        data_p, index_p, _ = sstable_paths(self.rank_dir, ssid)
-        t = self.clock.now
         try:
-            idx_blob, t = self.store.read(index_p, t)
-            entries, footer = parse_index(idx_blob)
-            data, t = self.store.read(data_p, t)
-            self.clock.advance_to(t)
+            blob, t = self.store.read(index_p, t)
+            footer = parse_index(blob)[1]
         except (StorageError, ValueError):
-            return None, None  # no trustworthy metadata at all
-        bs = footer.block_size
-        view = memoryview(data)
-        bad = {
-            i for i, want in enumerate(footer.block_crcs)
-            if crc32c(view[i * bs:(i + 1) * bs]) != want
-        }
-        if len(data) != footer.data_len:
-            bad.add(max(0, (footer.data_len - 1) // bs))
+            return None, None, t
+        return footer.min_key, footer.max_key, t
 
-        def key_of(e):
-            return bytes(data[e.key_offset:e.key_offset + e.keylen])
-
-        suspect = [
-            j for j, e in enumerate(entries)
-            if any(
-                b in bad
-                for b in range(
-                    e.offset // bs, (e.offset + e.record_len - 1) // bs + 1
-                )
-            )
-        ]
-        if not suspect:  # sidecar damage only: data keys are all verified
-            if not entries:
-                return None, None
-            return key_of(entries[0]), key_of(entries[-1])
-        lo, hi = suspect[0], suspect[-1]
-        # at the table's edges, fall back to the footer's CRC-protected
-        # key fences so even a fully-damaged data file poisons only the
-        # range this table actually covered
-        min_key = (
-            key_of(entries[lo - 1]) if lo > 0 else (footer.min_key or None)
-        )
-        max_key = (
-            key_of(entries[hi + 1]) if hi + 1 < len(entries)
-            else (footer.max_key or None)
-        )
-        return min_key, max_key
-
-    def _quarantine_table(self, ssid: int, reason: str) -> None:
+    def _quarantine_table(self, ssid: int, reason: str, t: float) -> float:
         """Move a damaged table out of the SSID namespace and poison
-        the key range it may have covered."""
-        min_key, max_key = self._poison_range(ssid)
-        t = self.clock.now
+        the key range it may have covered; returns the end time."""
+        min_key, max_key, t = self._fence_range(
+            sstable_paths(self.rank_dir, ssid)[1], t)
         for rel in sstable_paths(self.rank_dir, ssid):
             if self.store.exists(rel):
                 t = self.store.rename(rel, rel + QUARANTINE_SUFFIX, t)
-        self.clock.advance_to(t)
         with self._lock:
             if ssid in self.ssids:
                 annotate_write(self, "db.ssids")
@@ -759,6 +767,7 @@ class Database:
             ] + [QuarantinedTable(ssid, min_key, max_key, reason)]
             self._invalidate_readers(ssid)
         self.stats.tables_quarantined += 1
+        return t
 
     def _start_handler(self) -> None:
         from repro.core.handler import handler_main
@@ -1182,9 +1191,14 @@ class Database:
             self._minor_gens + 1 >= COMPACTION_MAJOR_EVERY
             or len(self._l0) == 0
         )
-        live = set(self.ssids)
+        # never merge across a hole: the output takes the newest SSID, so
+        # an input older than a quarantined table (or one a thread is
+        # healing) would lift its records over the hole's newer versions
+        floor = max([0, *(q.ssid for q in self._quarantined),
+                     *self._claimed])
+        live = {s for s in self.ssids if s > floor}
         if major:
-            inputs = [s for s in self.ssids]
+            inputs = [s for s in self.ssids if s in live]
         else:
             inputs = [s for s in self._l0 if s in live]
         if len(inputs) <= 1:
@@ -1201,12 +1215,20 @@ class Database:
         t_read = max([t_enqueue, *(l0[s] for s in inputs if s in l0)])
         t_round0 = max(t_read, self.compaction_worker.available)
         new_ssids: List[int] = []
+        damaged: List[Optional[int]] = []
 
         def round_job(start: float) -> float:
-            merged, readers, t = read_and_merge(
-                self.store, self.rank_dir, inputs, start,
-                drop_tombstones=major,
-            )
+            try:
+                merged, readers, t = read_and_merge(
+                    self.store, self.rank_dir, inputs, start,
+                    # below a hole, an older version may still live
+                    drop_tombstones=major and not floor,
+                )
+            except CorruptionError as exc:
+                # abandon the round: no output, inputs and L0 untouched;
+                # the next round merges the healed or fenced set
+                damaged.append(exc.ssid)
+                return self._heal_or_fence(exc.ssid, start, str(exc))[1]
             self._trace(
                 f"compact-read {len(inputs)} tables", "compaction", start, t
             )
@@ -1240,6 +1262,8 @@ class Database:
             )
 
         end = self.compaction_worker.schedule(t_read, round_job)
+        if damaged:
+            return
         self._pace_compaction(t_round0, end)
         self._l0 = {}
         self._minor_gens = 0 if major else self._minor_gens + 1
@@ -2050,20 +2074,28 @@ class Database:
             misses.append(key)
         return hits, misses, view
 
-    def _sstable_phase(self, key: bytes, view: _ReadView,
-                       clock) -> Optional[Record]:
+    def _sstable_phase(self, key: bytes, view: _ReadView, clock,
+                       heal: bool = True) -> Optional[Record]:
         """Search my own SSTables on the caller's clock, retrying once
-        across a compaction race; a live hit fills the local cache.
+        across a compaction race or a damaged table; a live hit fills
+        the local cache.
 
         A concurrent compaction (a flush triggered on the other thread)
         may delete input tables mid-search; the retry drops my readers
-        and walks the view that publishes.  Damage is not a race:
-        :class:`CorruptionError` goes straight to the caller.
+        and walks the view that publishes.  A table found damaged meets
+        the damage ladder on the caller's clock first, and the retry
+        (``heal=False``, with its own one retry across a compaction
+        race) walks it healed or as a fenced hole; a quarantined range,
+        or damage met again, raises :class:`CorruptionError`.
         """
         try:
             rec, t_end = self._search_own_sstables(view, key, clock.now)
-        except CorruptionError:
-            raise
+        except CorruptionError as exc:
+            if exc.ssid is None or not heal:
+                raise  # a quarantined range, or damage met again
+            clock.advance_to(
+                self._heal_or_fence(exc.ssid, clock.now, str(exc))[1])
+            return self._sstable_phase(key, self._view, clock, heal=False)
         except StorageError:
             self._invalidate_readers()
             rec, t_end = self._search_own_sstables(
@@ -2625,79 +2657,47 @@ class Database:
 
         Every retained table is fully checked (sizes, per-block CRCs,
         index and bloom checksums, record/index agreement).  A table
-        that fails is repaired by climbing the ladder: re-read locally
-        (transient device faults), fetch from a storage-group peer,
-        restore from the newest complete checkpoint generation (the
-        ``checkpoint_path`` argument, or the last path this database
-        checkpointed to).  A table no rung can save is quarantined and
-        its key range degrades to :class:`CorruptionError` on access.
+        that fails meets the damage ladder (:meth:`_heal_or_fence`),
+        peer-copy rung included, restoring from ``checkpoint_path`` or
+        the last path this database checkpointed to; ``repair=False``
+        quarantines it at once (one thread at a time, as the ladder).  A fenced table is quarantined and its key
+        range degrades to :class:`CorruptionError` on access.
 
         Returns ``{"ok": [...], "rebuilt": [...], "quarantined": [...]}``
-        (SSIDs per outcome).
+        (SSIDs per outcome; a table another thread is treating is in
+        none).
         """
         self._check_open()
         report: Dict[str, List[int]] = {"ok": [], "rebuilt": [],
                                         "quarantined": []}
         with self._lock:
             ssids = list(self.ssids)
+        t = self.clock.now
         for ssid in ssids:
-            if self._table_verifies(ssid):
+            end = self._table_verifies(ssid, t)
+            if end is not None:
                 report["ok"].append(ssid)
+                t = end
                 continue
-            self.stats.corruptions_detected += 1
-            if repair and self._repair_table(ssid, checkpoint_path):
-                self.stats.tables_rebuilt += 1
-                report["rebuilt"].append(ssid)
-            else:
-                self._quarantine_table(ssid, "failed verification and repair")
-                report["quarantined"].append(ssid)
+            if repair:
+                outcome, t = self._heal_or_fence(
+                    ssid, t, "failed verification", checkpoint_path,
+                    peer=True)
+                if outcome is not None:
+                    report[outcome].append(ssid)
+            elif self._claim(ssid):
+                try:
+                    self.stats.corruptions_detected += 1
+                    t = self._quarantine_table(ssid, "failed verification", t)
+                    report["quarantined"].append(ssid)
+                finally:
+                    self._release(ssid)
+        self.clock.advance_to(t)
         return report
 
-    #: alias: ``db.scrub()`` reads like the maintenance operation it is
-    scrub = verify
-
-    def _table_verifies(self, ssid: int) -> bool:
-        """Full check of one table with a fresh reader (no cached state)."""
-        try:
-            t = SSTableReader(self.store, self.rank_dir, ssid).verify(
-                self.clock.now
-            )
-        except StorageError:
-            return False
-        self.clock.advance_to(t)
-        self._invalidate_readers(ssid)  # drop any poisoned cached view
-        return True
-
-    def _repair_table(self, ssid: int,
-                      checkpoint_path: Optional[str]) -> bool:
-        """Climb the recovery ladder for one damaged table."""
-        # rung 1: one local re-read — transient device faults heal here
-        if self._table_verifies(ssid):
-            return True
-        # rung 2: the index and bloom are pure functions of the data: an
-        # SSData that decodes and round-trips re-derives them, as at open
-        try:
-            self._rebuild_sidecars(ssid, sstable_paths(self.rank_dir, ssid)[0])
-        except (StorageError, ValueError):
-            pass  # the SSData itself is damaged: the next rungs bring copies
-        else:
-            if self._table_verifies(ssid):
-                return True
-        # rung 3: a storage-group peer ships the files through its own path
-        if self._fetch_table_from_peer(ssid):
-            return True
-        # rung 4: restore from the newest complete checkpoint generation
-        path = checkpoint_path or self._last_checkpoint_path
-        if path is not None:
-            from repro.core.checkpoint import restore_table_blobs
-
-            blobs = restore_table_blobs(self, path, ssid)
-            if blobs is not None and self._install_table_blobs(ssid, blobs):
-                return True
-        return False
-
-    def _fetch_table_from_peer(self, ssid: int) -> bool:
-        """Ask each storage-group peer to ship the table's three files."""
+    def _fetch_table_from_peer(self, ssid: int) -> Optional[float]:
+        """Ask each storage-group peer to ship the table's three files
+        (rank main, on its clock); the install's end time, or None."""
         peers = [r for r in range(self.nranks)
                  if r != self.rank and self.shares_storage_with(r)]
         for peer in peers:
@@ -2711,20 +2711,21 @@ class Database:
                 continue
             if not isinstance(reply, msg.FetchTableReply) or not reply.blobs:
                 continue
-            if self._install_table_blobs(ssid, reply.blobs):
-                return True
-        return False
+            end = self._install_table_blobs(ssid, reply.blobs, self.clock.now)
+            if end is not None:
+                return end
+        return None
 
-    def _install_table_blobs(self, ssid: int, blobs: Dict[str, bytes]) -> bool:
-        """Atomically rewrite a table from shipped blobs, then re-verify."""
+    def _install_table_blobs(self, ssid: int, blobs: Dict[str, bytes],
+                             t: float) -> Optional[float]:
+        """Atomically rewrite a table from shipped blobs, then re-verify:
+        the end time, or None."""
         names = sstable_filenames(ssid)
         if not all(name in blobs for name in names):
-            return False
-        t = self.clock.now
+            return None
         for name in names:
             t = self.store.write(f"{self.rank_dir}/{name}", blobs[name], t)
-        self.clock.advance_to(t)
-        return self._table_verifies(ssid)
+        return self._table_verifies(ssid, t)
 
     def checkpoint(self, path: str):
         """Asynchronous snapshot to the parallel FS (``papyruskv_checkpoint``)."""

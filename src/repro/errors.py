@@ -9,6 +9,7 @@ object API raises exceptions instead; the functional compatibility API in
 from __future__ import annotations
 
 import enum
+from typing import Optional
 
 
 class ErrorCode(enum.IntEnum):
@@ -127,10 +128,12 @@ class CorruptionError(StorageError, ValueError):
 
     Subclasses :class:`StorageError` (it is a storage-layer failure and
     degrades like one) and :class:`ValueError` (pre-v2 callers caught
-    the format layer's bare ``ValueError``).
+    the format layer's bare ``ValueError``).  ``ssid`` names the table
+    a reader found damaged (None: a quarantined range, already fenced).
     """
 
     code = ErrorCode.CORRUPTED
+    ssid: Optional[int] = None
 
 
 class TornWriteError(CorruptionError):

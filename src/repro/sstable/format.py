@@ -142,8 +142,8 @@ class TableFooter:
     """Integrity metadata carried at the end of the SSIndex file.
 
     ``min_key``/``max_key`` are the table's smallest and largest keys
-    (empty for an empty table) — CRC-protected fences that bound the
-    poisoned range when the data file itself is too damaged to trust.
+    (empty for an empty table) — CRC-protected fences that bound a
+    quarantined table's poisoned range.
     ``block_keys[j]`` is the key of entry ``block_first[j]``, the first
     record starting in its SSData block; only the keys are stored.
     """

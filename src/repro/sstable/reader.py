@@ -64,7 +64,6 @@ from repro.util.checksum import crc32c
 if TYPE_CHECKING:  # block_cache imports this module for its registry
     from repro.sstable.block_cache import BlockCache, CacheCounters
 
-_SSID_RE = re.compile(r"^(\d{10})" + re.escape(DATA_SUFFIX) + "$")
 
 #: speculative key bytes fetched with each record header (sequential get)
 _SPEC_KEY = 64
@@ -94,11 +93,15 @@ class Block(NamedTuple):
         return self.nbytes
 
 
-def list_ssids(store: PosixStore, directory: str) -> List[int]:
-    """All SSIDs present under ``directory``, ascending."""
+def list_ssids(store: PosixStore, directory: str,
+               suffix: str = DATA_SUFFIX) -> List[int]:
+    """All SSIDs with a ``suffix`` file under ``directory``, ascending:
+    the live tables, or with ``DATA_SUFFIX + QUARANTINE_SUFFIX`` the
+    quarantined ones."""
+    pattern = re.compile(r"^(\d{10})" + re.escape(suffix) + "$")
     ssids = []
     for name in store.listdir(directory):
-        m = _SSID_RE.match(name)
+        m = pattern.match(name)
         if m:
             ssids.append(int(m.group(1)))
     return sorted(ssids)
@@ -143,15 +146,17 @@ class SSTableReader:
         #: read, only the block cache's leaf lock is taken under it
         self._io_lock = make_lock("sstable.reader")
 
-    def _corrupt(self, detail: str) -> CorruptionError:
-        return CorruptionError(f"sstable {self.ssid} ({self.directory}): {detail}")
+    def _corrupt(self, detail: str,
+                 kind: type = CorruptionError) -> CorruptionError:
+        exc = kind(f"sstable {self.ssid} ({self.directory}): {detail}")
+        exc.ssid = self.ssid
+        return exc
 
     def _check_len(self, what: str, size: int, committed: int) -> None:
         if size != committed:
-            raise TornWriteError(
-                f"sstable {self.ssid} ({self.directory}): {what} is "
-                f"{size} bytes, footer committed {committed}"
-            )
+            raise self._corrupt(
+                f"{what} is {size} bytes, footer committed {committed}",
+                TornWriteError)
 
     # ----------------------------------------------------------------- loads
     def load_bloom(self, t: float) -> Tuple[BloomFilter, float]:

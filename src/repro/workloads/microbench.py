@@ -38,17 +38,6 @@ class BasicResult:
     get_time: float
     get_tiers: Dict[str, int] = field(default_factory=dict)
 
-    def krps(self, phase: str) -> float:
-        """Kilo-requests/second for a phase on this rank."""
-        t = getattr(self, f"{phase}_time")
-        return self.iters / t / 1e3 if t > 0 else float("inf")
-
-    def mbps(self, phase: str) -> float:
-        """Megabytes/second moved during a phase on this rank."""
-        t = getattr(self, f"{phase}_time")
-        nbytes = self.iters * (self.keylen + self.vallen)
-        return nbytes / t / (1 << 20) if t > 0 else float("inf")
-
 
 def basic_app(
     ctx: RankContext,
@@ -178,12 +167,6 @@ class CrResult:
     checkpoint_time: float
     restart_time: float
     restart_rd_time: float
-
-    def bandwidth_MBps(self, phase: str) -> float:
-        """Data bandwidth of one persistence phase on this rank."""
-        t = getattr(self, f"{phase}_time")
-        nbytes = self.iters * (self.keylen + self.vallen)
-        return nbytes / t / (1 << 20) if t > 0 else float("inf")
 
 
 def cr_app(

@@ -123,10 +123,6 @@ class YcsbResult:
     #: total pairs returned by the scan ops (scan lengths vary)
     scanned_pairs: int = 0
 
-    def krps(self) -> float:
-        """Run-phase kilo-requests/second on this rank."""
-        return self.ops / self.run_time / 1e3 if self.run_time > 0 else 0.0
-
 
 def run_ycsb(
     ctx: RankContext,

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from repro.apps.meraculous.kmer import (
     decode_kmer,
     encode_kmer,
-    extension_code,
     is_valid_base,
     kmer_hash,
     kmers_of,
-    split_extension,
 )
 
 _dna = st.binary(min_size=1, max_size=40).map(
@@ -63,17 +61,6 @@ class TestHash:
 
     def test_64bit(self):
         assert 0 <= kmer_hash(b"AAAA") < (1 << 64)
-
-
-class TestExtensionCodes:
-    def test_pack_unpack(self):
-        code = extension_code(ord("A"), ord("T"))
-        assert code == b"AT"
-        assert split_extension(code) == (ord("A"), ord("T"))
-
-    def test_bad_length(self):
-        with pytest.raises(ValueError):
-            split_extension(b"ACT")
 
 
 @settings(max_examples=100, deadline=None)

@@ -362,7 +362,7 @@ class TestHandlerEqualsRankMain:
         def app(ctx):
             with Papyrus(ctx) as env:
                 db = self._build(env, "a")
-                db._quarantine_table(db.ssids[1], "test: damaged")  # 'm'
+                db._quarantine_table(db.ssids[1], "test: damaged", db.clock.now)  # 'm'
                 for group in (-1, db.group):  # no shortcut past a hole
                     reply = self._serve(db, self.KEYS, group)
                     assert reply.owner_dir is None

@@ -858,7 +858,7 @@ class TestRereplicationWalk:
         def body(db):
             self._load(db, random.Random(FAULT_SEED))
             pushed = _spy_on_pairs(db)
-            db._quarantine_table(db.ssids[1], "test: damaged")
+            db._quarantine_table(db.ssids[1], "test: damaged", db.clock.now)
             db.membership.declare_dead(2)
             for _ in range(2):  # and again on the next tick
                 db._rereplicate()

@@ -330,7 +330,7 @@ class TestOneCachePerDevice:
                         db._schedule_compaction(ctx.clock.now)
                         assert 1 not in db.ssids
                     else:
-                        db._quarantine_table(1, "test")
+                        db._quarantine_table(1, "test", ctx.clock.now)
                 db.barrier()
                 # one call by the owner emptied the device's copy ...
                 readers, blocks = _entries_under(cache, owner_dir)
@@ -679,7 +679,8 @@ class TestOneWayIn:
                                           for key in sorted(theirs)])
                     assert db._install_table_blobs(ssid, dict(zip(
                         sstable_filenames(ssid),
-                        (blobs["data"], blobs["index"], blobs["bloom"]))))
+                        (blobs["data"], blobs["index"], blobs["bloom"]))),
+                        ctx.clock.now) is not None
                 db.barrier()
                 if r == 0:
                     dropped = []

@@ -110,8 +110,10 @@ KEEP: Tuple[Tuple[str, str, str], ...] = (
      "the artifact's PAPYRUSKV_* environment variables"),
     ("repro/faults.py:", "fault plane",
      "the deterministic fault injection the failure tests drive"),
-    ("repro/core/db.py:Database._repair", "repair ladder",
-     "heals a damaged table (docs/durability.md)"),
+    ("repro/core/db.py:Database._heal_or_fence", "repair ladder",
+     "the one entry a damaged table meets (docs/durability.md)"),
+    ("repro/core/db.py:Database._rebuild_sidecars", "repair ladder",
+     "the ladder's sidecar rung (docs/durability.md)"),
     ("repro/core/db.py:Database._fetch_table", "repair ladder",
      "the ladder's peer-copy rung (docs/durability.md)"),
     ("repro/core/db.py:Database._install_table", "repair ladder",

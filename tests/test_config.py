@@ -85,26 +85,24 @@ class TestOptionsValidation:
         opt = Options()
         assert opt.remote_timeout is None  # wait forever: seed behavior
         assert opt.remote_retries == 3
-        assert opt.verify_on_open is False
-        opt = Options(remote_timeout=0.5, remote_retries=0,
-                      verify_on_open=True)
+        opt = Options(remote_timeout=0.5, remote_retries=0)
         assert opt.remote_timeout == 0.5
         assert opt.remote_retries == 0
-        assert opt.verify_on_open is True
 
-    #: the knobs that selected a pre-overhaul code path, or whose one
-    #: value in use became a module constant
+    #: the knobs that selected a pre-overhaul code path, whose one
+    #: value in use became a module constant, or that a call replaces
+    #: (``verify_on_open``: open, then ``db.verify()``)
     REMOVED = (
         "flush_pipeline", "compaction_partitions", "group_commit_interval",
         "group_commit_bytes", "compaction_major_every",
         "compaction_rate_limit", "bloom_fp_rate", "scan_chunk",
         "heartbeat_interval", "suspect_timeout", "dead_timeout",
         "fence_pruning", "block_cache_enabled", "index_push_eager",
-        "migration_queue_capacity",
+        "migration_queue_capacity", "verify_on_open",
     )
 
     def test_options_field_count(self):
-        assert len(dataclasses.fields(Options)) == 21
+        assert len(dataclasses.fields(Options)) == 20
         for name in self.REMOVED:
             with pytest.raises(TypeError):
                 Options(**{name: 1})

@@ -420,13 +420,15 @@ class TestFaultPlanStorage:
     def test_torn_flush_write_never_serves_an_older_value(self, tmp_path,
                                                           suffix):
         """A flush whose SSData or index write tears (the write returns,
-        half the bytes persist), then a restart: a get of one of the
-        table's keys raises — never returns the value the table
-        overwrote.  A torn index heals at the scrub's sidecar rung (the
-        SSData is intact, and the index is a function of it): every new
-        value is served again.  A torn SSData has no rung that can
-        rebuild it (one rank, no checkpoint): the scrub quarantines it,
-        after which its whole range raises."""
+        half the bytes persist), then a restart: the first get that
+        meets the torn table takes it through the damage ladder, with
+        no scrub first, and never returns the value the table
+        overwrote.  A torn index heals at the sidecar rung (the SSData
+        is intact, and the index is a function of it): every new value
+        is served.  A torn SSData has no rung that can rebuild it (one
+        rank, no checkpoint): the table is quarantined and every get of
+        its range raises — after a restart too: the quarantine is on
+        disk, and the hole is fenced again on open."""
         machine = Machine(SUMMITDEV, 1, base_dir=str(tmp_path))
         keys = [f"tk{i:02d}".encode() for i in range(30)]
         # the second flush tears: table 2 overwrites every key of table 1
@@ -449,38 +451,67 @@ class TestFaultPlanStorage:
         def read(ctx):
             with Papyrus(ctx) as env:
                 db = env.open("torn", small_options())
-
-                def newest_or_raise():
-                    served = 0
-                    for k in keys:
-                        try:
-                            got = db.get_or_none(k)
-                        except CorruptionError:  # TornWriteError included
-                            continue
-                        assert got == b"new" + k * 8, (k, got)
-                        served += 1
-                    return served
-
-                before = newest_or_raise()
-                report = db.verify()  # no peer, no checkpoint
-                after = newest_or_raise()
+                served = 0
+                for k in keys:
+                    try:
+                        got = db.get_or_none(k)
+                    except CorruptionError:  # TornWriteError included
+                        continue
+                    assert got == b"new" + k * 8, (k, got)
+                    served += 1
+                s = db.stats
                 db._closed = True
-                return before, report, after
+                return served, (s.tables_rebuilt, s.tables_quarantined)
 
-        before, report, after = spmd_run(1, read, machine=machine)[0]
-        assert before < len(keys)  # the torn table was detected
+        served, outcome = spmd_run(1, read, machine=machine)[0]
         if suffix == ".ssi":
-            assert report == {"ok": [1], "rebuilt": [2], "quarantined": []}
-            assert after == len(keys)  # every new value served again
+            assert (served, outcome) == (len(keys), (1, 0))
         else:
-            assert report == {"ok": [1], "rebuilt": [], "quarantined": [2]}
-            assert after == 0          # its whole range degrades loudly
+            assert (served, outcome) == (0, (0, 1))
+        # the restart finds the table healed or still fenced: no new
+        # ladder run, and no get falls through to the older table
+        assert spmd_run(1, read, machine=machine)[0] == (served, (0, 0))
+        machine.close()
+
+    def test_a_fenced_table_fences_its_whole_key_range(self, tmp_path):
+        """Quarantine pulls the whole table out of the search order, so
+        its whole key range is fenced, not just the keys around the bad
+        block: a key in one of its intact blocks must raise rather than
+        be answered by the older table below it."""
+        machine = Machine(SUMMITDEV, 1, base_dir=str(tmp_path))
+        keys = [f"k{i:04d}".encode() for i in range(200)]
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("fence", small_options(memtable_capacity=1 << 20))
+                for gen in (b"o", b"n"):
+                    for k in keys:
+                        db.put(k, gen * 1024)
+                    db.barrier(SSTABLE)
+                assert db.ssids == [1, 2]
+                blob, _ = db.store.read(f"{db.rank_dir}/{2:010d}.ssi", 0.0)
+                assert len(parse_index(blob)[1].block_crcs) > 1
+                flip_byte(db.store, f"{db.rank_dir}/{2:010d}.ssd",
+                          offset=-10)  # the last block
+                assert db.verify()["quarantined"] == [2]
+                raised = 0
+                for k in keys:
+                    try:
+                        got = db.get_or_none(k)
+                    except CorruptionError:
+                        raised += 1
+                        continue
+                    assert got == b"n" * 1024, (k, got)
+                db._closed = True
+                return raised
+
+        assert spmd_run(1, app, machine=machine)[0] == len(keys)
         machine.close()
 
     def test_verify_on_open_quarantines_a_flipped_table(self, tmp_path):
-        """``Options(verify_on_open=True)`` checks every retained table
-        at open: a bit flipped on disk since the last run is found
-        before any get, the table is quarantined and its range raises."""
+        """Open, then ``db.verify()``, checks every retained table: a
+        bit flipped on disk since the last run is found before any get,
+        the table is quarantined and its range raises."""
         machine = Machine(SUMMITDEV, 1, base_dir=str(tmp_path))
         model = self._write_db(machine)
 
@@ -494,7 +525,8 @@ class TestFaultPlanStorage:
                 db.close()
                 flip_byte(db.store, f"{db.rank_dir}/{victim}",
                           offset=1000 + FAULT_SEED)
-                db = env.open("flt", small_options(verify_on_open=True))
+                db = env.open("flt", small_options())
+                db.verify()
                 opened = (db.stats.corruptions_detected,
                           db.stats.tables_quarantined,
                           db.store.exists(f"{db.rank_dir}/{victim}.quar"))
@@ -532,6 +564,166 @@ class TestFaultPlanStorage:
                 db.close()
 
         spmd_run(1, app, machine=machine, faults=plan)
+        machine.close()
+
+    @pytest.mark.parametrize("suffix", [".ssd", ".ssi"])
+    def test_handler_get_heals_or_fences_a_torn_table(self, tmp_path,
+                                                      suffix):
+        """The owner's handler meets the torn table while serving a
+        requester outside its storage group (no §2.7 shortcut): it takes
+        the table through the damage ladder on its own clock, then walks
+        again.  A torn index heals and every new value is shipped; torn
+        data is fenced, and every get answers DEGRADED, which the
+        requester raises as CorruptionError.  The owner counts it."""
+        machine = Machine(SUMMITDEV, 2, base_dir=str(tmp_path))
+        opts = small_options(group_size=1)
+        # rank 1's second flush tears: table 2 overwrites all of table 1
+        plan = FaultPlan(seed=FAULT_SEED).torn_write(suffix, nth=2, rank=1)
+
+        def keys_of_rank1(db):
+            return [k for k in (f"hk{i:03d}".encode() for i in range(120))
+                    if db.owner_of(k) == 1][:30]
+
+        def write(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("torn", opts)
+                for gen in (b"old", b"new"):
+                    if ctx.world_rank == 1:
+                        for k in keys_of_rank1(db):
+                            db.put(k, gen + k * 8)
+                    db.barrier(SSTABLE)
+                ssids = list(db.ssids)
+                db.close()
+                return ssids
+
+        assert spmd_run(2, write, machine=machine, faults=plan,
+                        timeout=120) == [[], [1, 2]]
+        assert any(f.startswith("torn_write ") and suffix in f
+                   for f in plan.fired), plan.fired
+
+        def read(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("torn", opts)
+                assert not db.shares_storage_with(1 - ctx.world_rank)
+                served = raised = 0
+                if ctx.world_rank == 0:
+                    for k in keys_of_rank1(db):
+                        try:
+                            got = db.get_or_none(k)
+                        except CorruptionError:
+                            raised += 1
+                            continue
+                        assert got == b"new" + k * 8, (k, got)
+                        served += 1
+                db.barrier()
+                s = db.stats
+                out = (served, raised, s.tables_rebuilt, s.tables_quarantined)
+                db.close()
+                return out
+
+        requester, owner = spmd_run(2, read, machine=machine, timeout=120)
+        if suffix == ".ssi":
+            assert requester[:2] == (30, 0)
+            assert owner[2:] == (1, 0)
+        else:
+            assert requester[:2] == (0, 30)
+            assert owner[2:] == (0, 1)
+        machine.close()
+
+    def test_compaction_never_lifts_a_record_over_a_hole(self, tmp_path):
+        """Table 2 overwrote K and is quarantined.  A compaction round
+        merging table 1 into a fresh, newest SSID would lift K's older
+        value over the hole and serve it silently; a round only merges
+        tables newer than every quarantined one, so K keeps raising."""
+        machine = Machine(SUMMITDEV, 1, base_dir=str(tmp_path))
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("hole", small_options())
+                for value in (b"OLD", b"NEW"):
+                    db.put(b"K", value)
+                    db.barrier(SSTABLE)
+                flip_byte(db.store, f"{db.rank_dir}/{2:010d}.ssd", offset=5)
+                report = db.verify()
+                assert report == {"ok": [1], "rebuilt": [],
+                                  "quarantined": [2]}
+                with pytest.raises(CorruptionError):
+                    db.get(b"K")
+                for i in range(12):
+                    for j in range(3):
+                        db.put(f"x{i:02d}{j}".encode(), b"v" * 16)
+                    db.barrier(SSTABLE)
+                with pytest.raises(CorruptionError):
+                    db.get_or_none(b"K")
+                assert db.stats.compactions >= 1
+                assert 1 in db.ssids  # below the hole: never merged
+                for i in range(12):
+                    for j in range(3):
+                        assert db.get(f"x{i:02d}{j}".encode()) == b"v" * 16
+                db.close()
+                # a restart fences the hole again, and its compactions
+                # still merge nothing below it
+                db = env.open("hole", small_options())
+                assert [q.ssid for q in db._quarantined] == [2]
+                with pytest.raises(CorruptionError):
+                    db.get_or_none(b"K")
+                before = db.stats.compactions
+                for i in range(12):
+                    for j in range(3):
+                        db.put(f"y{i:02d}{j}".encode(), b"w" * 16)
+                    db.barrier(SSTABLE)
+                assert db.stats.compactions > before
+                assert 1 in db.ssids and 2 not in db.ssids
+                with pytest.raises(CorruptionError):
+                    db.get_or_none(b"K")
+                db._closed = True
+
+        spmd_run(1, app, machine=machine, timeout=120)
+        machine.close()
+
+    def test_compaction_meets_a_damaged_input_and_writes_go_on(self,
+                                                               tmp_path):
+        """A compaction round whose input fails its checksum abandons
+        the round (no output, inputs untouched), takes the input through
+        the damage ladder on the compaction worker's timeline — one
+        rank, no checkpoint: it is fenced — and the next round merges
+        the tables above it.  No write sees the damage."""
+        machine = Machine(SUMMITDEV, 1, base_dir=str(tmp_path))
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("wedge", small_options())
+                first = [f"a{i:03d}".encode() for i in range(60)]
+                for t in range(3):
+                    for i in range(60):
+                        db.put(f"{'abc'[t]}{i:03d}".encode(), b"w" * 16)
+                    db.barrier(SSTABLE)
+                assert db.ssids == [1, 2, 3] and db.stats.compactions == 0
+                flip_byte(db.store, f"{db.rank_dir}/{1:010d}.ssd",
+                          offset=100 + FAULT_SEED)
+                later = [f"n{i:03d}".encode() for i in range(400)]
+                for i, key in enumerate(later):
+                    db.put(key, key * 4)
+                    if i % 60 == 59:
+                        db.barrier(SSTABLE)  # never raises
+                db.barrier(SSTABLE)
+                assert db.stats.compactions >= 1
+                assert [q.ssid for q in db._quarantined] == [1]
+                assert db.stats.tables_quarantined == 1
+                assert db.store.exists(f"{db.rank_dir}/{1:010d}.ssd.quar")
+                assert all(db.get(k) == k * 4 for k in later)
+                assert all(db.get(f"b{i:03d}".encode()) == b"w" * 16
+                           for i in range(60))
+                raised = 0
+                for key in first:
+                    try:
+                        assert db.get_or_none(key) is None
+                    except CorruptionError:
+                        raised += 1
+                assert raised > 0
+                db._closed = True
+
+        spmd_run(1, app, machine=machine, timeout=120)
         machine.close()
 
 
