@@ -153,7 +153,7 @@ def _run_recovery() -> dict:
         fenced_at.append(ctx.clock.now)
         survivors.wait()
         ctx.clock.advance_to(max(fenced_at))
-        mv = db.membership
+        mv = db.repl.membership
         t0 = ctx.clock.now
         for _ in range(100000):
             db.tick()

@@ -72,7 +72,7 @@ LOCK_ORDER: Tuple[LockClass, ...] = (
         attrs=("_mv_lock",),
         holder="core.membership.MembershipView",
         guards="changes to replica-group membership (a death, a merged "
-               "view, proof of life, suspicion, the re-replication "
+               "view, proof of life, the re-replication "
                "queue); readers take the published snapshot unlocked",
     ),
     LockClass(

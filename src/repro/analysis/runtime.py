@@ -1,7 +1,7 @@
 """Opt-in dynamic race, lock-order, and deadlock detection.
 
 A single process-wide :class:`RaceDetector` (enabled via
-``Options(race_detect=True)`` or ``PKV_RACE_DETECT=1``) drives three
+:func:`enable` or ``PKV_RACE_DETECT=1``) drives three
 checks over the threaded SPMD runtime:
 
 * **data races** — a FastTrack-style vector-clock happens-before
@@ -22,9 +22,8 @@ When the detector is disabled (the default) every hook is one global
 or count then, and a tracked lock's round trip in Python costs about
 1.1 µs against 0.4 µs for the C one.  A lock is tracked only if the
 detector is on when the lock is made — ``PKV_RACE_DETECT=1`` turns it
-on before a run builds its world, ``Options(race_detect=True)`` before
-the database makes ``db.state`` — so enable it before building what it
-should watch.
+on before a run builds its world, :func:`enable` whenever it is
+called — so enable it before building what it should watch.
 
 Detection is schedule-insensitive where it matters: two accesses race
 iff no happens-before chain orders them, so a race is reported even

@@ -51,7 +51,6 @@ def _stress_main(ops_per_rank: int, seed: int):
                 # contention path); same-group gets keep exercising
                 # the §2.7 shortcut and its quarantine snapshot
                 group_size=2,
-                race_detect=True,
             ))
             nranks = ctx.nranks
             for i in range(ops_per_rank):

@@ -1,4 +1,4 @@
-"""K-mer utilities: extraction, encoding, and the shared hash function.
+"""K-mer utilities: extraction and the shared hash function.
 
 "A hash function is used to define the affinities between UPC threads
 and hash table entries ... The PapyrusKV runtime calls the same hash
@@ -8,7 +8,7 @@ that shared function, passed to PapyrusKV as the custom hash.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator
 
 ALPHABET = b"ACGT"
 #: extension codes: a concrete base, or F (fork / multiple extensions),
@@ -16,40 +16,12 @@ ALPHABET = b"ACGT"
 FORK = ord("F")
 TERM = ord("X")
 
-_CODE = {65: 0, 67: 1, 71: 2, 84: 3}  # A C G T
-
-
-def is_valid_base(b: int) -> bool:
-    """True for the byte values of A, C, G, T."""
-    return b in _CODE
-
-
 def kmers_of(seq: bytes, k: int) -> Iterator[bytes]:
     """All overlapping k-mers of ``seq`` in order."""
     if k <= 0:
         raise ValueError("k must be positive")
     for i in range(len(seq) - k + 1):
         yield seq[i:i + k]
-
-
-def encode_kmer(kmer: bytes) -> int:
-    """2-bit pack a k-mer into an integer (canonical storage form)."""
-    v = 0
-    for b in kmer:
-        try:
-            v = (v << 2) | _CODE[b]
-        except KeyError:
-            raise ValueError(f"invalid base {chr(b)!r} in k-mer") from None
-    return v
-
-
-def decode_kmer(v: int, k: int) -> bytes:
-    """Inverse of :func:`encode_kmer` for a known k."""
-    out = bytearray(k)
-    for i in range(k - 1, -1, -1):
-        out[i] = ALPHABET[v & 3]
-        v >>= 2
-    return bytes(out)
 
 
 def kmer_hash(kmer: bytes) -> int:

@@ -113,10 +113,6 @@ class Options:
     #: (counts the writer's own copy when it is a group member); must satisfy
     #: ``1 <= write_quorum <= replicas``
     write_quorum: int = 1
-    #: enable the dynamic race / lock-order / deadlock detector
-    #: (:mod:`repro.analysis.runtime`); also switched on process-wide by
-    #: the ``PKV_RACE_DETECT=1`` environment variable
-    race_detect: bool = False
 
     def __post_init__(self) -> None:
         if self.memtable_capacity <= 0 or self.remote_memtable_capacity <= 0:

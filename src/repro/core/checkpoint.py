@@ -26,6 +26,11 @@ and skips (counts) mismatches; when no generation is complete it
 degrades to a best-effort restore of the newest one rather than losing
 the surviving shards.  A generation written under another layout
 version is refused by number — its checksums mean something else.
+
+A quarantined table travels as its ``*.quar`` files, so the copy
+restore fences the hole again on reopen; a redistributing restore
+cannot fence a range on a new owner and refuses the snapshot
+(docs/durability.md).
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from typing import List, Optional, Tuple
 from repro import config
 from repro.core.events import Event
 from repro.errors import CorruptionError, StorageError
+from repro.sstable.format import DATA_SUFFIX, QUARANTINE_SUFFIX, sstable_paths
 from repro.sstable.reader import SSTableReader, list_ssids
 from repro.util.checksum import crc32c
 
@@ -127,14 +133,21 @@ def checkpoint(db, path: str) -> Event:
     rank_src = db.rank_dir
     rank_dst = posixpath.join(gen_dir, f"rank{db.rank}")
     ssids = db._ssids_snapshot()
+    holes = [q.ssid for q in db._view.quarantined]
 
     # 2. background transfer NVM -> Lustre on the compaction timeline,
     # staged out as one bulk streaming copy per rank; the rank manifest
-    # goes last so its presence certifies the files before it
+    # goes last so its presence certifies the files before it.  A hole
+    # goes as its quarantined files: the reopen fences it again.
     def job(start: float) -> float:
         paths = []
         for ssid in ssids:
             paths.extend(SSTableReader(db.store, rank_src, ssid).file_paths())
+        for ssid in holes:
+            paths.extend(
+                p for p in (rel + QUARANTINE_SUFFIX
+                            for rel in sstable_paths(rank_src, ssid))
+                if db.store.exists(p))
         blobs, t = db.store.bulk_read(paths, start)
         out = {}
         files = {}
@@ -349,9 +362,23 @@ def _restart_redistribute(env, db, path: str, name: str,
     parallel file system, and calls a put operation for every key-value
     pair ... partitioned across all the MPI ranks and executed in
     parallel" (§4.2).
+
+    A snapshot that holds a quarantined table is refused, on every rank
+    alike, with :class:`CorruptionError`: its key range cannot be fenced
+    on the new owners, and re-putting the tables below the hole would
+    serve their older versions.
     """
     lustre = env.ctx.machine.lustre_store()
     snap = _snapshot_dir(path, name)
+    for old in range(snap_nranks):
+        holes = list_ssids(
+            lustre, posixpath.join(_gen_dir(snap, gen), f"rank{old}"),
+            DATA_SUFFIX + QUARANTINE_SUFFIX)
+        if holes:
+            raise CorruptionError(
+                f"snapshot rank {old} holds quarantined sstable "
+                f"{holes[0]}: a redistributing restart cannot fence its "
+                "key range on the new owners")
     # partition the snapshot's rank directories across the new ranks
     my_dirs: List[str] = [
         posixpath.join(_gen_dir(snap, gen), f"rank{old}")

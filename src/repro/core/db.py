@@ -43,7 +43,6 @@ from repro.analysis.runtime import (
     annotate_publish,
     annotate_read,
     annotate_write,
-    enable as enable_race_detector,
     get_detector,
     make_lock,
     make_rlock,
@@ -59,17 +58,11 @@ from repro.errors import (
     InvalidKeyError,
     InvalidValueError,
     ProtectionError,
-    QuorumLostError,
     RemoteTimeoutError,
     StorageError,
 )
 from repro.core import messages as msg
-from repro.core.membership import (
-    DEAD_TIMEOUT,
-    HEARTBEAT_INTERVAL,
-    SUSPECT_TIMEOUT,
-    MembershipView,
-)
+from repro.core.membership import HEARTBEAT_INTERVAL
 from repro.core.memtable import Entry, MemTable
 from repro.core.scan import ScanIterator
 from repro.faults import RankKilledError
@@ -96,10 +89,6 @@ from repro.util.lru import LRUCache
 
 #: tag used on the ack comm for the acks of non-``sync`` PairsMsgs
 ACK_TAG = 7
-#: tag used on the ack comm for heartbeat pongs (failure detector) —
-#: separate from ACK_TAG so pongs never interleave with the ack stream
-#: the quorum/fence drains consume
-HB_TAG = 8
 
 #: group commit: puts within this virtual-time window of the first one
 #: share its durability charge and ack drain; the window also closes
@@ -480,8 +469,6 @@ class Database:
         cpu = self.ctx.system.cpu
         self._memcpy_Bps = cpu.memcpy_Bps
 
-        if options.race_detect:
-            enable_race_detector()
         self._lock = make_rlock("db.state")
         self.local_mt = MemTable(options.memtable_capacity)
         self.remote_mt = MemTable(options.remote_memtable_capacity)
@@ -503,33 +490,11 @@ class Database:
                 f"replicas={options.replicas} exceeds the world size "
                 f"({self.nranks} rank(s))"
             )
-        #: membership view of the replica plane; None ⇔ replicas == 1
-        #: (the unreplicated paths never touch it)
-        self.membership: Optional[MembershipView] = (
-            MembershipView(self.rank, self.nranks, options.replicas)
-            if options.replicas > 1 else None
-        )
-        #: the open commit window's replica riders, key -> pair in put
-        #: order: not on the wire yet, so not in the ledger — placed and
-        #: shipped by whatever closes the window, served to this rank's
-        #: gets meanwhile (``inflight``) — and the membership epoch they
-        #: were inserted locally under
-        self._staged: Dict[bytes, msg.Pair] = {}
-        self._staged_epoch = 0
-        #: quorum debts of the last shipped window, (seqs, need) per
-        #: distinct replica group: settled by the next window to ship
-        #: and by fence.  Main-thread only, like _staged and the _gc_*
-        #: window state below — no lock needed.
-        self._quorum_due: List[Tuple[List[int], int]] = []
-        #: failure-detector ping state — main-thread only: virtual time
-        #: of the last ping per peer, and of the first unanswered ping
-        self._hb_last: Dict[int, float] = {}
-        self._hb_ping: Dict[int, float] = {}
+        #: the replication plane (docs/replication.md); None ⇔ replicas == 1
+        self.repl: Optional[Replication] = (
+            Replication(self) if options.replicas > 1 else None)
         #: set once the fault plane kills this rank mid-run
         self._killed = False
-        #: re-entrancy guard: a re-replication push does its own sends
-        #: and must not recurse into the detector/put machinery
-        self._in_rerepl = False
 
         self.ssids: List[int] = []
         self._next_ssid = 1
@@ -866,22 +831,14 @@ class Database:
         else:
             if self._unacked:
                 self._drain_acks(blocking=False)
-            self._close_window()  # no-op without replication
             self._gc_open = True
             self._gc_t0 = t_start
             self._gc_bytes = nbytes
             self.stats.group_commits += 1
             self.stats.group_commit_coalesced += n - 1
         owner_msgs = 0
-        if self.membership is not None:
-            # replicated write: insert locally and stage the pairs in
-            # the open window; the boundary that closes the window ships
-            # them, one message per target.  Sequential mode is a window
-            # of one call, acknowledged on return.
-            self._stage(pairs)
-            if self.consistency == config.SEQUENTIAL:
-                self._close_window()
-            self._tick()  # after staging: an aged window ships whole
+        if self.repl is not None:
+            self.repl.write(pairs, not rider, self._gc_t0)
         else:
             local: List[msg.Pair] = []
             remote: Dict[int, List[msg.Pair]] = {}
@@ -1299,6 +1256,7 @@ class Database:
     def _send_pairs(
         self, groups: Dict[int, List[msg.Pair]], sync: bool = False,
         post: Optional[Callable[[Dict[int, msg.PairsMsg]], Any]] = None,
+        timeout: Optional[float] = None,
     ) -> Dict[int, int]:
         """Ship ``{target: pairs}``, one :class:`~repro.core.messages.
         PairsMsg` per target; returns ``{target: seq}``.
@@ -1313,7 +1271,8 @@ class Database:
         A ``sync`` send blocks until every target has acked or been
         declared dead, and leaves nothing in the ledger even when it
         raises — no later fence may wait for an ack that travels on the
-        rsp comm.
+        rsp comm.  ``timeout`` bounds its receives when
+        ``Options.remote_timeout`` does not (:meth:`_drain_acks`).
         """
         seqs: Dict[int, int] = {}
         with self._lock:
@@ -1333,7 +1292,8 @@ class Database:
         if sync:
             try:
                 for seq in seqs.values():
-                    self._drain_acks(blocking=True, sync_seq=seq)
+                    self._drain_acks(blocking=True, sync_seq=seq,
+                                     timeout=timeout)
             finally:
                 for seq in seqs.values():
                     self._settle(seq)
@@ -1345,8 +1305,8 @@ class Database:
         alike, so a fan-out that stalled across a death is not rejected
         for the stamp it first left with."""
         entry = self._unacked[seq]
-        mv = self.membership
-        epoch, dead = mv.wire() if mv is not None else (0, ())
+        repl = self.repl
+        epoch, dead = (0, ()) if repl is None else repl.membership.wire()
         return msg.PairsMsg(list(entry.pairs.values()), seq, epoch, dead,
                             entry.sync)
 
@@ -1355,6 +1315,17 @@ class Database:
         is dead.  Returns the entry, ``None`` if already settled."""
         with self._lock:
             return self._unacked.pop(seq, None)
+
+    def _settled(self, seqs: Iterable[int]) -> int:
+        """How many of ``seqs`` have left the ledger."""
+        return sum(seq not in self._unacked for seq in seqs)
+
+    def _settle_target(self, target: int) -> None:
+        """Settle every send still waiting on ``target`` (it died)."""
+        with self._lock:
+            for seq in [s for s, entry in self._unacked.items()
+                        if entry.target == target]:
+                del self._unacked[seq]
 
     def _migrate(self, imm: MemTable) -> None:
         """Ship an immutable remote MemTable to the owner ranks (§2.4).
@@ -1389,23 +1360,22 @@ class Database:
         self.stats.migrations += len(self._send_pairs(groups, post=post))
 
     def _drain_acks(self, blocking: bool, at_most: Optional[int] = None,
-                    sync_seq: Optional[int] = None) -> None:
+                    sync_seq: Optional[int] = None,
+                    timeout: Optional[float] = None) -> None:
         """Consume acks, settling their ledger entries.  Blocking mode
         waits until the ledger is empty — or, given ``sync_seq``, until
         that one blocking send is settled (the only kind of ack that
         travels on the rsp comm).
 
-        With ``Options.remote_timeout`` set, a blocking drain that stalls
-        resends what it waits for (:meth:`_retransmit`) up to
-        ``remote_retries`` times before raising
-        :class:`RemoteTimeoutError` — except under replication, where a
-        target still silent after the retry budget is **declared dead**
-        instead (the declaration settles its entries) so neither a fence
-        nor a re-replication push ever wedges on a killed rank.
+        With ``Options.remote_timeout`` (or, unset, ``timeout``) a
+        blocking drain that stalls resends what it waits for
+        (:meth:`_retransmit`) up to ``remote_retries`` times before
+        raising :class:`RemoteTimeoutError` — except under replication,
+        where a target still silent after the retry budget is **declared
+        dead** instead (the declaration settles its entries) so neither
+        a fence nor a re-replication push ever wedges on a killed rank.
         """
-        timeout = self.options.remote_timeout
-        if sync_seq is not None and timeout is None and self._replication_on:
-            timeout = 0.25  # a push must notice a second death mid-pass
+        timeout = self.options.remote_timeout or timeout
         rounds = drained = 0
         while (self._unacked if sync_seq is None
                else sync_seq in self._unacked):
@@ -1423,7 +1393,9 @@ class Database:
             except TimeoutError:
                 rounds = self._retransmit(rounds, timeout, sync_seq)
                 continue
-            self._absorb_ack(ack)
+            entry = self._settle(ack.seq)
+            if self.repl is not None:
+                self.repl.absorb_ack(ack, entry)
             drained += 1
 
     def _retransmit(self, rounds: int, timeout: float,
@@ -1441,13 +1413,13 @@ class Database:
             waiting = dict(self._unacked) if sync_seq is None \
                 else {sync_seq: self._unacked[sync_seq]}
         if rounds >= self.options.remote_retries:
-            if not self._replication_on:
+            if self.repl is None:
                 raise RemoteTimeoutError(
                     f"{len(waiting)} ack(s) missing after {rounds + 1} "
                     f"round(s) of {timeout}s"
                 ) from None
             for r in sorted({entry.target for entry in waiting.values()}):
-                self._declare_dead(r)
+                self.repl.declare_dead(r)
             return 0
         self.stats.remote_retries += 1
         self.clock.advance(timeout * (2 ** rounds))
@@ -1456,14 +1428,10 @@ class Database:
         return rounds + 1
 
     def _await_reply(self, owner: int, payload, seq: int):
-        """Receive the reply to a request, retrying on timeout.
-
-        With ``Options.remote_timeout`` unset (the default) this is a
-        plain blocking receive.  Otherwise a lost request or reply is
-        retried with exponential backoff — resending the *same* payload
-        under the *same* seq, which the handler's sequence-number dedup
-        makes idempotent — until the retry budget is exhausted and
-        :class:`RemoteTimeoutError` is raised.
+        """Receive the reply to a request: a plain blocking receive, or
+        with ``Options.remote_timeout`` a resend of the *same* payload
+        under the *same* seq (idempotent) with exponential backoff until
+        the retry budget is spent and :class:`RemoteTimeoutError` raised.
         """
         timeout = self.options.remote_timeout
         attempt = 0
@@ -1478,7 +1446,7 @@ class Database:
                 if attempt >= self.options.remote_retries:
                     raise RemoteTimeoutError(
                         f"rank {owner} did not answer seq {seq} after "
-                        f"{attempt + 1} attempt(s) of {timeout}s"
+                        f"{attempt + 1} attempt(s) of {timeout}s", owner
                     ) from None
                 attempt += 1
                 self.stats.remote_retries += 1
@@ -1489,10 +1457,7 @@ class Database:
 
     def _already_applied(self, source: int, seq: int) -> bool:
         """Handler-side: has this (source, seq) mutation been applied?
-
-        Records the seq as applied when first seen.  Only the handler
-        thread touches the per-source windows, so no lock is needed.
-        """
+        Records it when first seen (handler thread only: no lock)."""
         window = self._seq_dedup.get(source)
         if window is None:
             window = self._seq_dedup[source] = _SeqWindow()
@@ -1504,12 +1469,7 @@ class Database:
         return len(self._send_pairs(groups, sync=True,
                                     post=self.srv_comm.fanout))
 
-    # ============================================================ REPLICATION
-    @property
-    def _replication_on(self) -> bool:
-        """True when this database runs with ``Options(replicas > 1)``."""
-        return self.membership is not None
-
+    # ============================================================ FAULT PLANE
     def _maybe_kill(self) -> None:
         """Fault plane: die here if the plan kills this rank at this op."""
         if self._killed:
@@ -1528,383 +1488,18 @@ class Database:
         self.srv_comm.kill_world_rank(self.rank)
         raise RankKilledError(f"rank {self.rank} killed by fault plan")
 
-    def _replica_group(self, key: bytes, check: bool = True) -> List[int]:
-        """The key's replica group: the hash owner's row of the
-        membership view's group table.
-
-        The view walks rank ``owner_of(key)`` and its successors once
-        per epoch, skipping dead ranks, until ``replicas`` live members
-        are collected; the first member is the **acting primary** (after
-        any single death this is always a pre-death group member, since
-        the ring only shifts).  The list is shared by every caller until
-        the next epoch: never mutate it.  With ``check`` the group must
-        still satisfy the write quorum, or :class:`QuorumLostError` is
-        raised.
-        """
-        mv = self.membership
-        home = self.owner_of(key)
-        if mv is None:
-            return [home]
-        group = mv.snapshot.groups[home]
-        if check and len(group) < self.options.write_quorum:
-            raise QuorumLostError(
-                f"only {len(group)} live replica(s) for key {key!r}; "
-                f"write quorum is {self.options.write_quorum}"
-            )
-        return group
-
-    def _acting_owner(self, key: bytes) -> int:
-        """The rank currently answering for ``key`` (group head)."""
-        if not self._replication_on:
-            return self.owner_of(key)
-        group = self._replica_group(key, check=False)
-        return group[0] if group else self.owner_of(key)
-
-    def _is_acting_primary(self, key: bytes) -> bool:
-        """Whether this rank is the key's current acting primary."""
-        return self._acting_owner(key) == self.rank
-
-    def _stage(self, pairs: List[msg.Pair]) -> None:
-        """Place replicated pairs in the open commit window: inserted
-        locally where this rank is a member of the key's group, staged
-        for the other members until the window closes.
-
-        Every group is resolved before anything is written, so a lost
-        quorum raises with no pair half-placed.  A key rewritten inside
-        the window travels once, with its last value.
-        """
-        mine = [pair for pair in pairs
-                if self.rank in self._replica_group(pair[0])]
-        if not self._staged:
-            self._staged_epoch = self.membership.epoch
-        self.stats.local_puts += len(mine)
-        self.stats.remote_puts += len(pairs) - len(mine)
-        self._local_insert(mine, self.clock)
-        self._staged.update((pair[0], pair) for pair in pairs)
-
-    def _ship_window(self) -> None:
-        """Put the staged window on the wire: one ``PairsMsg`` per
-        target (:meth:`_send_pairs`), one quorum debt per distinct
-        group.
-
-        Groups are resolved here, against the view current *now* — a
-        death that landed while the window was open re-places the pairs
-        instead of shipping them to a stale group (and inserts them
-        locally where the ring shift made this rank a member).  ``seqs``
-        of a debt are the sends that carry the group's pairs, ``need``
-        how many of their acks the quorum still requires after counting
-        a local insert.
-        """
-        if not self._staged:
-            return
-        staged, self._staged = self._staged, {}
-        moved = self.membership.epoch != self._staged_epoch
-        fan: Dict[int, List[msg.Pair]] = {}
-        groups: Set[Tuple[int, ...]] = set()
-        joined: List[msg.Pair] = []
-        for pair in staged.values():
-            group = self._replica_group(pair[0], check=False)
-            groups.add(tuple(group))
-            for r in group:
-                if r != self.rank:
-                    fan.setdefault(r, []).append(pair)
-                elif moved:
-                    joined.append(pair)
-        self._local_insert(joined, self.clock)
-        seq_of = self._send_pairs(fan)
-        self.stats.replica_msgs += len(fan)
-        self.stats.replica_pairs += sum(map(len, fan.values()))
-        quorum = self.options.write_quorum
-        for group in groups:
-            seqs = [seq_of[r] for r in group if r != self.rank]
-            need = quorum - (self.rank in group)
-            self._quorum_due.append((seqs, min(need, len(seqs))))
-
-    def _close_window(self) -> None:
-        """A commit-window boundary: ship the window that just closed,
-        then settle the quorum debts of the one shipped before it — its
-        members applied that batch while this rank filled the next, so
-        the wait is short.  Sequential mode, where a window is one call
-        and acknowledged on return, also settles the debts just booked.
-        With nothing staged there is no boundary: the debts wait for
-        the next one.
-
-        A seq settles when its ack arrives, when a rejected batch was
-        re-fanned under fresh seqs (the fence drains those), or when its
-        target was declared dead (the membership change plus
-        re-replication restore the copy count) — the latter two release
-        the waiter so a death can never wedge an acknowledged put.
-        """
-        if not self._staged:
-            return
-        due, self._quorum_due = self._quorum_due, []
-        self._ship_window()
-        if self.consistency == config.SEQUENTIAL:
-            due, self._quorum_due = due + self._quorum_due, []
-        for seqs, need in due:
-            while sum(s not in self._unacked for s in seqs) < need:
-                self._drain_acks(blocking=True, at_most=1)
-
-    def _absorb_ack(self, ack: msg.AckMsg) -> None:
-        """Settle the send an ack answers; under replication also merge
-        the replier's membership gossip and re-route a rejection.
-
-        An ``applied=False`` ack means the receiver held our membership
-        stamp stale: merge its newer view, then re-fan the rejected
-        pairs to the *current* groups under fresh seqs.  Durability
-        across the transition window is preserved because the re-fan
-        reaches every live member and the fence drains the fresh seqs
-        too.
-        """
-        entry = self._settle(ack.seq)
-        mv = self.membership
-        if mv is None:
-            return
-        mv.merge(ack.epoch, ack.dead)
-        if entry is not None and not ack.applied:
-            # what a later put staged is newer than what comes back
-            self._stage([pair for key, pair in entry.pairs.items()
-                         if key not in self._staged])
-            self._ship_window()
-
-    def _declare_dead(self, rank: int) -> None:
-        """Declare a silent rank dead; release everything waiting on it.
-
-        Idempotent — and the release also runs when the death is not
-        news to the membership view (it may have arrived as gossip,
-        which cleans up nothing).  The view queues the rank for
-        re-replication, pushed by the next tick.
-        """
-        mv = self.membership
-        if mv is None:
-            return
-        if mv.declare_dead(rank):
-            self.stats.rank_deaths += 1
-        self._forget_dead_rank(rank)
-
-    def _forget_dead_rank(self, rank: int) -> None:
-        """Drop every piece of main-thread state that waits on, or was
-        cached from, a dead rank.  Idempotent.
-
-        Settles every send still waiting on the dead rank (each
-        replica-fanned pair still lives on the surviving group members,
-        so no acknowledged write loses visibility) and drops any cached
-        view of its SSTables.  Runs for deaths this rank declared and —
-        from :meth:`_rereplicate` — for deaths it only learned through
-        membership gossip (``MembershipView.merge``).
-        """
-        self._hb_ping.pop(rank, None)
-        self._hb_last.pop(rank, None)
-        with self._lock:
-            for seq in [s for s, entry in self._unacked.items()
-                        if entry.target == rank]:
-                self._settle(seq)
-        self._drop_peer_cache(rank)
-
-    def _absorb_pong(self, pong: msg.AckMsg, source: int) -> None:
-        """One heartbeat pong: proof of life plus membership gossip."""
-        mv = self.membership
-        if mv is None or mv.is_dead(source):
-            return
-        mv.merge(pong.epoch, pong.dead)
-        mv.heard_from(source, self.clock.now)
-        self._hb_ping.pop(source, None)
-
     def tick(self) -> None:
-        """Run one failure-detector maintenance pass explicitly.
-
-        The detector normally piggybacks on put/get traffic; an
-        application that goes quiet (e.g. a pure consumer waiting for
-        recovery to finish) can call this to keep heartbeats, death
-        declarations and re-replication moving.
+        """One failure-detector pass (:meth:`Replication.tick`), which
+        otherwise rides put/get traffic: a quiet application calls this
+        to keep heartbeats, death declarations and re-replication going.
         """
         self._check_open()
         self._maybe_kill()
-        # a poll is not free — and advancing the virtual clock is what
-        # lets silence accumulate toward the detector's timeouts when
-        # the application itself has gone quiet
+        # a poll is not free, and virtual time passing is what lets a
+        # silence reach the detector's timeouts
         self.clock.advance(HEARTBEAT_INTERVAL)
-        self._tick()
-
-    def _tick(self) -> None:
-        """Failure-detector maintenance (main thread, replication only).
-
-        Runs opportunistically at the top of every put/get: absorb
-        heartbeat pongs, ping peers silent for ``HEARTBEAT_INTERVAL``,
-        mark ``SUSPECT_TIMEOUT`` silences suspected, and declare a peer
-        dead only when its oldest unanswered ping exceeds the *virtual*
-        ``DEAD_TIMEOUT`` AND it stays silent through a *wall-clock*
-        grace receive — a live handler always pongs promptly in real
-        time, so a live rank is never falsely declared (this is what
-        makes kill tests deterministic).  Finishes by pushing any
-        pending re-replication work.
-        """
-        mv = self.membership
-        if mv is None or self._in_rerepl or self._killed:
-            return
-        now = self.clock.now
-        if now - self._gc_t0 >= GROUP_COMMIT_INTERVAL:
-            self._close_window()  # this rank stopped writing mid-window
-        while self.ack_comm.iprobe(ANY_SOURCE, HB_TAG):
-            status: dict = {}
-            pong = self.ack_comm.recv(ANY_SOURCE, HB_TAG, status=status)
-            self._absorb_pong(pong, status["source"])
-        for r in mv.alive_ranks():
-            if r == self.rank:
-                continue
-            silence = now - mv.last_heard(r)
-            if silence < HEARTBEAT_INTERVAL:
-                self._hb_ping.pop(r, None)
-                continue
-            if now - self._hb_last.get(r, -1.0) >= HEARTBEAT_INTERVAL:
-                epoch, dead = mv.wire()
-                self.srv_comm.send(
-                    msg.HeartbeatMsg(epoch, dead, ping=True), r, tag=0
-                )
-                self.stats.heartbeats_sent += 1
-                self._hb_last[r] = now
-                self._hb_ping.setdefault(r, now)
-            if silence >= SUSPECT_TIMEOUT:
-                mv.suspect(r)
-            if (silence >= DEAD_TIMEOUT
-                    and now - self._hb_ping.get(r, now) >= DEAD_TIMEOUT):
-                self._grace_then_declare(r)
-        if mv.pending_rereplication:
-            self._rereplicate()
-
-    def _grace_then_declare(self, rank: int) -> None:
-        """Last chance before a death declaration: wall-clock grace.
-
-        The virtual timeouts have expired; now give the peer *real* time
-        to answer — its handler thread runs concurrently and a live one
-        pongs within microseconds of wall time.  Only a peer silent
-        through the grace receive is declared dead.
-        """
-        grace = self.options.remote_timeout or 0.05
-        while rank in self._hb_ping:
-            try:
-                status: dict = {}
-                pong = self.ack_comm.recv(
-                    ANY_SOURCE, HB_TAG, timeout=grace, status=status
-                )
-            except TimeoutError:
-                break
-            self._absorb_pong(pong, status["source"])
-        if rank in self._hb_ping:
-            self._declare_dead(rank)
-
-    def _rereplicate(self) -> None:
-        """Restore the replication factor after a death (main thread).
-
-        For every key whose current group this rank heads (the acting
-        primary always held the data before the death — the ring only
-        shifts), push the pair to every other group member in chunked
-        ``sync`` sends, each acked on the rsp comm before the next
-        leaves.  Members that already hold a pair re-apply the same
-        bytes (idempotent).  A member that dies mid-push is declared
-        dead and re-queued for the next pass.
-
-        The walk is a pinned :class:`ScanIterator` with tombstones kept
-        (a dead rank's deleted keys must not resurrect on the new
-        replica): a flush or compaction the handler triggers meanwhile
-        cannot unlink a table under it.  Behind a quarantined table the
-        scan refuses, nothing is pushed and the pass stays pending.
-        """
-        mv = self.membership
-        if mv is None or self._in_rerepl:
-            return
-        self._in_rerepl = True
-        try:
-            newly_dead = mv.take_pending_rereplication()
-            if not newly_dead:
-                return
-            for r in newly_dead:
-                self._forget_dead_rank(r)
-            targets: Dict[int, List[msg.Pair]] = {}
-            try:
-                with ScanIterator(self, include_replicas=True,
-                                  tombstones=True) as walk:
-                    for pair in walk:
-                        group = self._replica_group(pair[0], check=False)
-                        if not group or group[0] != self.rank:
-                            continue
-                        for r in group[1:]:
-                            targets.setdefault(r, []).append(pair)
-            except CorruptionError:
-                # pushing around the hole could overwrite a healthy
-                # member's newer version with an older one from here
-                mv.put_back_rereplication(newly_dead)
-                return
-            for target in sorted(targets):
-                pairs = targets[target]
-                for i in range(0, len(pairs), 256):
-                    part = pairs[i:i + 256]
-                    self._send_pairs({target: part}, sync=True)
-                    if mv.is_dead(target):
-                        # a second death mid-push: the stalled send
-                        # declared it, the next tick re-replicates
-                        # around it
-                        break
-                    self.stats.rereplicated_pairs += len(part)
-        finally:
-            self._in_rerepl = False
-
-    def _replicated_get(self, key: bytes) -> Optional[GetResult]:
-        """One get under replication: staged tiers, then group members.
-
-        A member of the key's group answers locally; otherwise the
-        acting primary is asked, and a timeout declares it dead and
-        re-routes.  After any death (``epoch > 0``) a *miss* is
-        cross-checked against the remaining members before being
-        believed — a freshly promoted member may not have received its
-        re-replication push yet.  Deletes stay correct under that
-        paranoia read: every member of the group applied the acked
-        tombstone, so all of them answer "absent".
-
-        Reads do **not** require the write quorum: any single live
-        replica can serve a get, so ``check=False`` here — only a group
-        with zero live members is unanswerable.
-        """
-        mv = self.membership
-        assert mv is not None
-        entry, tier = self._search_memory_remote(key)  # main-thread state
-        if entry is not None:
-            if entry.tombstone:
-                return None
-            return GetResult(entry.value, tier)
-        for _attempt in range(self.nranks + 1):
-            group = self._replica_group(key, check=False)
-            if not group:
-                break
-            if self.rank in group:
-                self.stats.local_gets += 1
-                result = self._local_get([key])[key]
-                if result is not None or mv.epoch == 0:
-                    return result
-                others = [r for r in group if r != self.rank]
-            else:
-                self.stats.remote_gets += 1
-                primary = group[0]
-                try:
-                    result = self._remote_get({primary: [key]})[0].get(key)
-                except RemoteTimeoutError:
-                    self.stats.failover_gets += 1
-                    self._declare_dead(primary)
-                    continue
-                if result is not None or mv.epoch == 0:
-                    return result
-                others = group[1:]
-            for r in others:
-                self.stats.failover_gets += 1
-                try:
-                    result = self._remote_get({r: [key]})[0].get(key)
-                except RemoteTimeoutError:
-                    self._declare_dead(r)
-                    continue
-                if result is not None:
-                    return result
-            return None
-        raise QuorumLostError(f"no live replica answered for key {key!r}")
+        if self.repl is not None:
+            self.repl.tick(self._gc_t0)
 
     # ==================================================================== GET
     def get(self, key: bytes) -> bytes:
@@ -1930,8 +1525,8 @@ class Database:
         """Fetch many keys; values come back in caller order (None=absent).
 
         Duplicate keys resolve with a single lookup, and remote keys
-        cost one :class:`~repro.core.messages.GetMsg` per owner — all
-        scattered before any reply is awaited.
+        cost one :class:`~repro.core.messages.GetMsg` per owner — per
+        acting primary under replication, until a death.
         """
         return [
             None if r is None else r.value
@@ -1944,11 +1539,13 @@ class Database:
         Keys are validated and normalised here, once; a point call is a
         batch of one.  Distinct keys are partitioned by owner in one
         pass: local keys walk memory → local cache → own SSTables
-        (:meth:`_local_get`), remote keys walk staged/inflight → remote
+        (:meth:`_local_get`), remote keys walk inflight → remote
         cache → the owner's tables, read by this rank where it may, or
-        one ``GetMsg`` per owner (:meth:`_remote_get`).  Results come back
-        in caller order, ``None`` for absent or deleted keys; ``kind``
-        labels the latency sample.
+        one ``GetMsg`` per owner (:meth:`_remote_get`).  Under
+        replication the owner is the key's acting primary and a key of
+        a group this rank is in is local (:meth:`Replication.get`).
+        Results come back in caller order, ``None`` for absent or
+        deleted keys; ``kind`` labels the latency sample.
         """
         if self._closed or self._killed or self.ctx.faults is not None:
             self._check_open()
@@ -1984,12 +1581,9 @@ class Database:
         self.stats.gets += n
         owner_msgs = 0
         found: Dict[bytes, Optional[GetResult]] = {}
-        if self.membership is not None:
-            # group routing (and its paranoia read after a death) is
-            # per key: it cannot be expressed as one GetMsg per hash owner
-            self._tick()
-            for key in index_of:
-                found[key] = self._replicated_get(key)
+        if self.repl is not None:
+            self.repl.tick(self._gc_t0)
+            found, owner_msgs = self.repl.get(list(index_of))
         else:
             local: List[bytes] = []
             remote: Dict[int, List[bytes]] = {}
@@ -2236,29 +1830,27 @@ class Database:
         entry = self.remote_mt.get(key)
         if entry is not None:
             return entry, "remote_mt"
-        pair = self._staged.get(key)
-        if pair is None:
-            for unacked in reversed(self._unacked.values()):
-                pair = unacked.pairs.get(key)
-                if pair is not None:
-                    break
-        if pair is not None:
-            return Entry(pair[1], pair[2]), "inflight"
+        for unacked in reversed(self._unacked.values()):
+            pair = unacked.pairs.get(key)
+            if pair is not None:
+                return Entry(pair[1], pair[2]), "inflight"
         return None, ""
 
     def _remote_get(self, groups: Dict[int, List[bytes]]
                     ) -> Tuple[Dict[bytes, Optional[GetResult]], int]:
         """Remote tier walk for ``{owner: keys}``.
 
-        Staged/unacked tiers and the remote cache first.  What is left
-        goes to the owner's handler, one ``GetMsg`` per owner (§2.4); a
+        The remote MemTable, the inflight (unacked) tier and the remote
+        cache first.  What is left goes to the owners' handlers, one
+        ``GetMsg`` per owner, all scattered at once (§2.4); a
         storage-group peer told ``NOT_IN_MEMORY`` reads the owner's
         tables itself (§2.7) and takes no value bytes off the wire.  The
         loop is the stale-view ladder, spelled once: a walk that races
         the owner's compaction drops the view, the re-asked ``GetMsg``
         refreshes it and the walk retries once, the third round forces
         value bytes over the network.  Returns the results (absent keys
-        may be missing) and the messages sent.
+        may be missing) and the messages sent; an owner that never
+        answers raises :class:`RemoteTimeoutError` naming it.
         """
         out: Dict[bytes, Optional[GetResult]] = {}
         need: Dict[int, List[bytes]] = {}
@@ -2270,8 +1862,8 @@ class Database:
             if cache is not None:
                 cache.put(key, value)
 
-        # the staged/unacked tiers and the remote cache are main-thread
-        # state: read without a lock
+        # the remote MemTable, the inflight (unacked) tier and the
+        # remote cache are main-thread state: read without a lock
         for owner, keys in groups.items():
             for key in keys:
                 entry, tier = self._search_memory_remote(key)
@@ -2422,9 +2014,10 @@ class Database:
             imm = self._swap_remote_mt() if len(self.remote_mt) else None
         if imm is not None:
             self._migrate(imm)
-        self._ship_window()
-        self._drain_acks(blocking=True)
-        self._quorum_due = []  # drained above: the ledger is empty
+        if self.repl is None:
+            self._drain_acks(blocking=True)
+        else:
+            self.repl.fence()
 
     def barrier(self, level: int = config.MEMTABLE) -> None:
         """Collective fence (+ SSTable flush at ``SSTABLE`` level)."""
@@ -2660,8 +2253,8 @@ class Database:
         that fails meets the damage ladder (:meth:`_heal_or_fence`),
         peer-copy rung included, restoring from ``checkpoint_path`` or
         the last path this database checkpointed to; ``repair=False``
-        quarantines it at once (one thread at a time, as the ladder).  A fenced table is quarantined and its key
-        range degrades to :class:`CorruptionError` on access.
+        quarantines it at once.  A fenced table's key range degrades to
+        :class:`CorruptionError` on access.
 
         Returns ``{"ok": [...], "rebuilt": [...], "quarantined": [...]}``
         (SSIDs per outcome; a table another thread is treating is in
@@ -2850,3 +2443,8 @@ class Database:
         blob, t = self.store.read(f"{self.dbdir}/meta.json", self.clock.now)
         self.clock.advance_to(t)
         return json.loads(blob.decode())
+
+
+# the replication plane builds on the names above; importing it here,
+# with the package, keeps its import out of a database's open
+from repro.core.replication import Replication  # noqa: E402

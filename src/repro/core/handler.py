@@ -39,7 +39,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from repro.core import messages as msg
-from repro.core.db import ACK_TAG, HB_TAG, Database
+from repro.core.db import ACK_TAG, Database
+from repro.core.replication import HB_TAG
 from repro.errors import CorruptionError
 from repro.faults import RankKilledError
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG, AbortedError
@@ -64,7 +65,8 @@ def handler_main(db: Database) -> None:
     bind_context(hctx)
     cpu = main_ctx.system.cpu
     serve = _dispatch()
-    recv, mv = db.srv_comm.recv, db.membership
+    recv = db.srv_comm.recv
+    mv = db.repl.membership if db.repl is not None else None
     try:
         while True:
             status: dict = {}
@@ -130,25 +132,20 @@ def _serve_pairs(db: Database, m: msg.PairsMsg, source: int,
                  hclock: VirtualClock, cpu) -> None:
     """Apply a carrier's pairs and acknowledge them.
 
-    Under replication a message stamped with an older epoch than this
-    view's — or sent by a rank this view holds dead — is **rejected**
-    (``applied=False``) so the writer re-routes against the current
-    group.  A ``sync`` one is a re-replication push, valid data whatever
-    its epoch, and never rejected.  Everything else is applied once:
-    the seq-dedup gate makes a retransmit a plain re-ack.
+    Under replication the epoch gate (``Replication.stale``) may
+    **reject** it (``applied=False``) so the writer re-routes against
+    the current group.  Everything else is applied once: the seq-dedup
+    gate makes a retransmit a plain re-ack.
     """
-    mv = db.membership
-    stale = mv is not None and not m.sync and mv.is_stale(m.epoch, source)
-    if stale:
-        db.stats.epoch_rejections += 1
-    else:
-        if mv is not None:
-            mv.merge(m.epoch, m.dead)
-        if not db._already_applied(source, m.seq):
-            _apply_pairs(db, m.pairs, hclock, cpu)
-            if mv is not None:
-                db.stats.replica_pairs_applied += len(m.pairs)
-    epoch, dead = mv.wire() if mv is not None else (0, ())
+    repl = db.repl
+    stale = repl is not None and repl.stale(m, source)
+    fresh = not stale and not db._already_applied(source, m.seq)
+    if fresh:
+        _apply_pairs(db, m.pairs, hclock, cpu)
+    epoch, dead = 0, ()
+    if repl is not None:
+        db.stats.replica_pairs_applied += len(m.pairs) if fresh else 0
+        epoch, dead = repl.membership.wire()
     ack = msg.AckMsg(m.seq, epoch, dead, applied=not stale)
     if m.sync:
         db.rsp_comm.send(ack, source, tag=m.seq)
@@ -158,16 +155,12 @@ def _serve_pairs(db: Database, m: msg.PairsMsg, source: int,
 
 def _serve_heartbeat(db: Database, m: msg.HeartbeatMsg, source: int,
                      hclock: VirtualClock, cpu) -> None:
-    """Merge the sender's membership gossip; pong if it was a ping."""
-    mv = db.membership
-    # no membership plane, or a zombie ping: stay silent
-    if mv is not None and not mv.is_dead(source):
-        mv.merge(m.epoch, m.dead)
-        if m.ping:
-            epoch, dead = mv.wire()
-            db.ack_comm.send(
-                msg.AckMsg(0, epoch, dead), source, tag=HB_TAG,
-            )
+    """Merge the sender's membership gossip; pong if it was a ping (only
+    a replicated database sends heartbeats; a zombie gets no pong)."""
+    repl = db.repl
+    if repl.hears(m, source) and m.ping:
+        epoch, dead = repl.membership.wire()
+        db.ack_comm.send(msg.AckMsg(0, epoch, dead), source, tag=HB_TAG)
 
 
 def _serve_fetch_table(db: Database, m: msg.FetchTableMsg, source: int,

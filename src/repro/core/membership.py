@@ -23,17 +23,16 @@ read and no lock: an immutable object has nothing to race on.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
 
 from repro.analysis.runtime import annotate_write, make_lock
 from repro.errors import MembershipEpochError
 
-#: failure-detector timing in virtual seconds (read by ``Database._tick``):
-#: gap between heartbeat pings to a silent peer, ping silence after which
-#: it is suspected, and ping silence after which it is declared dead
-#: (after a final wall-clock grace wait for its pong)
+#: failure-detector timing in virtual seconds (read by
+#: ``Replication.tick``): gap between heartbeat pings to a silent peer,
+#: and ping silence after which it is declared dead (after a final
+#: wall-clock grace wait for its pong)
 HEARTBEAT_INTERVAL = 500e-6
-SUSPECT_TIMEOUT = 2e-3
 DEAD_TIMEOUT = 5e-3
 
 
@@ -68,12 +67,11 @@ class MembershipView:
         self.replicas = replicas
         self._mv_lock = make_lock("db.membership")
         self._publish(0, frozenset())
-        self._suspect: Set[int] = set()
         #: per peer, a float that only grows (popped at death); written
         #: under the lock, read without it — a dict read is atomic
         self._last_heard: Dict[int, float] = {}
         #: ranks declared dead whose key ranges still need re-replication
-        #: (drained by Database._rereplicate on the main thread)
+        #: (drained by Replication.rereplicate on the main thread)
         self._pending_rerepl: List[int] = []
 
     def _publish(self, epoch: int, dead: FrozenSet[int]) -> None:
@@ -101,18 +99,10 @@ class MembershipView:
             prev = self._last_heard.get(rank, 0.0)
             if t > prev:
                 self._last_heard[rank] = t
-            self._suspect.discard(rank)
 
     def last_heard(self, rank: int) -> float:
         """Virtual time of the most recent message from ``rank`` (0.0 if never)."""
         return self._last_heard.get(rank, 0.0)
-
-    def suspect(self, rank: int) -> None:
-        """Mark a silent peer suspected (diagnostic; not yet dead)."""
-        with self._mv_lock:
-            annotate_write(self, "membership.state")
-            if rank not in self.snapshot.dead:
-                self._suspect.add(rank)
 
     # -- the view itself ----------------------------------------------
 
@@ -138,7 +128,6 @@ class MembershipView:
         """Forget the newly dead ``ranks`` and queue their re-replication
         (under the lock; the caller publishes)."""
         for r in ranks:
-            self._suspect.discard(r)
             self._last_heard.pop(r, None)
             self._pending_rerepl.append(r)
 

@@ -140,9 +140,10 @@ class ScanIterator:
         db.clock.advance_to(t)
 
         merged = merge_newest(tiers, tombstones)
-        if db.membership is not None and not include_replicas:
-            primary = db._is_acting_primary
-            merged = ([kv for kv in run if primary(kv[0])] for run in merged)
+        if db.repl is not None and not include_replicas:
+            group, me = db.repl.group, db.rank
+            merged = ([kv for kv in run if group(kv[0], False)[0] == me]
+                      for run in merged)
         self._runs = _pinned(merged, db, ssids)
         next(self._runs)
         items: Iterator = chain.from_iterable(self._runs)

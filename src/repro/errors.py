@@ -144,9 +144,15 @@ class TornWriteError(CorruptionError):
 
 
 class RemoteTimeoutError(PapyrusError, TimeoutError):
-    """A remote rank did not reply within the retry budget."""
+    """A remote rank did not reply within the retry budget; ``rank``
+    names it when one request went unanswered (``None`` for a drain)."""
 
     code = ErrorCode.TIMEOUT
+
+    def __init__(self, message: str = "",
+                 rank: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.rank = rank
 
 
 class ReplicationError(PapyrusError):

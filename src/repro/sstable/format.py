@@ -100,10 +100,6 @@ class Record(NamedTuple):
     value: bytes
     tombstone: bool = False
 
-    def encoded_len(self) -> int:
-        """On-disk size of this record."""
-        return RECORD_HEADER_LEN + len(self.key) + len(self.value)
-
 
 #: one item of a sorted run, indexed ``(key, value, tombstone)`` — a
 #: plain triple or a :class:`Record`

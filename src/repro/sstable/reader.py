@@ -35,7 +35,7 @@ import struct
 import sys
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, repeat
-from operator import add
+from operator import add, ge
 from typing import (
     TYPE_CHECKING, Any, Iterator, List, NamedTuple, Optional, Set, Tuple,
 )
@@ -518,8 +518,11 @@ class SSTableReader:
 
         Raises :class:`CorruptionError` / :class:`TornWriteError` on the
         first problem found: the index CRC, the bloom file CRC against
-        the footer, every SSData block CRC, and that SSData's own record
-        headers decode to the index's records and the footer's block keys.
+        the footer, every SSData block CRC, that SSData's own record
+        headers decode to the index's records and the footer's block
+        keys, that its keys strictly ascend, and that the bloom filter
+        holds every one of them.  ``db.verify()`` and the offline
+        ``fsck`` both run this check.
         """
         footer, t = self.footer(t)
         bloom_blob, t = self.store.read(self._bloom_path, t)
@@ -537,6 +540,12 @@ class SSTableReader:
         for key, i in zip(footer.block_keys, footer.block_first):
             if records[i].key != key:  # i: derived from the offsets above
                 raise self._corrupt(f"block key {key!r} is not record {i}'s")
+        keys = [rec.key for rec in records]
+        if any(map(ge, keys, keys[1:])):
+            raise self._corrupt("SSData keys not strictly ascending")
+        missing = sum(key not in self._bloom for key in keys)
+        if missing:
+            raise self._corrupt(f"bloom filter false negatives: {missing} keys")
         return t
 
     def file_paths(self) -> Tuple[str, str, str]:

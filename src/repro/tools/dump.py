@@ -16,9 +16,11 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.errors import CorruptionError, StorageError, TornWriteError
+from repro.nvm.posixfs import PosixStore
+from repro.simtime.resources import TimedResource
 from repro.sstable.format import (
     BLOOM_SUFFIX,
     DATA_SUFFIX,
@@ -26,14 +28,11 @@ from repro.sstable.format import (
     INDEX_SUFFIX,
     QUARANTINE_SUFFIX,
     Record,
-    block_starts,
-    data_block_crcs,
-    decode_bloom_file,
     decode_records,
     index_format_version,
     parse_index,
 )
-from repro.util.checksum import crc32c
+from repro.sstable.reader import SSTableReader
 
 _DB_RE = re.compile(r"^db_(.+)$")
 _RANK_RE = re.compile(r"^rank(\d+)$")
@@ -163,88 +162,36 @@ def dump_sstable(rank_dir: str, ssid: int,
 
 
 def verify_sstable(rank_dir: str, ssid: int) -> List[str]:
-    """Cross-check one SSTable's three files; returns found problems.
+    """Check one SSTable with the store's own verifier
+    (:meth:`SSTableReader.verify`, through a zero-cost device); returns
+    the problem it found, or an empty list.
 
-    Structural checks (sorted keys, index/record agreement, each block
-    key against the decoded record it names, bloom membership) plus the
-    footer's checksums (data length, per-block CRC-32, bloom checksum).
     A table whose SSIndex carries the magic of a retired format is
     reported as that unsupported version, not as damage.
     """
-    problems: List[str] = []
-    base = os.path.join(rank_dir, f"{ssid:010d}")
     try:
-        with open(base + DATA_SUFFIX, "rb") as f:
-            data = f.read()
-        records = list(decode_records(data))
-    except (OSError, ValueError) as exc:
-        return [f"SSData unreadable: {exc}"]
-    keys = [r.key for r in records]
-    if keys != sorted(set(keys)):
-        problems.append("SSData keys not strictly sorted")
-    bloom_blob = None
+        with open(os.path.join(rank_dir, f"{ssid:010d}{INDEX_SUFFIX}"),
+                  "rb") as f:
+            version = index_format_version(f.read())
+    except OSError:
+        version = None  # the verifier names the missing file
+    if version not in (None, FORMAT_VERSION):
+        return [
+            f"unsupported format version {version} (this build reads "
+            f"version {FORMAT_VERSION}; reload the data to migrate)"
+        ]
+    root, directory = os.path.split(os.path.abspath(rank_dir))
+    store = PosixStore(root, TimedResource("fsck", 0.0, float("inf")))
     try:
-        with open(base + BLOOM_SUFFIX, "rb") as f:
-            bloom_blob = f.read()
-    except OSError as exc:
-        problems.append(f"bloom filter unreadable: {exc}")
-    footer = None
-    try:
-        with open(base + INDEX_SUFFIX, "rb") as f:
-            index_blob = f.read()
-        version = index_format_version(index_blob)
-        if version not in (None, FORMAT_VERSION):
-            return problems + [
-                f"unsupported format version {version} (this build reads "
-                f"version {FORMAT_VERSION}; reload the data to migrate)"
-            ]
-        entries, footer = parse_index(index_blob)
-        if len(entries) != len(records):
-            problems.append(
-                f"SSIndex count {len(entries)} != record count {len(records)}"
-            )
-        for entry, rec in zip(entries, records):
-            got = data[entry.key_offset:entry.key_offset + entry.keylen]
-            if got != rec.key:
-                problems.append(f"SSIndex offset mismatch at key {rec.key!r}")
-                break
-        starts = [0, *accumulate(r.encoded_len() for r in records)][:-1]
-        if footer.block_first != block_starts(starts, footer.block_size):
-            problems.append("block keys do not sit at the first record "
-                            "starting in each SSData block")
-        for key, i in zip(footer.block_keys, footer.block_first):
-            if i >= len(records) or records[i].key != key:
-                problems.append(f"block key {key!r} is not record {i}'s key")
-    except (OSError, ValueError) as exc:
-        problems.append(f"SSIndex unreadable: {exc}")
-    if footer is not None:  # index readable: checksum everything
-        if len(data) != footer.data_len:
-            problems.append(
-                f"SSData length {len(data)} != footer {footer.data_len} "
-                f"(torn write)"
-            )
-        elif tuple(data_block_crcs(data, footer.block_size)) != \
-                tuple(footer.block_crcs):
-            problems.append("SSData block checksum mismatch (corruption)")
-        if bloom_blob is not None:
-            if len(bloom_blob) != footer.bloom_len:
-                problems.append(
-                    f"bloom length {len(bloom_blob)} != footer "
-                    f"{footer.bloom_len} (torn write)"
-                )
-            elif crc32c(bloom_blob) != footer.bloom_crc:
-                problems.append("bloom file checksum mismatch (corruption)")
-    if bloom_blob is not None:
-        try:
-            bloom = decode_bloom_file(bloom_blob)
-            missing = [k for k in keys if k not in bloom]
-            if missing:
-                problems.append(
-                    f"bloom filter false negatives: {len(missing)} keys"
-                )
-        except ValueError as exc:
-            problems.append(f"bloom filter unreadable: {exc}")
-    return problems
+        SSTableReader(store, directory, ssid).verify(0.0)
+    except StorageError as exc:
+        detail = str(exc).removeprefix(f"sstable {ssid} ({directory}): ")
+        if isinstance(exc, TornWriteError):
+            return [f"{detail} (torn write)"]
+        if isinstance(exc, CorruptionError):
+            return [f"{detail} (corruption)"]
+        return [detail]
+    return []
 
 
 def fsck_repository(root: str) -> Dict[str, List[str]]:

@@ -19,7 +19,8 @@ from repro.analysis.pkvlint import lint_file
 from repro.config import SSTABLE
 from repro.core import handler
 from repro.core import messages as msg
-from repro.core.db import ACK_TAG, HB_TAG
+from repro.core.db import ACK_TAG
+from repro.core.replication import HB_TAG
 from repro.core.messages import Wire, validate
 from repro.mpi.comm import AbortedError
 from repro.mpi.launcher import spmd_run
@@ -197,7 +198,7 @@ class TestRequestReply:
                 db.barrier(SSTABLE)
                 got = {}
                 if ctx.world_rank == 0:
-                    epoch, dead = db.membership.wire()
+                    epoch, dead = db.repl.membership.wire()
                     requests = [
                         (msg.PairsMsg([(b"k", b"w", False)], 990_001,
                                       epoch, dead, sync=True),

@@ -664,8 +664,7 @@ class TestRaceCleanliness:
             def app(ctx):
                 with Papyrus(ctx) as env:
                     db = env.open("d", small_options(
-                        cache_local_enabled=False, race_detect=True,
-                    ))
+                        cache_local_enabled=False))
                     for i in range(80):
                         db.put(f"rk{ctx.world_rank}{i:03d}".encode(), b"x" * 32)
                     db.barrier(SSTABLE)

@@ -191,7 +191,7 @@ class TestReplicatedOperation:
                 sent = None
                 if ctx.world_rank == 0:
                     targets = {r for key in items
-                               for r in db._replica_group(key)} - {0}
+                               for r in db.repl.group(key)} - {0}
                     msgs, pairs = (db.stats.replica_msgs,
                                    db.stats.replica_pairs)
                     with db.batch() as b:
@@ -201,7 +201,7 @@ class TestReplicatedOperation:
                     db.fence()
                     # R=2: one copy of each key leaves this rank, or two
                     # when it is no member of the key's group
-                    outside = sum(0 not in db._replica_group(key)
+                    outside = sum(0 not in db.repl.group(key)
                                   for key in items)
                     sent = (db.stats.replica_msgs - msgs, len(targets),
                             db.stats.replica_pairs - pairs,
@@ -210,7 +210,7 @@ class TestReplicatedOperation:
                 db.barrier()
                 held = dict(db.scan_local(include_replicas=True))
                 for key, value in items.items():
-                    if ctx.world_rank in db._replica_group(key):
+                    if ctx.world_rank in db.repl.group(key):
                         assert held[key] == value
                 db.close()
                 return sent
@@ -236,10 +236,10 @@ class TestReplicatedOperation:
                     db.put(b"rides", b"v")
                     assert db.stats.group_commit_coalesced == 1
                     # nothing is on the wire, so nothing is owed yet
-                    assert list(db._staged) == [b"opens", b"rides"]
-                    assert not db._unacked and db._quorum_due == []
+                    assert list(db.repl.staged) == [b"opens", b"rides"]
+                    assert not db._unacked and db.repl.quorum_due == []
                     assert db.stats.replica_msgs == 0
-                    groups = {tuple(db._replica_group(k))
+                    groups = {tuple(db.repl.group(k))
                               for k in (b"opens", b"rides")}
                     targets = {r for g in groups for r in g} - {0}
                     ctx.clock.advance(GROUP_COMMIT_INTERVAL)  # window over
@@ -255,15 +255,15 @@ class TestReplicatedOperation:
                     assert db.stats.replica_msgs == len(targets)
                     assert db.stats.replica_pairs == sum(
                         len(set(g) - {0}) for g in map(
-                            db._replica_group, (b"opens", b"rides")))
-                    assert len(db._quorum_due) == len(groups)
-                    first = list(db._quorum_due)
+                            db.repl.group, (b"opens", b"rides")))
+                    assert len(db.repl.quorum_due) == len(groups)
+                    first = list(db.repl.quorum_due)
                     assert db.stats.group_commits == 2
                     # ...and the new window is open: the next call rides
-                    assert list(db._staged) == staged
+                    assert list(db.repl.staged) == staged
                     db.delete(b"rides")
                     assert db.stats.group_commits == 2
-                    assert db._staged[b"rides"] == (b"rides", b"", True)
+                    assert db.repl.staged[b"rides"] == (b"rides", b"", True)
                     assert db.stats.replica_msgs == len(targets)
                     # the boundary after that settles the first window
                     ctx.clock.advance(GROUP_COMMIT_INTERVAL)
@@ -271,7 +271,7 @@ class TestReplicatedOperation:
                     assert first and all(
                         sum(s not in db._unacked for s in seqs) >= need > 0
                         for seqs, need in first)
-                    assert not any(debt in db._quorum_due for debt in first)
+                    assert not any(debt in db.repl.quorum_due for debt in first)
                 db.barrier()
                 db.close()
 
@@ -287,9 +287,9 @@ class TestReplicatedOperation:
                 db = env.open("repl", _repl_options(replicas=2))
                 if ctx.world_rank == 0:
                     key = next(k for k in _keys("out", 64)
-                               if 0 not in db._replica_group(k))
+                               if 0 not in db.repl.group(k))
                     db.put(key, b"mine")
-                    assert key in db._staged and not db._unacked
+                    assert key in db.repl.staged and not db._unacked
                     got = db.get_ex(key)
                     assert (got.value, got.tier) == (b"mine", "inflight")
                     db.delete(key)
@@ -313,11 +313,11 @@ class TestReplicatedOperation:
                     db.put(key, b"first")
                     db.put(key, b"second")
                     db.fence()
-                    others = [r for r in db._replica_group(key) if r != 0]
+                    others = [r for r in db.repl.group(key) if r != 0]
                     assert sorted(pushed) == [
                         (r, key, b"second", False) for r in sorted(others)]
                 db.barrier()
-                if ctx.world_rank in db._replica_group(key):
+                if ctx.world_rank in db.repl.group(key):
                     held = dict(db.scan_local(include_replicas=True))
                     assert held[key] == b"second"
                 db.close()
@@ -338,16 +338,16 @@ class TestReplicatedOperation:
                     for key in keys:
                         db.put(key, b"v")
                     db.get(keys[0])  # a young window stays open
-                    assert list(db._staged) == keys
+                    assert list(db.repl.staged) == keys
                     assert db.stats.replica_msgs == 0
                     ctx.clock.advance(GROUP_COMMIT_INTERVAL)
                     if poll == "get":
                         assert db.get(keys[1]) == b"v"
                     else:
                         db.tick()
-                    assert not db._staged
+                    assert not db.repl.staged
                     assert db.stats.replica_pairs == sum(
-                        len(set(db._replica_group(k)) - {0}) for k in keys)
+                        len(set(db.repl.group(k)) - {0}) for k in keys)
                 db.barrier()
                 db.close()
 
@@ -436,7 +436,7 @@ class TestKillRank:
             # recovery: spin the failure detector until the victim is
             # declared dead and re-replication has drained — gets must
             # keep succeeding the whole time
-            mv = db.membership
+            mv = db.repl.membership
             probe = sorted(acked)[0]
             for _ in range(10000):
                 db.tick()
@@ -499,7 +499,7 @@ class TestKillRank:
                 pass  # the peer died mid-loop: writes refuse from here on
             if rank == 1:
                 raise AssertionError("victim survived its kill schedule")
-            mv = db.membership
+            mv = db.repl.membership
             for _ in range(10000):
                 db.tick()
                 if mv.is_dead(1):
@@ -531,20 +531,20 @@ class TestStaleEpochAndFailover:
             if rank == 1:
                 # rank 1 alone moves to epoch 3 (no death); rank 0's
                 # first carriers to it are stamped epoch 0
-                assert db.membership.merge(3, ())
+                assert db.repl.membership.merge(3, ())
             db.coll_comm.barrier()
             pushed = _spy_on_pairs(db) if rank == 0 else []
             if rank == 0:
                 for k in keys:
                     db.put(k, b"v-" + k)
                 db.fence()
-                assert db.membership.epoch == 3  # learned from the ack
+                assert db.repl.membership.epoch == 3  # learned from the ack
             db.coll_comm.barrier()
             got = [db.get(k) for k in keys]
             held = {k for k, _ in db.scan_local(include_replicas=True)}
             to_1 = [key for dest, key, *_ in pushed if dest == 1]
             out = (got, db.stats.epoch_rejections, held, to_1,
-                   [k for k in keys if 1 in db._replica_group(k)])
+                   [k for k in keys if 1 in db.repl.group(k)])
             db.close()
             return out
 
@@ -567,7 +567,7 @@ class TestStaleEpochAndFailover:
             rank = ctx.world_rank
             # keys whose group is [0, 1]: rank 2 reads them remotely
             keys = [k for k in _keys("fo", 60)
-                    if db._replica_group(k) == [0, 1]]
+                    if db.repl.group(k) == [0, 1]]
             if rank == 0:
                 for k in keys:
                     db.put(k, b"v-" + k)
@@ -591,7 +591,7 @@ class TestStaleEpochAndFailover:
             db._remote_get = spy
             got = [db.get(k) for k in keys] if rank == 2 else []
             out = (keys, got, timeouts, db.stats.failover_gets,
-                   db.membership.is_dead(0))
+                   db.repl.membership.is_dead(0))
             survivors.wait()
             _survivor_close(db)
             return out
@@ -603,6 +603,101 @@ class TestStaleEpochAndFailover:
         # the key from rank 1; every later get went to rank 1 directly
         assert timeouts == [[0]] and dead
         assert failovers >= 1
+
+
+class TestReplicatedBulkGet:
+    """A replicated ``get_bulk`` runs the one batched resolver: one
+    ``GetMsg`` per acting primary, whatever the number of keys."""
+
+    NKEYS = 200
+
+    @staticmethod
+    def _count_get_msgs(db):
+        """The destination of every GetMsg this rank sends from now on,
+        and the owners of each scatter (one ``_request_get`` call)."""
+        sent, scatters = [], []
+        send, fanout = db.srv_comm.send, db.srv_comm.fanout
+        request_get = db._request_get
+
+        def spy_request_get(groups, force):
+            scatters.append(sorted(groups))
+            return request_get(groups, force)
+
+        def spy_send(payload, dest, tag=0):
+            if isinstance(payload, msg.GetMsg):
+                sent.append(dest)
+            return send(payload, dest, tag=tag)
+
+        def spy_fanout(payloads, tag=0):
+            sent.extend(dest for dest, payload in payloads.items()
+                        if isinstance(payload, msg.GetMsg))
+            return fanout(payloads, tag=tag)
+
+        db.srv_comm.send, db.srv_comm.fanout = spy_send, spy_fanout
+        db._request_get = spy_request_get
+        return sent, scatters
+
+    def _app(self, killed=None, done=None):
+        """Four ranks, one storage group each, R=2/Q=1: every rank puts
+        its share of keys whose groups exclude rank 0, then rank 0 reads
+        them all in one ``get_bulk`` (after ``killed`` lets rank 1 die)."""
+
+        def app(ctx):
+            env = Papyrus(ctx)
+            db = env.open("bulkget", _repl_options(
+                replicas=2, write_quorum=1, group_size=1,
+                remote_timeout=0.05, remote_retries=0))
+            rank = ctx.world_rank
+            keys = [k for k in _keys("bg", 4 * self.NKEYS)
+                    if 0 not in db.repl.group(k)][:self.NKEYS]
+            for key in keys[rank::4]:
+                db.put(key, b"v-" + key)
+            db.fence()
+            db.coll_comm.barrier()
+            if killed is not None:
+                if rank == 1:
+                    ctx.comm.kill_world_rank(1)
+                killed.wait()
+                if rank == 1:
+                    return None
+            out = None
+            if rank == 0:
+                primaries = {db.repl.group(k)[0] for k in keys}
+                sent, scatters = self._count_get_msgs(db)
+                got = db.get_bulk(keys)
+                out = (len(keys), primaries, sorted(sent), scatters,
+                       got == [b"v-" + k for k in keys])
+            if done is None:
+                db.barrier()
+                db.close()
+            else:
+                done.wait()
+                _survivor_close(db)
+            return out
+
+        return app
+
+    def test_one_get_msg_per_acting_primary(self):
+        """200 keys, none of them held by rank 0: two acting primaries,
+        two GetMsgs (one per key before the resolver was shared), both
+        sent before either reply is awaited."""
+        nkeys, primaries, sent, scatters, ok = spmd_run(4, self._app())[0]
+        assert nkeys == self.NKEYS and ok
+        assert primaries == {1, 2}
+        assert sent == [1, 2]
+        assert scatters == [[1, 2]]
+
+    def test_a_dead_primary_is_routed_around(self):
+        """Rank 1 dies first: its GetMsg times out, rank 1 is declared
+        dead and the pass is asked again around it, its keys on their
+        next member; every value comes back."""
+        killed, done = threading.Barrier(4), threading.Barrier(3)
+        res = spmd_run(4, self._app(killed, done), timeout=120)
+        nkeys, primaries, sent, scatters, ok = res[0]
+        assert res[1] is None and nkeys == self.NKEYS and ok
+        assert primaries == {1, 2}
+        assert sent.count(1) == 1 and 2 in sent
+        assert scatters == [[1, 2], [2]]
 
 
 class TestOpenWindowAcrossADeath:
@@ -632,11 +727,11 @@ class TestOpenWindowAcrossADeath:
             if rank == 0:
                 for key in keys:
                     db.put(key, b"v")
-                assert any(2 in db._replica_group(k) for k in keys)
-                assert list(db._staged) == keys and not db._unacked
+                assert any(2 in db.repl.group(k) for k in keys)
+                assert list(db.repl.staged) == keys and not db._unacked
                 staged.set()
                 assert died.wait(60)
-                db._declare_dead(2)  # the detector's verdict
+                db.repl.declare_dead(2)  # the detector's verdict
                 pushed = _spy_on_pairs(db)
                 timeouts = db.stats.remote_timeouts
                 db.fence()
@@ -645,7 +740,7 @@ class TestOpenWindowAcrossADeath:
                 assert db.stats.remote_timeouts == timeouts
                 assert db.stats.remote_retries == 0
                 db.tick()  # pushes the pending re-replication pass
-                assert not db.membership.pending_rereplication
+                assert not db.repl.membership.pending_rereplication
                 assert db.stats.remote_timeouts == timeouts
             done.wait(60)
             held = {k for k, _ in db.scan_local(include_replicas=True)}
@@ -743,7 +838,7 @@ class TestKillRecoverUnderRaceDetector:
                     raise AssertionError("victim survived")
                 fence()
                 survivors.wait()
-                mv = db.membership
+                mv = db.repl.membership
                 for _ in range(10000):
                     db.tick()
                     if mv.is_dead(VICTIM) and not mv.pending_rereplication:
@@ -765,7 +860,7 @@ class TestKillRecoverUnderRaceDetector:
 
 
 class TestRereplicationWalk:
-    """``_rereplicate`` walks the shard through a pinned ``ScanIterator``
+    """``Replication.rereplicate`` walks the shard through a pinned ``ScanIterator``
     with tombstones kept.  Three live ranks, R=2; rank 0 alone writes,
     then declares rank 2 dead *in its own view* and runs one pass, so
     the schedule is fixed: no kill, no detector timeouts."""
@@ -785,7 +880,7 @@ class TestRereplicationWalk:
                 else:
                     pair = (f"r{round_}-{i}".encode() * 8, False)
                     db.put(key, pair[0])
-                if db.rank in db._replica_group(key, check=False):
+                if db.rank in db.repl.group(key, check=False):
                     model[key] = pair
             if round_ < 3:
                 db.flush()
@@ -828,8 +923,8 @@ class TestRereplicationWalk:
                 return pinned
 
             db._pin_view = compacting_pin
-            db.membership.declare_dead(2)
-            db._rereplicate()
+            db.repl.membership.declare_dead(2)
+            db.repl.rereplicate()
             del db._pin_view
             assert db.stats.compactions == 1
             assert not set(walked) & set(db.ssids)  # every input retired
@@ -838,12 +933,12 @@ class TestRereplicationWalk:
             want = [
                 (1, key, value, tomb)
                 for key, (value, tomb) in sorted(model.items())
-                if db._replica_group(key, check=False)[0] == 0
+                if db.repl.group(key, check=False)[0] == 0
             ]
             assert any(tomb for *_, tomb in want)
             assert pushed == want
             assert db.stats.rereplicated_pairs == len(want)
-            assert not db.membership.pending_rereplication
+            assert not db.repl.membership.pending_rereplication
             # the walk's pins are gone and the unlinks they deferred ran
             assert not db._scan_pins and not db._deferred_unlinks
             assert not set(walked) & set(list_ssids(db.store, db.rank_dir))
@@ -859,12 +954,12 @@ class TestRereplicationWalk:
             self._load(db, random.Random(FAULT_SEED))
             pushed = _spy_on_pairs(db)
             db._quarantine_table(db.ssids[1], "test: damaged", db.clock.now)
-            db.membership.declare_dead(2)
+            db.repl.membership.declare_dead(2)
             for _ in range(2):  # and again on the next tick
-                db._rereplicate()
+                db.repl.rereplicate()
                 assert pushed == []
                 assert db.stats.rereplicated_pairs == 0
-                assert db.membership.pending_rereplication
+                assert db.repl.membership.pending_rereplication
             assert not db._scan_pins
 
         self._run(body)

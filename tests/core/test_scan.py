@@ -50,8 +50,9 @@ def reference_scan(db, start=None, end=None, include_replicas=False):
         ])
     db.clock.advance_to(t)
     pairs = list(merge_scan(tiers, start, end))
-    if db.membership is not None and not include_replicas:
-        pairs = [(k, v) for k, v in pairs if db._is_acting_primary(k)]
+    if db.repl is not None and not include_replicas:
+        pairs = [(k, v) for k, v in pairs
+                 if db.repl.group(k, check=False)[0] == db.rank]
     return pairs
 
 

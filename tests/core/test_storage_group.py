@@ -22,6 +22,7 @@ from repro.analysis import runtime as rt
 from repro.core import handler
 from repro.core import messages as msg
 from repro.core.db import Database
+from repro.core.replication import Replication
 from repro.errors import StorageError
 from repro.faults import FaultPlan
 from repro.mpi.launcher import spmd_run
@@ -698,7 +699,7 @@ class TestOneWayIn:
         spmd_run(2, app)
 
     def test_a_purge_drops_the_view_and_keeps_the_devices_copy(self):
-        """``_drop_peer_cache`` and ``_forget_dead_rank`` leave no view
+        """``_drop_peer_cache`` and ``Replication.forget_dead_rank`` leave no view
         of the owner and keep the device's readers and blocks; the
         owner's own invalidation empties the device's one copy."""
 
@@ -715,7 +716,9 @@ class TestOneWayIn:
                 theirs = _keys_of(db, other, 40)
                 for purge in (
                     lambda: db._drop_peer_cache(other),
-                    lambda: db._forget_dead_rank(other),
+                    # the replication plane's purge on a death, driven
+                    # on this unreplicated database directly
+                    lambda: Replication(db).forget_dead_rank(other),
                 ):
                     for key in theirs[:8]:
                         assert db.get_ex(key).tier == "shared_sstable"
@@ -888,7 +891,7 @@ class TestRankDeath:
                 for _ in range(200):  # burn ops into the kill schedule
                     db.put(own[0], b"t" * 8)
                 raise AssertionError("victim survived its kill schedule")
-            mv = db.membership
+            mv = db.repl.membership
             for _ in range(30000):
                 db.tick()
                 if mv.is_dead(0) and not mv.pending_rereplication:

@@ -102,7 +102,7 @@ KEEP: Tuple[Tuple[str, str, str], ...] = (
      "README's scan surface"),
     ("repro/core/scan.py:ScanIterator", "README surfaces",
      "README's scan surface: db.scan() and its iterator"),
-    ("repro/core/batch.py:", "README surfaces",
+    ("repro/core/db.py:WriteBatch", "README surfaces",
      "README's batch surface (WriteBatch)"),
     ("repro/core/db.py:Database.__", "README surfaces",
      "README's Pythonic mapping surface"),
@@ -120,6 +120,12 @@ KEEP: Tuple[Tuple[str, str, str], ...] = (
      "installs what a rung fetched (docs/durability.md)"),
     ("repro/core/db.py:Database._quarantine", "quarantine",
      "fences a table no rung could heal (docs/durability.md)"),
+    ("repro/core/replication.py:Replication._grace_then_declare",
+     "failover", "the death declaration only a killed rank reaches "
+     "(docs/replication.md)"),
+    ("repro/core/membership.py:MembershipView.put_back_rereplication",
+     "failover", "requeues a re-replication pass a hole refused "
+     "(docs/replication.md)"),
     ("repro/analysis/", "analysis plane",
      "pkvlint, the race detector and the lock-order checker"),
     ("repro/metrics.py:format_report", "format_report",

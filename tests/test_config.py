@@ -91,18 +91,19 @@ class TestOptionsValidation:
 
     #: the knobs that selected a pre-overhaul code path, whose one
     #: value in use became a module constant, or that a call replaces
-    #: (``verify_on_open``: open, then ``db.verify()``)
+    #: (``verify_on_open``: open, then ``db.verify()``; ``race_detect``:
+    #: ``repro.analysis.runtime.enable()`` or ``PKV_RACE_DETECT=1``)
     REMOVED = (
         "flush_pipeline", "compaction_partitions", "group_commit_interval",
         "group_commit_bytes", "compaction_major_every",
         "compaction_rate_limit", "bloom_fp_rate", "scan_chunk",
         "heartbeat_interval", "suspect_timeout", "dead_timeout",
         "fence_pruning", "block_cache_enabled", "index_push_eager",
-        "migration_queue_capacity", "verify_on_open",
+        "migration_queue_capacity", "verify_on_open", "race_detect",
     )
 
     def test_options_field_count(self):
-        assert len(dataclasses.fields(Options)) == 20
+        assert len(dataclasses.fields(Options)) == 19
         for name in self.REMOVED:
             with pytest.raises(TypeError):
                 Options(**{name: 1})

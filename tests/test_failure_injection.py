@@ -241,6 +241,56 @@ class TestSnapshotDamage:
         assert 0 < res[0] < 30  # partial recovery, no crash, no wrong data
         machine.close()
 
+    @staticmethod
+    def _checkpoint_a_hole(ctx, env):
+        """K=OLD in table 1, K=NEW in table 2; table 2 rots and is
+        quarantined; then a checkpoint and a destroy."""
+        db = env.open("ck", small_options())
+        for value in (b"OLD", b"NEW"):
+            db.put(b"K", value)
+            db.barrier(SSTABLE)
+        flip_byte(db.store, f"{db.rank_dir}/{2:010d}.ssd", offset=5)
+        assert db.verify()["quarantined"] == [2]
+        with pytest.raises(CorruptionError):
+            db.get(b"K")
+        db.checkpoint("ck").wait(ctx.clock)
+        db.destroy().wait(ctx.clock)
+
+    def test_a_checkpoint_keeps_a_quarantine(self, tmp_path):
+        """The snapshot carries the hole's quarantined files, so the
+        restored database fences K again instead of serving table 1's
+        older value."""
+        machine = Machine(SUMMITDEV, 1, base_dir=str(tmp_path))
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                self._checkpoint_a_hole(ctx, env)
+                db, ev = env.restart("ck", "ck", small_options())
+                ev.wait(ctx.clock)
+                assert [q.ssid for q in db._quarantined] == [2]
+                with pytest.raises(CorruptionError):
+                    db.get_or_none(b"K")
+                db.close()
+
+        spmd_run(1, app, machine=machine)
+        machine.close()
+
+    def test_a_redistributing_restart_refuses_a_hole(self, tmp_path):
+        """A new owner cannot fence the hole's range: redistribution
+        names the hole and re-puts nothing."""
+        machine = Machine(SUMMITDEV, 1, base_dir=str(tmp_path))
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                self._checkpoint_a_hole(ctx, env)
+                with pytest.raises(CorruptionError, match="sstable 2"):
+                    env.restart("ck", "ck", small_options(),
+                                force_redistribute=True)
+                assert env._dbs["ck"].get_or_none(b"K") is None
+
+        spmd_run(1, app, machine=machine)
+        machine.close()
+
     def test_restart_missing_manifest(self, tmp_path):
         machine = Machine(SUMMITDEV, 1, base_dir=str(tmp_path))
 
@@ -917,7 +967,8 @@ class TestMutationPlane:
                 if ctx.world_rank == 0:
                     delivered = body(db)
                     db.fence()
-                    assert not db._unacked and not db._quorum_due
+                    assert not db._unacked
+                    assert db.repl is None or not db.repl.quorum_due
                     return delivered, db.stats.remote_retries
             finally:
                 done.wait(60)
@@ -950,16 +1001,16 @@ class TestMutationPlane:
             for k in keys[:4]:
                 db.put(k, b"v")
             return [(r, k) for k in keys[:4]
-                    for r in db._replica_group(k) if r != 0]
+                    for r in db.repl.group(k) if r != 0]
         for k in keys:
             db.put(k, b"v")
         db.fence()
         plan.arm()
-        db.membership.declare_dead(2)  # in this view only: nobody dies
-        db._rereplicate()
+        db.repl.membership.declare_dead(2)  # in this view only: nobody dies
+        db.repl.rereplicate()
         pushed = [
             (r, k) for k in keys
-            for group in [db._replica_group(k, check=False)]
+            for group in [db.repl.group(k, check=False)]
             if group[0] == 0 for r in group[1:]
         ]
         assert db.stats.rereplicated_pairs == len(pushed)
@@ -987,12 +1038,12 @@ class TestMutationPlane:
 
         def body(db):
             key = next(k for k in self.KEYS
-                       if db._replica_group(k) == [0, 1])
+                       if db.repl.group(k) == [0, 1])
             plan.arm()
             db.put(key, b"v")
-            db._ship_window()  # the window closes; dropped on the way
+            db.repl.ship_window()  # the window closes; dropped on the way
             (seq,) = db._unacked
-            db.membership.declare_dead(2)  # the view moves on: epoch 1
+            db.repl.membership.declare_dead(2)  # the view moves on: epoch 1
             sent, send = [], db.srv_comm.send
 
             def spy(payload, dest, tag=0):
@@ -1006,7 +1057,7 @@ class TestMutationPlane:
                                if isinstance(m, msg.PairsMsg)]
             assert (resent.seq, dest) == (seq, 1)
             assert (resent.epoch, resent.dead) == (1, (2,))
-            assert (resent.epoch, resent.dead) == db.membership.wire()
+            assert (resent.epoch, resent.dead) == db.repl.membership.wire()
             return [(1, key)]
 
         assert self._run("fanout", plan, body) == 1
@@ -1017,16 +1068,16 @@ class TestMutationPlane:
 
         def body(db):
             key = next(k for k in self.KEYS
-                       if db._replica_group(k) == [1, 2])
+                       if db.repl.group(k) == [1, 2])
             plan.arm()
             db.put(key, b"v")
             assert db.get_ex(key).tier == "inflight" and not db._unacked
-            db._ship_window()  # the window closes; both copies dropped
+            db.repl.ship_window()  # the window closes; both copies dropped
             assert sorted(e.target for e in db._unacked.values()) == [1, 2]
             # no ack can arrive: the ledger is all this rank has of it
             got = db.get_ex(key)
             assert (got.value, got.tier) == (b"v", "inflight")
-            db._forget_dead_rank(2)
+            db.repl.forget_dead_rank(2)
             assert [e.target for e in db._unacked.values()] == [1]
             return [(1, key)]  # the fence resends what is left
 

@@ -9,6 +9,7 @@ import pytest
 from repro import Options, Papyrus, SSTABLE, spmd_run
 from repro.nvm.storage import Machine
 from repro.simtime.profiles import SUMMITDEV
+from repro.sstable.format import DATA_BLOCK_SIZE
 from repro.tools.cli import main as cli_main
 from repro.tools.dump import dump_sstable, inspect_repository, verify_sstable
 from tests.conftest import small_options
@@ -195,7 +196,8 @@ class TestFsck:
         assert cli_main(["fsck", root]) == 1
         out = capsys.readouterr().out.splitlines()
         ssid = int(os.path.basename(base))
-        assert f"{where}/{ssid}: SSData block checksum mismatch " \
+        last = (os.path.getsize(base + ".ssd") - 1) // DATA_BLOCK_SIZE
+        assert f"{where}/{ssid}: SSData block {last} checksum mismatch " \
             "(corruption)" in out
         assert out[-1] == "1 damaged table(s)"
 
