@@ -48,7 +48,7 @@ MB = 1 << 20
 CALL_BUDGET: Dict[str, float] = {
     "local memtable get": 41.4,     # 37.6
     "local put": 43.6,              # 39.6
-    "remote staged put": 37.8,      # 34.4
+    "remote staged put": 35.6,      # 32.4
     "local sstable get": 92.3,      # 83.9
     "remote memtable get": 167.6,   # 152.4
     "remote peer-walk get": 215.3,  # 195.7

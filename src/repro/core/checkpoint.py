@@ -21,16 +21,17 @@ data it describes:
 All writes are atomic (tmp + fsync + rename), so a crash mid-checkpoint
 leaves *missing* files, never torn ones — and a missing file makes the
 generation incomplete.  ``restart()`` resolves the newest **complete**
-generation, verifies each file's checksum during the copy back to NVM,
-and skips (counts) mismatches; when no generation is complete it
+generation and verifies each file's checksum during the copy back to
+NVM, counting mismatches; when no generation is complete it
 degrades to a best-effort restore of the newest one rather than losing
 the surviving shards.  A generation written under another layout
 version is refused by number — its checksums mean something else.
 
 A quarantined table travels as its ``*.quar`` files, so the copy
-restore fences the hole again on reopen; a redistributing restore
-cannot fence a range on a new owner and refuses the snapshot
-(docs/durability.md).
+restore fences the hole again on reopen, and a snapshot table whose
+SSData fails its checksum comes back as such a hole.  A redistributing
+restore cannot fence a range on a new owner and refuses a snapshot
+with a hole or a damaged table (docs/durability.md).
 """
 
 from __future__ import annotations
@@ -43,7 +44,13 @@ from typing import List, Optional, Tuple
 from repro import config
 from repro.core.events import Event
 from repro.errors import CorruptionError, StorageError
-from repro.sstable.format import DATA_SUFFIX, QUARANTINE_SUFFIX, sstable_paths
+from repro.sstable.format import (
+    DATA_SUFFIX,
+    QUARANTINE_SUFFIX,
+    parse_index,
+    sstable_filenames,
+    sstable_paths,
+)
 from repro.sstable.reader import SSTableReader, list_ssids
 from repro.util.checksum import crc32c
 
@@ -229,8 +236,6 @@ def restore_table_blobs(db, path: str, ssid: int, t: float
     newest complete generation, or ``(None, end)`` when the snapshot
     does not hold a clean copy.
     """
-    from repro.sstable.format import sstable_filenames
-
     try:
         manifest = read_manifest(db.ctx.machine, path, db.name)
     except StorageError:
@@ -320,36 +325,64 @@ def _restart_copy(env, db, path: str, name: str, gen: int) -> float:
     """Same rank count: copy SSTable files back as they are (zero reshuffle).
 
     Every file is checksum-verified against the rank manifest during the
-    copy; a mismatched or missing file is skipped and counted, leaving
-    the damage ladder to rebuild sidecars or quarantine.
+    copy; a mismatched or missing file is left out and counted.  A lost
+    sidecar is the damage ladder's to rebuild on reopen.  A lost SSData
+    comes back as a hole — ``*.quar`` files the reopen fences by the
+    index's key range, as it fences a hole the snapshot carried — so no
+    older table answers for its keys; with no intact index to give that
+    range, every rank refuses the restart with :class:`CorruptionError`
+    naming the table, before anything is copied.  A carried hole's files
+    come back as they are (empty if lost): a hole is never read.
     """
     lustre = env.ctx.machine.lustre_store()
     snap = _snapshot_dir(path, name)
     rank_src = posixpath.join(_gen_dir(snap, gen), f"rank{db.rank}")
-    rman = _rank_manifest(lustre, rank_src) or {"files": {}}
-    wanted = {
-        name: info for name, info in rman["files"].items()
-        if lustre.exists(posixpath.join(rank_src, name))
-    }
+    files = (_rank_manifest(lustre, rank_src) or {"files": {}})["files"]
+    out = {}
 
-    def job(start: float) -> float:
+    def verify(start: float) -> float:
         blobs, t = lustre.bulk_read(
-            [posixpath.join(rank_src, f) for f in wanted], start
+            [posixpath.join(rank_src, f) for f in files
+             if lustre.exists(posixpath.join(rank_src, f))], start
         )
-        out = {}
-        skipped = 0
-        for rel, data in blobs.items():
-            base = posixpath.basename(rel)
-            info = wanted[base]
-            if len(data) != info["len"] or crc32c(data) != info["crc32"]:
-                skipped += 1
-                continue
-            out[posixpath.join(db.rank_dir, base)] = data
-        if skipped:
-            db.stats.corruptions_detected += skipped
-        return db.store.bulk_write(out, t)
+        got = {posixpath.basename(rel): data for rel, data in blobs.items()}
+        for base, info in files.items():
+            data = got.get(base)
+            if data is not None and len(data) == info["len"] and (
+                    crc32c(data) == info["crc32"]):
+                out[base] = data
+            else:
+                db.stats.corruptions_detected += 1
+                if base.endswith(QUARANTINE_SUFFIX):
+                    out[base] = data or b""
+        return t
 
-    end = db.compaction_worker.schedule(db.clock.now, job)
+    db.compaction_worker.schedule(db.clock.now, verify)
+    refusal = None
+    for base in files:
+        if base.endswith(DATA_SUFFIX) and base not in out:
+            ssid = int(base[:-len(DATA_SUFFIX)])
+            _, index, bloom = sstable_filenames(ssid)
+            out.pop(bloom, None)
+            blob = out.pop(index, None)
+            try:
+                parse_index(blob or b"")
+            except ValueError:
+                refusal = (f"rank {db.rank}: snapshot sstable {ssid} is "
+                           "damaged and no intact index gives its key range")
+                break
+            out[base + QUARANTINE_SUFFIX] = b""
+            out[index + QUARANTINE_SUFFIX] = blob
+    refusals = [r for r in db.coll_comm.allgather(refusal) if r]
+    if refusals:
+        raise CorruptionError(refusals[0])
+
+    def copy(start: float) -> float:
+        return db.store.bulk_write(
+            {posixpath.join(db.rank_dir, base): data
+             for base, data in out.items()}, start)
+
+    end = db.compaction_worker.schedule(db.clock.now, copy)
     db.coll_comm.barrier()
     return end
 
@@ -363,10 +396,11 @@ def _restart_redistribute(env, db, path: str, name: str,
     pair ... partitioned across all the MPI ranks and executed in
     parallel" (§4.2).
 
-    A snapshot that holds a quarantined table is refused, on every rank
-    alike, with :class:`CorruptionError`: its key range cannot be fenced
-    on the new owners, and re-putting the tables below the hole would
-    serve their older versions.
+    A snapshot that holds a quarantined or a damaged table is refused,
+    on every rank alike and before any re-put, with
+    :class:`CorruptionError`: its key range cannot be fenced on the new
+    owners, and re-putting the tables below it would serve their older
+    versions.
     """
     lustre = env.ctx.machine.lustre_store()
     snap = _snapshot_dir(path, name)
@@ -386,24 +420,32 @@ def _restart_redistribute(env, db, path: str, name: str,
         if old % db.nranks == db.rank
     ]
     t = db.clock.now
+    tables = []  # ascending: newest puts last win
+    damaged = None
     for d in my_dirs:
-        for ssid in list_ssids(lustre, d):  # ascending: newest puts last win
-            reader = SSTableReader(lustre, d, ssid)
+        for ssid in list_ssids(lustre, d):
             try:
-                records, t = reader.read_all(t)
+                records, t = SSTableReader(lustre, d, ssid).read_all(t)
             except CorruptionError:
-                # a damaged snapshot table: skip it rather than re-put
-                # possibly-wrong pairs; the rest of the shard survives
                 db.stats.corruptions_detected += 1
-                t = db.clock.now
-                continue
-            db.clock.advance_to(t)
-            for rec in records:
-                if rec.tombstone:
-                    db.delete(rec.key)
-                else:
-                    db.put(rec.key, rec.value)
-            t = db.clock.now
+                damaged = (f"snapshot {posixpath.basename(d)} sstable "
+                           f"{ssid} is damaged")
+                break
+            tables.append(records)
+        if damaged:
+            break
+    db.clock.advance_to(t)
+    refusals = [r for r in db.coll_comm.allgather(damaged) if r]
+    if refusals:
+        raise CorruptionError(
+            f"{refusals[0]}: a redistributing restart would serve the "
+            "older versions below it")
+    for records in tables:
+        for rec in records:
+            if rec.tombstone:
+                db.delete(rec.key)
+            else:
+                db.put(rec.key, rec.value)
     # the restored database must be materialized on NVM like a plain
     # restart's copied SSTables, so redistribution includes the rebuild
     db.barrier(config.SSTABLE)

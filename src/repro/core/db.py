@@ -63,7 +63,7 @@ from repro.errors import (
 )
 from repro.core import messages as msg
 from repro.core.membership import HEARTBEAT_INTERVAL
-from repro.core.memtable import Entry, MemTable
+from repro.core.memtable import Entry, MemTable, RemoteMemTable
 from repro.core.scan import ScanIterator
 from repro.faults import RankKilledError
 from repro.mpi.comm import ANY_SOURCE, Comm
@@ -471,7 +471,7 @@ class Database:
 
         self._lock = make_rlock("db.state")
         self.local_mt = MemTable(options.memtable_capacity)
-        self.remote_mt = MemTable(options.remote_memtable_capacity)
+        self.remote_mt = RemoteMemTable(options.remote_memtable_capacity)
         #: flushing queue, oldest first (the order of the data in them)
         self.flushing: List[_Flush] = []
         #: the outstanding-send ledger: every PairsMsg sent and not yet
@@ -841,27 +841,26 @@ class Database:
             self.repl.write(pairs, not rider, self._gc_t0)
         else:
             local: List[msg.Pair] = []
-            remote: Dict[int, List[msg.Pair]] = {}
+            remote: Dict[int, Dict[bytes, msg.Pair]] = {}
             key_hash, nranks, me = self._key_hash, self.nranks, self.rank
             for pair in pairs:
                 owner = key_hash(pair[0]) % nranks
                 if owner == me:
                     local.append(pair)
                 else:
-                    remote.setdefault(owner, []).append(pair)
+                    remote.setdefault(owner, {})[pair[0]] = pair
             self.stats.local_puts += len(local)
             self.stats.remote_puts += n - len(local)
             if local:
                 self._local_insert(local, clock)
-            # relaxed mode stages remote pairs in the remote MemTable
-            # (memory only, main-thread state: no lock).  Migration
-            # happens outside db.state: the dispatcher's blocking
-            # back-pressure must never hold the lock this rank's handler
-            # needs to serve other ranks (cross-rank deadlock).
+            # relaxed mode stages remote pairs in their owners' buffers
+            # of the remote MemTable (memory only, main-thread state: no
+            # lock).  Migration happens outside db.state: the
+            # dispatcher's blocking back-pressure must never hold the
+            # lock this rank's handler needs to serve other ranks
+            # (cross-rank deadlock).
             if remote and self.consistency == config.RELAXED:
-                for owner, staged in remote.items():
-                    for key, value, tomb in staged:
-                        self.remote_mt.put(key, value, tomb, owner)
+                self.remote_mt.put(remote)
                 if self.remote_mt.full:
                     self._migrate(self._swap_remote_mt())
             if remote and self.consistency == config.SEQUENTIAL:
@@ -1247,23 +1246,25 @@ class Database:
         )
 
     # ------------------------------------------------------ remote put paths
-    def _swap_remote_mt(self) -> MemTable:
-        """Freeze and replace the remote MemTable (call under the lock)."""
-        imm = self.remote_mt.freeze()
-        self.remote_mt = MemTable(self.options.remote_memtable_capacity)
+    def _swap_remote_mt(self) -> RemoteMemTable:
+        """Replace the remote MemTable; the old one, no longer written,
+        is the immutable remote MemTable (call under the lock)."""
+        imm = self.remote_mt
+        self.remote_mt = RemoteMemTable(self.options.remote_memtable_capacity)
         return imm
 
     def _send_pairs(
-        self, groups: Dict[int, List[msg.Pair]], sync: bool = False,
+        self, groups: Dict[int, Dict[bytes, msg.Pair]], sync: bool = False,
         post: Optional[Callable[[Dict[int, msg.PairsMsg]], Any]] = None,
         timeout: Optional[float] = None,
     ) -> Dict[int, int]:
-        """Ship ``{target: pairs}``, one :class:`~repro.core.messages.
-        PairsMsg` per target; returns ``{target: seq}``.
+        """Ship ``{target: {key: pair}}``, one :class:`~repro.core.
+        messages.PairsMsg` per target; returns ``{target: seq}``.
 
         Every message is entered in the ledger under a fresh seq before
-        it leaves, so its pairs stay visible to this rank's gets (the
-        ``inflight`` tier) and resendable until acked.  ``post(payloads)``
+        it leaves, with the target's dict as given, so its pairs stay
+        visible to this rank's gets (the ``inflight`` tier) and
+        resendable until acked.  ``post(payloads)``
         puts the messages on the wire: one ``send`` per target unless
         the caller has a cheaper way (migration posts from the
         dispatcher's timeline, a sequential put with one ``fanout``).
@@ -1279,9 +1280,7 @@ class Database:
             for target in sorted(groups):
                 seq = seqs[target] = self._next_seq
                 self._next_seq += self.nranks  # keep seqs rank-unique
-                self._unacked[seq] = _Unacked(
-                    target, {pair[0]: pair for pair in groups[target]}, sync
-                )
+                self._unacked[seq] = _Unacked(target, groups[target], sync)
         payloads = {target: self._carrier(seq)
                     for target, seq in seqs.items()}
         if post is not None:
@@ -1327,29 +1326,30 @@ class Database:
                         if entry.target == target]:
                 del self._unacked[seq]
 
-    def _migrate(self, imm: MemTable) -> None:
+    def _migrate(self, imm: RemoteMemTable) -> None:
         """Ship an immutable remote MemTable to the owner ranks (§2.4).
 
-        The dispatcher sorts pairs by owner, accumulates per-rank chunks,
-        and sends one request message per owner; its time lands on the
-        dispatcher's background timeline.
+        The put routed every pair already: each owner's buffer becomes
+        one request message's pairs as it is.  The dispatcher packs the
+        send buffers and pays one send overhead per owner, on its
+        background timeline.
         """
-        if len(imm) == 0:
+        groups = imm.buffers
+        if not groups:
             return
-        groups = imm.by_owner()
         # migration-queue back-pressure: bound unacked chunks in flight
-        cap = MIGRATION_QUEUE_CAPACITY * max(1, len(groups))
+        cap = MIGRATION_QUEUE_CAPACITY * len(groups)
         while len(self._unacked) >= cap:
             self._drain_acks(blocking=True, at_most=1)
-        cpu = self.ctx.system.cpu
-        sort_cost = cpu.kv_op_s * max(1, len(imm))
+        pack = imm.size_bytes / self._memcpy_Bps
 
         def post(payloads: Dict[int, msg.PairsMsg]) -> None:
-            # the sort, then one send overhead per owner
+            # packing the payload at the rate a put copies it, then one
+            # send overhead per owner
             sw = self.ctx.system.network.sw_overhead_s
             start = self.dispatcher_worker.book(
-                self.clock.now, sort_cost + sw * len(payloads))
-            t = start + sort_cost
+                self.clock.now, pack + sw * len(payloads))
+            t = start + pack
             for owner, payload in payloads.items():
                 self.srv_comm.send_at(payload, owner, tag=0, t_send=t)
                 t += sw
@@ -1463,7 +1463,7 @@ class Database:
             window = self._seq_dedup[source] = _SeqWindow()
         return window.check_and_add(seq)
 
-    def _put_sync(self, groups: Dict[int, List[msg.Pair]]) -> int:
+    def _put_sync(self, groups: Dict[int, Dict[bytes, msg.Pair]]) -> int:
         """Sequential mode: migrate synchronously, one round per owner
         (§3.1).  Returns the number of messages sent."""
         return len(self._send_pairs(groups, sync=True,
@@ -1825,15 +1825,20 @@ class Database:
         return None, t
 
     # --------------------------------------------------------- remote lookup
-    def _search_memory_remote(self, key: bytes) -> Tuple[Optional[Entry], str]:
-        """Remote MemTable, then sent-but-unacked pairs newest-first."""
-        entry = self.remote_mt.get(key)
-        if entry is not None:
-            return entry, "remote_mt"
+    def _search_memory_remote(self, owner: int, key: bytes
+                              ) -> Tuple[Optional[msg.Pair], str]:
+        """The owner's remote-MemTable buffer, then the inflight tier."""
+        pair = self.remote_mt.get(owner, key)
+        if pair is not None:
+            return pair, "remote_mt"
+        return self._search_inflight(key)
+
+    def _search_inflight(self, key: bytes) -> Tuple[Optional[msg.Pair], str]:
+        """Sent-but-unacked pairs, newest first."""
         for unacked in reversed(self._unacked.values()):
             pair = unacked.pairs.get(key)
             if pair is not None:
-                return Entry(pair[1], pair[2]), "inflight"
+                return pair, "inflight"
         return None, ""
 
     def _remote_get(self, groups: Dict[int, List[bytes]]
@@ -1866,10 +1871,9 @@ class Database:
         # remote cache are main-thread state: read without a lock
         for owner, keys in groups.items():
             for key in keys:
-                entry, tier = self._search_memory_remote(key)
-                if entry is not None:
-                    out[key] = (None if entry.tombstone
-                                else GetResult(entry.value, tier))
+                pair, tier = self._search_memory_remote(owner, key)
+                if pair is not None:
+                    out[key] = None if pair[2] else GetResult(pair[1], tier)
                     continue
                 cached = cache.get(key) if cache is not None else None
                 if cached is not None:

@@ -6,8 +6,13 @@ MemTable)" (paper §2.3).  The paper builds each as a red-black tree;
 what the design relies on is point access plus sorted order at flush,
 migration and scan, so a MemTable here is a dict indexed by key whose
 sorted view is built once per write generation (``to_records``).
-Entries carry a tombstone flag, and remote-MemTable entries
-additionally carry the owner rank number (§2.4).
+Entries carry a tombstone flag.
+
+The remote MemTable holds what a relaxed put staged for other ranks
+(§2.4).  It is never flushed or scanned, only migrated, so it is not a
+sorted table: it keeps one buffer per owner rank, filled when the put
+routes the pair, and a migration hands each buffer over as the pairs of
+one message (:class:`RemoteMemTable`).
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from bisect import bisect_left
 from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from repro.analysis.runtime import annotate_write
+from repro.core.messages import Pair
 from repro.sstable.format import Record, slices
 
 
@@ -24,8 +30,6 @@ class Entry(NamedTuple):
 
     value: bytes
     tombstone: bool = False
-    #: owner rank (only meaningful in remote MemTables)
-    owner: int = -1
 
 
 def window(recs: List[Record], start: Optional[bytes] = None,
@@ -71,8 +75,7 @@ class MemTable:
         return self._bytes >= self.capacity
 
     # -------------------------------------------------------------- mutation
-    def put(self, key: bytes, value: bytes, tombstone: bool = False,
-            owner: int = -1) -> None:
+    def put(self, key: bytes, value: bytes, tombstone: bool = False) -> None:
         """Insert or replace; a tombstone is a put with an empty value."""
         annotate_write(self, "memtable")
         if self._frozen:
@@ -82,7 +85,7 @@ class MemTable:
         old = self._entries.get(key)
         if old is not None:
             self._bytes -= len(key) + len(old.value)
-        self._entries[key] = Entry(value, tombstone, owner)
+        self._entries[key] = Entry(value, tombstone)
         self._bytes += len(key) + len(value)
         self._snapshot = None
 
@@ -132,14 +135,54 @@ class MemTable:
         (:func:`window`)."""
         return window(self.to_records(), start, end)
 
-    def by_owner(self) -> dict:
-        """Group entries per owner rank, each group in ascending key
-        order (migration batching, §2.4)."""
-        entries = self._entries
-        groups: dict = {}
-        for key in sorted(entries):
-            entry = entries[key]
-            groups.setdefault(entry.owner, []).append(
-                (key, entry.value, entry.tombstone)
-            )
-        return groups
+
+class RemoteMemTable:
+    """The remote MemTable: one buffer per owner rank, each mapping key
+    -> the wire pair ``(key, value, tombstone)`` (§2.3-2.4).
+
+    ``put`` replaces a key's pair in its owner's buffer; the capacity
+    bounds the bytes over all owners, counted as in :class:`MemTable`.
+    A migration takes the table whole (the runtime rotates in a fresh
+    one) and sends each of :attr:`buffers` as it is: its pairs are in
+    put order, each key once with its last pair.
+    """
+
+    __slots__ = ("capacity", "buffers", "_bytes", "_race_tag")
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        #: owner rank -> {key: pair}
+        self.buffers: Dict[int, Dict[bytes, Pair]] = {}
+        self._bytes = 0
+
+    def __len__(self) -> int:
+        return sum(map(len, self.buffers.values()))
+
+    @property
+    def size_bytes(self) -> int:
+        return self._bytes
+
+    @property
+    def full(self) -> bool:
+        return self._bytes >= self.capacity
+
+    def put(self, groups: Dict[int, Dict[bytes, Pair]]) -> None:
+        """Stage ``{owner: {key: pair}}``; a tombstone's value is empty."""
+        annotate_write(self, "memtable")
+        buffers, size = self.buffers, self._bytes
+        for owner, pairs in groups.items():
+            buf = buffers.get(owner)
+            if buf is None:
+                buf = buffers[owner] = {}
+            for key, pair in pairs.items():
+                old = buf.get(key)
+                if old is not None:
+                    size -= len(key) + len(old[1])
+                buf[key] = pair
+                size += len(key) + len(pair[1])
+        self._bytes = size
+
+    def get(self, owner: int, key: bytes) -> Optional[Pair]:
+        """The pair staged for ``key`` in ``owner``'s buffer, or None."""
+        buf = self.buffers.get(owner)
+        return None if buf is None else buf.get(key)

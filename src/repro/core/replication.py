@@ -18,7 +18,7 @@ detector (:meth:`~Replication.tick`), re-replication
 ack or pong itself.  The plane reaches the database only through the
 calls it makes of it: the sender and its ledger (``_send_pairs``,
 ``_drain_acks``, ``_settled``, ``_settle_target``), the get walks
-(``_local_get``, ``_remote_get``, ``_search_memory_remote``),
+(``_local_get``, ``_remote_get``, ``_search_inflight``),
 ``_local_insert`` and ``_drop_peer_cache`` (docs/replication.md).
 """
 
@@ -141,7 +141,7 @@ class Replication:
         db = self.db
         staged, self.staged = self.staged, {}
         moved = self.membership.epoch != self.staged_epoch
-        fan: Dict[int, List[msg.Pair]] = {}
+        fan: Dict[int, Dict[bytes, msg.Pair]] = {}
         groups: Set[Tuple[int, ...]] = set()
         joined: List[msg.Pair] = []
         for pair in staged.values():
@@ -149,7 +149,7 @@ class Replication:
             groups.add(tuple(group))
             for r in group:
                 if r != self.rank:
-                    fan.setdefault(r, []).append(pair)
+                    fan.setdefault(r, {})[pair[0]] = pair
                 elif moved:
                     joined.append(pair)
         db._local_insert(joined, db.clock)
@@ -339,8 +339,8 @@ class Replication:
                 pairs = targets[target]
                 for i in range(0, len(pairs), PUSH_CHUNK):
                     part = pairs[i:i + PUSH_CHUNK]
-                    db._send_pairs({target: part}, sync=True,
-                                   timeout=PUSH_TIMEOUT)
+                    db._send_pairs({target: {p[0]: p for p in part}},
+                                   sync=True, timeout=PUSH_TIMEOUT)
                     if mv.is_dead(target):
                         # a second death mid-push: the stalled send
                         # declared it, the next tick re-replicates
@@ -379,12 +379,11 @@ class Replication:
                 found[key] = (None if pair[2]
                               else GetResult(pair[1], "inflight"))
                 continue
-            entry, tier = db._search_memory_remote(key)
-            if entry is None:
+            pair, tier = db._search_inflight(key)
+            if pair is None:
                 missed[key] = set()
             else:
-                found[key] = (None if entry.tombstone
-                              else GetResult(entry.value, tier))
+                found[key] = None if pair[2] else GetResult(pair[1], tier)
         msgs = 0
         while missed:
             local: List[bytes] = []

@@ -1,5 +1,6 @@
-"""MemTable tests: replacement, tombstones, freezing, owner grouping,
-and the sorted views a dict must build on its own."""
+"""MemTable tests: replacement, tombstones, freezing, the sorted views
+a dict must build on its own, and the remote MemTable's per-owner
+buffers."""
 
 from __future__ import annotations
 
@@ -10,12 +11,12 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from repro.core.memtable import Entry, MemTable
+from repro.core.memtable import Entry, MemTable, RemoteMemTable
 
 
 def _sorted_model(model):
     """``to_records()`` of a MemTable holding ``model``: key ->
-    (value, tombstone, ...), in ascending key order."""
+    (value, tombstone), in ascending key order."""
     return [(k, v[0], v[1]) for k, v in sorted(model.items())]
 
 
@@ -24,7 +25,7 @@ class TestPutGet:
         mt = MemTable(1024)
         mt.put(b"k", b"v")
         e = mt.get(b"k")
-        assert e == Entry(b"v", False, -1)
+        assert e == Entry(b"v", False)
         assert len(mt) == 1
 
     def test_replace_updates_size(self):
@@ -45,11 +46,6 @@ class TestPutGet:
     def test_missing_key(self):
         mt = MemTable(1024)
         assert mt.get(b"missing") is None
-
-    def test_owner_recorded(self):
-        mt = MemTable(1024)
-        mt.put(b"k", b"v", owner=3)
-        assert mt.get(b"k").owner == 3
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -94,38 +90,23 @@ class TestExport:
         recs = mt.to_records()
         assert recs[0].tombstone
 
-    def test_by_owner_grouping(self):
-        mt = MemTable(1024)
-        mt.put(b"c", b"3", owner=2)
-        mt.put(b"b", b"2", owner=1)
-        mt.put(b"a", b"1", owner=2)
-        groups = mt.by_owner()
-        assert set(groups) == {1, 2}
-        assert [k for k, _, _ in groups[2]] == [b"a", b"c"]
-
     def test_shuffled_writes_come_out_sorted(self):
-        """Keys inserted in shuffled order, then overwritten (some with
-        a new owner) and deleted in another shuffled order: every view
-        is in ascending key order, as a flush, a migration carrier and
-        a scan need it."""
+        """Keys inserted in shuffled order, then overwritten and deleted
+        in another shuffled order: the view is in ascending key order,
+        as a flush and a scan need it."""
         rng = random.Random(int(os.environ.get("PKV_FAULT_SEED", "7")))
         keys = [b"k%03d" % i for i in range(200)]
         rng.shuffle(keys)
         mt, model = MemTable(1 << 20), {}
         for i, key in enumerate(keys):
-            mt.put(key, b"v%d" % i, owner=i % 3)
-            model[key] = (b"v%d" % i, False, i % 3)
+            mt.put(key, b"v%d" % i)
+            model[key] = (b"v%d" % i, False)
         rng.shuffle(keys)
         for i, key in enumerate(keys[:120]):
-            tomb, owner = i % 2 == 0, rng.randrange(3)
-            mt.put(key, b"w%d" % i, tombstone=tomb, owner=owner)
-            model[key] = (b"" if tomb else b"w%d" % i, tomb, owner)
+            tomb = i % 2 == 0
+            mt.put(key, b"w%d" % i, tombstone=tomb)
+            model[key] = (b"" if tomb else b"w%d" % i, tomb)
         assert mt.to_records() == _sorted_model(model)
-        groups = mt.by_owner()
-        assert set(groups) == {0, 1, 2}
-        for owner, pairs in groups.items():
-            assert pairs == [(k, v, t) for k, (v, t, o)
-                             in sorted(model.items()) if o == owner]
 
     def test_one_snapshot_between_writes(self):
         """Readers between two writes share one list; a write (a
@@ -161,6 +142,34 @@ class TestExport:
             mt.put(b"%03d" % i, b"")
         assert [len(run) for run in mt.runs()] == [8, 16, 32, 64, 128, 128,
                                                    124]
+
+
+class TestRemoteMemTable:
+    def test_one_buffer_per_owner_in_put_order(self):
+        """Each owner's buffer holds its pairs as put, a rewritten key
+        once with its last pair at its first position."""
+        rmt = RemoteMemTable(1024)
+        rmt.put({2: {b"c": (b"c", b"3", False)},
+                 1: {b"b": (b"b", b"2", False)}})
+        rmt.put({2: {b"a": (b"a", b"1", False)}})
+        rmt.put({2: {b"c": (b"c", b"", True)}})
+        assert rmt.buffers == {1: {b"b": (b"b", b"2", False)},
+                               2: {b"c": (b"c", b"", True),
+                                   b"a": (b"a", b"1", False)}}
+        assert list(rmt.buffers[2]) == [b"c", b"a"]
+        assert len(rmt) == 3
+        assert rmt.get(2, b"a") == (b"a", b"1", False)
+        assert rmt.get(1, b"a") is None and rmt.get(3, b"a") is None
+
+    def test_capacity_bounds_the_sum_over_owners(self):
+        rmt = RemoteMemTable(10)
+        rmt.put({1: {b"ab": (b"ab", b"cd", False)}})
+        rmt.put({2: {b"ef": (b"ef", b"gh", False)}})
+        assert rmt.size_bytes == 8 and not rmt.full
+        rmt.put({1: {b"ab": (b"ab", b"cdef", False)}})
+        assert rmt.size_bytes == 10 and rmt.full
+        rmt.put({1: {b"ab": (b"ab", b"", True)}})
+        assert rmt.size_bytes == 6 and not rmt.full
 
 
 @seed(int(os.environ.get("PKV_FAULT_SEED", "7")))

@@ -5,7 +5,8 @@ Covers the write API's contract: commit-window coalescing and its cost
 model, the two-stage flush pipeline (persistence across reopen, stage
 overlap, non-blocking flush, worker accounting), the virtual-time
 order of back-pressure, flush retirement and the non-blocking ack drain
-against a handler that runs ahead, incremental compaction (one fresh-SSID table per round, correctness, precise
+against a handler that runs ahead, what a relaxed migration costs and
+carries, incremental compaction (one fresh-SSID table per round, correctness, precise
 invalidation, major merges dropping tombstones, duty-cycle pacing),
 batch durability levels and auto-flush, and the streaming scan_collect
 merge.
@@ -18,7 +19,7 @@ import time
 import pytest
 
 from repro import FaultPlan, Papyrus, SSTABLE, spmd_run
-from repro.core import api
+from repro.core import api, handler
 from repro.core.db import (
     COMPACTION_DUTY_CYCLE,
     COMPACTION_MAJOR_EVERY,
@@ -308,7 +309,7 @@ class TestVirtualOrder:
         def app(ctx):
             with Papyrus(ctx) as env:
                 db = env.open("vodrain", small_options())
-                db._send_pairs({ctx.world_rank: [(b"k", b"v", False)]})
+                db._send_pairs({ctx.world_rank: {b"k": (b"k", b"v", False)}})
                 box = db.ack_comm._box(ctx.world_rank)
                 deadline = time.monotonic() + 10
                 while not box._items:  # the handler acks on its thread
@@ -327,6 +328,79 @@ class TestVirtualOrder:
                 db.close()
 
         run1(app)
+
+
+class TestMigration:
+    def test_a_migration_hands_over_the_owners_buffer(self, monkeypatch):
+        """Rank 0 stages keys rank 1 owns, two of them twice, until its
+        remote MemTable is full.  The dispatcher books packing the
+        payload at memcpy rate plus one send overhead — no per-pair
+        work — the one carrier holds each key once with its last value,
+        in put order, and rank 1's handler starts applying it as it
+        lands."""
+        served = []
+        inner = handler._serve_pairs
+
+        def spy(db, m, source, hclock, cpu):
+            served.append((db.rank, hclock.now))
+            inner(db, m, source, hclock, cpu)
+
+        monkeypatch.setattr(handler, "_serve_pairs", spy)
+        pair_bytes = 4 + 20
+        opts = small_options(remote_memtable_capacity=8 * pair_bytes)
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                db = env.open("mig", opts)
+                if ctx.world_rank == 0:
+                    keys = [k for k in (f"m{i:03d}".encode()
+                                        for i in range(199, 0, -1))
+                            if db.owner_of(k) == 1][:8]
+                    sent = []
+                    send_at = db.srv_comm.send_at
+
+                    def spy_send(obj, dest, tag, t_send):
+                        arrival = send_at(obj, dest, tag, t_send)
+                        sent.append((obj, dest, t_send, arrival))
+                        return arrival
+
+                    db.srv_comm.send_at = spy_send
+                    want = {}
+                    for key in keys[:6]:
+                        db.put(key, b"x" * 20)
+                        want[key] = (key, b"x" * 20, False)
+                    for key in keys[1:4:2]:
+                        db.put(key, b"y" * 20)
+                        want[key] = (key, b"y" * 20, False)
+                    assert not sent and db.stats.migrations == 0
+                    for key in keys[6:]:
+                        db.put(key, b"x" * 20)
+                        want[key] = (key, b"x" * 20, False)
+                    now = ctx.clock.now
+                    pack = 8 * pair_bytes / ctx.system.cpu.memcpy_Bps
+                    sw = ctx.system.network.sw_overhead_s
+                    assert db.stats.migrations == 1
+                    assert db.dispatcher_worker.busy_time == \
+                        pytest.approx(pack + sw, rel=1e-9)
+                    [(carrier, dest, t_send, arrival)] = sent
+                    assert dest == 1
+                    assert carrier.pairs == list(want.values())
+                    assert t_send == pytest.approx(now + pack, rel=1e-12)
+                    db.barrier()
+                    out = (arrival, [db.get(k) for k in keys])
+                else:
+                    db.barrier()
+                    out = None
+                db.close()
+                return out
+
+        (arrival, values), _ = spmd_run(2, app)
+        assert values == [b"x" * 20, b"y" * 20, b"x" * 20, b"y" * 20]\
+            + [b"x" * 20] * 4
+        [(rank, start)] = served
+        assert rank == 1
+        assert start == pytest.approx(arrival + SUMMITDEV.cpu.kv_op_s,
+                                      rel=1e-12)
 
 
 class TestCompaction:

@@ -161,7 +161,7 @@ class TestHandlerCrash:
                         if db.owner_of(f"k{i}".encode()) == 1
                     )
                     db.set_consistency(2)  # keep relaxed
-                    db._put_sync({1: [(key, b"v", False)]})  # would hang
+                    db._put_sync({1: {key: (key, b"v", False)}})  # would hang
                 db.barrier()
                 db.close()
 
@@ -290,6 +290,77 @@ class TestSnapshotDamage:
 
         spmd_run(1, app, machine=machine)
         machine.close()
+
+    @staticmethod
+    def _checkpoint_then_rot(ctx, env, machine, *suffixes):
+        """K=OLD in table 1, K=NEW in table 2, a checkpoint and a
+        destroy; then a byte of each ``suffixes`` file of the
+        snapshot's table 2 flips."""
+        db = env.open("ck", small_options())
+        for value in (b"OLD", b"NEW"):
+            db.put(b"K", value)
+            db.barrier(SSTABLE)
+        db.checkpoint("ck").wait(ctx.clock)
+        db.destroy().wait(ctx.clock)
+        for suffix in suffixes:
+            flip_byte(machine.lustre_store(),
+                      f"ckpt/ck/db_ck/gen1/rank0/{2:010d}{suffix}", offset=5)
+
+    def _restart_rotted(self, tmp_path, *suffixes, **kw):
+        """Restart the snapshot of :meth:`_checkpoint_then_rot` by copy
+        (or ``force_redistribute``); returns the restart's exception or
+        ``(quarantined ssids and ranges, the get of K or its error)``."""
+        machine = Machine(SUMMITDEV, 1, base_dir=str(tmp_path))
+
+        def app(ctx):
+            with Papyrus(ctx) as env:
+                self._checkpoint_then_rot(ctx, env, machine, *suffixes)
+                try:
+                    db, ev = env.restart("ck", "ck", small_options(), **kw)
+                except CorruptionError as exc:
+                    assert env._dbs["ck"].get_or_none(b"K") is None
+                    return exc
+                ev.wait(ctx.clock)
+                holes = [(q.ssid, q.min_key, q.max_key)
+                         for q in db._quarantined]
+                try:
+                    got = db.get_or_none(b"K")
+                except CorruptionError as exc:
+                    got = exc
+                db.close()
+                return holes, got
+
+        [out] = spmd_run(1, app, machine=machine)
+        machine.close()
+        return out
+
+    def test_a_copy_restart_fences_a_damaged_table(self, tmp_path):
+        """The rotted SSData comes back as a hole fenced by its intact
+        index's key range: K raises instead of being answered by table
+        1's older value."""
+        holes, got = self._restart_rotted(tmp_path, ".ssd")
+        assert holes == [(2, b"K", b"K")]
+        assert isinstance(got, CorruptionError)
+
+    def test_a_copy_restart_refuses_a_damaged_table_with_no_range(
+            self, tmp_path):
+        """SSData and index both rotted: nothing gives the range to
+        fence, so the restart names the table and copies nothing."""
+        exc = self._restart_rotted(tmp_path, ".ssd", ".ssi")
+        assert isinstance(exc, CorruptionError)
+        assert "sstable 2" in str(exc)
+
+    def test_a_copy_restart_rebuilds_a_damaged_sidecar(self, tmp_path):
+        """A rotted index over an intact SSData is rebuilt on reopen."""
+        assert self._restart_rotted(tmp_path, ".ssi") == ([], b"NEW")
+
+    def test_a_redistributing_restart_refuses_a_damaged_table(
+            self, tmp_path):
+        """Re-putting table 1 without table 2 would serve OLD: the
+        restart names the damaged table and re-puts nothing."""
+        exc = self._restart_rotted(tmp_path, ".ssd", force_redistribute=True)
+        assert isinstance(exc, CorruptionError)
+        assert "sstable 2" in str(exc)
 
     def test_restart_missing_manifest(self, tmp_path):
         machine = Machine(SUMMITDEV, 1, base_dir=str(tmp_path))
